@@ -195,7 +195,7 @@ def cmd_families(args: argparse.Namespace) -> int:
 
 def cmd_fields(args: argparse.Namespace) -> int:
     if args.config:
-        doc = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        doc = fanio._load_json(args.config)
         if not isinstance(doc, list):
             raise ParseError(f"{args.config}: expected a list of field descriptors")
         table = qfield.load_field_descriptors(doc)

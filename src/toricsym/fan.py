@@ -306,25 +306,32 @@ def _facet_normal(fan: Fan, facet: tuple[int, ...]) -> Vector:
     return basis[0]
 
 
+def _dot(v: Sequence[int], w: Sequence[int]) -> int:
+    return sum(a * b for a, b in zip(v, w))
+
+
 def _complete_rank_ge3(fan: Fan) -> bool:
     n = fan.rank
-    if any(len(cone) != n for cone in fan.max_cones):
+    if not fan.max_cones or any(len(cone) != n for cone in fan.max_cones):
         return False
     walls: dict[tuple[int, ...], list[tuple[int, int]]] = {}
     for ci, cone in enumerate(fan.max_cones):
         for drop in cone:
             facet = tuple(i for i in cone if i != drop)
             walls.setdefault(facet, []).append((ci, drop))
+    # Each cone is the intersection of its facets' half-spaces {x : s * <normal, x> >= 0}.
+    halfspaces: list[list[tuple[Vector, int]]] = [[] for _ in fan.max_cones]
     for facet, owners in walls.items():
         if len(owners) != 2:
             return False
         normal = _facet_normal(fan, facet)
         sides = []
-        for _, opposite in owners:
-            s = sum(a * b for a, b in zip(normal, fan.rays[opposite]))
+        for ci, opposite in owners:
+            s = _dot(normal, fan.rays[opposite])
             if s == 0:
                 return False
             sides.append(s)
+            halfspaces[ci].append((normal, s))
         if sides[0] * sides[1] > 0:
             return False
     # Support connectivity through shared walls.
@@ -333,8 +340,6 @@ def _complete_rank_ge3(fan: Fan) -> bool:
         (a, _), (b, _) = owners
         adjacency[a].add(b)
         adjacency[b].add(a)
-    if not fan.max_cones:
-        return False
     seen = {0}
     queue = [0]
     while queue:
@@ -342,7 +347,14 @@ def _complete_rank_ge3(fan: Fan) -> bool:
             if nxt not in seen:
                 seen.add(nxt)
                 queue.append(nxt)
-    return len(seen) == len(fan.max_cones)
+    if len(seen) != len(fan.max_cones):
+        return False
+    # Walls and connectivity make the cones cover space a whole number of
+    # times (the pentagram bipyramid covers R^3 twice).  The cover is a fan
+    # iff a point inside the first cone lies in no other cone.
+    p = tuple(map(sum, zip(*(fan.rays[i] for i in fan.max_cones[0]))))
+    containing = sum(all(s * _dot(normal, p) >= 0 for normal, s in cone) for cone in halfspaces)
+    return containing == 1
 
 
 def validate_fan(fan: Fan) -> FanReport:
@@ -386,12 +398,17 @@ def _independent_index_subset(fan: Fan) -> tuple[int, ...]:
     raise PreconditionError("rays-do-not-span", "rays do not span the lattice")
 
 
-def _matrix_sending(basis_vectors: Sequence[Vector], images: Sequence[Vector]) -> IntMatrix | None:
-    """The integer matrix g with g b_i = w_i, if one exists."""
-    b = IntMatrix.from_columns(basis_vectors)
+def _matrix_sending(det: int, adjugate: IntMatrix, images: Sequence[Vector]) -> IntMatrix | None:
+    """The unimodular integer matrix g with g b_i = w_i, if one exists.
+
+    The basis b enters through its determinant and adjugate, computed once
+    per search.  g = w adj(b) / det(b) is unimodular iff |det w| = |det b|,
+    which is tested before the product is formed.
+    """
     w = IntMatrix.from_columns(images)
-    det = b.det()
-    num = w @ b.adjugate()
+    if abs(w.det()) != abs(det):
+        return None
+    num = w @ adjugate
     entries = []
     for row in num.entries:
         new_row = []
@@ -426,19 +443,17 @@ def _all_isomorphisms(source: Fan, target: Fan) -> list[tuple[tuple[int, ...], I
         raise PreconditionError("rank", "fans of different rank cannot be compared")
     if source.ray_count != target.ray_count or len(source.max_cones) != len(target.max_cones):
         return []
-    basis_idx = _independent_index_subset(source)
-    basis_vectors = [source.rays[i] for i in basis_idx]
+    basis = IntMatrix.from_columns([source.rays[i] for i in _independent_index_subset(source)])
+    det = basis.det()
+    adjugate = basis.adjugate()
     found = []
-    seen = set()
+    # The basis spans, so distinct image tuples give distinct matrices.
     for images in itertools.permutations(target.rays, source.rank):
-        g = _matrix_sending(basis_vectors, images)
-        if g is None or not g.is_unimodular():
-            continue
-        if g.entries in seen:
+        g = _matrix_sending(det, adjugate, images)
+        if g is None:
             continue
         mapping = _induced_ray_map(g, source, target)
         if mapping is not None:
-            seen.add(g.entries)
             found.append((mapping, g))
     found.sort(key=lambda pair: pair[0])
     return found

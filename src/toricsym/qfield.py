@@ -31,6 +31,12 @@ def _is_squarefree(d: int) -> bool:
     return True
 
 
+def _require_field_d(d: int) -> None:
+    """Q(sqrt d) is a quadratic field exactly for squarefree d != 0, 1."""
+    if d in (0, 1) or not _is_squarefree(d):
+        raise ValueError(f"d must be squarefree and != 0, 1, got {d}")
+
+
 @dataclass(frozen=True, eq=False)
 class QuadElement:
     """a + b*sqrt(d) with exact rational a, b.
@@ -47,8 +53,7 @@ class QuadElement:
         object.__setattr__(self, "a", Fraction(self.a))
         object.__setattr__(self, "b", Fraction(self.b))
         if self.d is not None:
-            if self.d in (0, 1) or not _is_squarefree(self.d):
-                raise ValueError(f"d must be squarefree and != 0, 1, got {self.d}")
+            _require_field_d(self.d)
         elif self.b != 0:
             raise ValueError("rational elements must have b = 0")
 
@@ -235,6 +240,7 @@ class FieldDescriptor:
         if self.kind == "quadratic":
             if self.d is None:
                 raise ValueError("quadratic descriptor needs d")
+            _require_field_d(self.d)
         elif self.d is not None:
             raise ValueError(f"{self.kind} descriptor must not carry d")
         if self.kind in ("rationals", "reals") and not self.star_clause2:
@@ -318,8 +324,8 @@ def descriptor_from_dict(data: dict) -> FieldDescriptor:
         witness = None
         if data.get("witness") is not None:
             pairs = data["witness"]
-            if len(pairs) != 2:
-                raise ParseError("witness must be a pair")
+            if len(pairs) != 2 or any(len(p) != 2 for p in pairs):
+                raise ParseError("witness must be a pair of [a, b] entries")
             witness = tuple(
                 QuadElement(d, Fraction(str(p[0])), Fraction(str(p[1]))) for p in pairs
             )

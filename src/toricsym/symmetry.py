@@ -37,10 +37,6 @@ class GroupAction:
     def faithful_on_rays(self) -> bool:
         return len(set(self.ray_perms)) == len(self.elements)
 
-    def identity_index(self) -> int:
-        ident = IntMatrix.identity(self.fan.rank)
-        return self.elements.index(ident)
-
 
 def _perm_of(fan: Fan, g: IntMatrix) -> Perm:
     mapping = _induced_ray_map(g, fan, fan)
@@ -85,13 +81,16 @@ def trivial_action(fan: Fan) -> GroupAction:
 def fan_automorphisms(fan: Fan) -> GroupAction:
     """The full finite group Aut(N, fan) by brute force.
 
-    A spanning subset of the rays is mapped to every ordered ray tuple;
-    integral unimodular fan-preserving solutions are kept and closed under
-    composition.
+    A spanning subset of the rays is mapped to every ordered ray tuple; the
+    integral unimodular fan-preserving solutions are all the automorphisms,
+    which already form a group.  Elements come ordered by ray permutation.
     """
-    matrices = [g for _, g in _all_isomorphisms(fan, fan)]
-    closed = _close_under_composition(fan, matrices, cap=max(10_000, 4 * len(matrices)))
-    return _make_action(fan, closed)
+    pairs = _all_isomorphisms(fan, fan)
+    return GroupAction(
+        fan=fan,
+        elements=tuple(g for _, g in pairs),
+        ray_perms=tuple(p for p, _ in pairs),
+    )
 
 
 def action_from_generators(

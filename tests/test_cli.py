@@ -214,6 +214,26 @@ class TestFieldsCommand:
         payload = json.loads(capsys.readouterr().out)
         assert payload["Q(sqrt-1)"]["witness_verifies"] is True
 
+    def _assert_parse_error(self, path, capsys):
+        assert run_cli("fields", "--config", str(path), "--format", "machine") == 2
+        assert json.loads(capsys.readouterr().out)["error"]["reason"] == "parse"
+
+    def test_malformed_json_is_a_parse_error(self, tmp_path, capsys):
+        path = tmp_path / "fields.json"
+        path.write_text('[{"name": "Q", "kind": ', encoding="utf-8")
+        self._assert_parse_error(path, capsys)
+
+    def test_one_element_witness_entry_is_a_parse_error(self, tmp_path, capsys):
+        path = tmp_path / "fields.json"
+        entry = {"name": "F", "kind": "quadratic", "d": -1, "star_clause2": False, "witness": [[1], [0, 1]]}
+        write_json(path, [entry])
+        self._assert_parse_error(path, capsys)
+
+    def test_non_squarefree_d_is_a_parse_error(self, tmp_path, capsys):
+        path = tmp_path / "fields.json"
+        write_json(path, [{"name": "F", "kind": "quadratic", "d": 4}])
+        self._assert_parse_error(path, capsys)
+
 
 class TestVerifyPaperCommand:
     def test_single_criterion(self, capsys):

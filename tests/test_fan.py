@@ -155,6 +155,30 @@ class TestValidateFan:
         broken = make_fan(fan.lattice, fan.rays, fan.max_cones[:-1])
         assert not validate_fan(broken).complete
 
+    # Five rays in the plane z = 0, joined to both poles.  Joined in angular
+    # order they give a fan; joined in the order below they wind twice round
+    # the axis, so every wall is still shared by two cones on opposite sides.
+    PENTAGON = [(1, 0, 0), (-1, 1, 0), (1, -2, 0), (1, 2, 0), (-2, -1, 0), (0, 0, 1), (0, 0, -1)]
+
+    @pytest.mark.parametrize("cycle, complete", [((0, 3, 1, 4, 2), True), ((0, 1, 2, 3, 4), False)])
+    def test_pentagon_bipyramid_complete_iff_it_winds_once(self, cycle, complete):
+        cones = [(cycle[j], cycle[(j + 1) % 5], pole) for j in range(5) for pole in (5, 6)]
+        report = validate_fan(make_fan(Lattice.standard(3), self.PENTAGON, cones))
+        assert report.simplicial
+        assert report.complete is complete
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            IntMatrix.from_rows([(1, 2, 0), (0, 1, 0), (0, 0, 1)]),
+            IntMatrix.from_rows([(0, 1, 0), (1, 0, 0), (0, 0, 1)]),
+            IntMatrix.from_rows([(1, 0, 0), (3, 1, 0), (-2, 5, -1)]),
+        ],
+    )
+    def test_completeness_is_invariant_under_unimodular_maps(self, g):
+        for fan in (families.projective_space(3), families.bundle_over_p1xp1(2)):
+            assert validate_fan(transform_fan(g, fan)).complete
+
     def test_rank1_projective_line(self):
         fan = families.projective_space(1)
         report = validate_fan(fan)

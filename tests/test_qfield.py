@@ -137,6 +137,11 @@ class TestStarCondition:
         with pytest.raises(ValueError):
             FieldDescriptor(name="R", kind="reals", star_clause2=False)
 
+    @pytest.mark.parametrize("d", [4, -8, 12, 0, 1])
+    def test_quadratic_d_must_be_squarefree_and_not_0_or_1(self, d):
+        with pytest.raises(ValueError):
+            FieldDescriptor(name="bad", kind="quadratic", d=d)
+
 
 class TestMoreArithmetic:
     def test_negative_powers_use_the_inverse(self):

@@ -5,10 +5,13 @@ import pytest
 from toricsym import families
 from toricsym.divisors import class_group
 from toricsym.errors import PreconditionError
-from toricsym.fan import fan_isomorphism
+from toricsym.fan import Lattice, fan_isomorphism, make_fan
 from toricsym.intlin import IntMatrix
 from toricsym.symmetry import (
     GaloisDatum,
+    _close_under_composition,
+    _make_action,
+    _perm_of,
     GaloisForm,
     action_from_generators,
     centralizer_in_GL,
@@ -49,6 +52,58 @@ class TestFanAutomorphisms:
     def test_hirzebruch_automorphisms_are_small(self):
         # a != 0 kills the swap symmetry of the square
         assert fan_automorphisms(families.hirzebruch(2)).order == 2
+
+
+def _product(*factors):
+    """Product fan in the direct sum of the factors' standard lattices."""
+    rank = sum(f.rank for f in factors)
+    rays, cone_lists, shift = [], [], 0
+    for f in factors:
+        base = len(rays)
+        rays += [(0,) * shift + v + (0,) * (rank - shift - f.rank) for v in f.rays]
+        cone_lists.append([tuple(base + i for i in cone) for cone in f.max_cones])
+        shift += f.rank
+    cones = [sum(choice, ()) for choice in itertools.product(*cone_lists)]
+    return make_fan(Lattice.standard(rank), rays, cones)
+
+
+P1 = families.projective_space(1)
+
+
+class TestAutomorphismSearchIsAGroup:
+    """The search finds every automorphism, so it needs no closure step."""
+
+    @pytest.mark.parametrize(
+        "builder",
+        [
+            lambda: families.dp6("n2"),
+            lambda: families.projective_space(3),
+            lambda: _product(P1, P1, P1),
+            lambda: families.bundle_over_p1xp1(1),
+        ],
+        ids=["hexagon", "P3", "P1^3", "bundle-over-P1xP1"],
+    )
+    def test_agrees_with_the_closure_of_its_elements(self, builder):
+        fan = builder()
+        action = fan_automorphisms(fan)
+        closed = _close_under_composition(fan, list(action.elements), cap=10_000)
+        assert {g.entries for g in closed} == {g.entries for g in action.elements}
+        assert _make_action(fan, closed) == action
+        assert action.ray_perms == tuple(_perm_of(fan, g) for g in action.elements)
+
+    @pytest.mark.parametrize(
+        "builder, expected",
+        [
+            (lambda: families.projective_space(5), 720),
+            (lambda: _product(P1, P1, P1, P1), 384),
+            (lambda: _product(families.projective_space(4), P1), 240),
+        ],
+        ids=["P5", "P1^4", "P4xP1"],
+    )
+    def test_closed_form_orders(self, builder, expected):
+        action = fan_automorphisms(builder())
+        assert action.order == expected
+        assert action.faithful_on_rays
 
 
 class TestActionFromGenerators:
