@@ -5,7 +5,7 @@ surfaces, and the named fan families of the accompanying classification.
 """
 
 from .errors import ParseError, PreconditionError, ToricError
-from .fan import Fan, FanReport, Lattice, build_surface_fan, fan_isomorphism, lattice_coords, make_fan, validate_fan
+from .fan import Fan, FanReport, Lattice, build_surface_fan, fan_isomorphism, make_fan, validate_fan
 from .intlin import FGAbelianGroup, IntMatrix, SNFResult, cokernel_group, kernel_basis, smith_normal_form
 from .symmetry import GaloisDatum, GroupAction, fan_automorphisms
 
@@ -26,7 +26,6 @@ __all__ = [
     "fan_automorphisms",
     "fan_isomorphism",
     "kernel_basis",
-    "lattice_coords",
     "make_fan",
     "smith_normal_form",
     "validate_fan",

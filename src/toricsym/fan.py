@@ -145,11 +145,6 @@ class Lattice:
         return tuple(sorted(seen))
 
 
-def lattice_coords(lattice: Lattice, v: Sequence[int]) -> Vector:
-    """Coordinates of an ambient vector in the lattice's fixed basis."""
-    return lattice.coords(v)
-
-
 def _cross(v: Vector, w: Vector) -> int:
     return v[0] * w[1] - v[1] * w[0]
 

@@ -438,12 +438,6 @@ def cokernel_group(a: IntMatrix) -> tuple[FGAbelianGroup, CokernelProjection]:
     return group, proj
 
 
-def solve_integer(a: IntMatrix, b: Sequence[int]) -> Vector | None:
-    """One integer solution of A x = b, or None if none exists."""
-    status, x = solve_integer_status(a, b)
-    return x if status == "ok" else None
-
-
 def solve_integer_status(a: IntMatrix, b: Sequence[int]) -> tuple[str, Vector | None]:
     """Solve A x = b over Z.
 

@@ -8,6 +8,7 @@ until no orbit qualifies and labels the terminal fan.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Container
 
 from .errors import PreconditionError
 from .fan import Fan, Lattice, build_surface_fan, fan_isomorphism, validate_fan
@@ -42,6 +43,11 @@ class SelfIntersectionProfile:
 def self_intersection_profile(fan: Fan) -> SelfIntersectionProfile:
     """Neighbor-sum coefficients of a smooth complete surface fan."""
     _require_smooth_complete_surface(fan, "the self-intersection profile")
+    return _profile(fan)
+
+
+def _profile(fan: Fan) -> SelfIntersectionProfile:
+    """The profile of a fan already known to be a smooth complete surface fan."""
     d = fan.ray_count
     coeffs = []
     for i in range(d):
@@ -71,7 +77,12 @@ def contractible_orbits(fan: Fan, action: GroupAction) -> tuple[tuple[int, ...],
     """
     if action.fan != fan:
         raise PreconditionError("action-fan", "action was built for a different fan")
-    profile = self_intersection_profile(fan)
+    return _contractible(fan, action, self_intersection_profile(fan))
+
+
+def _contractible(
+    fan: Fan, action: GroupAction, profile: SelfIntersectionProfile
+) -> tuple[tuple[int, ...], ...]:
     d = fan.ray_count
     good = []
     for orbit in ray_orbits(action):
@@ -97,13 +108,25 @@ def remove_ray_orbit(fan: Fan, orbit: tuple[int, ...]) -> Fan:
 
 def contract_orbit(fan: Fan, orbit: tuple[int, ...]) -> Fan:
     """Contract a non-adjacent orbit of (-1)-rays; result re-validated smooth."""
-    profile = self_intersection_profile(fan)
+    return _contract(fan, orbit, self_intersection_profile(fan))
+
+
+def _contract(
+    fan: Fan,
+    orbit: tuple[int, ...],
+    profile: SelfIntersectionProfile,
+    validated: Container[Fan] = (),
+) -> Fan:
+    """Checks of ``contract_orbit`` with a known profile; a result found in
+    ``validated`` has passed the re-validation before and is not re-checked."""
     d = fan.ray_count
     if any(profile.coefficients[i] != 1 for i in orbit):
         raise PreconditionError("not-minus-one", "orbit contains a ray that is not a (-1)-ray")
     if any(_adjacent(i, j, d) for i in orbit for j in orbit if i < j):
         raise PreconditionError("adjacent-orbit", "orbit contains cyclically adjacent rays")
     result = remove_ray_orbit(fan, orbit)
+    if result in validated:
+        return result
     report = validate_fan(result)
     if not (report.smooth and report.complete):
         raise PreconditionError("contraction-broke-fan", "contracted fan failed re-validation")
@@ -145,17 +168,24 @@ def _reference_hirzebruch(a: int) -> Fan:
     return build_surface_fan(Lattice.standard(2), [(1, 0), (0, 1), (-1, a), (0, -1)])
 
 
-def classify_terminal(fan: Fan, action: GroupAction | None = None) -> TerminalLabel:
+def classify_terminal(fan: Fan) -> TerminalLabel:
     """Label a fan by comparison with the reference terminal models."""
+    return _classify(fan, None)
+
+
+def _classify(fan: Fan, profile: SelfIntersectionProfile | None) -> TerminalLabel:
+    """``profile`` is given when the fan is known to be smooth and complete."""
     d = fan.ray_count
     if d == 3 and fan_isomorphism(fan, _reference_p2()) is not None:
         return P2
     if d == 4:
         if fan_isomorphism(fan, _reference_p1xp1()) is not None:
             return P1XP1
-        report = validate_fan(fan)
-        if report.smooth and report.complete:
-            profile = self_intersection_profile(fan)
+        if profile is None:
+            report = validate_fan(fan)
+            if report.smooth and report.complete:
+                profile = _profile(fan)
+        if profile is not None:
             a = max(abs(c) for c in profile.coefficients)
             if a != 0 and fan_isomorphism(fan, _reference_hirzebruch(a)) is not None:
                 return TerminalLabel("Hirzebruch", a)
@@ -188,50 +218,57 @@ def _restrict_action(action: GroupAction, fan: Fan) -> GroupAction:
     return _make_action(fan, action.elements, action.generator_names)
 
 
+def _step(fan: Fan, orbit: tuple[int, ...]) -> MMPStep:
+    return MMPStep(fan=fan, orbit=orbit, orbit_rays=tuple(fan.rays[i] for i in orbit))
+
+
 def run_equivariant_mmp(fan: Fan, action: GroupAction, mode: str = "first-orbit"):
     """Run the equivariant contraction loop to a terminal model.
 
     mode "first-orbit": contract, at each stage, the qualifying orbit that
     contains the lexicographically least ray vector; returns one MMPTrace.
     mode "explore-all": branch over every qualifying orbit and return the
-    tuple of all terminal traces in deterministic order.
+    tuple of all terminal traces in deterministic order (depth first, the
+    orbits of each fan in ``contractible_orbits`` order).
+
+    The input fan is validated once on entry and every contracted fan once
+    by the contraction that produces it; each fan's profile is computed
+    once.  In explore-all mode every fan below the root carries the root's
+    matrices restricted to it, so the traces below a fan depend on the fan
+    alone: different contraction orders that meet at the same fan share
+    its subtree, which is contracted and labelled once per call.
     """
     _require_smooth_complete_surface(fan, "the equivariant contraction loop")
     if action.fan != fan:
         raise PreconditionError("action-fan", "action was built for a different fan")
     if mode == "first-orbit":
         steps = []
-        current, current_action = fan, action
-        while True:
-            orbits = contractible_orbits(current, current_action)
-            if not orbits:
-                break
+        current, current_action, profile = fan, action, _profile(fan)
+        while orbits := _contractible(current, current_action, profile):
             orbit = orbits[0]
-            steps.append(
-                MMPStep(fan=current, orbit=orbit, orbit_rays=tuple(current.rays[i] for i in orbit))
-            )
-            current = contract_orbit(current, orbit)
-            current_action = _restrict_action(current_action, current)
-        return MMPTrace(tuple(steps), current, classify_terminal(current, current_action))
+            steps.append(_step(current, orbit))
+            current = _contract(current, orbit, profile)
+            current_action = _restrict_action(action, current)
+            profile = _profile(current)
+        return MMPTrace(tuple(steps), current, _classify(current, profile))
     if mode == "explore-all":
-        traces: list[MMPTrace] = []
+        below: dict[Fan, tuple[MMPTrace, ...]] = {}
 
-        def explore(current: Fan, current_action: GroupAction, steps: tuple[MMPStep, ...]):
-            orbits = contractible_orbits(current, current_action)
+        def explore(current: Fan, current_action: GroupAction) -> tuple[MMPTrace, ...]:
+            profile = _profile(current)
+            orbits = _contractible(current, current_action, profile)
             if not orbits:
-                traces.append(
-                    MMPTrace(steps, current, classify_terminal(current, current_action))
-                )
-                return
+                return (MMPTrace((), current, _classify(current, profile)),)
+            traces = []
             for orbit in orbits:
-                nxt = contract_orbit(current, orbit)
-                step = MMPStep(
-                    fan=current, orbit=orbit, orbit_rays=tuple(current.rays[i] for i in orbit)
-                )
-                explore(nxt, _restrict_action(current_action, nxt), steps + (step,))
+                nxt = _contract(current, orbit, profile, below)
+                if nxt not in below:
+                    below[nxt] = explore(nxt, _restrict_action(action, nxt))
+                step = _step(current, orbit)
+                traces.extend(MMPTrace((step,) + t.steps, t.terminal, t.label) for t in below[nxt])
+            return tuple(traces)
 
-        explore(fan, action, ())
-        return tuple(traces)
+        return explore(fan, action)
     raise PreconditionError("mode", f"unknown mode {mode!r}; use 'first-orbit' or 'explore-all'")
 
 

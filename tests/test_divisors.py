@@ -11,7 +11,7 @@ from toricsym.divisors import (
     relation_lattice,
 )
 from toricsym.errors import PreconditionError
-from toricsym.intlin import FGAbelianGroup, IntMatrix, solve_integer
+from toricsym.intlin import FGAbelianGroup, IntMatrix, solve_integer_status
 
 
 class TestClassGroup:
@@ -91,7 +91,7 @@ class TestRayBlocks:
                 target = tuple(
                     (1 if k == i else 0) - (1 if k == j else 0) for k in range(d)
                 )
-                solvable = solve_integer(matrix, target) is not None
+                solvable = solve_integer_status(matrix, target)[0] == "ok"
                 assert solvable == ((i, j) in same), (name, i, j)
 
 

@@ -11,7 +11,6 @@ from toricsym.fan import (
     build_surface_fan,
     cone_invariant_factors,
     fan_isomorphism,
-    lattice_coords,
     make_fan,
     transform_fan,
     validate_fan,
@@ -22,15 +21,15 @@ from toricsym.intlin import IntMatrix
 class TestLatticeCoordinates:
     def test_root_lattice_solves(self):
         lat = Lattice.root_a2()
-        assert lattice_coords(lat, (3, -1, -2)) == (3, 2)
-        assert lattice_coords(lat, (3, -2, -1)) == (3, 1)
+        assert lat.coords((3, -1, -2)) == (3, 2)
+        assert lat.coords((3, -2, -1)) == (3, 1)
 
     def test_weight_lattice_reduces_mod_diagonal(self):
-        assert lattice_coords(Lattice.weight_a2(), (0, 0, 1)) == (-1, -1)
+        assert Lattice.weight_a2().coords((0, 0, 1)) == (-1, -1)
 
     def test_root_lattice_rejects_nonzero_sum(self):
         with pytest.raises(PreconditionError):
-            lattice_coords(Lattice.root_a2(), (1, 0, 0))
+            Lattice.root_a2().coords((1, 0, 0))
 
     @pytest.mark.parametrize("lat", [Lattice.root_a2(), Lattice.weight_a2()])
     def test_round_trip_with_embedding(self, lat):

@@ -1,13 +1,19 @@
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from toricsym import families
 from toricsym.errors import PreconditionError
-from toricsym.fan import build_surface_fan, fan_isomorphism, validate_fan
+from toricsym.fan import Lattice, build_surface_fan, fan_isomorphism, validate_fan
 from toricsym.intlin import IntMatrix
 from toricsym.mmp import (
     DP6_TERMINAL,
     P2,
     P1XP1,
+    MMPStep,
+    MMPTrace,
     TerminalLabel,
     check_adjacent_minus_one_rule,
     classify_terminal,
@@ -26,6 +32,63 @@ def blowup_p2_once(std2):
 
 def blowup_p2_twice(std2):
     return build_surface_fan(std2, [(1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1)])
+
+
+def census_cases():
+    """Smooth census fans of both A2 lattices with the S3 action they carry."""
+    cases = []
+    for lattice in (Lattice.root_a2(), Lattice.weight_a2()):
+        for negation in (False, True):
+            for fan in families.enumerate_invariant_fans(
+                lattice, height=2, max_rays=12, require_smooth=True, include_negation=negation
+            ):
+                action = families.standard_s3_action(fan, include_negation=negation)
+                name = f"{lattice.kind}-{fan.ray_count}-neg{int(negation)}"
+                cases.append(pytest.param(fan, action, id=name))
+    return cases
+
+
+def random_blowup_cases(count=24):
+    cases = []
+    for seed in range(count):
+        fan = families.random_blowup_surface_fan(random.Random(seed), max_rays=9)
+        cases.append(pytest.param(fan, trivial_action(fan), id=f"blowup-seed{seed}"))
+    return cases
+
+
+def _step(fan, orbit):
+    return MMPStep(fan=fan, orbit=orbit, orbit_rays=tuple(fan.rays[i] for i in orbit))
+
+
+def _restrict(action, fan):
+    return action_from_generators(fan, list(action.elements), action.generator_names)
+
+
+def explore_all_by_recursion(fan, action):
+    """Explore-all walked path by path through the public steps, with no
+    sharing between paths that meet at the same fan."""
+    traces = []
+
+    def walk(current, current_action, steps):
+        orbits = contractible_orbits(current, current_action)
+        if not orbits:
+            traces.append(MMPTrace(steps, current, classify_terminal(current)))
+            return
+        for orbit in orbits:
+            nxt = contract_orbit(current, orbit)
+            walk(nxt, _restrict(current_action, nxt), steps + (_step(current, orbit),))
+
+    walk(fan, action, ())
+    return tuple(traces)
+
+
+def first_orbit_by_public_steps(fan, action):
+    steps = []
+    while orbits := contractible_orbits(fan, action):
+        steps.append(_step(fan, orbits[0]))
+        fan = contract_orbit(fan, orbits[0])
+        action = _restrict(action, fan)
+    return MMPTrace(tuple(steps), fan, classify_terminal(fan))
 
 
 def hexagon_with_corners(kind):
@@ -180,6 +243,59 @@ class TestDriver:
         action = families.standard_s3_action(fan)
         with pytest.raises(PreconditionError):
             run_equivariant_mmp(fan, action)
+
+
+class TestAgainstThePublicSteps:
+    """The driver shares the subtrees of fans that several contraction
+    orders reach; walking every path through the public functions must give
+    the same traces in the same order."""
+
+    @pytest.mark.parametrize("fan,action", random_blowup_cases() + census_cases())
+    def test_explore_all_equals_the_path_by_path_walk(self, fan, action):
+        assert run_equivariant_mmp(fan, action, mode="explore-all") == explore_all_by_recursion(
+            fan, action
+        )
+
+    @pytest.mark.parametrize("fan,action", random_blowup_cases() + census_cases())
+    def test_first_orbit_equals_the_public_steps(self, fan, action):
+        assert run_equivariant_mmp(fan, action, mode="first-orbit") == first_orbit_by_public_steps(
+            fan, action
+        )
+
+    def test_branches_that_meet_again(self, std2):
+        # Two disjoint (-1)-rays contract in either order onto the same fan.
+        fan = build_surface_fan(std2, [(1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1)])
+        traces = run_equivariant_mmp(fan, trivial_action(fan), mode="explore-all")
+        assert traces == explore_all_by_recursion(fan, trivial_action(fan))
+        assert len(traces) > len({t.terminal for t in traces})
+
+
+def blowup_once(fan, i):
+    """The fan with the sum of rays i and i+1 added: a single blow-up."""
+    d = fan.ray_count
+    new_ray = tuple(a + b for a, b in zip(fan.rays[i], fan.rays[(i + 1) % d]))
+    return build_surface_fan(fan.lattice, list(fan.rays) + [new_ray]), new_ray
+
+
+class TestProperties:
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 10**6))
+    def test_noether_formula_along_every_trace(self, seed):
+        # Sum of D_i^2 over the boundary divisors is K^2 - d = 12 - 3d.
+        fan = families.random_blowup_surface_fan(random.Random(seed), max_rays=8)
+        for trace in run_equivariant_mmp(fan, trivial_action(fan), mode="explore-all"):
+            for f in [s.fan for s in trace.steps] + [trace.terminal]:
+                assert sum(self_intersection_profile(f).self_intersections) == 12 - 3 * f.ray_count
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 10**6), st.data())
+    def test_contracting_a_single_blowup_gives_back_the_fan(self, seed, data):
+        fan = families.random_blowup_surface_fan(random.Random(seed), max_rays=9)
+        i = data.draw(st.integers(0, fan.ray_count - 1))
+        blown_up, new_ray = blowup_once(fan, i)
+        k = blown_up.ray_index(new_ray)
+        assert self_intersection_profile(blown_up).self_intersections[k] == -1
+        assert contract_orbit(blown_up, (k,)) == fan
 
 
 class TestClassifyTerminal:
