@@ -13,7 +13,7 @@ from typing import Callable
 
 from . import families, qfield
 from .divisors import class_group, derive_block_relation, ray_blocks
-from .fan import Fan, Lattice, cone_invariant_factors, validate_fan
+from .fan import Fan, Lattice, cone_invariant_factors
 from .intlin import IntMatrix, smith_normal_form
 from .mmp import (
     DP6_TERMINAL,

@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
 from typing import Any
 
 from . import acceptance, families, fanio, qfield
@@ -184,12 +183,11 @@ def cmd_families(args: argparse.Namespace) -> int:
         _emit(payload, lines, args.format)
         return EXIT_OK
     fan, datum = families.make_family_fan(args.name)
-    doc = fanio.fan_document(fan, datum)
     if args.out:
-        Path(args.out).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+        fanio.save_fan(fan, args.out, datum)
         _emit({"written": args.out}, [f"wrote {args.out}"], args.format)
     else:
-        print(json.dumps(doc, indent=2))
+        print(json.dumps(fanio.fan_document(fan, datum), indent=2))
     return EXIT_OK
 
 
@@ -220,8 +218,7 @@ def cmd_verify_paper(args: argparse.Namespace) -> int:
     try:
         results = acceptance.run_criteria(only=args.only)
     except KeyError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        raise ParseError(exc.args[0]) from exc
     payload = {
         "results": [
             {"id": r.id, "title": r.title, "passed": r.passed, "failures": list(r.failures)}

@@ -14,7 +14,6 @@ from .errors import PreconditionError
 from .fan import Fan
 from .intlin import (
     ClassCoords,
-    CokernelProjection,
     FGAbelianGroup,
     IntMatrix,
     Vector,

@@ -312,27 +312,6 @@ def max_symmetric_degree(dim: int, field: str) -> MaxDegreeEntry:
     raise PreconditionError("field", f"unknown field selector {field!r}; use 'C' or 'star'")
 
 
-def symmetric_action_criteria(query: str) -> bool | MaxDegreeEntry:
-    """Answer a parity or table query by name.
-
-    Queries: "s6-on-weighted-p1111m:<m>", "s6-on-bundle-over-p3:<a>",
-    "max-degree:<dim>:<C|star>".
-    """
-    head, _, rest = query.partition(":")
-    head = head.strip().lower()
-    try:
-        if head == "s6-on-weighted-p1111m":
-            return s6_on_weighted_p1111m(int(rest))
-        if head == "s6-on-bundle-over-p3":
-            return s6_on_bundle_over_p3(int(rest))
-        if head == "max-degree":
-            dim, _, field = rest.partition(":")
-            return max_symmetric_degree(int(dim), field.strip())
-    except ValueError as exc:
-        raise PreconditionError("query", f"bad query parameter in {query!r}: {exc}")
-    raise PreconditionError("query", f"unknown query {query!r}")
-
-
 @dataclass(frozen=True)
 class DiagonalObstructionReport:
     """Outcome of the pyramid-subdivision swap check for one twist value."""

@@ -56,10 +56,6 @@ class Lattice:
     def weight_a2(cls) -> "Lattice":
         return cls("weightA2", 2)
 
-    @property
-    def ambient_dim(self) -> int:
-        return 3 if self.kind in ("rootA2", "weightA2") else self.rank
-
     def label(self) -> str:
         return f"standard:{self.rank}" if self.kind == "standard" else self.kind
 
@@ -209,8 +205,8 @@ class Fan(object):
         return self.canonical_key() == other.canonical_key()
 
 
-def make_fan(lattice: Lattice, rays: Iterable[Sequence[int]], max_cones: Iterable[Sequence[int]] | None = None) -> Fan:
-    """Validating constructor; accepts ambient coordinates for A2 lattices."""
+def _primitive_rays(lattice: Lattice, rays: Iterable[Sequence[int]]) -> list[Vector]:
+    """Primitive lattice generators of the input rays, each checked once."""
     converted = [lattice.accept_ray(v) for v in rays]
     for v in converted:
         if not any(v):
@@ -218,9 +214,15 @@ def make_fan(lattice: Lattice, rays: Iterable[Sequence[int]], max_cones: Iterabl
     prim = [primitive_vector(v) for v in converted]
     if len(set(prim)) != len(prim):
         raise PreconditionError("parallel-rays", "two rays share a primitive generator")
+    return prim
+
+
+def make_fan(lattice: Lattice, rays: Iterable[Sequence[int]], max_cones: Iterable[Sequence[int]] | None = None) -> Fan:
+    """Validating constructor; accepts ambient coordinates for A2 lattices."""
+    prim = _primitive_rays(lattice, rays)
 
     if lattice.rank == 2 and max_cones is None:
-        return build_surface_fan(lattice, prim)
+        return _surface_fan(lattice, prim)
 
     if lattice.rank == 1:
         cones = tuple((i,) for i in range(len(prim)))
@@ -240,7 +242,7 @@ def make_fan(lattice: Lattice, rays: Iterable[Sequence[int]], max_cones: Iterabl
             )
         cones.append(idx)
     if lattice.rank == 2:
-        fan = build_surface_fan(lattice, prim)
+        fan = _surface_fan(lattice, prim)
         given = sorted(tuple(sorted(prim[i] for i in cone)) for cone in cones)
         expected = sorted(tuple(sorted(fan.rays[i] for i in cone)) for cone in fan.max_cones)
         if given != expected:
@@ -259,13 +261,10 @@ def build_surface_fan(lattice: Lattice, rays: Iterable[Sequence[int]]) -> Fan:
     """
     if lattice.rank != 2:
         raise PreconditionError("rank", "surface fans have rank 2")
-    converted = [lattice.accept_ray(v) for v in rays]
-    for v in converted:
-        if not any(v):
-            raise PreconditionError("zero-ray", "zero vector cannot generate a ray")
-    prim = [primitive_vector(v) for v in converted]
-    if len(set(prim)) != len(prim):
-        raise PreconditionError("parallel-rays", "two rays share a primitive generator")
+    return _surface_fan(lattice, _primitive_rays(lattice, rays))
+
+
+def _surface_fan(lattice: Lattice, prim: list[Vector]) -> Fan:
     if len(prim) < 3:
         raise PreconditionError("too-few-rays", "a complete surface fan needs at least 3 rays")
     ordered = _ccw_sort(prim)

@@ -46,7 +46,10 @@ def _int_vector(raw: Any, what: str) -> tuple[int, ...]:
 def _int_matrix(raw: Any, what: str) -> IntMatrix:
     if not isinstance(raw, list) or not raw:
         raise ParseError(f"{what} must be a non-empty list of rows")
-    return IntMatrix.from_rows([_int_vector(row, f"{what} row") for row in raw])
+    rows = [_int_vector(row, f"{what} row") for row in raw]
+    if any(len(row) != len(rows[0]) for row in rows):
+        raise ParseError(f"{what} has rows of different lengths")
+    return IntMatrix.from_rows(rows)
 
 
 def parse_fan_document(doc: Any, origin: str = "fan document") -> Fan:

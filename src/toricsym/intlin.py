@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .errors import PreconditionError
 
@@ -66,10 +66,6 @@ class IntMatrix:
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
         return cls(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "IntMatrix":
-        return cls(tuple(tuple(0 for _ in range(cols)) for _ in range(rows)))
 
     @property
     def rows(self) -> int:
@@ -181,15 +177,12 @@ class IntMatrix:
 
 @dataclass(frozen=True)
 class SNFResult:
-    """Smith decomposition A = U @ S @ V with unimodular U, V.
-
-    ``u_inv`` and ``v_inv`` are the exact inverses, tracked during the
-    elimination so that kernels and cokernels come for free.
+    """Smith decomposition ``u_inv @ A @ v_inv = s`` with unimodular
+    ``u_inv`` and ``v_inv``, tracked during the elimination so that
+    kernels and cokernels come for free.
     """
 
-    u: IntMatrix
     s: IntMatrix
-    v: IntMatrix
     u_inv: IntMatrix
     v_inv: IntMatrix
 
@@ -206,52 +199,43 @@ class SNFResult:
 def smith_normal_form(a: IntMatrix) -> SNFResult:
     """Smith normal form with transforms.
 
-    Returns U, S, V with A = U S V exactly, S diagonal with non-negative
-    entries satisfying the divisibility chain d_i | d_{i+1}.  Pivots are
-    chosen by minimal absolute value, ties broken by smallest (row, col),
-    which makes the output deterministic.
+    Returns S, U^-1, V^-1 with U^-1 A V^-1 = S exactly, U^-1 and V^-1
+    unimodular, S diagonal with non-negative entries satisfying the
+    divisibility chain d_i | d_{i+1}.  Pivots are chosen by minimal
+    absolute value, ties broken by smallest (row, col), which makes the
+    output deterministic.
     """
     rows, cols = a.rows, a.cols
     s = [list(row) for row in a.entries]
-    u = [[1 if i == j else 0 for j in range(rows)] for i in range(rows)]
     uinv = [[1 if i == j else 0 for j in range(rows)] for i in range(rows)]
-    v = [[1 if i == j else 0 for j in range(cols)] for i in range(cols)]
     vinv = [[1 if i == j else 0 for j in range(cols)] for i in range(cols)]
 
-    # Row op S <- E S is mirrored by U <- U E^{-1} (and U^{-1} <- E U^{-1});
-    # column op S <- S F by V <- F^{-1} V (and V^{-1} <- V^{-1} F).
+    # Row op S <- E S is mirrored by U^{-1} <- E U^{-1}; column op
+    # S <- S F by V^{-1} <- V^{-1} F.
     def swap_rows(i, j):
         s[i], s[j] = s[j], s[i]
-        for r in u:
-            r[i], r[j] = r[j], r[i]
         uinv[i], uinv[j] = uinv[j], uinv[i]
 
     def swap_cols(i, j):
         for r in s:
             r[i], r[j] = r[j], r[i]
-        v[i], v[j] = v[j], v[i]
         for r in vinv:
             r[i], r[j] = r[j], r[i]
 
     def add_row(i, j, k):
         # row i += k * row j
         s[i] = [x + k * y for x, y in zip(s[i], s[j])]
-        for r in u:
-            r[j] -= k * r[i]
         uinv[i] = [x + k * y for x, y in zip(uinv[i], uinv[j])]
 
     def add_col(j, i, k):
         # col j += k * col i
         for r in s:
             r[j] += k * r[i]
-        v[i] = [x - k * y for x, y in zip(v[i], v[j])]
         for r in vinv:
             r[j] += k * r[i]
 
     def negate_row(i):
         s[i] = [-x for x in s[i]]
-        for r in u:
-            r[i] = -r[i]
         uinv[i] = [-x for x in uinv[i]]
 
     def find_pivot(t):
@@ -307,9 +291,7 @@ def smith_normal_form(a: IntMatrix) -> SNFResult:
             negate_row(t)
 
     return SNFResult(
-        u=IntMatrix.from_rows(u),
         s=IntMatrix.from_rows(s),
-        v=IntMatrix.from_rows(v),
         u_inv=IntMatrix.from_rows(uinv),
         v_inv=IntMatrix.from_rows(vinv),
     )
@@ -381,10 +363,6 @@ class FGAbelianGroup:
                 raise ValueError("torsion factors must be > 1")
             if i and d % self.torsion[i - 1]:
                 raise ValueError("torsion factors must form a divisibility chain")
-
-    @property
-    def is_trivial(self) -> bool:
-        return self.free_rank == 0 and not self.torsion
 
     def __str__(self) -> str:
         parts = []

@@ -8,11 +8,9 @@ verified exactly.
 
 from __future__ import annotations
 
-import ast
-import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
 
 from .errors import ParseError, PreconditionError
 
@@ -77,10 +75,6 @@ class QuadElement:
 
     def __hash__(self) -> int:
         return hash(self._key())
-
-    @property
-    def is_rational(self) -> bool:
-        return self.b == 0
 
     def _join(self, other: "QuadElement | RationalLike") -> tuple["QuadElement", "QuadElement", int | None]:
         if isinstance(other, (int, Fraction)):
@@ -167,57 +161,6 @@ class QuadElement:
         return f"{self.a} {sign} {tail}"
 
 
-_ALLOWED_NODES = (
-    ast.Expression, ast.BinOp, ast.UnaryOp, ast.Add, ast.Sub, ast.Mult,
-    ast.Div, ast.Pow, ast.USub, ast.UAdd, ast.Constant, ast.Name, ast.Load,
-)
-
-
-def quad_eval(expr: str, variables: Mapping[str, QuadElement] | None = None) -> QuadElement:
-    """Evaluate an arithmetic expression over QuadElements, exactly.
-
-    Supports +, -, *, /, integer ** and integer literals; names resolve in
-    ``variables``.  Division by zero and mixed radicands raise.
-    """
-    env = dict(variables or {})
-    try:
-        tree = ast.parse(expr, mode="eval")
-    except SyntaxError as exc:
-        raise ParseError(f"bad expression: {exc}") from exc
-
-    def ev(node: ast.AST):
-        if not isinstance(node, _ALLOWED_NODES):
-            raise ParseError(f"unsupported syntax: {ast.dump(node)[:40]}")
-        if isinstance(node, ast.Expression):
-            return ev(node.body)
-        if isinstance(node, ast.Constant):
-            if isinstance(node.value, bool) or not isinstance(node.value, int):
-                raise ParseError("only integer literals are allowed")
-            return QuadElement.rational(node.value)
-        if isinstance(node, ast.Name):
-            if node.id not in env:
-                raise ParseError(f"unknown name {node.id!r}")
-            return env[node.id]
-        if isinstance(node, ast.UnaryOp):
-            val = ev(node.operand)
-            return -val if isinstance(node.op, ast.USub) else val
-        assert isinstance(node, ast.BinOp)
-        lhs, rhs = ev(node.left), ev(node.right)
-        if isinstance(node.op, ast.Add):
-            return lhs + rhs
-        if isinstance(node.op, ast.Sub):
-            return lhs - rhs
-        if isinstance(node.op, ast.Mult):
-            return lhs * rhs
-        if isinstance(node.op, ast.Div):
-            return lhs / rhs
-        if not (rhs.is_rational and rhs.a.denominator == 1):
-            raise ParseError("exponent must be an integer")
-        return lhs ** int(rhs.a)
-
-    return ev(tree)
-
-
 @dataclass(frozen=True)
 class FieldDescriptor:
     """Declared arithmetic profile of a characteristic-zero field.
@@ -250,10 +193,6 @@ class FieldDescriptor:
                 if w.d is not None and w.d != self.d:
                     raise ValueError("witness lives in a different field")
 
-    @property
-    def char_zero(self) -> bool:
-        return True
-
 
 def verify_negative_one_witness(descriptor: FieldDescriptor) -> bool:
     """True iff the declared witness (a, b) satisfies a^2 + b^2 = -1 exactly."""
@@ -274,7 +213,7 @@ def satisfies_star(descriptor: FieldDescriptor) -> bool:
             "inconsistent-descriptor",
             f"{descriptor.name} declares -1 not a sum of two squares yet carries a verifying witness",
         )
-    return descriptor.char_zero and descriptor.star_clause2 and descriptor.star_clause3
+    return descriptor.star_clause2 and descriptor.star_clause3
 
 
 def standard_field_table() -> dict[str, FieldDescriptor]:
@@ -315,29 +254,50 @@ def standard_field_table() -> dict[str, FieldDescriptor]:
     }
 
 
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
+def _coefficient(x: object) -> Fraction:
+    """A witness coefficient: an integer or a "p/q" string, never a float."""
+    if isinstance(x, int) and not isinstance(x, bool):
+        return Fraction(x)
+    if isinstance(x, str) and _RATIONAL.fullmatch(x):
+        return Fraction(x)
+    raise ParseError(f"witness coefficients must be integers or 'p/q' strings, got {x!r}")
+
+
+def _clause(data: dict, key: str) -> bool:
+    value = data.get(key, True)
+    if not isinstance(value, bool):
+        raise ParseError(f"{key} must be true or false, got {value!r}")
+    return value
+
+
 def descriptor_from_dict(data: dict) -> FieldDescriptor:
     """Build a descriptor from a parsed config entry."""
     try:
         name = data["name"]
+        if not isinstance(name, str):
+            raise ParseError(f"field name must be a string, got {name!r}")
         kind = data["kind"]
         d = data.get("d")
+        if d is not None and (isinstance(d, bool) or not isinstance(d, int)):
+            raise ParseError(f"d must be an integer, got {d!r}")
         witness = None
         if data.get("witness") is not None:
             pairs = data["witness"]
             if len(pairs) != 2 or any(len(p) != 2 for p in pairs):
                 raise ParseError("witness must be a pair of [a, b] entries")
-            witness = tuple(
-                QuadElement(d, Fraction(str(p[0])), Fraction(str(p[1]))) for p in pairs
-            )
+            witness = tuple(QuadElement(d, _coefficient(p[0]), _coefficient(p[1])) for p in pairs)
         return FieldDescriptor(
             name=name,
             kind=kind,
             d=d,
-            star_clause2=bool(data.get("star_clause2", True)),
-            star_clause3=bool(data.get("star_clause3", True)),
+            star_clause2=_clause(data, "star_clause2"),
+            star_clause3=_clause(data, "star_clause3"),
             witness=witness,
         )
-    except (KeyError, ValueError, TypeError) as exc:
+    except (KeyError, ValueError, TypeError, ZeroDivisionError) as exc:
         raise ParseError(f"bad field descriptor: {exc}") from exc
 
 

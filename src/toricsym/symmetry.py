@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 
 from .errors import PreconditionError
 from .fan import Fan, _all_isomorphisms, _induced_ray_map
-from .intlin import IntMatrix, Vector, kernel_basis
+from .intlin import IntMatrix, kernel_basis
 
 Perm = tuple[int, ...]
 
@@ -243,6 +243,8 @@ def classify_galois_form(fan: Fan, action: GroupAction, datum: GaloisDatum) -> F
     is reported as an error).
     """
     tau = datum.tau
+    if tau.rows != fan.rank:
+        raise PreconditionError("shape", "galois matrix shape does not match the lattice rank")
     _perm_of(fan, tau)
     for g in action.elements:
         if (g @ tau) != (tau @ g):

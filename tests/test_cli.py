@@ -1,9 +1,14 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from toricsym import cli, families, fanio
 from toricsym.fan import Lattice, make_fan
+from toricsym.symmetry import fan_automorphisms
 
 
 def run_cli(*argv):
@@ -12,6 +17,12 @@ def run_cli(*argv):
 
 def write_json(path, payload):
     path.write_text(json.dumps(payload), encoding="utf-8")
+
+
+def machine_error(capsys, *argv):
+    """Exit code and the JSON error object of a failing machine-format run."""
+    code = run_cli(*argv, "--format", "machine")
+    return code, json.loads(capsys.readouterr().out)["error"]
 
 
 @pytest.fixture
@@ -132,6 +143,28 @@ class TestOrbitsCommand:
         assert sorted(len(o) for o in payload["ray_orbits"]) == [3, 3]
 
 
+class TestActionDocumentErrors:
+    @pytest.mark.parametrize("command", ["check", "orbits", "mmp"])
+    @pytest.mark.parametrize(
+        "doc",
+        [{"generators": [[[1, 0], [0]]]}, {"generators": [], "galois": [[1, 0], [0]]}],
+        ids=["ragged-generator", "ragged-galois"],
+    )
+    def test_ragged_matrix_is_a_parse_error(self, doc, command, dp6_n2_files, tmp_path, capsys):
+        fan_path, _ = dp6_n2_files
+        act_path = tmp_path / "ragged.act"
+        write_json(act_path, doc)
+        code, error = machine_error(capsys, command, fan_path, str(act_path))
+        assert (code, error["code"], error["reason"]) == (2, 2, "parse")
+
+    def test_galois_of_the_wrong_rank_is_a_shape_error(self, dp6_n2_files, tmp_path, capsys):
+        fan_path, _ = dp6_n2_files
+        act_path = tmp_path / "rank3.act"
+        write_json(act_path, {"generators": [], "galois": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]})
+        code, error = machine_error(capsys, "check", fan_path, str(act_path))
+        assert (code, error["code"], error["reason"]) == (3, 3, "shape")
+
+
 class TestMmpCommand:
     def test_first_orbit_trace(self, dp6_n2_files, capsys):
         fan_path, act_path = dp6_n2_files
@@ -234,6 +267,22 @@ class TestFieldsCommand:
         write_json(path, [{"name": "F", "kind": "quadratic", "d": 4}])
         self._assert_parse_error(path, capsys)
 
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            {"name": "F", "kind": "quadratic", "d": -7, "star_clause2": "false"},
+            {"name": "F", "kind": "quadratic", "d": -3, "star_clause2": False, "witness": [[0.5, 0.5], [0.5, -0.5]]},
+            {"name": "F", "kind": "quadratic", "d": -1, "witness": [["1/0", 0], [0, 0]]},
+            {"name": ["F"], "kind": "rationals"},
+            {"name": "F", "kind": "quadratic", "d": 5.0},
+        ],
+        ids=["string-clause", "float-witness", "zero-denominator", "list-name", "float-d"],
+    )
+    def test_malformed_entry_is_a_parse_error(self, entry, tmp_path, capsys):
+        path = tmp_path / "fields.json"
+        write_json(path, [entry])
+        self._assert_parse_error(path, capsys)
+
 
 class TestVerifyPaperCommand:
     def test_single_criterion(self, capsys):
@@ -243,6 +292,9 @@ class TestVerifyPaperCommand:
 
     def test_unknown_criterion_exits_2(self, capsys):
         assert run_cli("verify-paper", "--only", "A99") == 2
+        code, error = machine_error(capsys, "verify-paper", "--only", "A99")
+        assert (code, error["code"], error["reason"]) == (2, 2, "parse")
+        assert "A99" in error["message"]
 
     def test_fault_injection_fails_the_relevant_criterion(self, monkeypatch, capsys):
         import toricsym.families as fam
@@ -262,3 +314,112 @@ class TestVerifyPaperCommand:
         payload = json.loads(capsys.readouterr().out)
         assert payload["all_passed"] is True
         assert payload["results"][0]["id"] == "A10"
+
+
+RANKS = {"standard:1": 1, "standard:2": 2, "standard:3": 3, "rootA2": 2, "weightA2": 2}
+junk = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.floats(-2, 2) | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def square_matrices(n):
+    return st.lists(st.lists(st.integers(-1, 1), min_size=n, max_size=n), min_size=n, max_size=n)
+
+
+def action_docs(n, known=()):
+    """Action documents for rank n: mostly n x n matrices, some drawn from ``known``."""
+    matrices = square_matrices(n) | square_matrices(n % 3 + 1) | junk
+    if known:
+        matrices = st.sampled_from(known) | matrices
+    well_formed = st.fixed_dictionaries(
+        {"generators": st.lists(matrices, max_size=3)},
+        optional={"names": st.lists(st.text(max_size=3), max_size=3) | junk, "galois": matrices},
+    )
+    return well_formed | junk
+
+
+@st.composite
+def fan_documents(draw):
+    lattice = draw(st.sampled_from(sorted(RANKS)))
+    rank = RANKS[lattice]
+    length = 3 if rank == 2 and lattice != "standard:2" and draw(st.booleans()) else rank
+    rays = draw(st.lists(st.lists(st.integers(-2, 2), min_size=length, max_size=length), min_size=1, max_size=7))
+    doc = {"lattice": lattice, "rays": rays}
+    if rank == 3 or draw(st.booleans()):
+        index = st.integers(-1, len(rays))
+        doc["max_cones"] = draw(st.lists(st.lists(index, min_size=rank, max_size=rank), max_size=8))
+    return doc
+
+
+@st.composite
+def fan_and_action(draw):
+    fan = draw(fan_documents() | junk)
+    rank = RANKS.get(fan.get("lattice"), 2) if isinstance(fan, dict) else 2
+    return fan, draw(action_docs(rank))
+
+
+@st.composite
+def family_and_action(draw):
+    fan = families.make_family_fan(draw(st.sampled_from(["dp6:n1", "dp6:n2", "hirzebruch:1", "projective-space:3"])))[0]
+    known = [[list(row) for row in g.entries] for g in fan_automorphisms(fan).elements]
+    return fanio.fan_document(fan), draw(action_docs(fan.rank, known))
+
+
+coefficients = st.integers(-2, 2) | st.sampled_from(["1/2", "-1/2", "1/0", "0.5", "x"]) | junk
+field_entries = st.fixed_dictionaries(
+    {"name": st.text(max_size=3), "kind": st.sampled_from(["rationals", "reals", "quadratic"])},
+    optional={
+        "d": st.integers(-30, 30) | junk,
+        "star_clause2": st.booleans() | junk,
+        "star_clause3": st.booleans() | junk,
+        "witness": st.lists(st.lists(coefficients, min_size=2, max_size=2), min_size=2, max_size=2) | junk,
+    },
+)
+field_docs = st.lists(field_entries | junk, max_size=3) | junk
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+def run_document_fuzz(fuzz_dir, docs, argv):
+    """Write the documents, run the CLI on them, and check the exit-code contract."""
+    for name, doc in docs.items():
+        (fuzz_dir / name).write_text(json.dumps(doc), encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main([str(fuzz_dir / a) if a in docs else a for a in argv] + ["--format", "machine"])
+    assert code in (0, 2, 3), err.getvalue()
+    if code:
+        assert json.loads(out.getvalue())["error"]["code"] == code
+
+
+FUZZ_SETTINGS = settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+COMMANDS = [
+    ["check", "f"],
+    ["check", "f", "a"],
+    ["orbits", "f", "a"],
+    ["mmp", "f", "a"],
+    ["mmp", "f", "a", "--explore-all"],
+    ["mmp", "f", "a", "--galois", "a"],
+]
+
+
+class TestDocumentFuzz:
+    @FUZZ_SETTINGS
+    @given(docs=fan_and_action(), command=st.sampled_from(COMMANDS))
+    def test_fan_and_action_documents(self, fuzz_dir, docs, command):
+        run_document_fuzz(fuzz_dir, {"f": docs[0], "a": docs[1]}, command)
+
+    @FUZZ_SETTINGS
+    @given(docs=family_and_action(), command=st.sampled_from(COMMANDS[1:]))
+    def test_action_documents_on_valid_fans(self, fuzz_dir, docs, command):
+        run_document_fuzz(fuzz_dir, {"f": docs[0], "a": docs[1]}, command)
+
+    @FUZZ_SETTINGS
+    @given(config=field_docs)
+    def test_field_configs(self, fuzz_dir, config):
+        run_document_fuzz(fuzz_dir, {"c": config}, ["fields", "--config", "c"])

@@ -208,18 +208,6 @@ class TestCriteriaTables:
         with pytest.raises(PreconditionError):
             families.max_symmetric_degree(2, "F_p")
 
-    def test_query_dispatcher(self):
-        assert families.symmetric_action_criteria("s6-on-weighted-p1111m:4") is True
-        assert families.symmetric_action_criteria("s6-on-weighted-p1111m:3") is False
-        assert families.symmetric_action_criteria("s6-on-bundle-over-p3:2") is True
-        entry = families.symmetric_action_criteria("max-degree:4:C")
-        assert entry.degree == 6
-        assert families.symmetric_action_criteria("max-degree:2:star").degree == 4
-        with pytest.raises(PreconditionError):
-            families.symmetric_action_criteria("max-degree:banana:C")
-        with pytest.raises(PreconditionError):
-            families.symmetric_action_criteria("something-else")
-
 
 class TestDiagonalObstruction:
     @pytest.mark.parametrize("a", [0, 1, 2])

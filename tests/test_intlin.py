@@ -1,6 +1,8 @@
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy import ZZ, Matrix
+from sympy.matrices.normalforms import smith_normal_form as smith_normal_form_over_zz
 
 from toricsym.intlin import (
     FGAbelianGroup,
@@ -29,8 +31,8 @@ class TestSmithNormalForm:
     def test_identity(self):
         result = smith_normal_form(IntMatrix.identity(2))
         assert result.s == IntMatrix.identity(2)
-        assert result.u == IntMatrix.identity(2)
-        assert result.v == IntMatrix.identity(2)
+        assert result.u_inv == IntMatrix.identity(2)
+        assert result.v_inv == IntMatrix.identity(2)
 
     def test_hand_computed_2x2(self):
         # det = -3, entry gcd = 1
@@ -46,11 +48,9 @@ class TestSmithNormalForm:
     @given(small_matrices)
     def test_decomposition_properties(self, a):
         result = smith_normal_form(a)
-        assert (result.u @ result.s @ result.v) == a
-        assert abs(result.u.det()) == 1
-        assert abs(result.v.det()) == 1
-        assert (result.u @ result.u_inv) == IntMatrix.identity(a.rows)
-        assert (result.v @ result.v_inv) == IntMatrix.identity(a.cols)
+        assert (result.u_inv @ a @ result.v_inv) == result.s
+        assert abs(result.u_inv.det()) == 1
+        assert abs(result.v_inv.det()) == 1
         diag = result.diagonal
         assert all(d >= 0 for d in diag)
         for prev, nxt in zip(diag, diag[1:]):
@@ -61,6 +61,14 @@ class TestSmithNormalForm:
             for j, x in enumerate(row):
                 if i != j:
                     assert x == 0
+
+
+    @settings(max_examples=150, deadline=None)
+    @given(small_matrices)
+    def test_invariant_factors_agree_with_sympy(self, a):
+        sympy_snf = smith_normal_form_over_zz(Matrix(a.entries), domain=ZZ)
+        expected = [abs(sympy_snf[i, i]) for i in range(min(a.rows, a.cols))]
+        assert smith_normal_form(a).invariant_factors == tuple(d for d in expected if d)
 
 
 class TestKernelBasis:
@@ -168,13 +176,16 @@ def test_entries_must_be_exact_integers():
 
 class TestEdgeShapes:
     def test_zero_matrix_kernel_is_everything(self):
-        basis = kernel_basis(IntMatrix.zeros(2, 3))
+        basis = kernel_basis(mat([[0, 0, 0], [0, 0, 0]]))
         assert basis == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
     def test_zero_matrix_snf(self):
-        result = smith_normal_form(IntMatrix.zeros(3, 2))
-        assert result.s == IntMatrix.zeros(3, 2)
-        assert (result.u @ result.s @ result.v) == IntMatrix.zeros(3, 2)
+        zero = mat([[0, 0], [0, 0], [0, 0]])
+        result = smith_normal_form(zero)
+        assert result.s == zero
+        assert (result.u_inv @ zero @ result.v_inv) == result.s
+        assert abs(result.u_inv.det()) == 1
+        assert abs(result.v_inv.det()) == 1
 
     def test_wide_and_tall_cokernels(self):
         wide, _ = cokernel_group(mat([[1, 0, 0], [0, 2, 0]]))

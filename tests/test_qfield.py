@@ -4,11 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toricsym.errors import ParseError, PreconditionError
+from toricsym.errors import PreconditionError
 from toricsym.qfield import (
     FieldDescriptor,
     QuadElement,
-    quad_eval,
     satisfies_star,
     standard_field_table,
     verify_negative_one_witness,
@@ -73,17 +72,6 @@ def test_field_axioms_hold_exactly(x, y, z):
 def test_subtraction_and_negation(x, y):
     assert x - y == x + (-y)
     assert (x - y) + y == x
-
-
-def test_quad_eval_parses_and_computes():
-    table = {"r": QuadElement.sqrt_of(5)}
-    assert quad_eval("(1 + r) * (1 - r)", table) == -4
-    assert quad_eval("r ** 2", table) == 5
-    assert quad_eval("2 + 3 * 4") == 14
-    with pytest.raises(ParseError):
-        quad_eval("__import__('os')")
-    with pytest.raises(ParseError):
-        quad_eval("unknown + 1")
 
 
 class TestStarCondition:
@@ -152,10 +140,6 @@ class TestMoreArithmetic:
         assert str(QuadElement.sqrt_of(-3)) == "sqrt(-3)"
         assert str(QuadElement(-3, Fraction(1, 2), Fraction(-1, 2))) == "1/2 - 1/2*sqrt(-3)"
         assert str(QuadElement.rational(Fraction(3, 4))) == "3/4"
-
-    def test_quad_eval_division_by_zero_propagates(self):
-        with pytest.raises(ZeroDivisionError):
-            quad_eval("1 / (r * r - 5)", {"r": QuadElement.sqrt_of(5)})
 
     def test_rational_marker_mixes_with_any_radicand(self):
         assert QuadElement.rational(2) * QuadElement.sqrt_of(5) == QuadElement(
