@@ -432,18 +432,47 @@ def _induced_ray_map(g: IntMatrix, source: Fan, target: Fan) -> tuple[int, ...] 
     return tuple(mapping)
 
 
+def _ray_degrees(fan: Fan) -> list[int]:
+    """Number of maximal cones on each ray."""
+    degrees = [0] * fan.ray_count
+    for cone in fan.max_cones:
+        for i in cone:
+            degrees[i] += 1
+    return degrees
+
+
 def _all_isomorphisms(source: Fan, target: Fan) -> list[tuple[tuple[int, ...], IntMatrix]]:
-    if source.rank != target.rank:
+    """Every (ray map, matrix) pair carrying source onto target, by ray map.
+
+    An isomorphism carries maximal cones onto maximal cones and keeps the
+    number of maximal cones on each ray.  So when the source has a maximal
+    cone of n rays and rank n, its rays are the basis and the only images
+    tried are the orderings of the target's n-ray maximal cones whose ray
+    degrees match position by position.  Otherwise a spanning ray subset is
+    the basis and every degree-matched ordered ray tuple is tried.
+    """
+    n = source.rank
+    if n != target.rank:
         raise PreconditionError("rank", "fans of different rank cannot be compared")
     if source.ray_count != target.ray_count or len(source.max_cones) != len(target.max_cones):
         return []
-    basis = IntMatrix.from_columns([source.rays[i] for i in _independent_index_subset(source)])
+    seed = next((c for c in source.max_cones if len(c) == n and source.cone_matrix(c).rank() == n), None)
+    if seed is None:
+        seed = _independent_index_subset(source)
+        tuples = itertools.permutations(range(target.ray_count), n)
+    else:
+        tuples = (t for cone in target.max_cones if len(cone) == n for t in itertools.permutations(cone))
+    source_degrees, target_degrees = _ray_degrees(source), _ray_degrees(target)
+    wanted = [source_degrees[i] for i in seed]
+    basis = IntMatrix.from_columns([source.rays[i] for i in seed])
     det = basis.det()
     adjugate = basis.adjugate()
     found = []
     # The basis spans, so distinct image tuples give distinct matrices.
-    for images in itertools.permutations(target.rays, source.rank):
-        g = _matrix_sending(det, adjugate, images)
+    for images in tuples:
+        if any(target_degrees[j] != d for j, d in zip(images, wanted)):
+            continue
+        g = _matrix_sending(det, adjugate, [target.rays[j] for j in images])
         if g is None:
             continue
         mapping = _induced_ray_map(g, source, target)
@@ -456,11 +485,12 @@ def _all_isomorphisms(source: Fan, target: Fan) -> list[tuple[tuple[int, ...], I
 def fan_isomorphism(f1: Fan, f2: Fan) -> IntMatrix | None:
     """A unimodular matrix carrying f1's rays and cones onto f2's, or None.
 
-    The search maps a fixed spanning subset of f1's rays to every ordered
-    tuple of f2's rays and keeps integral unimodular fan-preserving
-    solutions; among those the one inducing the lexicographically least
-    ray-index map is returned, so a fan is carried to itself by the
-    identity.
+    The search maps the rays of one maximal cone of f1 to the orderings of
+    f2's maximal cones whose rays lie on as many maximal cones (a fan with
+    no full-dimensional cone maps a spanning ray subset to every such ray
+    tuple), and keeps the integral unimodular fan-preserving solutions;
+    among those the one inducing the lexicographically least ray-index map
+    is returned, so a fan is carried to itself by the identity.
     """
     found = _all_isomorphisms(f1, f2)
     return found[0][1] if found else None

@@ -8,6 +8,7 @@ verified exactly.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -18,15 +19,20 @@ RationalLike = int | Fraction
 
 
 def _is_squarefree(d: int) -> bool:
+    """Exact in O(|d|^(1/3)) trial divisions.
+
+    Once every prime p with p^3 <= n is divided out, the cofactor has at
+    most two prime factors, so it has a square factor iff it is a square.
+    """
     n = abs(d)
     p = 2
-    while p * p <= n:
-        if n % (p * p) == 0:
-            return False
+    while p * p * p <= n:
         if n % p == 0:
             n //= p
+            if n % p == 0:
+                return False
         p += 1
-    return True
+    return n < 2 or math.isqrt(n) ** 2 != n
 
 
 def _require_field_d(d: int) -> None:

@@ -2,9 +2,9 @@
 
 Groups are stored as explicit unimodular matrices; the induced ray
 permutations are derived from them, never the other way round.  Includes
-the brute-force fan automorphism search, orbit machinery, the invariant
-Picard number, the centralizer computation and the classification of
-quadratic Galois twists.
+the fan automorphism group (the cone-seeded isomorphism search of a fan
+onto itself), orbit machinery, the invariant Picard number, the
+centralizer computation and the classification of quadratic Galois twists.
 """
 
 from __future__ import annotations
@@ -79,11 +79,12 @@ def trivial_action(fan: Fan) -> GroupAction:
 
 
 def fan_automorphisms(fan: Fan) -> GroupAction:
-    """The full finite group Aut(N, fan) by brute force.
+    """The full finite group Aut(N, fan).
 
-    A spanning subset of the rays is mapped to every ordered ray tuple; the
-    integral unimodular fan-preserving solutions are all the automorphisms,
-    which already form a group.  Elements come ordered by ray permutation.
+    The rays of one maximal cone are sent to every degree-matched ordering
+    of every maximal cone (see ``fan._all_isomorphisms``); the integral
+    unimodular fan-preserving solutions are all the automorphisms, which
+    already form a group.  Elements come ordered by ray permutation.
     """
     pairs = _all_isomorphisms(fan, fan)
     return GroupAction(

@@ -267,6 +267,17 @@ class TestFieldsCommand:
         write_json(path, [{"name": "F", "kind": "quadratic", "d": 4}])
         self._assert_parse_error(path, capsys)
 
+    def test_square_of_a_large_prime_is_a_parse_error(self, tmp_path, capsys):
+        path = tmp_path / "fields.json"
+        write_json(path, [{"name": "F", "kind": "quadratic", "d": 1000003**2}])
+        self._assert_parse_error(path, capsys)
+
+    def test_large_prime_d_is_accepted(self, tmp_path, capsys):
+        path = tmp_path / "fields.json"
+        write_json(path, [{"name": "F", "kind": "quadratic", "d": 100000000000031}])
+        assert run_cli("fields", "--config", str(path), "--format", "machine") == 0
+        assert "F" in json.loads(capsys.readouterr().out)
+
     @pytest.mark.parametrize(
         "entry",
         [

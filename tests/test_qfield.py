@@ -1,13 +1,17 @@
+import random
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy import factorint
 
 from toricsym.errors import PreconditionError
 from toricsym.qfield import (
     FieldDescriptor,
     QuadElement,
+    _is_squarefree,
     satisfies_star,
     standard_field_table,
     verify_negative_one_witness,
@@ -52,6 +56,31 @@ def test_d_must_be_squarefree():
         QuadElement(4, Fraction(1), Fraction(1))
     with pytest.raises(ValueError):
         QuadElement(12, Fraction(1), Fraction(1))
+
+
+class TestSquarefree:
+    def test_agrees_with_sympy(self):
+        rng = random.Random(5)
+        primes = [2, 3, 5, 7, 101, 1009, 10007, 1000003]
+        ds = list(range(-3000, 3001))
+        ds += [rng.randrange(2, 10**10) for _ in range(100)]
+        # Cofactors at the cube-root boundary: p^2, p^3, p*q and p^2*q.
+        ds += [p**k * q for p in primes for q in (1, 11, 10009) for k in (1, 2, 3)]
+        for d in ds:
+            if d:
+                expected = all(e == 1 for e in factorint(abs(d)).values())
+                assert _is_squarefree(d) is expected, d
+
+    def test_large_prime_is_fast(self):
+        start = time.perf_counter()
+        assert _is_squarefree(100000000000031)
+        assert _is_squarefree(-100000000000031)
+        assert time.perf_counter() - start < 1.0
+
+    def test_square_of_a_large_prime_is_rejected(self):
+        assert not _is_squarefree(1000003**2)
+        with pytest.raises(ValueError):
+            FieldDescriptor(name="bad", kind="quadratic", d=1000003**2)
 
 
 @settings(max_examples=120, deadline=None)

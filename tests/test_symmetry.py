@@ -1,11 +1,13 @@
 import itertools
+import random
 
 import pytest
 
 from toricsym import families
+from toricsym import fan as fan_module
 from toricsym.divisors import class_group
 from toricsym.errors import PreconditionError
-from toricsym.fan import Lattice, fan_isomorphism, make_fan
+from toricsym.fan import Lattice, _all_isomorphisms, fan_isomorphism, make_fan, transform_fan
 from toricsym.intlin import IntMatrix
 from toricsym.symmetry import (
     GaloisDatum,
@@ -104,6 +106,192 @@ class TestAutomorphismSearchIsAGroup:
         action = fan_automorphisms(builder())
         assert action.order == expected
         assert action.faithful_on_rays
+
+
+def _brute_force_isomorphisms(source, target):
+    """Every (ray map, matrix) pair, sending a spanning ray subset to every ordered ray tuple."""
+    n = source.rank
+    if source.ray_count != target.ray_count or len(source.max_cones) != len(target.max_cones):
+        return []
+    subset = next(
+        s
+        for s in itertools.combinations(range(source.ray_count), n)
+        if IntMatrix.from_rows([source.rays[i] for i in s]).rank() == n
+    )
+    basis = IntMatrix.from_columns([source.rays[i] for i in subset])
+    det, adjugate = basis.det(), basis.adjugate()
+    index = {v: i for i, v in enumerate(target.rays)}
+    cones = set(target.max_cones)
+    found = []
+    for images in itertools.permutations(target.rays, n):
+        w = IntMatrix.from_columns(images)
+        if abs(w.det()) != abs(det):
+            continue
+        num = w @ adjugate
+        if any(x % det for row in num.entries for x in row):
+            continue
+        g = IntMatrix.from_rows([[x // det for x in row] for row in num.entries])
+        mapping = tuple(index.get(g.apply(v)) for v in source.rays)
+        if None in mapping or len(set(mapping)) != len(mapping):
+            continue
+        if {tuple(sorted(mapping[i] for i in cone)) for cone in source.max_cones} == cones:
+            found.append((mapping, g))
+    return sorted(found, key=lambda pair: pair[0])
+
+
+def _pairs(found):
+    return [(mapping, g.entries) for mapping, g in found]
+
+
+def _stellar_subdivision(fan, seed, steps):
+    """Star subdivisions of random faces of maximal cones."""
+    rng = random.Random(seed)
+    rays, cones = list(fan.rays), list(fan.max_cones)
+    for _ in range(steps):
+        cone = rng.choice(cones)
+        face = rng.sample(cone, rng.randint(2, len(cone)))
+        new = len(rays)
+        rays.append(tuple(map(sum, zip(*(rays[i] for i in face)))))
+        out = []
+        for c in cones:
+            if set(face) <= set(c):
+                out.extend(tuple(new if x == i else x for x in c) for i in face)
+            else:
+                out.append(c)
+        cones = out
+    return make_fan(fan.lattice, rays, cones)
+
+
+def _relabelled_image(fan, seed):
+    """The fan moved by a random unimodular matrix, with its rays shuffled."""
+    rng = random.Random(seed)
+    n = fan.rank
+    m = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(2 * n):
+        i, j = rng.randrange(n), rng.randrange(n)
+        if i == j:
+            m[i] = [-x for x in m[i]]
+        else:
+            k = rng.choice([-2, -1, 1, 2])
+            m[i] = [a + k * b for a, b in zip(m[i], m[j])]
+    moved = transform_fan(IntMatrix.from_rows(m), fan)
+    order = list(range(moved.ray_count))
+    rng.shuffle(order)
+    where = {old: new for new, old in enumerate(order)}
+    cones = [[where[i] for i in cone] for cone in moved.max_cones]
+    return make_fan(fan.lattice, [moved.rays[i] for i in order], cones)
+
+
+P2 = families.projective_space(2)
+P3 = families.projective_space(3)
+P4 = families.projective_space(4)
+
+# Rank 3 with no full-dimensional cone: the edges of the octahedron and of
+# the tetrahedron P^3 is the fan over.
+OCTAHEDRON_EDGES = make_fan(
+    Lattice.standard(3),
+    [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)],
+    [(i, j) for i in range(6) for j in range(i + 1, 6) if i // 2 != j // 2],
+)
+TETRAHEDRON_EDGES = make_fan(P3.lattice, P3.rays, list(itertools.combinations(range(4), 2)))
+# The same edges on rays spanning a sublattice of index 2.
+OCTAHEDRON_EDGES_INDEX_2 = make_fan(
+    Lattice.standard(3),
+    [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (1, 1, 2), (-1, -1, -2)],
+    OCTAHEDRON_EDGES.max_cones,
+)
+
+SEARCH_CORPUS = {
+    "P1": P1,
+    "P3": P3,
+    "P1^3": _product(P1, P1, P1),
+    "P2xP1": _product(P2, P1),
+    "P1^4": _product(P1, P1, P1, P1),
+    "P2xP2": _product(P2, P2),
+    "P4xP1": _product(P4, P1),
+    "weighted-p1111m:1": families.weighted_p1111m(1),
+    "weighted-p1111m:3": families.weighted_p1111m(3),
+    "bundle-over-p3:1": families.bundle_over_p3(1),
+    "bundle-over-p3:2": families.bundle_over_p3(2),
+    "bundle-over-p1xp1:1": families.bundle_over_p1xp1(1),
+    "bundle-over-p1xp1:2": families.bundle_over_p1xp1(2),
+    "P3-subdivided-a": _stellar_subdivision(P3, 1, 6),
+    "P1^3-subdivided": _stellar_subdivision(_product(P1, P1, P1), 2, 6),
+    "P2xP1-subdivided": _stellar_subdivision(_product(P2, P1), 3, 7),
+    "P4-subdivided": _stellar_subdivision(families.projective_space(4), 4, 3),
+    "P1^4-subdivided": _stellar_subdivision(_product(P1, P1, P1, P1), 5, 1),
+    "hexagon-n1": families.dp6("n1"),
+    "hexagon-n2": families.dp6("n2"),
+    "singular-hexagon": families.singular_hexagon(),
+    "F0": families.hirzebruch(0),
+    "F3": families.hirzebruch(3),
+    "blowup-surface-a": families.random_blowup_surface_fan(random.Random(1), 9),
+    "blowup-surface-b": families.random_blowup_surface_fan(random.Random(2), 11),
+    "octahedron-edges": OCTAHEDRON_EDGES,
+    "tetrahedron-edges": TETRAHEDRON_EDGES,
+}
+
+
+class TestConeSeededSearch:
+    """The cone-seeded search equals a search over every ordered ray tuple."""
+
+    @pytest.mark.parametrize("name", sorted(SEARCH_CORPUS))
+    def test_automorphisms_agree_with_brute_force(self, name):
+        fan = SEARCH_CORPUS[name]
+        expected = _brute_force_isomorphisms(fan, fan)
+        assert _pairs(_all_isomorphisms(fan, fan)) == _pairs(expected)
+        assert fan_automorphisms(fan).order == len(expected)
+
+    @pytest.mark.parametrize("name", sorted(SEARCH_CORPUS))
+    def test_isomorphisms_onto_a_moved_copy_agree_with_brute_force(self, name):
+        fan = SEARCH_CORPUS[name]
+        image = _relabelled_image(fan, seed=len(name))
+        expected = _brute_force_isomorphisms(fan, image)
+        assert expected
+        assert _pairs(_all_isomorphisms(fan, image)) == _pairs(expected)
+        assert fan_isomorphism(fan, image) == expected[0][1]
+
+    @pytest.mark.parametrize(
+        "first, second",
+        [
+            (families.hirzebruch(1), families.hirzebruch(3)),
+            (families.dp6("n1"), families.singular_hexagon()),
+            (families.weighted_p1111m(1), families.weighted_p1111m(2)),
+            (families.bundle_over_p3(1), families.bundle_over_p3(2)),
+            (families.bundle_over_p1xp1(1), families.bundle_over_p1xp1(3)),
+            (_stellar_subdivision(P3, 6, 1), _stellar_subdivision(P3, 7, 1)),
+            (OCTAHEDRON_EDGES, OCTAHEDRON_EDGES_INDEX_2),
+        ],
+        ids=["F1-F3", "hexagons", "weighted", "bundles-p3", "bundles-p1xp1", "P3-blowups", "no-full-cone"],
+    )
+    def test_non_isomorphic_pairs_with_equal_counts(self, first, second):
+        assert (first.ray_count, len(first.max_cones)) == (second.ray_count, len(second.max_cones))
+        assert _brute_force_isomorphisms(first, second) == []
+        assert _all_isomorphisms(first, second) == []
+        assert fan_isomorphism(first, second) is None
+
+    @pytest.mark.parametrize(
+        "builder, order",
+        [
+            (lambda: P3, 24),
+            (lambda: _product(P1, P1, P1, P1), 384),
+            (lambda: _product(P4, P1), 240),
+        ],
+        ids=["P3", "P1^4", "P4xP1"],
+    )
+    def test_products_try_one_candidate_per_automorphism(self, builder, order, monkeypatch):
+        # Every degree-matched ordering of a maximal cone of a product of
+        # projective spaces is an automorphism, so no candidate is wasted.
+        calls = []
+        matrix_sending = fan_module._matrix_sending
+
+        def counted(*args):
+            calls.append(args)
+            return matrix_sending(*args)
+
+        monkeypatch.setattr(fan_module, "_matrix_sending", counted)
+        assert fan_automorphisms(builder()).order == order
+        assert len(calls) == order
 
 
 class TestActionFromGenerators:
