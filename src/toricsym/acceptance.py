@@ -187,11 +187,11 @@ def criterion_a6() -> list[str]:
 def _census(include_negation: bool) -> list[tuple[str, Fan]]:
     fans = []
     for lattice in (Lattice.root_a2(), Lattice.weight_a2()):
-        for height in (1, 2):
+        for height, max_rays in ((1, 12), (2, 12), (3, 18), (4, 24)):
             for fan in families.enumerate_invariant_fans(
                 lattice,
                 height=height,
-                max_rays=12,
+                max_rays=max_rays,
                 require_smooth=True,
                 include_negation=include_negation,
             ):
@@ -200,13 +200,19 @@ def _census(include_negation: bool) -> list[tuple[str, Fan]]:
 
 
 def criterion_a7() -> list[str]:
-    """Census: every contraction branch ends at the triangle or the hexagon."""
+    """Census: every contraction branch ends at the triangle or the hexagon.
+
+    Every terminal has 3 or 6 rays, with negation and without; the smooth
+    census enumerator starts its blow-ups from those fans.
+    """
     failures = []
     for name, fan in _census(include_negation=False):
         action = families.standard_s3_action(fan)
         for trace in run_equivariant_mmp(fan, action, mode="explore-all"):
             if trace.label not in (P2, DP6_TERMINAL):
                 failures.append(f"{name}: branch terminated at {trace.label}")
+            if trace.terminal.ray_count not in (3, 6):
+                failures.append(f"{name}: terminal with {trace.terminal.ray_count} rays")
             terminal_action = families.standard_s3_action(trace.terminal)
             rho = invariant_picard_number(trace.terminal, terminal_action)
             if rho not in (1, 2):
@@ -214,6 +220,8 @@ def criterion_a7() -> list[str]:
     for name, fan in _census(include_negation=True):
         action = families.standard_s3_action(fan, include_negation=True)
         for trace in run_equivariant_mmp(fan, action, mode="explore-all"):
+            if trace.terminal.ray_count not in (3, 6):
+                failures.append(f"{name} (negation): terminal with {trace.terminal.ray_count} rays")
             if trace.terminal.ray_count == 6 and trace.label != DP6_TERMINAL:
                 failures.append(f"{name} (negation): 6-ray terminal labelled {trace.label}")
             terminal_action = families.standard_s3_action(trace.terminal, include_negation=True)

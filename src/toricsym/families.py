@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import PreconditionError
-from .fan import Fan, Lattice, build_surface_fan, fan_isomorphism, make_fan, transform_fan, validate_fan
+from .fan import Fan, Lattice, build_surface_fan, make_fan, surface_key, transform_fan, validate_fan
 from .intlin import IntMatrix, Vector, primitive_vector
 from .symmetry import GaloisDatum, GroupAction, action_from_generators
 
@@ -219,6 +219,43 @@ def _seed_orbits(lattice: Lattice, height: int, include_negation: bool) -> list[
     return sorted(orbits)
 
 
+def _orbit_unions(orbit_list: Sequence[tuple[Vector, ...]], max_rays: int):
+    """Sorted ray lists of the unions of orbits with 3 to ``max_rays`` rays."""
+    for r in range(1, len(orbit_list) + 1):
+        if min(len(o) for o in orbit_list) * r > max_rays:
+            break
+        for combo in itertools.combinations(orbit_list, r):
+            rays = sorted(set(itertools.chain.from_iterable(combo)))
+            if 3 <= len(rays) <= max_rays:
+                yield rays
+
+
+def _smooth_blowups(lattice: Lattice, orbit_list: Sequence[tuple[Vector, ...]], max_rays: int):
+    """Every smooth fan on a union of the orbits with at most ``max_rays``
+    rays, reached from the smooth 3- and 6-ray fans by orbit blow-ups."""
+    orbit_of = {v: orbit for orbit in orbit_list for v in orbit}
+    seen: set[frozenset[Vector]] = set()
+    stack = []
+    for rays in _orbit_unions(orbit_list, min(6, max_rays)):
+        seen.add(frozenset(rays))
+        stack.append(build_surface_fan(lattice, rays))
+    while stack:
+        fan = stack.pop()
+        if not validate_fan(fan).smooth:
+            continue
+        yield fan
+        d = fan.ray_count
+        for i in range(d):
+            w = tuple(a + b for a, b in zip(fan.rays[i], fan.rays[(i + 1) % d]))
+            orbit = orbit_of.get(w)
+            if orbit is None or d + len(orbit) > max_rays or not set(orbit).isdisjoint(fan.rays):
+                continue
+            rays = frozenset(fan.rays + orbit)
+            if rays not in seen:
+                seen.add(rays)
+                stack.append(build_surface_fan(lattice, rays))
+
+
 def enumerate_invariant_fans(
     lattice: Lattice,
     height: int,
@@ -226,34 +263,42 @@ def enumerate_invariant_fans(
     require_smooth: bool = True,
     include_negation: bool = False,
 ) -> tuple[Fan, ...]:
-    """All invariant surface fans on orbit unions of bounded seeds.
+    """All invariant surface fans on orbit unions of bounded seeds, one per
+    isomorphism class.
 
-    Seeds run over primitive vectors admitting an ambient representative
-    with coordinates bounded by ``height``; the resulting fans are
-    deduplicated up to unimodular isomorphism and returned in a
-    deterministic order.
+    The allowed orbits are those of primitive vectors admitting an ambient
+    representative with coordinates bounded by ``height``; every fan has
+    at most ``max_rays`` rays.
+
+    Without ``require_smooth`` every union of allowed orbits is a
+    candidate.  With it, the candidates are the smooth fans on at most two
+    allowed orbits with at most six rays, and everything reached from them
+    by equivariant blow-ups: for a cone (v_i, v_{i+1}) the orbit of
+    v_i + v_{i+1}, when it is allowed, new and keeps within ``max_rays``.
+    That reaches every smooth invariant fan within the bounds.  Such a fan
+    contracts equivariantly, one orbit of rays at a time, to a fan with 3
+    or 6 rays (criterion A7 checks this on the census); every fan on the
+    way is a smooth union of fewer allowed orbits, and read backwards each
+    contraction is one of the blow-ups taken.
+
+    Candidates are grouped by ``surface_key``; each class is represented
+    by its least ``(ray_count, rays)`` fan, and the representatives are
+    returned in that order.
     """
     if height < 1 or max_rays < 3:
         raise PreconditionError("parameter", "need height >= 1 and max_rays >= 3")
     orbit_list = _seed_orbits(lattice, height, include_negation)
-    candidates: list[Fan] = []
-    for r in range(1, len(orbit_list) + 1):
-        if min(len(o) for o in orbit_list) * r > max_rays:
-            break
-        for combo in itertools.combinations(orbit_list, r):
-            rays = sorted(set(itertools.chain.from_iterable(combo)))
-            if len(rays) > max_rays or len(rays) < 3:
-                continue
-            fan = build_surface_fan(lattice, rays)
-            if require_smooth and not validate_fan(fan).smooth:
-                continue
-            candidates.append(fan)
-    candidates.sort(key=lambda f: (f.ray_count, f.rays))
-    kept: list[Fan] = []
+    if require_smooth:
+        candidates = _smooth_blowups(lattice, orbit_list, max_rays)
+    else:
+        candidates = (build_surface_fan(lattice, rays) for rays in _orbit_unions(orbit_list, max_rays))
+    kept: dict[tuple[Vector, ...], Fan] = {}
     for fan in candidates:
-        if all(fan_isomorphism(fan, other) is None for other in kept if other.ray_count == fan.ray_count):
-            kept.append(fan)
-    return tuple(kept)
+        key = surface_key(fan)
+        # Isomorphic fans have equally many rays, so the least rays decide.
+        if key not in kept or fan.rays < kept[key].rays:
+            kept[key] = fan
+    return tuple(sorted(kept.values(), key=lambda f: (f.ray_count, f.rays)))
 
 
 @dataclass(frozen=True)
@@ -374,48 +419,6 @@ def check_diagonal_obstruction(a: int = 0) -> DiagonalObstructionReport:
         swap_fixes_second=image2 == sub2,
         swap_preserves_full_fan=full_image.is_same_fan(full),
     )
-
-
-def klein_four_extension(lattice: Lattice) -> tuple[int, int]:
-    """Order and center size of the group generated by the two-torsion
-    translations together with the coordinate-permutation action on them.
-
-    The lattice action reduced mod 2 permutes the four two-torsion points;
-    adding the three translations yields a permutation group on 4 points.
-    """
-    points = [(0, 0), (0, 1), (1, 0), (1, 1)]
-    index = {p: i for i, p in enumerate(points)}
-
-    def perm_of_matrix(g: IntMatrix) -> tuple[int, ...]:
-        return tuple(
-            index[tuple(x % 2 for x in g.apply(p))] for p in points
-        )
-
-    def perm_of_translation(w: tuple[int, int]) -> tuple[int, ...]:
-        return tuple(index[((p[0] + w[0]) % 2, (p[1] + w[1]) % 2)] for p in points)
-
-    generators = [perm_of_matrix(g) for g in lattice.s3_matrices()]
-    generators += [perm_of_translation(w) for w in points[1:]]
-
-    identity = (0, 1, 2, 3)
-    group = {identity}
-    queue = [identity]
-    while queue:
-        current = queue.pop()
-        for g in generators:
-            nxt = tuple(g[current[i]] for i in range(4))
-            if nxt not in group:
-                group.add(nxt)
-                queue.append(nxt)
-    center = [
-        g
-        for g in group
-        if all(
-            tuple(g[h[i]] for i in range(4)) == tuple(h[g[i]] for i in range(4))
-            for h in group
-        )
-    ]
-    return len(group), len(center)
 
 
 def random_blowup_surface_fan(rng: random.Random, max_rays: int = 10) -> Fan:

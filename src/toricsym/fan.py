@@ -354,24 +354,24 @@ def _complete_rank_ge3(fan: Fan) -> bool:
 def validate_fan(fan: Fan) -> FanReport:
     """Exact structural predicates: simplicial, complete, smooth."""
     n = fan.rank
-    simplicial = all(
-        len(cone) == n and fan.cone_matrix(cone).rank() == n for cone in fan.max_cones
-    )
-    smooth = simplicial and all(
-        all(f == 1 for f in cone_invariant_factors(fan, cone)) for cone in fan.max_cones
-    )
     cyclic = None
-    if n == 1:
-        complete = set(fan.rays) == {(1,), (-1,)}
-    elif n == 2:
-        d = fan.ray_count
-        complete = d >= 3 and all(
-            _cross(fan.rays[i], fan.rays[(i + 1) % d]) > 0 for i in range(d)
+    if n == 2:
+        rays, d = fan.rays, fan.ray_count
+        # A surface cone is simplicial iff its two rays have a nonzero cross product.
+        simplicial = all(
+            len(cone) == 2 and _cross(rays[cone[0]], rays[cone[1]]) != 0 for cone in fan.max_cones
         )
+        complete = d >= 3 and all(_cross(rays[i], rays[(i + 1) % d]) > 0 for i in range(d))
         if complete:
             cyclic = tuple(range(d))
     else:
-        complete = _complete_rank_ge3(fan)
+        simplicial = all(
+            len(cone) == n and fan.cone_matrix(cone).rank() == n for cone in fan.max_cones
+        )
+        complete = set(fan.rays) == {(1,), (-1,)} if n == 1 else _complete_rank_ge3(fan)
+    smooth = simplicial and all(
+        all(f == 1 for f in cone_invariant_factors(fan, cone)) for cone in fan.max_cones
+    )
     return FanReport(simplicial=simplicial, complete=complete, smooth=smooth, surface_cyclic_order=cyclic)
 
 
@@ -494,3 +494,41 @@ def fan_isomorphism(f1: Fan, f2: Fan) -> IntMatrix | None:
     """
     found = _all_isomorphisms(f1, f2)
     return found[0][1] if found else None
+
+
+def _bezout(x: int, y: int) -> tuple[int, int]:
+    """(p, q) with p x + q y = 1 for a primitive vector (x, y)."""
+    if y == 0:
+        return x, 0
+    p = pow(x, -1, abs(y))
+    return p, (1 - p * x) // y
+
+
+def surface_key(fan: Fan) -> tuple[Vector, ...]:
+    """GL2(Z) normal form of a surface fan's cyclic ray sequence.
+
+    For each starting ray and each orientation of the cycle, take the g in
+    GL2(Z) sending the first ray to (1, 0) and the second to (k, c) with
+    c > 0 and 0 <= k < c, and apply it to the whole cycle; the key is the
+    least of these 2 * |rays| images.  A complete surface fan is its ray
+    cycle, so two of them have equal keys exactly when ``fan_isomorphism``
+    finds a map between them (Oda 1.6, Fulton 2.5).  The rays must be in
+    cyclic order, as every rank-2 fan built here stores them.
+    """
+    if fan.rank != 2:
+        raise PreconditionError("rank", "the surface key needs a rank-2 fan")
+    d = fan.ray_count
+    best = None
+    for cycle in (fan.rays, fan.rays[::-1]):
+        for s in range(d):
+            (x0, y0), (x1, y1) = cycle[s], cycle[(s + 1) % d]
+            p, q = _bezout(x0, y0)
+            c = x0 * y1 - y0 * x1
+            # Second row: the normal of the first ray, signed so that c > 0.
+            r, t = (-y0, x0) if c > 0 else (y0, -x0)
+            k = (p * x1 + q * y1) // abs(c)
+            p, q = p - k * r, q - k * t
+            image = tuple((p * x + q * y, r * x + t * y) for x, y in cycle[s:] + cycle[:s])
+            if best is None or image < best:
+                best = image
+    return best

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import Container
 
 from .errors import PreconditionError
-from .fan import Fan, Lattice, build_surface_fan, fan_isomorphism, validate_fan
+from .fan import Fan, Lattice, build_surface_fan, surface_key, validate_fan
 from .intlin import Vector
 from .symmetry import GroupAction, _make_action, ray_orbits
 
@@ -169,17 +169,20 @@ def _reference_hirzebruch(a: int) -> Fan:
 
 
 def classify_terminal(fan: Fan) -> TerminalLabel:
-    """Label a fan by comparison with the reference terminal models."""
+    """Label a fan by comparing its surface key with the reference models'."""
     return _classify(fan, None)
 
 
 def _classify(fan: Fan, profile: SelfIntersectionProfile | None) -> TerminalLabel:
     """``profile`` is given when the fan is known to be smooth and complete."""
     d = fan.ray_count
-    if d == 3 and fan_isomorphism(fan, _reference_p2()) is not None:
+    if d not in (3, 4, 6):
+        return OTHER
+    key = surface_key(fan)
+    if d == 3 and key == surface_key(_reference_p2()):
         return P2
     if d == 4:
-        if fan_isomorphism(fan, _reference_p1xp1()) is not None:
+        if key == surface_key(_reference_p1xp1()):
             return P1XP1
         if profile is None:
             report = validate_fan(fan)
@@ -187,9 +190,9 @@ def _classify(fan: Fan, profile: SelfIntersectionProfile | None) -> TerminalLabe
                 profile = _profile(fan)
         if profile is not None:
             a = max(abs(c) for c in profile.coefficients)
-            if a != 0 and fan_isomorphism(fan, _reference_hirzebruch(a)) is not None:
+            if a != 0 and key == surface_key(_reference_hirzebruch(a)):
                 return TerminalLabel("Hirzebruch", a)
-    if d == 6 and fan_isomorphism(fan, _reference_hexagon()) is not None:
+    if d == 6 and key == surface_key(_reference_hexagon()):
         return DP6_TERMINAL
     return OTHER
 

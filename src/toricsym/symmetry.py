@@ -74,10 +74,6 @@ def _make_action(fan: Fan, elements: Iterable[IntMatrix], names: Sequence[str] =
     )
 
 
-def trivial_action(fan: Fan) -> GroupAction:
-    return _make_action(fan, [IntMatrix.identity(fan.rank)])
-
-
 def fan_automorphisms(fan: Fan) -> GroupAction:
     """The full finite group Aut(N, fan).
 

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -5,10 +6,10 @@ import pytest
 from toricsym import families
 from toricsym.divisors import ray_blocks, relation_lattice
 from toricsym.errors import PreconditionError
-from toricsym.fan import Lattice, fan_isomorphism, transform_fan, validate_fan
+from toricsym.fan import Lattice, build_surface_fan, fan_isomorphism, transform_fan, validate_fan
 from toricsym.intlin import IntMatrix, smith_normal_form
 from toricsym.mmp import DP6_TERMINAL, P2, run_equivariant_mmp
-from toricsym.symmetry import GaloisForm, classify_galois_form, ray_orbits
+from toricsym.symmetry import GaloisForm, action_from_generators, classify_galois_form, ray_orbits
 
 
 class TestNamedFamilies:
@@ -53,9 +54,8 @@ class TestNamedFamilies:
     def test_weil_restriction_is_the_factor_swapped_square(self, square_fan):
         fan, datum = families.weil_restriction_p1()
         assert fan == square_fan
-        from toricsym.symmetry import trivial_action
-
-        form = classify_galois_form(fan, trivial_action(fan), datum)
+        trivial = action_from_generators(fan, [IntMatrix.identity(2)])
+        form = classify_galois_form(fan, trivial, datum)
         assert form.label is GaloisForm.FACTOR_SWAP
 
     def test_descriptor_grammar(self):
@@ -226,10 +226,37 @@ class TestDiagonalObstruction:
             assert report.complete and report.simplicial and report.smooth
 
 
+def klein_four_extension(lattice):
+    """Order and center size of the permutation group of the four two-torsion
+    points generated by the coordinate permutations (the lattice action
+    reduced mod 2) and the three translations."""
+    points = [(0, 0), (0, 1), (1, 0), (1, 1)]
+    index = {p: i for i, p in enumerate(points)}
+
+    def compose(g, h):
+        return tuple(g[h[i]] for i in range(4))
+
+    generators = [
+        tuple(index[tuple(x % 2 for x in g.apply(p))] for p in points) for g in lattice.s3_matrices()
+    ]
+    generators += [tuple(index[((p[0] + w[0]) % 2, (p[1] + w[1]) % 2)] for p in points) for w in points[1:]]
+    group = {(0, 1, 2, 3)}
+    queue = list(group)
+    while queue:
+        current = queue.pop()
+        for g in generators:
+            nxt = compose(g, current)
+            if nxt not in group:
+                group.add(nxt)
+                queue.append(nxt)
+    center = [g for g in group if all(compose(g, h) == compose(h, g) for h in group)]
+    return len(group), len(center)
+
+
 class TestKleinExtension:
     @pytest.mark.parametrize("lattice", [Lattice.root_a2(), Lattice.weight_a2()])
     def test_order_24_with_trivial_center(self, lattice):
-        order, center = families.klein_four_extension(lattice)
+        order, center = klein_four_extension(lattice)
         assert order == 24
         assert center == 1
 
@@ -277,3 +304,70 @@ class TestEnumeratorDeterminism:
         first = families.enumerate_invariant_fans(Lattice.weight_a2(), **kwargs)
         second = families.enumerate_invariant_fans(Lattice.weight_a2(), **kwargs)
         assert first == second
+
+
+def enumerate_by_pairwise_search(lattice, height, max_rays, require_smooth, include_negation):
+    """The enumerator before surface keys: every union of allowed orbits,
+    the smooth ones kept when asked, deduplicated by pairwise isomorphism
+    search in (ray count, rays) order."""
+    orbit_list = families._seed_orbits(lattice, height, include_negation)
+    candidates = []
+    for r in range(1, len(orbit_list) + 1):
+        if min(len(o) for o in orbit_list) * r > max_rays:
+            break
+        for combo in itertools.combinations(orbit_list, r):
+            rays = sorted(set(itertools.chain.from_iterable(combo)))
+            if len(rays) > max_rays or len(rays) < 3:
+                continue
+            fan = build_surface_fan(lattice, rays)
+            if require_smooth and not validate_fan(fan).smooth:
+                continue
+            candidates.append(fan)
+    candidates.sort(key=lambda f: (f.ray_count, f.rays))
+    kept = []
+    for fan in candidates:
+        if all(fan_isomorphism(fan, other) is None for other in kept if other.ray_count == fan.ray_count):
+            kept.append(fan)
+    return tuple(kept)
+
+
+# weightA2 without negation: the pairwise search takes 10 s or more at H=3
+# not smooth and H=4 smooth (their class counts are checked below), and H=4
+# not smooth has 6 160 classes.
+_SLOW = {(3, False), (4, True), (4, False)}
+
+
+def differential_configs():
+    configs = []
+    for kind in ("rootA2", "weightA2"):
+        for height in (1, 2, 3, 4):
+            for smooth in (True, False):
+                for negation in (False, True):
+                    if kind == "weightA2" and not negation and (height, smooth) in _SLOW:
+                        continue
+                    configs.append((kind, height, 6 * height, smooth, negation))
+    rng = random.Random(6)
+    while len(configs) < 42:
+        kind = rng.choice(("rootA2", "weightA2"))
+        height = rng.randint(1, 4)
+        max_rays, smooth, negation = rng.randint(3, 6 * height - 1), rng.random() < 0.5, rng.random() < 0.5
+        if not (kind == "weightA2" and not negation and (height, smooth) in _SLOW):
+            configs.append((kind, height, max_rays, smooth, negation))
+    return [pytest.param(*c, id="-".join(map(str, c))) for c in configs]
+
+
+class TestEnumeratorAgainstPairwiseSearch:
+    @pytest.mark.parametrize("kind, height, max_rays, smooth, negation", differential_configs())
+    def test_same_fans_as_the_pairwise_search(self, kind, height, max_rays, smooth, negation):
+        lattice = Lattice.from_label(kind)
+        args = (lattice, height, max_rays, smooth, negation)
+        assert families.enumerate_invariant_fans(*args) == enumerate_by_pairwise_search(*args)
+
+    @pytest.mark.parametrize("height, smooth, classes", [(3, False, 225), (4, True, 7)])
+    def test_class_counts_where_the_pairwise_search_is_slow(self, height, smooth, classes):
+        fans = families.enumerate_invariant_fans(
+            Lattice.weight_a2(), height=height, max_rays=6 * height, require_smooth=smooth
+        )
+        assert len(fans) == classes
+        if smooth:
+            assert all(validate_fan(f).smooth for f in fans)

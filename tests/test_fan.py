@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -7,11 +8,13 @@ from hypothesis import strategies as st
 from toricsym import families
 from toricsym.errors import PreconditionError
 from toricsym.fan import (
+    Fan,
     Lattice,
     build_surface_fan,
     cone_invariant_factors,
     fan_isomorphism,
     make_fan,
+    surface_key,
     transform_fan,
     validate_fan,
 )
@@ -178,6 +181,16 @@ class TestValidateFan:
         for fan in (families.projective_space(3), families.bundle_over_p1xp1(2)):
             assert validate_fan(transform_fan(g, fan)).complete
 
+    def test_surface_simplicial_flag_matches_the_cone_rank(self):
+        rng = random.Random(3)
+        rays = ((1, 0), (1, 1), (0, 1), (-1, 0), (-2, -1), (0, -1))
+        for _ in range(50):
+            cones = tuple(tuple(sorted(rng.sample(range(6), 2))) for _ in range(rng.randint(1, 4)))
+            fan = Fan(Lattice.standard(2), rays, cones)
+            expected = all(fan.cone_matrix(c).rank() == 2 for c in cones)
+            assert validate_fan(fan).simplicial is expected
+        assert not validate_fan(Fan(Lattice.standard(2), rays, ((0, 1, 2),))).simplicial
+
     def test_rank1_projective_line(self):
         fan = families.projective_space(1)
         report = validate_fan(fan)
@@ -223,6 +236,75 @@ class TestFanIsomorphism:
     def test_rank_mismatch_is_an_error(self, p2_fan):
         with pytest.raises(PreconditionError):
             fan_isomorphism(p2_fan, families.projective_space(3))
+
+
+def random_gl2(rng, steps=6):
+    """A random element of GL2(Z): elementary shears, then maybe a reflection."""
+    g = IntMatrix.identity(2)
+    for _ in range(steps):
+        k = rng.choice([-2, -1, 1, 2])
+        shear = [(1, k), (0, 1)] if rng.random() < 0.5 else [(1, 0), (k, 1)]
+        g = IntMatrix.from_rows(shear) @ g
+    if rng.random() < 0.5:
+        g = IntMatrix.from_rows([(0, 1), (1, 0)]) @ g
+    return g
+
+
+def random_surface_fan(rng, smooth):
+    """A random complete surface fan: a blow-up of P2 or F_a, or rays in a box."""
+    if smooth:
+        return families.random_blowup_surface_fan(rng, max_rays=rng.randint(4, 9))
+    while True:
+        rays = {(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(rng.randint(3, 6))} - {(0, 0)}
+        try:
+            return build_surface_fan(Lattice.standard(2), rays)
+        except PreconditionError:
+            pass
+
+
+class TestSurfaceKey:
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 10**6), smooth=st.booleans(), shift=st.integers(0, 20))
+    def test_invariant_under_gl2_rotation_and_reflection(self, seed, smooth, shift):
+        rng = random.Random(seed)
+        fan = random_surface_fan(rng, smooth)
+        key = surface_key(fan)
+        assert surface_key(transform_fan(random_gl2(rng), fan)) == key
+        d = fan.ray_count
+        rotated = fan.rays[shift % d :] + fan.rays[: shift % d]
+        assert surface_key(Fan(fan.lattice, rotated, fan.max_cones)) == key
+        assert surface_key(Fan(fan.lattice, rotated[::-1], fan.max_cones)) == key
+        reflected = build_surface_fan(fan.lattice, [(y, x) for x, y in fan.rays])
+        assert surface_key(reflected) == key
+
+    def test_worked_keys(self, p2_fan, hexagon_n1):
+        assert surface_key(p2_fan) == ((1, 0), (0, 1), (-1, -1))
+        # Every self-intersection is -1, so v_{i+1} = v_i - v_{i-1}.
+        assert surface_key(hexagon_n1) == ((1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1), (1, -1))
+        # The singular hexagon's cones have index 3: (1, 0), then (k, 3).
+        assert surface_key(families.singular_hexagon())[:2] == ((1, 0), (2, 3))
+
+    @pytest.mark.parametrize("smooth", [True, False])
+    def test_equal_keys_exactly_for_isomorphic_fans(self, smooth):
+        rng = random.Random(11 + smooth)
+        pool = []
+        for _ in range(40):
+            fan = random_surface_fan(rng, smooth)
+            pool.append(fan)
+            pool.append(transform_fan(random_gl2(rng), fan))
+        equal = 0
+        for f1, f2 in itertools.combinations(pool, 2):
+            same_key = surface_key(f1) == surface_key(f2)
+            assert same_key == (fan_isomorphism(f1, f2) is not None)
+            equal += same_key
+        assert 40 <= equal < len(pool) * (len(pool) - 1) // 2
+
+    def test_lattice_kind_is_not_part_of_the_key(self, hexagon_n1, hexagon_n2):
+        assert surface_key(hexagon_n1) == surface_key(hexagon_n2)
+
+    def test_rank_three_is_an_error(self):
+        with pytest.raises(PreconditionError):
+            surface_key(families.projective_space(3))
 
 
 class TestMakeFan:

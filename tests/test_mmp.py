@@ -23,7 +23,11 @@ from toricsym.mmp import (
     run_equivariant_mmp,
     self_intersection_profile,
 )
-from toricsym.symmetry import action_from_generators, invariant_picard_number, trivial_action
+from toricsym.symmetry import action_from_generators, invariant_picard_number
+
+
+def trivial_action(fan):
+    return action_from_generators(fan, [IntMatrix.identity(fan.rank)])
 
 
 def blowup_p2_once(std2):

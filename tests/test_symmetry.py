@@ -22,11 +22,14 @@ from toricsym.symmetry import (
     fixed_space_dimension,
     invariant_picard_number,
     ray_orbits,
-    trivial_action,
 )
 
 NEG_I = -IntMatrix.identity(2)
 SWAP = IntMatrix.from_rows([(0, 1), (1, 0)])
+
+
+def trivial_action(fan):
+    return action_from_generators(fan, [IntMatrix.identity(fan.rank)])
 
 
 class TestFanAutomorphisms:
