@@ -8,6 +8,7 @@ runner also converts unexpected exceptions into failures.  The CLI's
 from __future__ import annotations
 
 import random
+import time
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -348,21 +349,22 @@ class CriterionResult:
     title: str
     passed: bool
     failures: tuple[str, ...] = field(default_factory=tuple)
+    seconds: float = 0.0
 
 
 def run_criteria(only: str | None = None) -> list[CriterionResult]:
-    """Execute the registry (optionally a single criterion by id)."""
+    """Execute the registry (optionally a single criterion by id), timing each criterion."""
     results = []
     for criterion in CRITERIA:
         if only is not None and criterion.id != only:
             continue
+        start = time.perf_counter()
         try:
             failures = tuple(criterion.run())
         except Exception as exc:  # a crash is a failure, not an abort
             failures = (f"unexpected {type(exc).__name__}: {exc}",)
-        results.append(
-            CriterionResult(criterion.id, criterion.title, passed=not failures, failures=failures)
-        )
+        seconds = time.perf_counter() - start
+        results.append(CriterionResult(criterion.id, criterion.title, not failures, failures, seconds))
     if only is not None and not results:
         raise KeyError(f"no criterion named {only!r}")
     return results

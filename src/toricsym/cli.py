@@ -221,7 +221,7 @@ def cmd_verify_paper(args: argparse.Namespace) -> int:
         raise ParseError(exc.args[0]) from exc
     payload = {
         "results": [
-            {"id": r.id, "title": r.title, "passed": r.passed, "failures": list(r.failures)}
+            {"id": r.id, "title": r.title, "passed": r.passed, "failures": list(r.failures), "seconds": r.seconds}
             for r in results
         ]
     }

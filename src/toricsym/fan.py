@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -397,39 +398,16 @@ def _matrix_sending(det: int, adjugate: IntMatrix, images: Sequence[Vector]) -> 
 
     The basis b enters through its determinant and adjugate, computed once
     per search.  g = w adj(b) / det(b) is unimodular iff |det w| = |det b|,
-    which is tested before the product is formed.
+    tested before integrality.  The images are fan rays, checked when the
+    fan was built, so w and g are wrapped by ``IntMatrix._of`` unchecked.
     """
-    w = IntMatrix.from_columns(images)
+    w = IntMatrix._of(tuple(zip(*images)))
     if abs(w.det()) != abs(det):
         return None
-    num = w @ adjugate
-    entries = []
-    for row in num.entries:
-        new_row = []
-        for x in row:
-            if x % det:
-                return None
-            new_row.append(x // det)
-        entries.append(tuple(new_row))
-    return IntMatrix(tuple(entries))
-
-
-def _induced_ray_map(g: IntMatrix, source: Fan, target: Fan) -> tuple[int, ...] | None:
-    """Index map i -> target index of g(source ray i), if g maps rays to rays."""
-    index = {v: i for i, v in enumerate(target.rays)}
-    mapping = []
-    for v in source.rays:
-        w = g.apply(v)
-        if w not in index:
-            return None
-        mapping.append(index[w])
-    if len(set(mapping)) != len(mapping):
+    num = [[sum(map(operator.mul, row, col)) for col in adjugate.transpose().entries] for row in w.entries]
+    if any(x % det for row in num for x in row):
         return None
-    target_cones = set(target.max_cones)
-    for cone in source.max_cones:
-        if tuple(sorted(mapping[i] for i in cone)) not in target_cones:
-            return None
-    return tuple(mapping)
+    return IntMatrix._of(tuple(tuple(x // det for x in row) for row in num))
 
 
 def _ray_degrees(fan: Fan) -> list[int]:
@@ -450,6 +428,13 @@ def _all_isomorphisms(source: Fan, target: Fan) -> list[tuple[tuple[int, ...], I
     tried are the orderings of the target's n-ray maximal cones whose ray
     degrees match position by position.  Otherwise a spanning ray subset is
     the basis and every degree-matched ordered ray tuple is tried.
+
+    Per search each other source ray is kept as its nonzero coordinates in
+    the basis B times |det B|, so a candidate only combines image columns
+    (the fans' rays, checked when the fans were built).  It is rejected, in
+    order, by a ray image that is not integral or not a target ray, a
+    non-injective ray map, a cone not sent onto a cone, and last by
+    ``_matrix_sending`` (|det W|, then integrality of g).
     """
     n = source.rank
     if n != target.rank:
@@ -467,17 +452,38 @@ def _all_isomorphisms(source: Fan, target: Fan) -> list[tuple[tuple[int, ...], I
     basis = IntMatrix.from_columns([source.rays[i] for i in seed])
     det = basis.det()
     adjugate = basis.adjugate()
+    q = abs(det)
+    coordinates = {i: adjugate.apply(v) for i, v in enumerate(source.rays) if i not in seed}
+    others = [(i, [(k, det // q * c) for k, c in enumerate(u) if c]) for i, u in coordinates.items()]
+    index = {v: j for j, v in enumerate(target.rays)}
+    target_cones = set(target.max_cones)
     found = []
     # The basis spans, so distinct image tuples give distinct matrices.
     for images in tuples:
         if any(target_degrees[j] != d for j, d in zip(images, wanted)):
             continue
-        g = _matrix_sending(det, adjugate, [target.rays[j] for j in images])
-        if g is None:
-            continue
-        mapping = _induced_ray_map(g, source, target)
-        if mapping is not None:
-            found.append((mapping, g))
+        columns = [target.rays[j] for j in images]
+        mapping = [0] * target.ray_count
+        for i, j in zip(seed, images):
+            mapping[i] = j
+        for i, terms in others:
+            k, c = terms[0]
+            image = [c * x for x in columns[k]]
+            for k, c in terms[1:]:
+                image = [a + c * x for a, x in zip(image, columns[k])]
+            if q != 1 and any(a % q for a in image):
+                break
+            j = index.get(tuple(image) if q == 1 else tuple(a // q for a in image))
+            if j is None:
+                break
+            mapping[i] = j
+        else:
+            if len(set(mapping)) == len(mapping) and all(
+                tuple(sorted(map(mapping.__getitem__, cone))) in target_cones for cone in source.max_cones
+            ):
+                g = _matrix_sending(det, adjugate, columns)
+                if g is not None:
+                    found.append((tuple(mapping), g))
     found.sort(key=lambda pair: pair[0])
     return found
 

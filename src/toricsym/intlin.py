@@ -42,7 +42,11 @@ def primitive_vector(v: Sequence[int]) -> Vector:
 
 @dataclass(frozen=True)
 class IntMatrix:
-    """Immutable exact integer matrix."""
+    """Immutable exact integer matrix.
+
+    ``IntMatrix(...)``, ``from_rows`` and ``from_columns`` check entries (an
+    int, not a bool; rectangular); results computed from them are not re-checked.
+    """
 
     entries: tuple[tuple[int, ...], ...]
 
@@ -53,6 +57,12 @@ class IntMatrix:
         object.__setattr__(self, "entries", rows)
 
     @classmethod
+    def _of(cls, rows: tuple[tuple[int, ...], ...]) -> "IntMatrix":
+        matrix = object.__new__(cls)
+        object.__setattr__(matrix, "entries", rows)
+        return matrix
+
+    @classmethod
     def from_rows(cls, rows: Iterable[Sequence[int]]) -> "IntMatrix":
         return cls(tuple(tuple(row) for row in rows))
 
@@ -61,11 +71,11 @@ class IntMatrix:
         cols = [tuple(c) for c in cols]
         if not cols:
             return cls(())
-        return cls(tuple(zip(*cols)))
+        return cls(tuple(zip(*cols, strict=True)))
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
-        return cls(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
+        return cls._of(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
 
     @property
     def rows(self) -> int:
@@ -75,20 +85,17 @@ class IntMatrix:
     def cols(self) -> int:
         return len(self.entries[0]) if self.entries else 0
 
-    def row(self, i: int) -> Vector:
-        return self.entries[i]
-
     def column(self, j: int) -> Vector:
         return tuple(row[j] for row in self.entries)
 
     def transpose(self) -> "IntMatrix":
-        return IntMatrix(tuple(zip(*self.entries))) if self.entries else IntMatrix(())
+        return IntMatrix._of(tuple(zip(*self.entries)))
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
         ot = other.transpose().entries
-        return IntMatrix(
+        return IntMatrix._of(
             tuple(
                 tuple(sum(a * b for a, b in zip(row, col)) for col in ot)
                 for row in self.entries
@@ -102,7 +109,7 @@ class IntMatrix:
         return tuple(sum(a * b for a, b in zip(row, v)) for row in self.entries)
 
     def __neg__(self) -> "IntMatrix":
-        return IntMatrix(tuple(tuple(-x for x in row) for row in self.entries))
+        return IntMatrix._of(tuple(tuple(-x for x in row) for row in self.entries))
 
     def det(self) -> int:
         """Determinant by fraction-free (Bareiss) elimination."""
@@ -158,13 +165,13 @@ class IntMatrix:
         if n != self.cols:
             raise ValueError("adjugate of a non-square matrix")
         if n == 0:
-            return IntMatrix(())
+            return IntMatrix._of(())
         if n == 1:
-            return IntMatrix(((1,),))
+            return IntMatrix._of(((1,),))
         cof = [[0] * n for _ in range(n)]
         for i in range(n):
             for j in range(n):
-                minor = IntMatrix(
+                minor = IntMatrix._of(
                     tuple(
                         tuple(self.entries[r][c] for c in range(n) if c != j)
                         for r in range(n)
@@ -172,7 +179,7 @@ class IntMatrix:
                     )
                 )
                 cof[j][i] = (-1) ** (i + j) * minor.det()
-        return IntMatrix(tuple(tuple(row) for row in cof))
+        return IntMatrix._of(tuple(tuple(row) for row in cof))
 
 
 @dataclass(frozen=True)
@@ -291,9 +298,9 @@ def smith_normal_form(a: IntMatrix) -> SNFResult:
             negate_row(t)
 
     return SNFResult(
-        s=IntMatrix.from_rows(s),
-        u_inv=IntMatrix.from_rows(uinv),
-        v_inv=IntMatrix.from_rows(vinv),
+        s=IntMatrix._of(tuple(map(tuple, s))),
+        u_inv=IntMatrix._of(tuple(map(tuple, uinv))),
+        v_inv=IntMatrix._of(tuple(map(tuple, vinv))),
     )
 
 

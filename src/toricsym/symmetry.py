@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import PreconditionError
-from .fan import Fan, _all_isomorphisms, _induced_ray_map
+from .fan import Fan, _all_isomorphisms
 from .intlin import IntMatrix, kernel_basis
 
 Perm = tuple[int, ...]
@@ -39,8 +39,12 @@ class GroupAction:
 
 
 def _perm_of(fan: Fan, g: IntMatrix) -> Perm:
-    mapping = _induced_ray_map(g, fan, fan)
-    if mapping is None:
+    index = {v: i for i, v in enumerate(fan.rays)}
+    mapping = tuple(index.get(g.apply(v)) for v in fan.rays)
+    cones = set(fan.max_cones)
+    if None in mapping or len(set(mapping)) != len(mapping) or any(
+        tuple(sorted(mapping[i] for i in cone)) not in cones for cone in fan.max_cones
+    ):
         raise PreconditionError("not-fan-preserving", "matrix does not preserve the fan")
     return mapping
 
@@ -78,9 +82,10 @@ def fan_automorphisms(fan: Fan) -> GroupAction:
     """The full finite group Aut(N, fan).
 
     The rays of one maximal cone are sent to every degree-matched ordering
-    of every maximal cone (see ``fan._all_isomorphisms``); the integral
-    unimodular fan-preserving solutions are all the automorphisms, which
-    already form a group.  Elements come ordered by ray permutation.
+    of every maximal cone (see ``fan._all_isomorphisms``).  A candidate is
+    kept if it carries rays onto rays and cones onto cones, and then if its
+    matrix is integral and unimodular; the fan's rays are not re-checked.
+    These are all the automorphisms, a group, ordered by ray permutation.
     """
     pairs = _all_isomorphisms(fan, fan)
     return GroupAction(

@@ -326,6 +326,13 @@ class TestVerifyPaperCommand:
         assert payload["all_passed"] is True
         assert payload["results"][0]["id"] == "A10"
 
+    def test_machine_results_carry_seconds(self, capsys):
+        assert run_cli("verify-paper", "--format", "machine") == 0
+        results = json.loads(capsys.readouterr().out)["results"]
+        assert [r["id"] for r in results] == [f"A{k}" for k in range(1, 13)]
+        for r in results:
+            assert isinstance(r["seconds"], float) and r["seconds"] >= 0
+
 
 RANKS = {"standard:1": 1, "standard:2": 2, "standard:3": 3, "rootA2": 2, "weightA2": 2}
 junk = st.recursive(

@@ -1,3 +1,7 @@
+import sys
+from fractions import Fraction
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,6 +28,10 @@ small_matrices = st.integers(1, 6).flatmap(
             st.lists(st.integers(-9, 9), min_size=c, max_size=c), min_size=r, max_size=r
         )
     )
+).map(mat)
+
+square_matrices = st.integers(1, 6).flatmap(
+    lambda n: st.lists(st.lists(st.integers(-9, 9), min_size=n, max_size=n), min_size=n, max_size=n)
 ).map(mat)
 
 
@@ -172,6 +180,92 @@ def test_fg_group_rendering():
 def test_entries_must_be_exact_integers():
     with pytest.raises(TypeError):
         IntMatrix.from_rows([[1.5, 0], [0, 1]])
+
+
+class TestSympyOracles:
+    @settings(max_examples=100, deadline=None)
+    @given(square_matrices)
+    def test_det(self, a):
+        assert a.det() == Matrix(a.entries).det()
+
+    @settings(max_examples=60, deadline=None)
+    @given(square_matrices)
+    def test_adjugate(self, a):
+        adjugate = a.adjugate()
+        assert Matrix(adjugate.entries) == Matrix(a.entries).adjugate()
+        d = a.det()
+        assert a @ adjugate == IntMatrix.from_rows([[d * (i == j) for j in range(a.rows)] for i in range(a.rows)])
+
+    @settings(max_examples=100, deadline=None)
+    @given(small_matrices)
+    def test_kernel_basis_spans_the_rational_nullspace_and_is_saturated(self, a):
+        basis = kernel_basis(a)
+        nullspace = Matrix(a.entries).nullspace()
+        assert len(basis) == len(nullspace)
+        if basis:
+            rows = Matrix(basis)
+            assert rows.rank() == len(basis)
+            for v in nullspace:
+                assert rows.col_join(v.T).rank() == len(basis)
+            snf = smith_normal_form_over_zz(rows, domain=ZZ)
+            assert all(abs(snf[i, i]) == 1 for i in range(len(basis)))
+
+
+class TestBoundary:
+    """Entries are checked where they enter; computed results are not re-checked."""
+
+    @pytest.mark.parametrize("bad", [True, 1.0, Fraction(1, 2)], ids=["bool", "float", "Fraction"])
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda rows: IntMatrix(rows),
+            IntMatrix.from_rows,
+            lambda rows: IntMatrix.from_columns(zip(*rows)),
+        ],
+        ids=["init", "from_rows", "from_columns"],
+    )
+    def test_non_int_entries_are_refused(self, build, bad):
+        with pytest.raises(TypeError):
+            build(((1, bad), (0, 1)))
+
+    def test_ragged_input_is_refused(self):
+        with pytest.raises(ValueError):
+            IntMatrix(((1, 2), (3,)))
+        with pytest.raises(ValueError):
+            IntMatrix.from_rows([(1, 2), (3,)])
+        with pytest.raises(ValueError):
+            IntMatrix.from_columns([(1, 2), (3,)])
+
+    @settings(max_examples=80, deadline=None)
+    @given(small_matrices, small_matrices)
+    def test_computed_results_equal_checked_ones(self, a, b):
+        snf = smith_normal_form(a)
+        results = [-a, a.transpose(), a @ a.transpose(), snf.s, snf.u_inv, snf.v_inv]
+        if a.cols == b.rows:
+            results.append(a @ b)
+        if a.rows == a.cols:
+            results.append(a.adjugate())
+        for r in results:
+            checked = IntMatrix(r.entries)
+            assert r == checked and hash(r) == hash(checked)
+            assert type(r.entries) is tuple
+            assert all(type(row) is tuple and all(type(x) is int for x in row) for row in r.entries)
+
+    def test_tracer_installs_and_uninstalls(self):
+        sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+        try:
+            from tracer import Tracer
+        finally:
+            sys.path.pop(0)
+        originals = dict(vars(IntMatrix))
+        tracer = Tracer()
+        tracer.install()
+        try:
+            assert mat([[2, 1], [1, 1]]).det() == 1
+            assert tracer.calls["intlin.det"] == 1
+        finally:
+            tracer.uninstall()
+        assert dict(vars(IntMatrix)) == originals
 
 
 class TestEdgeShapes:

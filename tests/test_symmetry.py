@@ -297,6 +297,64 @@ class TestConeSeededSearch:
         assert len(calls) == order
 
 
+# P2/mu3: its rays span the index-3 sublattice {a = b mod 3}, so every seed
+# cone has |det| = 3.
+P2_MU3 = make_fan(Lattice.standard(2), [(2, -1), (-1, 2), (-1, -1)])
+P2_MU3_X_P1 = _product(P2_MU3, P1)
+P2_X_P1 = _product(P2, P1)
+# (x, y, z) -> (x, y, z + (x - y) / 3) is integral on the rays' sublattice
+# but not on Z^3: it carries rays to primitive rays and keeps |det| of every
+# cone, yet no integral matrix carries P2/mu3 x P1 onto the image.
+P2_MU3_X_P1_SHEARED = make_fan(
+    Lattice.standard(3),
+    [(x, y, z + (x - y) // 3) for x, y, z in P2_MU3_X_P1.rays],
+    P2_MU3_X_P1.max_cones,
+)
+
+
+class TestSublatticeSeeds:
+    """Seed cones with |det| > 1 and rays spanning a proper sublattice."""
+
+    @pytest.mark.parametrize("fan", [P2_MU3, P2_MU3_X_P1, P2_MU3_X_P1_SHEARED], ids=["P2/mu3", "P2/mu3xP1", "sheared"])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_search_agrees_with_brute_force(self, fan, seed):
+        image = _relabelled_image(fan, seed)
+        for source, target in ((fan, fan), (fan, image), (image, fan)):
+            expected = _brute_force_isomorphisms(source, target)
+            assert expected
+            assert _pairs(_all_isomorphisms(source, target)) == _pairs(expected)
+
+    @pytest.mark.parametrize(
+        "first, second, reason",
+        [
+            (P2, P2_MU3, "det"),
+            (P2_MU3, P2, "det"),
+            (P2_X_P1, _relabelled_image(P2_MU3_X_P1, 4), "det"),
+            (P2_MU3_X_P1, P2_MU3_X_P1_SHEARED, "integrality"),
+            (_relabelled_image(P2_MU3_X_P1_SHEARED, 5), P2_MU3_X_P1, "integrality"),
+        ],
+        ids=["P2-P2/mu3", "P2/mu3-P2", "P2xP1-moved", "shear", "moved-shear"],
+    )
+    def test_candidates_failing_only_the_matrix_tests_are_rejected(self, first, second, reason, monkeypatch):
+        # Every candidate reaching _matrix_sending maps rays onto rays and
+        # cones onto cones; only |det w| = |det b| or integrality of g fails.
+        rejected = []
+        matrix_sending = fan_module._matrix_sending
+
+        def recorded(det, adjugate, images):
+            g = matrix_sending(det, adjugate, images)
+            if g is None:
+                same_det = abs(IntMatrix.from_columns(images).det()) == abs(det)
+                rejected.append("integrality" if same_det else "det")
+            return g
+
+        monkeypatch.setattr(fan_module, "_matrix_sending", recorded)
+        assert _brute_force_isomorphisms(first, second) == []
+        assert _all_isomorphisms(first, second) == []
+        assert fan_isomorphism(first, second) is None
+        assert rejected and set(rejected) == {reason}
+
+
 class TestActionFromGenerators:
     def test_hexagon_coordinate_action_has_order_six(self, hexagon_n2):
         action = action_from_generators(hexagon_n2, list(hexagon_n2.lattice.s3_matrices()))
