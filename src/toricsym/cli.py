@@ -8,9 +8,10 @@ precondition failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
-from typing import Any
+from typing import Any, Iterable, Iterator
 
 from . import acceptance, families, fanio, qfield
 from .divisors import class_group, ray_blocks, relation_lattice
@@ -32,7 +33,7 @@ EXIT_PARSE = 2
 EXIT_PRECONDITION = 3
 
 
-def _emit(payload: dict[str, Any], lines: list[str], fmt: str) -> None:
+def _emit(payload: dict[str, Any], lines: Iterable[str], fmt: str) -> None:
     if fmt == "machine":
         print(json.dumps(payload, sort_keys=True))
     else:
@@ -123,14 +124,12 @@ def cmd_orbits(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _trace_lines(trace: MMPTrace) -> list[str]:
-    lines = []
+def _trace_lines(trace: MMPTrace) -> Iterator[str]:
     for k, step in enumerate(trace.steps):
-        lines.append(f"step {k}: rays {list(step.fan.rays)}")
-        lines.append(f"        contract orbit {list(step.orbit)} = {list(step.orbit_rays)}")
-    lines.append(f"terminal rays {list(trace.terminal.rays)}")
-    lines.append(f"label {trace.label}")
-    return lines
+        yield f"step {k}: rays {list(step.fan.rays)}"
+        yield f"        contract orbit {list(step.orbit)} = {list(step.orbit_rays)}"
+    yield f"terminal rays {list(trace.terminal.rays)}"
+    yield f"label {trace.label}"
 
 
 def cmd_mmp(args: argparse.Namespace) -> int:
@@ -144,12 +143,8 @@ def cmd_mmp(args: argparse.Namespace) -> int:
     action = action_from_generators(fan, generators, names)
     if args.explore_all:
         traces = run_equivariant_mmp(fan, action, mode="explore-all")
-        payload = {"traces": [fanio.trace_document(t) for t in traces]}
-        lines = []
-        for i, trace in enumerate(traces):
-            lines.append(f"--- branch {i} ---")
-            lines.extend(_trace_lines(trace))
-        _emit(payload, lines, args.format)
+        lines = (line for i, t in enumerate(traces) for line in [f"--- branch {i} ---", *_trace_lines(t)])
+        _emit({"traces": fanio.traces_document(traces)}, lines, args.format)
     else:
         trace = run_equivariant_mmp(fan, action, mode="first-orbit")
         _emit(fanio.trace_document(trace), _trace_lines(trace), args.format)
@@ -237,7 +232,9 @@ def cmd_verify_paper(args: argparse.Namespace) -> int:
     return EXIT_OK if ok else EXIT_VERIFY_FAILED
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by later calls."""
     parser = argparse.ArgumentParser(
         prog="toricsym",
         description="Exact toolkit for complete simplicial toric varieties with finite symmetry",

@@ -147,7 +147,7 @@ def _cross(v: Vector, w: Vector) -> int:
 
 
 def _ccw_sort(rays: Sequence[Vector]) -> list[Vector]:
-    """Counterclockwise order starting from the lexicographically least ray."""
+    """Counterclockwise order starting from the direction (1, 0)."""
 
     def half(v: Vector) -> int:
         return 0 if (v[1] > 0 or (v[1] == 0 and v[0] > 0)) else 1
@@ -159,9 +159,7 @@ def _ccw_sort(rays: Sequence[Vector]) -> list[Vector]:
         c = _cross(v, w)
         return -1 if c > 0 else 1
 
-    ordered = sorted(rays, key=functools.cmp_to_key(cmp))
-    start = ordered.index(min(ordered))
-    return ordered[start:] + ordered[:start]
+    return sorted(rays, key=functools.cmp_to_key(cmp))
 
 
 @dataclass(frozen=True)
@@ -266,9 +264,16 @@ def build_surface_fan(lattice: Lattice, rays: Iterable[Sequence[int]]) -> Fan:
 
 
 def _surface_fan(lattice: Lattice, prim: list[Vector]) -> Fan:
-    if len(prim) < 3:
+    return _cycle_fan(lattice, _ccw_sort(prim))
+
+
+def _cycle_fan(lattice: Lattice, cycle: list[Vector]) -> Fan:
+    """The complete surface fan of distinct primitive rays given in
+    counterclockwise cyclic order, from any start; stored from the least."""
+    if len(cycle) < 3:
         raise PreconditionError("too-few-rays", "a complete surface fan needs at least 3 rays")
-    ordered = _ccw_sort(prim)
+    start = cycle.index(min(cycle))
+    ordered = cycle[start:] + cycle[:start]
     d = len(ordered)
     for i in range(d):
         if _cross(ordered[i], ordered[(i + 1) % d]) <= 0:
@@ -516,15 +521,18 @@ def surface_key(fan: Fan) -> tuple[Vector, ...]:
     For each starting ray and each orientation of the cycle, take the g in
     GL2(Z) sending the first ray to (1, 0) and the second to (k, c) with
     c > 0 and 0 <= k < c, and apply it to the whole cycle; the key is the
-    least of these 2 * |rays| images.  A complete surface fan is its ray
-    cycle, so two of them have equal keys exactly when ``fan_isomorphism``
-    finds a map between them (Oda 1.6, Fulton 2.5).  The rays must be in
-    cyclic order, as every rank-2 fan built here stores them.
+    least of these 2 * |rays| images.  The images are grown one ray at a
+    time, keeping only the starts whose prefix is least, so a start is
+    dropped at its first ray that exceeds the least image.  A complete
+    surface fan is its ray cycle, so two of them have equal keys exactly
+    when ``fan_isomorphism`` finds a map between them (Oda 1.6, Fulton 2.5).
+    The rays must be in cyclic order, as every rank-2 fan built here stores
+    them.
     """
     if fan.rank != 2:
         raise PreconditionError("rank", "the surface key needs a rank-2 fan")
     d = fan.ray_count
-    best = None
+    starts = []
     for cycle in (fan.rays, fan.rays[::-1]):
         for s in range(d):
             (x0, y0), (x1, y1) = cycle[s], cycle[(s + 1) % d]
@@ -533,8 +541,14 @@ def surface_key(fan: Fan) -> tuple[Vector, ...]:
             # Second row: the normal of the first ray, signed so that c > 0.
             r, t = (-y0, x0) if c > 0 else (y0, -x0)
             k = (p * x1 + q * y1) // abs(c)
-            p, q = p - k * r, q - k * t
-            image = tuple((p * x + q * y, r * x + t * y) for x, y in cycle[s:] + cycle[:s])
-            if best is None or image < best:
-                best = image
-    return best
+            starts.append((cycle, s, p - k * r, q - k * t, r, t))
+    key = [(1, 0)]
+    for j in range(1, d):
+        images = []
+        for cycle, s, p, q, r, t in starts:
+            x, y = cycle[(s + j) % d]
+            images.append((p * x + q * y, r * x + t * y))
+        least = min(images)
+        starts = [start for start, image in zip(starts, images) if image == least]
+        key.append(least)
+    return tuple(key)

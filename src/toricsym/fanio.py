@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Any
+from typing import Any, Sequence
 
 from .errors import ParseError
 from .fan import Fan, Lattice, make_fan
 from .intlin import IntMatrix
-from .mmp import MMPTrace
+from .mmp import MMPStep, MMPTrace
 from .symmetry import GaloisDatum
 
 
@@ -130,15 +130,29 @@ def load_galois(path: str | Path) -> GaloisDatum:
 
 
 def trace_document(trace: MMPTrace) -> dict:
-    return {
-        "steps": [
-            {
+    return traces_document([trace])[0]
+
+
+def traces_document(traces: Sequence[MMPTrace]) -> list[dict]:
+    """Documents of contraction traces.  Explore-all branches share their
+    leading step objects; each is rendered once and its dict shared."""
+    rendered: dict[int, dict] = {}
+
+    def step_document(step: MMPStep) -> dict:
+        doc = rendered.get(id(step))
+        if doc is None:
+            doc = rendered[id(step)] = {
                 "rays": [list(v) for v in step.fan.rays],
                 "contracted_orbit": list(step.orbit),
                 "contracted_rays": [list(v) for v in step.orbit_rays],
             }
-            for step in trace.steps
-        ],
-        "terminal_rays": [list(v) for v in trace.terminal.rays],
-        "label": str(trace.label),
-    }
+        return doc
+
+    return [
+        {
+            "steps": [step_document(step) for step in trace.steps],
+            "terminal_rays": [list(v) for v in trace.terminal.rays],
+            "label": str(trace.label),
+        }
+        for trace in traces
+    ]

@@ -323,7 +323,6 @@ def _reduce_rows(vectors: Sequence[Vector]) -> tuple[Vector, ...]:
     if not rows:
         return ()
     cols = len(rows[0])
-    basis: list[list[int]] = []
     r = 0
     for j in range(cols):
         pool = [i for i in range(r, len(rows)) if rows[i][j] != 0]
@@ -345,11 +344,10 @@ def _reduce_rows(vectors: Sequence[Vector]) -> tuple[Vector, ...]:
             q = rows[i][j] // rows[r][j]
             if q:
                 rows[i] = [x - q * y for x, y in zip(rows[i], rows[r])]
-        basis.append(rows[r])
         r += 1
         if r == len(rows):
             break
-    return tuple(tuple(row) for row in basis)
+    return tuple(tuple(row) for row in rows[:r])
 
 
 @dataclass(frozen=True)

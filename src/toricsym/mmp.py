@@ -7,13 +7,14 @@ until no orbit qualifies and labels the terminal fan.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Container
 
 from .errors import PreconditionError
-from .fan import Fan, Lattice, build_surface_fan, surface_key, validate_fan
+from .fan import Fan, Lattice, _cycle_fan, surface_key, validate_fan
 from .intlin import Vector
-from .symmetry import GroupAction, _make_action, ray_orbits
+from .symmetry import GroupAction, ray_orbits
 
 
 def _require_smooth_complete_surface(fan: Fan, who: str) -> None:
@@ -97,13 +98,13 @@ def _contractible(
 def remove_ray_orbit(fan: Fan, orbit: tuple[int, ...]) -> Fan:
     """Remove an orbit of rays from a surface fan; no smoothness guarantee.
 
-    This is the raw combinatorial step; the result is re-sorted and must
-    merely be a complete surface fan.
+    This is the raw combinatorial step: the stored cycle without the orbit
+    is still counterclockwise, and must merely be a complete surface fan.
     """
     if fan.rank != 2:
         raise PreconditionError("rank", "ray-orbit removal is implemented for surfaces")
-    keep = [v for i, v in enumerate(fan.rays) if i not in set(orbit)]
-    return build_surface_fan(fan.lattice, keep)
+    drop = set(orbit)
+    return _cycle_fan(fan.lattice, [v for i, v in enumerate(fan.rays) if i not in drop])
 
 
 def contract_orbit(fan: Fan, orbit: tuple[int, ...]) -> Fan:
@@ -150,22 +151,10 @@ DP6_TERMINAL = TerminalLabel("DP6Terminal")
 OTHER = TerminalLabel("Other")
 
 
-def _reference_p2() -> Fan:
-    return build_surface_fan(Lattice.standard(2), [(1, 0), (0, 1), (-1, -1)])
-
-
-def _reference_p1xp1() -> Fan:
-    return build_surface_fan(Lattice.standard(2), [(1, 0), (-1, 0), (0, 1), (0, -1)])
-
-
-def _reference_hexagon() -> Fan:
-    return build_surface_fan(
-        Lattice.standard(2), [(1, 0), (0, 1), (1, 1), (-1, 0), (0, -1), (-1, -1)]
-    )
-
-
-def _reference_hirzebruch(a: int) -> Fan:
-    return build_surface_fan(Lattice.standard(2), [(1, 0), (0, 1), (-1, a), (0, -1)])
+@functools.cache
+def _reference_key(*cycle: Vector) -> tuple[Vector, ...]:
+    """Surface key of the reference model with these counterclockwise rays."""
+    return surface_key(_cycle_fan(Lattice.standard(2), list(cycle)))
 
 
 def classify_terminal(fan: Fan) -> TerminalLabel:
@@ -179,10 +168,10 @@ def _classify(fan: Fan, profile: SelfIntersectionProfile | None) -> TerminalLabe
     if d not in (3, 4, 6):
         return OTHER
     key = surface_key(fan)
-    if d == 3 and key == surface_key(_reference_p2()):
+    if d == 3 and key == _reference_key((1, 0), (0, 1), (-1, -1)):
         return P2
     if d == 4:
-        if key == surface_key(_reference_p1xp1()):
+        if key == _reference_key((1, 0), (0, 1), (-1, 0), (0, -1)):
             return P1XP1
         if profile is None:
             report = validate_fan(fan)
@@ -190,9 +179,9 @@ def _classify(fan: Fan, profile: SelfIntersectionProfile | None) -> TerminalLabe
                 profile = _profile(fan)
         if profile is not None:
             a = max(abs(c) for c in profile.coefficients)
-            if a != 0 and key == surface_key(_reference_hirzebruch(a)):
+            if a != 0 and key == _reference_key((1, 0), (0, 1), (-1, a), (0, -1)):
                 return TerminalLabel("Hirzebruch", a)
-    if d == 6 and key == surface_key(_reference_hexagon()):
+    if d == 6 and key == _reference_key((1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1)):
         return DP6_TERMINAL
     return OTHER
 
@@ -218,7 +207,27 @@ class MMPTrace:
 
 
 def _restrict_action(action: GroupAction, fan: Fan) -> GroupAction:
-    return _make_action(fan, action.elements, action.generator_names)
+    """The action on a surface fan whose rays are a G-invariant subset of
+    ``action.fan``'s: the ray permutations are restricted and re-indexed.
+
+    In rank 2 a linear bijection of the rays keeps or reverses their cyclic
+    order, so it carries adjacent rays, the maximal cones, onto adjacent rays.
+    """
+    root = {v: i for i, v in enumerate(action.fan.rays)}
+    position = {root[v]: j for j, v in enumerate(fan.rays)}
+    pairs = []
+    for g, perm in zip(action.elements, action.ray_perms):
+        restricted = tuple(position.get(perm[i]) for i in position)
+        if None in restricted:
+            raise PreconditionError("not-fan-preserving", "matrix does not preserve the fan")
+        pairs.append((restricted, g))
+    pairs.sort(key=lambda p: p[0])
+    return GroupAction(
+        fan=fan,
+        elements=tuple(g for _, g in pairs),
+        ray_perms=tuple(p for p, _ in pairs),
+        generator_names=action.generator_names,
+    )
 
 
 def _step(fan: Fan, orbit: tuple[int, ...]) -> MMPStep:
@@ -236,10 +245,12 @@ def run_equivariant_mmp(fan: Fan, action: GroupAction, mode: str = "first-orbit"
 
     The input fan is validated once on entry and every contracted fan once
     by the contraction that produces it; each fan's profile is computed
-    once.  In explore-all mode every fan below the root carries the root's
-    matrices restricted to it, so the traces below a fan depend on the fan
-    alone: different contraction orders that meet at the same fan share
-    its subtree, which is contracted and labelled once per call.
+    once.  A contraction cuts the orbit out of the stored ray cycle, and
+    every fan below the root carries the root's ray permutations restricted
+    to its rays (no matrix is applied again), so the traces below a fan
+    depend on the fan alone: different contraction orders that meet at the
+    same fan share its subtree, which is contracted and labelled once per
+    call.
     """
     _require_smooth_complete_surface(fan, "the equivariant contraction loop")
     if action.fan != fan:

@@ -1,11 +1,16 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import toricsym
 from toricsym import cli, families, fanio
 from toricsym.fan import Lattice, make_fan
 from toricsym.symmetry import fan_automorphisms
@@ -188,6 +193,77 @@ class TestMmpCommand:
         payload = json.loads(capsys.readouterr().out)
         assert payload["label"] == "DP6Terminal"
         assert payload["steps"] == []
+
+
+HEXAGON_FIRST_ORBIT = """\
+step 0: rays [(-1, -1), (0, -1), (1, 0), (1, 1), (0, 1), (-1, 0)]
+        contract orbit [0, 2, 4] = [(-1, -1), (1, 0), (0, 1)]
+terminal rays [(-1, 0), (0, -1), (1, 1)]
+label P2
+"""
+
+HEXAGON_EXPLORE_ALL = """\
+--- branch 0 ---
+step 0: rays [(-1, -1), (0, -1), (1, 0), (1, 1), (0, 1), (-1, 0)]
+        contract orbit [0, 2, 4] = [(-1, -1), (1, 0), (0, 1)]
+terminal rays [(-1, 0), (0, -1), (1, 1)]
+label P2
+--- branch 1 ---
+step 0: rays [(-1, -1), (0, -1), (1, 0), (1, 1), (0, 1), (-1, 0)]
+        contract orbit [1, 3, 5] = [(0, -1), (1, 1), (-1, 0)]
+terminal rays [(-1, -1), (1, 0), (0, 1)]
+label P2
+"""
+
+
+def in_process(argv):
+    """Exit code and standard output of one call of ``cli.main`` in this
+    process; a usage error exits through ``SystemExit``."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue()
+
+
+def fresh_process(argv):
+    """Exit code and standard output of the same call in a new interpreter."""
+    src = str(Path(toricsym.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run(
+        [sys.executable, "-m", "toricsym.cli", *argv], capture_output=True, text=True, env=env, timeout=60
+    )
+    return done.returncode, done.stdout
+
+
+class TestInProcessReuse:
+    """``cli.main`` shares one parser between the calls of a process; every
+    call must still give what a fresh process gives."""
+
+    def test_repeated_calls_match_fresh_processes(self, dp6_n2_files, tmp_path):
+        fan_path, act_path = dp6_n2_files
+        bad_path = tmp_path / "bad.json"
+        bad_path.write_text("{not json", encoding="utf-8")
+        commands = [
+            ["mmp", fan_path, act_path, "--explore-all"],
+            ["mmp", fan_path, act_path],
+            ["check", fan_path, act_path],
+            ["enumerate", "--lattice", "weightA2", "--height", "2", "--max-rays", "12", "--smooth"],
+            ["mmp", fan_path],
+            ["check", str(bad_path)],
+        ]
+        calls = [[*argv, "--format", fmt] for fmt in ("machine", "plain") for argv in commands]
+        got = [in_process(argv) for argv in calls]
+        assert [code for code, _ in got] == [0, 0, 0, 0, 2, 2] * 2
+        assert got == [fresh_process(argv) for argv in calls]
+
+    def test_plain_traces_of_the_two_orbit_hexagon(self, dp6_n2_files):
+        fan_path, act_path = dp6_n2_files
+        for _ in range(2):
+            assert in_process(["mmp", fan_path, act_path, "--explore-all"]) == (0, HEXAGON_EXPLORE_ALL)
+            assert in_process(["mmp", fan_path, act_path]) == (0, HEXAGON_FIRST_ORBIT)
 
 
 class TestEnumerateCommand:

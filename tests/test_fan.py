@@ -262,7 +262,36 @@ def random_surface_fan(rng, smooth):
             pass
 
 
+def full_image_key(fan):
+    """The surface key as the least of all 2 * |rays| full images."""
+    d = fan.ray_count
+    images = []
+    for cycle in (fan.rays, fan.rays[::-1]):
+        for s in range(d):
+            (x0, y0), (x1, y1) = cycle[s], cycle[(s + 1) % d]
+            p = pow(x0, -1, abs(y0)) if y0 else x0
+            q = (1 - p * x0) // y0 if y0 else 0
+            c = x0 * y1 - y0 * x1
+            r, t = (-y0, x0) if c > 0 else (y0, -x0)
+            k = (p * x1 + q * y1) // abs(c)
+            p, q = p - k * r, q - k * t
+            images.append(tuple((p * x + q * y, r * x + t * y) for x, y in cycle[s:] + cycle[:s]))
+    return min(images)
+
+
 class TestSurfaceKey:
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 10**6), smooth=st.booleans())
+    def test_equals_the_least_full_image(self, seed, smooth):
+        fan = random_surface_fan(random.Random(seed), smooth)
+        assert surface_key(fan) == full_image_key(fan)
+
+    def test_equals_the_least_full_image_on_the_smooth_census(self):
+        fans = families.enumerate_invariant_fans(Lattice.weight_a2(), 6, 36, require_smooth=True)
+        assert len(fans) == 35
+        for fan in fans:
+            assert surface_key(fan) == full_image_key(fan)
+
     @settings(max_examples=150, deadline=None)
     @given(seed=st.integers(0, 10**6), smooth=st.booleans(), shift=st.integers(0, 20))
     def test_invariant_under_gl2_rotation_and_reflection(self, seed, smooth, shift):

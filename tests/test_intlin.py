@@ -6,11 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy import ZZ, Matrix
+from sympy.matrices.normalforms import hermite_normal_form
 from sympy.matrices.normalforms import smith_normal_form as smith_normal_form_over_zz
 
 from toricsym.intlin import (
     FGAbelianGroup,
     IntMatrix,
+    _reduce_rows,
     cokernel_group,
     kernel_basis,
     smith_normal_form,
@@ -211,6 +213,29 @@ class TestSympyOracles:
             assert all(abs(snf[i, i]) == 1 for i in range(len(basis)))
 
 
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(1, 5).flatmap(
+            lambda r: st.integers(1, 6).flatmap(
+                lambda c: st.lists(st.lists(st.integers(-9, 9), min_size=c, max_size=c), min_size=r, max_size=r)
+            )
+        )
+    )
+    def test_row_reduction_is_the_hermite_normal_form(self, rows):
+        reduced = _reduce_rows([tuple(row) for row in rows])
+        if not any(map(any, rows)):
+            assert reduced == ()
+            return
+        # Same lattice: the column-style HNF of the transposes is canonical.
+        assert hermite_normal_form(Matrix(reduced).T) == hermite_normal_form(Matrix(rows).T)
+        assert len(reduced) == Matrix(rows).rank()
+        pivots = [next(j for j, x in enumerate(row) if x) for row in reduced]
+        assert pivots == sorted(set(pivots))
+        for i, j in enumerate(pivots):
+            assert reduced[i][j] > 0
+            assert all(0 <= reduced[k][j] < reduced[i][j] for k in range(i))
+
+
 class TestBoundary:
     """Entries are checked where they enter; computed results are not re-checked."""
 
@@ -314,3 +339,14 @@ def test_invariant_factors_agree_with_an_independent_oracle(a):
 def test_kernel_is_canonical_under_row_duplication(a):
     doubled = IntMatrix.from_rows(list(a.entries) + list(a.entries))
     assert kernel_basis(a) == kernel_basis(doubled)
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_matrices, st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5), st.sampled_from([-2, -1, 1, 2]))))
+def test_kernel_is_canonical_under_row_operations(a, operations):
+    rows = [list(row) for row in a.entries]
+    for i, j, k in operations:
+        i, j = i % a.rows, j % a.rows
+        if i != j:
+            rows[i] = [x + k * y for x, y in zip(rows[i], rows[j])]
+    assert kernel_basis(a) == kernel_basis(mat(rows))

@@ -10,6 +10,7 @@ from toricsym.fan import Lattice, build_surface_fan, fan_isomorphism, validate_f
 from toricsym.intlin import IntMatrix
 from toricsym.mmp import (
     DP6_TERMINAL,
+    _restrict_action,
     P2,
     P1XP1,
     MMPStep,
@@ -23,7 +24,7 @@ from toricsym.mmp import (
     run_equivariant_mmp,
     self_intersection_profile,
 )
-from toricsym.symmetry import action_from_generators, invariant_picard_number
+from toricsym.symmetry import _make_action, action_from_generators, fan_automorphisms, invariant_picard_number
 
 
 def trivial_action(fan):
@@ -272,6 +273,67 @@ class TestAgainstThePublicSteps:
         traces = run_equivariant_mmp(fan, trivial_action(fan), mode="explore-all")
         assert traces == explore_all_by_recursion(fan, trivial_action(fan))
         assert len(traces) > len({t.terminal for t in traces})
+
+
+def reached_fans(fan, action):
+    """Every fan that explore-all reaches from the root, the root included."""
+    traces = run_equivariant_mmp(fan, action, mode="explore-all")
+    return {f for t in traces for f in [s.fan for s in t.steps] + [t.terminal]}
+
+
+def automorphism_blowup_cases(count=12):
+    """Seeded blow-ups under their full automorphism groups, so that the
+    restriction has more than one element to re-index and sort."""
+    cases = []
+    for seed in range(count):
+        fan = families.random_blowup_surface_fan(random.Random(seed), max_rays=9)
+        cases.append(pytest.param(fan, fan_automorphisms(fan), id=f"blowup-aut-seed{seed}"))
+    return cases
+
+
+class TestRestrictAction:
+    """The root's ray permutations, restricted to a contracted fan, give the
+    action that the root's matrices induce on it."""
+
+    @pytest.mark.parametrize("fan,action", random_blowup_cases(12) + automorphism_blowup_cases() + census_cases())
+    def test_equals_the_action_of_the_root_matrices(self, fan, action):
+        for reached in reached_fans(fan, action):
+            expected = _make_action(reached, action.elements, action.generator_names)
+            assert _restrict_action(action, reached) == expected
+
+    def test_a_subset_that_is_not_invariant_is_refused(self, hexagon_n2):
+        action = families.standard_s3_action(hexagon_n2)
+        with pytest.raises(PreconditionError) as info:
+            _restrict_action(action, remove_ray_orbit(hexagon_n2, (0,)))
+        assert info.value.reason == "not-fan-preserving"
+
+
+def removal_outcome(remove):
+    """The fan a removal gives, or the reason slug it raises."""
+    try:
+        return remove()
+    except PreconditionError as exc:
+        return exc.reason
+
+
+class TestRemoveRayOrbit:
+    """Cutting the stored cycle gives the fan built afresh from the kept rays."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 10**6), st.data())
+    def test_equals_the_fan_built_from_the_kept_rays(self, seed, data):
+        fan = families.random_blowup_surface_fan(random.Random(seed), max_rays=10)
+        orbit = tuple(data.draw(st.sets(st.integers(0, fan.ray_count - 1))))
+        keep = [v for i, v in enumerate(fan.rays) if i not in orbit]
+        assert removal_outcome(lambda: remove_ray_orbit(fan, orbit)) == removal_outcome(
+            lambda: build_surface_fan(fan.lattice, keep)
+        )
+
+    @pytest.mark.parametrize(
+        "orbit,reason", [((0, 1, 2, 3), "too-few-rays"), ((1, 3), "too-few-rays"), ((1,), "incomplete")]
+    )
+    def test_slugs_of_what_is_not_a_complete_fan(self, square_fan, orbit, reason):
+        assert removal_outcome(lambda: remove_ray_orbit(square_fan, orbit)) == reason
 
 
 def blowup_once(fan, i):
