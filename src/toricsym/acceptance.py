@@ -188,7 +188,7 @@ def criterion_a6() -> list[str]:
 def _census(include_negation: bool) -> list[tuple[str, Fan]]:
     fans = []
     for lattice in (Lattice.root_a2(), Lattice.weight_a2()):
-        for height, max_rays in ((1, 12), (2, 12), (3, 18), (4, 24)):
+        for height, max_rays in ((1, 12), (2, 12), (3, 18), (4, 24), (5, 30), (6, 36)):
             for fan in families.enumerate_invariant_fans(
                 lattice,
                 height=height,

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import PreconditionError
-from .fan import Fan, Lattice, build_surface_fan, make_fan, surface_key, transform_fan, validate_fan
+from .fan import Fan, Lattice, _cycle_fan, build_surface_fan, make_fan, surface_key, transform_fan, validate_fan
 from .intlin import IntMatrix, Vector, primitive_vector
 from .symmetry import GaloisDatum, GroupAction, action_from_generators
 
@@ -230,19 +230,32 @@ def _orbit_unions(orbit_list: Sequence[tuple[Vector, ...]], max_rays: int):
                 yield rays
 
 
+def _blow_up(fan: Fan, new_rays: Sequence[Vector]) -> Fan:
+    """The surface fan with each cone (v_i, v_{i+1}) whose ray sum is in
+    ``new_rays`` subdivided by that sum, spliced into the stored cycle."""
+    d = fan.ray_count
+    cycle = []
+    for i, v in enumerate(fan.rays):
+        w = tuple(a + b for a, b in zip(v, fan.rays[(i + 1) % d]))
+        cycle += [v, w] if w in new_rays else [v]
+    return _cycle_fan(fan.lattice, cycle)
+
+
 def _smooth_blowups(lattice: Lattice, orbit_list: Sequence[tuple[Vector, ...]], max_rays: int):
     """Every smooth fan on a union of the orbits with at most ``max_rays``
-    rays, reached from the smooth 3- and 6-ray fans by orbit blow-ups."""
+    rays, reached from the smooth 3- to 6-ray fans by orbit blow-ups.  Only
+    those seeds are validated: a blow-up cuts smooth cones (v_i, v_{i+1})
+    into cones of determinant 1, so it certifies the fans it reaches."""
     orbit_of = {v: orbit for orbit in orbit_list for v in orbit}
     seen: set[frozenset[Vector]] = set()
     stack = []
     for rays in _orbit_unions(orbit_list, min(6, max_rays)):
         seen.add(frozenset(rays))
-        stack.append(build_surface_fan(lattice, rays))
+        fan = build_surface_fan(lattice, rays)
+        if validate_fan(fan).smooth:
+            stack.append(fan)
     while stack:
         fan = stack.pop()
-        if not validate_fan(fan).smooth:
-            continue
         yield fan
         d = fan.ray_count
         for i in range(d):
@@ -253,7 +266,7 @@ def _smooth_blowups(lattice: Lattice, orbit_list: Sequence[tuple[Vector, ...]], 
             rays = frozenset(fan.rays + orbit)
             if rays not in seen:
                 seen.add(rays)
-                stack.append(build_surface_fan(lattice, rays))
+                stack.append(_blow_up(fan, orbit))
 
 
 def enumerate_invariant_fans(
@@ -431,7 +444,5 @@ def random_blowup_surface_fan(rng: random.Random, max_rays: int = 10) -> Fan:
     while fan.ray_count < target:
         d = fan.ray_count
         i = rng.randrange(d)
-        j = (i + 1) % d
-        new_ray = tuple(a + b for a, b in zip(fan.rays[i], fan.rays[j]))
-        fan = build_surface_fan(fan.lattice, list(fan.rays) + [new_ray])
+        fan = _blow_up(fan, [tuple(a + b for a, b in zip(fan.rays[i], fan.rays[(i + 1) % d]))])
     return fan

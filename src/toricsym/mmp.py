@@ -9,10 +9,9 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Container
 
 from .errors import PreconditionError
-from .fan import Fan, Lattice, _cycle_fan, surface_key, validate_fan
+from .fan import Fan, Lattice, _cross, _cycle_fan, surface_key, validate_fan
 from .intlin import Vector
 from .symmetry import GroupAction, ray_orbits
 
@@ -108,29 +107,25 @@ def remove_ray_orbit(fan: Fan, orbit: tuple[int, ...]) -> Fan:
 
 
 def contract_orbit(fan: Fan, orbit: tuple[int, ...]) -> Fan:
-    """Contract a non-adjacent orbit of (-1)-rays; result re-validated smooth."""
+    """Contract a non-adjacent orbit of (-1)-rays; the input is validated
+    smooth and the result is certified smooth by the contraction."""
     return _contract(fan, orbit, self_intersection_profile(fan))
 
 
-def _contract(
-    fan: Fan,
-    orbit: tuple[int, ...],
-    profile: SelfIntersectionProfile,
-    validated: Container[Fan] = (),
-) -> Fan:
-    """Checks of ``contract_orbit`` with a known profile; a result found in
-    ``validated`` has passed the re-validation before and is not re-checked."""
+def _contract(fan: Fan, orbit: tuple[int, ...], profile: SelfIntersectionProfile) -> Fan:
+    """Checks of ``contract_orbit`` with a known profile of a fan known to
+    be smooth and complete."""
     d = fan.ray_count
     if any(profile.coefficients[i] != 1 for i in orbit):
         raise PreconditionError("not-minus-one", "orbit contains a ray that is not a (-1)-ray")
     if any(_adjacent(i, j, d) for i in orbit for j in orbit if i < j):
         raise PreconditionError("adjacent-orbit", "orbit contains cyclically adjacent rays")
     result = remove_ray_orbit(fan, orbit)
-    if result in validated:
-        return result
-    report = validate_fan(result)
-    if not (report.smooth and report.complete):
-        raise PreconditionError("contraction-broke-fan", "contracted fan failed re-validation")
+    # Equal to validating the result in full: the cycle check of
+    # remove_ray_orbit is exactly completeness, and every cone of the result
+    # but the new (v_{i-1}, v_{i+1}) of each removed i is one of the input's.
+    if any(_cross(fan.rays[i - 1], fan.rays[(i + 1) % d]) != 1 for i in orbit):
+        raise PreconditionError("contraction-broke-fan", "a contracted cone is not unimodular")
     return result
 
 
@@ -243,14 +238,15 @@ def run_equivariant_mmp(fan: Fan, action: GroupAction, mode: str = "first-orbit"
     tuple of all terminal traces in deterministic order (depth first, the
     orbits of each fan in ``contractible_orbits`` order).
 
-    The input fan is validated once on entry and every contracted fan once
-    by the contraction that produces it; each fan's profile is computed
-    once.  A contraction cuts the orbit out of the stored ray cycle, and
-    every fan below the root carries the root's ray permutations restricted
-    to its rays (no matrix is applied again), so the traces below a fan
-    depend on the fan alone: different contraction orders that meet at the
-    same fan share its subtree, which is contracted and labelled once per
-    call.
+    The input fan is validated once on entry; every contracted fan is
+    certified smooth and complete by the contraction that produces it,
+    which checks only the cones it creates, and each fan's profile is
+    computed once.  A contraction cuts the orbit out of the stored ray
+    cycle, and every fan below the root carries the root's ray
+    permutations restricted to its rays (no matrix is applied again), so
+    the traces below a fan depend on the fan alone: different contraction
+    orders that meet at the same fan share its subtree, which is contracted
+    and labelled once per call.
     """
     _require_smooth_complete_surface(fan, "the equivariant contraction loop")
     if action.fan != fan:
@@ -275,7 +271,7 @@ def run_equivariant_mmp(fan: Fan, action: GroupAction, mode: str = "first-orbit"
                 return (MMPTrace((), current, _classify(current, profile)),)
             traces = []
             for orbit in orbits:
-                nxt = _contract(current, orbit, profile, below)
+                nxt = _contract(current, orbit, profile)
                 if nxt not in below:
                     below[nxt] = explore(nxt, _restrict_action(action, nxt))
                 step = _step(current, orbit)

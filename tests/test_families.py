@@ -371,3 +371,91 @@ class TestEnumeratorAgainstPairwiseSearch:
         assert len(fans) == classes
         if smooth:
             assert all(validate_fan(f).smooth for f in fans)
+
+
+def random_blowup_by_sorting(rng, max_rays):
+    """``random_blowup_surface_fan`` with every blow-up built afresh from
+    its ray set by ``build_surface_fan`` instead of spliced into the cycle."""
+    fan = families.projective_space(2) if rng.random() < 0.5 else families.hirzebruch(rng.randint(0, 3))
+    target = rng.randint(fan.ray_count, max_rays)
+    while fan.ray_count < target:
+        d = fan.ray_count
+        i = rng.randrange(d)
+        new_ray = tuple(a + b for a, b in zip(fan.rays[i], fan.rays[(i + 1) % d]))
+        fan = build_surface_fan(fan.lattice, list(fan.rays) + [new_ray])
+    return fan
+
+
+def smooth_census_params(heights):
+    return [
+        pytest.param(kind, height, negation, id=f"{kind}-H{height}-neg{int(negation)}")
+        for kind in ("rootA2", "weightA2")
+        for height in heights
+        for negation in (False, True)
+    ]
+
+
+def blowup_generator(kind, height, negation):
+    """The lattice, the allowed orbits and every fan the smooth census
+    generator yields at M = 6H."""
+    lattice = Lattice.from_label(kind)
+    orbit_list = families._seed_orbits(lattice, height, negation)
+    return lattice, orbit_list, list(families._smooth_blowups(lattice, orbit_list, 6 * height))
+
+
+class TestSplicedBlowups:
+    """A blow-up splices each new ray between its two neighbours in the
+    stored cycle; that must be the fan built afresh from the ray set."""
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_random_blowups_equal_the_sorted_build(self, seed):
+        spliced = families.random_blowup_surface_fan(random.Random(seed), max_rays=12)
+        assert spliced == random_blowup_by_sorting(random.Random(seed), max_rays=12)
+
+    # At height 1 the root lattice has no allowed orbit to blow up.
+    @pytest.mark.parametrize("kind, height, negation", smooth_census_params(range(2, 7)))
+    def test_census_blowups_equal_the_sorted_build(self, kind, height, negation):
+        lattice, orbit_list, fans = blowup_generator(kind, height, negation)
+        orbit_of = {v: orbit for orbit in orbit_list for v in orbit}
+        blown_up = 0
+        for fan in fans:
+            d = fan.ray_count
+            for i in range(d):
+                orbit = orbit_of.get(tuple(a + b for a, b in zip(fan.rays[i], fan.rays[(i + 1) % d])))
+                if orbit is None or not set(orbit).isdisjoint(fan.rays):
+                    continue
+                assert families._blow_up(fan, orbit) == build_surface_fan(lattice, fan.rays + orbit)
+                blown_up += 1
+        assert blown_up > 0
+
+
+class TestSmoothByConstruction:
+    """The census generator validates only its seeds; every fan it yields
+    must still validate smooth and complete."""
+
+    @pytest.mark.parametrize("kind, height, negation", smooth_census_params(range(1, 6)))
+    def test_every_yielded_fan_validates(self, kind, height, negation):
+        _, _, fans = blowup_generator(kind, height, negation)
+        assert fans
+        for fan in fans:
+            report = validate_fan(fan)
+            assert report.smooth and report.complete, fan.rays
+
+    @pytest.mark.parametrize(
+        "kind, height, negation, classes",
+        [
+            ("rootA2", 5, False, 16),
+            ("rootA2", 5, True, 3),
+            ("rootA2", 6, False, 25),
+            ("rootA2", 6, True, 5),
+            ("weightA2", 5, False, 14),
+            ("weightA2", 5, True, 3),
+            ("weightA2", 6, False, 35),
+            ("weightA2", 6, True, 5),
+        ],
+    )
+    def test_class_counts_at_heights_five_and_six(self, kind, height, negation, classes):
+        fans = families.enumerate_invariant_fans(
+            Lattice.from_label(kind), height, 6 * height, require_smooth=True, include_negation=negation
+        )
+        assert len(fans) == classes

@@ -10,11 +10,13 @@ from toricsym.fan import Lattice, build_surface_fan, fan_isomorphism, validate_f
 from toricsym.intlin import IntMatrix
 from toricsym.mmp import (
     DP6_TERMINAL,
+    _contract,
     _restrict_action,
     P2,
     P1XP1,
     MMPStep,
     MMPTrace,
+    SelfIntersectionProfile,
     TerminalLabel,
     check_adjacent_minus_one_rule,
     classify_terminal,
@@ -39,18 +41,27 @@ def blowup_p2_twice(std2):
     return build_surface_fan(std2, [(1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1)])
 
 
-def census_cases():
-    """Smooth census fans of both A2 lattices with the S3 action they carry."""
+def census_cases(height=2):
+    """Smooth census fans of both A2 lattices (M = 6H) with the S3 action
+    they carry."""
     cases = []
     for lattice in (Lattice.root_a2(), Lattice.weight_a2()):
         for negation in (False, True):
             for fan in families.enumerate_invariant_fans(
-                lattice, height=2, max_rays=12, require_smooth=True, include_negation=negation
+                lattice, height=height, max_rays=6 * height, require_smooth=True, include_negation=negation
             ):
                 action = families.standard_s3_action(fan, include_negation=negation)
                 name = f"{lattice.kind}-{fan.ray_count}-neg{int(negation)}"
                 cases.append(pytest.param(fan, action, id=name))
     return cases
+
+
+def census_cases_up_to(max_height):
+    return [
+        pytest.param(*case.values, id=f"H{height}-{case.id}")
+        for height in range(1, max_height + 1)
+        for case in census_cases(height)
+    ]
 
 
 def random_blowup_cases(count=24):
@@ -306,6 +317,39 @@ class TestRestrictAction:
         with pytest.raises(PreconditionError) as info:
             _restrict_action(action, remove_ray_orbit(hexagon_n2, (0,)))
         assert info.value.reason == "not-fan-preserving"
+
+
+class TestCertifiedContractions:
+    """A contraction checks only the cones it creates; on every fan the
+    contraction loop reaches, the full validation must agree."""
+
+    @pytest.mark.parametrize("fan,action", random_blowup_cases() + census_cases_up_to(5))
+    def test_every_reached_fan_validates(self, fan, action):
+        for reached in reached_fans(fan, action):
+            report = validate_fan(reached)
+            assert report.smooth and report.complete, reached.rays
+
+    def test_a_forged_profile_reaches_the_slug(self):
+        # (0, 1) on the second ruled surface is a (-2)-ray: removing it leaves
+        # the complete fan with the index-2 cone ((1, 0), (-1, 2)).
+        fan = families.hirzebruch(2)
+        orbit = (fan.ray_index((0, 1)),)
+        removed = validate_fan(remove_ray_orbit(fan, orbit))
+        assert removed.complete and not removed.smooth
+        forged = SelfIntersectionProfile((1,) * fan.ray_count)
+        with pytest.raises(PreconditionError) as info:
+            _contract(fan, orbit, forged)
+        assert info.value.reason == "contraction-broke-fan"
+
+    @pytest.mark.parametrize("mode", ["first-orbit", "explore-all"])
+    def test_a_singular_input_is_refused_on_entry(self, mode):
+        fan = families.singular_hexagon()
+        with pytest.raises(PreconditionError) as info:
+            run_equivariant_mmp(fan, families.standard_s3_action(fan), mode=mode)
+        assert info.value.reason == "not-smooth"
+        with pytest.raises(PreconditionError) as info:
+            contract_orbit(fan, (0,))
+        assert info.value.reason == "not-smooth"
 
 
 def removal_outcome(remove):
