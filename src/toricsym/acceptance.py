@@ -7,6 +7,7 @@ runner also converts unexpected exceptions into failures.  The CLI's
 
 from __future__ import annotations
 
+import functools
 import random
 import time
 from dataclasses import dataclass, field
@@ -185,7 +186,9 @@ def criterion_a6() -> list[str]:
     return failures
 
 
-def _census(include_negation: bool) -> list[tuple[str, Fan]]:
+@functools.cache
+def _census(include_negation: bool) -> tuple[tuple[str, Fan], ...]:
+    """The smooth census at H = 1-6, built once and shared by A7 and A8."""
     fans = []
     for lattice in (Lattice.root_a2(), Lattice.weight_a2()):
         for height, max_rays in ((1, 12), (2, 12), (3, 18), (4, 24), (5, 30), (6, 36)):
@@ -197,7 +200,7 @@ def _census(include_negation: bool) -> list[tuple[str, Fan]]:
                 include_negation=include_negation,
             ):
                 fans.append((f"{lattice.kind}/H{height}/{fan.ray_count}-rays", fan))
-    return fans
+    return tuple(fans)
 
 
 def criterion_a7() -> list[str]:

@@ -42,8 +42,8 @@ def _emit(payload: dict[str, Any], lines: Iterable[str], fmt: str) -> None:
 
 
 def _load_action_for(fan: Fan, path: str) -> tuple[GroupAction, GaloisDatum | None]:
-    generators, names, datum = fanio.load_action(path)
-    action = action_from_generators(fan, generators, names)
+    generators, datum = fanio.load_action(path)
+    action = action_from_generators(fan, generators)
     return action, datum
 
 
@@ -134,13 +134,12 @@ def _trace_lines(trace: MMPTrace) -> Iterator[str]:
 
 def cmd_mmp(args: argparse.Namespace) -> int:
     fan = fanio.load_fan(args.fan)
-    generators, names, datum = fanio.load_action(args.action)
+    generators, datum = fanio.load_action(args.action)
     if args.galois:
         datum = fanio.load_galois(args.galois)
     if datum is not None:
         generators = generators + [datum.tau]
-        names = names + ["galois"]
-    action = action_from_generators(fan, generators, names)
+    action = action_from_generators(fan, generators)
     if args.explore_all:
         traces = run_equivariant_mmp(fan, action, mode="explore-all")
         lines = (line for i, t in enumerate(traces) for line in [f"--- branch {i} ---", *_trace_lines(t)])

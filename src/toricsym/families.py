@@ -196,11 +196,9 @@ def s3_orbit_fan(lattice: Lattice, seeds: Sequence[Sequence[int]], include_negat
 def standard_s3_action(fan: Fan, include_negation: bool = False) -> GroupAction:
     """Closure of the coordinate-permutation generators on an A2-lattice fan."""
     gens = list(fan.lattice.s3_matrices())
-    names = ["swap01", "cycle"]
     if include_negation:
         gens.append(-IntMatrix.identity(2))
-        names.append("negation")
-    return action_from_generators(fan, gens, names)
+    return action_from_generators(fan, gens)
 
 
 def _seed_orbits(lattice: Lattice, height: int, include_negation: bool) -> list[tuple[Vector, ...]]:

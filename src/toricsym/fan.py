@@ -291,7 +291,6 @@ class FanReport:
     simplicial: bool
     complete: bool
     smooth: bool
-    surface_cyclic_order: tuple[int, ...] | None = None
 
 
 def cone_invariant_factors(fan: Fan, cone: Sequence[int]) -> Vector:
@@ -360,7 +359,6 @@ def _complete_rank_ge3(fan: Fan) -> bool:
 def validate_fan(fan: Fan) -> FanReport:
     """Exact structural predicates: simplicial, complete, smooth."""
     n = fan.rank
-    cyclic = None
     if n == 2:
         rays, d = fan.rays, fan.ray_count
         # A surface cone is simplicial iff its two rays have a nonzero cross product.
@@ -368,8 +366,6 @@ def validate_fan(fan: Fan) -> FanReport:
             len(cone) == 2 and _cross(rays[cone[0]], rays[cone[1]]) != 0 for cone in fan.max_cones
         )
         complete = d >= 3 and all(_cross(rays[i], rays[(i + 1) % d]) > 0 for i in range(d))
-        if complete:
-            cyclic = tuple(range(d))
     else:
         simplicial = all(
             len(cone) == n and fan.cone_matrix(cone).rank() == n for cone in fan.max_cones
@@ -378,7 +374,7 @@ def validate_fan(fan: Fan) -> FanReport:
     smooth = simplicial and all(
         all(f == 1 for f in cone_invariant_factors(fan, cone)) for cone in fan.max_cones
     )
-    return FanReport(simplicial=simplicial, complete=complete, smooth=smooth, surface_cyclic_order=cyclic)
+    return FanReport(simplicial=simplicial, complete=complete, smooth=smooth)
 
 
 def transform_fan(g: IntMatrix, fan: Fan) -> Fan:

@@ -4,7 +4,7 @@ Fan document:    {"lattice": "standard:n" | "rootA2" | "weightA2",
                   "rays": [[..], ..],          # ambient form allowed for A2
                   "max_cones": [[..], ..]}     # required for rank >= 3
 Action document: {"generators": [[[..], ..], ..],  # row-major matrices
-                  "names": ["..", ..],             # optional
+                  "names": ["..", ..],             # optional labels, unused
                   "galois": [[..], ..]}            # optional involution
 """
 
@@ -92,7 +92,7 @@ def save_fan(fan: Fan, path: str | Path, datum: GaloisDatum | None = None) -> No
     Path(path).write_text(json.dumps(fan_document(fan, datum), indent=2) + "\n", encoding="utf-8")
 
 
-def parse_action_document(doc: Any, origin: str = "action document") -> tuple[list[IntMatrix], list[str], GaloisDatum | None]:
+def parse_action_document(doc: Any, origin: str = "action document") -> tuple[list[IntMatrix], GaloisDatum | None]:
     if not isinstance(doc, dict):
         raise ParseError(f"{origin}: expected an object")
     gens_raw = doc.get("generators")
@@ -109,10 +109,10 @@ def parse_action_document(doc: Any, origin: str = "action document") -> tuple[li
             datum = GaloisDatum(tau=tau)
         except ValueError as exc:
             raise ParseError(f"{origin}: {exc}") from exc
-    return generators, list(names_raw), datum
+    return generators, datum
 
 
-def load_action(path: str | Path) -> tuple[list[IntMatrix], list[str], GaloisDatum | None]:
+def load_action(path: str | Path) -> tuple[list[IntMatrix], GaloisDatum | None]:
     return parse_action_document(_load_json(path), origin=str(path))
 
 

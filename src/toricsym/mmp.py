@@ -77,15 +77,27 @@ def contractible_orbits(fan: Fan, action: GroupAction) -> tuple[tuple[int, ...],
     """
     if action.fan != fan:
         raise PreconditionError("action-fan", "action was built for a different fan")
-    return _contractible(fan, action, self_intersection_profile(fan))
+    return _contractible(fan, _orbit_rays(action), self_intersection_profile(fan))
+
+
+def _orbit_rays(action: GroupAction) -> tuple[tuple[Vector, ...], ...]:
+    rays = action.fan.rays
+    return tuple(tuple(rays[i] for i in orbit) for orbit in ray_orbits(action))
 
 
 def _contractible(
-    fan: Fan, action: GroupAction, profile: SelfIntersectionProfile
+    fan: Fan, orbits: tuple[tuple[Vector, ...], ...], profile: SelfIntersectionProfile
 ) -> tuple[tuple[int, ...], ...]:
+    """``orbits`` are the ray orbits of an action on a fan whose rays
+    include ``fan``'s as a union of orbits; those that ``fan`` keeps are
+    its own orbits."""
     d = fan.ray_count
+    index = {v: i for i, v in enumerate(fan.rays)}
     good = []
-    for orbit in ray_orbits(action):
+    for rays in orbits:
+        if rays[0] not in index:
+            continue
+        orbit = tuple(sorted(index[v] for v in rays))
         if any(profile.coefficients[i] != 1 for i in orbit):
             continue
         if any(_adjacent(i, j, d) for i in orbit for j in orbit if i < j):
@@ -153,12 +165,11 @@ def _reference_key(*cycle: Vector) -> tuple[Vector, ...]:
 
 
 def classify_terminal(fan: Fan) -> TerminalLabel:
-    """Label a fan by comparing its surface key with the reference models'."""
-    return _classify(fan, None)
+    """Label a fan by comparing its surface key with the reference models'.
 
-
-def _classify(fan: Fan, profile: SelfIntersectionProfile | None) -> TerminalLabel:
-    """``profile`` is given when the fan is known to be smooth and complete."""
+    Every smooth complete 4-ray fan is some F_a, with key (1, 0), (0, 1),
+    (-1, -|a|), (0, -1), so the key names the one model to compare with.
+    """
     d = fan.ray_count
     if d not in (3, 4, 6):
         return OTHER
@@ -166,16 +177,9 @@ def _classify(fan: Fan, profile: SelfIntersectionProfile | None) -> TerminalLabe
     if d == 3 and key == _reference_key((1, 0), (0, 1), (-1, -1)):
         return P2
     if d == 4:
-        if key == _reference_key((1, 0), (0, 1), (-1, 0), (0, -1)):
-            return P1XP1
-        if profile is None:
-            report = validate_fan(fan)
-            if report.smooth and report.complete:
-                profile = _profile(fan)
-        if profile is not None:
-            a = max(abs(c) for c in profile.coefficients)
-            if a != 0 and key == _reference_key((1, 0), (0, 1), (-1, a), (0, -1)):
-                return TerminalLabel("Hirzebruch", a)
+        a = -key[2][1]
+        if a >= 0 and key == _reference_key((1, 0), (0, 1), (-1, a), (0, -1)):
+            return TerminalLabel("Hirzebruch", a) if a else P1XP1
     if d == 6 and key == _reference_key((1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1)):
         return DP6_TERMINAL
     return OTHER
@@ -201,30 +205,6 @@ class MMPTrace:
         return len(self.steps)
 
 
-def _restrict_action(action: GroupAction, fan: Fan) -> GroupAction:
-    """The action on a surface fan whose rays are a G-invariant subset of
-    ``action.fan``'s: the ray permutations are restricted and re-indexed.
-
-    In rank 2 a linear bijection of the rays keeps or reverses their cyclic
-    order, so it carries adjacent rays, the maximal cones, onto adjacent rays.
-    """
-    root = {v: i for i, v in enumerate(action.fan.rays)}
-    position = {root[v]: j for j, v in enumerate(fan.rays)}
-    pairs = []
-    for g, perm in zip(action.elements, action.ray_perms):
-        restricted = tuple(position.get(perm[i]) for i in position)
-        if None in restricted:
-            raise PreconditionError("not-fan-preserving", "matrix does not preserve the fan")
-        pairs.append((restricted, g))
-    pairs.sort(key=lambda p: p[0])
-    return GroupAction(
-        fan=fan,
-        elements=tuple(g for _, g in pairs),
-        ray_perms=tuple(p for p, _ in pairs),
-        generator_names=action.generator_names,
-    )
-
-
 def _step(fan: Fan, orbit: tuple[int, ...]) -> MMPStep:
     return MMPStep(fan=fan, orbit=orbit, orbit_rays=tuple(fan.rays[i] for i in orbit))
 
@@ -241,44 +221,44 @@ def run_equivariant_mmp(fan: Fan, action: GroupAction, mode: str = "first-orbit"
     The input fan is validated once on entry; every contracted fan is
     certified smooth and complete by the contraction that produces it,
     which checks only the cones it creates, and each fan's profile is
-    computed once.  A contraction cuts the orbit out of the stored ray
-    cycle, and every fan below the root carries the root's ray
-    permutations restricted to its rays (no matrix is applied again), so
-    the traces below a fan depend on the fan alone: different contraction
-    orders that meet at the same fan share its subtree, which is contracted
-    and labelled once per call.
+    computed once.  A contraction cuts a whole orbit out of the stored ray
+    cycle, so the rays of every fan below the root are a G-invariant subset
+    and its orbits are the root's orbits that remain: the orbits are taken
+    once, at the root, and the traces below a fan depend on the fan alone.
+    Different contraction orders that meet at the same fan share its
+    subtree, which is contracted and labelled once per call.
     """
     _require_smooth_complete_surface(fan, "the equivariant contraction loop")
     if action.fan != fan:
         raise PreconditionError("action-fan", "action was built for a different fan")
+    root_orbits = _orbit_rays(action)
     if mode == "first-orbit":
         steps = []
-        current, current_action, profile = fan, action, _profile(fan)
-        while orbits := _contractible(current, current_action, profile):
+        current, profile = fan, _profile(fan)
+        while orbits := _contractible(current, root_orbits, profile):
             orbit = orbits[0]
             steps.append(_step(current, orbit))
             current = _contract(current, orbit, profile)
-            current_action = _restrict_action(action, current)
             profile = _profile(current)
-        return MMPTrace(tuple(steps), current, _classify(current, profile))
+        return MMPTrace(tuple(steps), current, classify_terminal(current))
     if mode == "explore-all":
         below: dict[Fan, tuple[MMPTrace, ...]] = {}
 
-        def explore(current: Fan, current_action: GroupAction) -> tuple[MMPTrace, ...]:
+        def explore(current: Fan) -> tuple[MMPTrace, ...]:
             profile = _profile(current)
-            orbits = _contractible(current, current_action, profile)
+            orbits = _contractible(current, root_orbits, profile)
             if not orbits:
-                return (MMPTrace((), current, _classify(current, profile)),)
+                return (MMPTrace((), current, classify_terminal(current)),)
             traces = []
             for orbit in orbits:
                 nxt = _contract(current, orbit, profile)
                 if nxt not in below:
-                    below[nxt] = explore(nxt, _restrict_action(action, nxt))
+                    below[nxt] = explore(nxt)
                 step = _step(current, orbit)
                 traces.extend(MMPTrace((step,) + t.steps, t.terminal, t.label) for t in below[nxt])
             return tuple(traces)
 
-        return explore(fan, action)
+        return explore(fan)
     raise PreconditionError("mode", f"unknown mode {mode!r}; use 'first-orbit' or 'explore-all'")
 
 

@@ -1,23 +1,28 @@
 """Finite group actions on a lattice preserving a fan.
 
-Groups are stored as explicit unimodular matrices; the induced ray
-permutations are derived from them, never the other way round.  Includes
-the fan automorphism group (the cone-seeded isomorphism search of a fan
-onto itself), orbit machinery, the invariant Picard number, the
-centralizer computation and the classification of quadratic Galois twists.
+Groups are stored as explicit unimodular matrices with their ray
+permutations: a generator's is read off its matrix, a product's is composed
+from its factors'.  Includes the fan automorphism group (the cone-seeded
+isomorphism search of a fan onto itself), orbit machinery, the invariant
+Picard number, the centralizer computation and the classification of
+quadratic Galois twists.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import PreconditionError
 from .fan import Fan, _all_isomorphisms
 from .intlin import IntMatrix, kernel_basis
 
 Perm = tuple[int, ...]
+
+# Largest group a closure may reach before its generators are judged to
+# have infinite order on the fan.
+CLOSURE_CAP = 10_000
 
 
 @dataclass(frozen=True)
@@ -27,7 +32,6 @@ class GroupAction:
     fan: Fan
     elements: tuple[IntMatrix, ...]
     ray_perms: tuple[Perm, ...]
-    generator_names: tuple[str, ...] = ()
 
     @property
     def order(self) -> int:
@@ -49,35 +53,6 @@ def _perm_of(fan: Fan, g: IntMatrix) -> Perm:
     return mapping
 
 
-def _close_under_composition(fan: Fan, generators: Sequence[IntMatrix], cap: int) -> list[IntMatrix]:
-    ident = IntMatrix.identity(fan.rank)
-    seen = {ident.entries: ident}
-    queue = [ident]
-    while queue:
-        current = queue.pop()
-        for g in generators:
-            nxt = g @ current
-            if nxt.entries not in seen:
-                if len(seen) >= cap:
-                    raise PreconditionError(
-                        "closure-cap",
-                        f"group closure exceeded the configured bound of {cap} elements",
-                    )
-                seen[nxt.entries] = nxt
-                queue.append(nxt)
-    return list(seen.values())
-
-
-def _make_action(fan: Fan, elements: Iterable[IntMatrix], names: Sequence[str] = ()) -> GroupAction:
-    pairs = sorted(((_perm_of(fan, g), g) for g in elements), key=lambda p: p[0])
-    return GroupAction(
-        fan=fan,
-        elements=tuple(g for _, g in pairs),
-        ray_perms=tuple(p for p, _ in pairs),
-        generator_names=tuple(names),
-    )
-
-
 def fan_automorphisms(fan: Fan) -> GroupAction:
     """The full finite group Aut(N, fan).
 
@@ -95,47 +70,53 @@ def fan_automorphisms(fan: Fan) -> GroupAction:
     )
 
 
-def action_from_generators(
-    fan: Fan,
-    generators: Sequence[IntMatrix],
-    names: Sequence[str] = (),
-    cap: int = 10_000,
-) -> GroupAction:
+def action_from_generators(fan: Fan, generators: Sequence[IntMatrix]) -> GroupAction:
     """Closure of generator matrices acting on the fan.
 
-    Each generator must be unimodular and fan-preserving; the closure must
-    stay below ``cap`` elements (a runaway closure means a generator does
-    not have finite order on the fan).
+    Each generator must be unimodular and fan-preserving; its ray
+    permutation is derived from its matrix.  Products are not applied to
+    the rays again: g h permutes them by p_g after p_h.  The closure must
+    stay below ``CLOSURE_CAP`` elements (a runaway closure means a
+    generator does not have finite order on the fan).
     """
+    gens = []
     for g in generators:
         if g.rows != fan.rank or g.cols != fan.rank:
             raise PreconditionError("shape", "generator shape does not match the lattice rank")
         if not g.is_unimodular():
             raise PreconditionError("not-unimodular", "generator is not unimodular")
-        _perm_of(fan, g)
-    closed = _close_under_composition(fan, list(generators), cap)
-    return _make_action(fan, closed, names)
+        gens.append((_perm_of(fan, g), g))
+    ident = IntMatrix.identity(fan.rank)
+    seen = {ident.entries: (tuple(range(fan.ray_count)), ident)}
+    queue = [seen[ident.entries]]
+    while queue:
+        perm, current = queue.pop()
+        for p_g, g in gens:
+            nxt = g @ current
+            if nxt.entries not in seen:
+                if len(seen) >= CLOSURE_CAP:
+                    raise PreconditionError(
+                        "closure-cap",
+                        f"group closure exceeded the configured bound of {CLOSURE_CAP} elements",
+                    )
+                seen[nxt.entries] = entry = (tuple(p_g[j] for j in perm), nxt)
+                queue.append(entry)
+    pairs = sorted(seen.values(), key=lambda p: p[0])
+    return GroupAction(
+        fan=fan,
+        elements=tuple(g for _, g in pairs),
+        ray_perms=tuple(p for p, _ in pairs),
+    )
 
 
 def ray_orbits(action: GroupAction) -> tuple[tuple[int, ...], ...]:
-    """Orbit partition of the ray indices, ordered by least member."""
-    d = action.fan.ray_count
-    remaining = set(range(d))
-    orbits = []
-    while remaining:
-        seed = min(remaining)
-        orbit = {seed}
-        frontier = [seed]
-        while frontier:
-            i = frontier.pop()
-            for perm in action.ray_perms:
-                j = perm[i]
-                if j not in orbit:
-                    orbit.add(j)
-                    frontier.append(j)
-        orbits.append(tuple(sorted(orbit)))
-        remaining -= orbit
-    return tuple(orbits)
+    """Orbit partition of the ray indices, ordered by least member.
+
+    The elements are the whole group, so the orbit of ray i is the set of
+    its images {p[i]}, with no closure to take.
+    """
+    perms = action.ray_perms
+    return tuple(sorted({tuple(sorted({p[i] for p in perms})) for i in range(action.fan.ray_count)}))
 
 
 def fixed_space_dimension(action: GroupAction) -> int:

@@ -162,6 +162,14 @@ class TestActionDocumentErrors:
         code, error = machine_error(capsys, command, fan_path, str(act_path))
         assert (code, error["code"], error["reason"]) == (2, 2, "parse")
 
+    @pytest.mark.parametrize("names", [["swap01", 1], "swap01"], ids=["non-string-name", "not-a-list"])
+    def test_names_must_be_a_list_of_strings(self, names, dp6_n2_files, tmp_path, capsys):
+        fan_path, _ = dp6_n2_files
+        act_path = tmp_path / "names.act"
+        write_json(act_path, {"generators": [], "names": names})
+        code, error = machine_error(capsys, "orbits", fan_path, str(act_path))
+        assert (code, error["code"], error["reason"]) == (2, 2, "parse")
+
     def test_galois_of_the_wrong_rank_is_a_shape_error(self, dp6_n2_files, tmp_path, capsys):
         fan_path, _ = dp6_n2_files
         act_path = tmp_path / "rank3.act"

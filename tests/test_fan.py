@@ -123,7 +123,6 @@ class TestValidateFan:
     def test_triangle_flags(self, p2_fan):
         report = validate_fan(p2_fan)
         assert (report.simplicial, report.complete, report.smooth) == (True, True, True)
-        assert report.surface_cyclic_order == tuple(range(3))
 
     def test_singular_hexagon_flags(self):
         fan = families.singular_hexagon()

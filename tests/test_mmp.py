@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 
 import pytest
@@ -11,7 +13,6 @@ from toricsym.intlin import IntMatrix
 from toricsym.mmp import (
     DP6_TERMINAL,
     _contract,
-    _restrict_action,
     P2,
     P1XP1,
     MMPStep,
@@ -26,7 +27,7 @@ from toricsym.mmp import (
     run_equivariant_mmp,
     self_intersection_profile,
 )
-from toricsym.symmetry import _make_action, action_from_generators, fan_automorphisms, invariant_picard_number
+from toricsym.symmetry import action_from_generators, fan_automorphisms, invariant_picard_number
 
 
 def trivial_action(fan):
@@ -76,8 +77,18 @@ def _step(fan, orbit):
     return MMPStep(fan=fan, orbit=orbit, orbit_rays=tuple(fan.rays[i] for i in orbit))
 
 
+def automorphism_blowup_cases(count=12):
+    """Seeded blow-ups under their full automorphism groups, so that orbits
+    have more than one ray."""
+    cases = []
+    for seed in range(count):
+        fan = families.random_blowup_surface_fan(random.Random(seed), max_rays=9)
+        cases.append(pytest.param(fan, fan_automorphisms(fan), id=f"blowup-aut-seed{seed}"))
+    return cases
+
+
 def _restrict(action, fan):
-    return action_from_generators(fan, list(action.elements), action.generator_names)
+    return action_from_generators(fan, list(action.elements))
 
 
 def explore_all_by_recursion(fan, action):
@@ -266,13 +277,13 @@ class TestAgainstThePublicSteps:
     orders reach; walking every path through the public functions must give
     the same traces in the same order."""
 
-    @pytest.mark.parametrize("fan,action", random_blowup_cases() + census_cases())
+    @pytest.mark.parametrize("fan,action", random_blowup_cases() + automorphism_blowup_cases() + census_cases())
     def test_explore_all_equals_the_path_by_path_walk(self, fan, action):
         assert run_equivariant_mmp(fan, action, mode="explore-all") == explore_all_by_recursion(
             fan, action
         )
 
-    @pytest.mark.parametrize("fan,action", random_blowup_cases() + census_cases())
+    @pytest.mark.parametrize("fan,action", random_blowup_cases() + automorphism_blowup_cases() + census_cases())
     def test_first_orbit_equals_the_public_steps(self, fan, action):
         assert run_equivariant_mmp(fan, action, mode="first-orbit") == first_orbit_by_public_steps(
             fan, action
@@ -290,33 +301,6 @@ def reached_fans(fan, action):
     """Every fan that explore-all reaches from the root, the root included."""
     traces = run_equivariant_mmp(fan, action, mode="explore-all")
     return {f for t in traces for f in [s.fan for s in t.steps] + [t.terminal]}
-
-
-def automorphism_blowup_cases(count=12):
-    """Seeded blow-ups under their full automorphism groups, so that the
-    restriction has more than one element to re-index and sort."""
-    cases = []
-    for seed in range(count):
-        fan = families.random_blowup_surface_fan(random.Random(seed), max_rays=9)
-        cases.append(pytest.param(fan, fan_automorphisms(fan), id=f"blowup-aut-seed{seed}"))
-    return cases
-
-
-class TestRestrictAction:
-    """The root's ray permutations, restricted to a contracted fan, give the
-    action that the root's matrices induce on it."""
-
-    @pytest.mark.parametrize("fan,action", random_blowup_cases(12) + automorphism_blowup_cases() + census_cases())
-    def test_equals_the_action_of_the_root_matrices(self, fan, action):
-        for reached in reached_fans(fan, action):
-            expected = _make_action(reached, action.elements, action.generator_names)
-            assert _restrict_action(action, reached) == expected
-
-    def test_a_subset_that_is_not_invariant_is_refused(self, hexagon_n2):
-        action = families.standard_s3_action(hexagon_n2)
-        with pytest.raises(PreconditionError) as info:
-            _restrict_action(action, remove_ray_orbit(hexagon_n2, (0,)))
-        assert info.value.reason == "not-fan-preserving"
 
 
 class TestCertifiedContractions:
@@ -408,6 +392,15 @@ class TestProperties:
         assert contract_orbit(blown_up, (k,)) == fan
 
 
+def _label_from_profile(fan):
+    """P1xP1 or F_a, a the largest |a_i| of the profile, if the 4-ray fan is
+    smooth; Other if it is not."""
+    if not validate_fan(fan).smooth:
+        return TerminalLabel("Other")
+    a = max(abs(c) for c in self_intersection_profile(fan).coefficients)
+    return TerminalLabel("Hirzebruch", a) if a else P1XP1
+
+
 class TestClassifyTerminal:
     def test_triangle(self, p2_fan):
         assert classify_terminal(p2_fan) == P2
@@ -418,10 +411,29 @@ class TestClassifyTerminal:
     def test_hexagon(self, hexagon_n1):
         assert classify_terminal(hexagon_n1) == DP6_TERMINAL
 
-    @pytest.mark.parametrize("a", [1, 2, 3])
+    @pytest.mark.parametrize("a", range(-20, 21))
     def test_ruled_surfaces(self, a):
-        assert classify_terminal(families.hirzebruch(a)) == TerminalLabel("Hirzebruch", a)
-        assert classify_terminal(families.hirzebruch(-a)) == TerminalLabel("Hirzebruch", a)
+        expected = TerminalLabel("Hirzebruch", abs(a)) if a else P1XP1
+        assert classify_terminal(families.hirzebruch(a)) == expected
+
+    def test_four_ray_labels_agree_with_the_profile(self, std2):
+        """The label of every complete 4-ray fan with rays in a small box,
+        read off the key alone, against the one its profile gives."""
+        box = [
+            (x, y)
+            for x in range(-3, 4)
+            for y in range(-3, 4)
+            if math.gcd(x, y) == 1
+        ]
+        checked = 0
+        for rays in itertools.combinations(box, 4):
+            try:
+                fan = build_surface_fan(std2, rays)
+            except PreconditionError:
+                continue
+            checked += 1
+            assert classify_terminal(fan) == _label_from_profile(fan), fan.rays
+        assert checked > 10_000
 
     def test_one_point_blowup_is_the_first_ruled_surface(self, std2):
         assert classify_terminal(blowup_p2_once(std2)) == TerminalLabel("Hirzebruch", 1)

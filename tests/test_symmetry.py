@@ -3,16 +3,16 @@ import random
 
 import pytest
 
-from toricsym import families
+from toricsym import families, symmetry
 from toricsym import fan as fan_module
+from toricsym.acceptance import named_family_corpus
 from toricsym.divisors import class_group
 from toricsym.errors import PreconditionError
 from toricsym.fan import Lattice, _all_isomorphisms, fan_isomorphism, make_fan, transform_fan
 from toricsym.intlin import IntMatrix
 from toricsym.symmetry import (
     GaloisDatum,
-    _close_under_composition,
-    _make_action,
+    GroupAction,
     _perm_of,
     GaloisForm,
     action_from_generators,
@@ -30,6 +30,23 @@ SWAP = IntMatrix.from_rows([(0, 1), (1, 0)])
 
 def trivial_action(fan):
     return action_from_generators(fan, [IntMatrix.identity(fan.rank)])
+
+
+def closure_by_matrices(fan, generators):
+    """The generated group closed as matrices, each element's ray
+    permutation then read off its matrix, ordered by permutation."""
+    ident = IntMatrix.identity(fan.rank)
+    seen = {ident.entries: ident}
+    queue = [ident]
+    while queue:
+        current = queue.pop()
+        for g in generators:
+            nxt = g @ current
+            if nxt.entries not in seen:
+                seen[nxt.entries] = nxt
+                queue.append(nxt)
+    pairs = sorted(((_perm_of(fan, g), g) for g in seen.values()), key=lambda p: p[0])
+    return GroupAction(fan, tuple(g for _, g in pairs), tuple(p for p, _ in pairs))
 
 
 class TestFanAutomorphisms:
@@ -91,10 +108,7 @@ class TestAutomorphismSearchIsAGroup:
     def test_agrees_with_the_closure_of_its_elements(self, builder):
         fan = builder()
         action = fan_automorphisms(fan)
-        closed = _close_under_composition(fan, list(action.elements), cap=10_000)
-        assert {g.entries for g in closed} == {g.entries for g in action.elements}
-        assert _make_action(fan, closed) == action
-        assert action.ray_perms == tuple(_perm_of(fan, g) for g in action.elements)
+        assert closure_by_matrices(fan, action.elements) == action
 
     @pytest.mark.parametrize(
         "builder, expected",
@@ -377,18 +391,88 @@ class TestActionFromGenerators:
         with pytest.raises(PreconditionError):
             action_from_generators(p2_fan, [shear])
 
-    def test_closure_cap(self, p2_fan):
-        with pytest.raises(PreconditionError):
-            action_from_generators(
-                p2_fan, list(families.standard_s3_action(p2_fan).elements), cap=2
-            )
+    def test_closure_cap(self, p2_fan, monkeypatch):
+        gens = list(fan_automorphisms(p2_fan).elements)
+        monkeypatch.setattr(symmetry, "CLOSURE_CAP", 6)
+        assert action_from_generators(p2_fan, gens).order == 6
+        monkeypatch.setattr(symmetry, "CLOSURE_CAP", 5)
+        with pytest.raises(PreconditionError) as info:
+            action_from_generators(p2_fan, gens)
+        assert info.value.reason == "closure-cap"
 
     def test_non_unimodular_generator_is_rejected(self, p2_fan):
         with pytest.raises(PreconditionError):
             action_from_generators(p2_fan, [IntMatrix.from_rows([(2, 0), (0, 1)])])
 
 
+def _census_s3_cases(max_height=5):
+    """The smooth census of both lattices at H <= max_height, each fan with
+    the S3 generators it was enumerated for, with -1 or without."""
+    cases = []
+    for lattice in (Lattice.root_a2(), Lattice.weight_a2()):
+        for negation in (False, True):
+            gens = list(lattice.s3_matrices()) + ([NEG_I] if negation else [])
+            fans = {
+                fan
+                for height in range(1, max_height + 1)
+                for fan in families.enumerate_invariant_fans(
+                    lattice, height=height, max_rays=6 * height, include_negation=negation
+                )
+            }
+            for k, fan in enumerate(sorted(fans, key=lambda f: (f.ray_count, f.rays))):
+                cases.append(pytest.param(fan, gens, id=f"{lattice.kind}-neg{int(negation)}-{k}"))
+    return cases
+
+
+def _automorphism_generator_cases():
+    fans = [pytest.param(fan, id=name) for name, fan in named_family_corpus()]
+    fans += [
+        pytest.param(families.random_blowup_surface_fan(random.Random(seed), max_rays=9), id=f"blowup-seed{seed}")
+        for seed in range(12)
+    ]
+    return fans
+
+
+class TestClosureAgainstTheMatrixClosure:
+    """Composing the generators' ray permutations gives the elements, order
+    and permutations of the matrix closure."""
+
+    @pytest.mark.parametrize("fan,gens", _census_s3_cases())
+    def test_s3_actions_on_the_census(self, fan, gens):
+        assert action_from_generators(fan, gens) == closure_by_matrices(fan, gens)
+
+    @pytest.mark.parametrize("fan", _automorphism_generator_cases())
+    def test_automorphisms_as_generators(self, fan):
+        gens = list(fan_automorphisms(fan).elements)
+        assert action_from_generators(fan, gens) == closure_by_matrices(fan, gens)
+
+
+def orbits_by_search(action):
+    """Ray orbits grown from each least unplaced ray by the permutations."""
+    remaining, orbits = set(range(action.fan.ray_count)), []
+    while remaining:
+        orbit, frontier = set(), [min(remaining)]
+        while frontier:
+            i = frontier.pop()
+            if i not in orbit:
+                orbit.add(i)
+                frontier.extend(p[i] for p in action.ray_perms)
+        orbits.append(tuple(sorted(orbit)))
+        remaining -= orbit
+    return tuple(orbits)
+
+
 class TestRayOrbits:
+    @pytest.mark.parametrize("fan,gens", _census_s3_cases(3))
+    def test_images_agree_with_the_search_on_the_census(self, fan, gens):
+        action = action_from_generators(fan, gens)
+        assert ray_orbits(action) == orbits_by_search(action)
+
+    @pytest.mark.parametrize("fan", _automorphism_generator_cases())
+    def test_images_agree_with_the_search_under_automorphisms(self, fan):
+        action = fan_automorphisms(fan)
+        assert ray_orbits(action) == orbits_by_search(action)
+
     def test_two_triangles_in_the_weight_lattice(self, hexagon_n2):
         action = families.standard_s3_action(hexagon_n2)
         orbits = ray_orbits(action)
