@@ -20,7 +20,8 @@ from .intlin import IntMatrix, smith_normal_form
 from .mmp import (
     DP6_TERMINAL,
     P2,
-    check_adjacent_minus_one_rule,
+    _adjacent_minus_one_facts,
+    _profile,
     run_equivariant_mmp,
 )
 from .symmetry import (
@@ -236,11 +237,15 @@ def criterion_a7() -> list[str]:
 
 
 def criterion_a8() -> list[str]:
-    """Adjacent (-1)-ray neighbor opposition holds on every census fan."""
+    """Adjacent (-1)-ray neighbor opposition holds on every census fan.
+
+    Census fans are smooth by construction, and A7's contraction loop
+    validates each one on entry, so A8 does not validate them again.
+    """
     failures = []
     for name, fan in _census(include_negation=False) + _census(include_negation=True):
         try:
-            check_adjacent_minus_one_rule(fan)
+            _adjacent_minus_one_facts(fan, _profile(fan))
         except AssertionError as exc:
             failures.append(f"{name}: {exc}")
     return failures

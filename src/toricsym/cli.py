@@ -8,8 +8,10 @@ precondition failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
+import os
 import sys
 from typing import Any, Iterable, Iterator
 
@@ -93,8 +95,8 @@ def _report_payload(fan: Fan, action: GroupAction | None, datum: GaloisDatum | N
         ]
         if datum is not None:
             form = classify_galois_form(fan, action, datum)
-            payload["galois_form"] = form.label.value
-            lines.append(f"galois form    {form.label.value}")
+            payload["galois_form"] = form.value
+            lines.append(f"galois form    {form.value}")
     return payload, lines
 
 
@@ -294,7 +296,19 @@ def main(argv: list[str] | None = None) -> int:
         return code
 
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError as exc:
+        # The reader closed stdout: point it at devnull, so that the
+        # interpreter's final flush cannot raise, and report on stderr alone.
+        with contextlib.suppress(OSError, ValueError):  # stdout has no descriptor
+            fd = sys.stdout.fileno()
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, fd)
+            os.close(devnull)
+        print(f"error: io: {exc}", file=sys.stderr)
+        return EXIT_PARSE
     except ParseError as exc:
         return report_error(EXIT_PARSE, "parse", str(exc))
     except PreconditionError as exc:

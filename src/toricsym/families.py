@@ -107,14 +107,14 @@ def dp6(lattice_kind: str) -> Fan:
 
 def q22() -> tuple[Fan, GaloisDatum]:
     """Hexagon with the negation descent datum (the compact-torus twist)."""
-    return dp6("weightA2"), GaloisDatum(tau=-IntMatrix.identity(2), extension="quadratic")
+    return dp6("weightA2"), GaloisDatum(tau=-IntMatrix.identity(2))
 
 
 def weil_restriction_p1() -> tuple[Fan, GaloisDatum]:
     """Square fan with the factor-swap descent datum."""
     fan = build_surface_fan(Lattice.standard(2), [(1, 0), (-1, 0), (0, 1), (0, -1)])
     swap = IntMatrix.from_rows([(0, 1), (1, 0)])
-    return fan, GaloisDatum(tau=swap, extension="quadratic")
+    return fan, GaloisDatum(tau=swap)
 
 
 def singular_hexagon() -> Fan:

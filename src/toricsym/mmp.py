@@ -7,11 +7,10 @@ until no orbit qualifies and labels the terminal fan.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 from .errors import PreconditionError
-from .fan import Fan, Lattice, _cross, _cycle_fan, surface_key, validate_fan
+from .fan import Fan, _cross, _cycle_fan, validate_fan
 from .intlin import Vector
 from .symmetry import GroupAction, ray_orbits
 
@@ -47,22 +46,10 @@ def self_intersection_profile(fan: Fan) -> SelfIntersectionProfile:
 
 
 def _profile(fan: Fan) -> SelfIntersectionProfile:
-    """The profile of a fan already known to be a smooth complete surface fan."""
-    d = fan.ray_count
-    coeffs = []
-    for i in range(d):
-        prev = fan.rays[(i - 1) % d]
-        nxt = fan.rays[(i + 1) % d]
-        v = fan.rays[i]
-        total = tuple(p + q for p, q in zip(prev, nxt))
-        pivot = 0 if v[0] != 0 else 1
-        if total[pivot] % v[pivot]:
-            raise PreconditionError("profile", f"ray {i}: neighbor sum not a multiple of the ray")
-        a = total[pivot] // v[pivot]
-        if tuple(a * x for x in v) != total:
-            raise PreconditionError("profile", f"ray {i}: neighbor sum is not parallel to the ray")
-        coeffs.append(a)
-    return SelfIntersectionProfile(tuple(coeffs))
+    """The profile of a fan already known to be a smooth complete surface fan:
+    as det(v_{i-1}, v_i) = 1, a_i = det(v_{i-1}, a_i v_i - v_{i-1}) = det(v_{i-1}, v_{i+1})."""
+    rays, d = fan.rays, fan.ray_count
+    return SelfIntersectionProfile(tuple(_cross(rays[i - 1], rays[(i + 1) % d]) for i in range(d)))
 
 
 def _adjacent(i: int, j: int, d: int) -> bool:
@@ -119,26 +106,16 @@ def remove_ray_orbit(fan: Fan, orbit: tuple[int, ...]) -> Fan:
 
 
 def contract_orbit(fan: Fan, orbit: tuple[int, ...]) -> Fan:
-    """Contract a non-adjacent orbit of (-1)-rays; the input is validated
-    smooth and the result is certified smooth by the contraction."""
-    return _contract(fan, orbit, self_intersection_profile(fan))
-
-
-def _contract(fan: Fan, orbit: tuple[int, ...], profile: SelfIntersectionProfile) -> Fan:
-    """Checks of ``contract_orbit`` with a known profile of a fan known to
-    be smooth and complete."""
+    """Contract a non-adjacent orbit of (-1)-rays of a fan validated smooth
+    and complete; the cone (v_{i-1}, v_{i+1}) left by removing ray i has
+    determinant a_i = 1, so the result is smooth with no further check."""
+    coefficients = self_intersection_profile(fan).coefficients
     d = fan.ray_count
-    if any(profile.coefficients[i] != 1 for i in orbit):
+    if any(coefficients[i] != 1 for i in orbit):
         raise PreconditionError("not-minus-one", "orbit contains a ray that is not a (-1)-ray")
     if any(_adjacent(i, j, d) for i in orbit for j in orbit if i < j):
         raise PreconditionError("adjacent-orbit", "orbit contains cyclically adjacent rays")
-    result = remove_ray_orbit(fan, orbit)
-    # Equal to validating the result in full: the cycle check of
-    # remove_ray_orbit is exactly completeness, and every cone of the result
-    # but the new (v_{i-1}, v_{i+1}) of each removed i is one of the input's.
-    if any(_cross(fan.rays[i - 1], fan.rays[(i + 1) % d]) != 1 for i in orbit):
-        raise PreconditionError("contraction-broke-fan", "a contracted cone is not unimodular")
-    return result
+    return remove_ray_orbit(fan, orbit)
 
 
 @dataclass(frozen=True)
@@ -158,31 +135,25 @@ DP6_TERMINAL = TerminalLabel("DP6Terminal")
 OTHER = TerminalLabel("Other")
 
 
-@functools.cache
-def _reference_key(*cycle: Vector) -> tuple[Vector, ...]:
-    """Surface key of the reference model with these counterclockwise rays."""
-    return surface_key(_cycle_fan(Lattice.standard(2), list(cycle)))
-
-
 def classify_terminal(fan: Fan) -> TerminalLabel:
-    """Label a fan by comparing its surface key with the reference models'.
+    """Label a fan by its self-intersection word.
 
-    Every smooth complete 4-ray fan is some F_a, with key (1, 0), (0, 1),
-    (-1, -|a|), (0, -1), so the key names the one model to compare with.
+    A smooth complete surface fan is fixed up to GL2(Z) by its word a_i
+    (Oda 1.6): with 3 rays it is P2, with 4 rays F_a for a = max |a_i|
+    (the word is (0, -a, 0, a) up to rotation), and with 6 rays and every
+    a_i = 1 the degree-6 del Pezzo hexagon.  A rank-2 fan's stored cycle
+    is complete, so it is smooth when every cone has determinant 1.
     """
-    d = fan.ray_count
-    if d not in (3, 4, 6):
+    rays, d = fan.rays, fan.ray_count
+    if fan.rank != 2 or d not in (3, 4, 6) or any(_cross(rays[i - 1], rays[i]) != 1 for i in range(d)):
         return OTHER
-    key = surface_key(fan)
-    if d == 3 and key == _reference_key((1, 0), (0, 1), (-1, -1)):
+    word = _profile(fan).coefficients
+    if d == 3:
         return P2
     if d == 4:
-        a = -key[2][1]
-        if a >= 0 and key == _reference_key((1, 0), (0, 1), (-1, a), (0, -1)):
-            return TerminalLabel("Hirzebruch", a) if a else P1XP1
-    if d == 6 and key == _reference_key((1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1)):
-        return DP6_TERMINAL
-    return OTHER
+        a = max(abs(x) for x in word)
+        return TerminalLabel("Hirzebruch", a) if a else P1XP1
+    return DP6_TERMINAL if word == (1,) * 6 else OTHER
 
 
 @dataclass(frozen=True)
@@ -205,10 +176,6 @@ class MMPTrace:
         return len(self.steps)
 
 
-def _step(fan: Fan, orbit: tuple[int, ...]) -> MMPStep:
-    return MMPStep(fan=fan, orbit=orbit, orbit_rays=tuple(fan.rays[i] for i in orbit))
-
-
 def run_equivariant_mmp(fan: Fan, action: GroupAction, mode: str = "first-orbit"):
     """Run the equivariant contraction loop to a terminal model.
 
@@ -218,48 +185,41 @@ def run_equivariant_mmp(fan: Fan, action: GroupAction, mode: str = "first-orbit"
     tuple of all terminal traces in deterministic order (depth first, the
     orbits of each fan in ``contractible_orbits`` order).
 
-    The input fan is validated once on entry; every contracted fan is
-    certified smooth and complete by the contraction that produces it,
-    which checks only the cones it creates, and each fan's profile is
-    computed once.  A contraction cuts a whole orbit out of the stored ray
-    cycle, so the rays of every fan below the root are a G-invariant subset
-    and its orbits are the root's orbits that remain: the orbits are taken
-    once, at the root, and the traces below a fan depend on the fan alone.
-    Different contraction orders that meet at the same fan share its
-    subtree, which is contracted and labelled once per call.
+    Both modes take one walk; first-orbit follows only the first orbit at
+    each fan, so its trace is the first branch of explore-all.  The input
+    fan is validated once on entry; every fan below it is smooth and
+    complete by construction (see ``contract_orbit``).  A contraction cuts
+    a whole orbit out of the stored ray cycle, so the rays of every fan
+    below the root are a G-invariant subset and its orbits are the root's
+    orbits that remain: the orbits are taken once, at the root, and the
+    traces below a fan depend on the fan alone.  Different contraction
+    orders that meet at the same fan share its subtree, which is contracted
+    and labelled once per call.
     """
+    if mode not in ("first-orbit", "explore-all"):
+        raise PreconditionError("mode", f"unknown mode {mode!r}; use 'first-orbit' or 'explore-all'")
     _require_smooth_complete_surface(fan, "the equivariant contraction loop")
     if action.fan != fan:
         raise PreconditionError("action-fan", "action was built for a different fan")
     root_orbits = _orbit_rays(action)
-    if mode == "first-orbit":
-        steps = []
-        current, profile = fan, _profile(fan)
-        while orbits := _contractible(current, root_orbits, profile):
-            orbit = orbits[0]
-            steps.append(_step(current, orbit))
-            current = _contract(current, orbit, profile)
-            profile = _profile(current)
-        return MMPTrace(tuple(steps), current, classify_terminal(current))
-    if mode == "explore-all":
-        below: dict[Fan, tuple[MMPTrace, ...]] = {}
+    first_only = mode == "first-orbit"
+    below: dict[Fan, tuple[MMPTrace, ...]] = {}
 
-        def explore(current: Fan) -> tuple[MMPTrace, ...]:
-            profile = _profile(current)
-            orbits = _contractible(current, root_orbits, profile)
-            if not orbits:
-                return (MMPTrace((), current, classify_terminal(current)),)
-            traces = []
-            for orbit in orbits:
-                nxt = _contract(current, orbit, profile)
-                if nxt not in below:
-                    below[nxt] = explore(nxt)
-                step = _step(current, orbit)
-                traces.extend(MMPTrace((step,) + t.steps, t.terminal, t.label) for t in below[nxt])
-            return tuple(traces)
+    def explore(current: Fan) -> tuple[MMPTrace, ...]:
+        orbits = _contractible(current, root_orbits, _profile(current))
+        if not orbits:
+            return (MMPTrace((), current, classify_terminal(current)),)
+        traces = []
+        for orbit in orbits[:1] if first_only else orbits:
+            nxt = remove_ray_orbit(current, orbit)
+            if nxt not in below:
+                below[nxt] = explore(nxt)
+            step = MMPStep(current, orbit, tuple(current.rays[i] for i in orbit))
+            traces.extend(MMPTrace((step,) + t.steps, t.terminal, t.label) for t in below[nxt])
+        return tuple(traces)
 
-        return explore(fan)
-    raise PreconditionError("mode", f"unknown mode {mode!r}; use 'first-orbit' or 'explore-all'")
+    traces = explore(fan)
+    return traces[0] if first_only else traces
 
 
 @dataclass(frozen=True)
@@ -279,7 +239,13 @@ def check_adjacent_minus_one_rule(fan: Fan) -> tuple[NeighborOppositionFact, ...
     must be exact negatives of each other; a violation would mean the fan
     data is internally inconsistent.
     """
-    profile = self_intersection_profile(fan)
+    return _adjacent_minus_one_facts(fan, self_intersection_profile(fan))
+
+
+def _adjacent_minus_one_facts(
+    fan: Fan, profile: SelfIntersectionProfile
+) -> tuple[NeighborOppositionFact, ...]:
+    """``check_adjacent_minus_one_rule`` on a known smooth complete fan and its profile."""
     d = fan.ray_count
     facts = []
     for i in range(d):

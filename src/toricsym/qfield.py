@@ -122,41 +122,6 @@ class QuadElement:
 
     __rmul__ = __mul__
 
-    def norm(self) -> Fraction:
-        """Field norm a^2 - d b^2 (just a^2 for rationals)."""
-        return self.a * self.a - (self.d or 0) * self.b * self.b
-
-    def conjugate(self) -> "QuadElement":
-        return QuadElement(self.d, self.a, -self.b)
-
-    def inverse(self) -> "QuadElement":
-        n = self.norm()
-        if n == 0:
-            raise ZeroDivisionError("division by zero in quadratic field")
-        conj = self.conjugate()
-        return QuadElement(self.d, conj.a / n, conj.b / n)
-
-    def __truediv__(self, other):
-        x, y, _ = self._join(other)
-        return x * y.inverse()
-
-    def __rtruediv__(self, other):
-        return QuadElement.rational(other) / self if isinstance(other, (int, Fraction)) else NotImplemented
-
-    def __pow__(self, n: int):
-        if not isinstance(n, int):
-            raise TypeError("exponent must be an integer")
-        if n < 0:
-            return self.inverse() ** (-n)
-        out = QuadElement.rational(1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
     def __str__(self) -> str:
         if self.b == 0:
             return str(self.a)

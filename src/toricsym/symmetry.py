@@ -188,7 +188,6 @@ class GaloisDatum:
     """Order <= 2 lattice involution encoding a quadratic descent datum."""
 
     tau: IntMatrix
-    extension: str = "quadratic"
 
     def __post_init__(self):
         n = self.tau.rows
@@ -196,12 +195,6 @@ class GaloisDatum:
             raise ValueError("tau must be square")
         if (self.tau @ self.tau) != IntMatrix.identity(n):
             raise ValueError("tau must square to the identity")
-
-
-@dataclass(frozen=True)
-class FormClass:
-    label: GaloisForm
-    tau: IntMatrix
 
 
 def _is_block_swap_permutation(tau: IntMatrix) -> bool:
@@ -218,7 +211,7 @@ def _is_block_swap_permutation(tau: IntMatrix) -> bool:
     return all(perm[perm[i]] == i for i in range(n))
 
 
-def classify_galois_form(fan: Fan, action: GroupAction, datum: GaloisDatum) -> FormClass:
+def classify_galois_form(fan: Fan, action: GroupAction, datum: GaloisDatum) -> GaloisForm:
     """Classify a descent datum as split / negation twist / factor swap.
 
     Requires tau to preserve the fan and to commute with the whole group
@@ -237,9 +230,9 @@ def classify_galois_form(fan: Fan, action: GroupAction, datum: GaloisDatum) -> F
             )
     n = fan.rank
     if tau == IntMatrix.identity(n):
-        return FormClass(GaloisForm.SPLIT, tau)
+        return GaloisForm.SPLIT
     if tau == -IntMatrix.identity(n):
-        return FormClass(GaloisForm.NEGATION_TWIST, tau)
+        return GaloisForm.NEGATION_TWIST
     if _is_block_swap_permutation(tau):
-        return FormClass(GaloisForm.FACTOR_SWAP, tau)
-    return FormClass(GaloisForm.OTHER, tau)
+        return GaloisForm.FACTOR_SWAP
+    return GaloisForm.OTHER

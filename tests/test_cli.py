@@ -274,6 +274,35 @@ class TestInProcessReuse:
             assert in_process(["mmp", fan_path, act_path]) == (0, HEXAGON_FIRST_ORBIT)
 
 
+class TestClosedStdout:
+    """A reader that goes away before the output is written is an io error
+    (exit 2), reported on stderr without a traceback."""
+
+    @pytest.mark.parametrize("fmt", ["machine", "plain"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["families"],
+            ["enumerate", "--lattice", "weightA2", "--height", "4", "--max-rays", "24", "--smooth"],
+        ],
+        ids=["short", "long"],
+    )
+    def test_exit_two_without_a_traceback(self, argv, fmt):
+        src = str(Path(toricsym.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "toricsym.cli", *argv, "--format", fmt],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=60) == 2
+        assert "Traceback" not in err
+        assert err.startswith("error: io:")
+
+
 class TestEnumerateCommand:
     def test_census_machine_output(self, capsys):
         assert run_cli(

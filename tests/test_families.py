@@ -48,7 +48,7 @@ class TestNamedFamilies:
         fan, datum = families.q22()
         action = families.standard_s3_action(fan)
         form = classify_galois_form(fan, action, datum)
-        assert form.label is GaloisForm.NEGATION_TWIST
+        assert form is GaloisForm.NEGATION_TWIST
         assert fan.is_same_fan(families.dp6("n2"))
 
     def test_weil_restriction_is_the_factor_swapped_square(self, square_fan):
@@ -56,7 +56,7 @@ class TestNamedFamilies:
         assert fan == square_fan
         trivial = action_from_generators(fan, [IntMatrix.identity(2)])
         form = classify_galois_form(fan, trivial, datum)
-        assert form.label is GaloisForm.FACTOR_SWAP
+        assert form is GaloisForm.FACTOR_SWAP
 
     def test_descriptor_grammar(self):
         fan, datum = families.make_family_fan("weighted-p1111m:2")

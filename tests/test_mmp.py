@@ -8,16 +8,15 @@ from hypothesis import strategies as st
 
 from toricsym import families
 from toricsym.errors import PreconditionError
-from toricsym.fan import Lattice, build_surface_fan, fan_isomorphism, validate_fan
+from toricsym.fan import Lattice, _cycle_fan, build_surface_fan, fan_isomorphism, surface_key, validate_fan
 from toricsym.intlin import IntMatrix
 from toricsym.mmp import (
     DP6_TERMINAL,
-    _contract,
+    OTHER,
     P2,
     P1XP1,
     MMPStep,
     MMPTrace,
-    SelfIntersectionProfile,
     TerminalLabel,
     check_adjacent_minus_one_rule,
     classify_terminal,
@@ -128,6 +127,22 @@ def hexagon_with_corners(kind):
     return build_surface_fan(hexagon.lattice, list(hexagon.rays) + corners)
 
 
+def profile_by_division(fan):
+    """The a_i of v_{i-1} + v_{i+1} = a_i v_i, found by dividing the neighbor
+    sum by the ray and checking that the quotient reproduces the sum."""
+    d = fan.ray_count
+    coefficients = []
+    for i in range(d):
+        v = fan.rays[i]
+        total = tuple(p + q for p, q in zip(fan.rays[(i - 1) % d], fan.rays[(i + 1) % d]))
+        pivot = 0 if v[0] != 0 else 1
+        assert total[pivot] % v[pivot] == 0, (fan.rays, i)
+        a = total[pivot] // v[pivot]
+        assert tuple(a * x for x in v) == total, (fan.rays, i)
+        coefficients.append(a)
+    return tuple(coefficients)
+
+
 class TestSelfIntersectionProfile:
     def test_triangle_is_all_plus_one_curves(self, p2_fan):
         profile = self_intersection_profile(p2_fan)
@@ -142,15 +157,17 @@ class TestSelfIntersectionProfile:
         profile = self_intersection_profile(families.hirzebruch(a))
         assert profile.coefficients == (0, -a, 0, a)
 
-    def test_defining_relation_holds_per_ray(self, std2):
-        fan = blowup_p2_twice(std2)
-        profile = self_intersection_profile(fan)
-        d = fan.ray_count
-        for i in range(d):
-            lhs = tuple(
-                p + q for p, q in zip(fan.rays[(i - 1) % d], fan.rays[(i + 1) % d])
-            )
-            assert lhs == tuple(profile.coefficients[i] * x for x in fan.rays[i])
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 10**6), st.integers(4, 14))
+    def test_defining_relation_holds_per_ray(self, seed, max_rays):
+        """The profile, read as det(v_{i-1}, v_{i+1}), is the word that the
+        neighbor-sum division gives."""
+        fan = families.random_blowup_surface_fan(random.Random(seed), max_rays=max_rays)
+        assert self_intersection_profile(fan).coefficients == profile_by_division(fan)
+
+    @pytest.mark.parametrize("fan,action", census_cases_up_to(5))
+    def test_defining_relation_holds_on_the_census(self, fan, action):
+        assert self_intersection_profile(fan).coefficients == profile_by_division(fan)
 
     def test_singular_input_is_rejected(self):
         with pytest.raises(PreconditionError):
@@ -313,18 +330,6 @@ class TestCertifiedContractions:
             report = validate_fan(reached)
             assert report.smooth and report.complete, reached.rays
 
-    def test_a_forged_profile_reaches_the_slug(self):
-        # (0, 1) on the second ruled surface is a (-2)-ray: removing it leaves
-        # the complete fan with the index-2 cone ((1, 0), (-1, 2)).
-        fan = families.hirzebruch(2)
-        orbit = (fan.ray_index((0, 1)),)
-        removed = validate_fan(remove_ray_orbit(fan, orbit))
-        assert removed.complete and not removed.smooth
-        forged = SelfIntersectionProfile((1,) * fan.ray_count)
-        with pytest.raises(PreconditionError) as info:
-            _contract(fan, orbit, forged)
-        assert info.value.reason == "contraction-broke-fan"
-
     @pytest.mark.parametrize("mode", ["first-orbit", "explore-all"])
     def test_a_singular_input_is_refused_on_entry(self, mode):
         fan = families.singular_hexagon()
@@ -392,13 +397,19 @@ class TestProperties:
         assert contract_orbit(blown_up, (k,)) == fan
 
 
-def _label_from_profile(fan):
-    """P1xP1 or F_a, a the largest |a_i| of the profile, if the 4-ray fan is
-    smooth; Other if it is not."""
-    if not validate_fan(fan).smooth:
-        return TerminalLabel("Other")
-    a = max(abs(c) for c in self_intersection_profile(fan).coefficients)
-    return TerminalLabel("Hirzebruch", a) if a else P1XP1
+def reference_key(*cycle):
+    return surface_key(_cycle_fan(Lattice.standard(2), list(cycle)))
+
+
+def label_by_surface_key(fan):
+    """P1xP1 or F_a by comparing the surface key of a 4-ray fan with that
+    of the one model it can be: every smooth complete 4-ray fan is some
+    F_a, with key (1, 0), (0, 1), (-1, -|a|), (0, -1)."""
+    key = surface_key(fan)
+    a = -key[2][1]
+    if a >= 0 and key == reference_key((1, 0), (0, 1), (-1, a), (0, -1)):
+        return TerminalLabel("Hirzebruch", a) if a else P1XP1
+    return OTHER
 
 
 class TestClassifyTerminal:
@@ -418,7 +429,8 @@ class TestClassifyTerminal:
 
     def test_four_ray_labels_agree_with_the_profile(self, std2):
         """The label of every complete 4-ray fan with rays in a small box,
-        read off the key alone, against the one its profile gives."""
+        and of F_a for |a| <= 20, read off the word, against the one the
+        surface-key comparison gives."""
         box = [
             (x, y)
             for x in range(-3, 4)
@@ -432,8 +444,11 @@ class TestClassifyTerminal:
             except PreconditionError:
                 continue
             checked += 1
-            assert classify_terminal(fan) == _label_from_profile(fan), fan.rays
+            assert classify_terminal(fan) == label_by_surface_key(fan), fan.rays
         assert checked > 10_000
+        for a in range(-20, 21):
+            fan = families.hirzebruch(a)
+            assert classify_terminal(fan) == label_by_surface_key(fan), a
 
     def test_one_point_blowup_is_the_first_ruled_surface(self, std2):
         assert classify_terminal(blowup_p2_once(std2)) == TerminalLabel("Hirzebruch", 1)

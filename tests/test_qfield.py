@@ -46,11 +46,6 @@ def test_mixed_radicands_are_rejected():
         QuadElement.sqrt_of(5) + QuadElement.sqrt_of(-1)
 
 
-def test_division_by_zero_is_rejected():
-    with pytest.raises(ZeroDivisionError):
-        QuadElement.sqrt_of(5) / QuadElement(5, Fraction(0), Fraction(0))
-
-
 def test_d_must_be_squarefree():
     with pytest.raises(ValueError):
         QuadElement(4, Fraction(1), Fraction(1))
@@ -91,9 +86,6 @@ def test_field_axioms_hold_exactly(x, y, z):
     assert x * (y + z) == x * y + x * z
     assert x + y == y + x
     assert x * y == y * x
-    if x.norm() != 0:
-        assert x * x.inverse() == 1
-        assert (y / x) * x == y
 
 
 @settings(max_examples=120, deadline=None)
@@ -161,10 +153,6 @@ class TestStarCondition:
 
 
 class TestMoreArithmetic:
-    def test_negative_powers_use_the_inverse(self):
-        x = QuadElement(5, Fraction(1), Fraction(1))
-        assert x ** -2 == (x * x).inverse()
-
     def test_rendering(self):
         assert str(QuadElement.sqrt_of(-3)) == "sqrt(-3)"
         assert str(QuadElement(-3, Fraction(1, 2), Fraction(-1, 2))) == "1/2 - 1/2*sqrt(-3)"
@@ -174,7 +162,3 @@ class TestMoreArithmetic:
         assert QuadElement.rational(2) * QuadElement.sqrt_of(5) == QuadElement(
             5, Fraction(0), Fraction(2)
         )
-
-    def test_conjugate_norm_product(self):
-        x = QuadElement(-1, Fraction(3), Fraction(4))
-        assert x * x.conjugate() == x.norm()
