@@ -91,7 +91,7 @@ def criterion_a2() -> list[str]:
         cases.append((f"hirzebruch:{a}", families.hirzebruch(a), expected))
     failures = []
     for name, fan, expected in cases:
-        sizes = ray_blocks(fan).sizes
+        sizes = ray_blocks(class_group(fan)[1]).sizes
         if sizes != expected:
             failures.append(f"{name}: block sizes {sizes}, expected {expected}")
     return failures

@@ -52,7 +52,7 @@ def _load_action_for(fan: Fan, path: str) -> tuple[GroupAction, GaloisDatum | No
 def _report_payload(fan: Fan, action: GroupAction | None, datum: GaloisDatum | None) -> tuple[dict, list[str]]:
     report = validate_fan(fan)
     group, classes = class_group(fan)
-    partition = ray_blocks(fan)
+    partition = ray_blocks(classes)
     relations = relation_lattice(fan)
     payload: dict[str, Any] = {
         "lattice": fan.lattice.label(),

@@ -47,9 +47,8 @@ class RayBlockPartition:
     sizes: tuple[int, ...]  # multiset of block sizes, descending
 
 
-def ray_blocks(fan: Fan) -> RayBlockPartition:
-    """Group ray indices with equal divisor classes; sizes sorted descending."""
-    _, classes = class_group(fan)
+def ray_blocks(classes: tuple[ClassCoords, ...]) -> RayBlockPartition:
+    """Group ray indices by their ``class_group`` classes; sizes sorted descending."""
     order: dict[ClassCoords, list[int]] = {}
     for i, cls in enumerate(classes):
         order.setdefault(cls, []).append(i)

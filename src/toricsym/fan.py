@@ -353,11 +353,14 @@ def _complete_rank_ge3(fan: Fan) -> bool:
     # iff a point inside the first cone lies in no other cone.
     p = tuple(map(sum, zip(*(fan.rays[i] for i in fan.max_cones[0]))))
     containing = sum(all(s * _dot(normal, p) >= 0 for normal, s in cone) for cone in halfspaces)
-    return containing == 1
+    if containing > 1:
+        raise PreconditionError("overlapping-cones", f"a point inside the first cone lies in {containing} cones")
+    return True
 
 
 def validate_fan(fan: Fan) -> FanReport:
-    """Exact structural predicates: simplicial, complete, smooth."""
+    """Exact structural predicates: simplicial, complete, smooth; raises
+    ``overlapping-cones`` for rank >= 3 cones that cover space more than once."""
     n = fan.rank
     if n == 2:
         rays, d = fan.rays, fan.ray_count
@@ -387,13 +390,6 @@ def transform_fan(g: IntMatrix, fan: Fan) -> Fan:
     return Fan(fan.lattice, tuple(images), fan.max_cones)
 
 
-def _independent_index_subset(fan: Fan) -> tuple[int, ...]:
-    for subset in itertools.combinations(range(fan.ray_count), fan.rank):
-        if IntMatrix.from_rows([fan.rays[i] for i in subset]).rank() == fan.rank:
-            return subset
-    raise PreconditionError("rays-do-not-span", "rays do not span the lattice")
-
-
 def _matrix_sending(det: int, adjugate: IntMatrix, images: Sequence[Vector]) -> IntMatrix | None:
     """The unimodular integer matrix g with g b_i = w_i, if one exists.
 
@@ -420,49 +416,45 @@ def _ray_degrees(fan: Fan) -> list[int]:
     return degrees
 
 
-def _all_isomorphisms(source: Fan, target: Fan) -> list[tuple[tuple[int, ...], IntMatrix]]:
-    """Every (ray map, matrix) pair carrying source onto target, by ray map.
-
-    An isomorphism carries maximal cones onto maximal cones and keeps the
-    number of maximal cones on each ray.  So when the source has a maximal
-    cone of n rays and rank n, its rays are the basis and the only images
-    tried are the orderings of the target's n-ray maximal cones whose ray
-    degrees match position by position.  Otherwise a spanning ray subset is
-    the basis and every degree-matched ordered ray tuple is tried.
-
-    Per search each other source ray is kept as its nonzero coordinates in
-    the basis B times |det B|, so a candidate only combines image columns
-    (the fans' rays, checked when the fans were built).  It is rejected, in
-    order, by a ray image that is not integral or not a target ray, a
-    non-injective ray map, a cone not sent onto a cone, and last by
-    ``_matrix_sending`` (|det W|, then integrality of g).
-    """
+def _seed_basis(source: Fan, target: Fan) -> tuple[tuple[int, ...], list[tuple[int, ...]]]:
+    """The seed basis of the source, and the target ray sets whose orderings
+    are its candidate images: the rays of the source's first maximal cone of
+    n rays and rank n and the target's n-ray maximal cones, or when no cone
+    is full-dimensional a spanning ray subset and all the target's rays."""
     n = source.rank
-    if n != target.rank:
-        raise PreconditionError("rank", "fans of different rank cannot be compared")
-    if source.ray_count != target.ray_count or len(source.max_cones) != len(target.max_cones):
-        return []
     seed = next((c for c in source.max_cones if len(c) == n and source.cone_matrix(c).rank() == n), None)
-    if seed is None:
-        seed = _independent_index_subset(source)
-        tuples = itertools.permutations(range(target.ray_count), n)
-    else:
-        tuples = (t for cone in target.max_cones if len(cone) == n for t in itertools.permutations(cone))
+    if seed is not None:
+        return seed, [cone for cone in target.max_cones if len(cone) == n]
+    for subset in itertools.combinations(range(source.ray_count), n):
+        if source.cone_matrix(subset).rank() == n:
+            return subset, [tuple(range(target.ray_count))]
+    raise PreconditionError("rays-do-not-span", "rays do not span the lattice")
+
+
+def _candidate_test(source: Fan, target: Fan, seed: Sequence[int]):
+    """det B, adj B of the seed basis B, and ``test(images)``: the (ray map,
+    matrix) pair sending B to the target rays ``images``, or None.
+
+    Each other source ray is kept as its nonzero coordinates in B times
+    |det B|, so a candidate only combines image columns (the fans' rays,
+    checked when the fans were built).  It is rejected, in order, by a ray
+    on another number of maximal cones, a ray image that is not integral or
+    not a target ray, a non-injective ray map, a cone not sent onto a cone,
+    and last by ``_matrix_sending`` (|det W|, then integrality of g).
+    """
     source_degrees, target_degrees = _ray_degrees(source), _ray_degrees(target)
     wanted = [source_degrees[i] for i in seed]
     basis = IntMatrix.from_columns([source.rays[i] for i in seed])
-    det = basis.det()
-    adjugate = basis.adjugate()
+    det, adjugate = basis.det(), basis.adjugate()
     q = abs(det)
     coordinates = {i: adjugate.apply(v) for i, v in enumerate(source.rays) if i not in seed}
     others = [(i, [(k, det // q * c) for k, c in enumerate(u) if c]) for i, u in coordinates.items()]
     index = {v: j for j, v in enumerate(target.rays)}
     target_cones = set(target.max_cones)
-    found = []
-    # The basis spans, so distinct image tuples give distinct matrices.
-    for images in tuples:
+
+    def test(images: Sequence[int]) -> tuple[tuple[int, ...], IntMatrix] | None:
         if any(target_degrees[j] != d for j, d in zip(images, wanted)):
-            continue
+            return None
         columns = [target.rays[j] for j in images]
         mapping = [0] * target.ray_count
         for i, j in zip(seed, images):
@@ -473,20 +465,37 @@ def _all_isomorphisms(source: Fan, target: Fan) -> list[tuple[tuple[int, ...], I
             for k, c in terms[1:]:
                 image = [a + c * x for a, x in zip(image, columns[k])]
             if q != 1 and any(a % q for a in image):
-                break
+                return None
             j = index.get(tuple(image) if q == 1 else tuple(a // q for a in image))
             if j is None:
-                break
+                return None
             mapping[i] = j
-        else:
-            if len(set(mapping)) == len(mapping) and all(
-                tuple(sorted(map(mapping.__getitem__, cone))) in target_cones for cone in source.max_cones
-            ):
-                g = _matrix_sending(det, adjugate, columns)
-                if g is not None:
-                    found.append((tuple(mapping), g))
-    found.sort(key=lambda pair: pair[0])
-    return found
+        if len(set(mapping)) != len(mapping) or not all(
+            tuple(sorted(map(mapping.__getitem__, cone))) in target_cones for cone in source.max_cones
+        ):
+            return None
+        g = _matrix_sending(det, adjugate, columns)
+        return None if g is None else (tuple(mapping), g)
+
+    return det, adjugate, test
+
+
+def _all_isomorphisms(source: Fan, target: Fan) -> list[tuple[tuple[int, ...], IntMatrix]]:
+    """Every (ray map, matrix) pair carrying source onto target, by ray map.
+
+    An isomorphism carries maximal cones onto maximal cones and keeps the
+    number of maximal cones on each ray, so every ordering of each ray set
+    of ``_seed_basis`` goes through ``_candidate_test``.
+    """
+    n = source.rank
+    if n != target.rank:
+        raise PreconditionError("rank", "fans of different rank cannot be compared")
+    if source.ray_count != target.ray_count or len(source.max_cones) != len(target.max_cones):
+        return []
+    seed, cones = _seed_basis(source, target)
+    tuples = (t for cone in cones for t in itertools.permutations(cone, n))
+    # The basis spans, so distinct image tuples give distinct matrices.
+    return sorted(filter(None, map(_candidate_test(source, target, seed)[2], tuples)), key=lambda pair: pair[0])
 
 
 def fan_isomorphism(f1: Fan, f2: Fan) -> IntMatrix | None:

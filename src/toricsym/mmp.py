@@ -34,10 +34,6 @@ class SelfIntersectionProfile:
 
     coefficients: tuple[int, ...]
 
-    @property
-    def self_intersections(self) -> tuple[int, ...]:
-        return tuple(-a for a in self.coefficients)
-
 
 def self_intersection_profile(fan: Fan) -> SelfIntersectionProfile:
     """Neighbor-sum coefficients of a smooth complete surface fan."""
@@ -52,8 +48,15 @@ def _profile(fan: Fan) -> SelfIntersectionProfile:
     return SelfIntersectionProfile(tuple(_cross(rays[i - 1], rays[(i + 1) % d]) for i in range(d)))
 
 
-def _adjacent(i: int, j: int, d: int) -> bool:
-    return (i - j) % d in (1, d - 1)
+def _orbit_fault(fan: Fan, orbit: tuple[int, ...], profile: SelfIntersectionProfile) -> tuple[str, str] | None:
+    """The reason slug and message of the first contraction test the orbit
+    fails: every ray a (-1)-ray, then no two rays cyclically adjacent."""
+    d = fan.ray_count
+    if any(profile.coefficients[i] != 1 for i in orbit):
+        return "not-minus-one", "orbit contains a ray that is not a (-1)-ray"
+    if any((i - j) % d in (1, d - 1) for i in orbit for j in orbit if i < j):
+        return "adjacent-orbit", "orbit contains cyclically adjacent rays"
+    return None
 
 
 def contractible_orbits(fan: Fan, action: GroupAction) -> tuple[tuple[int, ...], ...]:
@@ -78,18 +81,14 @@ def _contractible(
     """``orbits`` are the ray orbits of an action on a fan whose rays
     include ``fan``'s as a union of orbits; those that ``fan`` keeps are
     its own orbits."""
-    d = fan.ray_count
     index = {v: i for i, v in enumerate(fan.rays)}
     good = []
     for rays in orbits:
         if rays[0] not in index:
             continue
         orbit = tuple(sorted(index[v] for v in rays))
-        if any(profile.coefficients[i] != 1 for i in orbit):
-            continue
-        if any(_adjacent(i, j, d) for i in orbit for j in orbit if i < j):
-            continue
-        good.append(orbit)
+        if _orbit_fault(fan, orbit, profile) is None:
+            good.append(orbit)
     return tuple(sorted(good, key=lambda orbit: min(fan.rays[i] for i in orbit)))
 
 
@@ -109,12 +108,9 @@ def contract_orbit(fan: Fan, orbit: tuple[int, ...]) -> Fan:
     """Contract a non-adjacent orbit of (-1)-rays of a fan validated smooth
     and complete; the cone (v_{i-1}, v_{i+1}) left by removing ray i has
     determinant a_i = 1, so the result is smooth with no further check."""
-    coefficients = self_intersection_profile(fan).coefficients
-    d = fan.ray_count
-    if any(coefficients[i] != 1 for i in orbit):
-        raise PreconditionError("not-minus-one", "orbit contains a ray that is not a (-1)-ray")
-    if any(_adjacent(i, j, d) for i in orbit for j in orbit if i < j):
-        raise PreconditionError("adjacent-orbit", "orbit contains cyclically adjacent rays")
+    fault = _orbit_fault(fan, orbit, self_intersection_profile(fan))
+    if fault is not None:
+        raise PreconditionError(*fault)
     return remove_ray_orbit(fan, orbit)
 
 

@@ -2,20 +2,22 @@
 
 Groups are stored as explicit unimodular matrices with their ray
 permutations: a generator's is read off its matrix, a product's is composed
-from its factors'.  Includes the fan automorphism group (the cone-seeded
-isomorphism search of a fan onto itself), orbit machinery, the invariant
-Picard number, the centralizer computation and the classification of
-quadratic Galois twists.
+from its factors'.  Includes the fan automorphism group (one transversal per
+level of a stabilizer chain on a seed cone's rays, found by the cone-seeded
+isomorphism search and expanded by composing ray permutations), orbit
+machinery, the invariant Picard number, the centralizer computation and the
+classification of quadratic Galois twists.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from itertools import permutations
 from typing import Sequence
 
 from .errors import PreconditionError
-from .fan import Fan, _all_isomorphisms
+from .fan import Fan, _candidate_test, _ray_degrees, _seed_basis
 from .intlin import IntMatrix, kernel_basis
 
 Perm = tuple[int, ...]
@@ -54,20 +56,43 @@ def _perm_of(fan: Fan, g: IntMatrix) -> Perm:
 
 
 def fan_automorphisms(fan: Fan) -> GroupAction:
-    """The full finite group Aut(N, fan).
+    """The full finite group Aut(N, fan), ordered by ray permutation.
 
-    The rays of one maximal cone are sent to every degree-matched ordering
-    of every maximal cone (see ``fan._all_isomorphisms``).  A candidate is
-    kept if it carries rays onto rays and cones onto cones, and then if its
-    matrix is integral and unimodular; the fan's rays are not re-checked.
-    These are all the automorphisms, a group, ordered by ray permutation.
+    A stabilizer chain on the seed basis b_1..b_n of ``fan._seed_basis``: at
+    level k, for each other ray c on as many maximal cones as b_k, orderings
+    (b_1..b_{k-1}, c, ...) of its ray sets go through ``fan._candidate_test``
+    until one is an automorphism u_{k,c}.  Only the identity fixes the basis,
+    so each automorphism is one product u_1 ... u_n (u_{k,b_k} = 1), composed
+    as ray permutations; its matrix is W adj(B) / det(B), with W the images
+    of the seed rays.
     """
-    pairs = _all_isomorphisms(fan, fan)
-    return GroupAction(
-        fan=fan,
-        elements=tuple(g for _, g in pairs),
-        ray_perms=tuple(p for p, _ in pairs),
-    )
+    seed, cones = _seed_basis(fan, fan)
+    det, adjugate, test = _candidate_test(fan, fan, seed)
+    n, d, degrees = fan.rank, fan.ray_count, _ray_degrees(fan)
+    transversals = [[tuple(range(d))] for _ in seed]
+    for k, b in enumerate(seed):
+        for c in range(d):
+            if c not in seed[: k + 1] and degrees[c] == degrees[b]:
+                head = seed[:k] + (c,)
+                rests = ([j for j in cone if j not in head] for cone in cones if c in cone)
+                for found in filter(None, (test(head + t) for rest in rests for t in permutations(rest, n - k - 1))):
+                    transversals[k].append(found[0])
+                    break
+        cones = [cone for cone in cones if b in cone]
+    perms = transversals[-1]
+    for level in reversed(transversals[:-1]):
+        perms = [tuple(map(u.__getitem__, p)) for u in level for p in perms]
+    perms.sort()
+    plain = all(adjugate.entries[i][j] == det * (i == j) for i in range(n) for j in range(n))
+    terms = [[(k, a) for k, a in enumerate(adjugate.column(j)) if a] for j in range(n)]
+
+    def matrix(p: Perm) -> IntMatrix:
+        w = [fan.rays[p[b]] for b in seed]
+        if not plain:
+            w = [[sum(a * w[k][i] for k, a in t) // det for i in range(n)] for t in terms]
+        return IntMatrix._of(tuple(zip(*w)))
+
+    return GroupAction(fan=fan, elements=tuple(map(matrix, perms)), ray_perms=tuple(perms))
 
 
 def action_from_generators(fan: Fan, generators: Sequence[IntMatrix]) -> GroupAction:

@@ -126,6 +126,15 @@ class TestCheckCommand:
         assert run_cli("check", str(path)) == 3
         assert "incomplete" in capsys.readouterr().err
 
+    def test_overlapping_cones_exit_3(self, tmp_path, capsys):
+        # The pentagram bipyramid: its cones cover R^3 twice.
+        rays = [[1, 0, 0], [-1, 1, 0], [1, -2, 0], [1, 2, 0], [-2, -1, 0], [0, 0, 1], [0, 0, -1]]
+        cones = [[j, (j + 1) % 5, pole] for j in range(5) for pole in (5, 6)]
+        path = tmp_path / "pentagram.fan"
+        write_json(path, {"lattice": "standard:3", "rays": rays, "max_cones": cones})
+        code, error = machine_error(capsys, "check", str(path))
+        assert (code, error["reason"]) == (3, "overlapping-cones")
+
     def test_bad_json_exits_2(self, tmp_path, capsys):
         path = tmp_path / "bad.fan"
         path.write_text("{not json", encoding="utf-8")

@@ -53,22 +53,22 @@ class TestClassGroup:
 
 class TestRayBlocks:
     def test_projective_four_space(self):
-        assert ray_blocks(families.projective_space(4)).sizes == (5,)
+        assert ray_blocks(class_group(families.projective_space(4))[1]).sizes == (5,)
 
     @pytest.mark.parametrize("a", [-2, -1, 1, 2])
     def test_bundle_blocks(self, a):
-        assert ray_blocks(families.bundle_over_p3(a)).sizes == (4, 1, 1)
+        assert ray_blocks(class_group(families.bundle_over_p3(a))[1]).sizes == (4, 1, 1)
 
     def test_bundle_blocks_merge_at_zero_twist(self):
-        assert ray_blocks(families.bundle_over_p3(0)).sizes == (4, 2)
+        assert ray_blocks(class_group(families.bundle_over_p3(0))[1]).sizes == (4, 2)
 
     @pytest.mark.parametrize("a", [-2, -1, 1, 2])
     def test_rank3_bundle_blocks(self, a):
-        assert ray_blocks(families.bundle_over_p1xp1(a)).sizes == (2, 2, 1, 1)
+        assert ray_blocks(class_group(families.bundle_over_p1xp1(a))[1]).sizes == (2, 2, 1, 1)
 
     def test_blocks_partition_the_rays(self):
         for name, fan in named_family_corpus():
-            partition = ray_blocks(fan)
+            partition = ray_blocks(class_group(fan)[1])
             flat = sorted(itertools.chain.from_iterable(partition.blocks))
             assert flat == list(range(fan.ray_count)), name
 
@@ -77,7 +77,7 @@ class TestRayBlocks:
         for name, fan in named_family_corpus():
             if fan.ray_count > 8:
                 continue
-            partition = ray_blocks(fan)
+            partition = ray_blocks(class_group(fan)[1])
             same = {
                 (i, j)
                 for block in partition.blocks

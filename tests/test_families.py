@@ -4,7 +4,7 @@ import random
 import pytest
 
 from toricsym import families
-from toricsym.divisors import ray_blocks, relation_lattice
+from toricsym.divisors import class_group, ray_blocks, relation_lattice
 from toricsym.errors import PreconditionError
 from toricsym.fan import Lattice, build_surface_fan, fan_isomorphism, transform_fan, validate_fan
 from toricsym.intlin import IntMatrix, smith_normal_form
@@ -24,15 +24,15 @@ class TestNamedFamilies:
     def test_weighted_space_relation(self):
         fan = families.weighted_p1111m(2)
         assert relation_lattice(fan).basis == ((1, 1, 1, 1, 2),)
-        assert ray_blocks(fan).sizes == (4, 1)
+        assert ray_blocks(class_group(fan)[1]).sizes == (4, 1)
 
     def test_weighted_space_smooth_only_at_one(self):
         assert validate_fan(families.weighted_p1111m(1)).smooth
         assert not validate_fan(families.weighted_p1111m(2)).smooth
 
     def test_bundle_blocks(self):
-        assert ray_blocks(families.bundle_over_p3(2)).sizes == (4, 1, 1)
-        assert ray_blocks(families.bundle_over_p3(0)).sizes == (4, 2)
+        assert ray_blocks(class_group(families.bundle_over_p3(2))[1]).sizes == (4, 1, 1)
+        assert ray_blocks(class_group(families.bundle_over_p3(0))[1]).sizes == (4, 2)
 
     def test_weighted_plane_flags(self):
         fan = families.weighted_p11a(3)

@@ -158,15 +158,21 @@ class TestValidateFan:
 
     # Five rays in the plane z = 0, joined to both poles.  Joined in angular
     # order they give a fan; joined in the order below they wind twice round
-    # the axis, so every wall is still shared by two cones on opposite sides.
+    # the axis, so every wall is still shared by two cones on opposite sides
+    # and the cones overlap.
     PENTAGON = [(1, 0, 0), (-1, 1, 0), (1, -2, 0), (1, 2, 0), (-2, -1, 0), (0, 0, 1), (0, 0, -1)]
 
-    @pytest.mark.parametrize("cycle, complete", [((0, 3, 1, 4, 2), True), ((0, 1, 2, 3, 4), False)])
-    def test_pentagon_bipyramid_complete_iff_it_winds_once(self, cycle, complete):
+    @pytest.mark.parametrize("cycle, winds_once", [((0, 3, 1, 4, 2), True), ((0, 1, 2, 3, 4), False)])
+    def test_pentagon_bipyramid_is_a_fan_iff_it_winds_once(self, cycle, winds_once):
         cones = [(cycle[j], cycle[(j + 1) % 5], pole) for j in range(5) for pole in (5, 6)]
-        report = validate_fan(make_fan(Lattice.standard(3), self.PENTAGON, cones))
-        assert report.simplicial
-        assert report.complete is complete
+        fan = make_fan(Lattice.standard(3), self.PENTAGON, cones)
+        if winds_once:
+            report = validate_fan(fan)
+            assert report.simplicial and report.complete
+        else:
+            with pytest.raises(PreconditionError) as info:
+                validate_fan(fan)
+            assert info.value.reason == "overlapping-cones"
 
     @pytest.mark.parametrize(
         "g",

@@ -1,7 +1,10 @@
 import itertools
+import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from toricsym import families, symmetry
 from toricsym import fan as fan_module
@@ -110,14 +113,22 @@ class TestAutomorphismSearchIsAGroup:
         action = fan_automorphisms(fan)
         assert closure_by_matrices(fan, action.elements) == action
 
+    # (n+1)! for P^n, 2^n n! for (P^1)^n, (a+1)! (b+1)! for P^a x P^b (a != b)
+    # and twice that for a = b.
     @pytest.mark.parametrize(
         "builder, expected",
-        [
-            (lambda: families.projective_space(5), 720),
-            (lambda: _product(P1, P1, P1, P1), 384),
-            (lambda: _product(families.projective_space(4), P1), 240),
+        [(lambda n=n: families.projective_space(n), math.factorial(n + 1)) for n in range(1, 8)]
+        + [(lambda n=n: _product(*[P1] * n), 2**n * math.factorial(n)) for n in range(1, 7)]
+        + [
+            (
+                lambda a=a, b=b: _product(families.projective_space(a), families.projective_space(b)),
+                math.factorial(a + 1) * math.factorial(b + 1) * (2 if a == b else 1),
+            )
+            for a, b in [(1, 2), (2, 2), (1, 3), (2, 3), (3, 3), (4, 1), (4, 2)]
         ],
-        ids=["P5", "P1^4", "P4xP1"],
+        ids=[f"P{n}" for n in range(1, 8)]
+        + [f"P1^{n}" for n in range(1, 7)]
+        + ["P1xP2", "P2xP2", "P1xP3", "P2xP3", "P3xP3", "P4xP1", "P4xP2"],
     )
     def test_closed_form_orders(self, builder, expected):
         action = fan_automorphisms(builder())
@@ -288,17 +299,19 @@ class TestConeSeededSearch:
         assert fan_isomorphism(first, second) is None
 
     @pytest.mark.parametrize(
-        "builder, order",
+        "builder, order, transversal",
         [
-            (lambda: P3, 24),
-            (lambda: _product(P1, P1, P1, P1), 384),
-            (lambda: _product(P4, P1), 240),
+            (lambda: P3, 24, 3 + 2 + 1),
+            (lambda: _product(P1, P1, P1, P1), 384, 7 + 5 + 3 + 1),
+            (lambda: _product(P4, P1), 240, 4 + 3 + 2 + 1 + 1),
         ],
         ids=["P3", "P1^4", "P4xP1"],
     )
-    def test_products_try_one_candidate_per_automorphism(self, builder, order, monkeypatch):
+    def test_products_try_one_candidate_per_automorphism(self, builder, order, transversal, monkeypatch):
         # Every degree-matched ordering of a maximal cone of a product of
-        # projective spaces is an automorphism, so no candidate is wasted.
+        # projective spaces is an automorphism, so no candidate is wasted:
+        # the all-tuples search tests one per automorphism, the level search
+        # of fan_automorphisms one per transversal element other than 1.
         calls = []
         matrix_sending = fan_module._matrix_sending
 
@@ -307,8 +320,12 @@ class TestConeSeededSearch:
             return matrix_sending(*args)
 
         monkeypatch.setattr(fan_module, "_matrix_sending", counted)
-        assert fan_automorphisms(builder()).order == order
+        fan = builder()
+        assert len(_all_isomorphisms(fan, fan)) == order
         assert len(calls) == order
+        calls.clear()
+        assert fan_automorphisms(fan).order == order
+        assert len(calls) == transversal
 
 
 # P2/mu3: its rays span the index-3 sublattice {a = b mod 3}, so every seed
@@ -367,6 +384,43 @@ class TestSublatticeSeeds:
         assert _all_isomorphisms(first, second) == []
         assert fan_isomorphism(first, second) is None
         assert rejected and set(rejected) == {reason}
+
+
+class TestStabilizerChain:
+    """fan_automorphisms, built from one transversal per seed level, equals
+    the all-tuples search element for element and in ray-permutation order."""
+
+    CORPUS = {**SEARCH_CORPUS, "P2/mu3": P2_MU3, "P2/mu3xP1": P2_MU3_X_P1, "sheared": P2_MU3_X_P1_SHEARED}
+
+    @pytest.mark.parametrize("name", sorted(CORPUS))
+    def test_equals_the_all_tuples_search(self, name, monkeypatch):
+        tried = []
+        candidate_test = fan_module._candidate_test
+
+        def counted(*args):
+            det, adjugate, test = candidate_test(*args)
+            return det, adjugate, lambda images: tried.append(images) or test(images)
+
+        monkeypatch.setattr(fan_module, "_candidate_test", counted)
+        monkeypatch.setattr(symmetry, "_candidate_test", counted)
+        fan = self.CORPUS[name]
+        action = fan_automorphisms(fan)
+        level_tuples = len(tried)
+        pairs = _all_isomorphisms(fan, fan)
+        assert action.ray_perms == tuple(p for p, _ in pairs)
+        assert [g.entries for g in action.elements] == [g.entries for _, g in pairs]
+        # The prefixes (b_1..b_{k-1}, c) split the tuples the level search
+        # tries into disjoint sets of the all-tuples search's candidates.
+        assert level_tuples <= len(tried) - level_tuples
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(sorted(CORPUS)), st.integers(0, 10**6))
+    def test_order_is_invariant_under_gl_images(self, name, seed):
+        fan = self.CORPUS[name]
+        image = _relabelled_image(fan, seed)
+        action = fan_automorphisms(image)
+        assert action.order == fan_automorphisms(fan).order
+        assert _pairs(zip(action.ray_perms, action.elements)) == _pairs(_all_isomorphisms(image, image))
 
 
 class TestActionFromGenerators:
