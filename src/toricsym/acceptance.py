@@ -219,7 +219,7 @@ def criterion_a7() -> list[str]:
             if trace.terminal.ray_count not in (3, 6):
                 failures.append(f"{name}: terminal with {trace.terminal.ray_count} rays")
             terminal_action = families.standard_s3_action(trace.terminal)
-            rho = invariant_picard_number(trace.terminal, terminal_action)
+            rho = invariant_picard_number(terminal_action)
             if rho not in (1, 2):
                 failures.append(f"{name}: terminal invariant Picard number {rho}")
     for name, fan in _census(include_negation=True):
@@ -230,7 +230,7 @@ def criterion_a7() -> list[str]:
             if trace.terminal.ray_count == 6 and trace.label != DP6_TERMINAL:
                 failures.append(f"{name} (negation): 6-ray terminal labelled {trace.label}")
             terminal_action = families.standard_s3_action(trace.terminal, include_negation=True)
-            rho = invariant_picard_number(trace.terminal, terminal_action)
+            rho = invariant_picard_number(terminal_action)
             if rho not in (1, 2):
                 failures.append(f"{name} (negation): terminal invariant Picard number {rho}")
     return failures

@@ -84,7 +84,7 @@ def _report_payload(fan: Fan, action: GroupAction | None, datum: GaloisDatum | N
                 "group_order": action.order,
                 "faithful_on_rays": action.faithful_on_rays,
                 "ray_orbits": [list(o) for o in orbits],
-                "invariant_picard_number": invariant_picard_number(fan, action),
+                "invariant_picard_number": invariant_picard_number(action),
             }
         )
         lines += [
@@ -94,7 +94,7 @@ def _report_payload(fan: Fan, action: GroupAction | None, datum: GaloisDatum | N
             f"invariant rho  {payload['invariant_picard_number']}",
         ]
         if datum is not None:
-            form = classify_galois_form(fan, action, datum)
+            form = classify_galois_form(action, datum)
             payload["galois_form"] = form.value
             lines.append(f"galois form    {form.value}")
     return payload, lines

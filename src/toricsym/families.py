@@ -202,9 +202,11 @@ def standard_s3_action(fan: Fan, include_negation: bool = False) -> GroupAction:
 
 
 def _seed_orbits(lattice: Lattice, height: int, include_negation: bool) -> list[tuple[Vector, ...]]:
+    # S3 permutes the ambient coordinates and keeps the box and the sum-zero
+    # test, so one triple per multiset reaches every orbit.
     box = range(-height, height + 1)
     orbits: dict[tuple[Vector, ...], None] = {}
-    for ambient in itertools.product(box, repeat=3):
+    for ambient in itertools.combinations_with_replacement(box, 3):
         if lattice.kind == "rootA2" and sum(ambient) != 0:
             continue
         coords = lattice.coords(ambient)

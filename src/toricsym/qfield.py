@@ -1,9 +1,9 @@
 """Exact arithmetic in Q and quadratic extensions Q(sqrt(d)).
 
 Elements are a + b*sqrt(d) with Fraction coefficients.  Field descriptors
-declare, rather than decide, whether -1 is a sum of two squares; where the
-declaration is negative the table carries an explicit witness pair that is
-verified exactly.
+declare whether -1 is a sum of two squares, checked against d for a
+quadratic field; where the declaration is negative the table carries an
+explicit witness pair that is verified exactly.
 """
 
 from __future__ import annotations
@@ -176,15 +176,15 @@ def verify_negative_one_witness(descriptor: FieldDescriptor) -> bool:
 def satisfies_star(descriptor: FieldDescriptor) -> bool:
     """Conjunction of the three declared clauses of the field condition.
 
-    Declaring clause 2 true while carrying a verifying witness is an
-    inconsistency and raises.
+    A quadratic descriptor whose clause 2 disagrees with d raises: -1 is a
+    sum of two squares in Q(sqrt d) iff d < 0 and d != 1 mod 8, where the
+    Hilbert symbol (-1,-1) splits at the real and 2-adic places.  Clause 2
+    declared beside a verifying witness is such a disagreement.
     """
-    if descriptor.star_clause2 and descriptor.witness is not None and verify_negative_one_witness(descriptor):
-        raise PreconditionError(
-            "inconsistent-descriptor",
-            f"{descriptor.name} declares -1 not a sum of two squares yet carries a verifying witness",
-        )
-    return descriptor.star_clause2 and descriptor.star_clause3
+    d, clause2 = descriptor.d, descriptor.star_clause2
+    if descriptor.kind == "quadratic" and clause2 == (d < 0 and d % 8 != 1):
+        raise PreconditionError("inconsistent-descriptor", f"{descriptor.name}: clause 2 disagrees with d = {d}")
+    return clause2 and descriptor.star_clause3
 
 
 def standard_field_table() -> dict[str, FieldDescriptor]:

@@ -1,12 +1,13 @@
 """Finite group actions on a lattice preserving a fan.
 
-Groups are stored as explicit unimodular matrices with their ray
-permutations: a generator's is read off its matrix, a product's is composed
-from its factors'.  Includes the fan automorphism group (one transversal per
-level of a stabilizer chain on a seed cone's rays, found by the cone-seeded
-isomorphism search and expanded by composing ray permutations), orbit
-machinery, the invariant Picard number, the centralizer computation and the
-classification of quadratic Galois twists.
+A fan's rays span its lattice, so a fan-preserving matrix is fixed by the
+permutation it induces on the rays.  Groups are built as ray permutations,
+closed by composing them, and each element's matrix is read off its
+permutation once (``_group_action``).  Includes the fan automorphism group
+(one transversal per level of a stabilizer chain on a seed cone's rays,
+found by the cone-seeded isomorphism search and expanded by composing ray
+permutations), orbit machinery, the invariant Picard number, the
+centralizer computation and the classification of quadratic Galois twists.
 """
 
 from __future__ import annotations
@@ -21,10 +22,6 @@ from .fan import Fan, _candidate_test, _ray_degrees, _seed_basis
 from .intlin import IntMatrix, kernel_basis
 
 Perm = tuple[int, ...]
-
-# Largest group a closure may reach before its generators are judged to
-# have infinite order on the fan.
-CLOSURE_CAP = 10_000
 
 
 @dataclass(frozen=True)
@@ -55,6 +52,27 @@ def _perm_of(fan: Fan, g: IntMatrix) -> Perm:
     return mapping
 
 
+def _group_action(fan: Fan, seed: Sequence[int], det: int, adjugate: IntMatrix, perms: list[Perm]) -> GroupAction:
+    """The group of the ray permutations ``perms``, ordered by permutation.
+
+    The element permuting the rays by p is W adj(B) / det(B), with B the
+    seed basis (``det`` and ``adjugate`` its determinant and adjugate) and W
+    the rays p[b] it is sent to.
+    """
+    n = fan.rank
+    perms.sort()
+    plain = all(adjugate.entries[i][j] == det * (i == j) for i in range(n) for j in range(n))
+    terms = [[(k, a) for k, a in enumerate(adjugate.column(j)) if a] for j in range(n)]
+
+    def matrix(p: Perm) -> IntMatrix:
+        w = [fan.rays[p[b]] for b in seed]
+        if not plain:
+            w = [[sum(a * w[k][i] for k, a in t) // det for i in range(n)] for t in terms]
+        return IntMatrix._of(tuple(zip(*w)))
+
+    return GroupAction(fan=fan, elements=tuple(map(matrix, perms)), ray_perms=tuple(perms))
+
+
 def fan_automorphisms(fan: Fan) -> GroupAction:
     """The full finite group Aut(N, fan), ordered by ray permutation.
 
@@ -63,8 +81,7 @@ def fan_automorphisms(fan: Fan) -> GroupAction:
     (b_1..b_{k-1}, c, ...) of its ray sets go through ``fan._candidate_test``
     until one is an automorphism u_{k,c}.  Only the identity fixes the basis,
     so each automorphism is one product u_1 ... u_n (u_{k,b_k} = 1), composed
-    as ray permutations; its matrix is W adj(B) / det(B), with W the images
-    of the seed rays.
+    as ray permutations.
     """
     seed, cones = _seed_basis(fan, fan)
     det, adjugate, test = _candidate_test(fan, fan, seed)
@@ -82,27 +99,19 @@ def fan_automorphisms(fan: Fan) -> GroupAction:
     perms = transversals[-1]
     for level in reversed(transversals[:-1]):
         perms = [tuple(map(u.__getitem__, p)) for u in level for p in perms]
-    perms.sort()
-    plain = all(adjugate.entries[i][j] == det * (i == j) for i in range(n) for j in range(n))
-    terms = [[(k, a) for k, a in enumerate(adjugate.column(j)) if a] for j in range(n)]
-
-    def matrix(p: Perm) -> IntMatrix:
-        w = [fan.rays[p[b]] for b in seed]
-        if not plain:
-            w = [[sum(a * w[k][i] for k, a in t) // det for i in range(n)] for t in terms]
-        return IntMatrix._of(tuple(zip(*w)))
-
-    return GroupAction(fan=fan, elements=tuple(map(matrix, perms)), ray_perms=tuple(perms))
+    return _group_action(fan, seed, det, adjugate, perms)
 
 
 def action_from_generators(fan: Fan, generators: Sequence[IntMatrix]) -> GroupAction:
-    """Closure of generator matrices acting on the fan.
+    """The group generated by fan-preserving matrices.
 
     Each generator must be unimodular and fan-preserving; its ray
-    permutation is derived from its matrix.  Products are not applied to
-    the rays again: g h permutes them by p_g after p_h.  The closure must
-    stay below ``CLOSURE_CAP`` elements (a runaway closure means a
-    generator does not have finite order on the fan).
+    permutation is read off its matrix.  The generators' permutations are
+    closed by composition (g h permutes the rays by p_g after p_h): the
+    group embeds in the permutations of the rays, so it is finite and the
+    closure stops at its order.  Where the rays do not span the lattice
+    they do not determine a matrix, and the fan is refused
+    (``rays-do-not-span``).
     """
     gens = []
     for g in generators:
@@ -110,28 +119,14 @@ def action_from_generators(fan: Fan, generators: Sequence[IntMatrix]) -> GroupAc
             raise PreconditionError("shape", "generator shape does not match the lattice rank")
         if not g.is_unimodular():
             raise PreconditionError("not-unimodular", "generator is not unimodular")
-        gens.append((_perm_of(fan, g), g))
-    ident = IntMatrix.identity(fan.rank)
-    seen = {ident.entries: (tuple(range(fan.ray_count)), ident)}
-    queue = [seen[ident.entries]]
-    while queue:
-        perm, current = queue.pop()
-        for p_g, g in gens:
-            nxt = g @ current
-            if nxt.entries not in seen:
-                if len(seen) >= CLOSURE_CAP:
-                    raise PreconditionError(
-                        "closure-cap",
-                        f"group closure exceeded the configured bound of {CLOSURE_CAP} elements",
-                    )
-                seen[nxt.entries] = entry = (tuple(p_g[j] for j in perm), nxt)
-                queue.append(entry)
-    pairs = sorted(seen.values(), key=lambda p: p[0])
-    return GroupAction(
-        fan=fan,
-        elements=tuple(g for _, g in pairs),
-        ray_perms=tuple(p for p, _ in pairs),
-    )
+        gens.append(_perm_of(fan, g))
+    seed, _ = _seed_basis(fan, fan)
+    basis = IntMatrix.from_columns([fan.rays[i] for i in seed])
+    group = frontier = {tuple(range(fan.ray_count))}
+    while frontier:
+        frontier = {tuple(map(g.__getitem__, p)) for p in frontier for g in gens} - group
+        group |= frontier
+    return _group_action(fan, seed, basis.det(), basis.adjugate(), list(group))
 
 
 def ray_orbits(action: GroupAction) -> tuple[tuple[int, ...], ...]:
@@ -159,7 +154,7 @@ def fixed_space_dimension(action: GroupAction) -> int:
     return n - IntMatrix.from_rows(rows).rank()
 
 
-def invariant_picard_number(fan: Fan, action: GroupAction) -> int:
+def invariant_picard_number(action: GroupAction) -> int:
     """Rank of the invariant part of the real Picard group.
 
     Equals the number of ray orbits minus the dimension of the fixed
@@ -236,19 +231,20 @@ def _is_block_swap_permutation(tau: IntMatrix) -> bool:
     return all(perm[perm[i]] == i for i in range(n))
 
 
-def classify_galois_form(fan: Fan, action: GroupAction, datum: GaloisDatum) -> GaloisForm:
+def classify_galois_form(action: GroupAction, datum: GaloisDatum) -> GaloisForm:
     """Classify a descent datum as split / negation twist / factor swap.
 
     Requires tau to preserve the fan and to commute with the whole group
     (otherwise the finite action cannot descend through the twist, which
-    is reported as an error).
+    is reported as an error).  The rays span, so tau commutes with g iff
+    their ray permutations commute.
     """
-    tau = datum.tau
+    fan, tau = action.fan, datum.tau
     if tau.rows != fan.rank:
         raise PreconditionError("shape", "galois matrix shape does not match the lattice rank")
-    _perm_of(fan, tau)
-    for g in action.elements:
-        if (g @ tau) != (tau @ g):
+    p_tau = _perm_of(fan, tau)
+    for p in action.ray_perms:
+        if any(p[t] != p_tau[q] for t, q in zip(p_tau, p)):
             raise PreconditionError(
                 "galois-noncommuting",
                 "tau does not commute with the group action; the action does not descend",

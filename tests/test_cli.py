@@ -187,6 +187,24 @@ class TestActionDocumentErrors:
         assert (code, error["code"], error["reason"]) == (3, 3, "shape")
 
 
+    @pytest.mark.parametrize("command", ["check", "orbits"])
+    @pytest.mark.parametrize(
+        "generator",
+        [[[0, 1, 0], [1, 0, 0], [0, 0, 1]], [[1, 0, 1], [0, 1, 0], [0, 0, 1]]],
+        ids=["swap", "ray-fixing-shear"],
+    )
+    def test_fan_whose_rays_do_not_span_is_refused(self, command, generator, tmp_path, capsys):
+        # The triangle's rays lie in z = 0, where the shear fixes every ray:
+        # the rays do not determine a matrix, and the shear has infinite order.
+        fan_path, act_path = tmp_path / "flat.fan", tmp_path / "flat.act"
+        write_json(
+            fan_path,
+            {"lattice": "standard:3", "rays": [[1, 0, 0], [0, 1, 0], [-1, -1, 0]], "max_cones": [[0, 1], [1, 2], [0, 2]]},
+        )
+        write_json(act_path, {"generators": [generator]})
+        code, error = machine_error(capsys, command, str(fan_path), str(act_path))
+        assert (code, error["reason"]) == (3, "rays-do-not-span")
+
 class TestMmpCommand:
     def test_first_orbit_trace(self, dp6_n2_files, capsys):
         fan_path, act_path = dp6_n2_files
@@ -368,6 +386,17 @@ class TestFieldsCommand:
         assert run_cli("fields", "--config", str(path), "--format", "machine") == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["Q(sqrt-1)"]["witness_verifies"] is True
+
+    @pytest.mark.parametrize("d, code", [(-3, 3), (-5, 3), (-7, 0), (-15, 0), (2, 0)])
+    def test_clause2_declared_true_is_checked_against_d(self, d, code, tmp_path, capsys):
+        path = tmp_path / "fields.json"
+        write_json(path, [{"name": "F", "kind": "quadratic", "d": d}])
+        assert run_cli("fields", "--config", str(path), "--format", "machine") == code
+        payload = json.loads(capsys.readouterr().out)
+        if code:
+            assert payload["error"]["reason"] == "inconsistent-descriptor"
+        else:
+            assert payload["F"]["satisfies_star"] is True
 
     def _assert_parse_error(self, path, capsys):
         assert run_cli("fields", "--config", str(path), "--format", "machine") == 2

@@ -7,7 +7,7 @@ from toricsym import families
 from toricsym.divisors import class_group, ray_blocks, relation_lattice
 from toricsym.errors import PreconditionError
 from toricsym.fan import Lattice, build_surface_fan, fan_isomorphism, transform_fan, validate_fan
-from toricsym.intlin import IntMatrix, smith_normal_form
+from toricsym.intlin import IntMatrix, primitive_vector, smith_normal_form
 from toricsym.mmp import DP6_TERMINAL, P2, run_equivariant_mmp
 from toricsym.symmetry import GaloisForm, action_from_generators, classify_galois_form, ray_orbits
 
@@ -47,7 +47,7 @@ class TestNamedFamilies:
     def test_q22_is_the_negation_twisted_hexagon(self):
         fan, datum = families.q22()
         action = families.standard_s3_action(fan)
-        form = classify_galois_form(fan, action, datum)
+        form = classify_galois_form(action, datum)
         assert form is GaloisForm.NEGATION_TWIST
         assert fan.is_same_fan(families.dp6("n2"))
 
@@ -55,7 +55,7 @@ class TestNamedFamilies:
         fan, datum = families.weil_restriction_p1()
         assert fan == square_fan
         trivial = action_from_generators(fan, [IntMatrix.identity(2)])
-        form = classify_galois_form(fan, trivial, datum)
+        form = classify_galois_form(trivial, datum)
         assert form is GaloisForm.FACTOR_SWAP
 
     def test_descriptor_grammar(self):
@@ -304,6 +304,31 @@ class TestEnumeratorDeterminism:
         first = families.enumerate_invariant_fans(Lattice.weight_a2(), **kwargs)
         second = families.enumerate_invariant_fans(Lattice.weight_a2(), **kwargs)
         assert first == second
+
+
+def seed_orbits_from_every_triple(lattice, height, include_negation):
+    """The orbits of ``_seed_orbits``, reached from every ambient triple of
+    the box rather than one per multiset."""
+    orbits = set()
+    for ambient in itertools.product(range(-height, height + 1), repeat=3):
+        if lattice.kind == "rootA2" and sum(ambient) != 0:
+            continue
+        coords = lattice.coords(ambient)
+        if any(coords):
+            orbit = set(lattice.s3_orbit(primitive_vector(coords)))
+            if include_negation:
+                orbit |= {tuple(-x for x in v) for v in orbit}
+            orbits.add(tuple(sorted(orbit)))
+    return sorted(orbits)
+
+
+@pytest.mark.parametrize("kind", ["rootA2", "weightA2"])
+@pytest.mark.parametrize("negation", [False, True])
+@pytest.mark.parametrize("height", range(1, 8))
+def test_seed_orbits_from_one_triple_per_multiset(kind, negation, height):
+    lattice = Lattice.from_label(kind)
+    expected = seed_orbits_from_every_triple(lattice, height, negation)
+    assert families._seed_orbits(lattice, height, negation) == expected
 
 
 def enumerate_by_pairwise_search(lattice, height, max_rays, require_smooth, include_negation):

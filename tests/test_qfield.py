@@ -1,3 +1,4 @@
+import math
 import random
 import time
 from fractions import Fraction
@@ -137,6 +138,18 @@ class TestStarCondition:
         with pytest.raises(PreconditionError):
             satisfies_star(desc)
 
+    @pytest.mark.parametrize("d", [-3, -5])
+    def test_clause2_declared_true_where_a_witness_exists_is_refused(self, d):
+        with pytest.raises(PreconditionError) as err:
+            satisfies_star(FieldDescriptor(name="F", kind="quadratic", d=d))
+        assert err.value.reason == "inconsistent-descriptor"
+
+    @pytest.mark.parametrize("d", [-7, -15, -23, 2, 5, 17])
+    def test_clause2_declared_false_where_no_witness_exists_is_refused(self, d):
+        with pytest.raises(PreconditionError) as err:
+            satisfies_star(FieldDescriptor(name="F", kind="quadratic", d=d, star_clause2=False))
+        assert err.value.reason == "inconsistent-descriptor"
+
     def test_star_fails_whenever_a_witness_verifies(self):
         for desc in standard_field_table().values():
             if desc.witness is not None and verify_negative_one_witness(desc):
@@ -162,3 +175,25 @@ class TestMoreArithmetic:
         assert QuadElement.rational(2) * QuadElement.sqrt_of(5) == QuadElement(
             5, Fraction(0), Fraction(2)
         )
+
+
+def _two_square_witness(d):
+    """(a, b) with a^2 + b^2 = -1 in Q(sqrt d), from -d = x^2 + y^2 + z^2
+    with x^2 + y^2 > 0: a = (zx - wy)/(x^2+y^2), b = (zy + wx)/(x^2+y^2),
+    w = sqrt d."""
+    r = range(math.isqrt(-d) + 1)
+    x, y, z = next((x, y, z) for x in r for y in r for z in r if x * x + y * y > 0 and x * x + y * y + z * z == -d)
+    w, s = QuadElement.sqrt_of(d), x * x + y * y
+    scale = QuadElement.rational(Fraction(1, s))
+    return (z * x - w * y) * scale, (w * x + z * y) * scale
+
+
+@pytest.mark.parametrize("d", [d for d in range(-399, 0) if _is_squarefree(d) and d % 8 != 1])
+def test_every_field_the_rule_admits_has_a_witness(d):
+    a, b = _two_square_witness(d)
+    assert a * a + b * b == QuadElement.rational(-1)
+    with pytest.raises(PreconditionError):
+        satisfies_star(FieldDescriptor(name="F", kind="quadratic", d=d))
+    witnessed = FieldDescriptor(name="F", kind="quadratic", d=d, star_clause2=False, witness=(a, b))
+    assert verify_negative_one_witness(witnessed)
+    assert not satisfies_star(witnessed)

@@ -445,14 +445,23 @@ class TestActionFromGenerators:
         with pytest.raises(PreconditionError):
             action_from_generators(p2_fan, [shear])
 
-    def test_closure_cap(self, p2_fan, monkeypatch):
-        gens = list(fan_automorphisms(p2_fan).elements)
-        monkeypatch.setattr(symmetry, "CLOSURE_CAP", 6)
-        assert action_from_generators(p2_fan, gens).order == 6
-        monkeypatch.setattr(symmetry, "CLOSURE_CAP", 5)
+    @pytest.mark.parametrize(
+        "generator",
+        [[(0, 1, 0), (1, 0, 0), (0, 0, 1)], [(1, 0, 1), (0, 1, 0), (0, 0, 1)]],
+        ids=["swap", "ray-fixing-shear"],
+    )
+    def test_fan_whose_rays_do_not_span_is_refused(self, generator):
+        # The shear fixes every ray in z = 0 and has infinite order.
+        flat = make_fan(Lattice.standard(3), [(1, 0, 0), (0, 1, 0), (-1, -1, 0)], [(0, 1), (1, 2), (0, 2)])
         with pytest.raises(PreconditionError) as info:
-            action_from_generators(p2_fan, gens)
-        assert info.value.reason == "closure-cap"
+            action_from_generators(flat, [IntMatrix.from_rows(generator)])
+        assert info.value.reason == "rays-do-not-span"
+
+    def test_p7_from_a_transposition_and_an_8_cycle(self):
+        fan = families.projective_space(7)
+        images = [fan.rays[1], fan.rays[0], *fan.rays[2:7]], fan.rays[1:8]
+        gens = [IntMatrix.from_columns(w) for w in images]
+        assert action_from_generators(fan, gens) == fan_automorphisms(fan)
 
     def test_non_unimodular_generator_is_rejected(self, p2_fan):
         with pytest.raises(PreconditionError):
@@ -499,6 +508,80 @@ class TestClosureAgainstTheMatrixClosure:
     def test_automorphisms_as_generators(self, fan):
         gens = list(fan_automorphisms(fan).elements)
         assert action_from_generators(fan, gens) == closure_by_matrices(fan, gens)
+
+    @pytest.mark.parametrize(
+        "fan, count, seed",
+        [
+            pytest.param(fan, count, seed, id=f"{name}-{count}-{seed}")
+            for name, fan in [
+                ("P2/mu3", P2_MU3),
+                ("P2/mu3xP1", P2_MU3_X_P1),
+                ("sheared", P2_MU3_X_P1_SHEARED),
+                ("P2xP1", P2_X_P1),
+                ("P3xP1", _product(P3, P1)),
+                ("P4xP1", _product(P4, P1)),
+            ]
+            for count in (2, 3)
+            for seed in (1, 2)
+        ],
+    )
+    def test_seeded_elements_as_generators(self, fan, count, seed):
+        # Sublattice seeds (|det B| > 1) and product fans, generated by a
+        # few elements of their automorphism groups.
+        gens = random.Random(seed).sample(fan_automorphisms(fan).elements, count)
+        assert action_from_generators(fan, gens) == closure_by_matrices(fan, gens)
+
+
+class TestTransversalsGenerate:
+    """The transversal elements the stabilizer chain finds generate the
+    automorphism group."""
+
+    @pytest.mark.parametrize("name", sorted(SEARCH_CORPUS))
+    def test_closure_of_the_transversals(self, name, monkeypatch):
+        found = []
+        candidate_test = fan_module._candidate_test
+
+        def recorded(*args):
+            det, adjugate, test = candidate_test(*args)
+
+            def kept(images):
+                pair = test(images)
+                if pair is not None:
+                    found.append(pair[1])
+                return pair
+
+            return det, adjugate, kept
+
+        monkeypatch.setattr(symmetry, "_candidate_test", recorded)
+        fan = SEARCH_CORPUS[name]
+        action = fan_automorphisms(fan)
+        monkeypatch.undo()
+        assert action_from_generators(fan, found) == action
+
+
+class TestGaloisCommutationByPermutations:
+    """classify_galois_form compares ray permutations; the matrix products
+    g tau and tau g decide the same."""
+
+    @pytest.mark.parametrize("fan,gens", _census_s3_cases(4))
+    def test_agrees_with_matrix_commutation(self, fan, gens):
+        # +-I, the swap and a reflection, and every involution of Aut(fan).
+        taus = [IntMatrix.identity(2), NEG_I, SWAP, IntMatrix.from_rows([(1, 0), (0, -1)])]
+        taus += [g for g in fan_automorphisms(fan).elements if g @ g == IntMatrix.identity(2)]
+        action = action_from_generators(fan, gens)
+        for tau in taus:
+            try:
+                _perm_of(fan, tau)
+            except PreconditionError:
+                with pytest.raises(PreconditionError, match="does not preserve"):
+                    classify_galois_form(action, GaloisDatum(tau=tau))
+                continue
+            if all(g @ tau == tau @ g for g in action.elements):
+                classify_galois_form(action, GaloisDatum(tau=tau))
+            else:
+                with pytest.raises(PreconditionError) as err:
+                    classify_galois_form(action, GaloisDatum(tau=tau))
+                assert err.value.reason == "galois-noncommuting"
 
 
 def orbits_by_search(action):
@@ -552,11 +635,11 @@ class TestInvariantPicardNumber:
         a2 = families.standard_s3_action(hexagon_n2)
         assert fixed_space_dimension(a1) == 0
         assert fixed_space_dimension(a2) == 0
-        assert invariant_picard_number(hexagon_n1, a1) == 1
-        assert invariant_picard_number(hexagon_n2, a2) == 2
+        assert invariant_picard_number(a1) == 1
+        assert invariant_picard_number(a2) == 2
 
     def test_triangle_with_trivial_group(self, p2_fan):
-        assert invariant_picard_number(p2_fan, trivial_action(p2_fan)) == 1
+        assert invariant_picard_number(trivial_action(p2_fan)) == 1
 
     def test_trivial_group_recovers_class_group_rank(self):
         from toricsym.acceptance import named_family_corpus
@@ -565,7 +648,7 @@ class TestInvariantPicardNumber:
             if fan.rank != 2:
                 continue
             group, _ = class_group(fan)
-            rho = invariant_picard_number(fan, trivial_action(fan))
+            rho = invariant_picard_number(trivial_action(fan))
             assert rho == group.free_rank == fan.ray_count - 2, name
 
 
@@ -599,28 +682,28 @@ class TestCentralizer:
 class TestGaloisForms:
     def test_negation_twist(self, hexagon_n1):
         action = families.standard_s3_action(hexagon_n1)
-        form = classify_galois_form(hexagon_n1, action, GaloisDatum(tau=NEG_I))
+        form = classify_galois_form(action, GaloisDatum(tau=NEG_I))
         assert form is GaloisForm.NEGATION_TWIST
 
     def test_factor_swap_on_the_square(self, square_fan):
-        form = classify_galois_form(square_fan, trivial_action(square_fan), GaloisDatum(tau=SWAP))
+        form = classify_galois_form(trivial_action(square_fan), GaloisDatum(tau=SWAP))
         assert form is GaloisForm.FACTOR_SWAP
 
     def test_split(self, hexagon_n2):
         action = families.standard_s3_action(hexagon_n2)
-        form = classify_galois_form(hexagon_n2, action, GaloisDatum(tau=IntMatrix.identity(2)))
+        form = classify_galois_form(action, GaloisDatum(tau=IntMatrix.identity(2)))
         assert form is GaloisForm.SPLIT
 
     def test_a_reflection_is_other(self, square_fan):
         reflection = IntMatrix.from_rows([(1, 0), (0, -1)])
-        form = classify_galois_form(square_fan, trivial_action(square_fan), GaloisDatum(tau=reflection))
+        form = classify_galois_form(trivial_action(square_fan), GaloisDatum(tau=reflection))
         assert form is GaloisForm.OTHER
 
     def test_noncommuting_tau_cannot_descend(self, hexagon_n2):
         action = families.standard_s3_action(hexagon_n2)
         swap01 = hexagon_n2.lattice.s3_matrices()[0]
         with pytest.raises(PreconditionError) as err:
-            classify_galois_form(hexagon_n2, action, GaloisDatum(tau=swap01))
+            classify_galois_form(action, GaloisDatum(tau=swap01))
         assert err.value.reason == "galois-noncommuting"
 
     def test_tau_must_be_an_involution(self):
