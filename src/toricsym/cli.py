@@ -82,14 +82,12 @@ def _report_payload(fan: Fan, action: GroupAction | None, datum: GaloisDatum | N
         payload.update(
             {
                 "group_order": action.order,
-                "faithful_on_rays": action.faithful_on_rays,
                 "ray_orbits": [list(o) for o in orbits],
                 "invariant_picard_number": invariant_picard_number(action),
             }
         )
         lines += [
             f"group order    {action.order}",
-            f"faithful       {action.faithful_on_rays}",
             f"ray orbits     {list(orbits)}",
             f"invariant rho  {payload['invariant_picard_number']}",
         ]

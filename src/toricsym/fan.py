@@ -6,14 +6,15 @@ the sum-zero sublattice of Z^3 and the quotient Z^3 / Z(1,1,1).
 
 Surface fans are stored with rays sorted counterclockwise starting from
 the lexicographically least primitive vector, so equal fans compare equal.
-All predicates (complete / simplicial / smooth) are decided exactly.
+All predicates (complete / simplicial / smooth) are decided exactly.  Fan
+isomorphisms come from a cone-seeded search, whose ``_read_off`` is the one
+place that turns a ray map into a matrix, W adj(B) / det(B).
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -390,23 +391,6 @@ def transform_fan(g: IntMatrix, fan: Fan) -> Fan:
     return Fan(fan.lattice, tuple(images), fan.max_cones)
 
 
-def _matrix_sending(det: int, adjugate: IntMatrix, images: Sequence[Vector]) -> IntMatrix | None:
-    """The unimodular integer matrix g with g b_i = w_i, if one exists.
-
-    The basis b enters through its determinant and adjugate, computed once
-    per search.  g = w adj(b) / det(b) is unimodular iff |det w| = |det b|,
-    tested before integrality.  The images are fan rays, checked when the
-    fan was built, so w and g are wrapped by ``IntMatrix._of`` unchecked.
-    """
-    w = IntMatrix._of(tuple(zip(*images)))
-    if abs(w.det()) != abs(det):
-        return None
-    num = [[sum(map(operator.mul, row, col)) for col in adjugate.transpose().entries] for row in w.entries]
-    if any(x % det for row in num for x in row):
-        return None
-    return IntMatrix._of(tuple(tuple(x // det for x in row) for row in num))
-
-
 def _ray_degrees(fan: Fan) -> list[int]:
     """Number of maximal cones on each ray."""
     degrees = [0] * fan.ray_count
@@ -425,27 +409,53 @@ def _seed_basis(source: Fan, target: Fan) -> tuple[tuple[int, ...], list[tuple[i
     seed = next((c for c in source.max_cones if len(c) == n and source.cone_matrix(c).rank() == n), None)
     if seed is not None:
         return seed, [cone for cone in target.max_cones if len(cone) == n]
-    for subset in itertools.combinations(range(source.ray_count), n):
-        if source.cone_matrix(subset).rank() == n:
-            return subset, [tuple(range(target.ray_count))]
+    # The rays form a matroid, so keeping each ray that raises the rank gives
+    # the lexicographically first spanning subset.
+    subset = ()
+    for i in range(source.ray_count):
+        if source.cone_matrix(subset + (i,)).rank() > len(subset):
+            subset += (i,)
+            if len(subset) == n:
+                return subset, [tuple(range(target.ray_count))]
     raise PreconditionError("rays-do-not-span", "rays do not span the lattice")
 
 
+def _read_off(target: Fan, basis: Sequence[Vector]):
+    """det B and adj B of the basis B (columns ``basis``), and ``read_off(images)``:
+    W adj(B) // det(B), with W the target rays ``images`` as columns, formed
+    from the nonzero entries of adj B (W itself when B = I).  It sends B to W
+    iff some integral matrix does, which a caller that does not know must check."""
+    n, rays = len(basis), target.rays
+    matrix = IntMatrix._of(tuple(zip(*basis)))
+    det, adjugate = matrix.det(), matrix.adjugate()
+    plain = matrix == IntMatrix.identity(n)
+    terms = [[(k, a) for k, a in enumerate(adjugate.column(j)) if a] for j in range(n)]
+
+    def read_off(images: Sequence[int]) -> IntMatrix:
+        w = [rays[j] for j in images]
+        if not plain:
+            w = [[sum(a * w[k][i] for k, a in t) // det for i in range(n)] for t in terms]
+        return IntMatrix._of(tuple(zip(*w)))
+
+    return det, adjugate, read_off
+
+
 def _candidate_test(source: Fan, target: Fan, seed: Sequence[int]):
-    """det B, adj B of the seed basis B, and ``test(images)``: the (ray map,
-    matrix) pair sending B to the target rays ``images``, or None.
+    """``read_off`` of the seed basis B (``_read_off``), and ``test(images)``:
+    the (ray map, matrix) pair sending B to the target rays ``images``, or None.
 
     Each other source ray is kept as its nonzero coordinates in B times
     |det B|, so a candidate only combines image columns (the fans' rays,
     checked when the fans were built).  It is rejected, in order, by a ray
     on another number of maximal cones, a ray image that is not integral or
     not a target ray, a non-injective ray map, a cone not sent onto a cone,
-    and last by ``_matrix_sending`` (|det W|, then integrality of g).
+    and last by its matrix g = ``read_off(images)`` unless |det g| = 1 and
+    g B = W (exact already when |det B| = 1).
     """
     source_degrees, target_degrees = _ray_degrees(source), _ray_degrees(target)
     wanted = [source_degrees[i] for i in seed]
-    basis = IntMatrix.from_columns([source.rays[i] for i in seed])
-    det, adjugate = basis.det(), basis.adjugate()
+    basis = [source.rays[i] for i in seed]
+    det, adjugate, read_off = _read_off(target, basis)
     q = abs(det)
     coordinates = {i: adjugate.apply(v) for i, v in enumerate(source.rays) if i not in seed}
     others = [(i, [(k, det // q * c) for k, c in enumerate(u) if c]) for i, u in coordinates.items()]
@@ -474,10 +484,12 @@ def _candidate_test(source: Fan, target: Fan, seed: Sequence[int]):
             tuple(sorted(map(mapping.__getitem__, cone))) in target_cones for cone in source.max_cones
         ):
             return None
-        g = _matrix_sending(det, adjugate, columns)
-        return None if g is None else (tuple(mapping), g)
+        g = read_off(images)
+        if abs(g.det()) != 1 or (q != 1 and any(g.apply(b) != w for b, w in zip(basis, columns))):
+            return None
+        return tuple(mapping), g
 
-    return det, adjugate, test
+    return read_off, test
 
 
 def _all_isomorphisms(source: Fan, target: Fan) -> list[tuple[tuple[int, ...], IntMatrix]]:
@@ -495,7 +507,7 @@ def _all_isomorphisms(source: Fan, target: Fan) -> list[tuple[tuple[int, ...], I
     seed, cones = _seed_basis(source, target)
     tuples = (t for cone in cones for t in itertools.permutations(cone, n))
     # The basis spans, so distinct image tuples give distinct matrices.
-    return sorted(filter(None, map(_candidate_test(source, target, seed)[2], tuples)), key=lambda pair: pair[0])
+    return sorted(filter(None, map(_candidate_test(source, target, seed)[1], tuples)), key=lambda pair: pair[0])
 
 
 def fan_isomorphism(f1: Fan, f2: Fan) -> IntMatrix | None:

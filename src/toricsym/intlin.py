@@ -115,27 +115,7 @@ class IntMatrix:
         """Determinant by fraction-free (Bareiss) elimination."""
         if self.rows != self.cols:
             raise ValueError("determinant of a non-square matrix")
-        n = self.rows
-        if n == 0:
-            return 1
-        m = [list(row) for row in self.entries]
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if m[k][k] == 0:
-                for i in range(k + 1, n):
-                    if m[i][k] != 0:
-                        m[k], m[i] = m[i], m[k]
-                        sign = -sign
-                        break
-                else:
-                    return 0
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-                m[i][k] = 0
-            prev = m[k][k]
-        return sign * m[n - 1][n - 1]
+        return _bareiss([list(row) for row in self.entries])
 
     def rank(self) -> int:
         """Rank over the rationals (fraction-free elimination)."""
@@ -160,26 +140,40 @@ class IntMatrix:
         return self.rows == self.cols and abs(self.det()) == 1
 
     def adjugate(self) -> "IntMatrix":
-        """Adjugate matrix: self @ adj = det * identity, exactly."""
+        """Adjugate matrix: self @ adj = det * identity, exactly; adj[i][j] is
+        the signed determinant of the minor without row j and column i."""
         n = self.rows
         if n != self.cols:
             raise ValueError("adjugate of a non-square matrix")
-        if n == 0:
-            return IntMatrix._of(())
-        if n == 1:
-            return IntMatrix._of(((1,),))
-        cof = [[0] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                minor = IntMatrix._of(
-                    tuple(
-                        tuple(self.entries[r][c] for c in range(n) if c != j)
-                        for r in range(n)
-                        if r != i
-                    )
-                )
-                cof[j][i] = (-1) ** (i + j) * minor.det()
-        return IntMatrix._of(tuple(tuple(row) for row in cof))
+        cut = [[row[:i] + row[i + 1 :] for row in self.entries] for i in range(n)]
+        cofactors = (
+            ((-1) ** (i + j) * _bareiss([list(row) for r, row in enumerate(cut[i]) if r != j]) for j in range(n))
+            for i in range(n)
+        )
+        return IntMatrix._of(tuple(map(tuple, cofactors)))
+
+
+def _bareiss(m: list[list[int]]) -> int:
+    """Determinant of the square list matrix ``m`` by fraction-free (Bareiss)
+    elimination, overwriting ``m``; 1 for the empty matrix."""
+    n = len(m)
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            for i in range(k + 1, n):
+                if m[i][k] != 0:
+                    m[k], m[i] = m[i], m[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+            m[i][k] = 0
+        prev = m[k][k]
+    return sign * m[n - 1][n - 1] if n else 1
 
 
 @dataclass(frozen=True)

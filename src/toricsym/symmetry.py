@@ -3,11 +3,12 @@
 A fan's rays span its lattice, so a fan-preserving matrix is fixed by the
 permutation it induces on the rays.  Groups are built as ray permutations,
 closed by composing them, and each element's matrix is read off its
-permutation once (``_group_action``).  Includes the fan automorphism group
-(one transversal per level of a stabilizer chain on a seed cone's rays,
-found by the cone-seeded isomorphism search and expanded by composing ray
-permutations), orbit machinery, the invariant Picard number, the
-centralizer computation and the classification of quadratic Galois twists.
+permutation once, by the read-off of ``fan._read_off`` (``_group_action``).
+Includes the fan automorphism group (one transversal per level of a
+stabilizer chain on a seed cone's rays, found by the cone-seeded isomorphism
+search and expanded by composing ray permutations), orbit machinery, the
+fixed space and invariant Picard number from ray orbits, the centralizer
+computation and the classification of quadratic Galois twists.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from itertools import permutations
 from typing import Sequence
 
 from .errors import PreconditionError
-from .fan import Fan, _candidate_test, _ray_degrees, _seed_basis
+from .fan import Fan, _candidate_test, _ray_degrees, _read_off, _seed_basis
 from .intlin import IntMatrix, kernel_basis
 
 Perm = tuple[int, ...]
@@ -36,10 +37,6 @@ class GroupAction:
     def order(self) -> int:
         return len(self.elements)
 
-    @property
-    def faithful_on_rays(self) -> bool:
-        return len(set(self.ray_perms)) == len(self.elements)
-
 
 def _perm_of(fan: Fan, g: IntMatrix) -> Perm:
     index = {v: i for i, v in enumerate(fan.rays)}
@@ -52,25 +49,15 @@ def _perm_of(fan: Fan, g: IntMatrix) -> Perm:
     return mapping
 
 
-def _group_action(fan: Fan, seed: Sequence[int], det: int, adjugate: IntMatrix, perms: list[Perm]) -> GroupAction:
+def _group_action(fan: Fan, seed: Sequence[int], read_off, perms: list[Perm]) -> GroupAction:
     """The group of the ray permutations ``perms``, ordered by permutation.
 
-    The element permuting the rays by p is W adj(B) / det(B), with B the
-    seed basis (``det`` and ``adjugate`` its determinant and adjugate) and W
-    the rays p[b] it is sent to.
+    The element permuting the rays by p is ``read_off`` (``fan._read_off`` of
+    the seed basis) of the rays p[b]; every p comes from a fan automorphism,
+    so nothing is checked.
     """
-    n = fan.rank
     perms.sort()
-    plain = all(adjugate.entries[i][j] == det * (i == j) for i in range(n) for j in range(n))
-    terms = [[(k, a) for k, a in enumerate(adjugate.column(j)) if a] for j in range(n)]
-
-    def matrix(p: Perm) -> IntMatrix:
-        w = [fan.rays[p[b]] for b in seed]
-        if not plain:
-            w = [[sum(a * w[k][i] for k, a in t) // det for i in range(n)] for t in terms]
-        return IntMatrix._of(tuple(zip(*w)))
-
-    return GroupAction(fan=fan, elements=tuple(map(matrix, perms)), ray_perms=tuple(perms))
+    return GroupAction(fan, tuple(read_off([p[b] for b in seed]) for p in perms), tuple(perms))
 
 
 def fan_automorphisms(fan: Fan) -> GroupAction:
@@ -81,10 +68,10 @@ def fan_automorphisms(fan: Fan) -> GroupAction:
     (b_1..b_{k-1}, c, ...) of its ray sets go through ``fan._candidate_test``
     until one is an automorphism u_{k,c}.  Only the identity fixes the basis,
     so each automorphism is one product u_1 ... u_n (u_{k,b_k} = 1), composed
-    as ray permutations.
+    as ray permutations, whose matrices the search's ``read_off`` gives.
     """
     seed, cones = _seed_basis(fan, fan)
-    det, adjugate, test = _candidate_test(fan, fan, seed)
+    read_off, test = _candidate_test(fan, fan, seed)
     n, d, degrees = fan.rank, fan.ray_count, _ray_degrees(fan)
     transversals = [[tuple(range(d))] for _ in seed]
     for k, b in enumerate(seed):
@@ -99,7 +86,7 @@ def fan_automorphisms(fan: Fan) -> GroupAction:
     perms = transversals[-1]
     for level in reversed(transversals[:-1]):
         perms = [tuple(map(u.__getitem__, p)) for u in level for p in perms]
-    return _group_action(fan, seed, det, adjugate, perms)
+    return _group_action(fan, seed, read_off, perms)
 
 
 def action_from_generators(fan: Fan, generators: Sequence[IntMatrix]) -> GroupAction:
@@ -109,9 +96,9 @@ def action_from_generators(fan: Fan, generators: Sequence[IntMatrix]) -> GroupAc
     permutation is read off its matrix.  The generators' permutations are
     closed by composition (g h permutes the rays by p_g after p_h): the
     group embeds in the permutations of the rays, so it is finite and the
-    closure stops at its order.  Where the rays do not span the lattice
-    they do not determine a matrix, and the fan is refused
-    (``rays-do-not-span``).
+    closure stops at its order; ``fan._read_off`` of the seed basis gives
+    the matrices.  Where the rays do not span the lattice they do not
+    determine a matrix, and the fan is refused (``rays-do-not-span``).
     """
     gens = []
     for g in generators:
@@ -121,12 +108,11 @@ def action_from_generators(fan: Fan, generators: Sequence[IntMatrix]) -> GroupAc
             raise PreconditionError("not-unimodular", "generator is not unimodular")
         gens.append(_perm_of(fan, g))
     seed, _ = _seed_basis(fan, fan)
-    basis = IntMatrix.from_columns([fan.rays[i] for i in seed])
     group = frontier = {tuple(range(fan.ray_count))}
     while frontier:
         frontier = {tuple(map(g.__getitem__, p)) for p in frontier for g in gens} - group
         group |= frontier
-    return _group_action(fan, seed, basis.det(), basis.adjugate(), list(group))
+    return _group_action(fan, seed, _read_off(fan, [fan.rays[i] for i in seed])[2], list(group))
 
 
 def ray_orbits(action: GroupAction) -> tuple[tuple[int, ...], ...]:
@@ -140,18 +126,12 @@ def ray_orbits(action: GroupAction) -> tuple[tuple[int, ...], ...]:
 
 
 def fixed_space_dimension(action: GroupAction) -> int:
-    """Dimension of the common fixed subspace of all group elements."""
-    n = action.fan.rank
-    rows = []
-    ident = IntMatrix.identity(n)
-    for g in action.elements:
-        if g == ident:
-            continue
-        for gi, ii in zip(g.entries, ident.entries):
-            rows.append(tuple(a - b for a, b in zip(gi, ii)))
-    if not rows:
-        return n
-    return n - IntMatrix.from_rows(rows).rank()
+    """Dimension of the common fixed subspace of all group elements: the rank
+    of the ray-orbit sums.  Averaging over the group maps N_Q onto the fixed
+    space, the rays span N_Q, and a ray's average is a multiple of its orbit sum."""
+    rays = action.fan.rays
+    sums = [tuple(map(sum, zip(*(rays[i] for i in orbit)))) for orbit in ray_orbits(action)]
+    return IntMatrix._of(tuple(sums)).rank()
 
 
 def invariant_picard_number(action: GroupAction) -> int:

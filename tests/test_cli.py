@@ -107,7 +107,9 @@ class TestCheckCommand:
         assert payload["group_order"] == 6
         assert len(payload["ray_orbits"]) == 1
         assert payload["invariant_picard_number"] == 1
-        assert payload["faithful_on_rays"] is True
+        assert run_cli("check", fan_path, "--format", "machine") == 0
+        plain = json.loads(capsys.readouterr().out)
+        assert set(payload) - set(plain) == {"group_order", "ray_orbits", "invariant_picard_number"}
 
     def test_galois_form_reported(self, tmp_path, capsys):
         fan, datum = families.q22()

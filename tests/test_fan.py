@@ -10,6 +10,7 @@ from toricsym.errors import PreconditionError
 from toricsym.fan import (
     Fan,
     Lattice,
+    _seed_basis,
     build_surface_fan,
     cone_invariant_factors,
     fan_isomorphism,
@@ -18,7 +19,7 @@ from toricsym.fan import (
     transform_fan,
     validate_fan,
 )
-from toricsym.intlin import IntMatrix
+from toricsym.intlin import IntMatrix, primitive_vector
 
 
 class TestLatticeCoordinates:
@@ -361,3 +362,42 @@ class TestMakeFan:
     def test_surface_cones_checked_against_adjacency(self, std2):
         with pytest.raises(PreconditionError):
             make_fan(std2, [(1, 0), (0, 1), (-1, -1)], [(0, 1), (1, 2), (0, 1)])
+
+
+def _one_ray_cone_fan(rng, n, spanning):
+    """Up to 9 distinct primitive rays, each its own cone.  They combine n
+    random vectors (fewer when not spanning) with coefficients in -1..1; each
+    ray uses only the first few vectors, more for later rays, so that early
+    ray subsets are often dependent.  Built unchecked: make_fan completes a
+    rank-2 fan."""
+    while True:
+        gens = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n if spanning else rng.randint(1, n - 1))]
+        rays = []
+        for size in sorted(rng.randint(1, len(gens)) for _ in range(rng.randint(n, 9))):
+            v = [sum(rng.randint(-1, 1) * g[i] for g in gens[:size]) for i in range(n)]
+            if any(v) and primitive_vector(v) not in rays:
+                rays.append(primitive_vector(v))
+        if rays and (IntMatrix.from_rows(rays).rank() == n) == spanning:
+            return Fan(Lattice.standard(n), tuple(rays), tuple((i,) for i in range(len(rays))))
+
+
+class TestSeedBasis:
+    """With no full-dimensional cone the seed basis is the first spanning
+    ray subset of the lexicographic scan over all n-subsets."""
+
+    @pytest.mark.parametrize("spanning", [True, False], ids=["spanning", "not-spanning"])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_greedy_walk_equals_the_subset_scan(self, n, spanning):
+        rng = random.Random(n)
+        for _ in range(100):
+            fan = _one_ray_cone_fan(rng, n, spanning)
+            scan = next(
+                (s for s in itertools.combinations(range(fan.ray_count), n) if fan.cone_matrix(s).rank() == n), None
+            )
+            assert (scan is not None) == spanning
+            if scan is None:
+                with pytest.raises(PreconditionError) as info:
+                    _seed_basis(fan, fan)
+                assert info.value.reason == "rays-do-not-span"
+            else:
+                assert _seed_basis(fan, fan) == (scan, [tuple(range(fan.ray_count))])

@@ -133,7 +133,7 @@ class TestAutomorphismSearchIsAGroup:
     def test_closed_form_orders(self, builder, expected):
         action = fan_automorphisms(builder())
         assert action.order == expected
-        assert action.faithful_on_rays
+        assert len(set(action.ray_perms)) == action.order
 
 
 def _brute_force_isomorphisms(source, target):
@@ -310,22 +310,26 @@ class TestConeSeededSearch:
     def test_products_try_one_candidate_per_automorphism(self, builder, order, transversal, monkeypatch):
         # Every degree-matched ordering of a maximal cone of a product of
         # projective spaces is an automorphism, so no candidate is wasted:
-        # the all-tuples search tests one per automorphism, the level search
-        # of fan_automorphisms one per transversal element other than 1.
-        calls = []
-        matrix_sending = fan_module._matrix_sending
+        # the all-tuples search reads one matrix per automorphism, the level
+        # search of fan_automorphisms one per transversal element other than
+        # 1, and its expansion then one per element.
+        calls, expansion = [], []
+        read_off_factory, group_action = fan_module._read_off, symmetry._group_action
 
         def counted(*args):
-            calls.append(args)
-            return matrix_sending(*args)
+            det, adjugate, read_off = read_off_factory(*args)
+            return det, adjugate, lambda images: calls.append(images) or read_off(images)
 
-        monkeypatch.setattr(fan_module, "_matrix_sending", counted)
+        monkeypatch.setattr(fan_module, "_read_off", counted)
+        # The expansion starts where _group_action is entered.
+        monkeypatch.setattr(symmetry, "_group_action", lambda *a: expansion.append(len(calls)) or group_action(*a))
         fan = builder()
         assert len(_all_isomorphisms(fan, fan)) == order
         assert len(calls) == order
         calls.clear()
         assert fan_automorphisms(fan).order == order
-        assert len(calls) == transversal
+        assert expansion == [transversal]
+        assert len(calls) == transversal + order
 
 
 # P2/mu3: its rays span the index-3 sublattice {a = b mod 3}, so every seed
@@ -367,19 +371,24 @@ class TestSublatticeSeeds:
         ids=["P2-P2/mu3", "P2/mu3-P2", "P2xP1-moved", "shear", "moved-shear"],
     )
     def test_candidates_failing_only_the_matrix_tests_are_rejected(self, first, second, reason, monkeypatch):
-        # Every candidate reaching _matrix_sending maps rays onto rays and
-        # cones onto cones; only |det w| = |det b| or integrality of g fails.
+        # Every candidate whose matrix is read off maps rays onto rays and
+        # cones onto cones, and none is an isomorphism, so each fails on its
+        # matrix g: |det g| = 1 fails where |det W| != |det B|, else g is not
+        # integral and g B = W fails.
         rejected = []
-        matrix_sending = fan_module._matrix_sending
+        read_off_factory = fan_module._read_off
 
-        def recorded(det, adjugate, images):
-            g = matrix_sending(det, adjugate, images)
-            if g is None:
-                same_det = abs(IntMatrix.from_columns(images).det()) == abs(det)
+        def recorded(target, basis):
+            det, adjugate, read_off = read_off_factory(target, basis)
+
+            def read(images):
+                same_det = abs(IntMatrix.from_columns([target.rays[j] for j in images]).det()) == abs(det)
                 rejected.append("integrality" if same_det else "det")
-            return g
+                return read_off(images)
 
-        monkeypatch.setattr(fan_module, "_matrix_sending", recorded)
+            return det, adjugate, read
+
+        monkeypatch.setattr(fan_module, "_read_off", recorded)
         assert _brute_force_isomorphisms(first, second) == []
         assert _all_isomorphisms(first, second) == []
         assert fan_isomorphism(first, second) is None
@@ -398,8 +407,8 @@ class TestStabilizerChain:
         candidate_test = fan_module._candidate_test
 
         def counted(*args):
-            det, adjugate, test = candidate_test(*args)
-            return det, adjugate, lambda images: tried.append(images) or test(images)
+            read_off, test = candidate_test(*args)
+            return read_off, lambda images: tried.append(images) or test(images)
 
         monkeypatch.setattr(fan_module, "_candidate_test", counted)
         monkeypatch.setattr(symmetry, "_candidate_test", counted)
@@ -427,7 +436,7 @@ class TestActionFromGenerators:
     def test_hexagon_coordinate_action_has_order_six(self, hexagon_n2):
         action = action_from_generators(hexagon_n2, list(hexagon_n2.lattice.s3_matrices()))
         assert action.order == 6
-        assert action.faithful_on_rays
+        assert len(set(action.ray_perms)) == action.order
 
     def test_identity_generator_gives_trivial_group(self, p2_fan):
         action = action_from_generators(p2_fan, [IntMatrix.identity(2)])
@@ -542,7 +551,7 @@ class TestTransversalsGenerate:
         candidate_test = fan_module._candidate_test
 
         def recorded(*args):
-            det, adjugate, test = candidate_test(*args)
+            read_off, test = candidate_test(*args)
 
             def kept(images):
                 pair = test(images)
@@ -550,7 +559,7 @@ class TestTransversalsGenerate:
                     found.append(pair[1])
                 return pair
 
-            return det, adjugate, kept
+            return read_off, kept
 
         monkeypatch.setattr(symmetry, "_candidate_test", recorded)
         fan = SEARCH_CORPUS[name]
@@ -627,6 +636,46 @@ class TestRayOrbits:
             action = fan_automorphisms(fan)
             for orbit in ray_orbits(action):
                 assert action.order % len(orbit) == 0
+
+
+def fixed_space_by_elements(action):
+    """n minus the rank of every g - 1 stacked: the common fixed space read
+    off each element's matrix."""
+    n = action.fan.rank
+    rows = [
+        tuple(a - (i == j) for j, a in enumerate(row)) for g in action.elements for i, row in enumerate(g.entries)
+    ]
+    return n - IntMatrix.from_rows(rows).rank()
+
+
+def _seeded_subgroup_cases():
+    cases = []
+    for name, fan in sorted(SEARCH_CORPUS.items()):
+        elements = fan_automorphisms(fan).elements
+        for count in (1, 2):
+            gens = random.Random(f"{name}-{count}").sample(elements, min(count, len(elements)))
+            cases.append(pytest.param(fan, gens, id=f"{name}-{count}"))
+    return cases
+
+
+class TestFixedSpaceFromOrbits:
+    """The rank of the ray-orbit sums equals the fixed space read off every
+    element's matrix."""
+
+    @pytest.mark.parametrize("name", sorted(SEARCH_CORPUS))
+    def test_automorphism_groups(self, name):
+        action = fan_automorphisms(SEARCH_CORPUS[name])
+        assert fixed_space_dimension(action) == fixed_space_by_elements(action)
+
+    @pytest.mark.parametrize("fan,gens", _seeded_subgroup_cases())
+    def test_subgroups_of_seeded_elements(self, fan, gens):
+        action = action_from_generators(fan, gens)
+        assert fixed_space_dimension(action) == fixed_space_by_elements(action)
+
+    @pytest.mark.parametrize("fan,gens", _census_s3_cases(4))
+    def test_s3_actions_on_the_census(self, fan, gens):
+        action = action_from_generators(fan, gens)
+        assert fixed_space_dimension(action) == fixed_space_by_elements(action)
 
 
 class TestInvariantPicardNumber:
@@ -765,7 +814,7 @@ class TestGroupClosureInvariants:
             inverse = g.adjugate() if g.det() == 1 else -g.adjugate()
             assert inverse.entries in table
 
-    def test_negation_extended_action_is_faithful_on_rays(self, hexagon_n1):
+    def test_negation_extended_action_has_distinct_ray_permutations(self, hexagon_n1):
         action = families.standard_s3_action(hexagon_n1, include_negation=True)
         assert action.order == 12
-        assert action.faithful_on_rays
+        assert len(set(action.ray_perms)) == action.order
