@@ -6,7 +6,7 @@ surfaces, and the named fan families of the accompanying classification.
 
 from .errors import ParseError, PreconditionError, ToricError
 from .fan import Fan, FanReport, Lattice, build_surface_fan, fan_isomorphism, make_fan, validate_fan
-from .intlin import FGAbelianGroup, IntMatrix, SNFResult, cokernel_group, kernel_basis, smith_normal_form
+from .intlin import FGAbelianGroup, IntMatrix, SNFResult, kernel_basis, smith_normal_form
 from .symmetry import GaloisDatum, GroupAction, fan_automorphisms
 
 __all__ = [
@@ -22,7 +22,6 @@ __all__ = [
     "SNFResult",
     "ToricError",
     "build_surface_fan",
-    "cokernel_group",
     "fan_automorphisms",
     "fan_isomorphism",
     "kernel_basis",

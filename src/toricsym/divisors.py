@@ -1,8 +1,11 @@
 """Class groups and the exact-sequence machinery on a complete fan.
 
-The divisor class group is the cokernel of the pairing map sending a dual
-vector u to (<u, v_i>)_i over the rays; rays fall into grading blocks by
-equality of their classes, and relations among rays live in the saturated
+The divisor class group is the cokernel of the pairing map R: M -> Z^Sigma(1)
+sending a dual vector u to (<u, v_i>)_i over the rays.  One Smith form
+U^-1 R V^-1 = S of the ray matrix gives every invariant here: the group from
+the invariant factors of S, the class of each ray from U^-1, and the dual
+vectors of a grading block from U^-1 and V^-1.  Rays fall into grading blocks
+by equality of their classes, and relations among rays live in the saturated
 kernel of the transposed ray matrix.
 """
 
@@ -12,31 +15,41 @@ from dataclasses import dataclass
 
 from .errors import PreconditionError
 from .fan import Fan
-from .intlin import (
-    ClassCoords,
-    FGAbelianGroup,
-    IntMatrix,
-    Vector,
-    cokernel_group,
-    kernel_basis,
-    solve_integer_status,
-)
+from .intlin import FGAbelianGroup, IntMatrix, SNFResult, Vector, kernel_basis, smith_normal_form
+
+ClassCoords = tuple[Vector, Vector]  # (free coordinates, torsion residues)
+
+
+def _pairing(fan: Fan) -> SNFResult:
+    """Smith form of the ray matrix R (rays as rows, d x n).
+
+    R is injective, and its cokernel the honest class group, exactly when the
+    rays span the ambient vector space, i.e. when S has n invariant factors.
+    """
+    snf = smith_normal_form(fan.ray_matrix())
+    if len(snf.invariant_factors) < fan.rank:
+        raise PreconditionError("rays-do-not-span", "rays do not span; class group undefined")
+    return snf
+
+
+def _ray_classes(snf: SNFResult) -> tuple[ClassCoords, ...]:
+    """The class of ray j is column j of U^-1 read in Z^d / im(S): its rows
+    n... are the free coordinates, and each row i < n whose factor s_i > 1 is
+    a residue mod s_i (rows with s_i = 1 vanish in the quotient)."""
+    factors = snf.invariant_factors
+    n = len(factors)
+    torsion = [(i, s) for i, s in enumerate(factors) if s > 1]
+    return tuple((col[n:], tuple(col[i] % s for i, s in torsion)) for col in zip(*snf.u_inv.entries))
 
 
 def class_group(fan: Fan) -> tuple[FGAbelianGroup, tuple[ClassCoords, ...]]:
     """Divisor class group plus the class of each ray's divisor.
 
-    Requires the rays to span the ambient vector space, which makes the
-    pairing map injective and the quotient the honest class group.
+    Requires the rays to span the ambient vector space (``rays-do-not-span``).
     """
-    matrix = fan.ray_matrix()
-    if matrix.rank() != fan.rank:
-        raise PreconditionError("rays-do-not-span", "rays do not span; class group undefined")
-    group, projection = cokernel_group(matrix)
-    d = fan.ray_count
-    unit = lambda i: tuple(1 if j == i else 0 for j in range(d))
-    classes = tuple(projection(unit(i)) for i in range(d))
-    return group, classes
+    snf = _pairing(fan)
+    torsion = tuple(s for s in snf.invariant_factors if s > 1)
+    return FGAbelianGroup(free_rank=fan.ray_count - fan.rank, torsion=torsion), _ray_classes(snf)
 
 
 @dataclass(frozen=True)
@@ -63,10 +76,6 @@ class RelationLattice:
 
     basis: tuple[Vector, ...]
 
-    @property
-    def rank(self) -> int:
-        return len(self.basis)
-
 
 def relation_lattice(fan: Fan) -> RelationLattice:
     return RelationLattice(basis=kernel_basis(fan.ray_matrix().transpose()))
@@ -87,20 +96,22 @@ class BlockRelation:
     relation: Vector
 
 
-def derive_block_relation(fan: Fan, block: tuple[int, ...], anchor: int | None = None) -> BlockRelation:
+def derive_block_relation(fan: Fan, block: tuple[int, ...]) -> BlockRelation:
     """Derive the unique primitive equal-coefficient relation of a block.
 
     ``block`` must consist of rays with pairwise equal divisor classes
     (any equal-class subset qualifies; maximality is not required since
     the derivation only uses the linear equivalences inside the block).
-    Integer dual vectors u_j with <u_j, v_i> = delta_ij - delta_i,anchor
-    are constructed (failure to solve over Z signals a torsion obstruction
-    and is reported, not guessed), checked for linear independence, and
-    the primitive relation supported on the block plus the rays orthogonal
-    to every u_j is returned, sign-normalized so the block coefficient is
-    positive.
+    The anchor is the last block ray.  Integer dual vectors u_j with
+    <u_j, v_i> = delta_ij - delta_i,anchor are read off the Smith form that
+    gave the classes; equal classes guarantee they exist over Z, and they
+    pair to the identity with the non-anchor block rays, so they are
+    linearly independent: no refusal can fire there.  The primitive
+    relation supported on the block plus the rays orthogonal to every u_j
+    is returned, sign-normalized so the block coefficient is positive.
     """
-    _, classes = class_group(fan)
+    snf = _pairing(fan)
+    classes = _ray_classes(snf)
     block = tuple(sorted(block))
     if len(set(block)) != len(block) or any(i < 0 or i >= fan.ray_count for i in block):
         raise PreconditionError("not-a-block", f"{block} is not a set of ray indices")
@@ -110,31 +121,18 @@ def derive_block_relation(fan: Fan, block: tuple[int, ...], anchor: int | None =
         )
     if len(block) < 2:
         raise PreconditionError("block-too-small", "the derivation needs a block of size >= 2")
-    if anchor is None:
-        anchor = block[-1]
-    if anchor not in block:
-        raise PreconditionError("anchor", "anchor must belong to the block")
+    anchor = block[-1]
 
-    matrix = fan.ray_matrix()
+    # R u = e_j - e_anchor reads S (V u) = w with w = U^-1 (e_j - e_anchor).
+    # Equal classes put e_j - e_anchor in the image of R, so w vanishes from
+    # row n on and s_i divides w_i: every quotient below is exact.
+    factors = snf.invariant_factors
+    base = snf.u_inv.column(anchor)
+    duals = tuple(
+        snf.v_inv.apply(tuple((w - b) // s for w, b, s in zip(snf.u_inv.column(j), base, factors)))
+        for j in block[:-1]
+    )
     d = fan.ray_count
-    duals = []
-    for j in block:
-        if j == anchor:
-            continue
-        target = tuple((1 if i == j else 0) - (1 if i == anchor else 0) for i in range(d))
-        status, u = solve_integer_status(matrix, target)
-        if status == "not-integral":
-            raise PreconditionError(
-                "torsion-obstruction",
-                f"dual vector for ray {j} exists rationally but not integrally",
-            )
-        if status == "no-solution":
-            raise PreconditionError(
-                "no-dual-vector", f"no dual vector separates rays {j} and {anchor}"
-            )
-        duals.append(u)
-    if IntMatrix.from_rows(duals).rank() != len(duals):
-        raise PreconditionError("dependent-duals", "dual vectors are linearly dependent")
 
     complement = [
         i
@@ -147,7 +145,7 @@ def derive_block_relation(fan: Fan, block: tuple[int, ...], anchor: int | None =
         coefficients = [0] * d
         for i in block:
             coefficients[i] = 1
-        return BlockRelation(block, anchor, tuple(duals), tuple(coefficients))
+        return BlockRelation(block, anchor, duals, tuple(coefficients))
 
     for c in complement:
         columns = IntMatrix.from_columns([block_sum, fan.rays[c]])
@@ -161,7 +159,7 @@ def derive_block_relation(fan: Fan, block: tuple[int, ...], anchor: int | None =
         for i in block:
             coefficients[i] = x
         coefficients[c] = y
-        return BlockRelation(block, anchor, tuple(duals), tuple(coefficients))
+        return BlockRelation(block, anchor, duals, tuple(coefficients))
 
     raise PreconditionError(
         "no-equal-coefficient-relation",

@@ -170,7 +170,7 @@ def make_family_fan(descriptor: str) -> tuple[Fan, GaloisDatum | None]:
     raise PreconditionError("family", f"unknown family {name!r}; known: {', '.join(FAMILY_GRAMMAR)}")
 
 
-def s3_orbit_fan(lattice: Lattice, seeds: Sequence[Sequence[int]], include_negation: bool = False) -> Fan:
+def s3_orbit_fan(lattice: Lattice, seeds: Sequence[Sequence[int]]) -> Fan:
     """Complete surface fan on the coordinate-permutation orbits of the seeds.
 
     Each orbit sums to zero, so the union can never sit in a half-plane;
@@ -186,10 +186,6 @@ def s3_orbit_fan(lattice: Lattice, seeds: Sequence[Sequence[int]], include_negat
         for w in lattice.s3_orbit(primitive_vector(v)):
             if w not in rays:
                 rays.append(w)
-            if include_negation:
-                neg = tuple(-x for x in w)
-                if neg not in rays:
-                    rays.append(neg)
     return build_surface_fan(lattice, rays)
 
 

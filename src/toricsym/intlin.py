@@ -2,15 +2,14 @@
 
 Everything here works over plain Python ints (arbitrary precision); no
 floating point is used anywhere.  The central routine is Smith normal form
-with unimodular transforms, from which integer kernels and cokernels (as
-finitely generated abelian groups with an explicit projection map) are
-derived.
+with unimodular transforms, from which saturated integer kernels are
+derived; determinants and ranks come from fraction-free elimination.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import PreconditionError
@@ -371,73 +370,3 @@ class FGAbelianGroup:
             parts.append(f"Z^{self.free_rank}")
         parts.extend(f"Z/{d}" for d in self.torsion)
         return " + ".join(parts) if parts else "0"
-
-
-ClassCoords = tuple[Vector, Vector]  # (free coordinates, torsion residues)
-
-
-@dataclass(frozen=True)
-class CokernelProjection:
-    """Projection Z^rows -> coker(A) in SNF-canonical coordinates.
-
-    Calling it on an integer vector yields ``(free, torsion)`` coordinates;
-    two vectors have equal images exactly when their classes agree.
-    """
-
-    group: FGAbelianGroup
-    _u_inv: IntMatrix = field(repr=False)
-    _free_positions: tuple[int, ...] = field(repr=False)
-    _torsion_positions: tuple[int, ...] = field(repr=False)
-    _torsion_factors: tuple[int, ...] = field(repr=False)
-
-    def __call__(self, z: Sequence[int]) -> ClassCoords:
-        w = self._u_inv.apply(tuple(z))
-        free = tuple(w[i] for i in self._free_positions)
-        torsion = tuple(w[i] % d for i, d in zip(self._torsion_positions, self._torsion_factors))
-        return free, torsion
-
-
-def cokernel_group(a: IntMatrix) -> tuple[FGAbelianGroup, CokernelProjection]:
-    """Cokernel Z^rows / im(A) with an explicit projection map."""
-    snf = smith_normal_form(a)
-    diag = snf.diagonal
-    free_positions = tuple(i for i in range(a.rows) if i >= len(diag) or diag[i] == 0)
-    torsion_positions = tuple(i for i, d in enumerate(diag) if d > 1)
-    torsion_factors = tuple(diag[i] for i in torsion_positions)
-    group = FGAbelianGroup(free_rank=len(free_positions), torsion=torsion_factors)
-    proj = CokernelProjection(
-        group=group,
-        _u_inv=snf.u_inv,
-        _free_positions=free_positions,
-        _torsion_positions=torsion_positions,
-        _torsion_factors=torsion_factors,
-    )
-    return group, proj
-
-
-def solve_integer_status(a: IntMatrix, b: Sequence[int]) -> tuple[str, Vector | None]:
-    """Solve A x = b over Z.
-
-    Returns ``("ok", x)``, ``("not-integral", None)`` when a rational but
-    no integral solution exists, or ``("no-solution", None)``.
-    """
-    if a.rows != len(b):
-        raise ValueError("right-hand side length mismatch")
-    snf = smith_normal_form(a)
-    w = snf.u_inv.apply(tuple(b))
-    diag = snf.diagonal
-    z = [0] * a.cols
-    rational_only = False
-    for i in range(a.rows):
-        d = diag[i] if i < len(diag) else 0
-        if d == 0:
-            if w[i] != 0:
-                return "no-solution", None
-        else:
-            if w[i] % d:
-                rational_only = True
-            else:
-                z[i] = w[i] // d
-    if rational_only:
-        return "not-integral", None
-    return "ok", snf.v_inv.apply(tuple(z))

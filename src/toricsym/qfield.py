@@ -35,8 +35,17 @@ def _is_squarefree(d: int) -> bool:
     return n < 2 or math.isqrt(n) ** 2 != n
 
 
+_MAX_RADICAND = 10**18
+
+
 def _require_field_d(d: int) -> None:
-    """Q(sqrt d) is a quadratic field exactly for squarefree d != 0, 1."""
+    """Q(sqrt d) is a quadratic field exactly for squarefree d != 0, 1.
+
+    |d| is bounded so that the squarefree test, about |d|^(1/3) trial
+    divisions, stays well under a second (``radicand-too-large``).
+    """
+    if abs(d) > _MAX_RADICAND:
+        raise PreconditionError("radicand-too-large", f"|d| must be at most 10^18, got {d}")
     if d in (0, 1) or not _is_squarefree(d):
         raise ValueError(f"d must be squarefree and != 0, 1, got {d}")
 

@@ -125,13 +125,17 @@ def ray_orbits(action: GroupAction) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted({tuple(sorted({p[i] for p in perms})) for i in range(action.fan.ray_count)}))
 
 
+def _orbit_sum_rank(fan: Fan, orbits: tuple[tuple[int, ...], ...]) -> int:
+    """Rank of the ray-orbit sums."""
+    sums = [tuple(map(sum, zip(*(fan.rays[i] for i in orbit)))) for orbit in orbits]
+    return IntMatrix._of(tuple(sums)).rank()
+
+
 def fixed_space_dimension(action: GroupAction) -> int:
     """Dimension of the common fixed subspace of all group elements: the rank
     of the ray-orbit sums.  Averaging over the group maps N_Q onto the fixed
     space, the rays span N_Q, and a ray's average is a multiple of its orbit sum."""
-    rays = action.fan.rays
-    sums = [tuple(map(sum, zip(*(rays[i] for i in orbit)))) for orbit in ray_orbits(action)]
-    return IntMatrix._of(tuple(sums)).rank()
+    return _orbit_sum_rank(action.fan, ray_orbits(action))
 
 
 def invariant_picard_number(action: GroupAction) -> int:
@@ -141,7 +145,8 @@ def invariant_picard_number(action: GroupAction) -> int:
     subspace of the lattice action (the invariant-part exact sequence of
     the divisor sequence).
     """
-    return len(ray_orbits(action)) - fixed_space_dimension(action)
+    orbits = ray_orbits(action)
+    return len(orbits) - _orbit_sum_rank(action.fan, orbits)
 
 
 def centralizer_in_GL(action: GroupAction) -> tuple[IntMatrix, ...]:

@@ -11,7 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import toricsym
-from toricsym import cli, families, fanio
+from toricsym import cli, families, fanio, symmetry
 from toricsym.fan import Lattice, make_fan
 from toricsym.symmetry import fan_automorphisms
 
@@ -110,6 +110,16 @@ class TestCheckCommand:
         assert run_cli("check", fan_path, "--format", "machine") == 0
         plain = json.loads(capsys.readouterr().out)
         assert set(payload) - set(plain) == {"group_order", "ray_orbits", "invariant_picard_number"}
+
+    def test_ray_orbits_are_taken_twice(self, dp6_n1_files, monkeypatch):
+        # Once for the report, once for the invariant Picard number.
+        calls = []
+        original = symmetry.ray_orbits
+        counted = lambda action: calls.append(action) or original(action)
+        monkeypatch.setattr(cli, "ray_orbits", counted)
+        monkeypatch.setattr(symmetry, "ray_orbits", counted)
+        assert run_cli("check", *dp6_n1_files) == 0
+        assert len(calls) == 2
 
     def test_galois_form_reported(self, tmp_path, capsys):
         fan, datum = families.q22()
@@ -265,14 +275,15 @@ def in_process(argv):
     return code, out.getvalue()
 
 
-def fresh_process(argv):
-    """Exit code and standard output of the same call in a new interpreter."""
+def fresh_process(argv, timeout=60):
+    """Exit code, standard output and standard error of the same call in a
+    new interpreter."""
     src = str(Path(toricsym.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     done = subprocess.run(
-        [sys.executable, "-m", "toricsym.cli", *argv], capture_output=True, text=True, env=env, timeout=60
+        [sys.executable, "-m", "toricsym.cli", *argv], capture_output=True, text=True, env=env, timeout=timeout
     )
-    return done.returncode, done.stdout
+    return done.returncode, done.stdout, done.stderr
 
 
 class TestInProcessReuse:
@@ -294,7 +305,7 @@ class TestInProcessReuse:
         calls = [[*argv, "--format", fmt] for fmt in ("machine", "plain") for argv in commands]
         got = [in_process(argv) for argv in calls]
         assert [code for code, _ in got] == [0, 0, 0, 0, 2, 2] * 2
-        assert got == [fresh_process(argv) for argv in calls]
+        assert got == [fresh_process(argv)[:2] for argv in calls]
 
     def test_plain_traces_of_the_two_orbit_hexagon(self, dp6_n2_files):
         fan_path, act_path = dp6_n2_files
@@ -424,6 +435,15 @@ class TestFieldsCommand:
         path = tmp_path / "fields.json"
         write_json(path, [{"name": "F", "kind": "quadratic", "d": 1000003**2}])
         self._assert_parse_error(path, capsys)
+
+    def test_huge_radicand_is_refused_at_once(self, tmp_path):
+        # A 31-digit d would take ~10^10 trial divisions in the squarefree test.
+        path = tmp_path / "fields.json"
+        write_json(path, [{"name": "x", "kind": "quadratic", "d": 10**30 + 57}])
+        code, _, err = fresh_process(["fields", "--config", str(path)], timeout=10)
+        assert code == 3
+        assert "radicand-too-large" in err
+        assert "Traceback" not in err
 
     def test_large_prime_d_is_accepted(self, tmp_path, capsys):
         path = tmp_path / "fields.json"

@@ -1,8 +1,13 @@
 import itertools
+import random
+import sys
+from pathlib import Path
 
 import pytest
+from sympy import ZZ, Matrix
+from sympy.matrices.normalforms import invariant_factors
 
-from toricsym import families
+from toricsym import divisors, families
 from toricsym.acceptance import named_family_corpus
 from toricsym.divisors import (
     class_group,
@@ -11,7 +16,14 @@ from toricsym.divisors import (
     relation_lattice,
 )
 from toricsym.errors import PreconditionError
-from toricsym.intlin import FGAbelianGroup, IntMatrix, solve_integer_status
+from toricsym.fan import Fan, Lattice
+from toricsym.intlin import FGAbelianGroup, IntMatrix, primitive_vector
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+try:
+    from oracle import equal_class_pairs  # exact rational solve of R u = e_i - e_j
+finally:
+    sys.path.pop(0)
 
 
 class TestClassGroup:
@@ -85,14 +97,7 @@ class TestRayBlocks:
                 for j in block
                 if i < j
             }
-            matrix = fan.ray_matrix()
-            d = fan.ray_count
-            for i, j in itertools.combinations(range(d), 2):
-                target = tuple(
-                    (1 if k == i else 0) - (1 if k == j else 0) for k in range(d)
-                )
-                solvable = solve_integer_status(matrix, target)[0] == "ok"
-                assert solvable == ((i, j) in same), (name, i, j)
+            assert equal_class_pairs(fan.rays) == same, name
 
 
 class TestRelationLattice:
@@ -115,6 +120,19 @@ class TestRelationLattice:
         assert first_four.rank() == 4
 
 
+def _equal_class_blocks(fan):
+    """Every set of 2-4 rays that share a divisor class."""
+    for block in ray_blocks(class_group(fan)[1]).blocks:
+        for size in range(2, min(len(block), 4) + 1):
+            yield from itertools.combinations(block, size)
+
+
+def _dual_vector_corpus():
+    rng = random.Random(15)
+    blowups = [(f"random-blowup-{k}", families.random_blowup_surface_fan(rng, max_rays=10)) for k in range(50)]
+    return named_family_corpus() + blowups
+
+
 class TestDeriveBlockRelation:
     def test_weighted_space_with_explicit_dual(self):
         fan = families.weighted_p1111m(2)
@@ -132,13 +150,6 @@ class TestDeriveBlockRelation:
     def test_triangle_full_block(self, p2_fan):
         result = derive_block_relation(p2_fan, (0, 1, 2))
         assert result.relation == (1, 1, 1)
-
-    def test_anchor_independence_up_to_sign(self):
-        fan = families.bundle_over_p3(2)
-        reference = derive_block_relation(fan, (0, 1, 2, 3)).relation
-        for anchor in (0, 1, 2, 3):
-            other = derive_block_relation(fan, (0, 1, 2, 3), anchor=anchor).relation
-            assert other in (reference, tuple(-c for c in reference))
 
     def test_relation_lies_in_the_relation_lattice(self):
         for fan in [families.weighted_p1111m(3), families.bundle_over_p3(-1)]:
@@ -165,10 +176,119 @@ class TestDeriveBlockRelation:
         assert result.relation == (1, 1, 1, 1, 1)
 
     def test_duals_pair_correctly_on_all_rays(self):
-        fan = families.bundle_over_p3(-2)
-        result = derive_block_relation(fan, (0, 1, 2, 3))
-        non_anchor = [i for i in result.block if i != result.anchor]
-        for u, j in zip(result.dual_vectors, non_anchor):
-            for i in range(fan.ray_count):
-                expected = (1 if i == j else 0) - (1 if i == result.anchor else 0)
-                assert sum(a * b for a, b in zip(u, fan.rays[i])) == expected
+        # Every equal-class set of 2-4 rays of the named corpus and 50
+        # seeded blow-ups that has a relation.
+        blocks = 0
+        for name, fan in _dual_vector_corpus():
+            for block in _equal_class_blocks(fan):
+                try:
+                    result = derive_block_relation(fan, block)
+                except PreconditionError as err:
+                    assert err.reason == "no-equal-coefficient-relation", (name, block)
+                    continue
+                blocks += 1
+                assert result.anchor == block[-1]
+                for u, j in zip(result.dual_vectors, block[:-1], strict=True):
+                    for i, v in enumerate(fan.rays):
+                        expected = (i == j) - (i == result.anchor)
+                        assert sum(a * b for a, b in zip(u, v)) == expected, (name, block, j, i)
+        assert blocks >= 50
+
+    def test_one_smith_form_per_call(self, monkeypatch):
+        fan = families.bundle_over_p3(2)
+        calls = []
+        original = divisors.smith_normal_form
+        monkeypatch.setattr(divisors, "smith_normal_form", lambda a: calls.append(a) or original(a))
+        with monkeypatch.context() as patch:
+            patch.setattr(IntMatrix, "rank", lambda self: pytest.fail("class_group ranks a matrix"))
+            class_group(fan)
+        assert len(calls) == 1
+        derive_block_relation(fan, (0, 1, 2, 3))
+        assert len(calls) == 2
+
+
+def _shear(rng: random.Random, n: int) -> IntMatrix:
+    """A random unimodular triangular matrix."""
+    lower = rng.random() < 0.5
+    return IntMatrix.from_rows(
+        [[int(i == k) + (i != k and (i > k) == lower) * rng.randint(-2, 2) for k in range(n)] for i in range(n)]
+    )
+
+
+def _random_rays(rng: random.Random, n: int) -> list[tuple[int, ...]]:
+    """Distinct primitive rays spanning Q^n, often with torsion, often with
+    several rays in one class.
+
+    Either the unit vectors, negated weighted sums of some of them (which
+    put several rays in one class) and small vectors, sent through a random
+    integer matrix B of determinant 1 to 4, redrawn until every image is
+    primitive, so that the rays span the index-det(B) sublattice B Z^n; or,
+    in rank >= 3, such a set in rank n - 1 times P^1, whose two rays share
+    a class beside the factor's torsion, sent through a unimodular matrix.
+    """
+    if n >= 3 and rng.random() < 0.4:
+        unit = tuple(int(k == n - 1) for k in range(n))
+        rays = [v + (0,) for v in _random_rays(rng, n - 1)] + [unit, tuple(-x for x in unit)]
+        mix = _shear(rng, n) @ _shear(rng, n)
+        images = [mix.apply(v) for v in rays]
+    else:
+        rays = [tuple(int(i == k) for k in range(n)) for i in range(n)]
+        for _ in range(rng.randint(1, 3)):
+            support = rng.sample(range(n), rng.randint(1, n))
+            rays.append(tuple(-rng.choice((1, 1, 2)) * (k in support) for k in range(n)))
+        for _ in range(rng.randint(0, 2)):
+            rays.append(tuple(rng.randint(-2, 2) for _ in range(n)))
+        rays = list(dict.fromkeys(primitive_vector(v) for v in rays if any(v)))
+        for _ in range(100):
+            scale = [[int(i == k) for k in range(n)] for i in range(n)]
+            scale[-1][-1] = rng.randint(1, 4)
+            b = _shear(rng, n) @ _shear(rng, n) @ IntMatrix.from_rows(scale) @ _shear(rng, n)
+            images = [b.apply(v) for v in rays]
+            if all(primitive_vector(w) == w for w in images):
+                break
+        else:
+            images = rays
+    rng.shuffle(images)
+    return images
+
+
+def _ray_set_fan(rays) -> Fan:
+    # The class group reads only the rays; each ray is its own cone.
+    return Fan(Lattice.standard(len(rays[0])), tuple(rays), tuple((i,) for i in range(len(rays))))
+
+
+class TestAgainstSympy:
+    """Seeded random spanning ray sets in rank 2-5, many with torsion and
+    with several rays in one class, against sympy's invariant factors and
+    the exact rational solve of R u = e_i - e_j."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_groups_classes_and_blocks(self, n):
+        rng = random.Random(15 + n)
+        with_torsion = with_shared_class = with_both = 0
+        for _ in range(60):
+            rays = _random_rays(rng, n)
+            group, classes = class_group(_ray_set_fan(rays))
+            factors = [int(x) for x in invariant_factors(Matrix(rays), domain=ZZ)]
+            assert group == FGAbelianGroup(len(rays) - n, tuple(x for x in factors if x > 1)), rays
+            pairs = equal_class_pairs(rays)
+            assert {(i, j) for i, j in itertools.combinations(range(len(rays)), 2) if classes[i] == classes[j]} == pairs, rays
+            blocks = ray_blocks(classes).blocks
+            assert {(i, j) for b in blocks for i, j in itertools.combinations(b, 2)} == pairs, rays
+            assert sorted(itertools.chain.from_iterable(blocks)) == list(range(len(rays)))
+            with_torsion += bool(group.torsion)
+            with_shared_class += bool(pairs)
+            with_both += bool(group.torsion and pairs)
+        assert min(with_torsion, with_shared_class) >= 5, (with_torsion, with_shared_class)
+        # In rank 2, D_i ~ D_j puts every other ray on the line u^perp, and
+        # <u, v_i> = 1 makes v_i and that line a basis: no torsion is left.
+        assert n == 2 or with_both >= 5, with_both
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_rays_in_a_hyperplane_are_refused(self, n):
+        rng = random.Random(15 + n)
+        for _ in range(10):
+            rays = [v[:-1] + (0,) for v in _random_rays(rng, n) if any(v[:-1])]
+            with pytest.raises(PreconditionError) as err:
+                class_group(_ray_set_fan(rays))
+            assert err.value.reason == "rays-do-not-span"

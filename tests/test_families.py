@@ -113,7 +113,8 @@ class TestOrbitFans:
 
     def test_orbit_fans_are_invariant_by_construction(self):
         for lattice in (Lattice.root_a2(), Lattice.weight_a2()):
-            fan = families.s3_orbit_fan(lattice, [(2, -1, -1)], include_negation=True)
+            orbit = lattice.s3_orbit(primitive_vector(lattice.accept_ray((2, -1, -1))))
+            fan = build_surface_fan(lattice, orbit + tuple(tuple(-x for x in v) for v in orbit))
             action = families.standard_s3_action(fan, include_negation=True)
             assert action.order == 12
 

@@ -13,10 +13,8 @@ from toricsym.intlin import (
     FGAbelianGroup,
     IntMatrix,
     _reduce_rows,
-    cokernel_group,
     kernel_basis,
     smith_normal_form,
-    solve_integer_status,
 )
 
 
@@ -106,64 +104,6 @@ class TestKernelBasis:
         if basis:
             factors = smith_normal_form(IntMatrix.from_rows(basis)).invariant_factors
             assert all(f == 1 for f in factors)
-
-
-class TestCokernel:
-    def test_zero_map_gives_free_group(self):
-        group, proj = cokernel_group(mat([[0]]))
-        assert group == FGAbelianGroup(free_rank=1)
-        assert proj((7,)) == ((7,), ())
-
-    def test_free_quotient(self):
-        group, _ = cokernel_group(IntMatrix.from_columns([(1, 0, -1), (0, 1, -1)]))
-        assert group == FGAbelianGroup(free_rank=1)
-
-    def test_torsion_quotient(self):
-        group, proj = cokernel_group(IntMatrix.from_columns([(2, 0)]))
-        assert group == FGAbelianGroup(free_rank=1, torsion=(2,))
-        assert proj((2, 0)) == (proj((0, 0)))
-
-    @settings(max_examples=80, deadline=None)
-    @given(small_matrices, st.randoms(use_true_random=False))
-    def test_invariant_under_row_and_column_permutation(self, a, rng):
-        rows = list(a.entries)
-        rng.shuffle(rows)
-        cols = list(zip(*rows))
-        rng.shuffle(cols)
-        permuted = IntMatrix.from_columns(cols)
-        assert cokernel_group(a)[0] == cokernel_group(permuted)[0]
-
-    @settings(max_examples=80, deadline=None)
-    @given(small_matrices)
-    def test_projection_kills_the_column_space(self, a):
-        group, proj = cokernel_group(a)
-        zero = proj((0,) * a.rows)
-        for j in range(a.cols):
-            assert proj(a.column(j)) == zero
-
-
-class TestIntegerSolve:
-    def test_solves_square_system(self):
-        a = mat([[2, 1], [1, 1]])
-        assert solve_integer_status(a, (3, 2)) == ("ok", (1, 1))
-
-    def test_detects_torsion_obstruction(self):
-        status, _ = solve_integer_status(mat([[2]]), (1,))
-        assert status == "not-integral"
-
-    def test_detects_inconsistency(self):
-        status, _ = solve_integer_status(mat([[1], [1]]), (1, 2))
-        assert status == "no-solution"
-
-    @settings(max_examples=100, deadline=None)
-    @given(small_matrices, st.data())
-    def test_recovers_known_solutions(self, a, data):
-        x = data.draw(
-            st.lists(st.integers(-5, 5), min_size=a.cols, max_size=a.cols).map(tuple)
-        )
-        status, solution = solve_integer_status(a, a.apply(x))
-        assert status == "ok"
-        assert a.apply(solution) == a.apply(x)
 
 
 def test_fg_group_rejects_broken_invariants():
@@ -305,12 +245,6 @@ class TestEdgeShapes:
         assert (result.u_inv @ zero @ result.v_inv) == result.s
         assert abs(result.u_inv.det()) == 1
         assert abs(result.v_inv.det()) == 1
-
-    def test_wide_and_tall_cokernels(self):
-        wide, _ = cokernel_group(mat([[1, 0, 0], [0, 2, 0]]))
-        assert wide == FGAbelianGroup(free_rank=0, torsion=(2,))
-        tall, _ = cokernel_group(IntMatrix.from_columns([(3, 0, 0)]))
-        assert tall == FGAbelianGroup(free_rank=2, torsion=(3,))
 
     def test_adjugate_identity(self):
         a = mat([[2, 1, 0], [1, 1, 3], [0, 5, 1]])

@@ -73,6 +73,18 @@ class TestSquarefree:
         assert _is_squarefree(-100000000000031)
         assert time.perf_counter() - start < 1.0
 
+    def test_radicands_beyond_the_bound_are_refused(self):
+        for d in (10**18 + 9, -(10**18 + 9), 10**30 + 57):
+            with pytest.raises(PreconditionError) as err:
+                FieldDescriptor(name="x", kind="quadratic", d=d)
+            assert err.value.reason == "radicand-too-large"
+        with pytest.raises(PreconditionError):
+            QuadElement(10**30 + 57, Fraction(1), Fraction(1))
+
+    def test_prime_at_the_bound_is_accepted(self):
+        # About 10^6 trial divisions, 0.1 s.
+        assert FieldDescriptor(name="x", kind="quadratic", d=999999999999999989).d == 999999999999999989
+
     def test_square_of_a_large_prime_is_rejected(self):
         assert not _is_squarefree(1000003**2)
         with pytest.raises(ValueError):
