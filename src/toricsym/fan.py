@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import ParseError, PreconditionError
-from .intlin import IntMatrix, Vector, kernel_basis, primitive_vector, smith_normal_form
+from .intlin import IntMatrix, Vector, primitive_vector, smith_normal_form
 
 _S3_PERMUTATIONS = ((0, 1, 2), (1, 0, 2), (0, 2, 1), (2, 1, 0), (1, 2, 0), (2, 0, 1))
 
@@ -299,61 +299,45 @@ def cone_invariant_factors(fan: Fan, cone: Sequence[int]) -> Vector:
     return smith_normal_form(fan.cone_matrix(cone)).invariant_factors
 
 
-def _facet_normal(fan: Fan, facet: tuple[int, ...]) -> Vector:
-    basis = kernel_basis(IntMatrix.from_rows([fan.rays[i] for i in facet]))
-    if len(basis) != 1:
-        raise PreconditionError("degenerate-facet", f"facet {facet} does not span a hyperplane")
-    return basis[0]
-
-
 def _dot(v: Sequence[int], w: Sequence[int]) -> int:
     return sum(a * b for a, b in zip(v, w))
 
 
-def _complete_rank_ge3(fan: Fan) -> bool:
-    n = fan.rank
-    if not fan.max_cones or any(len(cone) != n for cone in fan.max_cones):
+def _complete_rank_ge3(fan: Fan, det_adj: list[tuple[int, IntMatrix]]) -> bool:
+    """Completeness of a simplicial fan, given det B and adj B of each cone."""
+    if not fan.max_cones:
         return False
+    # B adj B = det B I: column k of det B adj B is the inward normal of the
+    # facet opposite ray k, and the cone is {x : <normal, x> >= 0 for each}.
+    normals = [[tuple(det * a for a in column) for column in zip(*adjugate.entries)] for det, adjugate in det_adj]
     walls: dict[tuple[int, ...], list[tuple[int, int]]] = {}
     for ci, cone in enumerate(fan.max_cones):
-        for drop in cone:
-            facet = tuple(i for i in cone if i != drop)
-            walls.setdefault(facet, []).append((ci, drop))
-    # Each cone is the intersection of its facets' half-spaces {x : s * <normal, x> >= 0}.
-    halfspaces: list[list[tuple[Vector, int]]] = [[] for _ in fan.max_cones]
-    for facet, owners in walls.items():
+        for k in range(len(cone)):
+            walls.setdefault(cone[:k] + cone[k + 1 :], []).append((ci, k))
+    # Each wall has two cones, on opposite sides of it.
+    for owners in walls.values():
         if len(owners) != 2:
             return False
-        normal = _facet_normal(fan, facet)
-        sides = []
-        for ci, opposite in owners:
-            s = _dot(normal, fan.rays[opposite])
-            if s == 0:
-                return False
-            sides.append(s)
-            halfspaces[ci].append((normal, s))
-        if sides[0] * sides[1] > 0:
+        (a, k), (b, l) = owners
+        if _dot(normals[a][k], fan.rays[fan.max_cones[b][l]]) >= 0:
             return False
     # Support connectivity through shared walls.
-    adjacency: dict[int, set[int]] = {i: set() for i in range(len(fan.max_cones))}
-    for owners in walls.values():
-        (a, _), (b, _) = owners
+    adjacency: list[set[int]] = [set() for _ in fan.max_cones]
+    for (a, _), (b, _) in walls.values():
         adjacency[a].add(b)
         adjacency[b].add(a)
-    seen = {0}
-    queue = [0]
+    seen, queue = {0}, [0]
     while queue:
-        for nxt in adjacency[queue.pop()]:
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
+        for nxt in adjacency[queue.pop()] - seen:
+            seen.add(nxt)
+            queue.append(nxt)
     if len(seen) != len(fan.max_cones):
         return False
     # Walls and connectivity make the cones cover space a whole number of
     # times (the pentagram bipyramid covers R^3 twice).  The cover is a fan
     # iff a point inside the first cone lies in no other cone.
     p = tuple(map(sum, zip(*(fan.rays[i] for i in fan.max_cones[0]))))
-    containing = sum(all(s * _dot(normal, p) >= 0 for normal, s in cone) for cone in halfspaces)
+    containing = sum(all(_dot(normal, p) >= 0 for normal in cone) for cone in normals)
     if containing > 1:
         raise PreconditionError("overlapping-cones", f"a point inside the first cone lies in {containing} cones")
     return True
@@ -361,7 +345,9 @@ def _complete_rank_ge3(fan: Fan) -> bool:
 
 def validate_fan(fan: Fan) -> FanReport:
     """Exact structural predicates: simplicial, complete, smooth; raises
-    ``overlapping-cones`` for rank >= 3 cones that cover space more than once."""
+    ``overlapping-cones`` for rank >= 3 cones that cover space more than once.
+    Outside rank 2 they are read off det B and adj B of each cone's ray
+    matrix B: simplicial iff det B != 0, smooth iff |det B| = 1."""
     n = fan.rank
     if n == 2:
         rays, d = fan.rays, fan.ray_count
@@ -370,14 +356,14 @@ def validate_fan(fan: Fan) -> FanReport:
             len(cone) == 2 and _cross(rays[cone[0]], rays[cone[1]]) != 0 for cone in fan.max_cones
         )
         complete = d >= 3 and all(_cross(rays[i], rays[(i + 1) % d]) > 0 for i in range(d))
-    else:
-        simplicial = all(
-            len(cone) == n and fan.cone_matrix(cone).rank() == n for cone in fan.max_cones
+        smooth = simplicial and all(
+            all(f == 1 for f in cone_invariant_factors(fan, cone)) for cone in fan.max_cones
         )
-        complete = set(fan.rays) == {(1,), (-1,)} if n == 1 else _complete_rank_ge3(fan)
-    smooth = simplicial and all(
-        all(f == 1 for f in cone_invariant_factors(fan, cone)) for cone in fan.max_cones
-    )
+    else:
+        det_adj = [IntMatrix._of(tuple(fan.rays[i] for i in c)).det_adjugate() for c in fan.max_cones if len(c) == n]
+        simplicial = len(det_adj) == len(fan.max_cones) and all(det for det, _ in det_adj)
+        complete = set(fan.rays) == {(1,), (-1,)} if n == 1 else simplicial and _complete_rank_ge3(fan, det_adj)
+        smooth = simplicial and all(abs(det) == 1 for det, _ in det_adj)
     return FanReport(simplicial=simplicial, complete=complete, smooth=smooth)
 
 
@@ -427,7 +413,7 @@ def _read_off(target: Fan, basis: Sequence[Vector]):
     iff some integral matrix does, which a caller that does not know must check."""
     n, rays = len(basis), target.rays
     matrix = IntMatrix._of(tuple(zip(*basis)))
-    det, adjugate = matrix.det(), matrix.adjugate()
+    det, adjugate = matrix.det_adjugate()
     plain = matrix == IntMatrix.identity(n)
     terms = [[(k, a) for k, a in enumerate(adjugate.column(j)) if a] for j in range(n)]
 

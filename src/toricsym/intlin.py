@@ -3,7 +3,7 @@
 Everything here works over plain Python ints (arbitrary precision); no
 floating point is used anywhere.  The central routine is Smith normal form
 with unimodular transforms, from which saturated integer kernels are
-derived; determinants and ranks come from fraction-free elimination.
+derived; determinants, adjugates and ranks come from fraction-free elimination.
 """
 
 from __future__ import annotations
@@ -111,10 +111,10 @@ class IntMatrix:
         return IntMatrix._of(tuple(tuple(-x for x in row) for row in self.entries))
 
     def det(self) -> int:
-        """Determinant by fraction-free (Bareiss) elimination."""
+        """Determinant by fraction-free elimination (``_gauss_jordan``)."""
         if self.rows != self.cols:
             raise ValueError("determinant of a non-square matrix")
-        return _bareiss([list(row) for row in self.entries])
+        return _gauss_jordan(self.entries, adjugate=False)[0]
 
     def rank(self) -> int:
         """Rank over the rationals (fraction-free elimination)."""
@@ -141,38 +141,52 @@ class IntMatrix:
     def adjugate(self) -> "IntMatrix":
         """Adjugate matrix: self @ adj = det * identity, exactly; adj[i][j] is
         the signed determinant of the minor without row j and column i."""
-        n = self.rows
-        if n != self.cols:
+        return self.det_adjugate()[1]
+
+    def det_adjugate(self) -> tuple[int, "IntMatrix"]:
+        """det and adjugate together, from one O(n^3) elimination (``_gauss_jordan``)."""
+        if self.rows != self.cols:
             raise ValueError("adjugate of a non-square matrix")
-        cut = [[row[:i] + row[i + 1 :] for row in self.entries] for i in range(n)]
-        cofactors = (
-            ((-1) ** (i + j) * _bareiss([list(row) for r, row in enumerate(cut[i]) if r != j]) for j in range(n))
-            for i in range(n)
-        )
-        return IntMatrix._of(tuple(map(tuple, cofactors)))
+        det, adjugate = _gauss_jordan(self.entries)
+        return det, IntMatrix._of(adjugate)
 
 
-def _bareiss(m: list[list[int]]) -> int:
-    """Determinant of the square list matrix ``m`` by fraction-free (Bareiss)
-    elimination, overwriting ``m``; 1 for the empty matrix."""
-    n = len(m)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1] if n else 1
+def _gauss_jordan(a: Sequence[Sequence[int]], adjugate: bool = True) -> tuple[int, tuple[Vector, ...] | None]:
+    """det A and adj A (None unless ``adjugate``) by fraction-free Gauss-Jordan
+    elimination of [A | I]: step k sets each other row r to (p_k r - r[k] pivot
+    row) / p_(k-1), exactly, and drops column k, leaving [p_n I | adj A] up to
+    the swaps' sign.  No pivot before the last step means rank < n - 1 and
+    adj A = 0; p_n = 0 is kept, as adj A is polynomial where p_1..p_(n-1) != 0.
+    For det alone only rows below the pivot are reduced (Bareiss)."""
+    n = len(a)
+    rows = [list(row) + [int(i == j) for j in range(n)] if adjugate else list(row) for i, row in enumerate(a)]
+    order = list(range(n))  # order[k + c]: the column of A now at left position c
+    sign, prev = 1, 1
+    for k in range(n):
+        if not rows[k][0]:
+            i, c = next(((i, c) for c in range(n - k) for i in range(k, n) if rows[i][c]), (k, 0))
+            if not rows[i][c] and k < n - 1:
+                return 0, ((0,) * n,) * n
+            if i != k:
+                rows[k], rows[i] = rows[i], rows[k]
+                sign = -sign
+            if c:
+                for row in rows:
+                    row[0], row[c] = row[c], row[0]
+                order[k], order[k + c] = order[k + c], order[k]
+                sign = -sign
+        pivot = rows[k]
+        p = pivot.pop(0)
+        for i in range(n) if adjugate else range(k + 1, n):
+            if i != k:
+                f = rows[i].pop(0)
+                if f:
+                    rows[i] = [(p * x - f * y) // prev for x, y in zip(rows[i], pivot)]
+                elif p != prev:
+                    rows[i] = [p * x // prev for x in rows[i]]
+        prev = p
+    adj = (row if sign > 0 else [-x for x in row] for _, row in sorted(zip(order, rows)))
+    return sign * prev, tuple(map(tuple, adj)) if adjugate else None
 
 
 @dataclass(frozen=True)

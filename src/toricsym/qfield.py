@@ -55,7 +55,9 @@ class QuadElement:
     """a + b*sqrt(d) with exact rational a, b.
 
     ``d`` is a squarefree integer != 0, 1, or None for a plain rational
-    (then b = 0).  Elements with b = 0 compare equal across fields.
+    (then b = 0).  Elements with b = 0 compare equal across fields.  ``d`` is
+    checked where an element is made, not in the results of arithmetic on
+    checked elements.
     """
 
     d: int | None
@@ -69,6 +71,14 @@ class QuadElement:
             _require_field_d(self.d)
         elif self.b != 0:
             raise ValueError("rational elements must have b = 0")
+
+    @classmethod
+    def _of(cls, d: int | None, a: Fraction, b: Fraction) -> "QuadElement":
+        element = object.__new__(cls)
+        object.__setattr__(element, "d", d)
+        object.__setattr__(element, "a", a)
+        object.__setattr__(element, "b", b)
+        return element
 
     @classmethod
     def rational(cls, x: RationalLike) -> "QuadElement":
@@ -109,12 +119,12 @@ class QuadElement:
 
     def __add__(self, other):
         x, y, d = self._join(other)
-        return QuadElement(d, x.a + y.a, x.b + y.b)
+        return QuadElement._of(d, x.a + y.a, x.b + y.b)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QuadElement(self.d, -self.a, -self.b)
+        return QuadElement._of(self.d, -self.a, -self.b)
 
     def __sub__(self, other):
         x, y, d = self._join(other)
@@ -126,8 +136,8 @@ class QuadElement:
     def __mul__(self, other):
         x, y, d = self._join(other)
         if d is None:
-            return QuadElement(None, x.a * y.a, Fraction(0))
-        return QuadElement(d, x.a * y.a + d * x.b * y.b, x.a * y.b + x.b * y.a)
+            return QuadElement._of(None, x.a * y.a, Fraction(0))
+        return QuadElement._of(d, x.a * y.a + d * x.b * y.b, x.a * y.b + x.b * y.a)
 
     __rmul__ = __mul__
 

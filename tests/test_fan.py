@@ -9,6 +9,7 @@ from toricsym import families
 from toricsym.errors import PreconditionError
 from toricsym.fan import (
     Fan,
+    FanReport,
     Lattice,
     _seed_basis,
     build_surface_fan,
@@ -19,7 +20,7 @@ from toricsym.fan import (
     transform_fan,
     validate_fan,
 )
-from toricsym.intlin import IntMatrix, primitive_vector
+from toricsym.intlin import IntMatrix, kernel_basis, primitive_vector
 
 
 class TestLatticeCoordinates:
@@ -201,6 +202,165 @@ class TestValidateFan:
         fan = families.projective_space(1)
         report = validate_fan(fan)
         assert report.complete and report.smooth
+
+
+def _kernel_validate(fan):
+    """validate_fan outside rank 2 as it was before det and adj: one rank()
+    and one Smith form per cone, one kernel facet normal per wall."""
+    n = fan.rank
+    simplicial = all(len(cone) == n and fan.cone_matrix(cone).rank() == n for cone in fan.max_cones)
+    smooth = simplicial and all(all(f == 1 for f in cone_invariant_factors(fan, cone)) for cone in fan.max_cones)
+    return FanReport(simplicial=simplicial, complete=_kernel_complete(fan), smooth=smooth)
+
+
+def _kernel_complete(fan):
+    n = fan.rank
+    if not fan.max_cones or any(len(cone) != n for cone in fan.max_cones):
+        return False
+    walls = {}
+    for ci, cone in enumerate(fan.max_cones):
+        for drop in cone:
+            walls.setdefault(tuple(i for i in cone if i != drop), []).append((ci, drop))
+    halfspaces = [[] for _ in fan.max_cones]
+    for facet, owners in walls.items():
+        if len(owners) != 2:
+            return False
+        basis = kernel_basis(IntMatrix.from_rows([fan.rays[i] for i in facet]))
+        if len(basis) != 1:
+            raise PreconditionError("degenerate-facet", f"facet {facet} does not span a hyperplane")
+        normal = basis[0]
+        sides = []
+        for ci, opposite in owners:
+            s = sum(a * b for a, b in zip(normal, fan.rays[opposite]))
+            if s == 0:
+                return False
+            sides.append(s)
+            halfspaces[ci].append((normal, s))
+        if sides[0] * sides[1] > 0:
+            return False
+    adjacency = {i: set() for i in range(len(fan.max_cones))}
+    for (a, _), (b, _) in walls.values():
+        adjacency[a].add(b)
+        adjacency[b].add(a)
+    seen, queue = {0}, [0]
+    while queue:
+        for nxt in adjacency[queue.pop()] - seen:
+            seen.add(nxt)
+            queue.append(nxt)
+    if len(seen) != len(fan.max_cones):
+        return False
+    p = tuple(map(sum, zip(*(fan.rays[i] for i in fan.max_cones[0]))))
+    containing = sum(
+        all(s * sum(a * b for a, b in zip(normal, p)) >= 0 for normal, s in cone) for cone in halfspaces
+    )
+    if containing > 1:
+        raise PreconditionError("overlapping-cones", f"a point inside the first cone lies in {containing} cones")
+    return True
+
+
+def _product_fan(dims):
+    """Rays and maximal cones of the product of the projective spaces P^d."""
+    n = sum(dims)
+    rays, blocks = [], []
+    for d in dims:
+        offset = len(rays) - len(blocks)
+        block = list(range(len(rays), len(rays) + d + 1))
+        rays += [tuple(int(k == offset + i) for k in range(n)) for i in range(d)]
+        rays.append(tuple(-int(offset <= k < offset + d) for k in range(n)))
+        blocks.append(block)
+    choices = itertools.product(*blocks)
+    return rays, [tuple(i for block, drop in zip(blocks, choice) for i in block if i != drop) for choice in choices]
+
+
+def _weighted_stellar_subdivision(rng, rays, cones, steps):
+    """Star subdivisions at random faces of maximal cones, the new ray a
+    positive combination of the face's rays (not always smooth)."""
+    rays, cones = list(rays), list(cones)
+    for _ in range(steps):
+        face = rng.sample(rng.choice(cones), rng.randint(2, len(cones[0])))
+        new = len(rays)
+        weights = [rng.choice((1, 1, 2, 3)) for _ in face]
+        rays.append(primitive_vector([sum(w * x for w, x in zip(weights, xs)) for xs in zip(*(rays[i] for i in face))]))
+        if rays[-1] in rays[:-1]:
+            rays.pop()
+            continue
+        cones = [
+            sub
+            for c in cones
+            for sub in ([tuple(new if x == i else x for x in c) for i in face] if set(face) <= set(c) else [c])
+        ]
+    return rays, cones
+
+
+def _random_unimodular(rng, n):
+    m = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(2 * n):
+        i, j = rng.sample(range(n), 2)
+        k = rng.choice((-2, -1, 1, 2))
+        m[i] = [x + k * y for x, y in zip(m[i], m[j])]
+    return IntMatrix.from_rows(m)
+
+
+def _differential_cases(seed):
+    """Seeded rank 3-5 cone lists: subdivided products, random subsets of
+    their cones, a cone cut to a facet, and their unimodular images."""
+    rng = random.Random(seed)
+    dims = rng.choice([(3,), (2, 1), (1, 1, 1), (4,), (2, 2), (3, 1), (1, 1, 2), (5,), (1, 1, 1, 1, 1), (2, 3)])
+    rays, cones = _weighted_stellar_subdivision(rng, *_product_fan(dims), rng.randint(0, 4))
+    lattice = Lattice.standard(sum(dims))
+    fans = [make_fan(lattice, rays, cones), make_fan(lattice, rays, rng.sample(cones, rng.randint(1, len(cones))))]
+    cut = list(cones)
+    cut[0] = cut[0][1:]
+    fans.append(make_fan(lattice, rays, cut))
+    return fans + [transform_fan(_random_unimodular(rng, lattice.rank), fan) for fan in fans]
+
+
+class TestValidationByDeterminants:
+    """validate_fan outside rank 2 against the kernel-normal validation."""
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_agrees_with_the_kernel_normals(self, seed):
+        for fan in _differential_cases(seed):
+            assert validate_fan(fan) == _kernel_validate(fan)
+
+    def test_every_kind_of_report_occurs(self):
+        reports = {validate_fan(fan) for seed in range(60) for fan in _differential_cases(seed)}
+        assert reports == {
+            FanReport(simplicial=True, complete=True, smooth=True),
+            FanReport(simplicial=True, complete=True, smooth=False),
+            FanReport(simplicial=True, complete=False, smooth=True),
+            FanReport(simplicial=True, complete=False, smooth=False),
+            FanReport(simplicial=False, complete=False, smooth=False),
+        }
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_the_pentagram_bipyramid_overlaps_in_both(self, seed):
+        rays = TestValidateFan.PENTAGON
+        cones = [(j, (j + 1) % 5, pole) for j in range(5) for pole in (5, 6)]
+        fan = make_fan(Lattice.standard(3), rays, cones)
+        if seed:
+            fan = transform_fan(_random_unimodular(random.Random(seed), 3), fan)
+        for validate in (validate_fan, _kernel_validate):
+            with pytest.raises(PreconditionError) as info:
+                validate(fan)
+            assert info.value.reason == "overlapping-cones"
+
+    def test_two_disjoint_copies_of_p3_are_not_complete(self):
+        # Every wall lies on two cones of one copy; the copies share no wall.
+        p3 = families.projective_space(3)
+        rays = p3.rays + tuple(tuple(-x for x in v) for v in p3.rays)
+        cones = p3.max_cones + tuple(tuple(i + 4 for i in cone) for cone in p3.max_cones)
+        fan = make_fan(Lattice.standard(3), rays, cones)
+        assert validate_fan(fan) == _kernel_validate(fan) == FanReport(simplicial=True, complete=False, smooth=True)
+
+    def test_a_rank_deficient_cone_is_neither_simplicial_nor_complete(self):
+        # The kernel-normal path raised degenerate-facet here: the wall
+        # (1, 2) of the two planar cones spans only a line.
+        fan = Fan(Lattice.standard(3), ((0, 1, 0), (1, 0, 0), (-1, 0, 0), (0, 0, 1)), ((0, 1, 2), (1, 2, 3)))
+        assert validate_fan(fan) == FanReport(simplicial=False, complete=False, smooth=False)
+        with pytest.raises(PreconditionError) as info:
+            _kernel_validate(fan)
+        assert info.value.reason == "degenerate-facet"
 
 
 class TestFanIsomorphism:

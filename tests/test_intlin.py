@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy import ZZ, Matrix
+from sympy.polys.matrices import DomainMatrix
 from sympy.matrices.normalforms import hermite_normal_form
 from sympy.matrices.normalforms import smith_normal_form as smith_normal_form_over_zz
 
@@ -33,6 +34,25 @@ small_matrices = st.integers(1, 6).flatmap(
 square_matrices = st.integers(1, 6).flatmap(
     lambda n: st.lists(st.lists(st.integers(-9, 9), min_size=n, max_size=n), min_size=n, max_size=n)
 ).map(mat)
+
+
+@st.composite
+def square_matrices_of_any_rank(draw):
+    """n x n products L R of n x r and r x n matrices, n <= 8: rank at most r.
+    Column j is sometimes set to k times column i, so that a dependent column
+    can come before the last one."""
+    n = draw(st.integers(1, 8))
+    r = draw(st.integers(0, n))
+    entries = st.integers(-3, 3)
+    left = draw(st.lists(st.lists(entries, min_size=r, max_size=r), min_size=n, max_size=n))
+    right = draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=r, max_size=r))
+    rows = [[sum(left[i][k] * right[k][j] for k in range(r)) for j in range(n)] for i in range(n)]
+    if n > 1 and draw(st.booleans()):
+        i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        k = draw(st.integers(-2, 2))
+        for row in rows:
+            row[j] = k * row[i]
+    return mat(rows)
 
 
 class TestSmithNormalForm:
@@ -137,6 +157,17 @@ class TestSympyOracles:
         assert Matrix(adjugate.entries) == Matrix(a.entries).adjugate()
         d = a.det()
         assert a @ adjugate == IntMatrix.from_rows([[d * (i == j) for j in range(a.rows)] for i in range(a.rows)])
+
+    @settings(max_examples=150, deadline=None)
+    @given(square_matrices_of_any_rank())
+    def test_gauss_jordan_det_and_adjugate(self, a):
+        det, adjugate = a.det_adjugate()
+        # sympy's adjugate comes from the characteristic polynomial.
+        oracle = DomainMatrix.from_Matrix(Matrix(a.entries)).convert_to(ZZ)
+        assert det == oracle.det()
+        assert Matrix(adjugate.entries) == oracle.adjugate().to_Matrix()
+        scalar = IntMatrix.from_rows([[det * (i == j) for j in range(a.rows)] for i in range(a.rows)])
+        assert a @ adjugate == scalar and adjugate @ a == scalar
 
     @settings(max_examples=100, deadline=None)
     @given(small_matrices)

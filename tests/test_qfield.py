@@ -85,6 +85,17 @@ class TestSquarefree:
         # About 10^6 trial divisions, 0.1 s.
         assert FieldDescriptor(name="x", kind="quadratic", d=999999999999999989).d == 999999999999999989
 
+    def test_arithmetic_does_not_recheck_d(self, monkeypatch):
+        from toricsym import qfield
+
+        d = 999999999999999989
+        x = QuadElement(d, Fraction(1, 2), Fraction(3))
+        calls = []
+        monkeypatch.setattr(qfield, "_is_squarefree", lambda n: calls.append(n) or True)
+        y = x * x + x * x
+        assert calls == []
+        assert (y.d, y.a, y.b) == (d, 2 * (Fraction(1, 4) + 9 * d), 6)
+
     def test_square_of_a_large_prime_is_rejected(self):
         assert not _is_squarefree(1000003**2)
         with pytest.raises(ValueError):
