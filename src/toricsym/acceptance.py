@@ -17,13 +17,7 @@ from . import families, qfield
 from .divisors import class_group, derive_block_relation, ray_blocks
 from .fan import Fan, Lattice, cone_invariant_factors
 from .intlin import IntMatrix, smith_normal_form
-from .mmp import (
-    DP6_TERMINAL,
-    P2,
-    _adjacent_minus_one_facts,
-    _profile,
-    run_equivariant_mmp,
-)
+from .mmp import DP6_TERMINAL, P2, check_adjacent_minus_one_rule, run_equivariant_mmp
 from .symmetry import (
     centralizer_in_GL,
     fan_automorphisms,
@@ -208,44 +202,38 @@ def criterion_a7() -> list[str]:
     """Census: every contraction branch ends at the triangle or the hexagon.
 
     Every terminal has 3 or 6 rays, with negation and without; the smooth
-    census enumerator starts its blow-ups from those fans.
+    census enumerator starts its blow-ups from those fans.  The branches
+    end at a handful of distinct terminal fans, so each one's invariant
+    Picard number is computed once per action.
     """
     failures = []
-    for name, fan in _census(include_negation=False):
-        action = families.standard_s3_action(fan)
-        for trace in run_equivariant_mmp(fan, action, mode="explore-all"):
-            if trace.label not in (P2, DP6_TERMINAL):
-                failures.append(f"{name}: branch terminated at {trace.label}")
-            if trace.terminal.ray_count not in (3, 6):
-                failures.append(f"{name}: terminal with {trace.terminal.ray_count} rays")
-            terminal_action = families.standard_s3_action(trace.terminal)
-            rho = invariant_picard_number(terminal_action)
-            if rho not in (1, 2):
-                failures.append(f"{name}: terminal invariant Picard number {rho}")
-    for name, fan in _census(include_negation=True):
-        action = families.standard_s3_action(fan, include_negation=True)
-        for trace in run_equivariant_mmp(fan, action, mode="explore-all"):
-            if trace.terminal.ray_count not in (3, 6):
-                failures.append(f"{name} (negation): terminal with {trace.terminal.ray_count} rays")
-            if trace.terminal.ray_count == 6 and trace.label != DP6_TERMINAL:
-                failures.append(f"{name} (negation): 6-ray terminal labelled {trace.label}")
-            terminal_action = families.standard_s3_action(trace.terminal, include_negation=True)
-            rho = invariant_picard_number(terminal_action)
-            if rho not in (1, 2):
-                failures.append(f"{name} (negation): terminal invariant Picard number {rho}")
+    for negation in (False, True):
+        tag = " (negation)" if negation else ""
+        rhos: dict[Fan, int] = {}
+        for name, fan in _census(include_negation=negation):
+            action = families.standard_s3_action(fan, include_negation=negation)
+            for trace in run_equivariant_mmp(fan, action, mode="explore-all"):
+                terminal = trace.terminal
+                if not negation and trace.label not in (P2, DP6_TERMINAL):
+                    failures.append(f"{name}: branch terminated at {trace.label}")
+                if terminal.ray_count not in (3, 6):
+                    failures.append(f"{name}{tag}: terminal with {terminal.ray_count} rays")
+                if negation and terminal.ray_count == 6 and trace.label != DP6_TERMINAL:
+                    failures.append(f"{name}{tag}: 6-ray terminal labelled {trace.label}")
+                if terminal not in rhos:
+                    terminal_action = families.standard_s3_action(terminal, include_negation=negation)
+                    rhos[terminal] = invariant_picard_number(terminal_action)
+                if rhos[terminal] not in (1, 2):
+                    failures.append(f"{name}{tag}: terminal invariant Picard number {rhos[terminal]}")
     return failures
 
 
 def criterion_a8() -> list[str]:
-    """Adjacent (-1)-ray neighbor opposition holds on every census fan.
-
-    Census fans are smooth by construction, and A7's contraction loop
-    validates each one on entry, so A8 does not validate them again.
-    """
+    """Adjacent (-1)-ray neighbor opposition holds on every census fan."""
     failures = []
     for name, fan in _census(include_negation=False) + _census(include_negation=True):
         try:
-            _adjacent_minus_one_facts(fan, _profile(fan))
+            check_adjacent_minus_one_rule(fan)
         except AssertionError as exc:
             failures.append(f"{name}: {exc}")
     return failures

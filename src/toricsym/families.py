@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import PreconditionError
-from .fan import Fan, Lattice, _cycle_fan, build_surface_fan, make_fan, surface_key, transform_fan, validate_fan
+from .fan import Fan, Lattice, _cycle_dets, _cycle_fan, build_surface_fan, make_fan, surface_key, transform_fan
 from .intlin import IntMatrix, Vector, primitive_vector
 from .symmetry import GaloisDatum, GroupAction, action_from_generators
 
@@ -240,15 +240,16 @@ def _blow_up(fan: Fan, new_rays: Sequence[Vector]) -> Fan:
 def _smooth_blowups(lattice: Lattice, orbit_list: Sequence[tuple[Vector, ...]], max_rays: int):
     """Every smooth fan on a union of the orbits with at most ``max_rays``
     rays, reached from the smooth 3- to 6-ray fans by orbit blow-ups.  Only
-    those seeds are validated: a blow-up cuts smooth cones (v_i, v_{i+1})
-    into cones of determinant 1, so it certifies the fans it reaches."""
+    those seeds are tested, by det(v_i, v_{i+1}) = 1 on their ray cycle: a
+    blow-up cuts smooth cones (v_i, v_{i+1}) into cones of determinant 1, so
+    it certifies the fans it reaches."""
     orbit_of = {v: orbit for orbit in orbit_list for v in orbit}
     seen: set[frozenset[Vector]] = set()
     stack = []
     for rays in _orbit_unions(orbit_list, min(6, max_rays)):
         seen.add(frozenset(rays))
         fan = build_surface_fan(lattice, rays)
-        if validate_fan(fan).smooth:
+        if all(b == 1 for b in _cycle_dets(fan.rays)):
             stack.append(fan)
     while stack:
         fan = stack.pop()

@@ -268,6 +268,16 @@ def _surface_fan(lattice: Lattice, prim: list[Vector]) -> Fan:
     return _cycle_fan(lattice, _ccw_sort(prim))
 
 
+def _cycle_dets(cycle: Sequence[Vector]) -> tuple[int, ...]:
+    """The cone determinants b_i = det(v_i, v_{i+1}) of a cyclic ray sequence.
+
+    A counterclockwise cycle of at least 3 rays, as a rank-2 fan stores
+    them, is complete iff every b_i > 0, and then smooth iff every b_i = 1:
+    each cone's two rays are then a basis of the lattice (Oda 1.6)."""
+    d = len(cycle)
+    return tuple(_cross(cycle[i], cycle[(i + 1) % d]) for i in range(d))
+
+
 def _cycle_fan(lattice: Lattice, cycle: list[Vector]) -> Fan:
     """The complete surface fan of distinct primitive rays given in
     counterclockwise cyclic order, from any start; stored from the least."""
@@ -275,12 +285,11 @@ def _cycle_fan(lattice: Lattice, cycle: list[Vector]) -> Fan:
         raise PreconditionError("too-few-rays", "a complete surface fan needs at least 3 rays")
     start = cycle.index(min(cycle))
     ordered = cycle[start:] + cycle[:start]
+    if any(b <= 0 for b in _cycle_dets(ordered)):
+        raise PreconditionError(
+            "incomplete", "angular gap of at least a half turn: rays do not span a complete fan"
+        )
     d = len(ordered)
-    for i in range(d):
-        if _cross(ordered[i], ordered[(i + 1) % d]) <= 0:
-            raise PreconditionError(
-                "incomplete", "angular gap of at least a half turn: rays do not span a complete fan"
-            )
     cones = tuple(tuple(sorted((i, (i + 1) % d))) for i in range(d))
     return Fan(lattice, tuple(ordered), tuple(sorted(cones)))
 
@@ -350,12 +359,12 @@ def validate_fan(fan: Fan) -> FanReport:
     matrix B: simplicial iff det B != 0, smooth iff |det B| = 1."""
     n = fan.rank
     if n == 2:
-        rays, d = fan.rays, fan.ray_count
+        rays = fan.rays
         # A surface cone is simplicial iff its two rays have a nonzero cross product.
         simplicial = all(
             len(cone) == 2 and _cross(rays[cone[0]], rays[cone[1]]) != 0 for cone in fan.max_cones
         )
-        complete = d >= 3 and all(_cross(rays[i], rays[(i + 1) % d]) > 0 for i in range(d))
+        complete = fan.ray_count >= 3 and all(b > 0 for b in _cycle_dets(rays))
         smooth = simplicial and all(
             all(f == 1 for f in cone_invariant_factors(fan, cone)) for cone in fan.max_cones
         )

@@ -140,7 +140,11 @@ class IntMatrix:
 
     def adjugate(self) -> "IntMatrix":
         """Adjugate matrix: self @ adj = det * identity, exactly; adj[i][j] is
-        the signed determinant of the minor without row j and column i."""
+        the signed determinant of the minor without row j and column i.
+
+        The library itself calls ``det_adjugate``.  This method stays because
+        ``perfbench/tracer.py`` wraps it by name (``METHODS``): without it a
+        ``--trace 1`` run and ``perfbench/test_checks.py`` fail on a KeyError."""
         return self.det_adjugate()[1]
 
     def det_adjugate(self) -> tuple[int, "IntMatrix"]:

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import PreconditionError
-from .fan import Fan, _cross, _cycle_fan, validate_fan
+from .fan import Fan, _cross, _cycle_dets, _cycle_fan
 from .intlin import Vector
 from .symmetry import GroupAction, ray_orbits
 
@@ -18,10 +18,10 @@ from .symmetry import GroupAction, ray_orbits
 def _require_smooth_complete_surface(fan: Fan, who: str) -> None:
     if fan.rank != 2:
         raise PreconditionError("rank", f"{who} needs a surface fan (rank 2)")
-    report = validate_fan(fan)
-    if not report.complete:
+    dets = _cycle_dets(fan.rays)
+    if len(dets) < 3 or any(b <= 0 for b in dets):
         raise PreconditionError("incomplete", f"{who} needs a complete fan")
-    if not report.smooth:
+    if any(b != 1 for b in dets):
         raise PreconditionError("not-smooth", f"{who} needs a smooth fan")
 
 
@@ -140,8 +140,8 @@ def classify_terminal(fan: Fan) -> TerminalLabel:
     a_i = 1 the degree-6 del Pezzo hexagon.  A rank-2 fan's stored cycle
     is complete, so it is smooth when every cone has determinant 1.
     """
-    rays, d = fan.rays, fan.ray_count
-    if fan.rank != 2 or d not in (3, 4, 6) or any(_cross(rays[i - 1], rays[i]) != 1 for i in range(d)):
+    d = fan.ray_count
+    if fan.rank != 2 or d not in (3, 4, 6) or any(b != 1 for b in _cycle_dets(fan.rays)):
         return OTHER
     word = _profile(fan).coefficients
     if d == 3:
@@ -235,13 +235,7 @@ def check_adjacent_minus_one_rule(fan: Fan) -> tuple[NeighborOppositionFact, ...
     must be exact negatives of each other; a violation would mean the fan
     data is internally inconsistent.
     """
-    return _adjacent_minus_one_facts(fan, self_intersection_profile(fan))
-
-
-def _adjacent_minus_one_facts(
-    fan: Fan, profile: SelfIntersectionProfile
-) -> tuple[NeighborOppositionFact, ...]:
-    """``check_adjacent_minus_one_rule`` on a known smooth complete fan and its profile."""
+    profile = self_intersection_profile(fan)
     d = fan.ray_count
     facts = []
     for i in range(d):

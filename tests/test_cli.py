@@ -232,6 +232,25 @@ class TestMmpCommand:
         assert len(payload["traces"]) == 2
         assert {t["label"] for t in payload["traces"]} == {"P2"}
 
+    @pytest.mark.parametrize("flags", [[], ["--explore-all"]], ids=["first-orbit", "explore-all"])
+    def test_singular_hexagon_exits_3_not_smooth(self, flags, tmp_path, capsys):
+        fan_path, act_path = tmp_path / "hexagon.fan", tmp_path / "s3.act"
+        fanio.save_fan(families.singular_hexagon(), fan_path)
+        gens = [[list(row) for row in g.entries] for g in Lattice.root_a2().s3_matrices()]
+        write_json(act_path, {"generators": gens})
+        code, error = machine_error(capsys, "mmp", str(fan_path), str(act_path), *flags)
+        assert (code, error["reason"]) == (3, "not-smooth")
+        assert error["message"] == "the equivariant contraction loop needs a smooth fan"
+
+    @pytest.mark.parametrize("flags", [[], ["--explore-all"]], ids=["first-orbit", "explore-all"])
+    def test_threefold_exits_3_rank(self, flags, tmp_path, capsys):
+        fan_path, act_path = tmp_path / "p3.fan", tmp_path / "identity.act"
+        fanio.save_fan(families.projective_space(3), fan_path)
+        write_json(act_path, {"generators": [[[int(i == j) for j in range(3)] for i in range(3)]]})
+        code, error = machine_error(capsys, "mmp", str(fan_path), str(act_path), *flags)
+        assert (code, error["reason"]) == (3, "rank")
+        assert error["message"] == "the equivariant contraction loop needs a surface fan (rank 2)"
+
     def test_galois_flag_freezes_the_hexagon(self, dp6_n2_files, tmp_path, capsys):
         fan_path, act_path = dp6_n2_files
         galois_path = tmp_path / "neg.galois"

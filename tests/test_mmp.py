@@ -1,14 +1,26 @@
+import functools
 import itertools
 import math
+import operator
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
-from toricsym import families
+from toricsym import divisors, families, intlin
+from toricsym import fan as fan_module
 from toricsym.errors import PreconditionError
-from toricsym.fan import Lattice, _cycle_fan, build_surface_fan, fan_isomorphism, surface_key, validate_fan
+from toricsym.fan import (
+    Fan,
+    Lattice,
+    _cycle_fan,
+    build_surface_fan,
+    fan_isomorphism,
+    surface_key,
+    transform_fan,
+    validate_fan,
+)
 from toricsym.intlin import IntMatrix
 from toricsym.mmp import (
     DP6_TERMINAL,
@@ -170,12 +182,16 @@ class TestSelfIntersectionProfile:
         assert self_intersection_profile(fan).coefficients == profile_by_division(fan)
 
     def test_singular_input_is_rejected(self):
-        with pytest.raises(PreconditionError):
+        with pytest.raises(PreconditionError) as info:
             self_intersection_profile(families.singular_hexagon())
+        assert info.value.reason == "not-smooth"
+        assert str(info.value) == "the self-intersection profile needs a smooth fan"
 
     def test_non_surface_input_is_rejected(self):
-        with pytest.raises(PreconditionError):
+        with pytest.raises(PreconditionError) as info:
             self_intersection_profile(families.projective_space(3))
+        assert info.value.reason == "rank"
+        assert str(info.value) == "the self-intersection profile needs a surface fan (rank 2)"
 
 
 class TestContractibleOrbits:
@@ -339,6 +355,128 @@ class TestCertifiedContractions:
         with pytest.raises(PreconditionError) as info:
             contract_orbit(fan, (0,))
         assert info.value.reason == "not-smooth"
+
+
+def entry_verdict(fan):
+    """What the contraction loop's entry check says of a fan."""
+    try:
+        self_intersection_profile(fan)
+    except PreconditionError as exc:
+        return exc.reason
+    return "accept"
+
+
+def validation_verdict(fan):
+    """The verdict implied by ``validate_fan``'s per-cone Smith forms."""
+    report = validate_fan(fan)
+    return "incomplete" if not report.complete else "not-smooth" if not report.smooth else "accept"
+
+
+def hand_built(lattice, rays):
+    """A Fan on the rays in the given order, with the cones of that cycle,
+    built with no check at all."""
+    d = len(rays)
+    return Fan(lattice, tuple(rays), tuple(sorted({tuple(sorted({i, (i + 1) % d})) for i in range(d)})))
+
+
+CENSUS_FANS = [case.values[0] for case in census_cases_up_to(3)]
+PRIMITIVE = st.tuples(st.integers(-4, 4), st.integers(-4, 4)).filter(lambda v: math.gcd(*v) == 1)
+ELEMENTARY = [IntMatrix.from_rows(rows) for rows in (((1, 1), (0, 1)), ((1, 0), (-1, 1)), ((0, 1), (1, 0)), ((-1, 0), (0, 1)))]
+GL2 = st.lists(st.sampled_from(ELEMENTARY), max_size=6).map(
+    lambda factors: functools.reduce(operator.matmul, factors, IntMatrix.identity(2))
+)
+
+
+@st.composite
+def surface_fans(draw):
+    """A complete surface fan, smooth or singular: built from random
+    primitive rays, a random blow-up or a census fan."""
+    source = draw(st.sampled_from(["rays", "blowup", "census"]))
+    if source == "census":
+        return draw(st.sampled_from(CENSUS_FANS))
+    if source == "blowup":
+        return families.random_blowup_surface_fan(random.Random(draw(st.integers(0, 10**6))), max_rays=10)
+    rays = draw(st.lists(PRIMITIVE, min_size=3, max_size=8, unique=True))
+    try:
+        return build_surface_fan(Lattice.standard(2), rays)
+    except PreconditionError:
+        reject()
+
+
+@st.composite
+def entry_cases(draw):
+    """Surface fans, their GL2(Z) images (rebuilt, or with the rays moved
+    in place, which reverses the cycle when det g = -1), reorderings of
+    their rays, and cycles of fewer than 3 rays."""
+    fan, g = draw(surface_fans()), draw(GL2)
+    how = draw(st.sampled_from(["fan", "image", "moved", "reordered", "few"]))
+    if how == "image":
+        return transform_fan(g, fan)
+    if how == "moved":
+        return hand_built(fan.lattice, [g.apply(v) for v in fan.rays])
+    if how == "reordered":
+        return hand_built(fan.lattice, draw(st.permutations(fan.rays)))
+    if how == "few":
+        return hand_built(fan.lattice, fan.rays[: draw(st.integers(0, 2))])
+    return fan
+
+
+class TestEntryCheck:
+    """The contraction loop checks its input on the stored ray cycle alone;
+    ``validate_fan``, which takes a Smith form per cone, is the oracle."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(entry_cases())
+    def test_verdict_matches_the_validation(self, fan):
+        assert entry_verdict(fan) == validation_verdict(fan), fan
+
+    @pytest.mark.parametrize(
+        "rays,verdict",
+        [
+            ([(1, 0), (0, 1), (-1, -1)], "accept"),
+            ([(1, 0), (-1, -1), (0, 1)], "incomplete"),
+            ([(1, 0), (-1, 0)], "incomplete"),
+            ([(1, 0)], "incomplete"),
+            ([], "incomplete"),
+            ([(1, 0), (1, 2), (-1, -1)], "not-smooth"),
+            ([(1, 0), (0, 1), (-1, 0), (0, -1), (1, 0)], "incomplete"),
+        ],
+    )
+    def test_hand_built_cycles(self, rays, verdict):
+        fan = hand_built(Lattice.standard(2), rays)
+        assert entry_verdict(fan) == validation_verdict(fan) == verdict
+
+
+@pytest.fixture
+def smith_form_calls(monkeypatch):
+    """Every Smith normal form taken while the test runs."""
+    calls = []
+    for module in (intlin, fan_module, divisors):
+        original = module.smith_normal_form
+        monkeypatch.setattr(module, "smith_normal_form", lambda a, original=original: calls.append(a) or original(a))
+    return calls
+
+
+class TestNoSmithForms:
+    """The contraction loop and the smooth census decide smoothness on the
+    ray cycle, with no Smith normal form."""
+
+    def test_the_count_sees_validation(self, smith_form_calls):
+        validate_fan(families.dp6("n1"))
+        assert len(smith_form_calls) == 6
+
+    @pytest.mark.parametrize("fan,action", census_cases_up_to(3))
+    def test_contraction_loop(self, fan, action, smith_form_calls):
+        run_equivariant_mmp(fan, action, mode="first-orbit")
+        run_equivariant_mmp(fan, action, mode="explore-all")
+        assert smith_form_calls == []
+
+    @pytest.mark.parametrize("negation", [False, True])
+    @pytest.mark.parametrize("lattice", [Lattice.root_a2(), Lattice.weight_a2()], ids=["rootA2", "weightA2"])
+    def test_smooth_census(self, lattice, negation, smith_form_calls):
+        fans = families.enumerate_invariant_fans(lattice, 4, 24, require_smooth=True, include_negation=negation)
+        assert fans
+        assert smith_form_calls == []
 
 
 def removal_outcome(remove):
