@@ -35,9 +35,11 @@ EXIT_PARSE = 2
 EXIT_PRECONDITION = 3
 
 
-def _emit(payload: dict[str, Any], lines: Iterable[str], fmt: str) -> None:
+def _emit(payload: dict[str, Any] | str, lines: Iterable[str], fmt: str) -> None:
+    """Print the payload as sorted-key JSON (text given is printed as it
+    is), or the plain lines."""
     if fmt == "machine":
-        print(json.dumps(payload, sort_keys=True))
+        print(payload if isinstance(payload, str) else json.dumps(payload, sort_keys=True))
     else:
         for line in lines:
             print(line)
@@ -142,11 +144,13 @@ def cmd_mmp(args: argparse.Namespace) -> int:
     action = action_from_generators(fan, generators)
     if args.explore_all:
         traces = run_equivariant_mmp(fan, action, mode="explore-all")
+        text = '{"traces": [' + ", ".join(fanio.traces_text(traces)) + "]}"
         lines = (line for i, t in enumerate(traces) for line in [f"--- branch {i} ---", *_trace_lines(t)])
-        _emit({"traces": fanio.traces_document(traces)}, lines, args.format)
     else:
         trace = run_equivariant_mmp(fan, action, mode="first-orbit")
-        _emit(fanio.trace_document(trace), _trace_lines(trace), args.format)
+        (text,) = fanio.traces_text([trace])
+        lines = _trace_lines(trace)
+    _emit(text, lines, args.format)
     return EXIT_OK
 
 

@@ -278,6 +278,15 @@ def _cycle_dets(cycle: Sequence[Vector]) -> tuple[int, ...]:
     return tuple(_cross(cycle[i], cycle[(i + 1) % d]) for i in range(d))
 
 
+def _cycle_winds_once(cycle: Sequence[Vector]) -> bool:
+    """Whether a cyclic ray sequence with every b_i > 0 goes once round the
+    origin.  Each step v_i -> v_{i+1} then turns counterclockwise by less
+    than a half turn, and it crosses the half-line through (1, 0) exactly
+    when y_i < 0 <= y_{i+1} (half-open), so the crossings count the turns."""
+    d = len(cycle)
+    return sum(cycle[i][1] < 0 <= cycle[(i + 1) % d][1] for i in range(d)) == 1
+
+
 def _cycle_fan(lattice: Lattice, cycle: list[Vector]) -> Fan:
     """The complete surface fan of distinct primitive rays given in
     counterclockwise cyclic order, from any start; stored from the least."""
@@ -354,7 +363,8 @@ def _complete_rank_ge3(fan: Fan, det_adj: list[tuple[int, IntMatrix]]) -> bool:
 
 def validate_fan(fan: Fan) -> FanReport:
     """Exact structural predicates: simplicial, complete, smooth; raises
-    ``overlapping-cones`` for rank >= 3 cones that cover space more than once.
+    ``overlapping-cones`` for cones that cover space more than once (in
+    rank 2, a ray cycle that winds more than once round the origin).
     Outside rank 2 they are read off det B and adj B of each cone's ray
     matrix B: simplicial iff det B != 0, smooth iff |det B| = 1."""
     n = fan.rank
@@ -365,6 +375,8 @@ def validate_fan(fan: Fan) -> FanReport:
             len(cone) == 2 and _cross(rays[cone[0]], rays[cone[1]]) != 0 for cone in fan.max_cones
         )
         complete = fan.ray_count >= 3 and all(b > 0 for b in _cycle_dets(rays))
+        if complete and not _cycle_winds_once(rays):
+            raise PreconditionError("overlapping-cones", "the ray cycle winds more than once round the origin")
         smooth = simplicial and all(
             all(f == 1 for f in cone_invariant_factors(fan, cone)) for cone in fan.max_cones
         )

@@ -6,6 +6,10 @@ Fan document:    {"lattice": "standard:n" | "rootA2" | "weightA2",
 Action document: {"generators": [[[..], ..], ..],  # row-major matrices
                   "names": ["..", ..],             # optional labels, unused
                   "galois": [[..], ..]}            # optional involution
+Trace text:      {"label": "..",
+                  "steps": [{"contracted_orbit": [..], "contracted_rays": [[..], ..],
+                             "rays": [[..], ..]}, ..],     # fan before each step
+                  "terminal_rays": [[..], ..]}
 """
 
 from __future__ import annotations
@@ -19,6 +23,8 @@ from .fan import Fan, Lattice, make_fan
 from .intlin import IntMatrix
 from .mmp import MMPStep, MMPTrace
 from .symmetry import GaloisDatum
+
+_encode = json.JSONEncoder(sort_keys=True).encode
 
 
 def _load_json(path: str | Path) -> Any:
@@ -129,30 +135,36 @@ def load_galois(path: str | Path) -> GaloisDatum:
         raise ParseError(f"{path}: {exc}") from exc
 
 
-def trace_document(trace: MMPTrace) -> dict:
-    return traces_document([trace])[0]
+def traces_text(traces: Sequence[MMPTrace]) -> list[str]:
+    """Machine text of each contraction trace: the sorted-key JSON object
+    {"label", "steps", "terminal_rays"}, each step an object {"contracted_orbit",
+    "contracted_rays", "rays"}.  Explore-all branches share their step and
+    terminal objects; each distinct one is encoded once, by identity, and the
+    traces are joined from those fragments with json's default separators, so
+    the text equals ``json.dumps(document, sort_keys=True)``."""
+    steps: dict[int, str] = {}
+    terminals: dict[int, str] = {}
 
+    def step_text(step: MMPStep) -> str:
+        text = steps.get(id(step))
+        if text is None:
+            text = steps[id(step)] = _encode(
+                {
+                    "contracted_orbit": step.orbit,
+                    "contracted_rays": step.orbit_rays,
+                    "rays": step.fan.rays,
+                }
+            )
+        return text
 
-def traces_document(traces: Sequence[MMPTrace]) -> list[dict]:
-    """Documents of contraction traces.  Explore-all branches share their
-    leading step objects; each is rendered once and its dict shared."""
-    rendered: dict[int, dict] = {}
-
-    def step_document(step: MMPStep) -> dict:
-        doc = rendered.get(id(step))
-        if doc is None:
-            doc = rendered[id(step)] = {
-                "rays": [list(v) for v in step.fan.rays],
-                "contracted_orbit": list(step.orbit),
-                "contracted_rays": [list(v) for v in step.orbit_rays],
-            }
-        return doc
+    def terminal_text(fan: Fan) -> str:
+        text = terminals.get(id(fan))
+        if text is None:
+            text = terminals[id(fan)] = _encode(fan.rays)
+        return text
 
     return [
-        {
-            "steps": [step_document(step) for step in trace.steps],
-            "terminal_rays": [list(v) for v in trace.terminal.rays],
-            "label": str(trace.label),
-        }
+        f'{{"label": {_encode(str(trace.label))}, "steps": [{", ".join(map(step_text, trace.steps))}], '
+        f'"terminal_rays": {terminal_text(trace.terminal)}}}'
         for trace in traces
     ]

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import PreconditionError
-from .fan import Fan, _cross, _cycle_dets, _cycle_fan
+from .fan import Fan, _cross, _cycle_dets, _cycle_fan, _cycle_winds_once
 from .intlin import Vector
 from .symmetry import GroupAction, ray_orbits
 
@@ -21,6 +21,8 @@ def _require_smooth_complete_surface(fan: Fan, who: str) -> None:
     dets = _cycle_dets(fan.rays)
     if len(dets) < 3 or any(b <= 0 for b in dets):
         raise PreconditionError("incomplete", f"{who} needs a complete fan")
+    if not _cycle_winds_once(fan.rays):
+        raise PreconditionError("overlapping-cones", f"{who} needs a ray cycle that winds once round the origin")
     if any(b != 1 for b in dets):
         raise PreconditionError("not-smooth", f"{who} needs a smooth fan")
 

@@ -1,8 +1,9 @@
 import itertools
+import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from toricsym import families
@@ -11,6 +12,9 @@ from toricsym.fan import (
     Fan,
     FanReport,
     Lattice,
+    _cross,
+    _cycle_dets,
+    _cycle_winds_once,
     _seed_basis,
     build_surface_fan,
     cone_invariant_factors,
@@ -202,6 +206,57 @@ class TestValidateFan:
         fan = families.projective_space(1)
         report = validate_fan(fan)
         assert report.complete and report.smooth
+
+
+def _turns(cycle):
+    """Turns of a cyclic ray sequence round the origin, from floating angles."""
+    d = len(cycle)
+    total = sum(
+        math.atan2(_cross(v, w), v[0] * w[0] + v[1] * w[1]) for v, w in ((cycle[i], cycle[(i + 1) % d]) for i in range(d))
+    )
+    return round(total / (2 * math.pi))
+
+
+# Ray cycles with every det(v_i, v_{i+1}) = 1 that go round the origin more
+# than once: their cones cover the plane that many times.
+WOUND_CYCLES = [
+    pytest.param([(1, 0), (-2, 1), (1, -1), (-1, 2), (0, -1)], 2, id="5-rays-twice"),
+    pytest.param([(1, 0), (-1, 1), (0, -1), (1, 1), (-1, 0), (1, -1), (0, 1), (-1, -1)], 3, id="8-rays-thrice"),
+    pytest.param([(1, 0), (-2, 1), (-1, 0), (0, -1), (1, -2), (0, 1), (-1, -2), (1, 1), (-2, -1)], 3, id="9-rays-thrice"),
+]
+
+
+PRIMITIVE_RAYS = [(x, y) for x in range(-4, 5) for y in range(-4, 5) if math.gcd(x, y) == 1]
+
+
+@st.composite
+def positive_cycles(draw):
+    """Cyclic sequences of primitive rays, each step turning counterclockwise
+    by less than a half turn (every b_i > 0)."""
+    cycle = [draw(st.sampled_from(PRIMITIVE_RAYS))]
+    d = draw(st.integers(3, 12))
+    while len(cycle) < d:
+        last = len(cycle) == d - 1
+        options = [v for v in PRIMITIVE_RAYS if _cross(cycle[-1], v) > 0 and (not last or _cross(v, cycle[0]) > 0)]
+        assume(options)
+        cycle.append(draw(st.sampled_from(options)))
+    return cycle
+
+
+class TestCycleWinding:
+    @pytest.mark.parametrize("rays, turns", WOUND_CYCLES)
+    def test_a_cycle_wound_more_than_once_overlaps(self, rays, turns):
+        assert _turns(rays) == turns and set(_cycle_dets(rays)) == {1}
+        d = len(rays)
+        fan = Fan(Lattice.standard(2), tuple(rays), tuple(sorted(tuple(sorted((i, (i + 1) % d))) for i in range(d))))
+        with pytest.raises(PreconditionError) as info:
+            validate_fan(fan)
+        assert info.value.reason == "overlapping-cones"
+
+    @settings(max_examples=300, deadline=None)
+    @given(positive_cycles())
+    def test_the_crossing_count_is_the_winding_number(self, cycle):
+        assert _cycle_winds_once(cycle) is (_turns(cycle) == 1)
 
 
 def _kernel_validate(fan):

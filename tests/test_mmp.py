@@ -367,8 +367,12 @@ def entry_verdict(fan):
 
 
 def validation_verdict(fan):
-    """The verdict implied by ``validate_fan``'s per-cone Smith forms."""
-    report = validate_fan(fan)
+    """The verdict implied by ``validate_fan``'s per-cone Smith forms, or
+    the reason it refuses the fan."""
+    try:
+        report = validate_fan(fan)
+    except PreconditionError as exc:
+        return exc.reason
     return "incomplete" if not report.complete else "not-smooth" if not report.smooth else "accept"
 
 
@@ -440,6 +444,10 @@ class TestEntryCheck:
             ([], "incomplete"),
             ([(1, 0), (1, 2), (-1, -1)], "not-smooth"),
             ([(1, 0), (0, 1), (-1, 0), (0, -1), (1, 0)], "incomplete"),
+            # Every b_i = 1, but the cycle goes round the origin twice or three times.
+            ([(1, 0), (-2, 1), (1, -1), (-1, 2), (0, -1)], "overlapping-cones"),
+            ([(1, 0), (-1, 1), (0, -1), (1, 1), (-1, 0), (1, -1), (0, 1), (-1, -1)], "overlapping-cones"),
+            ([(1, 0), (-2, 1), (-1, 0), (0, -1), (1, -2), (0, 1), (-1, -2), (1, 1), (-2, -1)], "overlapping-cones"),
         ],
     )
     def test_hand_built_cycles(self, rays, verdict):
