@@ -160,13 +160,13 @@ def criterion_a6() -> list[str]:
     if sorted(len(o) for o in orbits) != [3, 3]:
         failures.append(f"two-orbit action: orbit sizes {[len(o) for o in orbits]}, expected [3, 3]")
     trace = run_equivariant_mmp(hexagon_n2, action_n2, mode="first-orbit")
-    if trace.label != P2 or trace.step_count != 1:
+    if trace.label != P2 or len(trace.steps) != 1:
         failures.append(
-            f"two-orbit action: terminal {trace.label} in {trace.step_count} steps, expected P2 in 1"
+            f"two-orbit action: terminal {trace.label} in {len(trace.steps)} steps, expected P2 in 1"
         )
     for branch in run_equivariant_mmp(hexagon_n2, action_n2, mode="explore-all"):
-        if branch.label != P2 or branch.step_count != 1:
-            failures.append(f"two-orbit branch: {branch.label} in {branch.step_count} steps")
+        if branch.label != P2 or len(branch.steps) != 1:
+            failures.append(f"two-orbit branch: {branch.label} in {len(branch.steps)} steps")
 
     hexagon_n1 = families.dp6("n1")
     action_n1 = families.standard_s3_action(hexagon_n1)
@@ -174,9 +174,9 @@ def criterion_a6() -> list[str]:
     if [len(o) for o in orbits] != [6]:
         failures.append(f"one-orbit action: orbit sizes {[len(o) for o in orbits]}, expected [6]")
     trace = run_equivariant_mmp(hexagon_n1, action_n1, mode="first-orbit")
-    if trace.label != DP6_TERMINAL or trace.step_count != 0:
+    if trace.label != DP6_TERMINAL or len(trace.steps) != 0:
         failures.append(
-            f"one-orbit action: terminal {trace.label} in {trace.step_count} steps, expected hexagon in 0"
+            f"one-orbit action: terminal {trace.label} in {len(trace.steps)} steps, expected hexagon in 0"
         )
     return failures
 

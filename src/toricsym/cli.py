@@ -35,11 +35,10 @@ EXIT_PARSE = 2
 EXIT_PRECONDITION = 3
 
 
-def _emit(payload: dict[str, Any] | str, lines: Iterable[str], fmt: str) -> None:
-    """Print the payload as sorted-key JSON (text given is printed as it
-    is), or the plain lines."""
+def _emit(payload: dict[str, Any], lines: Iterable[str], fmt: str) -> None:
+    """Print the payload as sorted-key JSON, or the plain lines."""
     if fmt == "machine":
-        print(payload if isinstance(payload, str) else json.dumps(payload, sort_keys=True))
+        print(json.dumps(payload, sort_keys=True))
     else:
         for line in lines:
             print(line)
@@ -144,13 +143,16 @@ def cmd_mmp(args: argparse.Namespace) -> int:
     action = action_from_generators(fan, generators)
     if args.explore_all:
         traces = run_equivariant_mmp(fan, action, mode="explore-all")
-        text = '{"traces": [' + ", ".join(fanio.traces_text(traces)) + "]}"
-        lines = (line for i, t in enumerate(traces) for line in [f"--- branch {i} ---", *_trace_lines(t)])
     else:
-        trace = run_equivariant_mmp(fan, action, mode="first-orbit")
-        (text,) = fanio.traces_text([trace])
-        lines = _trace_lines(trace)
-    _emit(text, lines, args.format)
+        traces = (run_equivariant_mmp(fan, action, mode="first-orbit"),)
+    if args.format == "machine":
+        texts = fanio.traces_text(traces)
+        print('{"traces": [' + ", ".join(texts) + "]}" if args.explore_all else texts[0])
+    else:
+        for i, trace in enumerate(traces):
+            if args.explore_all:
+                print(f"--- branch {i} ---")
+            print(*_trace_lines(trace), sep="\n")
     return EXIT_OK
 
 

@@ -99,16 +99,21 @@ class BlockRelation:
 def derive_block_relation(fan: Fan, block: tuple[int, ...]) -> BlockRelation:
     """Derive the unique primitive equal-coefficient relation of a block.
 
-    ``block`` must consist of rays with pairwise equal divisor classes
-    (any equal-class subset qualifies; maximality is not required since
-    the derivation only uses the linear equivalences inside the block).
-    The anchor is the last block ray.  Integer dual vectors u_j with
+    ``block`` must consist of at least two rays with pairwise equal divisor
+    classes; it need not be a whole block of ``ray_blocks``, as the
+    derivation only uses the linear equivalences inside it.  The anchor is
+    the last block ray.  Integer dual vectors u_j with
     <u_j, v_i> = delta_ij - delta_i,anchor are read off the Smith form that
     gave the classes; equal classes guarantee they exist over Z, and they
     pair to the identity with the non-anchor block rays, so they are
-    linearly independent: no refusal can fire there.  The primitive
-    relation supported on the block plus the rays orthogonal to every u_j
-    is returned, sign-normalized so the block coefficient is positive.
+    linearly independent: no refusal can fire there.  The relation sought
+    has equal coefficients on the block and is supported on the block plus
+    the rays orthogonal to every u_j.  Only two shapes are searched: the
+    block alone, when its rays sum to zero, and the block plus a single such
+    complement ray.  The first primitive relation found is returned,
+    sign-normalized so the block coefficient is positive; a block whose
+    relation needs two or more complement rays is refused
+    (``no-equal-coefficient-relation``), as block (0, 1) of P^4 is.
     """
     snf = _pairing(fan)
     classes = _ray_classes(snf)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import ParseError, PreconditionError
-from .intlin import IntMatrix, Vector, primitive_vector, smith_normal_form
+from .intlin import IntMatrix, Vector, _as_int, primitive_vector, smith_normal_form
 
 _S3_PERMUTATIONS = ((0, 1, 2), (1, 0, 2), (0, 2, 1), (2, 1, 0), (1, 2, 0), (2, 0, 1))
 
@@ -186,10 +186,10 @@ class Fan(object):
 
     def ray_matrix(self) -> IntMatrix:
         """Rays as rows (the pairing map of the class-group sequence)."""
-        return IntMatrix.from_rows(self.rays)
+        return IntMatrix._of(self.rays)
 
     def cone_matrix(self, cone: Sequence[int]) -> IntMatrix:
-        return IntMatrix.from_rows([self.rays[i] for i in cone])
+        return IntMatrix._of(tuple(self.rays[i] for i in cone))
 
     def ray_index(self, v: Vector) -> int:
         return self.rays.index(v)
@@ -206,12 +206,16 @@ class Fan(object):
 
 
 def _primitive_rays(lattice: Lattice, rays: Iterable[Sequence[int]]) -> list[Vector]:
-    """Primitive lattice generators of the input rays, each checked once."""
+    """Primitive lattice generators of the input rays, each checked once.
+
+    This is where ray entries enter the program: ``math.gcd`` refuses
+    non-integers and ``_as_int`` what else has an integer index, so the
+    fan's matrices are built from the rays unchecked."""
     converted = [lattice.accept_ray(v) for v in rays]
     for v in converted:
         if not any(v):
             raise PreconditionError("zero-ray", "zero vector cannot generate a ray")
-    prim = [primitive_vector(v) for v in converted]
+    prim = [tuple(map(_as_int, primitive_vector(v))) for v in converted]
     if len(set(prim)) != len(prim):
         raise PreconditionError("parallel-rays", "two rays share a primitive generator")
     return prim
@@ -235,7 +239,7 @@ def make_fan(lattice: Lattice, rays: Iterable[Sequence[int]], max_cones: Iterabl
         idx = tuple(sorted(set(int(i) for i in cone)))
         if any(i < 0 or i >= len(prim) for i in idx):
             raise PreconditionError("cone-index", f"cone {cone} references a missing ray")
-        mat = IntMatrix.from_rows([prim[i] for i in idx])
+        mat = IntMatrix._of(tuple(prim[i] for i in idx))
         if mat.rank() != len(idx):
             raise PreconditionError(
                 "non-simplicial-cone", f"cone {idx} has linearly dependent generators"

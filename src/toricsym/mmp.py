@@ -27,49 +27,19 @@ def _require_smooth_complete_surface(fan: Fan, who: str) -> None:
         raise PreconditionError("not-smooth", f"{who} needs a smooth fan")
 
 
-@dataclass(frozen=True)
-class SelfIntersectionProfile:
-    """Per-ray integers a_i with v_{i-1} + v_{i+1} = a_i v_i (cyclic order).
-
-    The boundary divisor of ray i has self-intersection -a_i.
-    """
-
-    coefficients: tuple[int, ...]
-
-
-def self_intersection_profile(fan: Fan) -> SelfIntersectionProfile:
-    """Neighbor-sum coefficients of a smooth complete surface fan."""
+def self_intersection_profile(fan: Fan) -> tuple[int, ...]:
+    """The word a_i of a smooth complete surface fan, with v_{i-1} + v_{i+1}
+    = a_i v_i in cyclic order; the boundary divisor of ray i has
+    self-intersection -a_i."""
     _require_smooth_complete_surface(fan, "the self-intersection profile")
     return _profile(fan)
 
 
-def _profile(fan: Fan) -> SelfIntersectionProfile:
-    """The profile of a fan already known to be a smooth complete surface fan:
+def _profile(fan: Fan) -> tuple[int, ...]:
+    """The word of a fan already known to be a smooth complete surface fan:
     as det(v_{i-1}, v_i) = 1, a_i = det(v_{i-1}, a_i v_i - v_{i-1}) = det(v_{i-1}, v_{i+1})."""
     rays, d = fan.rays, fan.ray_count
-    return SelfIntersectionProfile(tuple(_cross(rays[i - 1], rays[(i + 1) % d]) for i in range(d)))
-
-
-def _orbit_fault(fan: Fan, orbit: tuple[int, ...], profile: SelfIntersectionProfile) -> tuple[str, str] | None:
-    """The reason slug and message of the first contraction test the orbit
-    fails: every ray a (-1)-ray, then no two rays cyclically adjacent."""
-    d = fan.ray_count
-    if any(profile.coefficients[i] != 1 for i in orbit):
-        return "not-minus-one", "orbit contains a ray that is not a (-1)-ray"
-    if any((i - j) % d in (1, d - 1) for i in orbit for j in orbit if i < j):
-        return "adjacent-orbit", "orbit contains cyclically adjacent rays"
-    return None
-
-
-def contractible_orbits(fan: Fan, action: GroupAction) -> tuple[tuple[int, ...], ...]:
-    """Ray orbits consisting of pairwise non-adjacent (-1)-rays.
-
-    Returned in a deterministic order: by the lexicographically least ray
-    vector contained in the orbit.
-    """
-    if action.fan != fan:
-        raise PreconditionError("action-fan", "action was built for a different fan")
-    return _contractible(fan, _orbit_rays(action), self_intersection_profile(fan))
+    return tuple(_cross(rays[i - 1], rays[(i + 1) % d]) for i in range(d))
 
 
 def _orbit_rays(action: GroupAction) -> tuple[tuple[Vector, ...], ...]:
@@ -77,19 +47,21 @@ def _orbit_rays(action: GroupAction) -> tuple[tuple[Vector, ...], ...]:
     return tuple(tuple(rays[i] for i in orbit) for orbit in ray_orbits(action))
 
 
-def _contractible(
-    fan: Fan, orbits: tuple[tuple[Vector, ...], ...], profile: SelfIntersectionProfile
-) -> tuple[tuple[int, ...], ...]:
-    """``orbits`` are the ray orbits of an action on a fan whose rays
-    include ``fan``'s as a union of orbits; those that ``fan`` keeps are
-    its own orbits."""
+def _contractible(fan: Fan, orbits: tuple[tuple[Vector, ...], ...]) -> tuple[tuple[int, ...], ...]:
+    """The orbits of ``fan`` that are pairwise non-adjacent (-1)-rays, ordered
+    by the lexicographically least ray vector each contains.  ``orbits`` are
+    the ray orbits of an action on a fan whose rays include ``fan``'s as a
+    union of orbits; those that ``fan`` keeps are its own orbits."""
     index = {v: i for i, v in enumerate(fan.rays)}
+    d, word = fan.ray_count, _profile(fan)
     good = []
     for rays in orbits:
         if rays[0] not in index:
             continue
         orbit = tuple(sorted(index[v] for v in rays))
-        if _orbit_fault(fan, orbit, profile) is None:
+        if all(word[i] == 1 for i in orbit) and not any(
+            (i - j) % d in (1, d - 1) for i in orbit for j in orbit if i < j
+        ):
             good.append(orbit)
     return tuple(sorted(good, key=lambda orbit: min(fan.rays[i] for i in orbit)))
 
@@ -104,16 +76,6 @@ def remove_ray_orbit(fan: Fan, orbit: tuple[int, ...]) -> Fan:
         raise PreconditionError("rank", "ray-orbit removal is implemented for surfaces")
     drop = set(orbit)
     return _cycle_fan(fan.lattice, [v for i, v in enumerate(fan.rays) if i not in drop])
-
-
-def contract_orbit(fan: Fan, orbit: tuple[int, ...]) -> Fan:
-    """Contract a non-adjacent orbit of (-1)-rays of a fan validated smooth
-    and complete; the cone (v_{i-1}, v_{i+1}) left by removing ray i has
-    determinant a_i = 1, so the result is smooth with no further check."""
-    fault = _orbit_fault(fan, orbit, self_intersection_profile(fan))
-    if fault is not None:
-        raise PreconditionError(*fault)
-    return remove_ray_orbit(fan, orbit)
 
 
 @dataclass(frozen=True)
@@ -145,7 +107,7 @@ def classify_terminal(fan: Fan) -> TerminalLabel:
     d = fan.ray_count
     if fan.rank != 2 or d not in (3, 4, 6) or any(b != 1 for b in _cycle_dets(fan.rays)):
         return OTHER
-    word = _profile(fan).coefficients
+    word = _profile(fan)
     if d == 3:
         return P2
     if d == 4:
@@ -169,10 +131,6 @@ class MMPTrace:
     terminal: Fan
     label: TerminalLabel
 
-    @property
-    def step_count(self) -> int:
-        return len(self.steps)
-
 
 def run_equivariant_mmp(fan: Fan, action: GroupAction, mode: str = "first-orbit"):
     """Run the equivariant contraction loop to a terminal model.
@@ -181,12 +139,13 @@ def run_equivariant_mmp(fan: Fan, action: GroupAction, mode: str = "first-orbit"
     contains the lexicographically least ray vector; returns one MMPTrace.
     mode "explore-all": branch over every qualifying orbit and return the
     tuple of all terminal traces in deterministic order (depth first, the
-    orbits of each fan in ``contractible_orbits`` order).
+    qualifying orbits of each fan ordered by their least ray vector).
 
     Both modes take one walk; first-orbit follows only the first orbit at
     each fan, so its trace is the first branch of explore-all.  The input
     fan is validated once on entry; every fan below it is smooth and
-    complete by construction (see ``contract_orbit``).  A contraction cuts
+    complete by construction: the cone (v_{i-1}, v_{i+1}) left by removing
+    a (-1)-ray i has determinant a_i = 1.  A contraction cuts
     a whole orbit out of the stored ray cycle, so the rays of every fan
     below the root are a G-invariant subset and its orbits are the root's
     orbits that remain: the orbits are taken once, at the root, and the
@@ -204,7 +163,7 @@ def run_equivariant_mmp(fan: Fan, action: GroupAction, mode: str = "first-orbit"
     below: dict[Fan, tuple[MMPTrace, ...]] = {}
 
     def explore(current: Fan) -> tuple[MMPTrace, ...]:
-        orbits = _contractible(current, root_orbits, _profile(current))
+        orbits = _contractible(current, root_orbits)
         if not orbits:
             return (MMPTrace((), current, classify_terminal(current)),)
         traces = []
@@ -237,12 +196,12 @@ def check_adjacent_minus_one_rule(fan: Fan) -> tuple[NeighborOppositionFact, ...
     must be exact negatives of each other; a violation would mean the fan
     data is internally inconsistent.
     """
-    profile = self_intersection_profile(fan)
+    word = self_intersection_profile(fan)
     d = fan.ray_count
     facts = []
     for i in range(d):
         j = (i + 1) % d
-        if profile.coefficients[i] == 1 and profile.coefficients[j] == 1:
+        if word[i] == 1 and word[j] == 1:
             outer_left = fan.rays[(i - 1) % d]
             outer_right = fan.rays[(j + 1) % d]
             if tuple(a + b for a, b in zip(outer_left, outer_right)) != (0,) * fan.rank:

@@ -7,8 +7,8 @@ permutation once, by the read-off of ``fan._read_off`` (``_group_action``).
 Includes the fan automorphism group (one transversal per level of a
 stabilizer chain on a seed cone's rays, found by the cone-seeded isomorphism
 search and expanded by composing ray permutations), orbit machinery, the
-fixed space and invariant Picard number from ray orbits, the centralizer
-computation and the classification of quadratic Galois twists.
+invariant Picard number from ray orbits, the centralizer computation and
+the classification of quadratic Galois twists.
 """
 
 from __future__ import annotations
@@ -125,28 +125,18 @@ def ray_orbits(action: GroupAction) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted({tuple(sorted({p[i] for p in perms})) for i in range(action.fan.ray_count)}))
 
 
-def _orbit_sum_rank(fan: Fan, orbits: tuple[tuple[int, ...], ...]) -> int:
-    """Rank of the ray-orbit sums."""
-    sums = [tuple(map(sum, zip(*(fan.rays[i] for i in orbit)))) for orbit in orbits]
-    return IntMatrix._of(tuple(sums)).rank()
-
-
-def fixed_space_dimension(action: GroupAction) -> int:
-    """Dimension of the common fixed subspace of all group elements: the rank
-    of the ray-orbit sums.  Averaging over the group maps N_Q onto the fixed
-    space, the rays span N_Q, and a ray's average is a multiple of its orbit sum."""
-    return _orbit_sum_rank(action.fan, ray_orbits(action))
-
-
 def invariant_picard_number(action: GroupAction) -> int:
     """Rank of the invariant part of the real Picard group.
 
     Equals the number of ray orbits minus the dimension of the fixed
     subspace of the lattice action (the invariant-part exact sequence of
-    the divisor sequence).
+    the divisor sequence).  That dimension is the rank of the ray-orbit
+    sums: averaging over the group maps N_Q onto the fixed space, the rays
+    span N_Q, and a ray's average is a multiple of its orbit sum.
     """
-    orbits = ray_orbits(action)
-    return len(orbits) - _orbit_sum_rank(action.fan, orbits)
+    fan, orbits = action.fan, ray_orbits(action)
+    sums = [tuple(map(sum, zip(*(fan.rays[i] for i in orbit)))) for orbit in orbits]
+    return len(orbits) - IntMatrix._of(tuple(sums)).rank()
 
 
 def centralizer_in_GL(action: GroupAction) -> tuple[IntMatrix, ...]:

@@ -175,6 +175,14 @@ class TestDeriveBlockRelation:
         result = derive_block_relation(fan, (0, 1, 2, 3))
         assert result.relation == (1, 1, 1, 1, 1)
 
+    @pytest.mark.parametrize("block", [(0, 1), (0, 1, 2)])
+    def test_relation_needing_several_complement_rays_is_refused(self, block):
+        # The rays of P^4 sum to zero: (1, 1, 1, 1, 1) has equal block
+        # coefficients, but needs every complement ray, and only one is tried.
+        with pytest.raises(PreconditionError) as err:
+            derive_block_relation(families.projective_space(4), block)
+        assert err.value.reason == "no-equal-coefficient-relation"
+
     def test_duals_pair_correctly_on_all_rays(self):
         # Every equal-class set of 2-4 rays of the named corpus and 50
         # seeded blow-ups that has a relation.

@@ -1,12 +1,15 @@
 import itertools
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from sympy import Integer
 
 from toricsym import families
+from toricsym.acceptance import named_family_corpus
 from toricsym.errors import PreconditionError
 from toricsym.fan import (
     Fan,
@@ -577,6 +580,40 @@ class TestMakeFan:
     def test_surface_cones_checked_against_adjacency(self, std2):
         with pytest.raises(PreconditionError):
             make_fan(std2, [(1, 0), (0, 1), (-1, -1)], [(0, 1), (1, 2), (0, 1)])
+
+
+RAY_BUILDERS = {
+    "make_fan-rank2": lambda x: make_fan(Lattice.standard(2), [(x, 0), (0, 1), (-1, -1)]),
+    "build_surface_fan": lambda x: build_surface_fan(Lattice.standard(2), [(x, 0), (0, 1), (-1, -1)]),
+    "make_fan-rank3": lambda x: make_fan(
+        Lattice.standard(3), [(x, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)], [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
+    ),
+}
+
+
+class TestRayEntries:
+    """Ray entries are checked once, as the rays enter; the fan's matrices
+    are built from them unchecked."""
+
+    # A sympy Integer has an integer index but is not an int, as numpy integers are.
+    @pytest.mark.parametrize("bad", [1.0, Fraction(1), Integer(1)], ids=["float", "Fraction", "sympy-Integer"])
+    @pytest.mark.parametrize("build", list(RAY_BUILDERS.values()), ids=list(RAY_BUILDERS))
+    def test_non_int_entries_are_refused(self, build, bad):
+        with pytest.raises(TypeError):
+            build(bad)
+
+    @pytest.mark.parametrize("build", list(RAY_BUILDERS.values()), ids=list(RAY_BUILDERS))
+    def test_entries_come_out_as_ints(self, build):
+        for x in (1, True):
+            fan = build(x)
+            assert all(type(a) is int for v in fan.rays for a in v)
+            assert fan == build(1)
+
+    def test_fan_matrices_equal_checked_ones(self):
+        for name, fan in named_family_corpus():
+            assert fan.ray_matrix() == IntMatrix.from_rows(fan.rays), name
+            for cone in fan.max_cones:
+                assert fan.cone_matrix(cone) == IntMatrix.from_rows([fan.rays[i] for i in cone]), (name, cone)
 
 
 def _one_ray_cone_fan(rng, n, spanning):

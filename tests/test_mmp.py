@@ -3,6 +3,9 @@ import itertools
 import math
 import operator
 import random
+import sys
+from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, reject, settings
@@ -32,13 +35,17 @@ from toricsym.mmp import (
     TerminalLabel,
     check_adjacent_minus_one_rule,
     classify_terminal,
-    contract_orbit,
-    contractible_orbits,
     remove_ray_orbit,
     run_equivariant_mmp,
     self_intersection_profile,
 )
-from toricsym.symmetry import action_from_generators, fan_automorphisms, invariant_picard_number
+from toricsym.symmetry import action_from_generators, fan_automorphisms, invariant_picard_number, ray_orbits
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+try:
+    import oracle  # contraction trees on self-intersection words, apart from toricsym
+finally:
+    sys.path.pop(0)
 
 
 def trivial_action(fan):
@@ -102,18 +109,32 @@ def _restrict(action, fan):
     return action_from_generators(fan, list(action.elements))
 
 
+def contractible_by_reference(fan, action):
+    """The orbits of ``action`` whose rays are all (-1)-rays of the divided
+    word, no two cyclically adjacent, ordered by their least ray vector."""
+    word, d = profile_by_division(fan), fan.ray_count
+    orbits = [
+        orbit
+        for orbit in ray_orbits(action)
+        if all(word[i] == 1 for i in orbit)
+        and not any((i - j) % d in (1, d - 1) for i, j in itertools.combinations(orbit, 2))
+    ]
+    return sorted(orbits, key=lambda orbit: min(fan.rays[i] for i in orbit))
+
+
 def explore_all_by_recursion(fan, action):
-    """Explore-all walked path by path through the public steps, with no
-    sharing between paths that meet at the same fan."""
+    """Explore-all walked path by path through the raw removal step and the
+    reference contractibility test, with no sharing between paths that meet
+    at the same fan."""
     traces = []
 
     def walk(current, current_action, steps):
-        orbits = contractible_orbits(current, current_action)
+        orbits = contractible_by_reference(current, current_action)
         if not orbits:
             traces.append(MMPTrace(steps, current, classify_terminal(current)))
             return
         for orbit in orbits:
-            nxt = contract_orbit(current, orbit)
+            nxt = remove_ray_orbit(current, orbit)
             walk(nxt, _restrict(current_action, nxt), steps + (_step(current, orbit),))
 
     walk(fan, action, ())
@@ -122,9 +143,9 @@ def explore_all_by_recursion(fan, action):
 
 def first_orbit_by_public_steps(fan, action):
     steps = []
-    while orbits := contractible_orbits(fan, action):
+    while orbits := contractible_by_reference(fan, action):
         steps.append(_step(fan, orbits[0]))
-        fan = contract_orbit(fan, orbits[0])
+        fan = remove_ray_orbit(fan, orbits[0])
         action = _restrict(action, fan)
     return MMPTrace(tuple(steps), fan, classify_terminal(fan))
 
@@ -158,16 +179,16 @@ def profile_by_division(fan):
 class TestSelfIntersectionProfile:
     def test_triangle_is_all_plus_one_curves(self, p2_fan):
         profile = self_intersection_profile(p2_fan)
-        assert profile.coefficients == (-1, -1, -1)
-        assert tuple(-a for a in profile.coefficients) == (1, 1, 1)
+        assert profile == (-1, -1, -1)
+        assert tuple(-a for a in profile) == (1, 1, 1)
 
     def test_hexagon_is_all_minus_one_curves(self, hexagon_n2):
-        assert self_intersection_profile(hexagon_n2).coefficients == (1,) * 6
+        assert self_intersection_profile(hexagon_n2) == (1,) * 6
 
     @pytest.mark.parametrize("a", [1, 2, 3])
     def test_ruled_surface_profile(self, a):
         profile = self_intersection_profile(families.hirzebruch(a))
-        assert profile.coefficients == (0, -a, 0, a)
+        assert profile == (0, -a, 0, a)
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(0, 10**6), st.integers(4, 14))
@@ -175,11 +196,11 @@ class TestSelfIntersectionProfile:
         """The profile, read as det(v_{i-1}, v_{i+1}), is the word that the
         neighbor-sum division gives."""
         fan = families.random_blowup_surface_fan(random.Random(seed), max_rays=max_rays)
-        assert self_intersection_profile(fan).coefficients == profile_by_division(fan)
+        assert self_intersection_profile(fan) == profile_by_division(fan)
 
     @pytest.mark.parametrize("fan,action", census_cases_up_to(5))
     def test_defining_relation_holds_on_the_census(self, fan, action):
-        assert self_intersection_profile(fan).coefficients == profile_by_division(fan)
+        assert self_intersection_profile(fan) == profile_by_division(fan)
 
     def test_singular_input_is_rejected(self):
         with pytest.raises(PreconditionError) as info:
@@ -194,51 +215,65 @@ class TestSelfIntersectionProfile:
         assert str(info.value) == "the self-intersection profile needs a surface fan (rank 2)"
 
 
+def explore_all(fan, action):
+    return run_equivariant_mmp(fan, action, mode="explore-all")
+
+
 class TestContractibleOrbits:
+    """Which orbits the loop contracts, read off its traces' first steps."""
+
     def test_two_orbits_for_the_weight_lattice_action(self, hexagon_n2):
-        action = families.standard_s3_action(hexagon_n2)
-        orbits = contractible_orbits(hexagon_n2, action)
-        assert len(orbits) == 2
-        assert sorted(len(o) for o in orbits) == [3, 3]
+        traces = explore_all(hexagon_n2, families.standard_s3_action(hexagon_n2))
+        assert len(traces) == 2
+        assert sorted(len(t.steps[0].orbit) for t in traces) == [3, 3]
 
     def test_single_orbit_action_cannot_contract(self, hexagon_n1):
-        action = families.standard_s3_action(hexagon_n1)
-        assert contractible_orbits(hexagon_n1, action) == ()
+        traces = explore_all(hexagon_n1, families.standard_s3_action(hexagon_n1))
+        assert [t.steps for t in traces] == [()]
 
     def test_triangle_has_nothing_to_contract(self, p2_fan):
-        assert contractible_orbits(p2_fan, trivial_action(p2_fan)) == ()
+        assert explore_all(p2_fan, trivial_action(p2_fan)) == (MMPTrace((), p2_fan, P2),)
+
+
+def fan_after_first_step(trace):
+    return trace.steps[1].fan if len(trace.steps) > 1 else trace.terminal
 
 
 class TestContractOrbit:
+    """What the loop's contractions give, read off its traces."""
+
     def test_contract_one_triangle_orbit_of_the_hexagon(self, hexagon_n2, p2_fan):
         target = {(1, 1), (-1, 0), (0, -1)}
-        orbits = contractible_orbits(hexagon_n2, families.standard_s3_action(hexagon_n2))
-        orbit = next(o for o in orbits if {hexagon_n2.rays[i] for i in o} == target)
-        contracted = contract_orbit(hexagon_n2, orbit)
-        assert fan_isomorphism(contracted, p2_fan) is not None
+        traces = explore_all(hexagon_n2, families.standard_s3_action(hexagon_n2))
+        trace = next(t for t in traces if set(t.steps[0].orbit_rays) == target)
+        assert fan_isomorphism(fan_after_first_step(trace), p2_fan) is not None
 
     def test_contract_corner_ring_back_to_the_hexagon(self):
         fan = hexagon_with_corners("n1")
         assert fan.ray_count == 12
-        action = families.standard_s3_action(fan, include_negation=True)
-        orbits = contractible_orbits(fan, action)
-        assert len(orbits) == 1 and len(orbits[0]) == 6
-        contracted = contract_orbit(fan, orbits[0])
-        assert contracted.is_same_fan(families.dp6("n1"))
+        (trace,) = explore_all(fan, families.standard_s3_action(fan, include_negation=True))
+        assert len(trace.steps[0].orbit) == 6
+        assert fan_after_first_step(trace).is_same_fan(families.dp6("n1"))
 
     def test_undo_a_single_blowup(self, std2, p2_fan):
         fan = blowup_p2_once(std2)
-        idx = fan.ray_index((1, 1))
-        contracted = contract_orbit(fan, (idx,))
-        assert contracted == p2_fan
+        trace = run_equivariant_mmp(fan, trivial_action(fan), mode="first-orbit")
+        assert trace.steps == (_step(fan, (fan.ray_index((1, 1)),)),)
+        assert trace.terminal == p2_fan
 
     def test_adjacent_orbit_is_rejected(self, hexagon_n1):
-        with pytest.raises(PreconditionError):
-            contract_orbit(hexagon_n1, tuple(range(6)))
+        # One orbit of six (-1)-rays, each adjacent to two others.
+        action = families.standard_s3_action(hexagon_n1)
+        assert ray_orbits(action) == (tuple(range(6)),)
+        assert self_intersection_profile(hexagon_n1) == (1,) * 6
+        assert explore_all(hexagon_n1, action) == (MMPTrace((), hexagon_n1, DP6_TERMINAL),)
 
     def test_non_minus_one_ray_is_rejected(self, p2_fan):
-        with pytest.raises(PreconditionError):
-            contract_orbit(p2_fan, (0,))
+        # Single-ray orbits, none of them a (-1)-ray.
+        action = trivial_action(p2_fan)
+        assert ray_orbits(action) == ((0,), (1,), (2,))
+        assert self_intersection_profile(p2_fan) == (-1, -1, -1)
+        assert explore_all(p2_fan, action) == (MMPTrace((), p2_fan, P2),)
 
     def test_unchecked_removal_allows_singular_results(self):
         fan = families.hirzebruch(2)
@@ -253,26 +288,26 @@ class TestDriver:
         action = families.standard_s3_action(hexagon_n2)
         trace = run_equivariant_mmp(hexagon_n2, action, mode="first-orbit")
         assert trace.label == P2
-        assert trace.step_count == 1
+        assert len(trace.steps) == 1
         assert trace.steps[0].fan == hexagon_n2
 
     def test_one_orbit_hexagon_is_terminal(self, hexagon_n1):
         action = families.standard_s3_action(hexagon_n1)
         trace = run_equivariant_mmp(hexagon_n1, action, mode="first-orbit")
         assert trace.label == DP6_TERMINAL
-        assert trace.step_count == 0
+        assert trace.steps == ()
 
     def test_negation_twist_on_the_two_orbit_hexagon_is_terminal(self, hexagon_n2):
         action = families.standard_s3_action(hexagon_n2, include_negation=True)
         trace = run_equivariant_mmp(hexagon_n2, action, mode="first-orbit")
         assert trace.label == DP6_TERMINAL
-        assert trace.step_count == 0
+        assert trace.steps == ()
 
     def test_explore_all_branches_agree_on_the_hexagon(self, hexagon_n2):
         action = families.standard_s3_action(hexagon_n2)
         traces = run_equivariant_mmp(hexagon_n2, action, mode="explore-all")
         assert len(traces) == 2
-        assert all(t.label == P2 and t.step_count == 1 for t in traces)
+        assert all(t.label == P2 and len(t.steps) == 1 for t in traces)
 
     def test_trace_invariants_along_a_tower(self):
         fan = hexagon_with_corners("n2")
@@ -307,8 +342,9 @@ class TestDriver:
 
 class TestAgainstThePublicSteps:
     """The driver shares the subtrees of fans that several contraction
-    orders reach; walking every path through the public functions must give
-    the same traces in the same order."""
+    orders reach; walking every path through the raw removal step, with the
+    reference contractibility test, must give the same traces in the same
+    order."""
 
     @pytest.mark.parametrize("fan,action", random_blowup_cases() + automorphism_blowup_cases() + census_cases())
     def test_explore_all_equals_the_path_by_path_walk(self, fan, action):
@@ -328,6 +364,50 @@ class TestAgainstThePublicSteps:
         traces = run_equivariant_mmp(fan, trivial_action(fan), mode="explore-all")
         assert traces == explore_all_by_recursion(fan, trivial_action(fan))
         assert len(traces) > len({t.terminal for t in traces})
+
+
+def census_oracle_cases(max_height):
+    """Smooth census fans with their lattice kind and negation flag, the
+    oracle's description of the S3 action they carry."""
+    cases = []
+    for height in range(1, max_height + 1):
+        for lattice in (Lattice.root_a2(), Lattice.weight_a2()):
+            for negation in (False, True):
+                fans = families.enumerate_invariant_fans(
+                    lattice, height=height, max_rays=6 * height, require_smooth=True, include_negation=negation
+                )
+                cases.extend(
+                    pytest.param(fan, negation, id=f"H{height}-{lattice.kind}-{fan.ray_count}-{k}-neg{int(negation)}")
+                    for k, fan in enumerate(fans)
+                )
+    return cases
+
+
+def branch_labels(traces):
+    return Counter(str(t.label) for t in traces)
+
+
+class TestAgainstTheWordOracle:
+    """Explore-all's branch labels, with multiplicity, against the oracle's
+    contraction trees on self-intersection words (no toricsym code)."""
+
+    @pytest.mark.parametrize("fan,action", random_blowup_cases())
+    def test_trivial_action_on_seeded_blowups(self, fan, action):
+        labels, _ = oracle.explore_all_trivial(oracle.surface_sequence(fan.rays))
+        assert branch_labels(explore_all(fan, action)) == labels
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10**6), st.integers(4, 10))
+    def test_trivial_action_on_random_blowups(self, seed, max_rays):
+        fan = families.random_blowup_surface_fan(random.Random(seed), max_rays=max_rays)
+        labels, _ = oracle.explore_all_trivial(oracle.surface_sequence(fan.rays))
+        assert branch_labels(explore_all(fan, trivial_action(fan))) == labels
+
+    @pytest.mark.parametrize("fan,negation", census_oracle_cases(4))
+    def test_s3_action_on_the_census(self, fan, negation):
+        action = families.standard_s3_action(fan, include_negation=negation)
+        labels = oracle.explore_all_s3(fan.lattice.kind, fan.rays, negation)
+        assert branch_labels(explore_all(fan, action)) == labels
 
 
 def reached_fans(fan, action):
@@ -353,7 +433,7 @@ class TestCertifiedContractions:
             run_equivariant_mmp(fan, families.standard_s3_action(fan), mode=mode)
         assert info.value.reason == "not-smooth"
         with pytest.raises(PreconditionError) as info:
-            contract_orbit(fan, (0,))
+            self_intersection_profile(fan)
         assert info.value.reason == "not-smooth"
 
 
@@ -530,7 +610,7 @@ class TestProperties:
         fan = families.random_blowup_surface_fan(random.Random(seed), max_rays=8)
         for trace in run_equivariant_mmp(fan, trivial_action(fan), mode="explore-all"):
             for f in [s.fan for s in trace.steps] + [trace.terminal]:
-                assert -sum(self_intersection_profile(f).coefficients) == 12 - 3 * f.ray_count
+                assert -sum(self_intersection_profile(f)) == 12 - 3 * f.ray_count
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 10**6), st.data())
@@ -539,8 +619,9 @@ class TestProperties:
         i = data.draw(st.integers(0, fan.ray_count - 1))
         blown_up, new_ray = blowup_once(fan, i)
         k = blown_up.ray_index(new_ray)
-        assert -self_intersection_profile(blown_up).coefficients[k] == -1
-        assert contract_orbit(blown_up, (k,)) == fan
+        assert -self_intersection_profile(blown_up)[k] == -1
+        after = {t.steps[0].orbit: fan_after_first_step(t) for t in explore_all(blown_up, trivial_action(blown_up))}
+        assert after[(k,)] == fan
 
 
 def reference_key(*cycle):
@@ -620,8 +701,8 @@ class TestAdjacentMinusOneRule:
         expected = sum(
             1
             for i in range(fan.ray_count)
-            if profile.coefficients[i] == 1
-            and profile.coefficients[(i + 1) % fan.ray_count] == 1
+            if profile[i] == 1
+            and profile[(i + 1) % fan.ray_count] == 1
         )
         facts = check_adjacent_minus_one_rule(fan)
         assert len(facts) == expected

@@ -22,7 +22,6 @@ from toricsym.symmetry import (
     centralizer_in_GL,
     classify_galois_form,
     fan_automorphisms,
-    fixed_space_dimension,
     invariant_picard_number,
     ray_orbits,
 )
@@ -648,6 +647,12 @@ def fixed_space_by_elements(action):
     return n - IntMatrix.from_rows(rows).rank()
 
 
+def fixed_space_dimension(action):
+    """The fixed space that ``invariant_picard_number`` subtracts from the
+    number of ray orbits."""
+    return len(ray_orbits(action)) - invariant_picard_number(action)
+
+
 def _seeded_subgroup_cases():
     cases = []
     for name, fan in sorted(SEARCH_CORPUS.items()):
@@ -659,8 +664,9 @@ def _seeded_subgroup_cases():
 
 
 class TestFixedSpaceFromOrbits:
-    """The rank of the ray-orbit sums equals the fixed space read off every
-    element's matrix."""
+    """The rank of the ray-orbit sums, which ``invariant_picard_number``
+    subtracts from the number of orbits, equals the fixed space read off
+    every element's matrix."""
 
     @pytest.mark.parametrize("name", sorted(SEARCH_CORPUS))
     def test_automorphism_groups(self, name):
