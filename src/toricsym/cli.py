@@ -125,10 +125,16 @@ def cmd_orbits(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _trace_lines(trace: MMPTrace) -> Iterator[str]:
+def _trace_lines(trace: MMPTrace, steps: dict[int, str]) -> Iterator[str]:
+    """Plain lines of a trace.  ``steps`` keeps the text of each step shared
+    between branches by identity, without ``step k:``, as its depth may differ."""
     for k, step in enumerate(trace.steps):
-        yield f"step {k}: rays {list(step.fan.rays)}"
-        yield f"        contract orbit {list(step.orbit)} = {list(step.orbit_rays)}"
+        text = steps.get(id(step))
+        if text is None:
+            text = steps[id(step)] = (
+                f"rays {list(step.fan.rays)}\n        contract orbit {list(step.orbit)} = {list(step.orbit_rays)}"
+            )
+        yield f"step {k}: {text}"
     yield f"terminal rays {list(trace.terminal.rays)}"
     yield f"label {trace.label}"
 
@@ -149,10 +155,11 @@ def cmd_mmp(args: argparse.Namespace) -> int:
         texts = fanio.traces_text(traces)
         print('{"traces": [' + ", ".join(texts) + "]}" if args.explore_all else texts[0])
     else:
+        steps: dict[int, str] = {}
         for i, trace in enumerate(traces):
             if args.explore_all:
                 print(f"--- branch {i} ---")
-            print(*_trace_lines(trace), sep="\n")
+            print(*_trace_lines(trace, steps), sep="\n")
     return EXIT_OK
 
 

@@ -463,7 +463,8 @@ def _candidate_test(source: Fan, target: Fan, seed: Sequence[int]):
     and last by its matrix g = ``read_off(images)`` unless |det g| = 1 and
     g B = W (exact already when |det B| = 1).
     """
-    source_degrees, target_degrees = _ray_degrees(source), _ray_degrees(target)
+    source_degrees = _ray_degrees(source)
+    target_degrees = source_degrees if target is source else _ray_degrees(target)
     wanted = [source_degrees[i] for i in seed]
     basis = [source.rays[i] for i in seed]
     det, adjugate, read_off = _read_off(target, basis)

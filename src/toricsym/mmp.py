@@ -14,6 +14,8 @@ from .fan import Fan, _cross, _cycle_dets, _cycle_fan, _cycle_winds_once
 from .intlin import Vector
 from .symmetry import GroupAction, ray_orbits
 
+MAX_TRACES = 100_000  # explore-all refuses once the traces below one fan pass this
+
 
 def _require_smooth_complete_surface(fan: Fan, who: str) -> None:
     if fan.rank != 2:
@@ -40,11 +42,6 @@ def _profile(fan: Fan) -> tuple[int, ...]:
     as det(v_{i-1}, v_i) = 1, a_i = det(v_{i-1}, a_i v_i - v_{i-1}) = det(v_{i-1}, v_{i+1})."""
     rays, d = fan.rays, fan.ray_count
     return tuple(_cross(rays[i - 1], rays[(i + 1) % d]) for i in range(d))
-
-
-def _orbit_rays(action: GroupAction) -> tuple[tuple[Vector, ...], ...]:
-    rays = action.fan.rays
-    return tuple(tuple(rays[i] for i in orbit) for orbit in ray_orbits(action))
 
 
 def _contractible(fan: Fan, orbits: tuple[tuple[Vector, ...], ...]) -> tuple[tuple[int, ...], ...]:
@@ -151,14 +148,16 @@ def run_equivariant_mmp(fan: Fan, action: GroupAction, mode: str = "first-orbit"
     orbits that remain: the orbits are taken once, at the root, and the
     traces below a fan depend on the fan alone.  Different contraction
     orders that meet at the same fan share its subtree, which is contracted
-    and labelled once per call.
+    and labelled once per call.  The traces grow exponentially with the ray
+    count: explore-all refuses (``too-many-branches``) as soon as the traces
+    collected below one fan pass ``MAX_TRACES``, so a list holds at most twice that.
     """
     if mode not in ("first-orbit", "explore-all"):
         raise PreconditionError("mode", f"unknown mode {mode!r}; use 'first-orbit' or 'explore-all'")
     _require_smooth_complete_surface(fan, "the equivariant contraction loop")
     if action.fan != fan:
         raise PreconditionError("action-fan", "action was built for a different fan")
-    root_orbits = _orbit_rays(action)
+    root_orbits = tuple(tuple(fan.rays[i] for i in orbit) for orbit in ray_orbits(action))
     first_only = mode == "first-orbit"
     below: dict[Fan, tuple[MMPTrace, ...]] = {}
 
@@ -173,6 +172,8 @@ def run_equivariant_mmp(fan: Fan, action: GroupAction, mode: str = "first-orbit"
                 below[nxt] = explore(nxt)
             step = MMPStep(current, orbit, tuple(current.rays[i] for i in orbit))
             traces.extend(MMPTrace((step,) + t.steps, t.terminal, t.label) for t in below[nxt])
+            if len(traces) > MAX_TRACES:
+                raise PreconditionError("too-many-branches", f"explore-all has more than {MAX_TRACES} traces")
         return tuple(traces)
 
     traces = explore(fan)

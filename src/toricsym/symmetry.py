@@ -1,20 +1,21 @@
 """Finite group actions on a lattice preserving a fan.
 
 A fan's rays span its lattice, so a fan-preserving matrix is fixed by the
-permutation it induces on the rays.  Groups are built as ray permutations,
-closed by composing them, and each element's matrix is read off its
-permutation once, by the read-off of ``fan._read_off`` (``_group_action``).
-Includes the fan automorphism group (one transversal per level of a
-stabilizer chain on a seed cone's rays, found by the cone-seeded isomorphism
-search and expanded by composing ray permutations), orbit machinery, the
+permutation it induces on the rays.  A group is held as its generators' ray
+permutations; its order, its ray permutations and its matrices are computed
+when first asked for (``GroupAction``).  Includes the fan automorphism group
+(one transversal per level of a stabilizer chain on a seed cone's rays,
+found by the cone-seeded isomorphism search), orbit machinery, the
 invariant Picard number from ray orbits, the centralizer computation and
-the classification of quadratic Galois twists.
+the classification of quadratic Galois twists, all from the generators.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import permutations
 from typing import Sequence
 
@@ -25,80 +26,107 @@ from .intlin import IntMatrix, kernel_basis
 Perm = tuple[int, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GroupAction:
-    """A finite group of unimodular matrices preserving a fan."""
+    """A finite group of unimodular matrices preserving a fan, held as the
+    ray permutations ``generators`` of a generating set.  The element
+    permuting the rays by p is ``fan._read_off`` of the rays p[b], b in the
+    ray basis ``seed``; ``transversals``, when given, are the levels of a
+    stabilizer chain on ``seed``, each led by the identity.  Computed on
+    first use: ``order`` (the product of the transversal sizes, or else the
+    number of ray permutations), ``ray_perms`` (the transversals' products,
+    or else the generators closed under composition, sorted) and
+    ``elements`` (their matrices, in that order).  Equality is identity.
+    """
 
     fan: Fan
-    elements: tuple[IntMatrix, ...]
-    ray_perms: tuple[Perm, ...]
+    seed: tuple[int, ...]
+    generators: tuple[Perm, ...]
+    transversals: Sequence[Sequence[Perm]] | None = None
 
-    @property
+    @cached_property
     def order(self) -> int:
-        return len(self.elements)
+        return math.prod(map(len, self.transversals or (self.ray_perms,)))
+
+    @cached_property
+    def ray_perms(self) -> tuple[Perm, ...]:
+        if self.transversals is None:
+            group = frontier = {tuple(range(self.fan.ray_count))}
+            while frontier:
+                frontier = {tuple(map(g.__getitem__, p)) for p in frontier for g in self.generators} - group
+                group |= frontier
+            return tuple(sorted(group))
+        *levels, perms = self.transversals
+        for level in reversed(levels):
+            perms = [tuple(map(u.__getitem__, p)) for u in level for p in perms]
+        return tuple(sorted(perms))
+
+    @cached_property
+    def elements(self) -> tuple[IntMatrix, ...]:
+        read_off, seed = self._seed_read_off, self.seed
+        return tuple([read_off([p[b] for b in seed]) for p in self.ray_perms])
+
+    @cached_property
+    def _seed_read_off(self):
+        """``fan._read_off`` of the seed rays: the matrix of a ray permutation
+        of the group from the images of ``seed``, with nothing checked."""
+        return _read_off(self.fan, [self.fan.rays[b] for b in self.seed])[2]
 
 
 def _perm_of(fan: Fan, g: IntMatrix) -> Perm:
+    """The ray permutation of an invertible matrix, or ``not-fan-preserving``;
+    row i of g combines the rays' coordinate columns into coordinate i of their images."""
+    columns = tuple(zip(*fan.rays))
+    images = zip(*(map(sum, zip(*([a * x for x in c] for a, c in zip(row, columns) if a))) for row in g.entries))
     index = {v: i for i, v in enumerate(fan.rays)}
-    mapping = tuple(index.get(g.apply(v)) for v in fan.rays)
-    cones = set(fan.max_cones)
-    if None in mapping or len(set(mapping)) != len(mapping) or any(
-        tuple(sorted(mapping[i] for i in cone)) not in cones for cone in fan.max_cones
+    mapping = tuple(map(index.get, images))
+    cones = set(map(frozenset, fan.max_cones))
+    if None in mapping or len(set(mapping)) != len(mapping) or not cones.issuperset(
+        frozenset(map(mapping.__getitem__, cone)) for cone in fan.max_cones
     ):
         raise PreconditionError("not-fan-preserving", "matrix does not preserve the fan")
     return mapping
 
 
-def _group_action(fan: Fan, seed: Sequence[int], read_off, perms: list[Perm]) -> GroupAction:
-    """The group of the ray permutations ``perms``, ordered by permutation.
-
-    The element permuting the rays by p is ``read_off`` (``fan._read_off`` of
-    the seed basis) of the rays p[b]; every p comes from a fan automorphism,
-    so nothing is checked.
-    """
-    perms.sort()
-    return GroupAction(fan, tuple(read_off([p[b] for b in seed]) for p in perms), tuple(perms))
-
-
 def fan_automorphisms(fan: Fan) -> GroupAction:
-    """The full finite group Aut(N, fan), ordered by ray permutation.
+    """The full finite group Aut(N, fan), held as its stabilizer chain.
 
     A stabilizer chain on the seed basis b_1..b_n of ``fan._seed_basis``: at
     level k, for each other ray c on as many maximal cones as b_k, orderings
     (b_1..b_{k-1}, c, ...) of its ray sets go through ``fan._candidate_test``
     until one is an automorphism u_{k,c}.  Only the identity fixes the basis,
-    so each automorphism is one product u_1 ... u_n (u_{k,b_k} = 1), composed
-    as ray permutations, whose matrices the search's ``read_off`` gives.
+    so each automorphism is one product u_1 ... u_n (u_{k,b_k} = 1): the
+    order is the product of the level sizes, and the transversal elements
+    generate the group.
     """
     seed, cones = _seed_basis(fan, fan)
     read_off, test = _candidate_test(fan, fan, seed)
     n, d, degrees = fan.rank, fan.ray_count, _ray_degrees(fan)
     transversals = [[tuple(range(d))] for _ in seed]
     for k, b in enumerate(seed):
+        fixed = seed[: k + 1]
         for c in range(d):
-            if c not in seed[: k + 1] and degrees[c] == degrees[b]:
+            if degrees[c] == degrees[b] and c not in fixed:
                 head = seed[:k] + (c,)
                 rests = ([j for j in cone if j not in head] for cone in cones if c in cone)
                 for found in filter(None, (test(head + t) for rest in rests for t in permutations(rest, n - k - 1))):
                     transversals[k].append(found[0])
                     break
         cones = [cone for cone in cones if b in cone]
-    perms = transversals[-1]
-    for level in reversed(transversals[:-1]):
-        perms = [tuple(map(u.__getitem__, p)) for u in level for p in perms]
-    return _group_action(fan, seed, read_off, perms)
+    action = GroupAction(fan, seed, tuple([u for level in transversals for u in level[1:]]), transversals)
+    action.__dict__["_seed_read_off"] = read_off  # the search's read-off of the same seed rays
+    return action
 
 
 def action_from_generators(fan: Fan, generators: Sequence[IntMatrix]) -> GroupAction:
     """The group generated by fan-preserving matrices.
 
     Each generator must be unimodular and fan-preserving; its ray
-    permutation is read off its matrix.  The generators' permutations are
-    closed by composition (g h permutes the rays by p_g after p_h): the
-    group embeds in the permutations of the rays, so it is finite and the
-    closure stops at its order; ``fan._read_off`` of the seed basis gives
-    the matrices.  Where the rays do not span the lattice they do not
-    determine a matrix, and the fan is refused (``rays-do-not-span``).
+    permutation is read off its matrix and kept.  The group embeds in the
+    permutations of the rays, so it is finite, and ``GroupAction`` closes
+    it only when its order or elements are asked for.  Where the rays do
+    not span the lattice they do not determine a matrix, and the fan is
+    refused (``rays-do-not-span``).
     """
     gens = []
     for g in generators:
@@ -107,22 +135,26 @@ def action_from_generators(fan: Fan, generators: Sequence[IntMatrix]) -> GroupAc
         if not g.is_unimodular():
             raise PreconditionError("not-unimodular", "generator is not unimodular")
         gens.append(_perm_of(fan, g))
-    seed, _ = _seed_basis(fan, fan)
-    group = frontier = {tuple(range(fan.ray_count))}
-    while frontier:
-        frontier = {tuple(map(g.__getitem__, p)) for p in frontier for g in gens} - group
-        group |= frontier
-    return _group_action(fan, seed, _read_off(fan, [fan.rays[i] for i in seed])[2], list(group))
+    return GroupAction(fan, _seed_basis(fan, fan)[0], tuple(gens))
 
 
 def ray_orbits(action: GroupAction) -> tuple[tuple[int, ...], ...]:
     """Orbit partition of the ray indices, ordered by least member.
 
-    The elements are the whole group, so the orbit of ray i is the set of
-    its images {p[i]}, with no closure to take.
+    Each orbit is grown from its least ray by the generators' permutations;
+    the group is finite, so a set closed under them is closed under it.
     """
-    perms = action.ray_perms
-    return tuple(sorted({tuple(sorted({p[i] for p in perms})) for i in range(action.fan.ray_count)}))
+    placed, orbits = [False] * action.fan.ray_count, []
+    for i, seen in enumerate(placed):
+        if not seen:
+            placed[i], orbit = True, [i]
+            for j in orbit:  # the list grows while it is read
+                for p in action.generators:
+                    if not placed[p[j]]:
+                        placed[p[j]] = True
+                        orbit.append(p[j])
+            orbits.append(tuple(sorted(orbit)))
+    return tuple(orbits)
 
 
 def invariant_picard_number(action: GroupAction) -> int:
@@ -142,16 +174,17 @@ def invariant_picard_number(action: GroupAction) -> int:
 def centralizer_in_GL(action: GroupAction) -> tuple[IntMatrix, ...]:
     """All unimodular matrices commuting with every element of the group.
 
-    Solves the commutation system exactly; when the commutant is the line
-    through the identity the unimodular points are exactly +-identity.
+    Solves the commutation system of the generators' matrices exactly;
+    when the commutant is the line through the identity the unimodular
+    points are exactly +-identity.
     Larger commutants may contain infinitely many unimodular points, so
     they are reported as an error rather than enumerated.
     """
     n = action.fan.rank
     if n > 3:
         raise PreconditionError("rank", "centralizer computation is limited to rank <= 3")
-    rows = []
-    for g in action.elements:
+    rows = [(0,) * (n * n)]  # the identity's equations, for a group with no generator
+    for g in (action._seed_read_off([p[b] for b in action.seed]) for p in action.generators):
         # (gX - Xg)[i][j] = sum_k g[i][k] X[k][j] - X[i][k] g[k][j] = 0
         for i in range(n):
             for j in range(n):
@@ -193,17 +226,9 @@ class GaloisDatum:
 
 
 def _is_block_swap_permutation(tau: IntMatrix) -> bool:
-    """Fixed-point-free involutive permutation matrix (a factor swap)."""
+    """Fixed-point-free permutation matrix; as tau^2 = 1 (``GaloisDatum``), a factor swap."""
     n = tau.rows
-    perm = []
-    for j in range(n):
-        col = tau.column(j)
-        if sorted(col) != [0] * (n - 1) + [1]:
-            return False
-        perm.append(col.index(1))
-    if any(perm[i] == i for i in range(n)):
-        return False
-    return all(perm[perm[i]] == i for i in range(n))
+    return all(sorted(row) == [0] * (n - 1) + [1] and row[i] == 0 for i, row in enumerate(tau.entries))
 
 
 def classify_galois_form(action: GroupAction, datum: GaloisDatum) -> GaloisForm:
@@ -212,13 +237,14 @@ def classify_galois_form(action: GroupAction, datum: GaloisDatum) -> GaloisForm:
     Requires tau to preserve the fan and to commute with the whole group
     (otherwise the finite action cannot descend through the twist, which
     is reported as an error).  The rays span, so tau commutes with g iff
-    their ray permutations commute.
+    their ray permutations commute, and with the group iff with each
+    generator.
     """
     fan, tau = action.fan, datum.tau
     if tau.rows != fan.rank:
         raise PreconditionError("shape", "galois matrix shape does not match the lattice rank")
     p_tau = _perm_of(fan, tau)
-    for p in action.ray_perms:
+    for p in action.generators:
         if any(p[t] != p_tau[q] for t, q in zip(p_tau, p)):
             raise PreconditionError(
                 "galois-noncommuting",

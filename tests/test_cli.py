@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -13,7 +14,9 @@ from hypothesis import strategies as st
 import toricsym
 from toricsym import cli, families, fanio, symmetry
 from toricsym.fan import Lattice, make_fan
-from toricsym.symmetry import fan_automorphisms
+from toricsym.intlin import IntMatrix
+from toricsym.mmp import run_equivariant_mmp
+from toricsym.symmetry import action_from_generators, fan_automorphisms
 
 
 def run_cli(*argv):
@@ -217,6 +220,22 @@ class TestActionDocumentErrors:
         code, error = machine_error(capsys, command, str(fan_path), str(act_path))
         assert (code, error["reason"]) == (3, "rays-do-not-span")
 
+def _plain_trace_fans():
+    """(name, fan document, generators): the 11-ray blow-up of P2 under the
+    identity and the smooth census H <= 4 under S3, with -1 and without."""
+    blowup = [[-1, -2], [0, -1], [1, -3], [2, -5], [1, -2], [1, -1], [1, 0], [1, 1], [1, 2], [0, 1], [-1, -1]]
+    cases = [("blowup-11", {"lattice": "standard:2", "rays": blowup}, [[[1, 0], [0, 1]]])]
+    for lattice in (Lattice.root_a2(), Lattice.weight_a2()):
+        for neg in (False, True):
+            gens = [[list(row) for row in g.entries] for g in lattice.s3_matrices()] + ([[[-1, 0], [0, -1]]] if neg else [])
+            fans = families.enumerate_invariant_fans(lattice, height=4, max_rays=24, require_smooth=True, include_negation=neg)
+            cases += [(f"{lattice.kind}-neg{int(neg)}-{k}", fanio.fan_document(f), gens) for k, f in enumerate(fans)]
+    return cases
+
+
+PLAIN_TRACE_FANS = _plain_trace_fans()
+
+
 class TestMmpCommand:
     def test_first_orbit_trace(self, dp6_n2_files, capsys):
         fan_path, act_path = dp6_n2_files
@@ -259,6 +278,44 @@ class TestMmpCommand:
         payload = json.loads(capsys.readouterr().out)
         assert payload["label"] == "DP6Terminal"
         assert payload["steps"] == []
+
+
+    def test_explore_all_past_the_trace_bound_exits_3(self, tmp_path, capsys):
+        # A smooth weightA2 census fan with 18 rays has about 1.04e9
+        # contraction paths under the identity.
+        rays = [[-3, -2], [-1, -1], [-2, -3], [-1, -2], [0, -1], [1, -1], [2, -1], [1, 0], [3, 1]]
+        rays += [[2, 1], [1, 1], [1, 2], [1, 3], [0, 1], [-1, 2], [-1, 1], [-1, 0], [-2, -1]]
+        fan_path, act_path = tmp_path / "r18.fan", tmp_path / "identity.act"
+        write_json(fan_path, {"lattice": "weightA2", "rays": rays})
+        write_json(act_path, {"generators": [[[1, 0], [0, 1]]]})
+        start = time.perf_counter()
+        code, error = machine_error(capsys, "mmp", str(fan_path), str(act_path), "--explore-all")
+        assert (code, error["reason"]) == (3, "too-many-branches")
+        assert time.perf_counter() - start < 30
+
+    @pytest.mark.parametrize("fan", PLAIN_TRACE_FANS, ids=lambda case: case[0])
+    def test_plain_explore_all_formats_each_trace_in_full(self, fan, tmp_path):
+        # Each shared step is formatted once; every branch still reads as
+        # its own trace, from step 0.
+        name, doc, gens = fan
+        fan_path, act_path = tmp_path / "fan.json", tmp_path / "act.json"
+        write_json(fan_path, doc)
+        write_json(act_path, {"generators": gens})
+        parsed = fanio.parse_fan_document(doc)
+        action = action_from_generators(parsed, [IntMatrix.from_rows(g) for g in gens])
+        traces = run_equivariant_mmp(parsed, action, mode="explore-all")
+        expected = "".join(f"--- branch {i} ---\n" + plain_trace(t) for i, t in enumerate(traces))
+        assert in_process(["mmp", str(fan_path), str(act_path), "--explore-all"]) == (0, expected)
+
+
+def plain_trace(trace):
+    """The plain text of one trace, every step formatted afresh."""
+    lines = []
+    for k, step in enumerate(trace.steps):
+        lines.append(f"step {k}: rays {list(step.fan.rays)}")
+        lines.append(f"        contract orbit {list(step.orbit)} = {list(step.orbit_rays)}")
+    lines += [f"terminal rays {list(trace.terminal.rays)}", f"label {trace.label}"]
+    return "".join(line + "\n" for line in lines)
 
 
 HEXAGON_FIRST_ORBIT = """\

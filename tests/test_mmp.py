@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
-from toricsym import divisors, families, intlin
+from toricsym import divisors, families, intlin, mmp
 from toricsym import fan as fan_module
 from toricsym.errors import PreconditionError
 from toricsym.fan import (
@@ -46,6 +46,14 @@ try:
     import oracle  # contraction trees on self-intersection words, apart from toricsym
 finally:
     sys.path.pop(0)
+
+
+# Smooth weightA2 census fans (H = 6): 72 240 and about 1.04e9 explore-all
+# traces under the identity, by the word oracle.
+CENSUS_12_RAYS = [(-2, -1), (-1, -1), (-1, -2), (0, -1), (1, -1), (1, 0), (2, 1), (1, 1), (1, 2), (0, 1), (-1, 1), (-1, 0)]
+CENSUS_18_RAYS = [(-3, -2), (-1, -1), (-2, -3), (-1, -2), (0, -1), (1, -1), (2, -1), (1, 0), (3, 1)]
+CENSUS_18_RAYS += [(2, 1), (1, 1), (1, 2), (1, 3), (0, 1), (-1, 2), (-1, 1), (-1, 0), (-2, -1)]
+BLOWUP_11_RAYS = [(-1, -2), (0, -1), (1, -3), (2, -5), (1, -2), (1, -1), (1, 0), (1, 1), (1, 2), (0, 1), (-1, -1)]
 
 
 def trivial_action(fan):
@@ -328,6 +336,32 @@ class TestDriver:
             trace = run_equivariant_mmp(fan, action, mode="first-orbit")
             terminal_action = families.standard_s3_action(trace.terminal, include_negation=neg)
             assert invariant_picard_number(terminal_action) in (1, 2)
+
+    def test_explore_all_refuses_past_the_trace_bound(self):
+        # About 1.04e9 contraction paths under the identity: refused as soon
+        # as the traces below one fan pass MAX_TRACES, while first-orbit
+        # follows one path.
+        fan = build_surface_fan(Lattice.weight_a2(), CENSUS_18_RAYS)
+        with pytest.raises(PreconditionError) as err:
+            run_equivariant_mmp(fan, trivial_action(fan), mode="explore-all")
+        assert err.value.reason == "too-many-branches"
+        assert run_equivariant_mmp(fan, trivial_action(fan)).label == TerminalLabel("Hirzebruch", 3)
+
+    def test_the_trace_bound_admits_the_12_ray_census_fan(self):
+        fan = build_surface_fan(Lattice.weight_a2(), CENSUS_12_RAYS)
+        assert len(run_equivariant_mmp(fan, trivial_action(fan), mode="explore-all")) == 72240 <= mmp.MAX_TRACES
+
+    @pytest.mark.parametrize("bound", [1007, 1008])
+    def test_the_bound_counts_traces(self, std2, bound, monkeypatch):
+        # The 11-ray blow-up of P2 has 1 008 traces under the identity.
+        monkeypatch.setattr(mmp, "MAX_TRACES", bound)
+        fan = build_surface_fan(std2, BLOWUP_11_RAYS)
+        if bound < 1008:
+            with pytest.raises(PreconditionError) as err:
+                run_equivariant_mmp(fan, trivial_action(fan), mode="explore-all")
+            assert err.value.reason == "too-many-branches"
+        else:
+            assert len(run_equivariant_mmp(fan, trivial_action(fan), mode="explore-all")) == 1008
 
     def test_unknown_mode_is_rejected(self, p2_fan):
         with pytest.raises(PreconditionError):

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import math
 import random
@@ -12,10 +13,10 @@ from toricsym.acceptance import named_family_corpus
 from toricsym.divisors import class_group
 from toricsym.errors import PreconditionError
 from toricsym.fan import Lattice, _all_isomorphisms, fan_isomorphism, make_fan, transform_fan
-from toricsym.intlin import IntMatrix
+from toricsym.intlin import IntMatrix, kernel_basis
+from toricsym.mmp import run_equivariant_mmp
 from toricsym.symmetry import (
     GaloisDatum,
-    GroupAction,
     _perm_of,
     GaloisForm,
     action_from_generators,
@@ -36,7 +37,8 @@ def trivial_action(fan):
 
 def closure_by_matrices(fan, generators):
     """The generated group closed as matrices, each element's ray
-    permutation then read off its matrix, ordered by permutation."""
+    permutation then read off its matrix: the ray permutations and the
+    matrices, ordered by permutation."""
     ident = IntMatrix.identity(fan.rank)
     seen = {ident.entries: ident}
     queue = [ident]
@@ -48,7 +50,12 @@ def closure_by_matrices(fan, generators):
                 seen[nxt.entries] = nxt
                 queue.append(nxt)
     pairs = sorted(((_perm_of(fan, g), g) for g in seen.values()), key=lambda p: p[0])
-    return GroupAction(fan, tuple(g for _, g in pairs), tuple(p for p, _ in pairs))
+    return tuple(p for p, _ in pairs), tuple(g for _, g in pairs)
+
+
+def expanded(action):
+    """The ray permutations and the matrices of an action, expanded."""
+    return action.ray_perms, action.elements
 
 
 class TestFanAutomorphisms:
@@ -110,7 +117,7 @@ class TestAutomorphismSearchIsAGroup:
     def test_agrees_with_the_closure_of_its_elements(self, builder):
         fan = builder()
         action = fan_automorphisms(fan)
-        assert closure_by_matrices(fan, action.elements) == action
+        assert closure_by_matrices(fan, action.elements) == expanded(action)
 
     # (n+1)! for P^n, 2^n n! for (P^1)^n, (a+1)! (b+1)! for P^a x P^b (a != b)
     # and twice that for a = b.
@@ -311,23 +318,25 @@ class TestConeSeededSearch:
         # projective spaces is an automorphism, so no candidate is wasted:
         # the all-tuples search reads one matrix per automorphism, the level
         # search of fan_automorphisms one per transversal element other than
-        # 1, and its expansion then one per element.
-        calls, expansion = [], []
-        read_off_factory, group_action = fan_module._read_off, symmetry._group_action
+        # 1, which gives the order, and the expansion of its elements then
+        # one per element.
+        calls = []
+        read_off_factory = fan_module._read_off
 
         def counted(*args):
             det, adjugate, read_off = read_off_factory(*args)
             return det, adjugate, lambda images: calls.append(images) or read_off(images)
 
         monkeypatch.setattr(fan_module, "_read_off", counted)
-        # The expansion starts where _group_action is entered.
-        monkeypatch.setattr(symmetry, "_group_action", lambda *a: expansion.append(len(calls)) or group_action(*a))
+        monkeypatch.setattr(symmetry, "_read_off", counted)
         fan = builder()
         assert len(_all_isomorphisms(fan, fan)) == order
         assert len(calls) == order
         calls.clear()
-        assert fan_automorphisms(fan).order == order
-        assert expansion == [transversal]
+        action = fan_automorphisms(fan)
+        assert action.order == order
+        assert len(calls) == transversal
+        assert len(action.elements) == order
         assert len(calls) == transversal + order
 
 
@@ -453,6 +462,16 @@ class TestActionFromGenerators:
         with pytest.raises(PreconditionError):
             action_from_generators(p2_fan, [shear])
 
+    def test_ray_permutation_that_moves_a_cone_off_the_fan_is_rejected(self):
+        # Two cones of P^3; the matrix swaps rays 2 and 3, so it permutes the
+        # rays but sends the cone (0, 1, 2) to (0, 1, 3), which is not a cone.
+        fan = make_fan(P3.lattice, P3.rays, [(0, 1, 2), (0, 2, 3)])
+        g = IntMatrix.from_columns([(1, 0, 0), (0, 1, 0), (-1, -1, -1)])
+        assert sorted(g.apply(v) for v in fan.rays) == sorted(fan.rays)
+        with pytest.raises(PreconditionError) as err:
+            action_from_generators(fan, [g])
+        assert err.value.reason == "not-fan-preserving"
+
     @pytest.mark.parametrize(
         "generator",
         [[(0, 1, 0), (1, 0, 0), (0, 0, 1)], [(1, 0, 1), (0, 1, 0), (0, 0, 1)]],
@@ -469,7 +488,7 @@ class TestActionFromGenerators:
         fan = families.projective_space(7)
         images = [fan.rays[1], fan.rays[0], *fan.rays[2:7]], fan.rays[1:8]
         gens = [IntMatrix.from_columns(w) for w in images]
-        assert action_from_generators(fan, gens) == fan_automorphisms(fan)
+        assert expanded(action_from_generators(fan, gens)) == expanded(fan_automorphisms(fan))
 
     def test_non_unimodular_generator_is_rejected(self, p2_fan):
         with pytest.raises(PreconditionError):
@@ -510,12 +529,12 @@ class TestClosureAgainstTheMatrixClosure:
 
     @pytest.mark.parametrize("fan,gens", _census_s3_cases())
     def test_s3_actions_on_the_census(self, fan, gens):
-        assert action_from_generators(fan, gens) == closure_by_matrices(fan, gens)
+        assert expanded(action_from_generators(fan, gens)) == closure_by_matrices(fan, gens)
 
     @pytest.mark.parametrize("fan", _automorphism_generator_cases())
     def test_automorphisms_as_generators(self, fan):
         gens = list(fan_automorphisms(fan).elements)
-        assert action_from_generators(fan, gens) == closure_by_matrices(fan, gens)
+        assert expanded(action_from_generators(fan, gens)) == closure_by_matrices(fan, gens)
 
     @pytest.mark.parametrize(
         "fan, count, seed",
@@ -537,7 +556,7 @@ class TestClosureAgainstTheMatrixClosure:
         # Sublattice seeds (|det B| > 1) and product fans, generated by a
         # few elements of their automorphism groups.
         gens = random.Random(seed).sample(fan_automorphisms(fan).elements, count)
-        assert action_from_generators(fan, gens) == closure_by_matrices(fan, gens)
+        assert expanded(action_from_generators(fan, gens)) == closure_by_matrices(fan, gens)
 
 
 class TestTransversalsGenerate:
@@ -564,7 +583,7 @@ class TestTransversalsGenerate:
         fan = SEARCH_CORPUS[name]
         action = fan_automorphisms(fan)
         monkeypatch.undo()
-        assert action_from_generators(fan, found) == action
+        assert expanded(action_from_generators(fan, found)) == expanded(action)
 
 
 class TestGaloisCommutationByPermutations:
@@ -824,3 +843,189 @@ class TestGroupClosureInvariants:
         action = families.standard_s3_action(hexagon_n1, include_negation=True)
         assert action.order == 12
         assert len(set(action.ray_perms)) == action.order
+
+
+# --- generators against elements ---------------------------------------------
+
+
+def orbits_by_elements(action):
+    """Ray orbits as the images of each ray under every element's matrix."""
+    rays = action.fan.rays
+    index = {v: i for i, v in enumerate(rays)}
+    return tuple(sorted({tuple(sorted({index[g.apply(v)] for g in action.elements})) for v in rays}))
+
+
+def galois_form_by_elements(action, tau):
+    """The Galois class with commutation decided on every element's matrix:
+    a reason slug where ``classify_galois_form`` must refuse."""
+    fan, n = action.fan, action.fan.rank
+    index = {v: i for i, v in enumerate(fan.rays)}
+    images = [index.get(tau.apply(v)) for v in fan.rays]
+    cones = set(map(frozenset, fan.max_cones))
+    if None in images or {frozenset(images[i] for i in cone) for cone in fan.max_cones} != cones:
+        return "not-fan-preserving"
+    if any(g @ tau != tau @ g for g in action.elements):
+        return "galois-noncommuting"
+    if tau == IntMatrix.identity(n):
+        return GaloisForm.SPLIT
+    if tau == -IntMatrix.identity(n):
+        return GaloisForm.NEGATION_TWIST
+    columns = [tau.column(j) for j in range(n)]
+    if all(sorted(c) == [0] * (n - 1) + [1] for c in columns):
+        perm = [c.index(1) for c in columns]
+        if all(perm[i] != i and perm[perm[i]] == i for i in range(n)):
+            return GaloisForm.FACTOR_SWAP
+    return GaloisForm.OTHER
+
+
+def galois_form_or_reason(action, tau):
+    try:
+        return classify_galois_form(action, GaloisDatum(tau=tau))
+    except PreconditionError as exc:
+        return exc.reason
+
+
+def commutant_by_elements(action):
+    """The dimension of the matrices commuting with every element."""
+    n = action.fan.rank
+    rows = [(0,) * (n * n)]
+    for g in action.elements:
+        for i in range(n):
+            for j in range(n):
+                row = [0] * (n * n)
+                for k in range(n):
+                    row[k * n + j] += g.entries[i][k]
+                    row[i * n + k] -= g.entries[k][j]
+                rows.append(tuple(row))
+    return len(kernel_basis(IntMatrix.from_rows(rows)))
+
+
+def _involutions(fan, limit=6):
+    """+-I, and the first few involutions of Aut(fan) (and the swap and a
+    reflection in rank 2), as Galois candidates."""
+    n = fan.rank
+    ident = IntMatrix.identity(n)
+    taus = [ident, -ident] + ([SWAP, IntMatrix.from_rows([(1, 0), (0, -1)])] if n == 2 else [])
+    return taus + [g for g in fan_automorphisms(fan).elements if g @ g == ident and g != ident][:limit]
+
+
+def _generator_cases():
+    """(fan, generators): the S3 actions on the census H <= 5, and on the
+    named families and ``SEARCH_CORPUS`` the automorphism group (generators
+    None) and the subgroup of two seeded elements."""
+    cases = [pytest.param(*case.values, id=f"census-{case.id}") for case in _census_s3_cases()]
+    corpus = [(f"family-{name}", fan) for name, fan in named_family_corpus()]
+    corpus += [(f"search-{name}", fan) for name, fan in sorted(SEARCH_CORPUS.items())]
+    for name, fan in corpus:
+        elements = fan_automorphisms(fan).elements
+        cases.append(pytest.param(fan, None, id=f"{name}-aut"))
+        cases.append(pytest.param(fan, random.Random(name).sample(elements, min(2, len(elements))), id=f"{name}-sub"))
+    return cases
+
+
+def _action(fan, gens):
+    return fan_automorphisms(fan) if gens is None else action_from_generators(fan, gens)
+
+
+class TestGeneratorsAgainstElements:
+    """Orbits, the invariant Picard number, the Galois class and the
+    centralizer, which read only the generators, equal the same computed
+    from every element's matrix; the order is the number of ray
+    permutations."""
+
+    @pytest.mark.parametrize("fan,gens", _generator_cases())
+    def test_orbits_and_invariant_picard_number(self, fan, gens):
+        orbits = orbits_by_elements(_action(fan, gens))
+        assert ray_orbits(_action(fan, gens)) == orbits
+        rho = len(orbits) - fixed_space_by_elements(_action(fan, gens))
+        assert invariant_picard_number(_action(fan, gens)) == rho
+
+    @pytest.mark.parametrize("fan,gens", _generator_cases())
+    def test_galois_class(self, fan, gens):
+        expanded_action = _action(fan, gens)
+        for tau in _involutions(fan):
+            assert galois_form_or_reason(_action(fan, gens), tau) == galois_form_by_elements(expanded_action, tau)
+
+    @pytest.mark.parametrize("fan,gens", _generator_cases())
+    def test_centralizer(self, fan, gens):
+        dim = commutant_by_elements(_action(fan, gens)) if fan.rank <= 3 else None
+        if dim == 1:
+            ident = IntMatrix.identity(fan.rank)
+            assert centralizer_in_GL(_action(fan, gens)) == (ident, -ident)
+        else:
+            with pytest.raises(PreconditionError) as err:
+                centralizer_in_GL(_action(fan, gens))
+            assert err.value.reason == ("rank" if dim is None else "commutant-too-large")
+            assert dim is None or f"commutant has dimension {dim};" in str(err.value)
+
+    @pytest.mark.parametrize("fan,gens", _generator_cases())
+    def test_order_is_the_number_of_ray_permutations(self, fan, gens):
+        action = _action(fan, gens)
+        order = action.order
+        assert order == len(action.ray_perms) == len(set(action.ray_perms)) == len(action.elements)
+        assert order == len(_action(fan, gens).ray_perms)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([fan for _, fan in sorted(SEARCH_CORPUS.items())] + [f for _, f in named_family_corpus()]), st.data())
+    def test_random_subsets_of_elements_as_generators(self, fan, data):
+        gens = data.draw(st.lists(st.sampled_from(fan_automorphisms(fan).elements), max_size=3))
+        assert expanded(action_from_generators(fan, gens)) == closure_by_matrices(fan, gens)
+
+
+def _smooth_surface_cases():
+    """Smooth surfaces with an action: the smooth census H <= 3 under S3
+    and under Aut, and blow-ups of P2 under Aut."""
+    cases = []
+    for lattice in (Lattice.root_a2(), Lattice.weight_a2()):
+        for negation in (False, True):
+            gens = list(lattice.s3_matrices()) + ([NEG_I] if negation else [])
+            for height in (1, 2, 3):
+                for k, fan in enumerate(
+                    families.enumerate_invariant_fans(
+                        lattice, height=height, max_rays=6 * height, require_smooth=True, include_negation=negation
+                    )
+                ):
+                    name = f"{lattice.kind}-neg{int(negation)}-h{height}-{k}"
+                    cases.append(pytest.param(fan, gens, id=f"{name}-s3"))
+                    cases.append(pytest.param(fan, None, id=f"{name}-aut"))
+    for seed in range(6):
+        fan = families.random_blowup_surface_fan(random.Random(seed), max_rays=9)
+        cases.append(pytest.param(fan, None, id=f"blowup-seed{seed}-aut"))
+    return cases
+
+
+class TestExpansionOnDemand:
+    """The contraction loop and the orbits read only the generators: no
+    ray-permutation closure, no composed transversals and no matrix
+    read-off."""
+
+    @pytest.fixture
+    def expansions(self, monkeypatch):
+        counts = collections.Counter()
+        for name in ("order", "ray_perms", "elements"):
+            lazy = vars(symmetry.GroupAction)[name]
+            monkeypatch.setattr(
+                symmetry.GroupAction, name, property(lambda self, name=name, lazy=lazy: counts.update([name]) or lazy.__get__(self))
+            )
+        read_off_factory = fan_module._read_off
+
+        def counted(*args):
+            det, adjugate, read_off = read_off_factory(*args)
+            return det, adjugate, lambda images: counts.update(["read-off"]) or read_off(images)
+
+        monkeypatch.setattr(fan_module, "_read_off", counted)
+        monkeypatch.setattr(symmetry, "_read_off", counted)
+        return counts
+
+    @pytest.mark.parametrize("fan,gens", _smooth_surface_cases())
+    def test_contraction_loop_and_orbits(self, fan, gens, expansions):
+        action = _action(fan, gens)
+        expansions.clear()  # the level search of fan_automorphisms reads matrices off
+        ray_orbits(action)
+        invariant_picard_number(action)
+        for mode in ("first-orbit", "explore-all"):
+            run_equivariant_mmp(fan, action, mode=mode)
+        assert not expansions
+        # The counter sees an expansion when there is one.
+        assert action.order and expansions["order"] == 1
+        assert len(action.elements) == expansions["read-off"] == action.order
