@@ -15,7 +15,7 @@ import os
 import sys
 from typing import Any, Iterable, Iterator
 
-from . import acceptance, families, fanio, qfield
+from . import families, fanio
 from .divisors import class_group, ray_blocks, relation_lattice
 from .errors import ParseError, PreconditionError
 from .fan import Fan, Lattice, validate_fan
@@ -199,6 +199,8 @@ def cmd_families(args: argparse.Namespace) -> int:
 
 
 def cmd_fields(args: argparse.Namespace) -> int:
+    from . import qfield
+
     if args.config:
         doc = fanio._load_json(args.config)
         if not isinstance(doc, list):
@@ -222,6 +224,8 @@ def cmd_fields(args: argparse.Namespace) -> int:
 
 
 def cmd_verify_paper(args: argparse.Namespace) -> int:
+    from . import acceptance
+
     try:
         results = acceptance.run_criteria(only=args.only)
     except KeyError as exc:

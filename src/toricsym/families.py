@@ -9,14 +9,19 @@ lattices, the quadric-type twists, and the singular hexagon.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import PreconditionError
-from .fan import Fan, Lattice, _cycle_dets, _cycle_fan, build_surface_fan, make_fan, surface_key, transform_fan
+from .fan import Fan, Lattice, _ccw_sort, _cycle_dets, _cycle_fan, build_surface_fan, make_fan
+from .fan import surface_key, transform_fan
 from .intlin import IntMatrix, Vector, primitive_vector
 from .symmetry import GaloisDatum, GroupAction, action_from_generators
+
+# Work bound of the census: the orbit unions one enumeration may examine.
+MAX_UNIONS = 100_000
 
 
 def projective_space(n: int) -> Fan:
@@ -118,7 +123,7 @@ def weil_restriction_p1() -> tuple[Fan, GaloisDatum]:
 
 
 def singular_hexagon() -> Fan:
-    """Six-ray fan from the single orbit of (3,-1,-2); every cone index 3."""
+    """Six-ray fan from the single orbit of (3,-1,-2); cones of index 3 and 8 in turn."""
     return s3_orbit_fan(Lattice.root_a2(), [(3, -1, -2)])
 
 
@@ -198,32 +203,48 @@ def standard_s3_action(fan: Fan, include_negation: bool = False) -> GroupAction:
 
 
 def _seed_orbits(lattice: Lattice, height: int, include_negation: bool) -> list[tuple[Vector, ...]]:
-    # S3 permutes the ambient coordinates and keeps the box and the sum-zero
-    # test, so one triple per multiset reaches every orbit.
-    box = range(-height, height + 1)
-    orbits: dict[tuple[Vector, ...], None] = {}
-    for ambient in itertools.combinations_with_replacement(box, 3):
-        if lattice.kind == "rootA2" and sum(ambient) != 0:
-            continue
-        coords = lattice.coords(ambient)
-        if not any(coords):
-            continue
-        orbit = set(lattice.s3_orbit(primitive_vector(coords)))
-        if include_negation:
-            orbit |= {tuple(-x for x in v) for v in orbit}
-        orbits[tuple(sorted(orbit))] = None
+    """The sorted orbits of the primitive lattice points with an ambient
+    representative in [-height, height]^3: the invariant hexagon |a|, |b|,
+    |b - a| <= R, R = height for (a, b - a, -b) in the root lattice and 2
+    height for (a, b, 0) + Z(1, 1, 1) in the weight lattice."""
+    r = height if lattice.kind == "rootA2" else 2 * height
+    orbits, seen = [], set()
+    for a in range(-r, r + 1):
+        for b in range(max(-r, a - r), min(r, a + r) + 1):
+            if (a, b) not in seen and math.gcd(a, b) == 1:
+                orbit = set(lattice.s3_orbit((a, b)))
+                if include_negation:
+                    orbit |= {(-x, -y) for x, y in orbit}
+                seen |= orbit
+                orbits.append(tuple(sorted(orbit)))
     return sorted(orbits)
 
 
 def _orbit_unions(orbit_list: Sequence[tuple[Vector, ...]], max_rays: int):
-    """Sorted ray lists of the unions of orbits with 3 to ``max_rays`` rays."""
-    for r in range(1, len(orbit_list) + 1):
-        if min(len(o) for o in orbit_list) * r > max_rays:
-            break
-        for combo in itertools.combinations(orbit_list, r):
-            rays = sorted(set(itertools.chain.from_iterable(combo)))
-            if 3 <= len(rays) <= max_rays:
-                yield rays
+    """The unions of orbits with at most ``max_rays`` rays as ccw cycles, in
+    the order of one ``_ccw_sort`` of all their rays, each grown once from a
+    smaller union; more than ``MAX_UNIONS`` are refused before the first."""
+    orbits = sorted(orbit_list, key=len)
+    ways = [1] + [0] * max_rays  # ways[n]: the sets of orbits with n rays
+    for orbit in orbits:
+        for n in range(max_rays, len(orbit) - 1, -1):
+            ways[n] += ways[n - len(orbit)]
+    if sum(ways) - 1 > MAX_UNIONS:
+        raise PreconditionError(
+            "too-many-candidates", f"{sum(ways) - 1} orbit unions within {max_rays} rays, more than {MAX_UNIONS}"
+        )
+    cycle = _ccw_sort([v for orbit in orbits for v in orbit])
+    position = {v: i for i, v in enumerate(cycle)}
+    orbits = [[position[v] for v in orbit] for orbit in orbits]
+    stack = [([], 0)]
+    while stack:
+        union, first = stack.pop()
+        for j in range(first, len(orbits)):
+            if len(union) + len(orbits[j]) > max_rays:
+                break
+            bigger = union + orbits[j]
+            stack.append((bigger, j + 1))
+            yield [cycle[i] for i in sorted(bigger)]
 
 
 def _blow_up(fan: Fan, new_rays: Sequence[Vector]) -> Fan:
@@ -246,11 +267,10 @@ def _smooth_blowups(lattice: Lattice, orbit_list: Sequence[tuple[Vector, ...]], 
     orbit_of = {v: orbit for orbit in orbit_list for v in orbit}
     seen: set[frozenset[Vector]] = set()
     stack = []
-    for rays in _orbit_unions(orbit_list, min(6, max_rays)):
-        seen.add(frozenset(rays))
-        fan = build_surface_fan(lattice, rays)
-        if all(b == 1 for b in _cycle_dets(fan.rays)):
-            stack.append(fan)
+    for cycle in _orbit_unions(orbit_list, min(6, max_rays)):
+        seen.add(frozenset(cycle))
+        if all(b == 1 for b in _cycle_dets(cycle)):
+            stack.append(_cycle_fan(lattice, cycle))
     while stack:
         fan = stack.pop()
         yield fan
@@ -281,28 +301,29 @@ def enumerate_invariant_fans(
     at most ``max_rays`` rays.
 
     Without ``require_smooth`` every union of allowed orbits is a
-    candidate.  With it, the candidates are the smooth fans on at most two
-    allowed orbits with at most six rays, and everything reached from them
-    by equivariant blow-ups: for a cone (v_i, v_{i+1}) the orbit of
-    v_i + v_{i+1}, when it is allowed, new and keeps within ``max_rays``.
+    candidate (past ``MAX_UNIONS`` of them, ``too-many-candidates``).  With
+    it, the candidates are the smooth fans on at most two allowed orbits
+    with at most six rays, and everything reached from them by equivariant
+    blow-ups: for a cone (v_i, v_{i+1}) the orbit of v_i + v_{i+1}, when it
+    is allowed, new and keeps within ``max_rays``.
     That reaches every smooth invariant fan within the bounds.  Such a fan
     contracts equivariantly, one orbit of rays at a time, to a fan with 3
     or 6 rays (criterion A7 checks this on the census); every fan on the
     way is a smooth union of fewer allowed orbits, and read backwards each
     contraction is one of the blow-ups taken.
 
-    Candidates are grouped by ``surface_key``; each class is represented
-    by its least ``(ray_count, rays)`` fan, and the representatives are
-    returned in that order.
+    Candidates come as ray cycles and are grouped by ``surface_key``, their
+    cycle word; each class is represented by its least ``(ray_count,
+    rays)`` fan, and the representatives are returned in that order.
     """
-    if height < 1 or max_rays < 3:
-        raise PreconditionError("parameter", "need height >= 1 and max_rays >= 3")
+    if lattice.kind == "standard" or height < 1 or max_rays < 3:
+        raise PreconditionError("parameter", "need an A2 lattice, height >= 1 and max_rays >= 3")
     orbit_list = _seed_orbits(lattice, height, include_negation)
     if require_smooth:
         candidates = _smooth_blowups(lattice, orbit_list, max_rays)
     else:
-        candidates = (build_surface_fan(lattice, rays) for rays in _orbit_unions(orbit_list, max_rays))
-    kept: dict[tuple[Vector, ...], Fan] = {}
+        candidates = (_cycle_fan(lattice, cycle) for cycle in _orbit_unions(orbit_list, max_rays))
+    kept: dict[tuple, Fan] = {}
     for fan in candidates:
         key = surface_key(fan)
         # Isomorphic fans have equally many rays, so the least rays decide.

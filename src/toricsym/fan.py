@@ -226,7 +226,7 @@ def make_fan(lattice: Lattice, rays: Iterable[Sequence[int]], max_cones: Iterabl
     prim = _primitive_rays(lattice, rays)
 
     if lattice.rank == 2 and max_cones is None:
-        return _surface_fan(lattice, prim)
+        return _cycle_fan(lattice, _ccw_sort(prim))
 
     if lattice.rank == 1:
         cones = tuple((i,) for i in range(len(prim)))
@@ -246,7 +246,7 @@ def make_fan(lattice: Lattice, rays: Iterable[Sequence[int]], max_cones: Iterabl
             )
         cones.append(idx)
     if lattice.rank == 2:
-        fan = _surface_fan(lattice, prim)
+        fan = _cycle_fan(lattice, _ccw_sort(prim))
         given = sorted(tuple(sorted(prim[i] for i in cone)) for cone in cones)
         expected = sorted(tuple(sorted(fan.rays[i] for i in cone)) for cone in fan.max_cones)
         if given != expected:
@@ -265,11 +265,7 @@ def build_surface_fan(lattice: Lattice, rays: Iterable[Sequence[int]]) -> Fan:
     """
     if lattice.rank != 2:
         raise PreconditionError("rank", "surface fans have rank 2")
-    return _surface_fan(lattice, _primitive_rays(lattice, rays))
-
-
-def _surface_fan(lattice: Lattice, prim: list[Vector]) -> Fan:
-    return _cycle_fan(lattice, _ccw_sort(prim))
+    return _cycle_fan(lattice, _ccw_sort(_primitive_rays(lattice, rays)))
 
 
 def _cycle_dets(cycle: Sequence[Vector]) -> tuple[int, ...]:
@@ -536,48 +532,39 @@ def fan_isomorphism(f1: Fan, f2: Fan) -> IntMatrix | None:
     return found[0][1] if found else None
 
 
-def _bezout(x: int, y: int) -> tuple[int, int]:
-    """(p, q) with p x + q y = 1 for a primitive vector (x, y)."""
-    if y == 0:
-        return x, 0
-    p = pow(x, -1, abs(y))
-    return p, (1 - p * x) // y
+def surface_key(fan: Fan) -> tuple[tuple[tuple[int, int], ...], int]:
+    """GL2(Z) invariant of a complete surface fan: its cycle word.
 
-
-def surface_key(fan: Fan) -> tuple[Vector, ...]:
-    """GL2(Z) normal form of a surface fan's cyclic ray sequence.
-
-    For each starting ray and each orientation of the cycle, take the g in
-    GL2(Z) sending the first ray to (1, 0) and the second to (k, c) with
-    c > 0 and 0 <= k < c, and apply it to the whole cycle; the key is the
-    least of these 2 * |rays| images.  The images are grown one ray at a
-    time, keeping only the starts whose prefix is least, so a start is
-    dropped at its first ray that exceeds the least image.  A complete
-    surface fan is its ray cycle, so two of them have equal keys exactly
-    when ``fan_isomorphism`` finds a map between them (Oda 1.6, Fulton 2.5).
-    The rays must be in cyclic order, as every rank-2 fan built here stores
-    them.
+    With the rays v_i counterclockwise (a clockwise cycle is reversed first)
+    the word is the cycle of pairs (b_i, a_{i+1}) = (det(v_i, v_{i+1}),
+    det(v_i, v_{i+2})), and the fan's mirror image gives the other
+    orientation's.  The key is the least rotation of either word, then the
+    least k in the normal form (1, 0), (k, b) of a start cone reaching it.
+    That cone and the word give back every ray, v_{i+2} = (a_{i+1} v_{i+1}
+    - b_{i+1} v_i) / b_i, so two complete surface fans have equal keys
+    exactly when ``fan_isomorphism`` finds a map between them (Oda 1.6,
+    Fulton 2.5).  The rays must be in cyclic order, as rank-2 fans store them.
     """
     if fan.rank != 2:
         raise PreconditionError("rank", "the surface key needs a rank-2 fan")
-    d = fan.ray_count
+    rays = fan.rays if _cross(fan.rays[0], fan.rays[1]) > 0 else fan.rays[::-1]
+    d = len(rays)
     starts = []
-    for cycle in (fan.rays, fan.rays[::-1]):
-        for s in range(d):
-            (x0, y0), (x1, y1) = cycle[s], cycle[(s + 1) % d]
-            p, q = _bezout(x0, y0)
-            c = x0 * y1 - y0 * x1
-            # Second row: the normal of the first ray, signed so that c > 0.
-            r, t = (-y0, x0) if c > 0 else (y0, -x0)
-            k = (p * x1 + q * y1) // abs(c)
-            starts.append((cycle, s, p - k * r, q - k * t, r, t))
-    key = [(1, 0)]
-    for j in range(1, d):
-        images = []
-        for cycle, s, p, q, r, t in starts:
-            x, y = cycle[(s + j) % d]
-            images.append((p * x + q * y, r * x + t * y))
-        least = min(images)
-        starts = [start for start, image in zip(starts, images) if image == least]
-        key.append(least)
-    return tuple(key)
+    for cycle in (rays, tuple((y, x) for x, y in reversed(rays))):
+        ahead = cycle[1:] + cycle[:2]
+        steps = zip(cycle, ahead, ahead[1:])
+        word = [(x * y1 - y * x1, x * y2 - y * x2) for (x, y), (x1, y1), (x2, y2) in steps] * 2
+        starts += [(word[s : s + d], cycle[s], ahead[s]) for s in range(d)]
+    least = min(rotation for rotation, _, _ in starts)
+    # The start cones reaching it have the least b_i, and b = 1 leaves k = 0.
+    k = 0 if least[0][0] == 1 else min(_normal_form_k(v, w) for rotation, v, w in starts if rotation == least)
+    return tuple(least), k
+
+
+def _normal_form_k(v: Vector, w: Vector) -> int:
+    """k in the normal form (1, 0), (k, b) of a cone with b = det(v, w) > 0:
+    p w_x + q w_y mod b, for any p x + q y = 1 with v = (x, y)."""
+    x, y = v
+    p = pow(x, -1, abs(y)) if y else x
+    q = (1 - p * x) // y if y else 0
+    return (p * w[0] + q * w[1]) % _cross(v, w)

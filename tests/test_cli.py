@@ -429,6 +429,15 @@ class TestEnumerateCommand:
         assert payload["count"] >= 2
         assert {len(f["rays"]) for f in payload["fans"]} >= {3, 6}
 
+    def test_past_the_union_bound_exits_3(self, capsys):
+        # weightA2 at H=5 without --smooth has far more than MAX_UNIONS
+        # orbit unions within 30 rays: refused before any fan is built.
+        start = time.perf_counter()
+        argv = ["enumerate", "--lattice", "weightA2", "--height", "5", "--max-rays", "30"]
+        code, error = machine_error(capsys, *argv)
+        assert (code, error["reason"]) == (3, "too-many-candidates")
+        assert time.perf_counter() - start < 5
+
 
 class TestFamiliesCommand:
     def test_list(self, capsys):

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import pytest
 
@@ -146,6 +147,12 @@ class TestEnumerator:
         for fan in fans:
             assert fan.ray_count == 3
             assert fan_isomorphism(fan, triangle) is not None
+
+    @pytest.mark.parametrize("lattice", [Lattice.standard(2), Lattice.standard(3)])
+    def test_standard_lattices_are_refused(self, lattice):
+        with pytest.raises(PreconditionError) as err:
+            families.enumerate_invariant_fans(lattice, height=1, max_rays=6)
+        assert err.value.reason == "parameter"
 
     def test_census_is_isomorphism_deduplicated(self):
         fans = families.enumerate_invariant_fans(
@@ -325,7 +332,7 @@ def seed_orbits_from_every_triple(lattice, height, include_negation):
 
 @pytest.mark.parametrize("kind", ["rootA2", "weightA2"])
 @pytest.mark.parametrize("negation", [False, True])
-@pytest.mark.parametrize("height", range(1, 8))
+@pytest.mark.parametrize("height", range(1, 13))
 def test_seed_orbits_from_one_triple_per_multiset(kind, negation, height):
     lattice = Lattice.from_label(kind)
     expected = seed_orbits_from_every_triple(lattice, height, negation)
@@ -389,7 +396,7 @@ class TestEnumeratorAgainstPairwiseSearch:
         args = (lattice, height, max_rays, smooth, negation)
         assert families.enumerate_invariant_fans(*args) == enumerate_by_pairwise_search(*args)
 
-    @pytest.mark.parametrize("height, smooth, classes", [(3, False, 225), (4, True, 7)])
+    @pytest.mark.parametrize("height, smooth, classes", [(3, False, 225), (4, True, 7), (4, False, 6160)])
     def test_class_counts_where_the_pairwise_search_is_slow(self, height, smooth, classes):
         fans = families.enumerate_invariant_fans(
             Lattice.weight_a2(), height=height, max_rays=6 * height, require_smooth=smooth
@@ -397,6 +404,61 @@ class TestEnumeratorAgainstPairwiseSearch:
         assert len(fans) == classes
         if smooth:
             assert all(validate_fan(f).smooth for f in fans)
+
+
+def unions_by_combinations(orbit_list, max_rays):
+    """The ray sets of the unions of orbits with 3 to ``max_rays`` rays,
+    from every combination of at most ``max_rays // 3`` orbits (an orbit
+    has at least 3 rays)."""
+    unions = set()
+    for r in range(1, max_rays // 3 + 1):
+        for combo in itertools.combinations(orbit_list, r):
+            rays = frozenset(itertools.chain.from_iterable(combo))
+            if 3 <= len(rays) <= max_rays:
+                unions.add(rays)
+    return unions
+
+
+class TestOrbitUnions:
+    @pytest.mark.parametrize(
+        "kind, height, max_rays, negation",
+        [("rootA2", h, m, n) for h, m in ((3, 18), (4, 12), (5, 18)) for n in (False, True)]
+        + [("weightA2", h, m, n) for h, m in ((2, 12), (3, 9), (4, 12)) for n in (False, True)],
+    )
+    def test_every_union_once_as_a_ccw_cycle(self, kind, height, max_rays, negation):
+        lattice = Lattice.from_label(kind)
+        orbit_list = families._seed_orbits(lattice, height, negation)
+        cycles = list(families._orbit_unions(orbit_list, max_rays))
+        assert len({frozenset(c) for c in cycles}) == len(cycles)
+        assert {frozenset(c) for c in cycles} == unions_by_combinations(orbit_list, max_rays)
+        for cycle in cycles:
+            fan = build_surface_fan(lattice, cycle)
+            start = cycle.index(fan.rays[0])
+            assert tuple(cycle[start:] + cycle[:start]) == fan.rays
+
+    @pytest.mark.parametrize("kind, height, max_rays, negation, unions", [
+        ("weightA2", 4, 24, False, 12232),
+        ("weightA2", 6, 36, True, 2555),
+        ("rootA2", 6, 36, False, 4557),
+    ])
+    def test_the_bound_counts_unions(self, kind, height, max_rays, negation, unions, monkeypatch):
+        orbit_list = families._seed_orbits(Lattice.from_label(kind), height, negation)
+        assert unions <= families.MAX_UNIONS
+        monkeypatch.setattr(families, "MAX_UNIONS", unions)
+        assert sum(1 for _ in families._orbit_unions(orbit_list, max_rays)) == unions
+        monkeypatch.setattr(families, "MAX_UNIONS", unions - 1)
+        with pytest.raises(PreconditionError) as err:
+            next(families._orbit_unions(orbit_list, max_rays))
+        assert err.value.reason == "too-many-candidates"
+
+    def test_the_bound_refuses_weightA2_height_five_at_once(self):
+        # Orbits of 3 and 6 rays within 30 rays: far more than MAX_UNIONS
+        # unions, counted before any fan is built.
+        start = time.perf_counter()
+        with pytest.raises(PreconditionError) as err:
+            families.enumerate_invariant_fans(Lattice.weight_a2(), 5, 30, require_smooth=False)
+        assert err.value.reason == "too-many-candidates"
+        assert time.perf_counter() - start < 1
 
 
 def random_blowup_by_sorting(rng, max_rays):

@@ -503,18 +503,42 @@ def full_image_key(fan):
     return min(images)
 
 
-class TestSurfaceKey:
-    @settings(max_examples=200, deadline=None)
-    @given(seed=st.integers(0, 10**6), smooth=st.booleans())
-    def test_equals_the_least_full_image(self, seed, smooth):
-        fan = random_surface_fan(random.Random(seed), smooth)
-        assert surface_key(fan) == full_image_key(fan)
+def key_pool(rng, fans):
+    """The fans, a GL2(Z) image of each, and each as a rotated clockwise cycle."""
+    pool = []
+    for fan in fans:
+        d = fan.ray_count
+        shift = rng.randrange(d)
+        rotated = fan.rays[shift:] + fan.rays[:shift]
+        pool += [fan, transform_fan(random_gl2(rng), fan), Fan(fan.lattice, rotated[::-1], fan.max_cones)]
+    return pool
 
-    def test_equals_the_least_full_image_on_the_smooth_census(self):
+
+def assert_keys_match_the_full_images(pool):
+    """Two fans of the pool have equal surface keys exactly when their least
+    full images are equal; returns the number of equal pairs."""
+    keys = [surface_key(fan) for fan in pool]
+    images = [full_image_key(fan) for fan in pool]
+    equal = 0
+    for (k1, i1), (k2, i2) in itertools.combinations(zip(keys, images), 2):
+        assert (k1 == k2) == (i1 == i2)
+        equal += k1 == k2
+    return equal
+
+
+class TestSurfaceKey:
+    @pytest.mark.parametrize("smooth", [True, False])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_equal_exactly_when_the_full_images_are(self, seed, smooth):
+        rng = random.Random(100 * seed + smooth)
+        pool = key_pool(rng, [random_surface_fan(rng, smooth) for _ in range(40)])
+        # Each fan meets its two copies, and some random fans are isomorphic.
+        assert assert_keys_match_the_full_images(pool) >= 3 * 40
+
+    def test_equal_exactly_when_the_full_images_are_on_the_smooth_census(self):
         fans = families.enumerate_invariant_fans(Lattice.weight_a2(), 6, 36, require_smooth=True)
         assert len(fans) == 35
-        for fan in fans:
-            assert surface_key(fan) == full_image_key(fan)
+        assert assert_keys_match_the_full_images(key_pool(random.Random(6), fans)) == 3 * 35
 
     @settings(max_examples=150, deadline=None)
     @given(seed=st.integers(0, 10**6), smooth=st.booleans(), shift=st.integers(0, 20))
@@ -530,12 +554,37 @@ class TestSurfaceKey:
         reflected = build_surface_fan(fan.lattice, [(y, x) for x, y in fan.rays])
         assert surface_key(reflected) == key
 
-    def test_worked_keys(self, p2_fan, hexagon_n1):
-        assert surface_key(p2_fan) == ((1, 0), (0, 1), (-1, -1))
-        # Every self-intersection is -1, so v_{i+1} = v_i - v_{i-1}.
-        assert surface_key(hexagon_n1) == ((1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1), (1, -1))
-        # The singular hexagon's cones have index 3: (1, 0), then (k, 3).
-        assert surface_key(families.singular_hexagon())[:2] == ((1, 0), (2, 3))
+    @pytest.mark.parametrize(
+        "first, second",
+        [
+            ([(-3, 4), (-1, -1), (4, -3)], [(-3, -2), (2, -1), (1, 3)]),
+            ([(-1, -1), (1, -4), (1, 1), (-1, 4)], [(-2, -3), (1, -1), (2, 3), (-1, 1)]),
+            ([(-3, -1), (2, -1), (1, 2), (-2, 1)], [(-2, 1), (-1, -2), (2, -1), (-1, 3)]),
+        ],
+    )
+    def test_the_start_cone_parts_equal_words(self, first, second):
+        # The same word, but start cones (1, 0), (k, b) with other k: the
+        # fans are not isomorphic.
+        f1, f2 = (build_surface_fan(Lattice.standard(2), rays) for rays in (first, second))
+        (w1, k1), (w2, k2) = surface_key(f1), surface_key(f2)
+        assert w1 == w2 and k1 != k2
+        assert fan_isomorphism(f1, f2) is None
+        assert full_image_key(f1) != full_image_key(f2)
+
+    def test_worked_word_keys(self, p2_fan, hexagon_n1):
+        # P2: every cone is smooth and v_{i-1} + v_{i+1} = -v_i, so each
+        # pair is (1, det(v_{i-1}, v_{i+1})) = (1, -1).
+        assert surface_key(p2_fan) == (((1, -1),) * 3, 0)
+        # The hexagon: v_{i-1} + v_{i+1} = v_i, every pair (1, 1).
+        assert surface_key(hexagon_n1) == (((1, 1),) * 6, 0)
+        # The singular hexagon (3, 1), (3, 2), (-1, 2), (-2, 1), (-2, -3),
+        # (-1, -3): cones of index 3 and 8 in turn, and every det(v_i,
+        # v_{i+2}) = 7.  Starting at the index-3 cone ((3, 1), (3, 2)),
+        # 0 (3) + 1 (1) = 1 gives k = 0 (3) + 1 (2) = 2 mod 3, and the
+        # 3-cycle and a reflection carry that cone to every index-3 cone.
+        fan = families.singular_hexagon()
+        assert set(fan.rays) == {(3, 1), (3, 2), (-1, 2), (-2, 1), (-2, -3), (-1, -3)}
+        assert surface_key(fan) == (((3, 7), (8, 7)) * 3, 2)
 
     @pytest.mark.parametrize("smooth", [True, False])
     def test_equal_keys_exactly_for_isomorphic_fans(self, smooth):

@@ -662,15 +662,19 @@ def reference_key(*cycle):
     return surface_key(_cycle_fan(Lattice.standard(2), list(cycle)))
 
 
+# The surface keys of F_a for 0 <= a <= 20.  A 4-ray fan with rays in the
+# box [-3, 3]^2 has every |det(v_{i-1}, v_{i+1})| <= 18, so no F_a with a
+# larger a is among the fans labelled below.
+HIRZEBRUCH_KEYS = {reference_key((1, 0), (0, 1), (-1, a), (0, -1)): a for a in range(21)}
+
+
 def label_by_surface_key(fan):
-    """P1xP1 or F_a by comparing the surface key of a 4-ray fan with that
-    of the one model it can be: every smooth complete 4-ray fan is some
-    F_a, with key (1, 0), (0, 1), (-1, -|a|), (0, -1)."""
-    key = surface_key(fan)
-    a = -key[2][1]
-    if a >= 0 and key == reference_key((1, 0), (0, 1), (-1, a), (0, -1)):
-        return TerminalLabel("Hirzebruch", a) if a else P1XP1
-    return OTHER
+    """P1xP1 or F_a by looking the surface key of a 4-ray fan up among those
+    of the models it can be: every smooth complete 4-ray fan is some F_a."""
+    a = HIRZEBRUCH_KEYS.get(surface_key(fan))
+    if a is None:
+        return OTHER
+    return TerminalLabel("Hirzebruch", a) if a else P1XP1
 
 
 class TestClassifyTerminal:
