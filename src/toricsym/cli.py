@@ -185,8 +185,9 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
 def cmd_families(args: argparse.Namespace) -> int:
     if args.name is None:
-        payload = {"families": families.FAMILY_GRAMMAR}
-        lines = [f"{name}: {grammar}" for name, grammar in families.FAMILY_GRAMMAR.items()]
+        grammar = {name: text for name, (text, _, _) in families.FAMILIES.items()}
+        payload = {"families": grammar}
+        lines = [f"{name}: {text}" for name, text in grammar.items()]
         _emit(payload, lines, args.format)
         return EXIT_OK
     fan, datum = families.make_family_fan(args.name)

@@ -16,7 +16,7 @@ from typing import Sequence
 
 from .errors import PreconditionError
 from .fan import Fan, Lattice, _ccw_sort, _cycle_dets, _cycle_fan, build_surface_fan, make_fan
-from .fan import surface_key, transform_fan
+from .fan import surface_key
 from .intlin import IntMatrix, Vector, primitive_vector
 from .symmetry import GaloisDatum, GroupAction, action_from_generators
 
@@ -127,17 +127,19 @@ def singular_hexagon() -> Fan:
     return s3_orbit_fan(Lattice.root_a2(), [(3, -1, -2)])
 
 
-FAMILY_GRAMMAR = {
-    "projective-space": "projective-space:n (n >= 1)",
-    "hirzebruch": "hirzebruch:a (integer a)",
-    "weighted-p11a": "weighted-p11a:a (a >= 1)",
-    "weighted-p1111m": "weighted-p1111m:m (m >= 1)",
-    "bundle-over-p3": "bundle-over-p3:a (integer a)",
-    "bundle-over-p1xp1": "bundle-over-p1xp1:a (integer a)",
-    "dp6": "dp6:n1 | dp6:n2",
-    "q22": "q22",
-    "weil-restriction-p1": "weil-restriction-p1",
-    "singular-hexagon": "singular-hexagon",
+# Each named family: its descriptor grammar, how it reads the text after
+# ":" (None where it takes no parameter) and its builder.
+FAMILIES = {
+    "projective-space": ("projective-space:n (n >= 1)", int, projective_space),
+    "hirzebruch": ("hirzebruch:a (integer a)", int, hirzebruch),
+    "weighted-p11a": ("weighted-p11a:a (a >= 1)", int, weighted_p11a),
+    "weighted-p1111m": ("weighted-p1111m:m (m >= 1)", int, weighted_p1111m),
+    "bundle-over-p3": ("bundle-over-p3:a (integer a)", int, bundle_over_p3),
+    "bundle-over-p1xp1": ("bundle-over-p1xp1:a (integer a)", int, bundle_over_p1xp1),
+    "dp6": ("dp6:n1 | dp6:n2", lambda param: param or "weightA2", dp6),
+    "q22": ("q22", None, q22),
+    "weil-restriction-p1": ("weil-restriction-p1", None, weil_restriction_p1),
+    "singular-hexagon": ("singular-hexagon", None, singular_hexagon),
 }
 
 
@@ -145,34 +147,15 @@ def make_family_fan(descriptor: str) -> tuple[Fan, GaloisDatum | None]:
     """Build a named family fan from a "name" or "name:param" descriptor."""
     name, _, param = descriptor.partition(":")
     name = name.strip().lower()
-
-    def int_param() -> int:
-        try:
-            return int(param)
-        except ValueError:
-            raise PreconditionError("parameter", f"{name} needs an integer parameter, got {param!r}")
-
-    if name == "projective-space":
-        return projective_space(int_param()), None
-    if name == "hirzebruch":
-        return hirzebruch(int_param()), None
-    if name == "weighted-p11a":
-        return weighted_p11a(int_param()), None
-    if name == "weighted-p1111m":
-        return weighted_p1111m(int_param()), None
-    if name == "bundle-over-p3":
-        return bundle_over_p3(int_param()), None
-    if name == "bundle-over-p1xp1":
-        return bundle_over_p1xp1(int_param()), None
-    if name == "dp6":
-        return dp6(param or "weightA2"), None
-    if name == "q22":
-        return q22()
-    if name == "weil-restriction-p1":
-        return weil_restriction_p1()
-    if name == "singular-hexagon":
-        return singular_hexagon(), None
-    raise PreconditionError("family", f"unknown family {name!r}; known: {', '.join(FAMILY_GRAMMAR)}")
+    if name not in FAMILIES:
+        raise PreconditionError("family", f"unknown family {name!r}; known: {', '.join(FAMILIES)}")
+    _, read, build = FAMILIES[name]
+    try:
+        args = () if read is None else (read(param),)
+    except ValueError:
+        raise PreconditionError("parameter", f"{name} needs an integer parameter, got {param!r}")
+    made = build(*args)
+    return made if isinstance(made, tuple) else (made, None)
 
 
 def s3_orbit_fan(lattice: Lattice, seeds: Sequence[Sequence[int]]) -> Fan:
@@ -426,9 +409,9 @@ def check_diagonal_obstruction(a: int = 0) -> DiagonalObstructionReport:
     simplicial subdivisions of the five-ray configuration and preserves the
     six-ray fan.
 
-    The five-ray subdivisions are compared combinatorially (ray and cone
-    vector sets) because at a = 0 the subdivided cones degenerate and are
-    not strongly convex; the six-ray fan is a genuine fan for every a.
+    All three are compared by their cone vector sets, which cover every
+    ray: at a = 0 the subdivided cones degenerate and are not strongly
+    convex, though the six-ray fan is a genuine fan for every a.
     """
     rays: list[Vector] = [(1, 0, a), (-1, 0, 0), (0, 1, a), (0, -1, 0), (0, 0, -1)]
     bottom = [(0, 2, 4), (1, 2, 4), (1, 3, 4), (0, 3, 4)]
@@ -440,7 +423,7 @@ def check_diagonal_obstruction(a: int = 0) -> DiagonalObstructionReport:
     image2 = _apply_to_cone_sets(swap, sub2)
 
     full = bundle_over_p1xp1(a)
-    full_image = transform_fan(swap, full)
+    full_cones = _cone_vector_sets(full.rays, full.max_cones)
 
     return DiagonalObstructionReport(
         a=a,
@@ -448,7 +431,7 @@ def check_diagonal_obstruction(a: int = 0) -> DiagonalObstructionReport:
         swap_sends_second_to_first=image2 == sub1,
         swap_fixes_first=image1 == sub1,
         swap_fixes_second=image2 == sub2,
-        swap_preserves_full_fan=full_image.is_same_fan(full),
+        swap_preserves_full_fan=_apply_to_cone_sets(swap, full_cones) == full_cones,
     )
 
 

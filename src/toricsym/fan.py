@@ -194,16 +194,6 @@ class Fan(object):
     def ray_index(self, v: Vector) -> int:
         return self.rays.index(v)
 
-    def canonical_key(self):
-        """Order-insensitive identity: sorted rays plus relabelled cones."""
-        order = sorted(range(len(self.rays)), key=lambda i: self.rays[i])
-        relabel = {old: new for new, old in enumerate(order)}
-        cones = tuple(sorted(tuple(sorted(relabel[i] for i in cone)) for cone in self.max_cones))
-        return (self.lattice, tuple(self.rays[i] for i in order), cones)
-
-    def is_same_fan(self, other: "Fan") -> bool:
-        return self.canonical_key() == other.canonical_key()
-
 
 def _primitive_rays(lattice: Lattice, rays: Iterable[Sequence[int]]) -> list[Vector]:
     """Primitive lattice generators of the input rays, each checked once.
@@ -228,11 +218,9 @@ def make_fan(lattice: Lattice, rays: Iterable[Sequence[int]], max_cones: Iterabl
     if lattice.rank == 2 and max_cones is None:
         return _cycle_fan(lattice, _ccw_sort(prim))
 
-    if lattice.rank == 1:
-        cones = tuple((i,) for i in range(len(prim)))
-        return Fan(lattice, tuple(prim), cones)
-
     if max_cones is None:
+        if lattice.rank == 1:
+            return Fan(lattice, tuple(prim), tuple((i,) for i in range(len(prim))))
         raise PreconditionError("cones-required", f"rank-{lattice.rank} fans need explicit max_cones")
     cones = []
     for cone in max_cones:
@@ -322,7 +310,8 @@ def _dot(v: Sequence[int], w: Sequence[int]) -> int:
 
 
 def _complete_rank_ge3(fan: Fan, det_adj: list[tuple[int, IntMatrix]]) -> bool:
-    """Completeness of a simplicial fan, given det B and adj B of each cone."""
+    """Completeness of a simplicial fan, given det B and adj B of each cone;
+    in rank 1 the one wall is the origin."""
     if not fan.max_cones:
         return False
     # B adj B = det B I: column k of det B adj B is the inward normal of the
@@ -383,7 +372,7 @@ def validate_fan(fan: Fan) -> FanReport:
     else:
         det_adj = [IntMatrix._of(tuple(fan.rays[i] for i in c)).det_adjugate() for c in fan.max_cones if len(c) == n]
         simplicial = len(det_adj) == len(fan.max_cones) and all(det for det, _ in det_adj)
-        complete = set(fan.rays) == {(1,), (-1,)} if n == 1 else simplicial and _complete_rank_ge3(fan, det_adj)
+        complete = simplicial and _complete_rank_ge3(fan, det_adj)
         smooth = simplicial and all(abs(det) == 1 for det, _ in det_adj)
     return FanReport(simplicial=simplicial, complete=complete, smooth=smooth)
 

@@ -14,7 +14,7 @@ from .fan import Fan, _cross, _cycle_dets, _cycle_fan, _cycle_winds_once
 from .intlin import Vector
 from .symmetry import GroupAction, ray_orbits
 
-MAX_TRACES = 100_000  # explore-all refuses once the traces below one fan pass this
+MAX_TRACES = 100_000  # explore-all refuses a root with more contraction paths than this
 
 
 def _require_smooth_complete_surface(fan: Fan, who: str) -> None:
@@ -129,6 +129,41 @@ class MMPTrace:
     label: TerminalLabel
 
 
+# A fan's node in the contraction graph: its number of paths to a terminal
+# model, then its terminal trace (no steps) or its (step, child) edges.
+_Node = tuple[int, "MMPTrace | tuple[tuple[MMPStep, _Node], ...]"]
+
+
+def _explore(fan: Fan, root_orbits, first_only: bool, graph: dict[Fan, _Node]) -> _Node:
+    """The node of ``fan``, built with every node below it that ``graph``
+    does not hold yet; first-only keeps only the first edge."""
+    node = graph.get(fan)
+    if node is None:
+        orbits = _contractible(fan, root_orbits)
+        if not orbits:
+            node = (1, MMPTrace((), fan, classify_terminal(fan)))
+        else:
+            edges = []
+            for orbit in orbits[:1] if first_only else orbits:
+                child = _explore(remove_ray_orbit(fan, orbit), root_orbits, first_only, graph)
+                edges.append((MMPStep(fan, orbit, tuple(fan.rays[i] for i in orbit)), child))
+            node = (sum(child[0] for _, child in edges), tuple(edges))
+            if node[0] > MAX_TRACES:  # no fan reached has more paths than the root
+                raise PreconditionError("too-many-branches", f"explore-all has more than {MAX_TRACES} traces")
+        graph[fan] = node
+    return node
+
+
+def _walk(node: _Node, steps: tuple[MMPStep, ...], traces: list[MMPTrace]) -> None:
+    """Append, depth first, the trace of each path below ``node`` after ``steps``."""
+    below = node[1]
+    if isinstance(below, MMPTrace):
+        traces.append(MMPTrace(steps, below.terminal, below.label))
+    else:
+        for step, child in below:
+            _walk(child, steps + (step,), traces)
+
+
 def run_equivariant_mmp(fan: Fan, action: GroupAction, mode: str = "first-orbit"):
     """Run the equivariant contraction loop to a terminal model.
 
@@ -138,19 +173,21 @@ def run_equivariant_mmp(fan: Fan, action: GroupAction, mode: str = "first-orbit"
     tuple of all terminal traces in deterministic order (depth first, the
     qualifying orbits of each fan ordered by their least ray vector).
 
-    Both modes take one walk; first-orbit follows only the first orbit at
-    each fan, so its trace is the first branch of explore-all.  The input
-    fan is validated once on entry; every fan below it is smooth and
-    complete by construction: the cone (v_{i-1}, v_{i+1}) left by removing
-    a (-1)-ray i has determinant a_i = 1.  A contraction cuts
-    a whole orbit out of the stored ray cycle, so the rays of every fan
+    Both modes build one contraction graph and walk it; first-orbit keeps
+    only the first orbit at each fan, so its trace is the first branch of
+    explore-all.  The input fan is validated once on entry; every fan below
+    it is smooth and complete by construction: the cone (v_{i-1}, v_{i+1})
+    left by removing a (-1)-ray i has determinant a_i = 1.  A contraction
+    cuts a whole orbit out of the stored ray cycle, so the rays of every fan
     below the root are a G-invariant subset and its orbits are the root's
-    orbits that remain: the orbits are taken once, at the root, and the
-    traces below a fan depend on the fan alone.  Different contraction
-    orders that meet at the same fan share its subtree, which is contracted
-    and labelled once per call.  The traces grow exponentially with the ray
-    count: explore-all refuses (``too-many-branches``) as soon as the traces
-    collected below one fan pass ``MAX_TRACES``, so a list holds at most twice that.
+    orbits that remain: the orbits are taken once, at the root, and what
+    lies below a fan depends on the fan alone.  So each distinct fan reached
+    is contracted and labelled once per call, and each step is one object
+    shared by every trace through it.  The traces grow exponentially with
+    the ray count, so the paths are counted first: explore-all refuses
+    (``too-many-branches``) exactly when the root has more than
+    ``MAX_TRACES``.  No fan has more paths than the root, so the first fan
+    past the bound refuses, before the rest is explored or any trace built.
     """
     if mode not in ("first-orbit", "explore-all"):
         raise PreconditionError("mode", f"unknown mode {mode!r}; use 'first-orbit' or 'explore-all'")
@@ -159,25 +196,9 @@ def run_equivariant_mmp(fan: Fan, action: GroupAction, mode: str = "first-orbit"
         raise PreconditionError("action-fan", "action was built for a different fan")
     root_orbits = tuple(tuple(fan.rays[i] for i in orbit) for orbit in ray_orbits(action))
     first_only = mode == "first-orbit"
-    below: dict[Fan, tuple[MMPTrace, ...]] = {}
-
-    def explore(current: Fan) -> tuple[MMPTrace, ...]:
-        orbits = _contractible(current, root_orbits)
-        if not orbits:
-            return (MMPTrace((), current, classify_terminal(current)),)
-        traces = []
-        for orbit in orbits[:1] if first_only else orbits:
-            nxt = remove_ray_orbit(current, orbit)
-            if nxt not in below:
-                below[nxt] = explore(nxt)
-            step = MMPStep(current, orbit, tuple(current.rays[i] for i in orbit))
-            traces.extend(MMPTrace((step,) + t.steps, t.terminal, t.label) for t in below[nxt])
-            if len(traces) > MAX_TRACES:
-                raise PreconditionError("too-many-branches", f"explore-all has more than {MAX_TRACES} traces")
-        return tuple(traces)
-
-    traces = explore(fan)
-    return traces[0] if first_only else traces
+    traces: list[MMPTrace] = []
+    _walk(_explore(fan, root_orbits, first_only, {}), (), traces)
+    return traces[0] if first_only else tuple(traces)
 
 
 @dataclass(frozen=True)

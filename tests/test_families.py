@@ -50,7 +50,7 @@ class TestNamedFamilies:
         action = families.standard_s3_action(fan)
         form = classify_galois_form(action, datum)
         assert form is GaloisForm.NEGATION_TWIST
-        assert fan.is_same_fan(families.dp6("n2"))
+        assert fan == families.dp6("n2")
 
     def test_weil_restriction_is_the_factor_swapped_square(self, square_fan):
         fan, datum = families.weil_restriction_p1()

@@ -210,6 +210,13 @@ class TestValidateFan:
         report = validate_fan(fan)
         assert report.complete and report.smooth
 
+    @pytest.mark.parametrize("cones, complete", [([(0,), (1,)], True), ([(0,)], False)])
+    def test_rank1_completeness_reads_the_given_cones(self, cones, complete):
+        # Rays (1), (-1): the line is covered only when both half-lines are cones.
+        fan = make_fan(Lattice.standard(1), [(1,), (-1,)], cones)
+        assert fan.max_cones == tuple(cones)
+        assert validate_fan(fan).complete is complete
+
 
 def _turns(cycle):
     """Turns of a cyclic ray sequence round the origin, from floating angles."""
@@ -451,7 +458,7 @@ class TestFanIsomorphism:
                 assert (g @ inverse) == IntMatrix.identity(2)
                 assert {inverse.apply(v) for v in f2.rays} == set(f1.rays)
                 if f1.lattice == f2.lattice:
-                    assert transform_fan(g, f1).is_same_fan(f2)
+                    assert transform_fan(g, f1) == f2
         for f1, f2, f3 in itertools.permutations(corpus, 3):
             g12, g23 = fan_isomorphism(f1, f2), fan_isomorphism(f2, f3)
             if g12 is not None and g23 is not None:
@@ -621,6 +628,14 @@ class TestMakeFan:
                 [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, 0, 1)],
                 [(0, 1, 2)],
             )
+
+    @pytest.mark.parametrize(
+        "cones, reason", [([(0, 7), (3,)], "cone-index"), ([(0, 1)], "non-simplicial-cone")]
+    )
+    def test_rank1_cones_are_checked(self, cones, reason):
+        with pytest.raises(PreconditionError) as info:
+            make_fan(Lattice.standard(1), [(1,), (-1,)], cones)
+        assert info.value.reason == reason
 
     def test_ambient_rays_accepted_for_a2(self):
         fan = make_fan(Lattice.weight_a2(), [(1, 0, 0), (0, 1, 0), (0, 0, 1)])

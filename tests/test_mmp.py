@@ -1,9 +1,11 @@
 import functools
+import gc
 import itertools
 import math
 import operator
 import random
 import sys
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -261,7 +263,7 @@ class TestContractOrbit:
         assert fan.ray_count == 12
         (trace,) = explore_all(fan, families.standard_s3_action(fan, include_negation=True))
         assert len(trace.steps[0].orbit) == 6
-        assert fan_after_first_step(trace).is_same_fan(families.dp6("n1"))
+        assert fan_after_first_step(trace) == families.dp6("n1")
 
     def test_undo_a_single_blowup(self, std2, p2_fan):
         fan = blowup_p2_once(std2)
@@ -372,6 +374,47 @@ class TestDriver:
         action = families.standard_s3_action(fan)
         with pytest.raises(PreconditionError):
             run_equivariant_mmp(fan, action)
+
+
+class TestContractionGraph:
+    """Explore-all counts the paths of one contraction graph per call, then
+    walks it once."""
+
+    def test_a_call_leaves_nothing_for_the_cyclic_collector(self):
+        # A memo kept alive by a self-referencing nested function would
+        # stay until the collector ran.
+        fan = hexagon_with_corners("n2")
+        action = families.standard_s3_action(fan)
+        gc.collect()
+        gc.disable()
+        try:
+            assert len(run_equivariant_mmp(fan, action, mode="explore-all")) == 2
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_the_18_ray_refusal_stays_small(self):
+        # About 1.04e9 paths through 2 233 distinct fans: refused from the
+        # counts, with no trace list built.
+        fan = build_surface_fan(Lattice.weight_a2(), CENSUS_18_RAYS)
+        action = trivial_action(fan)
+        tracemalloc.start()
+        try:
+            with pytest.raises(PreconditionError) as err:
+                run_equivariant_mmp(fan, action, mode="explore-all")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert err.value.reason == "too-many-branches"
+        assert str(err.value) == f"explore-all has more than {mmp.MAX_TRACES} traces"
+        assert peak < 32 * 2**20
+
+    def test_each_contraction_is_one_step_object(self, std2):
+        # Traces through the same edge of the graph share its MMPStep, which
+        # the machine and plain encoders cache by identity.
+        fan = build_surface_fan(std2, BLOWUP_11_RAYS)
+        steps = [s for t in run_equivariant_mmp(fan, trivial_action(fan), mode="explore-all") for s in t.steps]
+        assert len({id(s) for s in steps}) == len({(s.fan, s.orbit) for s in steps}) < len(steps)
 
 
 class TestAgainstThePublicSteps:
