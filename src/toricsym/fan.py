@@ -283,12 +283,14 @@ def _cycle_fan(lattice: Lattice, cycle: list[Vector]) -> Fan:
     start = cycle.index(min(cycle))
     ordered = cycle[start:] + cycle[:start]
     if any(b <= 0 for b in _cycle_dets(ordered)):
-        raise PreconditionError(
-            "incomplete", "angular gap of at least a half turn: rays do not span a complete fan"
-        )
-    d = len(ordered)
-    cones = tuple(tuple(sorted((i, (i + 1) % d))) for i in range(d))
-    return Fan(lattice, tuple(ordered), tuple(sorted(cones)))
+        raise PreconditionError("incomplete", "angular gap of at least a half turn: rays do not span a complete fan")
+    return Fan(lattice, tuple(ordered), _cycle_cones(len(ordered)))
+
+
+@functools.cache
+def _cycle_cones(d: int) -> tuple[tuple[int, int], ...]:
+    """The maximal cones of a stored d-ray cycle: the adjacent pairs, sorted."""
+    return tuple(sorted(tuple(sorted((i, (i + 1) % d))) for i in range(d)))
 
 
 @dataclass(frozen=True)

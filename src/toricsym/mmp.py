@@ -1,8 +1,9 @@
 """Equivariant minimal model program for smooth complete toric surfaces.
 
 A contraction step removes one group orbit of rays whose divisors all have
-self-intersection -1 and are pairwise non-adjacent; the driver iterates
-until no orbit qualifies and labels the terminal fan.
+self-intersection -1 and are pairwise non-adjacent, a local update of the
+ray cycle and its word a_i; the driver iterates until no orbit qualifies
+and labels the terminal fan.
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import PreconditionError
-from .fan import Fan, _cross, _cycle_dets, _cycle_fan, _cycle_winds_once
+from .fan import Fan, _cross, _cycle_cones, _cycle_dets, _cycle_winds_once
 from .intlin import Vector
 from .symmetry import GroupAction, ray_orbits
 
@@ -44,35 +45,21 @@ def _profile(fan: Fan) -> tuple[int, ...]:
     return tuple(_cross(rays[i - 1], rays[(i + 1) % d]) for i in range(d))
 
 
-def _contractible(fan: Fan, orbits: tuple[tuple[Vector, ...], ...]) -> tuple[tuple[int, ...], ...]:
-    """The orbits of ``fan`` that are pairwise non-adjacent (-1)-rays, ordered
-    by the lexicographically least ray vector each contains.  ``orbits`` are
-    the ray orbits of an action on a fan whose rays include ``fan``'s as a
-    union of orbits; those that ``fan`` keeps are its own orbits."""
-    index = {v: i for i, v in enumerate(fan.rays)}
-    d, word = fan.ray_count, _profile(fan)
-    good = []
-    for rays in orbits:
-        if rays[0] not in index:
-            continue
-        orbit = tuple(sorted(index[v] for v in rays))
-        if all(word[i] == 1 for i in orbit) and not any(
-            (i - j) % d in (1, d - 1) for i in orbit for j in orbit if i < j
-        ):
-            good.append(orbit)
-    return tuple(sorted(good, key=lambda orbit: min(fan.rays[i] for i in orbit)))
-
-
-def remove_ray_orbit(fan: Fan, orbit: tuple[int, ...]) -> Fan:
-    """Remove an orbit of rays from a surface fan; no smoothness guarantee.
-
-    This is the raw combinatorial step: the stored cycle without the orbit
-    is still counterclockwise, and must merely be a complete surface fan.
-    """
-    if fan.rank != 2:
-        raise PreconditionError("rank", "ray-orbit removal is implemented for surfaces")
+def _blow_down(cycle: tuple[Vector, ...], word: tuple[int, ...], orbit: tuple[int, ...]):
+    """The cycle and word, stored from the least ray, of the fan left by
+    contracting ``orbit``, pairwise non-adjacent (-1)-rays of ``cycle``: as
+    v_i = v_{i-1} + v_{i+1}, a_{i-1} = det(v_{i-2}, v_i) falls by 1 (Oda 1.6),
+    as does a_{i+1}, and a ray between two removed rays loses 2."""
+    d, word = len(cycle), list(word)
+    for i in orbit:
+        word[i - 1] -= 1
+        word[(i + 1) % d] -= 1
     drop = set(orbit)
-    return _cycle_fan(fan.lattice, [v for i, v in enumerate(fan.rays) if i not in drop])
+    keep = [i for i in range(d) if i not in drop]
+    if orbit[0] == 0:  # the stored cycle starts at its least ray, which goes
+        start = min(range(len(keep)), key=lambda j: cycle[keep[j]])
+        keep = keep[start:] + keep[:start]
+    return tuple(cycle[i] for i in keep), tuple(word[i] for i in keep)
 
 
 @dataclass(frozen=True)
@@ -134,23 +121,31 @@ class MMPTrace:
 _Node = tuple[int, "MMPTrace | tuple[tuple[MMPStep, _Node], ...]"]
 
 
-def _explore(fan: Fan, root_orbits, first_only: bool, graph: dict[Fan, _Node]) -> _Node:
-    """The node of ``fan``, built with every node below it that ``graph``
-    does not hold yet; first-only keeps only the first edge."""
-    node = graph.get(fan)
+def _explore(lattice, cycle: tuple[Vector, ...], word: tuple[int, ...], orbit_of, first_only: bool, graph) -> _Node:
+    """The node of the fan on ``cycle``, whose word is ``word``, built with
+    every node below it that ``graph`` does not hold yet; first-only keeps
+    only the first edge.  ``orbit_of`` numbers the root's orbits by least ray."""
+    node = graph.get(cycle)
     if node is None:
-        orbits = _contractible(fan, root_orbits)
+        fan = Fan(lattice, cycle, _cycle_cones(len(cycle)))
+        at = [orbit_of[v] for v in cycle]
+        members: dict[int, list[int]] = {}
+        for i, k in enumerate(at):
+            members.setdefault(k, []).append(i)
+        # An orbit is blocked by a ray that is not a (-1)-ray or follows one of its own.
+        blocked = {k for i, k in enumerate(at) if word[i] != 1 or at[i - 1] == k}
+        orbits = [tuple(members[k]) for k in sorted(members.keys() - blocked)]
         if not orbits:
             node = (1, MMPTrace((), fan, classify_terminal(fan)))
         else:
             edges = []
             for orbit in orbits[:1] if first_only else orbits:
-                child = _explore(remove_ray_orbit(fan, orbit), root_orbits, first_only, graph)
-                edges.append((MMPStep(fan, orbit, tuple(fan.rays[i] for i in orbit)), child))
+                child = _explore(lattice, *_blow_down(cycle, word, orbit), orbit_of, first_only, graph)
+                edges.append((MMPStep(fan, orbit, tuple(cycle[i] for i in orbit)), child))
             node = (sum(child[0] for _, child in edges), tuple(edges))
             if node[0] > MAX_TRACES:  # no fan reached has more paths than the root
                 raise PreconditionError("too-many-branches", f"explore-all has more than {MAX_TRACES} traces")
-        graph[fan] = node
+        graph[cycle] = node
     return node
 
 
@@ -173,11 +168,12 @@ def run_equivariant_mmp(fan: Fan, action: GroupAction, mode: str = "first-orbit"
     tuple of all terminal traces in deterministic order (depth first, the
     qualifying orbits of each fan ordered by their least ray vector).
 
-    Both modes build one contraction graph and walk it; first-orbit keeps
-    only the first orbit at each fan, so its trace is the first branch of
-    explore-all.  The input fan is validated once on entry; every fan below
-    it is smooth and complete by construction: the cone (v_{i-1}, v_{i+1})
-    left by removing a (-1)-ray i has determinant a_i = 1.  A contraction
+    Both modes build one contraction graph, keyed by ray cycle, and walk
+    it; first-orbit keeps only the first orbit at each fan, so its trace is
+    the first branch of explore-all.  Only the input fan is validated and
+    measured: removing a (-1)-ray i leaves the cone (v_{i-1}, v_{i+1}) of
+    determinant a_i = 1 and lowers a_{i-1} and a_{i+1} by 1, so each fan
+    below is smooth, complete and given its word by its parent.  A contraction
     cuts a whole orbit out of the stored ray cycle, so the rays of every fan
     below the root are a G-invariant subset and its orbits are the root's
     orbits that remain: the orbits are taken once, at the root, and what
@@ -194,10 +190,11 @@ def run_equivariant_mmp(fan: Fan, action: GroupAction, mode: str = "first-orbit"
     _require_smooth_complete_surface(fan, "the equivariant contraction loop")
     if action.fan != fan:
         raise PreconditionError("action-fan", "action was built for a different fan")
-    root_orbits = tuple(tuple(fan.rays[i] for i in orbit) for orbit in ray_orbits(action))
+    orbits = sorted((tuple(fan.rays[i] for i in orbit) for orbit in ray_orbits(action)), key=min)
+    orbit_of = {v: k for k, rays in enumerate(orbits) for v in rays}
     first_only = mode == "first-orbit"
     traces: list[MMPTrace] = []
-    _walk(_explore(fan, root_orbits, first_only, {}), (), traces)
+    _walk(_explore(fan.lattice, fan.rays, _profile(fan), orbit_of, first_only, {}), (), traces)
     return traces[0] if first_only else tuple(traces)
 
 

@@ -74,6 +74,19 @@ class TestBuildSurfaceFan:
         with pytest.raises(PreconditionError):
             build_surface_fan(std2, [(1, 0), (0, 1)])
 
+    @pytest.mark.parametrize(
+        "rays,reason",
+        [
+            ([], "too-few-rays"),
+            ([(1, 0), (-1, 0)], "too-few-rays"),
+            ([(-1, 0), (1, 0), (0, 1)], "incomplete"),
+        ],
+    )
+    def test_slugs_of_what_is_not_a_complete_fan(self, std2, rays, reason):
+        with pytest.raises(PreconditionError) as err:
+            build_surface_fan(std2, rays)
+        assert err.value.reason == reason
+
     def test_duplicate_rays_rejected(self, std2):
         with pytest.raises(PreconditionError):
             build_surface_fan(std2, [(1, 0), (2, 0), (0, 1), (-1, -1)])
