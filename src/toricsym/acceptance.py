@@ -15,9 +15,9 @@ from typing import Callable
 
 from . import families, qfield
 from .divisors import class_group, derive_block_relation, ray_blocks
-from .fan import Fan, Lattice, cone_invariant_factors
+from .fan import Fan, Lattice, _cycle_cones, cone_invariant_factors
 from .intlin import IntMatrix, smith_normal_form
-from .mmp import DP6_TERMINAL, P2, check_adjacent_minus_one_rule, run_equivariant_mmp
+from .mmp import DP6_TERMINAL, P2, _graph, _terminal_counts, check_adjacent_minus_one_rule, run_equivariant_mmp
 from .symmetry import (
     centralizer_in_GL,
     fan_automorphisms,
@@ -203,28 +203,31 @@ def criterion_a7() -> list[str]:
 
     Every terminal has 3 or 6 rays, with negation and without; the smooth
     census enumerator starts its blow-ups from those fans.  The branches
-    end at a handful of distinct terminal fans, so each one's invariant
+    end at a handful of distinct terminal fans, so each is read once from
+    the contraction graph, with its number of branches, and its invariant
     Picard number is computed once per action.
     """
     failures = []
     for negation in (False, True):
         tag = " (negation)" if negation else ""
-        rhos: dict[Fan, int] = {}
+        rhos: dict[tuple, int] = {}
         for name, fan in _census(include_negation=negation):
             action = families.standard_s3_action(fan, include_negation=negation)
-            for trace in run_equivariant_mmp(fan, action, mode="explore-all"):
-                terminal = trace.terminal
-                if not negation and trace.label not in (P2, DP6_TERMINAL):
-                    failures.append(f"{name}: branch terminated at {trace.label}")
-                if terminal.ray_count not in (3, 6):
-                    failures.append(f"{name}{tag}: terminal with {terminal.ray_count} rays")
-                if negation and terminal.ray_count == 6 and trace.label != DP6_TERMINAL:
-                    failures.append(f"{name}{tag}: 6-ray terminal labelled {trace.label}")
-                if terminal not in rhos:
+            for (cycle, label), count in _terminal_counts(_graph(fan, action, first_only=False)).items():
+                branches = f"{count} branch{'es' if count > 1 else ''}"
+                if not negation and label not in (P2, DP6_TERMINAL):
+                    failures.append(f"{name}: {branches} terminated at {label}")
+                if len(cycle) not in (3, 6):
+                    failures.append(f"{name}{tag}: {branches} ended with {len(cycle)} rays")
+                if negation and len(cycle) == 6 and label != DP6_TERMINAL:
+                    failures.append(f"{name}{tag}: 6-ray terminal of {branches} labelled {label}")
+                key = (fan.lattice, cycle)
+                if key not in rhos:
+                    terminal = Fan(fan.lattice, cycle, _cycle_cones(len(cycle)))
                     terminal_action = families.standard_s3_action(terminal, include_negation=negation)
-                    rhos[terminal] = invariant_picard_number(terminal_action)
-                if rhos[terminal] not in (1, 2):
-                    failures.append(f"{name}{tag}: terminal invariant Picard number {rhos[terminal]}")
+                    rhos[key] = invariant_picard_number(terminal_action)
+                if rhos[key] not in (1, 2):
+                    failures.append(f"{name}{tag}: terminal invariant Picard number {rhos[key]}")
     return failures
 
 

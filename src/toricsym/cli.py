@@ -19,7 +19,7 @@ from . import families, fanio
 from .divisors import class_group, ray_blocks, relation_lattice
 from .errors import ParseError, PreconditionError
 from .fan import Fan, Lattice, validate_fan
-from .mmp import MMPTrace, run_equivariant_mmp
+from .mmp import _graph, _Node, _paths
 from .symmetry import (
     GaloisDatum,
     GroupAction,
@@ -125,18 +125,29 @@ def cmd_orbits(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _trace_lines(trace: MMPTrace, steps: dict[int, str]) -> Iterator[str]:
-    """Plain lines of a trace.  ``steps`` keeps the text of each step shared
-    between branches by identity, without ``step k:``, as its depth may differ."""
-    for k, step in enumerate(trace.steps):
-        text = steps.get(id(step))
-        if text is None:
-            text = steps[id(step)] = (
-                f"rays {list(step.fan.rays)}\n        contract orbit {list(step.orbit)} = {list(step.orbit_rays)}"
-            )
-        yield f"step {k}: {text}"
-    yield f"terminal rays {list(trace.terminal.rays)}"
-    yield f"label {trace.label}"
+def _trace_lines(root: _Node) -> Iterator[str]:
+    """Plain lines of each contraction trace below ``root``, one text per
+    trace, depth first.  Each root ray, each distinct fan's ray list and each
+    edge's step is formatted once; only ``step k:`` is written per path, as
+    a step's depth may differ between paths."""
+    ray_text = {v: repr(v) for v in root[1]}
+
+    def terminal(cycle, label) -> str:
+        return f"terminal rays {fanio._rays_text(cycle, ray_text)}\nlabel {label}\n"
+
+    def edges(cycle, orbits) -> list[str]:
+        rays = fanio._rays_text(cycle, ray_text)
+        return [
+            f"rays {rays}\n        contract orbit {list(orbit)} = "
+            f"{fanio._rays_text([cycle[i] for i in orbit], ray_text)}\n"
+            for orbit in orbits
+        ]
+
+    def extend(path: str, depth: int, step: str) -> str:
+        return f"{path}step {depth}: {step}"
+
+    for tail, path in _paths(root, terminal, edges, extend, ""):
+        yield path + tail
 
 
 def cmd_mmp(args: argparse.Namespace) -> int:
@@ -147,19 +158,21 @@ def cmd_mmp(args: argparse.Namespace) -> int:
     if datum is not None:
         generators = generators + [datum.tau]
     action = action_from_generators(fan, generators)
-    if args.explore_all:
-        traces = run_equivariant_mmp(fan, action, mode="explore-all")
-    else:
-        traces = (run_equivariant_mmp(fan, action, mode="first-orbit"),)
-    if args.format == "machine":
-        texts = fanio.traces_text(traces)
-        print('{"traces": [' + ", ".join(texts) + "]}" if args.explore_all else texts[0])
-    else:
-        steps: dict[int, str] = {}
-        for i, trace in enumerate(traces):
+    # The graph is built, and counted against MAX_TRACES, before any output.
+    root = _graph(fan, action, first_only=not args.explore_all)
+    write = sys.stdout.write
+    if args.format == "plain":
+        for i, text in enumerate(_trace_lines(root)):
             if args.explore_all:
-                print(f"--- branch {i} ---")
-            print(*_trace_lines(trace, steps), sep="\n")
+                write(f"--- branch {i} ---\n")
+            write(text)
+    elif args.explore_all:
+        write('{"traces": [')
+        for i, text in enumerate(fanio.traces_text(root)):
+            write(f", {text}" if i else text)
+        write("]}\n")
+    else:
+        write(next(fanio.traces_text(root)) + "\n")
     return EXIT_OK
 
 

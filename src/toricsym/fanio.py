@@ -10,18 +10,22 @@ Trace text:      {"label": "..",
                   "steps": [{"contracted_orbit": [..], "contracted_rays": [[..], ..],
                              "rays": [[..], ..]}, ..],     # fan before each step
                   "terminal_rays": [[..], ..]}
+
+Trace texts are streamed from the contraction graph (``traces_text``), one
+per path as the walk reaches it, so writing them takes the graph, one path
+and the output buffer, not every trace at once.
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Iterator, Sequence
 
 from .errors import ParseError
 from .fan import Fan, Lattice, make_fan
-from .intlin import IntMatrix
-from .mmp import MMPStep, MMPTrace
+from .intlin import IntMatrix, Vector
+from .mmp import _Node, _paths
 from .symmetry import GaloisDatum
 
 _encode = json.JSONEncoder(sort_keys=True).encode
@@ -135,36 +139,36 @@ def load_galois(path: str | Path) -> GaloisDatum:
         raise ParseError(f"{path}: {exc}") from exc
 
 
-def traces_text(traces: Sequence[MMPTrace]) -> list[str]:
-    """Machine text of each contraction trace: the sorted-key JSON object
-    {"label", "steps", "terminal_rays"}, each step an object {"contracted_orbit",
-    "contracted_rays", "rays"}.  Explore-all branches share their step and
-    terminal objects; each distinct one is encoded once, by identity, and the
-    traces are joined from those fragments with json's default separators, so
-    the text equals ``json.dumps(document, sort_keys=True)``."""
-    steps: dict[int, str] = {}
-    terminals: dict[int, str] = {}
+def traces_text(root: _Node) -> Iterator[str]:
+    """Machine text of each contraction trace below ``root``, a node of the
+    contraction graph, depth first: the sorted-key JSON object {"label",
+    "steps", "terminal_rays"}, each step an object {"contracted_orbit",
+    "contracted_rays", "rays"}.  Each root ray's text is made once (the
+    JSON text of a list of integers is its Python ``str``); each distinct
+    fan's ray list, each edge's step and each terminal's label and rays are
+    written once, and a trace is its terminal's label head, its path's
+    steps and its terminal's rays, joined with json's default separators,
+    so the text equals ``json.dumps(document, sort_keys=True)``."""
+    ray_text = {v: str(list(v)) for v in root[1]}
 
-    def step_text(step: MMPStep) -> str:
-        text = steps.get(id(step))
-        if text is None:
-            text = steps[id(step)] = _encode(
-                {
-                    "contracted_orbit": step.orbit,
-                    "contracted_rays": step.orbit_rays,
-                    "rays": step.fan.rays,
-                }
-            )
-        return text
+    def terminal(cycle, label) -> tuple[str, str]:
+        return f'{{"label": {_encode(str(label))}, "steps": [', f'], "terminal_rays": {_rays_text(cycle, ray_text)}}}'
 
-    def terminal_text(fan: Fan) -> str:
-        text = terminals.get(id(fan))
-        if text is None:
-            text = terminals[id(fan)] = _encode(fan.rays)
-        return text
+    def edges(cycle, orbits) -> list[str]:
+        rays = _rays_text(cycle, ray_text)
+        return [
+            f'{{"contracted_orbit": {list(orbit)}, "contracted_rays": '
+            f'{_rays_text([cycle[i] for i in orbit], ray_text)}, "rays": {rays}}}'
+            for orbit in orbits
+        ]
 
-    return [
-        f'{{"label": {_encode(str(trace.label))}, "steps": [{", ".join(map(step_text, trace.steps))}], '
-        f'"terminal_rays": {terminal_text(trace.terminal)}}}'
-        for trace in traces
-    ]
+    def extend(path: str, depth: int, step: str) -> str:
+        return f"{path}, {step}" if depth else step
+
+    for (head, tail), path in _paths(root, terminal, edges, extend, ""):
+        yield head + path + tail
+
+
+def _rays_text(rays: Sequence[Vector], ray_text: dict[Vector, str]) -> str:
+    """The list of ``rays`` as text, from the text of each ray."""
+    return "[" + ", ".join([ray_text[v] for v in rays]) + "]"

@@ -8,7 +8,9 @@ and labels the terminal fan.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from typing import Any
 
 from .errors import PreconditionError
 from .fan import Fan, _cross, _cycle_cones, _cycle_dets, _cycle_winds_once
@@ -54,12 +56,11 @@ def _blow_down(cycle: tuple[Vector, ...], word: tuple[int, ...], orbit: tuple[in
     for i in orbit:
         word[i - 1] -= 1
         word[(i + 1) % d] -= 1
-    drop = set(orbit)
-    keep = [i for i in range(d) if i not in drop]
+    keep = [i for i in range(d) if i not in orbit]
     if orbit[0] == 0:  # the stored cycle starts at its least ray, which goes
         start = min(range(len(keep)), key=lambda j: cycle[keep[j]])
         keep = keep[start:] + keep[:start]
-    return tuple(cycle[i] for i in keep), tuple(word[i] for i in keep)
+    return tuple([cycle[i] for i in keep]), tuple([word[i] for i in keep])
 
 
 @dataclass(frozen=True)
@@ -80,18 +81,20 @@ OTHER = TerminalLabel("Other")
 
 
 def classify_terminal(fan: Fan) -> TerminalLabel:
-    """Label a fan by its self-intersection word.
-
-    A smooth complete surface fan is fixed up to GL2(Z) by its word a_i
-    (Oda 1.6): with 3 rays it is P2, with 4 rays F_a for a = max |a_i|
-    (the word is (0, -a, 0, a) up to rotation), and with 6 rays and every
-    a_i = 1 the degree-6 del Pezzo hexagon.  A rank-2 fan's stored cycle
-    is complete, so it is smooth when every cone has determinant 1.
-    """
-    d = fan.ray_count
-    if fan.rank != 2 or d not in (3, 4, 6) or any(b != 1 for b in _cycle_dets(fan.rays)):
+    """Label a fan by its self-intersection word: a rank-2 fan's stored
+    cycle is complete, so it is smooth when every cone has determinant 1,
+    and any other fan is Other."""
+    if fan.rank != 2 or fan.ray_count not in (3, 4, 6) or any(b != 1 for b in _cycle_dets(fan.rays)):
         return OTHER
-    word = _profile(fan)
+    return _label(_profile(fan))
+
+
+def _label(word: tuple[int, ...]) -> TerminalLabel:
+    """The label of the smooth complete surface fan with word a_i, which
+    fixes it up to GL2(Z) (Oda 1.6): with 3 rays it is P2, with 4 rays F_a
+    for a = max |a_i| (the word is (0, -a, 0, a) up to rotation), and with
+    6 rays and every a_i = 1 the degree-6 del Pezzo hexagon."""
+    d = len(word)
     if d == 3:
         return P2
     if d == 4:
@@ -117,17 +120,17 @@ class MMPTrace:
 
 
 # A fan's node in the contraction graph: its number of paths to a terminal
-# model, then its terminal trace (no steps) or its (step, child) edges.
-_Node = tuple[int, "MMPTrace | tuple[tuple[MMPStep, _Node], ...]"]
+# model, its ray cycle, then its label if it is terminal, or else its
+# (orbit, child) edges in orbit order.
+_Node = tuple[int, tuple[Vector, ...], "TerminalLabel | tuple[tuple[tuple[int, ...], _Node], ...]"]
 
 
-def _explore(lattice, cycle: tuple[Vector, ...], word: tuple[int, ...], orbit_of, first_only: bool, graph) -> _Node:
+def _explore(cycle: tuple[Vector, ...], word: tuple[int, ...], orbit_of, first_only: bool, graph) -> _Node:
     """The node of the fan on ``cycle``, whose word is ``word``, built with
     every node below it that ``graph`` does not hold yet; first-only keeps
     only the first edge.  ``orbit_of`` numbers the root's orbits by least ray."""
     node = graph.get(cycle)
     if node is None:
-        fan = Fan(lattice, cycle, _cycle_cones(len(cycle)))
         at = [orbit_of[v] for v in cycle]
         members: dict[int, list[int]] = {}
         for i, k in enumerate(at):
@@ -136,27 +139,84 @@ def _explore(lattice, cycle: tuple[Vector, ...], word: tuple[int, ...], orbit_of
         blocked = {k for i, k in enumerate(at) if word[i] != 1 or at[i - 1] == k}
         orbits = [tuple(members[k]) for k in sorted(members.keys() - blocked)]
         if not orbits:
-            node = (1, MMPTrace((), fan, classify_terminal(fan)))
+            node = (1, cycle, _label(word))
         else:
-            edges = []
-            for orbit in orbits[:1] if first_only else orbits:
-                child = _explore(lattice, *_blow_down(cycle, word, orbit), orbit_of, first_only, graph)
-                edges.append((MMPStep(fan, orbit, tuple(cycle[i] for i in orbit)), child))
-            node = (sum(child[0] for _, child in edges), tuple(edges))
+            edges = tuple(
+                (orbit, _explore(*_blow_down(cycle, word, orbit), orbit_of, first_only, graph))
+                for orbit in (orbits[:1] if first_only else orbits)
+            )
+            node = (sum(child[0] for _, child in edges), cycle, edges)
             if node[0] > MAX_TRACES:  # no fan reached has more paths than the root
                 raise PreconditionError("too-many-branches", f"explore-all has more than {MAX_TRACES} traces")
         graph[cycle] = node
     return node
 
 
-def _walk(node: _Node, steps: tuple[MMPStep, ...], traces: list[MMPTrace]) -> None:
-    """Append, depth first, the trace of each path below ``node`` after ``steps``."""
-    below = node[1]
-    if isinstance(below, MMPTrace):
-        traces.append(MMPTrace(steps, below.terminal, below.label))
-    else:
-        for step, child in below:
-            _walk(child, steps + (step,), traces)
+def _graph(fan: Fan, action: GroupAction, first_only: bool) -> _Node:
+    """The root of the contraction graph of ``fan`` under ``action``, after
+    the checks of the input that only the root needs."""
+    _require_smooth_complete_surface(fan, "the equivariant contraction loop")
+    if action.fan != fan:
+        raise PreconditionError("action-fan", "action was built for a different fan")
+    orbits = sorted((tuple(fan.rays[i] for i in orbit) for orbit in ray_orbits(action)), key=min)
+    orbit_of = {v: k for k, rays in enumerate(orbits) for v in rays}
+    return _explore(fan.rays, _profile(fan), orbit_of, first_only, {})
+
+
+def _terminal_counts(node: _Node, memo: dict[int, Counter] | None = None) -> Counter:
+    """The number of paths from ``node`` to each terminal fan below it, keyed
+    by (cycle, label): a terminal's own, or the sum of its children's.
+    ``memo`` holds the counts of the nodes already reached."""
+    memo = {} if memo is None else memo
+    counts = memo.get(id(node))
+    if counts is None:
+        _, cycle, below = node
+        if isinstance(below, TerminalLabel):
+            counts = Counter({(cycle, below): 1})
+        else:
+            counts = sum((_terminal_counts(child, memo) for _, child in below), Counter())
+        memo[id(node)] = counts
+    return counts
+
+
+def _paths(root: _Node, terminal, edges, extend, empty):
+    """Depth first, each path from ``root`` to a terminal model: the
+    terminal's parts, and the path's edges folded from ``empty`` by
+    ``extend(path, depth, edge_part)``.  Once per distinct fan on ``cycle``,
+    ``terminal(cycle, label)`` gives a terminal's parts, and ``edges(cycle,
+    orbits)`` the part of each edge out of any other fan, in orbit order."""
+    made: dict[int, Any] = {}
+    stack = [(root, empty, 0)]
+    while stack:
+        node, path, depth = stack.pop()
+        _, cycle, below = node
+        got = made.get(id(node))
+        if isinstance(below, TerminalLabel):
+            if got is None:
+                got = made[id(node)] = terminal(cycle, below)
+            yield got, path
+        else:
+            if got is None:  # (child, part) pairs, last first, as the stack pops them
+                parts = edges(cycle, [orbit for orbit, _ in below])
+                got = made[id(node)] = [(child, part) for (_, child), part in zip(below, parts)][::-1]
+            stack += [(child, extend(path, depth, part), depth + 1) for child, part in got]
+
+
+def _walk(lattice, root: _Node) -> list[MMPTrace]:
+    """The trace of each path below ``root``, depth first; each node's fan
+    and each edge's step are one object, shared by every trace through it."""
+
+    def terminal(cycle, label):
+        return Fan(lattice, cycle, _cycle_cones(len(cycle))), label
+
+    def edges(cycle, orbits):
+        fan = Fan(lattice, cycle, _cycle_cones(len(cycle)))
+        return [MMPStep(fan, orbit, tuple(cycle[i] for i in orbit)) for orbit in orbits]
+
+    def extend(steps, depth, step):
+        return steps + (step,)
+
+    return [MMPTrace(steps, *end) for end, steps in _paths(root, terminal, edges, extend, ())]
 
 
 def run_equivariant_mmp(fan: Fan, action: GroupAction, mode: str = "first-orbit"):
@@ -173,28 +233,27 @@ def run_equivariant_mmp(fan: Fan, action: GroupAction, mode: str = "first-orbit"
     the first branch of explore-all.  Only the input fan is validated and
     measured: removing a (-1)-ray i leaves the cone (v_{i-1}, v_{i+1}) of
     determinant a_i = 1 and lowers a_{i-1} and a_{i+1} by 1, so each fan
-    below is smooth, complete and given its word by its parent.  A contraction
-    cuts a whole orbit out of the stored ray cycle, so the rays of every fan
-    below the root are a G-invariant subset and its orbits are the root's
-    orbits that remain: the orbits are taken once, at the root, and what
-    lies below a fan depends on the fan alone.  So each distinct fan reached
-    is contracted and labelled once per call, and each step is one object
-    shared by every trace through it.  The traces grow exponentially with
-    the ray count, so the paths are counted first: explore-all refuses
-    (``too-many-branches``) exactly when the root has more than
-    ``MAX_TRACES``.  No fan has more paths than the root, so the first fan
-    past the bound refuses, before the rest is explored or any trace built.
+    below is smooth, complete and given its word by its parent, and a
+    terminal is labelled from its word.  A contraction cuts a whole orbit
+    out of the stored ray cycle, so the rays of every fan below the root are
+    a G-invariant subset and its orbits are the root's orbits that remain:
+    the orbits are taken once, at the root, and what lies below a fan
+    depends on the fan alone.  So each distinct fan reached is contracted
+    and labelled once per call, and each step is one object shared by every
+    trace through it.  The traces grow exponentially with the ray count, so
+    the paths are counted first: explore-all refuses (``too-many-branches``)
+    exactly when the root has more than ``MAX_TRACES``.  No fan has more
+    paths than the root, so the first fan past the bound refuses, before the
+    rest is explored or any trace built.
+
+    This returns every trace at once.  The ``mmp`` command instead streams
+    each trace's text from the graph as it walks it (``fanio.traces_text``),
+    so its memory is the graph, one path and the output buffer.
     """
     if mode not in ("first-orbit", "explore-all"):
         raise PreconditionError("mode", f"unknown mode {mode!r}; use 'first-orbit' or 'explore-all'")
-    _require_smooth_complete_surface(fan, "the equivariant contraction loop")
-    if action.fan != fan:
-        raise PreconditionError("action-fan", "action was built for a different fan")
-    orbits = sorted((tuple(fan.rays[i] for i in orbit) for orbit in ray_orbits(action)), key=min)
-    orbit_of = {v: k for k, rays in enumerate(orbits) for v in rays}
     first_only = mode == "first-orbit"
-    traces: list[MMPTrace] = []
-    _walk(_explore(fan.lattice, fan.rays, _profile(fan), orbit_of, first_only, {}), (), traces)
+    traces = _walk(fan.lattice, _graph(fan, action, first_only))
     return traces[0] if first_only else tuple(traces)
 
 

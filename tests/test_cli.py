@@ -235,6 +235,12 @@ def _plain_trace_fans():
 
 PLAIN_TRACE_FANS = _plain_trace_fans()
 
+# Smooth weightA2 census fans under the identity: 72 240 contraction paths
+# through the 12-ray one, about 1.04e9 through the 18-ray one.
+CENSUS_12_RAYS = [[-2, -1], [-1, -1], [-1, -2], [0, -1], [1, -1], [1, 0], [2, 1], [1, 1], [1, 2], [0, 1], [-1, 1], [-1, 0]]
+CENSUS_18_RAYS = [[-3, -2], [-1, -1], [-2, -3], [-1, -2], [0, -1], [1, -1], [2, -1], [1, 0], [3, 1]]
+CENSUS_18_RAYS += [[2, 1], [1, 1], [1, 2], [1, 3], [0, 1], [-1, 2], [-1, 1], [-1, 0], [-2, -1]]
+
 
 class TestMmpCommand:
     def test_first_orbit_trace(self, dp6_n2_files, capsys):
@@ -283,15 +289,24 @@ class TestMmpCommand:
     def test_explore_all_past_the_trace_bound_exits_3(self, tmp_path, capsys):
         # A smooth weightA2 census fan with 18 rays has about 1.04e9
         # contraction paths under the identity.
-        rays = [[-3, -2], [-1, -1], [-2, -3], [-1, -2], [0, -1], [1, -1], [2, -1], [1, 0], [3, 1]]
-        rays += [[2, 1], [1, 1], [1, 2], [1, 3], [0, 1], [-1, 2], [-1, 1], [-1, 0], [-2, -1]]
         fan_path, act_path = tmp_path / "r18.fan", tmp_path / "identity.act"
-        write_json(fan_path, {"lattice": "weightA2", "rays": rays})
+        write_json(fan_path, {"lattice": "weightA2", "rays": CENSUS_18_RAYS})
         write_json(act_path, {"generators": [[[1, 0], [0, 1]]]})
         start = time.perf_counter()
         code, error = machine_error(capsys, "mmp", str(fan_path), str(act_path), "--explore-all")
         assert (code, error["reason"]) == (3, "too-many-branches")
         assert time.perf_counter() - start < 30
+
+    @pytest.mark.parametrize("fmt", ["machine", "plain"])
+    def test_the_trace_bound_refuses_before_any_trace_is_written(self, fmt, tmp_path):
+        # The graph is counted before the first byte of output: stdout holds
+        # the error object in machine format and nothing in plain.
+        fan_path, act_path = tmp_path / "r18.fan", tmp_path / "identity.act"
+        write_json(fan_path, {"lattice": "weightA2", "rays": CENSUS_18_RAYS})
+        write_json(act_path, {"generators": [[[1, 0], [0, 1]]]})
+        code, out = in_process(["mmp", str(fan_path), str(act_path), "--explore-all", "--format", fmt])
+        error = {"code": 3, "reason": "too-many-branches", "message": "explore-all has more than 100000 traces"}
+        assert (code, out) == (3, json.dumps({"error": error}) + "\n" if fmt == "machine" else "")
 
     @pytest.mark.parametrize("fan", PLAIN_TRACE_FANS, ids=lambda case: case[0])
     def test_plain_explore_all_formats_each_trace_in_full(self, fan, tmp_path):
@@ -412,6 +427,28 @@ class TestClosedStdout:
             stderr=subprocess.PIPE,
             env=env,
         )
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=60) == 2
+        assert "Traceback" not in err
+        assert err.startswith("error: io:")
+
+    @pytest.mark.parametrize("fmt", ["machine", "plain"])
+    def test_a_reader_that_stops_while_traces_stream(self, fmt, tmp_path):
+        # Explore-all on the 12-ray census fan writes about 90 MB, trace by
+        # trace; the reader takes 100 bytes and goes.
+        fan_path, act_path = tmp_path / "r12.fan", tmp_path / "identity.act"
+        write_json(fan_path, {"lattice": "weightA2", "rays": CENSUS_12_RAYS})
+        write_json(act_path, {"generators": [[[1, 0], [0, 1]]]})
+        src = str(Path(toricsym.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "toricsym.cli", "mmp", str(fan_path), str(act_path), "--explore-all", "--format", fmt],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        assert len(proc.stdout.read(100)) == 100
         proc.stdout.close()
         err = proc.stderr.read().decode()
         assert proc.wait(timeout=60) == 2

@@ -1,16 +1,22 @@
 """Machine text of contraction traces against the plain JSON document it
 must equal byte for byte."""
 
+import contextlib
+import io
 import json
 import random
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from toricsym import cli, families, fanio
 from toricsym.fan import Lattice, build_surface_fan
 from toricsym.intlin import IntMatrix
 from toricsym.mmp import MMPTrace, classify_terminal, run_equivariant_mmp
-from toricsym.symmetry import action_from_generators
+from toricsym.symmetry import action_from_generators, fan_automorphisms
 
 
 def trace_document(trace):
@@ -125,22 +131,76 @@ class TestTraceText:
                 [(1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1)],
             )
         ]
-        traces = [MMPTrace((), fan, classify_terminal(fan)) for fan in terminals]
-        assert [str(t.label) for t in traces] == ["P2", "P1xP1", "Hirzebruch(3)", "DP6Terminal", "Other"]
-        for got, trace in zip(fanio.traces_text(traces), traces, strict=True):
-            assert_same_text(got, oracle_text(trace))
+        labels = [classify_terminal(fan) for fan in terminals]
+        assert [str(label) for label in labels] == ["P2", "P1xP1", "Hirzebruch(3)", "DP6Terminal", "Other"]
+        for fan, label in zip(terminals, labels):
+            # A terminal node of the contraction graph: one path, no edges.
+            (got,) = fanio.traces_text((1, fan.rays, label))
+            assert_same_text(got, oracle_text(MMPTrace((), fan, label)))
 
-    def test_each_shared_step_is_encoded_once(self, tmp_path, capsys, monkeypatch):
+    def test_each_distinct_fan_is_written_once(self, tmp_path, capsys, monkeypatch):
+        # Under the identity every orbit is one ray, so a ray list of at least
+        # three rays is a fan's and a one-ray list a step's contracted rays.
         fan = build_surface_fan(Lattice.standard(2), BLOWUP_11)
         generators = [IntMatrix.identity(2)]
-        encoded = []
-        encode = fanio._encode
-        monkeypatch.setattr(fanio, "_encode", lambda obj: encoded.append(obj) or encode(obj))
+        written = []
+        rays_text = fanio._rays_text
+        monkeypatch.setattr(fanio, "_rays_text", lambda rays, texts: written.append(tuple(rays)) or rays_text(rays, texts))
         code, out = mmp_machine(tmp_path, capsys, fan, generators, "--explore-all")
         assert code == 0
         assert_same_text(out, oracle_text(traces_of(fan, generators, "explore-all")) + "\n")
         traces = json.loads(out)["traces"]
         steps = [json.dumps(step, sort_keys=True) for trace in traces for step in trace["steps"]]
-        terminals = {json.dumps(trace["terminal_rays"]) for trace in traces}
+        fans = {json.dumps(step["rays"]) for trace in traces for step in trace["steps"]}
+        fans |= {json.dumps(trace["terminal_rays"]) for trace in traces}
         assert len(set(steps)) < len(steps)
-        assert sum(not isinstance(obj, str) for obj in encoded) == len(set(steps)) + len(terminals)
+        cycles = [rays for rays in written if len(rays) >= 3]
+        assert len(cycles) == len(set(cycles)) == len(fans)
+        assert len(written) - len(cycles) == len(set(steps))
+
+
+def plain_trace_lines(trace, steps):
+    """The plain lines of one trace as the mmp command wrote them from
+    ``MMPTrace`` objects, each shared step's text cached by identity."""
+    for k, step in enumerate(trace.steps):
+        text = steps.get(id(step))
+        if text is None:
+            text = steps[id(step)] = (
+                f"rays {list(step.fan.rays)}\n        contract orbit {list(step.orbit)} = {list(step.orbit_rays)}"
+            )
+        yield f"step {k}: {text}"
+    yield f"terminal rays {list(trace.terminal.rays)}"
+    yield f"label {trace.label}"
+
+
+def plain_text(result):
+    """The plain output of the mmp command for ``result``, one trace or all."""
+    if isinstance(result, MMPTrace):
+        return "\n".join(plain_trace_lines(result, {})) + "\n"
+    steps = {}
+    return "".join(
+        f"--- branch {i} ---\n" + "\n".join(plain_trace_lines(trace, steps)) + "\n" for i, trace in enumerate(result)
+    )
+
+
+class TestStreamedText:
+    """The mmp command writes each trace as it walks the contraction graph;
+    its texts must equal those of the traces ``run_equivariant_mmp`` returns."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 10**6), full_group=st.booleans(), mode=st.sampled_from(["first-orbit", "explore-all"]))
+    def test_random_blowups_in_both_formats(self, seed, full_group, mode):
+        fan = families.random_blowup_surface_fan(random.Random(seed), max_rays=9)
+        generators = list(fan_automorphisms(fan).elements) if full_group else [IntMatrix.identity(2)]
+        traces = traces_of(fan, generators, mode)
+        flags = ["--explore-all"] if mode == "explore-all" else []
+        with tempfile.TemporaryDirectory() as tmp:
+            fan_path, action_path = Path(tmp) / "surface.fan", Path(tmp) / "action.json"
+            fanio.save_fan(fan, fan_path)
+            action_path.write_text(json.dumps(action_document(generators)), encoding="utf-8")
+            for fmt, expected in (("machine", oracle_text(traces) + "\n"), ("plain", plain_text(traces))):
+                out = io.StringIO()
+                with contextlib.redirect_stdout(out):
+                    code = cli.main(["mmp", str(fan_path), str(action_path), *flags, "--format", fmt])
+                assert code == 0
+                assert_same_text(out.getvalue(), expected)

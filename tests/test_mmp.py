@@ -437,11 +437,16 @@ class TestContractionGraph:
         assert peak < 32 * 2**20
 
     def test_each_contraction_is_one_step_object(self, std2):
-        # Traces through the same edge of the graph share its MMPStep, which
-        # the machine and plain encoders cache by identity.
+        # Traces through the same edge of the graph share its MMPStep.
         fan = build_surface_fan(std2, BLOWUP_11_RAYS)
         steps = [s for t in run_equivariant_mmp(fan, trivial_action(fan), mode="explore-all") for s in t.steps]
         assert len({id(s) for s in steps}) == len({(s.fan, s.orbit) for s in steps}) < len(steps)
+
+    @pytest.mark.parametrize("fan,action", random_blowup_cases() + automorphism_blowup_cases())
+    def test_terminal_counts_are_the_branches_per_terminal(self, fan, action):
+        traces = run_equivariant_mmp(fan, action, mode="explore-all")
+        counts = mmp._terminal_counts(mmp._graph(fan, action, first_only=False))
+        assert counts == Counter((t.terminal.rays, t.label) for t in traces)
 
 
 CENSUS_CASES_TO_H4 = census_cases() + census_cases_above(2, 4)
