@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import ParseError, PreconditionError
-from .intlin import IntMatrix, Vector, _as_int, primitive_vector, smith_normal_form
+from .intlin import IntMatrix, Vector, _as_int, _det, primitive_vector, smith_normal_form
 
 _S3_PERMUTATIONS = ((0, 1, 2), (1, 0, 2), (0, 2, 1), (2, 1, 0), (1, 2, 0), (2, 0, 1))
 
@@ -222,16 +222,18 @@ def make_fan(lattice: Lattice, rays: Iterable[Sequence[int]], max_cones: Iterabl
         if lattice.rank == 1:
             return Fan(lattice, tuple(prim), tuple((i,) for i in range(len(prim))))
         raise PreconditionError("cones-required", f"rank-{lattice.rank} fans need explicit max_cones")
-    cones = []
+    # A cone is simplicial iff its rays are independent: with n rays (the
+    # rank) iff their determinant is non-zero, with more never.
+    n, cones = lattice.rank, []
     for cone in max_cones:
-        idx = tuple(sorted(set(int(i) for i in cone)))
-        if any(i < 0 or i >= len(prim) for i in idx):
+        idx = tuple(sorted(set(map(_as_int, cone))))
+        if not idx:
+            raise PreconditionError("empty-cone", "a given cone has no rays")
+        if idx[0] < 0 or idx[-1] >= len(prim):
             raise PreconditionError("cone-index", f"cone {cone} references a missing ray")
-        mat = IntMatrix._of(tuple(prim[i] for i in idx))
-        if mat.rank() != len(idx):
-            raise PreconditionError(
-                "non-simplicial-cone", f"cone {idx} has linearly dependent generators"
-            )
+        rows = [prim[i] for i in idx]
+        if len(idx) > n or not (_det(rows) if len(idx) == n else IntMatrix._of(tuple(rows)).rank() == len(idx)):
+            raise PreconditionError("non-simplicial-cone", f"cone {idx} has linearly dependent generators")
         cones.append(idx)
     if lattice.rank == 2:
         fan = _cycle_fan(lattice, _ccw_sort(prim))
@@ -404,7 +406,7 @@ def _seed_basis(source: Fan, target: Fan) -> tuple[tuple[int, ...], list[tuple[i
     n rays and rank n and the target's n-ray maximal cones, or when no cone
     is full-dimensional a spanning ray subset and all the target's rays."""
     n = source.rank
-    seed = next((c for c in source.max_cones if len(c) == n and source.cone_matrix(c).rank() == n), None)
+    seed = next((c for c in source.max_cones if len(c) == n and _det([source.rays[i] for i in c])), None)
     if seed is not None:
         return seed, [cone for cone in target.max_cones if len(cone) == n]
     # The rays form a matroid, so keeping each ray that raises the rank gives

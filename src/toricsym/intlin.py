@@ -111,10 +111,10 @@ class IntMatrix:
         return IntMatrix._of(tuple(tuple(-x for x in row) for row in self.entries))
 
     def det(self) -> int:
-        """Determinant by fraction-free elimination (``_gauss_jordan``)."""
+        """Determinant by Bareiss elimination (``_det``)."""
         if self.rows != self.cols:
             raise ValueError("determinant of a non-square matrix")
-        return _gauss_jordan(self.entries, adjugate=False)[0]
+        return _det(self.entries)
 
     def rank(self) -> int:
         """Rank over the rationals (fraction-free elimination)."""
@@ -155,15 +155,44 @@ class IntMatrix:
         return det, IntMatrix._of(adjugate)
 
 
-def _gauss_jordan(a: Sequence[Sequence[int]], adjugate: bool = True) -> tuple[int, tuple[Vector, ...] | None]:
-    """det A and adj A (None unless ``adjugate``) by fraction-free Gauss-Jordan
-    elimination of [A | I]: step k sets each other row r to (p_k r - r[k] pivot
-    row) / p_(k-1), exactly, and drops column k, leaving [p_n I | adj A] up to
-    the swaps' sign.  No pivot before the last step means rank < n - 1 and
-    adj A = 0; p_n = 0 is kept, as adj A is polynomial where p_1..p_(n-1) != 0.
-    For det alone only rows below the pivot are reduced (Bareiss)."""
+def _det(rows: Iterable[Sequence[int]]) -> int:
+    """det A from the rows of A by Bareiss's fraction-free elimination: step
+    k sets each row r below the pivot to (p_k r - r[k] pivot row) / p_(k-1),
+    exactly (Sylvester's identity), so det A = +-p_n.  Only rows are swapped,
+    a column with no pivot gives 0, and the given rows are not modified."""
+    m = list(rows)
+    n = len(m)
+    sign, prev = 1, 1
+    for k in range(n):
+        if not m[k][k]:
+            for i in range(k + 1, n):
+                if m[i][k]:
+                    break
+            else:
+                return 0
+            m[k], m[i] = m[i], m[k]
+            sign = -sign
+        pivot = m[k]
+        p = pivot[k]
+        for i in range(k + 1, n):
+            row = m[i]
+            f = row[k]
+            if f:
+                m[i] = [(p * x - f * y) // prev for x, y in zip(row, pivot)]
+            elif p != prev:
+                m[i] = [p * x // prev for x in row]
+        prev = p
+    return sign * prev
+
+
+def _gauss_jordan(a: Sequence[Sequence[int]]) -> tuple[int, tuple[Vector, ...]]:
+    """det A and adj A by fraction-free Gauss-Jordan elimination of [A | I]:
+    step k sets each other row r to (p_k r - r[k] pivot row) / p_(k-1),
+    exactly, and drops column k, leaving [p_n I | adj A] up to the swaps'
+    sign.  No pivot before the last step means rank < n - 1 and adj A = 0;
+    p_n = 0 is kept, as adj A is polynomial where p_1..p_(n-1) != 0."""
     n = len(a)
-    rows = [list(row) + [int(i == j) for j in range(n)] if adjugate else list(row) for i, row in enumerate(a)]
+    rows = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(a)]
     order = list(range(n))  # order[k + c]: the column of A now at left position c
     sign, prev = 1, 1
     for k in range(n):
@@ -181,7 +210,7 @@ def _gauss_jordan(a: Sequence[Sequence[int]], adjugate: bool = True) -> tuple[in
                 sign = -sign
         pivot = rows[k]
         p = pivot.pop(0)
-        for i in range(n) if adjugate else range(k + 1, n):
+        for i in range(n):
             if i != k:
                 f = rows[i].pop(0)
                 if f:
@@ -190,7 +219,7 @@ def _gauss_jordan(a: Sequence[Sequence[int]], adjugate: bool = True) -> tuple[in
                     rows[i] = [p * x // prev for x in rows[i]]
         prev = p
     adj = (row if sign > 0 else [-x for x in row] for _, row in sorted(zip(order, rows)))
-    return sign * prev, tuple(map(tuple, adj)) if adjugate else None
+    return sign * prev, tuple(map(tuple, adj))
 
 
 @dataclass(frozen=True)

@@ -629,6 +629,50 @@ class TestSurfaceKey:
             surface_key(families.projective_space(3))
 
 
+P3_RAYS = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)]
+P3_CONES = [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]]
+
+
+def _rank_rule(rays, cones):
+    """make_fan's cone check before the determinant kernel, as the oracle:
+    the slug of the first cone that names a missing ray or whose rays have a
+    rank below their number, else None.  The rays are primitive and distinct."""
+    for cone in cones:
+        idx = tuple(sorted(set(int(i) for i in cone)))
+        if any(i < 0 or i >= len(rays) for i in idx):
+            return "cone-index"
+        if IntMatrix.from_rows([rays[i] for i in idx]).rank() != len(idx):
+            return "non-simplicial-cone"
+    return None
+
+
+def _cone_list_case(rng, n):
+    """Distinct primitive rays with entries in -2..2 (in rank 1 the two
+    there are), some of them the negative of another or the sum of two
+    others, and one to four cones of n - 1, n or n + 1 rays.  A cone often
+    starts from such a dependent set, and a few name a ray out of range."""
+    rays, dependent = [], []
+    count = 2 if n == 1 else rng.randint(n + 1, n + 5)
+    while len(rays) < count:
+        v, parts = [rng.randint(-2, 2) for _ in range(n)], ()
+        if len(rays) >= 2 and rng.random() < 0.4:
+            parts = rng.sample(range(len(rays)), 2 if rng.random() < 0.5 else 1)
+            v = [sum(x) if len(parts) == 2 else -x[0] for x in zip(*(rays[i] for i in parts))]
+        if any(v) and primitive_vector(v) not in rays:
+            if parts:
+                dependent.append([*parts, len(rays)])
+            rays.append(primitive_vector(v))
+    cones = []
+    for _ in range(rng.randint(1, 4)):
+        size = min(len(rays), rng.choice([max(1, n - 1), n, n + 1]))
+        start = rng.choice(dependent)[:size] if dependent and rng.random() < 0.5 else []
+        cone = start + rng.sample([i for i in range(len(rays)) if i not in start], size - len(start))
+        if rng.random() < 0.1:
+            cone[rng.randrange(size)] = rng.choice([-1, len(rays), len(rays) + 3])
+        cones.append(cone)
+    return rays, cones
+
+
 class TestMakeFan:
     def test_explicit_cones_required_above_rank_two(self):
         with pytest.raises(PreconditionError):
@@ -650,6 +694,33 @@ class TestMakeFan:
             make_fan(Lattice.standard(1), [(1,), (-1,)], cones)
         assert info.value.reason == reason
 
+    @pytest.mark.parametrize(
+        "cone",
+        [[0, 1, 2.9], [0, 1, 2.0], [0, 1, "2"], [0, 1, Fraction(2)], [0, True, 2]],
+        ids=["float", "integral-float", "string", "Fraction", "bool"],
+    )
+    def test_cone_indices_must_be_exact_ints(self, cone):
+        with pytest.raises(TypeError):
+            make_fan(Lattice.standard(3), P3_RAYS, [cone, *P3_CONES[1:]])
+
+    @pytest.mark.parametrize(
+        "lattice, rays, cones",
+        [
+            (Lattice.standard(3), P3_RAYS, [*P3_CONES, []]),
+            (Lattice.standard(3), P3_RAYS, [[], *P3_CONES]),
+            (Lattice.standard(2), [(1, 0), (0, 1), (-1, -1)], [(0, 1), (1, 2), (0, 2), ()]),
+            (Lattice.standard(1), [(1,), (-1,)], [(0,), []]),
+        ],
+        ids=["rank3-last", "rank3-first", "rank2", "rank1"],
+    )
+    def test_empty_cone_is_refused(self, lattice, rays, cones):
+        with pytest.raises(PreconditionError) as info:
+            make_fan(lattice, rays, cones)
+        assert info.value.reason == "empty-cone"
+
+    def test_no_cones_at_all_is_a_fan(self):
+        assert make_fan(Lattice.standard(3), P3_RAYS, []).max_cones == ()
+
     def test_ambient_rays_accepted_for_a2(self):
         fan = make_fan(Lattice.weight_a2(), [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
         assert set(fan.rays) == {(1, 0), (0, 1), (-1, -1)}
@@ -657,6 +728,34 @@ class TestMakeFan:
     def test_surface_cones_checked_against_adjacency(self, std2):
         with pytest.raises(PreconditionError):
             make_fan(std2, [(1, 0), (0, 1), (-1, -1)], [(0, 1), (1, 2), (0, 1)])
+
+
+class TestConeCheckAgainstTheRankRule:
+    """make_fan accepts or refuses a cone list, and names the same slug, as
+    the rank test of each cone did before the determinant kernel."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_same_decision_and_slug(self, n):
+        rng = random.Random(2500 + n)
+        seen = set()
+        for _ in range(300):
+            rays, cones = _cone_list_case(rng, n)
+            expected = _rank_rule(rays, cones)
+            try:
+                fan = make_fan(Lattice.standard(n), rays, cones)
+            except PreconditionError as exc:
+                got = exc.reason
+            else:
+                got = None
+                if n != 2:
+                    assert fan.max_cones == tuple(sorted({tuple(sorted(set(c))) for c in cones}))
+            if expected is None:
+                # Rank-2 cone lists are then compared with the complete fan of the rays.
+                assert got in (None, "cone-mismatch", "incomplete"), (rays, cones)
+            else:
+                assert got == expected, (rays, cones)
+            seen.add(expected)
+        assert seen == {None, "cone-index", "non-simplicial-cone"}
 
 
 RAY_BUILDERS = {

@@ -13,6 +13,7 @@ from sympy.matrices.normalforms import smith_normal_form as smith_normal_form_ov
 from toricsym.intlin import (
     FGAbelianGroup,
     IntMatrix,
+    _det,
     _reduce_rows,
     kernel_basis,
     smith_normal_form,
@@ -53,6 +54,57 @@ def square_matrices_of_any_rank(draw):
         for row in rows:
             row[j] = k * row[i]
     return mat(rows)
+
+
+@st.composite
+def bareiss_cases(draw):
+    """n x n rows, 0 <= n <= 8, with entries up to 10^12 in absolute value:
+    drawn freely, with leading zeros in each row (so that pivots are zero
+    and rows must be swapped, or a column has no pivot at all), or of rank
+    n - 1 or less (one row a combination of the others)."""
+    n = draw(st.integers(0, 8))
+    entries = st.one_of(st.integers(-3, 3), st.integers(-(10**12), 10**12))
+    rows = draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n))
+    kind = draw(st.sampled_from(["free", "zero-pivots", "rank-deficient"]))
+    if kind == "zero-pivots":
+        for row in rows:
+            zeros = draw(st.integers(0, n))
+            row[:zeros] = [0] * zeros
+    elif kind == "rank-deficient" and n:
+        j = draw(st.integers(0, n - 1))
+        c = draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n))
+        rows[j] = [sum(c[i] * rows[i][col] for i in range(n) if i != j) for col in range(n)]
+    return rows
+
+
+class TestBareissDeterminant:
+    @settings(max_examples=300, deadline=None)
+    @given(bareiss_cases())
+    def test_det_agrees_with_sympy_and_gauss_jordan(self, rows):
+        n = len(rows)
+        frozen = [list(row) for row in rows]
+        det = _det(rows)
+        assert rows == frozen
+        assert type(det) is int
+        assert det == Matrix(n, n, [x for row in rows for x in row]).det()
+        assert det == mat(rows).det() == mat(rows).det_adjugate()[0]
+
+    @pytest.mark.parametrize(
+        "rows, det",
+        [
+            ([], 1),
+            ([[0]], 0),
+            ([[0, 1], [1, 0]], -1),
+            ([[0, 0, 1], [0, 1, 0], [1, 0, 0]], -1),
+            ([[0, 2, 1], [0, 3, 5], [4, 1, 1]], 28),
+            ([[1, 2, 3], [2, 4, 6], [0, 0, 1]], 0),
+            ([[1, 2, 3], [0, 0, 5], [0, 0, 7]], 0),
+            ([[10**12, 1], [1, 10**12]], 10**24 - 1),
+        ],
+        ids=["empty", "zero", "swap", "anti-diagonal", "swap-then-pivot", "dependent-rows", "no-pivot", "large"],
+    )
+    def test_small_cases(self, rows, det):
+        assert _det(rows) == det == _det(tuple(map(tuple, rows)))
 
 
 class TestSmithNormalForm:
