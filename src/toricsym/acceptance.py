@@ -17,7 +17,7 @@ from . import families, qfield
 from .divisors import class_group, derive_block_relation, ray_blocks
 from .fan import Fan, Lattice, _cycle_cones, cone_invariant_factors
 from .intlin import IntMatrix, smith_normal_form
-from .mmp import DP6_TERMINAL, P2, _graph, _terminal_counts, check_adjacent_minus_one_rule, run_equivariant_mmp
+from .mmp import DP6_TERMINAL, P2, check_adjacent_minus_one_rule, contract, terminal_counts, traces
 from .symmetry import (
     centralizer_in_GL,
     fan_automorphisms,
@@ -159,25 +159,21 @@ def criterion_a6() -> list[str]:
     orbits = ray_orbits(action_n2)
     if sorted(len(o) for o in orbits) != [3, 3]:
         failures.append(f"two-orbit action: orbit sizes {[len(o) for o in orbits]}, expected [3, 3]")
-    trace = run_equivariant_mmp(hexagon_n2, action_n2, mode="first-orbit")
-    if trace.label != P2 or len(trace.steps) != 1:
-        failures.append(
-            f"two-orbit action: terminal {trace.label} in {len(trace.steps)} steps, expected P2 in 1"
-        )
-    for branch in run_equivariant_mmp(hexagon_n2, action_n2, mode="explore-all"):
-        if branch.label != P2 or len(branch.steps) != 1:
-            failures.append(f"two-orbit branch: {branch.label} in {len(branch.steps)} steps")
+    ((steps, _, label),) = traces(contract(hexagon_n2, action_n2, first_only=True))
+    if label != P2 or len(steps) != 1:
+        failures.append(f"two-orbit action: terminal {label} in {len(steps)} steps, expected P2 in 1")
+    for steps, _, label in traces(contract(hexagon_n2, action_n2, first_only=False)):
+        if label != P2 or len(steps) != 1:
+            failures.append(f"two-orbit branch: {label} in {len(steps)} steps")
 
     hexagon_n1 = families.dp6("n1")
     action_n1 = families.standard_s3_action(hexagon_n1)
     orbits = ray_orbits(action_n1)
     if [len(o) for o in orbits] != [6]:
         failures.append(f"one-orbit action: orbit sizes {[len(o) for o in orbits]}, expected [6]")
-    trace = run_equivariant_mmp(hexagon_n1, action_n1, mode="first-orbit")
-    if trace.label != DP6_TERMINAL or len(trace.steps) != 0:
-        failures.append(
-            f"one-orbit action: terminal {trace.label} in {len(trace.steps)} steps, expected hexagon in 0"
-        )
+    ((steps, _, label),) = traces(contract(hexagon_n1, action_n1, first_only=True))
+    if label != DP6_TERMINAL or len(steps) != 0:
+        failures.append(f"one-orbit action: terminal {label} in {len(steps)} steps, expected hexagon in 0")
     return failures
 
 
@@ -213,7 +209,7 @@ def criterion_a7() -> list[str]:
         rhos: dict[tuple, int] = {}
         for name, fan in _census(include_negation=negation):
             action = families.standard_s3_action(fan, include_negation=negation)
-            for (cycle, label), count in _terminal_counts(_graph(fan, action, first_only=False)).items():
+            for (cycle, label), count in terminal_counts(contract(fan, action, first_only=False)).items():
                 branches = f"{count} branch{'es' if count > 1 else ''}"
                 if not negation and label not in (P2, DP6_TERMINAL):
                     failures.append(f"{name}: {branches} terminated at {label}")

@@ -13,13 +13,13 @@ import functools
 import json
 import os
 import sys
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterable
 
 from . import families, fanio
 from .divisors import class_group, ray_blocks, relation_lattice
 from .errors import ParseError, PreconditionError
 from .fan import Fan, Lattice, validate_fan
-from .mmp import _graph, _Node, _paths
+from .mmp import contract
 from .symmetry import (
     GaloisDatum,
     GroupAction,
@@ -125,31 +125,6 @@ def cmd_orbits(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _trace_lines(root: _Node) -> Iterator[str]:
-    """Plain lines of each contraction trace below ``root``, one text per
-    trace, depth first.  Each root ray, each distinct fan's ray list and each
-    edge's step is formatted once; only ``step k:`` is written per path, as
-    a step's depth may differ between paths."""
-    ray_text = {v: repr(v) for v in root[1]}
-
-    def terminal(cycle, label) -> str:
-        return f"terminal rays {fanio._rays_text(cycle, ray_text)}\nlabel {label}\n"
-
-    def edges(cycle, orbits) -> list[str]:
-        rays = fanio._rays_text(cycle, ray_text)
-        return [
-            f"rays {rays}\n        contract orbit {list(orbit)} = "
-            f"{fanio._rays_text([cycle[i] for i in orbit], ray_text)}\n"
-            for orbit in orbits
-        ]
-
-    def extend(path: str, depth: int, step: str) -> str:
-        return f"{path}step {depth}: {step}"
-
-    for tail, path in _paths(root, terminal, edges, extend, ""):
-        yield path + tail
-
-
 def cmd_mmp(args: argparse.Namespace) -> int:
     fan = fanio.load_fan(args.fan)
     generators, datum = fanio.load_action(args.action)
@@ -159,10 +134,10 @@ def cmd_mmp(args: argparse.Namespace) -> int:
         generators = generators + [datum.tau]
     action = action_from_generators(fan, generators)
     # The graph is built, and counted against MAX_TRACES, before any output.
-    root = _graph(fan, action, first_only=not args.explore_all)
+    root = contract(fan, action, first_only=not args.explore_all)
     write = sys.stdout.write
     if args.format == "plain":
-        for i, text in enumerate(_trace_lines(root)):
+        for i, text in enumerate(fanio.trace_lines(root)):
             if args.explore_all:
                 write(f"--- branch {i} ---\n")
             write(text)

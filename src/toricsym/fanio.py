@@ -11,9 +11,10 @@ Trace text:      {"label": "..",
                              "rays": [[..], ..]}, ..],     # fan before each step
                   "terminal_rays": [[..], ..]}
 
-Trace texts are streamed from the contraction graph (``traces_text``), one
-per path as the walk reaches it, so writing them takes the graph, one path
-and the output buffer, not every trace at once.
+Trace texts, machine (``traces_text``) or plain (``trace_lines``), are
+streamed from the contraction graph, one per path as the walk reaches it,
+so writing them takes the graph, one path and the output buffer, not every
+trace at once.
 """
 
 from __future__ import annotations
@@ -167,6 +168,31 @@ def traces_text(root: _Node) -> Iterator[str]:
 
     for (head, tail), path in _paths(root, terminal, edges, extend, ""):
         yield head + path + tail
+
+
+def trace_lines(root: _Node) -> Iterator[str]:
+    """Plain lines of each contraction trace below ``root``, one text per
+    trace, depth first.  Each root ray, each distinct fan's ray list and each
+    edge's step is formatted once; only ``step k:`` is written per path, as
+    a step's depth may differ between paths."""
+    ray_text = {v: repr(v) for v in root[1]}
+
+    def terminal(cycle, label) -> str:
+        return f"terminal rays {_rays_text(cycle, ray_text)}\nlabel {label}\n"
+
+    def edges(cycle, orbits) -> list[str]:
+        rays = _rays_text(cycle, ray_text)
+        return [
+            f"rays {rays}\n        contract orbit {list(orbit)} = "
+            f"{_rays_text([cycle[i] for i in orbit], ray_text)}\n"
+            for orbit in orbits
+        ]
+
+    def extend(path: str, depth: int, step: str) -> str:
+        return f"{path}step {depth}: {step}"
+
+    for tail, path in _paths(root, terminal, edges, extend, ""):
+        yield path + tail
 
 
 def _rays_text(rays: Sequence[Vector], ray_text: dict[Vector, str]) -> str:

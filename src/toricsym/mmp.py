@@ -2,18 +2,19 @@
 
 A contraction step removes one group orbit of rays whose divisors all have
 self-intersection -1 and are pairwise non-adjacent, a local update of the
-ray cycle and its word a_i; the driver iterates until no orbit qualifies
-and labels the terminal fan.
+ray cycle and its word a_i.  ``contract`` builds the graph of every
+sequence of steps to a fan where no orbit qualifies, labelled as a terminal
+model; ``traces`` and ``terminal_counts`` read it.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Iterator
 
 from .errors import PreconditionError
-from .fan import Fan, _cross, _cycle_cones, _cycle_dets, _cycle_winds_once
+from .fan import Fan, _cross, _cycle_dets, _cycle_winds_once
 from .intlin import Vector
 from .symmetry import GroupAction, ray_orbits
 
@@ -103,22 +104,6 @@ def _label(word: tuple[int, ...]) -> TerminalLabel:
     return DP6_TERMINAL if word == (1,) * 6 else OTHER
 
 
-@dataclass(frozen=True)
-class MMPStep:
-    """One contraction: the fan before it and the orbit that was removed."""
-
-    fan: Fan
-    orbit: tuple[int, ...]
-    orbit_rays: tuple[Vector, ...]
-
-
-@dataclass(frozen=True)
-class MMPTrace:
-    steps: tuple[MMPStep, ...]
-    terminal: Fan
-    label: TerminalLabel
-
-
 # A fan's node in the contraction graph: its number of paths to a terminal
 # model, its ray cycle, then its label if it is terminal, or else its
 # (orbit, child) edges in orbit order.
@@ -152,9 +137,37 @@ def _explore(cycle: tuple[Vector, ...], word: tuple[int, ...], orbit_of, first_o
     return node
 
 
-def _graph(fan: Fan, action: GroupAction, first_only: bool) -> _Node:
-    """The root of the contraction graph of ``fan`` under ``action``, after
-    the checks of the input that only the root needs."""
+def contract(fan: Fan, action: GroupAction, first_only: bool) -> _Node:
+    """The root of the contraction graph of ``fan`` under ``action``: every
+    run of the equivariant contraction loop to a terminal model.
+
+    The edges out of a fan are its qualifying orbits, ordered by their least
+    ray vector, and a fan with none is terminal and labelled.  Each path from
+    the root is a trace, and the root's ``[0]`` is their number; depth
+    first, they are explore-all's traces in order.  ``first_only`` keeps
+    only the first edge out of each fan, which leaves the one path that
+    contracts, at each stage, the orbit holding the least ray vector: the
+    first trace of explore-all.
+
+    Only the input fan is validated and measured: removing a (-1)-ray i
+    leaves the cone (v_{i-1}, v_{i+1}) of determinant a_i = 1 and lowers
+    a_{i-1} and a_{i+1} by 1, so each fan below is smooth, complete and
+    given its word by its parent, and a terminal is labelled from its word.
+    A contraction cuts a whole orbit out of the stored ray cycle, so the
+    rays of every fan below the root are a G-invariant subset and its
+    orbits are the root's orbits that remain: the orbits are taken once, at
+    the root, and what lies below a fan depends on the fan alone.  So each
+    distinct fan reached is one node, contracted and labelled once per
+    call.  The traces grow exponentially with the ray count, so the paths
+    are counted as the graph is built, and it is refused
+    (``too-many-branches``) exactly when the root has more than
+    ``MAX_TRACES``.  No fan has more paths than the root, so the first fan
+    past the bound refuses, before the rest is explored.
+
+    ``traces`` walks the graph one trace at a time, and the ``mmp`` command
+    streams each trace's text from it (``fanio.traces_text``), so the
+    memory of either is the graph, one path and what is made of it.
+    """
     _require_smooth_complete_surface(fan, "the equivariant contraction loop")
     if action.fan != fan:
         raise PreconditionError("action-fan", "action was built for a different fan")
@@ -163,19 +176,19 @@ def _graph(fan: Fan, action: GroupAction, first_only: bool) -> _Node:
     return _explore(fan.rays, _profile(fan), orbit_of, first_only, {})
 
 
-def _terminal_counts(node: _Node, memo: dict[int, Counter] | None = None) -> Counter:
-    """The number of paths from ``node`` to each terminal fan below it, keyed
+def terminal_counts(root: _Node, memo: dict[int, Counter] | None = None) -> Counter:
+    """The number of paths from ``root`` to each terminal fan below it, keyed
     by (cycle, label): a terminal's own, or the sum of its children's.
     ``memo`` holds the counts of the nodes already reached."""
     memo = {} if memo is None else memo
-    counts = memo.get(id(node))
+    counts = memo.get(id(root))
     if counts is None:
-        _, cycle, below = node
+        _, cycle, below = root
         if isinstance(below, TerminalLabel):
             counts = Counter({(cycle, below): 1})
         else:
-            counts = sum((_terminal_counts(child, memo) for _, child in below), Counter())
-        memo[id(node)] = counts
+            counts = sum((terminal_counts(child, memo) for _, child in below), Counter())
+        memo[id(root)] = counts
     return counts
 
 
@@ -202,59 +215,20 @@ def _paths(root: _Node, terminal, edges, extend, empty):
             stack += [(child, extend(path, depth, part), depth + 1) for child, part in got]
 
 
-def _walk(lattice, root: _Node) -> list[MMPTrace]:
-    """The trace of each path below ``root``, depth first; each node's fan
-    and each edge's step are one object, shared by every trace through it."""
-
-    def terminal(cycle, label):
-        return Fan(lattice, cycle, _cycle_cones(len(cycle))), label
+def traces(root: _Node) -> Iterator[tuple[tuple, tuple[Vector, ...], TerminalLabel]]:
+    """Each trace below ``root``, depth first, as it is reached: its steps,
+    each a (cycle, orbit) pair of a fan's ray cycle and the orbit contracted
+    there, then its terminal's cycle and label.  Each step is one tuple,
+    made once per edge and shared by every trace through it."""
 
     def edges(cycle, orbits):
-        fan = Fan(lattice, cycle, _cycle_cones(len(cycle)))
-        return [MMPStep(fan, orbit, tuple(cycle[i] for i in orbit)) for orbit in orbits]
+        return [(cycle, orbit) for orbit in orbits]
 
     def extend(steps, depth, step):
         return steps + (step,)
 
-    return [MMPTrace(steps, *end) for end, steps in _paths(root, terminal, edges, extend, ())]
-
-
-def run_equivariant_mmp(fan: Fan, action: GroupAction, mode: str = "first-orbit"):
-    """Run the equivariant contraction loop to a terminal model.
-
-    mode "first-orbit": contract, at each stage, the qualifying orbit that
-    contains the lexicographically least ray vector; returns one MMPTrace.
-    mode "explore-all": branch over every qualifying orbit and return the
-    tuple of all terminal traces in deterministic order (depth first, the
-    qualifying orbits of each fan ordered by their least ray vector).
-
-    Both modes build one contraction graph, keyed by ray cycle, and walk
-    it; first-orbit keeps only the first orbit at each fan, so its trace is
-    the first branch of explore-all.  Only the input fan is validated and
-    measured: removing a (-1)-ray i leaves the cone (v_{i-1}, v_{i+1}) of
-    determinant a_i = 1 and lowers a_{i-1} and a_{i+1} by 1, so each fan
-    below is smooth, complete and given its word by its parent, and a
-    terminal is labelled from its word.  A contraction cuts a whole orbit
-    out of the stored ray cycle, so the rays of every fan below the root are
-    a G-invariant subset and its orbits are the root's orbits that remain:
-    the orbits are taken once, at the root, and what lies below a fan
-    depends on the fan alone.  So each distinct fan reached is contracted
-    and labelled once per call, and each step is one object shared by every
-    trace through it.  The traces grow exponentially with the ray count, so
-    the paths are counted first: explore-all refuses (``too-many-branches``)
-    exactly when the root has more than ``MAX_TRACES``.  No fan has more
-    paths than the root, so the first fan past the bound refuses, before the
-    rest is explored or any trace built.
-
-    This returns every trace at once.  The ``mmp`` command instead streams
-    each trace's text from the graph as it walks it (``fanio.traces_text``),
-    so its memory is the graph, one path and the output buffer.
-    """
-    if mode not in ("first-orbit", "explore-all"):
-        raise PreconditionError("mode", f"unknown mode {mode!r}; use 'first-orbit' or 'explore-all'")
-    first_only = mode == "first-orbit"
-    traces = _walk(fan.lattice, _graph(fan, action, first_only))
-    return traces[0] if first_only else tuple(traces)
+    for (cycle, label), steps in _paths(root, lambda cycle, label: (cycle, label), edges, extend, ()):
+        yield steps, cycle, label
 
 
 @dataclass(frozen=True)

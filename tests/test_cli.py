@@ -15,7 +15,7 @@ import toricsym
 from toricsym import cli, families, fanio, symmetry
 from toricsym.fan import Lattice, make_fan
 from toricsym.intlin import IntMatrix
-from toricsym.mmp import run_equivariant_mmp
+from toricsym.mmp import contract, traces
 from toricsym.symmetry import action_from_generators, fan_automorphisms
 
 
@@ -318,18 +318,19 @@ class TestMmpCommand:
         write_json(act_path, {"generators": gens})
         parsed = fanio.parse_fan_document(doc)
         action = action_from_generators(parsed, [IntMatrix.from_rows(g) for g in gens])
-        traces = run_equivariant_mmp(parsed, action, mode="explore-all")
-        expected = "".join(f"--- branch {i} ---\n" + plain_trace(t) for i, t in enumerate(traces))
+        root = contract(parsed, action, first_only=False)
+        expected = "".join(f"--- branch {i} ---\n" + plain_trace(t) for i, t in enumerate(traces(root)))
         assert in_process(["mmp", str(fan_path), str(act_path), "--explore-all"]) == (0, expected)
 
 
 def plain_trace(trace):
     """The plain text of one trace, every step formatted afresh."""
+    steps, terminal, label = trace
     lines = []
-    for k, step in enumerate(trace.steps):
-        lines.append(f"step {k}: rays {list(step.fan.rays)}")
-        lines.append(f"        contract orbit {list(step.orbit)} = {list(step.orbit_rays)}")
-    lines += [f"terminal rays {list(trace.terminal.rays)}", f"label {trace.label}"]
+    for k, (cycle, orbit) in enumerate(steps):
+        lines.append(f"step {k}: rays {list(cycle)}")
+        lines.append(f"        contract orbit {list(orbit)} = {[cycle[i] for i in orbit]}")
+    lines += [f"terminal rays {list(terminal)}", f"label {label}"]
     return "".join(line + "\n" for line in lines)
 
 

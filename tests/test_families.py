@@ -9,7 +9,7 @@ from toricsym.divisors import class_group, ray_blocks, relation_lattice
 from toricsym.errors import PreconditionError
 from toricsym.fan import Lattice, build_surface_fan, fan_isomorphism, transform_fan, validate_fan
 from toricsym.intlin import IntMatrix, primitive_vector, smith_normal_form
-from toricsym.mmp import DP6_TERMINAL, P2, run_equivariant_mmp
+from toricsym.mmp import DP6_TERMINAL, P2, contract, traces
 from toricsym.symmetry import GaloisForm, action_from_generators, classify_galois_form, ray_orbits
 
 
@@ -168,11 +168,11 @@ class TestEnumerator:
                 lattice, height=2, max_rays=12, require_smooth=True
             ):
                 action = families.standard_s3_action(fan)
-                for trace in run_equivariant_mmp(fan, action, mode="explore-all"):
-                    assert trace.label in (P2, DP6_TERMINAL)
+                for _, terminal, label in traces(contract(fan, action, first_only=False)):
+                    assert label in (P2, DP6_TERMINAL)
                     # terminal dichotomy: an order-6 faithful ray action
                     # only survives on 3 or 6 rays
-                    assert trace.terminal.ray_count in (3, 6)
+                    assert len(terminal) in (3, 6)
 
     def test_negation_census_terminates_at_the_hexagon(self):
         for lattice in (Lattice.root_a2(), Lattice.weight_a2()):
@@ -180,9 +180,9 @@ class TestEnumerator:
                 lattice, height=2, max_rays=12, require_smooth=True, include_negation=True
             ):
                 action = families.standard_s3_action(fan, include_negation=True)
-                for trace in run_equivariant_mmp(fan, action, mode="explore-all"):
-                    if trace.terminal.ray_count == 6:
-                        assert trace.label == DP6_TERMINAL
+                for _, terminal, label in traces(contract(fan, action, first_only=False)):
+                    if len(terminal) == 6:
+                        assert label == DP6_TERMINAL
 
 
 class TestCriteriaTables:

@@ -15,29 +15,31 @@ from hypothesis import strategies as st
 from toricsym import cli, families, fanio
 from toricsym.fan import Lattice, build_surface_fan
 from toricsym.intlin import IntMatrix
-from toricsym.mmp import MMPTrace, classify_terminal, run_equivariant_mmp
+from toricsym.mmp import classify_terminal, contract, traces
 from toricsym.symmetry import action_from_generators, fan_automorphisms
 
 
 def trace_document(trace):
+    steps, terminal, label = trace
     return {
         "steps": [
             {
-                "rays": [list(v) for v in step.fan.rays],
-                "contracted_orbit": list(step.orbit),
-                "contracted_rays": [list(v) for v in step.orbit_rays],
+                "rays": [list(v) for v in cycle],
+                "contracted_orbit": list(orbit),
+                "contracted_rays": [list(cycle[i]) for i in orbit],
             }
-            for step in trace.steps
+            for cycle, orbit in steps
         ],
-        "terminal_rays": [list(v) for v in trace.terminal.rays],
-        "label": str(trace.label),
+        "terminal_rays": [list(v) for v in terminal],
+        "label": str(label),
     }
 
 
-def oracle_text(result):
+def oracle_text(result, mode):
     """The machine output as sorted-key ``json.dumps`` of a fresh document."""
-    if isinstance(result, MMPTrace):
-        return json.dumps(trace_document(result), sort_keys=True)
+    if mode == "first-orbit":
+        (trace,) = result
+        return json.dumps(trace_document(trace), sort_keys=True)
     return json.dumps({"traces": [trace_document(t) for t in result]}, sort_keys=True)
 
 
@@ -98,7 +100,8 @@ def mmp_machine(tmp_path, capsys, fan, generators, *flags):
 
 
 def traces_of(fan, generators, mode):
-    return run_equivariant_mmp(fan, action_from_generators(fan, generators), mode=mode)
+    """Every trace of ``mode``: one for first-orbit."""
+    return list(traces(contract(fan, action_from_generators(fan, generators), first_only=mode == "first-orbit")))
 
 
 class TestTraceText:
@@ -108,13 +111,13 @@ class TestTraceText:
         flags = ["--explore-all"] if mode == "explore-all" else []
         code, out = mmp_machine(tmp_path, capsys, fan, generators, *flags)
         assert code == 0
-        assert_same_text(out, oracle_text(traces_of(fan, generators, mode)) + "\n")
+        assert_same_text(out, oracle_text(traces_of(fan, generators, mode), mode) + "\n")
 
     def test_the_cases_reach_every_label_mmp_can_end_in(self):
         kinds = {
-            trace.label.kind
+            label.kind
             for case in CASES
-            for trace in traces_of(*case.values, "explore-all")
+            for _, _, label in traces_of(*case.values, "explore-all")
         }
         assert kinds == {"P2", "P1xP1", "Hirzebruch", "DP6Terminal"}
 
@@ -136,7 +139,7 @@ class TestTraceText:
         for fan, label in zip(terminals, labels):
             # A terminal node of the contraction graph: one path, no edges.
             (got,) = fanio.traces_text((1, fan.rays, label))
-            assert_same_text(got, oracle_text(MMPTrace((), fan, label)))
+            assert_same_text(got, oracle_text([((), fan.rays, label)], "first-orbit"))
 
     def test_each_distinct_fan_is_written_once(self, tmp_path, capsys, monkeypatch):
         # Under the identity every orbit is one ray, so a ray list of at least
@@ -148,7 +151,7 @@ class TestTraceText:
         monkeypatch.setattr(fanio, "_rays_text", lambda rays, texts: written.append(tuple(rays)) or rays_text(rays, texts))
         code, out = mmp_machine(tmp_path, capsys, fan, generators, "--explore-all")
         assert code == 0
-        assert_same_text(out, oracle_text(traces_of(fan, generators, "explore-all")) + "\n")
+        assert_same_text(out, oracle_text(traces_of(fan, generators, "explore-all"), "explore-all") + "\n")
         traces = json.loads(out)["traces"]
         steps = [json.dumps(step, sort_keys=True) for trace in traces for step in trace["steps"]]
         fans = {json.dumps(step["rays"]) for trace in traces for step in trace["steps"]}
@@ -160,23 +163,26 @@ class TestTraceText:
 
 
 def plain_trace_lines(trace, steps):
-    """The plain lines of one trace as the mmp command wrote them from
-    ``MMPTrace`` objects, each shared step's text cached by identity."""
-    for k, step in enumerate(trace.steps):
+    """The plain lines of one trace, each shared step's text cached by
+    identity."""
+    trace_steps, terminal, label = trace
+    for k, step in enumerate(trace_steps):
         text = steps.get(id(step))
         if text is None:
+            cycle, orbit = step
             text = steps[id(step)] = (
-                f"rays {list(step.fan.rays)}\n        contract orbit {list(step.orbit)} = {list(step.orbit_rays)}"
+                f"rays {list(cycle)}\n        contract orbit {list(orbit)} = {[cycle[i] for i in orbit]}"
             )
         yield f"step {k}: {text}"
-    yield f"terminal rays {list(trace.terminal.rays)}"
-    yield f"label {trace.label}"
+    yield f"terminal rays {list(terminal)}"
+    yield f"label {label}"
 
 
-def plain_text(result):
-    """The plain output of the mmp command for ``result``, one trace or all."""
-    if isinstance(result, MMPTrace):
-        return "\n".join(plain_trace_lines(result, {})) + "\n"
+def plain_text(result, mode):
+    """The plain output of the mmp command for the traces of ``mode``."""
+    if mode == "first-orbit":
+        (trace,) = result
+        return "\n".join(plain_trace_lines(trace, {})) + "\n"
     steps = {}
     return "".join(
         f"--- branch {i} ---\n" + "\n".join(plain_trace_lines(trace, steps)) + "\n" for i, trace in enumerate(result)
@@ -185,20 +191,20 @@ def plain_text(result):
 
 class TestStreamedText:
     """The mmp command writes each trace as it walks the contraction graph;
-    its texts must equal those of the traces ``run_equivariant_mmp`` returns."""
+    its texts must equal those of the traces ``mmp.traces`` yields."""
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 10**6), full_group=st.booleans(), mode=st.sampled_from(["first-orbit", "explore-all"]))
     def test_random_blowups_in_both_formats(self, seed, full_group, mode):
         fan = families.random_blowup_surface_fan(random.Random(seed), max_rays=9)
         generators = list(fan_automorphisms(fan).elements) if full_group else [IntMatrix.identity(2)]
-        traces = traces_of(fan, generators, mode)
+        result = traces_of(fan, generators, mode)
         flags = ["--explore-all"] if mode == "explore-all" else []
         with tempfile.TemporaryDirectory() as tmp:
             fan_path, action_path = Path(tmp) / "surface.fan", Path(tmp) / "action.json"
             fanio.save_fan(fan, fan_path)
             action_path.write_text(json.dumps(action_document(generators)), encoding="utf-8")
-            for fmt, expected in (("machine", oracle_text(traces) + "\n"), ("plain", plain_text(traces))):
+            for fmt, expected in (("machine", oracle_text(result, mode) + "\n"), ("plain", plain_text(result, mode))):
                 out = io.StringIO()
                 with contextlib.redirect_stdout(out):
                     code = cli.main(["mmp", str(fan_path), str(action_path), *flags, "--format", fmt])

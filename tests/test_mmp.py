@@ -32,13 +32,13 @@ from toricsym.mmp import (
     OTHER,
     P2,
     P1XP1,
-    MMPStep,
-    MMPTrace,
     TerminalLabel,
     check_adjacent_minus_one_rule,
     classify_terminal,
-    run_equivariant_mmp,
+    contract,
     self_intersection_profile,
+    terminal_counts,
+    traces,
 )
 from toricsym.symmetry import action_from_generators, fan_automorphisms, invariant_picard_number, ray_orbits
 
@@ -120,7 +120,7 @@ def random_blowup_cases(count=24):
 
 
 def _step(fan, orbit):
-    return MMPStep(fan=fan, orbit=orbit, orbit_rays=tuple(fan.rays[i] for i in orbit))
+    return fan.rays, orbit
 
 
 def automorphism_blowup_cases(count=12):
@@ -164,7 +164,7 @@ def explore_all_by_recursion(fan, action):
     def walk(current, current_action, steps):
         orbits = contractible_by_reference(current, current_action)
         if not orbits:
-            traces.append(MMPTrace(steps, current, classify_terminal(current)))
+            traces.append((steps, current.rays, classify_terminal(current)))
             return
         for orbit in orbits:
             nxt = contract_by_rebuilding(current, orbit)
@@ -180,7 +180,7 @@ def first_orbit_by_public_steps(fan, action):
         steps.append(_step(fan, orbits[0]))
         fan = contract_by_rebuilding(fan, orbits[0])
         action = _restrict(action, fan)
-    return MMPTrace(tuple(steps), fan, classify_terminal(fan))
+    return tuple(steps), fan.rays, classify_terminal(fan)
 
 
 def hexagon_with_corners(kind):
@@ -249,7 +249,24 @@ class TestSelfIntersectionProfile:
 
 
 def explore_all(fan, action):
-    return run_equivariant_mmp(fan, action, mode="explore-all")
+    """Every contraction trace, as (steps, terminal cycle, label)."""
+    return tuple(traces(contract(fan, action, first_only=False)))
+
+
+def first_orbit(fan, action):
+    """The one trace that contracts the orbit of the least ray each time."""
+    (trace,) = traces(contract(fan, action, first_only=True))
+    return trace
+
+
+def fan_of(lattice, cycle):
+    """The fan on a ray cycle of the contraction graph, with its cones."""
+    return Fan(lattice, cycle, fan_module._cycle_cones(len(cycle)))
+
+
+def orbit_rays(step):
+    cycle, orbit = step
+    return tuple(cycle[i] for i in orbit)
 
 
 class TestContractibleOrbits:
@@ -258,18 +275,19 @@ class TestContractibleOrbits:
     def test_two_orbits_for_the_weight_lattice_action(self, hexagon_n2):
         traces = explore_all(hexagon_n2, families.standard_s3_action(hexagon_n2))
         assert len(traces) == 2
-        assert sorted(len(t.steps[0].orbit) for t in traces) == [3, 3]
+        assert sorted(len(steps[0][1]) for steps, _, _ in traces) == [3, 3]
 
     def test_single_orbit_action_cannot_contract(self, hexagon_n1):
         traces = explore_all(hexagon_n1, families.standard_s3_action(hexagon_n1))
-        assert [t.steps for t in traces] == [()]
+        assert [steps for steps, _, _ in traces] == [()]
 
     def test_triangle_has_nothing_to_contract(self, p2_fan):
-        assert explore_all(p2_fan, trivial_action(p2_fan)) == (MMPTrace((), p2_fan, P2),)
+        assert explore_all(p2_fan, trivial_action(p2_fan)) == (((), p2_fan.rays, P2),)
 
 
-def fan_after_first_step(trace):
-    return trace.steps[1].fan if len(trace.steps) > 1 else trace.terminal
+def fan_after_first_step(lattice, trace):
+    steps, terminal, _ = trace
+    return fan_of(lattice, steps[1][0] if len(steps) > 1 else terminal)
 
 
 class TestContractOrbit:
@@ -278,28 +296,28 @@ class TestContractOrbit:
     def test_contract_one_triangle_orbit_of_the_hexagon(self, hexagon_n2, p2_fan):
         target = {(1, 1), (-1, 0), (0, -1)}
         traces = explore_all(hexagon_n2, families.standard_s3_action(hexagon_n2))
-        trace = next(t for t in traces if set(t.steps[0].orbit_rays) == target)
-        assert fan_isomorphism(fan_after_first_step(trace), p2_fan) is not None
+        trace = next(t for t in traces if set(orbit_rays(t[0][0])) == target)
+        assert fan_isomorphism(fan_after_first_step(hexagon_n2.lattice, trace), p2_fan) is not None
 
     def test_contract_corner_ring_back_to_the_hexagon(self):
         fan = hexagon_with_corners("n1")
         assert fan.ray_count == 12
         (trace,) = explore_all(fan, families.standard_s3_action(fan, include_negation=True))
-        assert len(trace.steps[0].orbit) == 6
-        assert fan_after_first_step(trace) == families.dp6("n1")
+        assert len(trace[0][0][1]) == 6
+        assert fan_after_first_step(fan.lattice, trace) == families.dp6("n1")
 
     def test_undo_a_single_blowup(self, std2, p2_fan):
         fan = blowup_p2_once(std2)
-        trace = run_equivariant_mmp(fan, trivial_action(fan), mode="first-orbit")
-        assert trace.steps == (_step(fan, (fan.ray_index((1, 1)),)),)
-        assert trace.terminal == p2_fan
+        steps, terminal, _ = first_orbit(fan, trivial_action(fan))
+        assert steps == (_step(fan, (fan.ray_index((1, 1)),)),)
+        assert terminal == p2_fan.rays
 
     def test_adjacent_orbit_is_rejected(self, hexagon_n1):
         # One orbit of six (-1)-rays, each adjacent to two others.
         action = families.standard_s3_action(hexagon_n1)
         assert ray_orbits(action) == (tuple(range(6)),)
         assert self_intersection_profile(hexagon_n1) == (1,) * 6
-        assert explore_all(hexagon_n1, action) == (MMPTrace((), hexagon_n1, DP6_TERMINAL),)
+        assert explore_all(hexagon_n1, action) == (((), hexagon_n1.rays, DP6_TERMINAL),)
 
     def test_orbit_adjacent_across_the_cycle_end_is_rejected(self, std2):
         # The reflection swapping (1, 0) and (1, 1) pairs the stored first
@@ -308,62 +326,62 @@ class TestContractOrbit:
         fan = build_surface_fan(std2, [(1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1)])
         action = action_from_generators(fan, [IntMatrix.from_columns([(1, 1), (0, -1)])])
         assert ray_orbits(action) == ((0, 5), (1, 4), (2, 3))
-        (trace,) = explore_all(fan, action)
-        assert [s.orbit for s in trace.steps] == [(1, 4)]
-        assert trace.label == P1XP1
+        ((steps, _, label),) = explore_all(fan, action)
+        assert [orbit for _, orbit in steps] == [(1, 4)]
+        assert label == P1XP1
 
     def test_non_minus_one_ray_is_rejected(self, p2_fan):
         # Single-ray orbits, none of them a (-1)-ray.
         action = trivial_action(p2_fan)
         assert ray_orbits(action) == ((0,), (1,), (2,))
         assert self_intersection_profile(p2_fan) == (-1, -1, -1)
-        assert explore_all(p2_fan, action) == (MMPTrace((), p2_fan, P2),)
+        assert explore_all(p2_fan, action) == (((), p2_fan.rays, P2),)
 
 
 class TestDriver:
     def test_two_orbit_hexagon_reaches_the_triangle(self, hexagon_n2):
         action = families.standard_s3_action(hexagon_n2)
-        trace = run_equivariant_mmp(hexagon_n2, action, mode="first-orbit")
-        assert trace.label == P2
-        assert len(trace.steps) == 1
-        assert trace.steps[0].fan == hexagon_n2
+        steps, _, label = first_orbit(hexagon_n2, action)
+        assert label == P2
+        assert len(steps) == 1
+        assert steps[0][0] == hexagon_n2.rays
 
     def test_one_orbit_hexagon_is_terminal(self, hexagon_n1):
         action = families.standard_s3_action(hexagon_n1)
-        trace = run_equivariant_mmp(hexagon_n1, action, mode="first-orbit")
-        assert trace.label == DP6_TERMINAL
-        assert trace.steps == ()
+        steps, _, label = first_orbit(hexagon_n1, action)
+        assert label == DP6_TERMINAL
+        assert steps == ()
 
     def test_negation_twist_on_the_two_orbit_hexagon_is_terminal(self, hexagon_n2):
         action = families.standard_s3_action(hexagon_n2, include_negation=True)
-        trace = run_equivariant_mmp(hexagon_n2, action, mode="first-orbit")
-        assert trace.label == DP6_TERMINAL
-        assert trace.steps == ()
+        steps, _, label = first_orbit(hexagon_n2, action)
+        assert label == DP6_TERMINAL
+        assert steps == ()
 
     def test_explore_all_branches_agree_on_the_hexagon(self, hexagon_n2):
         action = families.standard_s3_action(hexagon_n2)
-        traces = run_equivariant_mmp(hexagon_n2, action, mode="explore-all")
+        traces = explore_all(hexagon_n2, action)
         assert len(traces) == 2
-        assert all(t.label == P2 and len(t.steps) == 1 for t in traces)
+        assert all(label == P2 and len(steps) == 1 for steps, _, label in traces)
 
     def test_trace_invariants_along_a_tower(self):
         fan = hexagon_with_corners("n2")
         action = families.standard_s3_action(fan)
-        for trace in run_equivariant_mmp(fan, action, mode="explore-all"):
-            counts = [s.fan.ray_count for s in trace.steps] + [trace.terminal.ray_count]
+        for steps, terminal, label in explore_all(fan, action):
+            counts = [len(cycle) for cycle, _ in steps] + [len(terminal)]
             assert counts == sorted(counts, reverse=True)
             assert len(set(counts)) == len(counts)
-            for step in trace.steps:
-                report = validate_fan(step.fan)
+            for cycle, _ in steps:
+                report = validate_fan(fan_of(fan.lattice, cycle))
                 assert report.smooth and report.complete
-                action_from_generators(step.fan, list(fan.lattice.s3_matrices()))
-            assert trace.label == P2
+                action_from_generators(fan_of(fan.lattice, cycle), list(fan.lattice.s3_matrices()))
+            assert label == P2
 
     def test_terminal_invariant_picard_number_is_one_or_two(self, hexagon_n1, hexagon_n2):
         for fan, neg in ((hexagon_n1, False), (hexagon_n2, False), (hexagon_n1, True)):
             action = families.standard_s3_action(fan, include_negation=neg)
-            trace = run_equivariant_mmp(fan, action, mode="first-orbit")
-            terminal_action = families.standard_s3_action(trace.terminal, include_negation=neg)
+            _, terminal, _ = first_orbit(fan, action)
+            terminal_action = families.standard_s3_action(fan_of(fan.lattice, terminal), include_negation=neg)
             assert invariant_picard_number(terminal_action) in (1, 2)
 
     def test_explore_all_refuses_past_the_trace_bound(self):
@@ -372,13 +390,13 @@ class TestDriver:
         # follows one path.
         fan = build_surface_fan(Lattice.weight_a2(), CENSUS_18_RAYS)
         with pytest.raises(PreconditionError) as err:
-            run_equivariant_mmp(fan, trivial_action(fan), mode="explore-all")
+            contract(fan, trivial_action(fan), first_only=False)
         assert err.value.reason == "too-many-branches"
-        assert run_equivariant_mmp(fan, trivial_action(fan)).label == TerminalLabel("Hirzebruch", 3)
+        assert first_orbit(fan, trivial_action(fan))[2] == TerminalLabel("Hirzebruch", 3)
 
     def test_the_trace_bound_admits_the_12_ray_census_fan(self):
         fan = build_surface_fan(Lattice.weight_a2(), CENSUS_12_RAYS)
-        assert len(run_equivariant_mmp(fan, trivial_action(fan), mode="explore-all")) == 72240 <= mmp.MAX_TRACES
+        assert len(explore_all(fan, trivial_action(fan))) == 72240 <= mmp.MAX_TRACES
 
     @pytest.mark.parametrize("bound", [1007, 1008])
     def test_the_bound_counts_traces(self, std2, bound, monkeypatch):
@@ -387,20 +405,16 @@ class TestDriver:
         fan = build_surface_fan(std2, BLOWUP_11_RAYS)
         if bound < 1008:
             with pytest.raises(PreconditionError) as err:
-                run_equivariant_mmp(fan, trivial_action(fan), mode="explore-all")
+                contract(fan, trivial_action(fan), first_only=False)
             assert err.value.reason == "too-many-branches"
         else:
-            assert len(run_equivariant_mmp(fan, trivial_action(fan), mode="explore-all")) == 1008
-
-    def test_unknown_mode_is_rejected(self, p2_fan):
-        with pytest.raises(PreconditionError):
-            run_equivariant_mmp(p2_fan, trivial_action(p2_fan), mode="sideways")
+            assert len(explore_all(fan, trivial_action(fan))) == 1008
 
     def test_driver_requires_smooth_input(self):
         fan = families.singular_hexagon()
         action = families.standard_s3_action(fan)
         with pytest.raises(PreconditionError):
-            run_equivariant_mmp(fan, action)
+            contract(fan, action, first_only=True)
 
 
 class TestContractionGraph:
@@ -415,7 +429,7 @@ class TestContractionGraph:
         gc.collect()
         gc.disable()
         try:
-            assert len(run_equivariant_mmp(fan, action, mode="explore-all")) == 2
+            assert len(explore_all(fan, action)) == 2
             assert gc.collect() == 0
         finally:
             gc.enable()
@@ -428,7 +442,7 @@ class TestContractionGraph:
         tracemalloc.start()
         try:
             with pytest.raises(PreconditionError) as err:
-                run_equivariant_mmp(fan, action, mode="explore-all")
+                contract(fan, action, first_only=False)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -436,17 +450,21 @@ class TestContractionGraph:
         assert str(err.value) == f"explore-all has more than {mmp.MAX_TRACES} traces"
         assert peak < 32 * 2**20
 
-    def test_each_contraction_is_one_step_object(self, std2):
-        # Traces through the same edge of the graph share its MMPStep.
+    def test_traces_through_one_edge_share_its_step_tuple(self, std2):
         fan = build_surface_fan(std2, BLOWUP_11_RAYS)
-        steps = [s for t in run_equivariant_mmp(fan, trivial_action(fan), mode="explore-all") for s in t.steps]
-        assert len({id(s) for s in steps}) == len({(s.fan, s.orbit) for s in steps}) < len(steps)
+        steps = [step for trace_steps, _, _ in explore_all(fan, trivial_action(fan)) for step in trace_steps]
+        assert len({id(step) for step in steps}) == len(set(steps)) < len(steps)
 
     @pytest.mark.parametrize("fan,action", random_blowup_cases() + automorphism_blowup_cases())
     def test_terminal_counts_are_the_branches_per_terminal(self, fan, action):
-        traces = run_equivariant_mmp(fan, action, mode="explore-all")
-        counts = mmp._terminal_counts(mmp._graph(fan, action, first_only=False))
-        assert counts == Counter((t.terminal.rays, t.label) for t in traces)
+        counts = terminal_counts(contract(fan, action, first_only=False))
+        assert counts == Counter((terminal, label) for _, terminal, label in explore_all(fan, action))
+
+    @pytest.mark.parametrize("fan,action", random_blowup_cases() + automorphism_blowup_cases())
+    def test_the_root_counts_the_traces(self, fan, action):
+        root = contract(fan, action, first_only=False)
+        assert root[0] == len(list(traces(root))) == sum(terminal_counts(root).values())
+        assert contract(fan, action, first_only=True)[0] == 1
 
 
 CENSUS_CASES_TO_H4 = census_cases() + census_cases_above(2, 4)
@@ -460,22 +478,18 @@ class TestAgainstThePublicSteps:
 
     @pytest.mark.parametrize("fan,action", random_blowup_cases() + automorphism_blowup_cases() + CENSUS_CASES_TO_H4)
     def test_explore_all_equals_the_path_by_path_walk(self, fan, action):
-        assert run_equivariant_mmp(fan, action, mode="explore-all") == explore_all_by_recursion(
-            fan, action
-        )
+        assert explore_all(fan, action) == explore_all_by_recursion(fan, action)
 
     @pytest.mark.parametrize("fan,action", random_blowup_cases() + automorphism_blowup_cases() + CENSUS_CASES_TO_H4)
     def test_first_orbit_equals_the_public_steps(self, fan, action):
-        assert run_equivariant_mmp(fan, action, mode="first-orbit") == first_orbit_by_public_steps(
-            fan, action
-        )
+        assert first_orbit(fan, action) == first_orbit_by_public_steps(fan, action)
 
     def test_branches_that_meet_again(self, std2):
         # Two disjoint (-1)-rays contract in either order onto the same fan.
         fan = build_surface_fan(std2, [(1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1)])
-        traces = run_equivariant_mmp(fan, trivial_action(fan), mode="explore-all")
+        traces = explore_all(fan, trivial_action(fan))
         assert traces == explore_all_by_recursion(fan, trivial_action(fan))
-        assert len(traces) > len({t.terminal for t in traces})
+        assert len(traces) > len({terminal for _, terminal, _ in traces})
 
 
 def census_oracle_cases(max_height):
@@ -496,7 +510,7 @@ def census_oracle_cases(max_height):
 
 
 def branch_labels(traces):
-    return Counter(str(t.label) for t in traces)
+    return Counter(str(label) for _, _, label in traces)
 
 
 class TestAgainstTheWordOracle:
@@ -524,8 +538,8 @@ class TestAgainstTheWordOracle:
 
 def reached_fans(fan, action):
     """Every fan that explore-all reaches from the root, the root included."""
-    traces = run_equivariant_mmp(fan, action, mode="explore-all")
-    return {f for t in traces for f in [s.fan for s in t.steps] + [t.terminal]}
+    cycles = {cycle for steps, terminal, _ in explore_all(fan, action) for cycle in [c for c, _ in steps] + [terminal]}
+    return {fan_of(fan.lattice, cycle) for cycle in cycles}
 
 
 class TestCertifiedContractions:
@@ -542,7 +556,7 @@ class TestCertifiedContractions:
     def test_a_singular_input_is_refused_on_entry(self, mode):
         fan = families.singular_hexagon()
         with pytest.raises(PreconditionError) as info:
-            run_equivariant_mmp(fan, families.standard_s3_action(fan), mode=mode)
+            contract(fan, families.standard_s3_action(fan), first_only=mode == "first-orbit")
         assert info.value.reason == "not-smooth"
         with pytest.raises(PreconditionError) as info:
             self_intersection_profile(fan)
@@ -667,8 +681,8 @@ class TestNoSmithForms:
 
     @pytest.mark.parametrize("fan,action", census_cases_up_to(3))
     def test_contraction_loop(self, fan, action, smith_form_calls):
-        run_equivariant_mmp(fan, action, mode="first-orbit")
-        run_equivariant_mmp(fan, action, mode="explore-all")
+        first_orbit(fan, action)
+        explore_all(fan, action)
         assert smith_form_calls == []
 
     @pytest.mark.parametrize("negation", [False, True])
@@ -718,9 +732,9 @@ class TestProperties:
     def test_noether_formula_along_every_trace(self, seed):
         # Sum of D_i^2 over the boundary divisors is K^2 - d = 12 - 3d.
         fan = families.random_blowup_surface_fan(random.Random(seed), max_rays=8)
-        for trace in run_equivariant_mmp(fan, trivial_action(fan), mode="explore-all"):
-            for f in [s.fan for s in trace.steps] + [trace.terminal]:
-                assert -sum(self_intersection_profile(f)) == 12 - 3 * f.ray_count
+        for steps, terminal, _ in explore_all(fan, trivial_action(fan)):
+            for cycle in [c for c, _ in steps] + [terminal]:
+                assert -sum(self_intersection_profile(fan_of(fan.lattice, cycle))) == 12 - 3 * len(cycle)
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 10**6), st.data())
@@ -730,7 +744,7 @@ class TestProperties:
         blown_up, new_ray = blowup_once(fan, i)
         k = blown_up.ray_index(new_ray)
         assert -self_intersection_profile(blown_up)[k] == -1
-        after = {t.steps[0].orbit: fan_after_first_step(t) for t in explore_all(blown_up, trivial_action(blown_up))}
+        after = {t[0][0][1]: fan_after_first_step(fan.lattice, t) for t in explore_all(blown_up, trivial_action(blown_up))}
         assert after[(k,)] == fan
 
 

@@ -14,7 +14,7 @@ from toricsym.divisors import class_group
 from toricsym.errors import PreconditionError
 from toricsym.fan import Lattice, _all_isomorphisms, fan_isomorphism, make_fan, transform_fan
 from toricsym.intlin import IntMatrix, kernel_basis
-from toricsym.mmp import run_equivariant_mmp
+from toricsym.mmp import contract, traces
 from toricsym.symmetry import (
     GaloisDatum,
     _perm_of,
@@ -1024,7 +1024,7 @@ class TestExpansionOnDemand:
         ray_orbits(action)
         invariant_picard_number(action)
         for mode in ("first-orbit", "explore-all"):
-            run_equivariant_mmp(fan, action, mode=mode)
+            list(traces(contract(fan, action, first_only=mode == "first-orbit")))
         assert not expansions
         # The counter sees an expansion when there is one.
         assert action.order and expansions["order"] == 1
