@@ -381,16 +381,6 @@ def validate_fan(fan: Fan) -> FanReport:
     return FanReport(simplicial=simplicial, complete=complete, smooth=smooth)
 
 
-def transform_fan(g: IntMatrix, fan: Fan) -> Fan:
-    """Image fan under a unimodular matrix (same lattice, same cone labels)."""
-    if not g.is_unimodular():
-        raise PreconditionError("not-unimodular", "fan transforms must be unimodular")
-    images = [g.apply(v) for v in fan.rays]
-    if fan.rank == 2:
-        return build_surface_fan(fan.lattice, images)
-    return Fan(fan.lattice, tuple(images), fan.max_cones)
-
-
 def _ray_degrees(fan: Fan) -> list[int]:
     """Number of maximal cones on each ray."""
     degrees = [0] * fan.ray_count
@@ -444,13 +434,13 @@ def _candidate_test(source: Fan, target: Fan, seed: Sequence[int]):
     """``read_off`` of the seed basis B (``_read_off``), and ``test(images)``:
     the (ray map, matrix) pair sending B to the target rays ``images``, or None.
 
-    Each other source ray is kept as its nonzero coordinates in B times
-    |det B|, so a candidate only combines image columns (the fans' rays,
-    checked when the fans were built).  It is rejected, in order, by a ray
-    on another number of maximal cones, a ray image that is not integral or
-    not a target ray, a non-injective ray map, a cone not sent onto a cone,
-    and last by its matrix g = ``read_off(images)`` unless |det g| = 1 and
-    g B = W (exact already when |det B| = 1).
+    Each other source ray v is kept as the nonzero entries of |det B| B^-1 v,
+    read off the rows of +-adj B (cofactors for n <= 3), so a candidate only
+    combines image columns (the fans' rays, checked when the fans were built).
+    It is rejected, in order, by seed ray images on other numbers of maximal
+    cones, a ray image that is not integral or not a target ray, a non-injective
+    ray map, a cone not sent onto a cone, and last by its matrix g =
+    ``read_off(images)`` unless |det g| = 1 and g B = W (exact if |det B| = 1).
     """
     source_degrees = _ray_degrees(source)
     target_degrees = source_degrees if target is source else _ray_degrees(target)
@@ -458,13 +448,14 @@ def _candidate_test(source: Fan, target: Fan, seed: Sequence[int]):
     basis = [source.rays[i] for i in seed]
     det, adjugate, read_off = _read_off(target, basis)
     q = abs(det)
-    coordinates = {i: adjugate.apply(v) for i, v in enumerate(source.rays) if i not in seed}
-    others = [(i, [(k, det // q * c) for k, c in enumerate(u) if c]) for i, u in coordinates.items()]
+    rows = [[det // q * a for a in row] for row in adjugate.entries]
+    coords = ((i, [sum(a * x for a, x in zip(r, v)) for r in rows]) for i, v in enumerate(source.rays) if i not in seed)
+    others = [(i, [(k, c) for k, c in enumerate(u) if c]) for i, u in coords]
     index = {v: j for j, v in enumerate(target.rays)}
     target_cones = set(target.max_cones)
 
     def test(images: Sequence[int]) -> tuple[tuple[int, ...], IntMatrix] | None:
-        if any(target_degrees[j] != d for j, d in zip(images, wanted)):
+        if [target_degrees[j] for j in images] != wanted:
             return None
         columns = [target.rays[j] for j in images]
         mapping = [0] * target.ray_count

@@ -3,7 +3,8 @@
 Everything here works over plain Python ints (arbitrary precision); no
 floating point is used anywhere.  The central routine is Smith normal form
 with unimodular transforms, from which saturated integer kernels are
-derived; determinants, adjugates and ranks come from fraction-free elimination.
+derived.  Ranks come from elimination, and so do det and adj, except that
+2x2 and 3x3 matrices (the cones of rank-2 and rank-3 fans) take cofactors.
 """
 
 from __future__ import annotations
@@ -111,7 +112,7 @@ class IntMatrix:
         return IntMatrix._of(tuple(tuple(-x for x in row) for row in self.entries))
 
     def det(self) -> int:
-        """Determinant by Bareiss elimination (``_det``)."""
+        """Determinant (``_det``): 2x2 and 3x3 by cofactors, else by Bareiss elimination."""
         if self.rows != self.cols:
             raise ValueError("determinant of a non-square matrix")
         return _det(self.entries)
@@ -135,20 +136,13 @@ class IntMatrix:
                 break
         return r
 
-    def is_unimodular(self) -> bool:
-        return self.rows == self.cols and abs(self.det()) == 1
-
     def adjugate(self) -> "IntMatrix":
-        """Adjugate matrix: self @ adj = det * identity, exactly; adj[i][j] is
-        the signed determinant of the minor without row j and column i.
-
-        The library itself calls ``det_adjugate``.  This method stays because
-        ``perfbench/tracer.py`` wraps it by name (``METHODS``): without it a
-        ``--trace 1`` run and ``perfbench/test_checks.py`` fail on a KeyError."""
+        """Adjugate: self @ adj = det * identity.  The library calls ``det_adjugate``;
+        ``perfbench/tracer.py`` wraps this by name (``METHODS``), so it stays."""
         return self.det_adjugate()[1]
 
     def det_adjugate(self) -> tuple[int, "IntMatrix"]:
-        """det and adjugate together, from one O(n^3) elimination (``_gauss_jordan``)."""
+        """det and adjugate together (``_gauss_jordan``): 2x2 and 3x3 by cofactors, else one elimination."""
         if self.rows != self.cols:
             raise ValueError("adjugate of a non-square matrix")
         det, adjugate = _gauss_jordan(self.entries)
@@ -156,12 +150,18 @@ class IntMatrix:
 
 
 def _det(rows: Iterable[Sequence[int]]) -> int:
-    """det A from the rows of A by Bareiss's fraction-free elimination: step
+    """det A from the rows of A, not modified: ad - bc, the first-row cofactor
+    expansion for the 3x3 cones of rank-3 fans, else Bareiss elimination: step
     k sets each row r below the pivot to (p_k r - r[k] pivot row) / p_(k-1),
-    exactly (Sylvester's identity), so det A = +-p_n.  Only rows are swapped,
-    a column with no pivot gives 0, and the given rows are not modified."""
+    exactly (Sylvester's identity), so det A = +-p_n; no pivot in a column gives 0."""
     m = list(rows)
     n = len(m)
+    if n == 2:
+        (a, b), (c, d) = m
+        return a * d - b * c
+    if n == 3:
+        (a, b, c), (d, e, f), (g, h, i) = m
+        return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
     sign, prev = 1, 1
     for k in range(n):
         if not m[k][k]:
@@ -186,12 +186,21 @@ def _det(rows: Iterable[Sequence[int]]) -> int:
 
 
 def _gauss_jordan(a: Sequence[Sequence[int]]) -> tuple[int, tuple[Vector, ...]]:
-    """det A and adj A by fraction-free Gauss-Jordan elimination of [A | I]:
-    step k sets each other row r to (p_k r - r[k] pivot row) / p_(k-1),
-    exactly, and drops column k, leaving [p_n I | adj A] up to the swaps'
-    sign.  No pivot before the last step means rank < n - 1 and adj A = 0;
-    p_n = 0 is kept, as adj A is polynomial where p_1..p_(n-1) != 0."""
+    """det A and adj A: for the 2x2 and 3x3 cones of rank 2-3 fans the cofactor
+    matrix, exact at any rank, and row 1 of A times its column 1.  Else by
+    fraction-free Gauss-Jordan elimination of [A | I]: step k sets each other
+    row r to (p_k r - r[k] pivot row) / p_(k-1) and drops column k, leaving
+    [p_n I | adj A] up to the swaps' sign.  No pivot before the last step means
+    rank < n - 1 and adj A = 0; p_n = 0 is kept (adj A is polynomial)."""
     n = len(a)
+    if n == 2:
+        (p, q), (r, s) = a
+        return p * s - q * r, ((s, -q), (-r, p))
+    if n == 3:
+        (p, q, r), (s, t, u), (v, w, x) = a
+        c0, c1, c2 = t * x - u * w, u * v - s * x, s * w - t * v
+        adj = (c0, r * w - q * x, q * u - r * t), (c1, p * x - r * v, r * s - p * u), (c2, q * v - p * w, p * t - q * s)
+        return p * c0 + q * c1 + r * c2, adj
     rows = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(a)]
     order = list(range(n))  # order[k + c]: the column of A now at left position c
     sign, prev = 1, 1

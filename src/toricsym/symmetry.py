@@ -132,7 +132,7 @@ def action_from_generators(fan: Fan, generators: Sequence[IntMatrix]) -> GroupAc
     for g in generators:
         if g.rows != fan.rank or g.cols != fan.rank:
             raise PreconditionError("shape", "generator shape does not match the lattice rank")
-        if not g.is_unimodular():
+        if abs(g.det()) != 1:
             raise PreconditionError("not-unimodular", "generator is not unimodular")
         gens.append(_perm_of(fan, g))
     return GroupAction(fan, _seed_basis(fan, fan)[0], tuple(gens))

@@ -7,10 +7,12 @@ import pytest
 from toricsym import families
 from toricsym.divisors import class_group, ray_blocks, relation_lattice
 from toricsym.errors import PreconditionError
-from toricsym.fan import Lattice, build_surface_fan, fan_isomorphism, transform_fan, validate_fan
+from toricsym.fan import Lattice, build_surface_fan, fan_isomorphism, validate_fan
 from toricsym.intlin import IntMatrix, primitive_vector, smith_normal_form
 from toricsym.mmp import DP6_TERMINAL, P2, contract, traces
 from toricsym.symmetry import GaloisForm, action_from_generators, classify_galois_form, ray_orbits
+
+from conftest import random_unimodular, transform_fan
 
 
 class TestNamedFamilies:
@@ -281,19 +283,9 @@ class TestWeightedSpaceUniqueness:
         assert all(f == 1 for f in smith_normal_form(basis).invariant_factors)
         rng = random.Random(m)
         for _ in range(3):
-            g = random_unimodular(rng)
+            g = random_unimodular(rng, 4)
             moved = transform_fan(g, model)
             assert fan_isomorphism(moved, model) is not None
-
-
-def random_unimodular(rng, n=4, steps=6):
-    m = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    for _ in range(steps):
-        i, j = rng.sample(range(n), 2)
-        k = rng.choice([-2, -1, 1, 2])
-        for c in range(n):
-            m[i][c] += k * m[j][c]
-    return IntMatrix.from_rows(m)
 
 
 class TestRandomBlowups:

@@ -3,7 +3,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from sympy import ZZ, Matrix
 from sympy.polys.matrices import DomainMatrix
@@ -77,6 +77,31 @@ def bareiss_cases(draw):
     return rows
 
 
+@st.composite
+def closed_form_cases(draw):
+    """2 x 2 and 3 x 3 rows of each rank r = 0..n: r rows with entries up to
+    10^12 in absolute value, and n - r zero rows or multiples (-3..3) of
+    them; or for r = 1 an outer product u v^T of entries up to 10^6.  The
+    rows are shuffled, and the matrix transposed half the time."""
+    n = draw(st.sampled_from((2, 3)))
+    r = draw(st.integers(0, n))
+    if r == 1 and draw(st.booleans()):
+        factor = st.lists(st.integers(-(10**6), 10**6).filter(bool), min_size=n, max_size=n)
+        u, v = draw(factor), draw(factor)
+        rows = [[a * b for b in v] for a in u]
+    else:
+        row = st.lists(st.integers(-(10**12), 10**12), min_size=n, max_size=n)
+        rows = [draw(row) for _ in range(r)]
+        for _ in range(n - r):
+            k = draw(st.integers(-3, 3)) if r else 0
+            rows.append([k * x for x in rows[draw(st.integers(0, r - 1))]] if k else [0] * n)
+    rows = draw(st.permutations(rows))
+    if draw(st.booleans()):
+        rows = [list(col) for col in zip(*rows)]
+    assume(Matrix(rows).rank() == r)
+    return rows
+
+
 class TestBareissDeterminant:
     @settings(max_examples=300, deadline=None)
     @given(bareiss_cases())
@@ -105,6 +130,20 @@ class TestBareissDeterminant:
     )
     def test_small_cases(self, rows, det):
         assert _det(rows) == det == _det(tuple(map(tuple, rows)))
+
+
+class TestClosedForms:
+    @settings(max_examples=400, deadline=None)
+    @given(closed_form_cases())
+    def test_det_and_adjugate_agree_with_sympy(self, rows):
+        n = len(rows)
+        oracle = DomainMatrix.from_Matrix(Matrix(rows)).convert_to(ZZ)
+        det, adjugate = mat(rows).det_adjugate()
+        assert type(det) is type(_det(rows)) is int
+        assert _det(rows) == det == oracle.det()
+        assert Matrix(adjugate.entries) == oracle.adjugate().to_Matrix()
+        scalar = IntMatrix.from_rows([[det * (i == j) for j in range(n)] for i in range(n)])
+        assert mat(rows) @ adjugate == scalar == adjugate @ mat(rows)
 
 
 class TestSmithNormalForm:

@@ -23,7 +23,6 @@ from toricsym.fan import (
     build_surface_fan,
     fan_isomorphism,
     surface_key,
-    transform_fan,
     validate_fan,
 )
 from toricsym.intlin import IntMatrix
@@ -41,6 +40,8 @@ from toricsym.mmp import (
     traces,
 )
 from toricsym.symmetry import action_from_generators, fan_automorphisms, invariant_picard_number, ray_orbits
+
+from conftest import transform_fan
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 try:

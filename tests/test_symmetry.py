@@ -12,7 +12,7 @@ from toricsym import fan as fan_module
 from toricsym.acceptance import named_family_corpus
 from toricsym.divisors import class_group
 from toricsym.errors import PreconditionError
-from toricsym.fan import Lattice, _all_isomorphisms, fan_isomorphism, make_fan, transform_fan
+from toricsym.fan import Lattice, _all_isomorphisms, fan_isomorphism, make_fan
 from toricsym.intlin import IntMatrix, kernel_basis
 from toricsym.mmp import contract, traces
 from toricsym.symmetry import (
@@ -26,6 +26,8 @@ from toricsym.symmetry import (
     invariant_picard_number,
     ray_orbits,
 )
+
+from conftest import transform_fan
 
 NEG_I = -IntMatrix.identity(2)
 SWAP = IntMatrix.from_rows([(0, 1), (1, 0)])
