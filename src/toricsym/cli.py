@@ -16,7 +16,7 @@ import sys
 from typing import Any, Iterable
 
 from . import families, fanio
-from .divisors import class_group, ray_blocks, relation_lattice
+from .divisors import class_group, ray_blocks, ray_relations
 from .errors import ParseError, PreconditionError
 from .fan import Fan, Lattice, validate_fan
 from .mmp import contract
@@ -54,7 +54,7 @@ def _report_payload(fan: Fan, action: GroupAction | None, datum: GaloisDatum | N
     report = validate_fan(fan)
     group, classes = class_group(fan)
     partition = ray_blocks(classes)
-    relations = relation_lattice(fan)
+    relations = ray_relations(classes)
     payload: dict[str, Any] = {
         "lattice": fan.lattice.label(),
         "rays": [list(v) for v in fan.rays],

@@ -5,8 +5,8 @@ sending a dual vector u to (<u, v_i>)_i over the rays.  One Smith form
 U^-1 R V^-1 = S of the ray matrix gives every invariant here: the group from
 the invariant factors of S, the class of each ray from U^-1, and the dual
 vectors of a grading block from U^-1 and V^-1.  Rays fall into grading blocks
-by equality of their classes, and relations among rays live in the saturated
-kernel of the transposed ray matrix.
+by equality of their classes; the relations among rays are the rows r.. of
+U^-1 (r = rank R, where U^-1 R = S V vanishes; a basis, as U^-1 is unimodular).
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .errors import PreconditionError
 from .fan import Fan
-from .intlin import FGAbelianGroup, IntMatrix, SNFResult, Vector, kernel_basis, smith_normal_form
+from .intlin import FGAbelianGroup, IntMatrix, SNFResult, Vector, _reduce_rows, kernel_basis, smith_normal_form
 
 ClassCoords = tuple[Vector, Vector]  # (free coordinates, torsion residues)
 
@@ -78,7 +78,12 @@ class RelationLattice:
 
 
 def relation_lattice(fan: Fan) -> RelationLattice:
-    return RelationLattice(basis=kernel_basis(fan.ray_matrix().transpose()))
+    return ray_relations(_ray_classes(smith_normal_form(fan.ray_matrix())))
+
+
+def ray_relations(classes: tuple[ClassCoords, ...]) -> RelationLattice:
+    """The relation lattice, read off the free parts of the ray classes."""
+    return RelationLattice(basis=_reduce_rows(tuple(zip(*(free for free, _ in classes)))))
 
 
 @dataclass(frozen=True)

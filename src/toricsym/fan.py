@@ -15,11 +15,13 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import ParseError, PreconditionError
-from .intlin import IntMatrix, Vector, _as_int, _det, primitive_vector, smith_normal_form
+from .intlin import IntMatrix, Vector, _as_int, _det, smith_normal_form
 
 _S3_PERMUTATIONS = ((0, 1, 2), (1, 0, 2), (0, 2, 1), (2, 1, 0), (1, 2, 0), (2, 0, 1))
 
@@ -62,11 +64,10 @@ class Lattice:
         return f"standard:{self.rank}" if self.kind == "standard" else self.kind
 
     @classmethod
+    @functools.lru_cache(maxsize=16)
     def from_label(cls, label: str) -> "Lattice":
-        if label == "rootA2":
-            return cls.root_a2()
-        if label == "weightA2":
-            return cls.weight_a2()
+        if label in ("rootA2", "weightA2"):
+            return cls(label, 2)
         if label.startswith("standard:"):
             try:
                 return cls.standard(int(label.split(":", 1)[1]))
@@ -199,13 +200,15 @@ def _primitive_rays(lattice: Lattice, rays: Iterable[Sequence[int]]) -> list[Vec
     """Primitive lattice generators of the input rays, each checked once.
 
     This is where ray entries enter the program: ``math.gcd`` refuses
-    non-integers and ``_as_int`` what else has an integer index, so the
-    fan's matrices are built from the rays unchecked."""
+    non-integers and ``_as_int`` (on a ray not primitive or not all ints)
+    what else has an integer index, so the fan's matrices are built unchecked."""
     converted = [lattice.accept_ray(v) for v in rays]
-    for v in converted:
-        if not any(v):
-            raise PreconditionError("zero-ray", "zero vector cannot generate a ray")
-    prim = [tuple(map(_as_int, primitive_vector(v))) for v in converted]
+    if not all(map(any, converted)):
+        raise PreconditionError("zero-ray", "zero vector cannot generate a ray")
+    prim = [
+        v if (g := math.gcd(*v)) == 1 and set(map(type, v)) == {int} else tuple(map(_as_int, (x // g for x in v)))
+        for v in converted
+    ]
     if len(set(prim)) != len(prim):
         raise PreconditionError("parallel-rays", "two rays share a primitive generator")
     return prim
@@ -214,29 +217,29 @@ def _primitive_rays(lattice: Lattice, rays: Iterable[Sequence[int]]) -> list[Vec
 def make_fan(lattice: Lattice, rays: Iterable[Sequence[int]], max_cones: Iterable[Sequence[int]] | None = None) -> Fan:
     """Validating constructor; accepts ambient coordinates for A2 lattices."""
     prim = _primitive_rays(lattice, rays)
-
-    if lattice.rank == 2 and max_cones is None:
-        return _cycle_fan(lattice, _ccw_sort(prim))
-
+    n, d = lattice.rank, len(prim)
     if max_cones is None:
-        if lattice.rank == 1:
-            return Fan(lattice, tuple(prim), tuple((i,) for i in range(len(prim))))
-        raise PreconditionError("cones-required", f"rank-{lattice.rank} fans need explicit max_cones")
+        if n > 2:
+            raise PreconditionError("cones-required", f"rank-{n} fans need explicit max_cones")
+        return _cycle_fan(lattice, prim) if n == 2 else Fan(lattice, tuple(prim), tuple((i,) for i in range(d)))
     # A cone is simplicial iff its rays are independent: with n rays (the
-    # rank) iff their determinant is non-zero, with more never.
-    n, cones = lattice.rank, []
+    # rank) iff their determinant is non-zero, with more never.  All indices
+    # are checked at once when they pass; else cone by cone, in order.
+    cones, max_cones = [], list(max_cones)
+    flat = list(itertools.chain.from_iterable(max_cones))
+    checked = set(map(type, flat)) <= {int} and all(max_cones) and 0 <= min(flat, default=0) <= max(flat, default=0) < d
     for cone in max_cones:
-        idx = tuple(sorted(set(map(_as_int, cone))))
-        if not idx:
+        idx = tuple(sorted(set(cone if checked else map(_as_int, cone))))
+        if not (checked or idx):
             raise PreconditionError("empty-cone", "a given cone has no rays")
-        if idx[0] < 0 or idx[-1] >= len(prim):
+        if not checked and (idx[0] < 0 or idx[-1] >= d):
             raise PreconditionError("cone-index", f"cone {cone} references a missing ray")
         rows = [prim[i] for i in idx]
         if len(idx) > n or not (_det(rows) if len(idx) == n else IntMatrix._of(tuple(rows)).rank() == len(idx)):
             raise PreconditionError("non-simplicial-cone", f"cone {idx} has linearly dependent generators")
         cones.append(idx)
-    if lattice.rank == 2:
-        fan = _cycle_fan(lattice, _ccw_sort(prim))
+    if n == 2:
+        fan = _cycle_fan(lattice, prim)
         given = sorted(tuple(sorted(prim[i] for i in cone)) for cone in cones)
         expected = sorted(tuple(sorted(fan.rays[i] for i in cone)) for cone in fan.max_cones)
         if given != expected:
@@ -248,14 +251,14 @@ def make_fan(lattice: Lattice, rays: Iterable[Sequence[int]], max_cones: Iterabl
 def build_surface_fan(lattice: Lattice, rays: Iterable[Sequence[int]]) -> Fan:
     """Complete surface fan determined by its rays.
 
-    Rays are primitivized and sorted counterclockwise; maximal cones are
+    Rays are primitivized and put in counterclockwise order; maximal cones are
     all adjacent pairs.  Raises when fewer than 3 rays remain, when two
     rays are positively parallel, or when some angular gap reaches a half
     turn (the ray set only spans a half-plane).
     """
     if lattice.rank != 2:
         raise PreconditionError("rank", "surface fans have rank 2")
-    return _cycle_fan(lattice, _ccw_sort(_primitive_rays(lattice, rays)))
+    return _cycle_fan(lattice, _primitive_rays(lattice, rays))
 
 
 def _cycle_dets(cycle: Sequence[Vector]) -> tuple[int, ...]:
@@ -277,16 +280,18 @@ def _cycle_winds_once(cycle: Sequence[Vector]) -> bool:
     return sum(cycle[i][1] < 0 <= cycle[(i + 1) % d][1] for i in range(d)) == 1
 
 
-def _cycle_fan(lattice: Lattice, cycle: list[Vector]) -> Fan:
-    """The complete surface fan of distinct primitive rays given in
-    counterclockwise cyclic order, from any start; stored from the least."""
-    if len(cycle) < 3:
+def _cycle_fan(lattice: Lattice, rays: list[Vector]) -> Fan:
+    """The complete surface fan on distinct primitive rays, stored from the
+    least: their cycle as given if it winds once with each det(v_{i-1}, v_i)
+    > 0, as the program writes and builds rays, else sorted first."""
+    if len(rays) < 3:
         raise PreconditionError("too-few-rays", "a complete surface fan needs at least 3 rays")
-    start = cycle.index(min(cycle))
-    ordered = cycle[start:] + cycle[:start]
-    if any(b <= 0 for b in _cycle_dets(ordered)):
-        raise PreconditionError("incomplete", "angular gap of at least a half turn: rays do not span a complete fan")
-    return Fan(lattice, tuple(ordered), _cycle_cones(len(ordered)))
+    if not (all(b > 0 for b in _cycle_dets(rays)) and _cycle_winds_once(rays)):
+        rays = _ccw_sort(rays)
+        if any(b <= 0 for b in _cycle_dets(rays)):
+            raise PreconditionError("incomplete", "angular gap of at least a half turn: rays do not span a complete fan")
+    start = rays.index(min(rays))
+    return Fan(lattice, tuple(rays[start:] + rays[:start]), _cycle_cones(len(rays)))
 
 
 @functools.cache
@@ -383,11 +388,8 @@ def validate_fan(fan: Fan) -> FanReport:
 
 def _ray_degrees(fan: Fan) -> list[int]:
     """Number of maximal cones on each ray."""
-    degrees = [0] * fan.ray_count
-    for cone in fan.max_cones:
-        for i in cone:
-            degrees[i] += 1
-    return degrees
+    flat = list(itertools.chain.from_iterable(fan.max_cones))
+    return [flat.count(i) for i in range(fan.ray_count)]
 
 
 def _seed_basis(source: Fan, target: Fan) -> tuple[tuple[int, ...], list[tuple[int, ...]]]:
@@ -416,10 +418,9 @@ def _read_off(target: Fan, basis: Sequence[Vector]):
     from the nonzero entries of adj B (W itself when B = I).  It sends B to W
     iff some integral matrix does, which a caller that does not know must check."""
     n, rays = len(basis), target.rays
-    matrix = IntMatrix._of(tuple(zip(*basis)))
-    det, adjugate = matrix.det_adjugate()
-    plain = matrix == IntMatrix.identity(n)
-    terms = [[(k, a) for k, a in enumerate(adjugate.column(j)) if a] for j in range(n)]
+    det, adjugate = IntMatrix._of(tuple(zip(*basis))).det_adjugate()
+    plain = all(b[j] == 1 and b.count(0) == n - 1 for j, b in enumerate(basis))
+    terms = [[(k, a) for k, a in enumerate(column) if a] for column in zip(*adjugate.entries)]
 
     def read_off(images: Sequence[int]) -> IntMatrix:
         w = [rays[j] for j in images]
@@ -430,7 +431,7 @@ def _read_off(target: Fan, basis: Sequence[Vector]):
     return det, adjugate, read_off
 
 
-def _candidate_test(source: Fan, target: Fan, seed: Sequence[int]):
+def _candidate_test(source: Fan, target: Fan, seed: Sequence[int], source_degrees: Sequence[int]):
     """``read_off`` of the seed basis B (``_read_off``), and ``test(images)``:
     the (ray map, matrix) pair sending B to the target rays ``images``, or None.
 
@@ -442,14 +443,13 @@ def _candidate_test(source: Fan, target: Fan, seed: Sequence[int]):
     ray map, a cone not sent onto a cone, and last by its matrix g =
     ``read_off(images)`` unless |det g| = 1 and g B = W (exact if |det B| = 1).
     """
-    source_degrees = _ray_degrees(source)
     target_degrees = source_degrees if target is source else _ray_degrees(target)
     wanted = [source_degrees[i] for i in seed]
     basis = [source.rays[i] for i in seed]
     det, adjugate, read_off = _read_off(target, basis)
     q = abs(det)
     rows = [[det // q * a for a in row] for row in adjugate.entries]
-    coords = ((i, [sum(a * x for a, x in zip(r, v)) for r in rows]) for i, v in enumerate(source.rays) if i not in seed)
+    coords = ((i, [sum(map(operator.mul, r, v)) for r in rows]) for i, v in enumerate(source.rays) if i not in seed)
     others = [(i, [(k, c) for k, c in enumerate(u) if c]) for i, u in coords]
     index = {v: j for j, v in enumerate(target.rays)}
     target_cones = set(target.max_cones)
@@ -499,7 +499,8 @@ def _all_isomorphisms(source: Fan, target: Fan) -> list[tuple[tuple[int, ...], I
     seed, cones = _seed_basis(source, target)
     tuples = (t for cone in cones for t in itertools.permutations(cone, n))
     # The basis spans, so distinct image tuples give distinct matrices.
-    return sorted(filter(None, map(_candidate_test(source, target, seed)[1], tuples)), key=lambda pair: pair[0])
+    test = _candidate_test(source, target, seed, _ray_degrees(source))[1]
+    return sorted(filter(None, map(test, tuples)), key=lambda pair: pair[0])
 
 
 def fan_isomorphism(f1: Fan, f2: Fan) -> IntMatrix | None:

@@ -46,12 +46,11 @@ def _load_json(path: str | Path) -> Any:
 def _int_vector(raw: Any, what: str) -> tuple[int, ...]:
     if not isinstance(raw, list) or not raw:
         raise ParseError(f"{what} must be a non-empty list of integers")
-    out = []
-    for x in raw:
-        if isinstance(x, bool) or not isinstance(x, int):
-            raise ParseError(f"{what} must contain exact integers, got {x!r}")
-        out.append(x)
-    return tuple(out)
+    if set(map(type, raw)) != {int}:  # one scan of the types; the loop names an offender
+        for x in raw:
+            if isinstance(x, bool) or not isinstance(x, int):
+                raise ParseError(f"{what} must contain exact integers, got {x!r}")
+    return tuple(raw)
 
 
 def _int_matrix(raw: Any, what: str) -> IntMatrix:
@@ -60,7 +59,7 @@ def _int_matrix(raw: Any, what: str) -> IntMatrix:
     rows = [_int_vector(row, f"{what} row") for row in raw]
     if any(len(row) != len(rows[0]) for row in rows):
         raise ParseError(f"{what} has rows of different lengths")
-    return IntMatrix.from_rows(rows)
+    return IntMatrix._of(tuple(rows))  # entries checked above
 
 
 def parse_fan_document(doc: Any, origin: str = "fan document") -> Fan:
@@ -75,11 +74,9 @@ def parse_fan_document(doc: Any, origin: str = "fan document") -> Fan:
         raise ParseError(f"{origin}: missing or empty 'rays'")
     rays = [_int_vector(r, "ray") for r in rays_raw]
     cones_raw = doc.get("max_cones")
-    cones = None
-    if cones_raw is not None:
-        if not isinstance(cones_raw, list):
-            raise ParseError(f"{origin}: 'max_cones' must be a list")
-        cones = [_int_vector(c, "cone") for c in cones_raw]
+    if cones_raw is not None and not isinstance(cones_raw, list):
+        raise ParseError(f"{origin}: 'max_cones' must be a list")
+    cones = None if cones_raw is None else [_int_vector(c, "cone") for c in cones_raw]
     return make_fan(lattice, rays, cones)
 
 

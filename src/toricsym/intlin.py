@@ -26,10 +26,7 @@ def _as_int(x: object) -> int:
 
 def gcd_vector(v: Sequence[int]) -> int:
     """gcd of the entries, 0 for the zero vector."""
-    g = 0
-    for x in v:
-        g = math.gcd(g, x)
-    return g
+    return math.gcd(*v)
 
 
 def primitive_vector(v: Sequence[int]) -> Vector:

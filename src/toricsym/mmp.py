@@ -110,30 +110,30 @@ def _label(word: tuple[int, ...]) -> TerminalLabel:
 _Node = tuple[int, tuple[Vector, ...], "TerminalLabel | tuple[tuple[tuple[int, ...], _Node], ...]"]
 
 
-def _explore(cycle: tuple[Vector, ...], word: tuple[int, ...], orbit_of, first_only: bool, graph) -> _Node:
+def _explore(cycle: tuple[Vector, ...], word: tuple[int, ...], left: int, orbit_of, first_only: bool, graph) -> _Node:
     """The node of the fan on ``cycle``, whose word is ``word``, built with
     every node below it that ``graph`` does not hold yet; first-only keeps
-    only the first edge.  ``orbit_of`` numbers the root's orbits by least ray."""
-    node = graph.get(cycle)
-    if node is None:
-        at = [orbit_of[v] for v in cycle]
-        members: dict[int, list[int]] = {}
-        for i, k in enumerate(at):
-            members.setdefault(k, []).append(i)
-        # An orbit is blocked by a ray that is not a (-1)-ray or follows one of its own.
-        blocked = {k for i, k in enumerate(at) if word[i] != 1 or at[i - 1] == k}
-        orbits = [tuple(members[k]) for k in sorted(members.keys() - blocked)]
-        if not orbits:
-            node = (1, cycle, _label(word))
-        else:
-            edges = tuple(
-                (orbit, _explore(*_blow_down(cycle, word, orbit), orbit_of, first_only, graph))
-                for orbit in (orbits[:1] if first_only else orbits)
-            )
-            node = (sum(child[0] for _, child in edges), cycle, edges)
-            if node[0] > MAX_TRACES:  # no fan reached has more paths than the root
-                raise PreconditionError("too-many-branches", f"explore-all has more than {MAX_TRACES} traces")
-        graph[cycle] = node
+    only the first edge.  ``orbit_of`` numbers the root's orbits by least ray;
+    ``graph`` keys a fan by ``left``, the bitmask of those that remain."""
+    at = [orbit_of[v] for v in cycle]
+    members: dict[int, list[int]] = {}
+    for i, k in enumerate(at):
+        members.setdefault(k, []).append(i)
+    # An orbit is blocked by a ray that is not a (-1)-ray or follows one of its own.
+    blocked = {k for i, k in enumerate(at) if word[i] != 1 or at[i - 1] == k}
+    orbits = [(k, tuple(members[k])) for k in sorted(members.keys() - blocked)]
+    if not orbits:
+        node = (1, cycle, _label(word))
+    else:
+        edges = tuple(
+            (orbit, graph.get(key := left & ~(1 << k))
+             or _explore(*_blow_down(cycle, word, orbit), key, orbit_of, first_only, graph))
+            for k, orbit in (orbits[:1] if first_only else orbits)
+        )
+        node = (sum(child[0] for _, child in edges), cycle, edges)
+        if node[0] > MAX_TRACES:  # no fan reached has more paths than the root
+            raise PreconditionError("too-many-branches", f"explore-all has more than {MAX_TRACES} traces")
+    graph[left] = node
     return node
 
 
@@ -156,10 +156,10 @@ def contract(fan: Fan, action: GroupAction, first_only: bool) -> _Node:
     A contraction cuts a whole orbit out of the stored ray cycle, so the
     rays of every fan below the root are a G-invariant subset and its
     orbits are the root's orbits that remain: the orbits are taken once, at
-    the root, and what lies below a fan depends on the fan alone.  So each
-    distinct fan reached is one node, contracted and labelled once per
-    call.  The traces grow exponentially with the ray count, so the paths
-    are counted as the graph is built, and it is refused
+    the root, and a fan below is keyed by the root orbits it keeps.  So each
+    distinct fan reached is one node, blown down to, contracted and labelled
+    once per call.  The traces grow exponentially with the ray count, so the
+    paths are counted as the graph is built, and it is refused
     (``too-many-branches``) exactly when the root has more than
     ``MAX_TRACES``.  No fan has more paths than the root, so the first fan
     past the bound refuses, before the rest is explored.
@@ -173,7 +173,7 @@ def contract(fan: Fan, action: GroupAction, first_only: bool) -> _Node:
         raise PreconditionError("action-fan", "action was built for a different fan")
     orbits = sorted((tuple(fan.rays[i] for i in orbit) for orbit in ray_orbits(action)), key=min)
     orbit_of = {v: k for k, rays in enumerate(orbits) for v in rays}
-    return _explore(fan.rays, _profile(fan), orbit_of, first_only, {})
+    return _explore(fan.rays, _profile(fan), (1 << len(orbits)) - 1, orbit_of, first_only, {})
 
 
 def terminal_counts(root: _Node, memo: dict[int, Counter] | None = None) -> Counter:

@@ -100,8 +100,8 @@ def fan_automorphisms(fan: Fan) -> GroupAction:
     generate the group.
     """
     seed, cones = _seed_basis(fan, fan)
-    read_off, test = _candidate_test(fan, fan, seed)
     n, d, degrees = fan.rank, fan.ray_count, _ray_degrees(fan)
+    read_off, test = _candidate_test(fan, fan, seed, degrees)
     transversals = [[tuple(range(d))] for _ in seed]
     for k, b in enumerate(seed):
         fixed = seed[: k + 1]

@@ -9,15 +9,17 @@ from sympy.matrices.normalforms import invariant_factors
 
 from toricsym import divisors, families
 from toricsym.acceptance import named_family_corpus
+from toricsym.cli import _report_payload
 from toricsym.divisors import (
     class_group,
     derive_block_relation,
     ray_blocks,
+    ray_relations,
     relation_lattice,
 )
 from toricsym.errors import PreconditionError
 from toricsym.fan import Fan, Lattice
-from toricsym.intlin import FGAbelianGroup, IntMatrix, primitive_vector
+from toricsym.intlin import FGAbelianGroup, IntMatrix, kernel_basis, primitive_vector
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 try:
@@ -300,3 +302,41 @@ class TestAgainstSympy:
             with pytest.raises(PreconditionError) as err:
                 class_group(_ray_set_fan(rays))
             assert err.value.reason == "rays-do-not-span"
+
+
+class TestRelationsFromTheClassGroup:
+    """The relation basis is read off the Smith form that gives the class
+    group; it equals the reduced saturated kernel of the transposed ray
+    matrix, for rays that span and for rays that do not."""
+
+    @staticmethod
+    def _corpus():
+        rng = random.Random(28)
+        fans = [fan for _, fan in _dual_vector_corpus()]
+        for n in (2, 3, 4, 5):
+            for _ in range(25):
+                rays = _random_rays(rng, n)
+                fans.append(_ray_set_fan(rays))
+                flat = [v[:-1] + (0,) for v in rays if any(v[:-1])]
+                fans.append(_ray_set_fan(list(dict.fromkeys(primitive_vector(v) for v in flat))))
+        return fans
+
+    def test_equals_the_kernel_of_the_transpose(self):
+        fans, spanning = self._corpus(), 0
+        for fan in fans:
+            expected = kernel_basis(fan.ray_matrix().transpose())
+            assert relation_lattice(fan).basis == expected, fan.rays
+            if fan.ray_matrix().rank() == fan.rank:
+                spanning += 1
+                assert ray_relations(class_group(fan)[1]).basis == expected, fan.rays
+        assert 100 < spanning < len(fans)
+
+    @pytest.mark.parametrize("name", ["bundle-over-p3:2", "weighted-p1111m:3", "projective-space:4"])
+    def test_one_smith_form_per_check_report(self, name, monkeypatch):
+        fan = families.make_family_fan(name)[0]
+        calls = []
+        original = divisors.smith_normal_form
+        monkeypatch.setattr(divisors, "smith_normal_form", lambda a: calls.append(a) or original(a))
+        payload, _ = _report_payload(fan, None, None)
+        assert len(calls) == 1
+        assert payload["relation_basis"] == [list(v) for v in kernel_basis(fan.ray_matrix().transpose())]

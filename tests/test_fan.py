@@ -10,7 +10,7 @@ from sympy import Integer
 
 from toricsym import families
 from toricsym.acceptance import named_family_corpus
-from toricsym.errors import PreconditionError
+from toricsym.errors import ParseError, PreconditionError
 from toricsym.fan import (
     Fan,
     FanReport,
@@ -18,6 +18,7 @@ from toricsym.fan import (
     _cross,
     _cycle_dets,
     _cycle_winds_once,
+    _read_off,
     _seed_basis,
     build_surface_fan,
     cone_invariant_factors,
@@ -53,6 +54,19 @@ class TestLatticeCoordinates:
         lat = Lattice.weight_a2()
         assert lat.coords((1, 1, 1)) == (0, 0)
         assert lat.coords((2, 0, 1)) == lat.coords((1, -1, 0))
+
+
+class TestLatticeLabels:
+    def test_a_label_gives_one_shared_lattice(self):
+        for label in ("standard:3", "rootA2", "weightA2"):
+            assert Lattice.from_label(label) is Lattice.from_label(label)
+            assert Lattice.from_label(label).label() == label
+
+    @pytest.mark.parametrize("label", ["standard:x", "standard:0", "hexagonal"])
+    def test_a_bad_label_is_refused_each_time(self, label):
+        for _ in range(2):
+            with pytest.raises(ParseError):
+                Lattice.from_label(label)
 
 
 class TestBuildSurfaceFan:
@@ -809,3 +823,30 @@ class TestSeedBasis:
                 assert info.value.reason == "rays-do-not-span"
             else:
                 assert _seed_basis(fan, fan) == (scan, [tuple(range(fan.ray_count))])
+
+
+class TestReadOff:
+    """read_off gives back g from the images g B of a basis B, also for bases
+    that are the identity in part: a unit diagonal, or unit vectors in
+    another order."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_images_give_back_the_matrix(self, n):
+        rng = random.Random(28 + n)
+        for _ in range(40):
+            shape = rng.choice(["identity", "unit-diagonal", "permuted", "random"])
+            basis = [tuple(int(i == j) for i in range(n)) for j in range(n)]
+            if shape == "unit-diagonal":
+                basis = [tuple(int(i == j) or (i < j) * rng.randint(-2, 2) for i in range(n)) for j in range(n)]
+            elif shape == "permuted":
+                rng.shuffle(basis)
+            elif shape == "random":
+                h = random_unimodular(rng, n)
+                basis = [h.apply(b) for b in basis]
+            g = random_unimodular(rng, n)
+            target = Fan(Lattice.standard(n), tuple(g.apply(b) for b in basis), ())
+            det, adjugate, read_off = _read_off(target, basis)
+            assert IntMatrix.from_columns(basis) @ adjugate == IntMatrix.from_rows(
+                [[det * (i == j) for j in range(n)] for i in range(n)]
+            )
+            assert read_off(range(n)) == g, (shape, basis)

@@ -6,15 +6,20 @@ import io
 import json
 import random
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from sympy import Integer
 
 from toricsym import cli, families, fanio
-from toricsym.fan import Lattice, build_surface_fan
+from toricsym import fan as fan_module
+from toricsym.fan import Lattice, build_surface_fan, make_fan
 from toricsym.intlin import IntMatrix
+
+from conftest import oracle_make_fan, oracle_parse_fan_document, outcome
 from toricsym.mmp import classify_terminal, contract, traces
 from toricsym.symmetry import action_from_generators, fan_automorphisms
 
@@ -210,3 +215,145 @@ class TestStreamedText:
                     code = cli.main(["mmp", str(fan_path), str(action_path), *flags, "--format", fmt])
                 assert code == 0
                 assert_same_text(out.getvalue(), expected)
+
+
+class _Int(int):
+    """An int subclass: an exact integer that is not of type int."""
+
+
+def _product_document(*dims):
+    """The fan document of a product of projective spaces P^n."""
+    fan = families.projective_space(dims[0])
+    for n in dims[1:]:
+        other = families.projective_space(n)
+        rays = [v + (0,) * n for v in fan.rays] + [(0,) * fan.rank + w for w in other.rays]
+        cones = [c + tuple(fan.ray_count + j for j in d) for c in fan.max_cones for d in other.max_cones]
+        fan = make_fan(Lattice.standard(fan.rank + n), rays, cones)
+    return fanio.fan_document(fan)
+
+
+def _base_documents():
+    """Valid fan documents of ranks 1-5, as the program writes them."""
+    products = [(1,), (1, 1), (2,), (2, 1), (1, 1, 1), (3,), (4,), (2, 2), (4, 1), (5,)]
+    docs = [_product_document(*dims) for dims in products]
+    docs += [fanio.fan_document(families.bundle_over_p3(a)) for a in (1, 2)]
+    docs += [fanio.fan_document(families.weighted_p1111m(m)) for m in (2, 3)]
+    docs += [
+        fanio.fan_document(families.random_blowup_surface_fan(random.Random(seed), max_rays=9)) for seed in range(6)
+    ]
+    docs.append({"lattice": "weightA2", "rays": [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 0], [0, 1, 1], [1, 0, 1]]})
+    return docs
+
+
+BASE_DOCUMENTS = _base_documents()
+NOT_INTS = [float, bool, str, lambda x: None, Fraction, Integer, _Int]
+NOT_INT_IDS = ["float", "bool", "str", "None", "Fraction", "sympy-Integer", "int-subclass"]
+
+
+def _surface_order(kind, d, perm):
+    """A reordering of a rank-2 ray list: cyclic, reversed, shuffled, or every
+    second ray first, which winds twice round the origin when no two
+    neighbours of the new order are half a turn apart."""
+    if kind == "cyclic":
+        return list(range(1, d)) + [0]
+    if kind == "reversed":
+        return list(range(d))[::-1]
+    if kind == "shuffled":
+        return perm
+    return list(range(0, d, 2)) + list(range(1, d, 2))
+
+
+@st.composite
+def documents(draw):
+    """A base document, maybe reordered (rank 2), with at most one fault."""
+    doc = json.loads(json.dumps(draw(st.sampled_from(BASE_DOCUMENTS))))
+    rays, cones, d = doc["rays"], doc.get("max_cones"), len(doc["rays"])
+    if len(rays[0]) == 2 and doc["lattice"] == "standard:2":
+        kind = draw(st.sampled_from(["as-written", "cyclic", "reversed", "shuffled", "twice"]))
+        if kind != "as-written":
+            order = _surface_order(kind, d, draw(st.permutations(range(d))))
+            doc["rays"] = rays = [rays[i] for i in order]
+        if draw(st.booleans()):  # the adjacent pairs of the given order
+            doc["max_cones"] = cones = [[i, (i + 1) % d] for i in range(d)]
+    faults = ["none", "entry", "zero-ray", "parallel-ray"] + ["cone"] * bool(cones)
+    fault = draw(st.sampled_from(faults))
+    if fault == "entry":
+        target = rays if not cones or draw(st.booleans()) else cones
+        row = target[draw(st.sampled_from([0, len(target) - 1]))]
+        k = draw(st.integers(0, len(row) - 1))
+        row[k] = draw(st.sampled_from(NOT_INTS))(row[k])
+    elif fault == "zero-ray":
+        rays[draw(st.integers(0, d - 1))] = [0] * len(rays[0])
+    elif fault == "parallel-ray":
+        rays.append([draw(st.sampled_from([2, 3])) * x for x in rays[draw(st.integers(0, d - 1))]])
+    elif fault == "cone":
+        cone = cones[draw(st.sampled_from([0, len(cones) - 1]))]
+        change = draw(st.sampled_from(["empty", "duplicate", "negative", "out-of-range"]))
+        if change == "empty":
+            cone.clear()
+        elif change == "duplicate":
+            cone.append(cone[0])
+        else:
+            bad = -1 if change == "negative" else draw(st.sampled_from([d, d + 5]))
+            cone[draw(st.integers(0, len(cone) - 1))] = bad
+    return doc
+
+
+# Rays of a smooth 7-ray fan, every second one first: det(v_i, v_{i+1}) > 0
+# all round, and the list winds twice round the origin.
+TWICE_ROUND = {"lattice": "standard:2", "rays": [[1, 0], [0, 1], [-1, 1], [0, -1], [1, 1], [-1, 0], [-1, -1]]}
+
+
+class TestEntryPathAgainstTheOracle:
+    """A document becomes the same fan, or the same refusal, as under the
+    entry-by-entry checks of ``conftest``: type scans fall back to naming
+    the first offending entry, and the batched cone test to the per-cone
+    checks, so the first offending cone names the refusal."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(documents())
+    @example(TWICE_ROUND)
+    def test_documents(self, doc):
+        assert outcome(fanio.parse_fan_document, doc) == outcome(oracle_parse_fan_document, doc)
+
+    @settings(max_examples=400, deadline=None)
+    @given(documents())
+    def test_library_values(self, doc):
+        # make_fan itself sees the entries fanio would refuse.
+        lattice = Lattice.from_label(doc["lattice"])
+        args = (lattice, doc["rays"], doc.get("max_cones"))
+        assert outcome(make_fan, *args) == outcome(oracle_make_fan, *args)
+
+    @pytest.mark.parametrize("bad", NOT_INTS, ids=NOT_INT_IDS)
+    @pytest.mark.parametrize("where", ["first", "later"])
+    def test_every_kind_of_entry_in_rays_and_cones(self, bad, where):
+        for doc in BASE_DOCUMENTS:
+            for key in ("rays", "max_cones"):
+                if key in doc:
+                    faulty = json.loads(json.dumps(doc))
+                    row = faulty[key][0 if where == "first" else -1]
+                    row[-1] = bad(row[-1])
+                    assert outcome(fanio.parse_fan_document, faulty) == outcome(oracle_parse_fan_document, faulty)
+                    args = (Lattice.from_label(doc["lattice"]), faulty["rays"], faulty.get("max_cones"))
+                    assert outcome(make_fan, *args) == outcome(oracle_make_fan, *args)
+
+    def test_a_dependent_cone_is_named_before_a_later_missing_ray(self):
+        doc = _product_document(3)
+        doc["max_cones"] = [[0, 1, 2], [0, 1, 2, 3], [0, 1, 9]]
+        got = outcome(fanio.parse_fan_document, doc)
+        assert got == outcome(oracle_parse_fan_document, doc)
+        assert got[1] == "non-simplicial-cone"
+
+    def test_written_surfaces_are_not_sorted(self, monkeypatch):
+        # Every rank-2 document the program writes lists a cycle that winds
+        # once counterclockwise; one that winds twice is sorted.
+        sorted_lists = []
+        ccw_sort = fan_module._ccw_sort
+        monkeypatch.setattr(fan_module, "_ccw_sort", lambda rays: sorted_lists.append(rays) or ccw_sort(rays))
+        for doc in BASE_DOCUMENTS:
+            if doc["lattice"] == "standard:2":
+                fanio.parse_fan_document(doc)
+        assert sorted_lists == []
+        fan = fanio.parse_fan_document(TWICE_ROUND)
+        assert len(sorted_lists) == 1
+        assert fan == oracle_parse_fan_document(TWICE_ROUND)

@@ -451,6 +451,25 @@ class TestContractionGraph:
         assert str(err.value) == f"explore-all has more than {mmp.MAX_TRACES} traces"
         assert peak < 32 * 2**20
 
+    @pytest.mark.parametrize("fan,action", random_blowup_cases() + automorphism_blowup_cases())
+    def test_each_fan_below_the_root_is_blown_down_once(self, fan, action, monkeypatch):
+        # Nodes are keyed by the root orbits that remain, so an edge to a fan
+        # already built finds it without blowing down again.
+        calls = []
+        blow_down = mmp._blow_down
+        monkeypatch.setattr(mmp, "_blow_down", lambda *args: calls.append(args) or blow_down(*args))
+        root = contract(fan, action, first_only=False)
+        nodes, stack = {id(root): root}, [root]
+        while stack:
+            _, _, below = stack.pop()
+            if not isinstance(below, TerminalLabel):
+                for _, child in below:
+                    if id(child) not in nodes:
+                        nodes[id(child)] = child
+                        stack.append(child)
+        assert len(calls) == len(nodes) - 1
+        assert len({node[1] for node in nodes.values()}) == len(nodes)
+
     def test_traces_through_one_edge_share_its_step_tuple(self, std2):
         fan = build_surface_fan(std2, BLOWUP_11_RAYS)
         steps = [step for trace_steps, _, _ in explore_all(fan, trivial_action(fan)) for step in trace_steps]
