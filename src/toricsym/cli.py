@@ -286,12 +286,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--only", help="run a single criterion by id (e.g. A7)")
     p.set_defaults(func=cmd_verify_paper)
 
+    parser.subcommands = sub.choices  # each subcommand's parser, by name
     return parser
 
 
-def main(argv: list[str] | None = None) -> int:
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)``, parsed once: the top parser would
+    hand all that follows a subcommand's name to that subcommand's parser, so
+    it parses them alone, and the top parser refuses what it leaves over."""
     parser = build_parser()
-    args = parser.parse_args(argv)
+    if not argv or argv[0] not in parser.subcommands:
+        return parser.parse_args(argv)
+    args, extras = parser.subcommands[argv[0]].parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    return args
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = _parse_args(sys.argv[1:] if argv is None else argv)
 
     def report_error(code: int, reason: str, message: str) -> int:
         if getattr(args, "format", "plain") == "machine":

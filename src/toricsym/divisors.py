@@ -77,10 +77,6 @@ class RelationLattice:
     basis: tuple[Vector, ...]
 
 
-def relation_lattice(fan: Fan) -> RelationLattice:
-    return ray_relations(_ray_classes(smith_normal_form(fan.ray_matrix())))
-
-
 def ray_relations(classes: tuple[ClassCoords, ...]) -> RelationLattice:
     """The relation lattice, read off the free parts of the ray classes."""
     return RelationLattice(basis=_reduce_rows(tuple(zip(*(free for free, _ in classes)))))

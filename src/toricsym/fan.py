@@ -120,28 +120,18 @@ class Lattice:
         return (self._perm_matrix((1, 0, 2)), self._perm_matrix((1, 2, 0)))
 
     def _perm_matrix(self, perm: tuple[int, int, int]) -> IntMatrix:
-        cols = []
-        for j in range(2):
-            basis = (1, 0) if j == 0 else (0, 1)
-            amb = self.embed(basis)
-            moved = [0, 0, 0]
-            for i in range(3):
-                moved[perm[i]] = amb[i]
-            cols.append(self.coords(tuple(moved)))
-        return IntMatrix.from_columns(cols)
+        return IntMatrix.from_columns([self._permuted(perm, e) for e in ((1, 0), (0, 1))])
+
+    def _permuted(self, perm: tuple[int, int, int], v: Sequence[int]) -> Vector:
+        """Lattice coordinates of v with ambient coordinate i moved to perm[i]."""
+        amb, moved = self.embed(v), [0, 0, 0]
+        for i, p in enumerate(perm):
+            moved[p] = amb[i]
+        return self.coords(moved)
 
     def s3_orbit(self, v: Sequence[int]) -> tuple[Vector, ...]:
         """Orbit of a lattice-coordinate vector under coordinate permutations."""
-        amb = self.embed(tuple(v))
-        seen = []
-        for perm in _S3_PERMUTATIONS:
-            moved = [0, 0, 0]
-            for i in range(3):
-                moved[perm[i]] = amb[i]
-            w = self.coords(tuple(moved))
-            if w not in seen:
-                seen.append(w)
-        return tuple(sorted(seen))
+        return tuple(sorted({self._permuted(perm, v) for perm in _S3_PERMUTATIONS}))
 
 
 def _cross(v: Vector, w: Vector) -> int:

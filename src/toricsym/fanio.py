@@ -34,12 +34,11 @@ _encode = json.JSONEncoder(sort_keys=True).encode
 
 def _load_json(path: str | Path) -> Any:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as file:
+            return json.loads(file.read())
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # not UTF-8 or JSON, nested too deep, or an int past 4 300 digits
         raise ParseError(f"{path} is not valid JSON: {exc}") from exc
 
 
@@ -110,14 +109,7 @@ def parse_action_document(doc: Any, origin: str = "action document") -> tuple[li
     names_raw = doc.get("names", [])
     if not isinstance(names_raw, list) or any(not isinstance(n, str) for n in names_raw):
         raise ParseError(f"{origin}: 'names' must be a list of strings")
-    datum = None
-    if doc.get("galois") is not None:
-        tau = _int_matrix(doc["galois"], "galois matrix")
-        try:
-            datum = GaloisDatum(tau=tau)
-        except ValueError as exc:
-            raise ParseError(f"{origin}: {exc}") from exc
-    return generators, datum
+    return generators, None if doc.get("galois") is None else _galois_datum(doc["galois"], origin)
 
 
 def load_action(path: str | Path) -> tuple[list[IntMatrix], GaloisDatum | None]:
@@ -126,15 +118,15 @@ def load_action(path: str | Path) -> tuple[list[IntMatrix], GaloisDatum | None]:
 
 def load_galois(path: str | Path) -> GaloisDatum:
     doc = _load_json(path)
-    if isinstance(doc, dict) and "galois" in doc:
-        raw = doc["galois"]
-    else:
-        raw = doc
+    return _galois_datum(doc["galois"] if isinstance(doc, dict) and "galois" in doc else doc, str(path))
+
+
+def _galois_datum(raw: Any, origin: str) -> GaloisDatum:
     tau = _int_matrix(raw, "galois matrix")
     try:
         return GaloisDatum(tau=tau)
     except ValueError as exc:
-        raise ParseError(f"{path}: {exc}") from exc
+        raise ParseError(f"{origin}: {exc}") from exc
 
 
 def traces_text(root: _Node) -> Iterator[str]:

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import compress
+from operator import itemgetter
 from typing import Any, Iterator
 
 from .errors import PreconditionError
@@ -48,20 +50,22 @@ def _profile(fan: Fan) -> tuple[int, ...]:
     return tuple(_cross(rays[i - 1], rays[(i + 1) % d]) for i in range(d))
 
 
-def _blow_down(cycle: tuple[Vector, ...], word: tuple[int, ...], orbit: tuple[int, ...]):
-    """The cycle and word, stored from the least ray, of the fan left by
-    contracting ``orbit``, pairwise non-adjacent (-1)-rays of ``cycle``: as
-    v_i = v_{i-1} + v_{i+1}, a_{i-1} = det(v_{i-2}, v_i) falls by 1 (Oda 1.6),
-    as does a_{i+1}, and a ray between two removed rays loses 2."""
-    d, word = len(cycle), list(word)
+def _blow_down(cycle: tuple[Vector, ...], word: tuple[int, ...], at: tuple[int, ...], orbit: tuple[int, ...]):
+    """The cycle, word and orbit numbers ``at`` of the fan left by contracting
+    ``orbit``, pairwise non-adjacent (-1)-rays of ``cycle``, stored from the
+    least ray: as v_i = v_{i-1} + v_{i+1}, a_{i-1} = det(v_{i-2}, v_i) falls
+    by 1 (Oda 1.6), as does a_{i+1}, and a ray between two removed rays loses 2."""
+    d, word, keep = len(cycle), list(word), [True] * len(cycle)
     for i in orbit:
+        keep[i] = False
         word[i - 1] -= 1
         word[(i + 1) % d] -= 1
-    keep = [i for i in range(d) if i not in orbit]
+    kept = list(compress(range(d), keep))
     if orbit[0] == 0:  # the stored cycle starts at its least ray, which goes
-        start = min(range(len(keep)), key=lambda j: cycle[keep[j]])
-        keep = keep[start:] + keep[:start]
-    return tuple([cycle[i] for i in keep]), tuple([word[i] for i in keep])
+        start = kept.index(min(kept, key=cycle.__getitem__))
+        kept = kept[start:] + kept[:start]
+    get = itemgetter(*kept)  # a smooth complete fan keeps at least 3 rays, so each is a tuple
+    return get(cycle), get(word), get(at)
 
 
 @dataclass(frozen=True)
@@ -110,24 +114,24 @@ def _label(word: tuple[int, ...]) -> TerminalLabel:
 _Node = tuple[int, tuple[Vector, ...], "TerminalLabel | tuple[tuple[tuple[int, ...], _Node], ...]"]
 
 
-def _explore(cycle: tuple[Vector, ...], word: tuple[int, ...], left: int, orbit_of, first_only: bool, graph) -> _Node:
-    """The node of the fan on ``cycle``, whose word is ``word``, built with
-    every node below it that ``graph`` does not hold yet; first-only keeps
-    only the first edge.  ``orbit_of`` numbers the root's orbits by least ray;
-    ``graph`` keys a fan by ``left``, the bitmask of those that remain."""
-    at = [orbit_of[v] for v in cycle]
+def _explore(cycle: tuple[Vector, ...], word: tuple[int, ...], at: tuple[int, ...], left, first_only, graph) -> _Node:
+    """The node of the fan on ``cycle``, whose word is ``word`` and whose rays'
+    root orbits, numbered by least ray, are ``at``, built with every node below
+    it that ``graph`` does not hold yet; first-only keeps only the first edge.
+    ``graph`` keys a fan by ``left``, the bitmask of the orbits that remain."""
     members: dict[int, list[int]] = {}
-    for i, k in enumerate(at):
-        members.setdefault(k, []).append(i)
-    # An orbit is blocked by a ray that is not a (-1)-ray or follows one of its own.
-    blocked = {k for i, k in enumerate(at) if word[i] != 1 or at[i - 1] == k}
-    orbits = [(k, tuple(members[k])) for k in sorted(members.keys() - blocked)]
+    for i in compress(range(len(word)), map((1).__eq__, word)):  # the (-1)-rays
+        members.setdefault(at[i], []).append(i)
+    # A group element carries a ray and its neighbours to a ray and its
+    # neighbours, so a_i is constant on an orbit: an orbit with a (-1)-ray
+    # has only (-1)-rays, and it qualifies if none follows one of its own.
+    orbits = [(k, tuple(m)) for k, m in sorted(members.items()) if all(at[i - 1] != k for i in m)]
     if not orbits:
         node = (1, cycle, _label(word))
     else:
         edges = tuple(
             (orbit, graph.get(key := left & ~(1 << k))
-             or _explore(*_blow_down(cycle, word, orbit), key, orbit_of, first_only, graph))
+             or _explore(*_blow_down(cycle, word, at, orbit), key, first_only, graph))
             for k, orbit in (orbits[:1] if first_only else orbits)
         )
         node = (sum(child[0] for _, child in edges), cycle, edges)
@@ -171,9 +175,10 @@ def contract(fan: Fan, action: GroupAction, first_only: bool) -> _Node:
     _require_smooth_complete_surface(fan, "the equivariant contraction loop")
     if action.fan != fan:
         raise PreconditionError("action-fan", "action was built for a different fan")
-    orbits = sorted((tuple(fan.rays[i] for i in orbit) for orbit in ray_orbits(action)), key=min)
-    orbit_of = {v: k for k, rays in enumerate(orbits) for v in rays}
-    return _explore(fan.rays, _profile(fan), (1 << len(orbits)) - 1, orbit_of, first_only, {})
+    orbits = sorted(ray_orbits(action), key=lambda orbit: min(map(fan.rays.__getitem__, orbit)))
+    orbit_of = {i: k for k, orbit in enumerate(orbits) for i in orbit}
+    at = tuple(map(orbit_of.get, range(fan.ray_count)))
+    return _explore(fan.rays, _profile(fan), at, (1 << len(orbits)) - 1, first_only, {})
 
 
 def terminal_counts(root: _Node, memo: dict[int, Counter] | None = None) -> Counter:

@@ -20,7 +20,7 @@ from itertools import permutations
 from typing import Sequence
 
 from .errors import PreconditionError
-from .fan import Fan, _candidate_test, _ray_degrees, _read_off, _seed_basis
+from .fan import Fan, _candidate_test, _cycle_cones, _ray_degrees, _read_off, _seed_basis
 from .intlin import IntMatrix, kernel_basis
 
 Perm = tuple[int, ...]
@@ -76,14 +76,26 @@ class GroupAction:
 def _perm_of(fan: Fan, g: IntMatrix) -> Perm:
     """The ray permutation of an invertible matrix, or ``not-fan-preserving``;
     row i of g combines the rays' coordinate columns into coordinate i of their images."""
-    columns = tuple(zip(*fan.rays))
-    images = zip(*(map(sum, zip(*([a * x for x in c] for a, c in zip(row, columns) if a))) for row in g.entries))
-    index = {v: i for i, v in enumerate(fan.rays)}
-    mapping = tuple(map(index.get, images))
-    cones = set(map(frozenset, fan.max_cones))
-    if None in mapping or len(set(mapping)) != len(mapping) or not cones.issuperset(
-        frozenset(map(mapping.__getitem__, cone)) for cone in fan.max_cones
-    ):
+    index, d = {v: i for i, v in enumerate(fan.rays)}, fan.ray_count
+    if fan.rank == 2 and fan.max_cones == _cycle_cones(d):
+        # A rank-2 fan stores its full cycle: its cones are the adjacent
+        # pairs, _cycle_cones(d).  A ray map sends those onto cones iff it
+        # rotates or reflects the cycle, as a linear bijection of a complete
+        # surface fan's rays does (Oda 1.6): from the image of ray 0, the
+        # images read the cycle forwards or backwards.
+        (a, b), (c, e) = g.entries
+        mapping = tuple([index.get((a * x + b * y, c * x + e * y)) for x, y in fan.rays])
+        r, m = range(d), mapping[0]  # an image that is no ray, m = None too, matches neither
+        preserved = mapping in ((*r[m:], *r[:m]), (*r[m::-1], *r[:m:-1]))
+    else:
+        columns = tuple(zip(*fan.rays))
+        images = zip(*(map(sum, zip(*([a * x for x in c] for a, c in zip(row, columns) if a))) for row in g.entries))
+        mapping = tuple(map(index.get, images))
+        cones = set(map(frozenset, fan.max_cones))
+        preserved = None not in mapping and len(set(mapping)) == d and cones.issuperset(
+            frozenset(map(mapping.__getitem__, cone)) for cone in fan.max_cones
+        )
+    if not preserved:
         raise PreconditionError("not-fan-preserving", "matrix does not preserve the fan")
     return mapping
 

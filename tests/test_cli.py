@@ -457,6 +457,133 @@ class TestClosedStdout:
         assert err.startswith("error: io:")
 
 
+# Documents that json cannot read: bytes that are not UTF-8, arrays nested
+# past the interpreter's recursion limit, and an integer of 5 000 digits,
+# past the 4 300 that int() converts from text.
+UNREADABLE_DOCUMENTS = {
+    "not-utf8": b'{"lattice": "standard:2", "rays": [[1, 0], [0, 1], [-1, -1]], "names": ["\xff"]}',
+    "too-deep": b"[" * 100_000 + b"]" * 100_000,
+    "long-integer": b'{"lattice": "standard:2", "rays": [[1' + b"0" * 4_999 + b', 1], [0, 1], [-1, -1]]}',
+}
+
+
+@pytest.fixture
+def unreadable_calls(tmp_path, dp6_n2_files):
+    """Each unreadable document's path, with each call that reads it: as a
+    fan, an action, a Galois document and a field configuration."""
+    fan_path, act_path = dp6_n2_files
+    calls = []
+    for name, data in UNREADABLE_DOCUMENTS.items():
+        bad = tmp_path / f"{name}.json"
+        bad.write_bytes(data)
+        bad = str(bad)
+        calls += [
+            (bad, ["check", bad]),
+            (bad, ["mmp", bad, act_path]),
+            (bad, ["mmp", fan_path, bad]),
+            (bad, ["mmp", fan_path, act_path, "--galois", bad]),
+            (bad, ["fields", "--config", bad]),
+        ]
+    return calls
+
+
+class TestUnreadableDocuments:
+    """A document that cannot be decoded is a parse error, exit 2, wherever
+    it is read, and no traceback escapes."""
+
+    def test_in_process(self, unreadable_calls, capsys):
+        for bad, argv in unreadable_calls:
+            code, error = machine_error(capsys, *argv)
+            assert (code, error["reason"]) == (2, "parse"), argv
+            assert error["message"].startswith(f"{bad} is not valid JSON: "), argv
+            assert capsys.readouterr().err == ""
+
+    def test_in_a_fresh_process(self, unreadable_calls):
+        for bad, argv in unreadable_calls:
+            code, out, err = fresh_process(argv)
+            assert (code, out) == (2, ""), (argv, err)
+            assert err.startswith(f"error: parse: {bad} is not valid JSON: ") and err.count("\n") == 1, (argv, err)
+
+
+# Argument lists for the one-pass dispatch: each subcommand, help, usage
+# errors (missing, unknown and extra arguments, bad choices and types),
+# option abbreviations and forms, "--" and names that only look like options.
+DISPATCH_ARGV = [
+    [],
+    ["-h"],
+    ["--help"],
+    ["mmp", "-h"],
+    ["check", "--help"],
+    ["mmp"],
+    ["mmp", "fan.json"],
+    ["mmp", "fan.json", "act.json"],
+    ["mmp", "fan.json", "act.json", "--explore-all", "--format", "machine"],
+    ["mmp", "fan.json", "act.json", "--galois", "g.json", "--format=plain"],
+    ["mmp", "--explore", "fan.json", "act.json"],
+    ["mmp", "fan.json", "act.json", "--bogus"],
+    ["mmp", "fan.json", "act.json", "extra", "-x", "--y=1"],
+    ["mmp", "--", "fan.json", "act.json"],
+    ["mmp", "fan.json", "act.json", "--galois"],
+    ["bogus"],
+    ["mm", "fan.json", "act.json"],
+    ["--format", "machine", "check", "fan.json"],
+    ["--bogus"],
+    ["check"],
+    ["check", "fan.json"],
+    ["check", "fan.json", "act.json", "--format", "xml"],
+    ["check", "-1"],
+    ["check", "a b"],
+    ["orbits", "fan.json"],
+    ["enumerate"],
+    ["enumerate", "--lattice", "rootA2", "--height", "3", "--smooth", "--negation"],
+    ["enumerate", "--lattice", "rootA2", "--height", "x"],
+    ["enumerate", "--lattice", "A2"],
+    ["families"],
+    ["families", "weighted-p1111m:2", "--out", "x.json"],
+    ["fields", "--config", "c.json"],
+    ["fields", "--bogus", "1", "-x"],
+    ["verify-paper", "--only", "A7"],
+    ["verify-paper", "A7"],
+]
+
+
+def parse_outcome(parse, argv):
+    """What one parse gives: the namespace or the exit code, then what it
+    wrote to standard output and standard error."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = ("namespace", parse(list(argv)))
+        except SystemExit as exc:
+            result = ("exit", exc.code)
+    return result, out.getvalue(), err.getvalue()
+
+
+class TestOnePassDispatch:
+    """A call that names a subcommand is parsed by that subcommand's parser
+    alone; the namespace, exit code and both streams equal the full parse."""
+
+    @pytest.mark.parametrize("argv", DISPATCH_ARGV, ids=[" ".join(a) or "none" for a in DISPATCH_ARGV])
+    def test_equals_the_full_parse(self, argv):
+        assert parse_outcome(cli._parse_args, argv) == parse_outcome(cli.build_parser().parse_args, argv)
+
+    def test_extra_arguments_are_refused_by_the_top_parser(self):
+        (result, out, err) = parse_outcome(cli._parse_args, ["mmp", "fan.json", "act.json", "--bogus"])
+        assert (result, out) == (("exit", 2), "")
+        assert err.startswith("usage: toricsym [-h]")
+        assert err.endswith("toricsym: error: unrecognized arguments: --bogus\n")
+
+    def test_a_subcommand_is_parsed_once(self, monkeypatch):
+        calls = []
+        parse = cli.argparse.ArgumentParser.parse_known_args
+        monkeypatch.setattr(
+            cli.argparse.ArgumentParser, "parse_known_args", lambda *a, **k: calls.append(a[0].prog) or parse(*a, **k)
+        )
+        args = cli._parse_args(["mmp", "fan.json", "act.json", "--explore-all"])
+        assert (args.command, args.func, args.explore_all) == ("mmp", cli.cmd_mmp, True)
+        assert calls == ["toricsym mmp"]
+
+
 class TestEnumerateCommand:
     def test_census_machine_output(self, capsys):
         assert run_cli(

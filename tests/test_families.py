@@ -5,7 +5,7 @@ import time
 import pytest
 
 from toricsym import families
-from toricsym.divisors import class_group, ray_blocks, relation_lattice
+from toricsym.divisors import class_group, ray_blocks, ray_relations
 from toricsym.errors import PreconditionError
 from toricsym.fan import Lattice, build_surface_fan, fan_isomorphism, validate_fan
 from toricsym.intlin import IntMatrix, primitive_vector, smith_normal_form
@@ -26,7 +26,7 @@ class TestNamedFamilies:
 
     def test_weighted_space_relation(self):
         fan = families.weighted_p1111m(2)
-        assert relation_lattice(fan).basis == ((1, 1, 1, 1, 2),)
+        assert ray_relations(class_group(fan)[1]).basis == ((1, 1, 1, 1, 2),)
         assert ray_blocks(class_group(fan)[1]).sizes == (4, 1)
 
     def test_weighted_space_smooth_only_at_one(self):

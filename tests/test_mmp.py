@@ -715,7 +715,8 @@ class TestNoSmithForms:
 
 class TestBlowDown:
     """Contracting an orbit on the cycle word gives the cycle and word of
-    the fan built afresh from the kept rays."""
+    the fan built afresh from the kept rays, and carries each kept ray's
+    number (here its index in the root) along with it."""
 
     @settings(max_examples=150, deadline=None)
     @given(st.integers(0, 10**6), st.booleans(), st.integers(0, 100))
@@ -733,9 +734,10 @@ class TestBlowDown:
             reject()
         orbit = orbits[k % len(orbits)]
         kept = contract_by_rebuilding(fan, orbit)
-        assert mmp._blow_down(fan.rays, self_intersection_profile(fan), orbit) == (
+        assert mmp._blow_down(fan.rays, self_intersection_profile(fan), tuple(range(fan.ray_count)), orbit) == (
             kept.rays,
             self_intersection_profile(kept),
+            tuple(map(fan.rays.index, kept.rays)),
         )
 
 

@@ -1,10 +1,11 @@
 import collections
+import functools
 import itertools
 import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from toricsym import families, symmetry
@@ -27,7 +28,7 @@ from toricsym.symmetry import (
     ray_orbits,
 )
 
-from conftest import transform_fan
+from conftest import random_unimodular, transform_fan
 
 NEG_I = -IntMatrix.identity(2)
 SWAP = IntMatrix.from_rows([(0, 1), (1, 0)])
@@ -40,7 +41,12 @@ def trivial_action(fan):
 def closure_by_matrices(fan, generators):
     """The generated group closed as matrices, each element's ray
     permutation then read off its matrix: the ray permutations and the
-    matrices, ordered by permutation."""
+    matrices, ordered by permutation.  An automorphism of a fan whose rays
+    span is fixed by where it sends one n-ray cone's rays, in order, so a
+    group of them has at most |max cones| * n! elements; the closure stops
+    with an assertion past that, as generators that preserve no fan may
+    generate an infinite group."""
+    bound = len(fan.max_cones) * math.factorial(fan.rank)
     ident = IntMatrix.identity(fan.rank)
     seen = {ident.entries: ident}
     queue = [ident]
@@ -51,6 +57,7 @@ def closure_by_matrices(fan, generators):
             if nxt.entries not in seen:
                 seen[nxt.entries] = nxt
                 queue.append(nxt)
+                assert len(seen) <= bound, f"the generators close to more than {bound} matrices"
     pairs = sorted(((_perm_of(fan, g), g) for g in seen.values()), key=lambda p: p[0])
     return tuple(p for p, _ in pairs), tuple(g for _, g in pairs)
 
@@ -495,6 +502,85 @@ class TestActionFromGenerators:
     def test_non_unimodular_generator_is_rejected(self, p2_fan):
         with pytest.raises(PreconditionError):
             action_from_generators(p2_fan, [IntMatrix.from_rows([(2, 0), (0, 1)])])
+
+
+def perm_by_cone_sets(fan, g):
+    """The ray permutation of g, or None where g does not preserve the fan:
+    the images must be rays, all distinct, and each cone's image, as a set
+    of ray indices, a cone."""
+    index = {v: i for i, v in enumerate(fan.rays)}
+    mapping = tuple(index.get(g.apply(v)) for v in fan.rays)
+    if None in mapping or len(set(mapping)) != len(mapping):
+        return None
+    cones = set(map(frozenset, fan.max_cones))
+    if any(frozenset(mapping[i] for i in cone) not in cones for cone in fan.max_cones):
+        return None
+    return mapping
+
+
+def perm_or_none(fan, g):
+    try:
+        return _perm_of(fan, g)
+    except PreconditionError as err:
+        assert err.reason == "not-fan-preserving"
+        return None
+
+
+@functools.cache
+def _symmetric_surface_fans():
+    """Census fans up to height 3: many automorphisms, some of determinant -1."""
+    return [param.values[0] for param in _census_s3_cases(3)]
+
+
+class TestRank2RayPermutations:
+    """A rank-2 fan's ray permutation is read off its cycle, as a rotation
+    or a reflection; the cone-set test decides the same, for automorphisms
+    of either determinant, the identity and matrices that preserve nothing."""
+
+    KINDS = ("automorphism", "reversing", "identity", "negated", "sheared", "random", "singular")
+
+    @staticmethod
+    def _matrix(fan, kind, k, rng):
+        auts = fan_automorphisms(fan).elements
+        aut = auts[k % len(auts)]
+        if kind == "reversing":
+            reversing = [g for g in auts if g.det() == -1]
+            return reversing[k % len(reversing)] if reversing else SWAP @ aut
+        return {
+            "automorphism": aut,
+            "identity": IntMatrix.identity(2),
+            "negated": NEG_I @ aut,
+            "sheared": aut @ IntMatrix.from_rows([(1, k % 3 + 1), (0, 1)]),
+            "random": random_unimodular(rng, 2),
+            "singular": IntMatrix.from_rows([(1, 0), (k % 3, 0)]),
+        }[kind]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 10**6), st.sampled_from(KINDS), st.integers(0, 10**3))
+    @example(0, "reversing", 0)
+    @example(1, "identity", 0)
+    @example(2, "sheared", 0)
+    def test_agrees_with_the_cone_sets(self, seed, kind, k):
+        rng = random.Random(seed)
+        if seed % 2:
+            fan = families.random_blowup_surface_fan(rng, max_rays=10)
+        else:
+            fans = _symmetric_surface_fans()
+            fan = fans[seed // 2 % len(fans)]
+        assert fan.max_cones == fan_module._cycle_cones(fan.ray_count)
+        g = self._matrix(fan, kind, k, rng)
+        assert perm_or_none(fan, g) == perm_by_cone_sets(fan, g)
+
+    def test_every_automorphism_of_the_census(self):
+        # Each census fan carries the coordinate swap, of determinant -1.
+        reversing = 0
+        for fan in _symmetric_surface_fans():
+            for g in fan_automorphisms(fan).elements:
+                assert perm_or_none(fan, g) == perm_by_cone_sets(fan, g) is not None
+                reversing += g.det() == -1
+                for h in (g @ IntMatrix.from_rows([(1, 1), (0, 1)]), -g):
+                    assert perm_or_none(fan, h) == perm_by_cone_sets(fan, h)
+        assert reversing >= len(_symmetric_surface_fans())
 
 
 def _census_s3_cases(max_height=5):
