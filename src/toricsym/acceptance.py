@@ -10,14 +10,13 @@ from __future__ import annotations
 import functools
 import random
 import time
-from dataclasses import dataclass, field
-from typing import Callable
 
 from . import families, qfield
 from .divisors import class_group, derive_block_relation, ray_blocks
 from .fan import Fan, Lattice, _cycle_cones, cone_invariant_factors
 from .intlin import IntMatrix, smith_normal_form
 from .mmp import DP6_TERMINAL, P2, check_adjacent_minus_one_rule, contract, terminal_counts, traces
+from .record import Record
 from .symmetry import (
     centralizer_in_GL,
     fan_automorphisms,
@@ -315,11 +314,8 @@ def criterion_a12() -> list[str]:
     return failures
 
 
-@dataclass(frozen=True)
-class Criterion:
-    id: str
-    title: str
-    run: Callable[[], list[str]]
+class Criterion(Record):
+    __slots__ = ("id", "title", "run")
 
 
 CRITERIA: tuple[Criterion, ...] = (
@@ -338,13 +334,9 @@ CRITERIA: tuple[Criterion, ...] = (
 )
 
 
-@dataclass(frozen=True)
-class CriterionResult:
-    id: str
-    title: str
-    passed: bool
-    failures: tuple[str, ...] = field(default_factory=tuple)
-    seconds: float = 0.0
+class CriterionResult(Record):
+    __slots__ = ("id", "title", "passed", "failures", "seconds")
+    _defaults = {"failures": (), "seconds": 0.0}
 
 
 def run_criteria(only: str | None = None) -> list[CriterionResult]:

@@ -2,7 +2,8 @@
 
 Subcommands: check, orbits, mmp, enumerate, families, fields, verify-paper.
 Exit codes: 0 success, 1 verification failure, 2 parse error, 3 mathematical
-precondition failure.
+precondition failure.  Each subcommand imports the layers it runs when it
+runs, so a process loads only those of its own subcommand.
 """
 
 from __future__ import annotations
@@ -15,11 +16,9 @@ import os
 import sys
 from typing import Any, Iterable
 
-from . import families, fanio
-from .divisors import class_group, ray_blocks, ray_relations
+from . import fanio
 from .errors import ParseError, PreconditionError
 from .fan import Fan, Lattice, validate_fan
-from .mmp import contract
 from .symmetry import (
     GaloisDatum,
     GroupAction,
@@ -51,6 +50,8 @@ def _load_action_for(fan: Fan, path: str) -> tuple[GroupAction, GaloisDatum | No
 
 
 def _report_payload(fan: Fan, action: GroupAction | None, datum: GaloisDatum | None) -> tuple[dict, list[str]]:
+    from .divisors import class_group, ray_blocks, ray_relations
+
     report = validate_fan(fan)
     group, classes = class_group(fan)
     partition = ray_blocks(classes)
@@ -126,6 +127,8 @@ def cmd_orbits(args: argparse.Namespace) -> int:
 
 
 def cmd_mmp(args: argparse.Namespace) -> int:
+    from .mmp import contract
+
     fan = fanio.load_fan(args.fan)
     generators, datum = fanio.load_action(args.action)
     if args.galois:
@@ -152,6 +155,8 @@ def cmd_mmp(args: argparse.Namespace) -> int:
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
+    from . import families
+
     lattice = Lattice.from_label(args.lattice)
     fans = families.enumerate_invariant_fans(
         lattice,
@@ -172,6 +177,8 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def cmd_families(args: argparse.Namespace) -> int:
+    from . import families
+
     if args.name is None:
         grammar = {name: text for name, (text, _, _) in families.FAMILIES.items()}
         payload = {"families": grammar}
@@ -332,6 +339,11 @@ def main(argv: list[str] | None = None) -> int:
         return report_error(EXIT_PRECONDITION, exc.reason, str(exc))
     except OSError as exc:
         return report_error(EXIT_PARSE, "io", str(exc))
+    except ValueError as exc:  # int-to-str refuses an integer past the process's digit limit
+        if "integer string conversion" not in str(exc):
+            raise
+        message = f"the result holds an integer of over {sys.get_int_max_str_digits()} digits"
+        return report_error(EXIT_PRECONDITION, "integer-too-long", message)
 
 
 if __name__ == "__main__":

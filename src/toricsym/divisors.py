@@ -11,11 +11,10 @@ U^-1 (r = rank R, where U^-1 R = S V vanishes; a basis, as U^-1 is unimodular).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import PreconditionError
 from .fan import Fan
 from .intlin import FGAbelianGroup, IntMatrix, SNFResult, Vector, _reduce_rows, kernel_basis, smith_normal_form
+from .record import Record
 
 ClassCoords = tuple[Vector, Vector]  # (free coordinates, torsion residues)
 
@@ -49,15 +48,14 @@ def class_group(fan: Fan) -> tuple[FGAbelianGroup, tuple[ClassCoords, ...]]:
     """
     snf = _pairing(fan)
     torsion = tuple(s for s in snf.invariant_factors if s > 1)
-    return FGAbelianGroup(free_rank=fan.ray_count - fan.rank, torsion=torsion), _ray_classes(snf)
+    return FGAbelianGroup(fan.ray_count - fan.rank, torsion), _ray_classes(snf)
 
 
-@dataclass(frozen=True)
-class RayBlockPartition:
-    """Partition of the rays by equality of divisor classes."""
+class RayBlockPartition(Record):
+    """Partition of the rays by equality of divisor classes: the ``blocks``
+    of ray indices, and ``sizes``, the multiset of block sizes, descending."""
 
-    blocks: tuple[tuple[int, ...], ...]
-    sizes: tuple[int, ...]  # multiset of block sizes, descending
+    __slots__ = ("blocks", "sizes")
 
 
 def ray_blocks(classes: tuple[ClassCoords, ...]) -> RayBlockPartition:
@@ -67,23 +65,21 @@ def ray_blocks(classes: tuple[ClassCoords, ...]) -> RayBlockPartition:
         order.setdefault(cls, []).append(i)
     blocks = tuple(tuple(v) for v in sorted(order.values(), key=lambda b: b[0]))
     sizes = tuple(sorted((len(b) for b in blocks), reverse=True))
-    return RayBlockPartition(blocks=blocks, sizes=sizes)
+    return RayBlockPartition(blocks, sizes)
 
 
-@dataclass(frozen=True)
-class RelationLattice:
-    """Saturated lattice of integer relations sum_i c_i v_i = 0."""
+class RelationLattice(Record):
+    """Saturated lattice of integer relations sum_i c_i v_i = 0, by a ``basis``."""
 
-    basis: tuple[Vector, ...]
+    __slots__ = ("basis",)
 
 
 def ray_relations(classes: tuple[ClassCoords, ...]) -> RelationLattice:
     """The relation lattice, read off the free parts of the ray classes."""
-    return RelationLattice(basis=_reduce_rows(tuple(zip(*(free for free, _ in classes)))))
+    return RelationLattice(_reduce_rows(tuple(zip(*(free for free, _ in classes)))))
 
 
-@dataclass(frozen=True)
-class BlockRelation:
+class BlockRelation(Record):
     """Result of the forced-relation derivation for one grading block.
 
     ``dual_vectors[j]`` pairs to 1 with the j-th non-anchor block ray, to
@@ -91,10 +87,7 @@ class BlockRelation:
     equal coefficients across the block.
     """
 
-    block: tuple[int, ...]
-    anchor: int
-    dual_vectors: tuple[Vector, ...]
-    relation: Vector
+    __slots__ = ("block", "anchor", "dual_vectors", "relation")
 
 
 def derive_block_relation(fan: Fan, block: tuple[int, ...]) -> BlockRelation:

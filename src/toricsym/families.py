@@ -11,13 +11,13 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import PreconditionError
 from .fan import Fan, Lattice, _ccw_sort, _cycle_dets, _cycle_fan, build_surface_fan, make_fan
 from .fan import surface_key
 from .intlin import IntMatrix, Vector, primitive_vector
+from .record import Record
 from .symmetry import GaloisDatum, GroupAction, action_from_generators
 
 # Work bound of the census: the orbit unions one enumeration may examine.
@@ -315,13 +315,11 @@ def enumerate_invariant_fans(
     return tuple(sorted(kept.values(), key=lambda f: (f.ray_count, f.rays)))
 
 
-@dataclass(frozen=True)
-class MaxDegreeEntry:
+class MaxDegreeEntry(Record):
     """Largest symmetric degree for a dimension, with the realizing varieties."""
 
-    degree: int
-    varieties: tuple[str, ...]
-    infinite_family: bool = False
+    __slots__ = ("degree", "varieties", "infinite_family")
+    _defaults = {"infinite_family": False}
 
 
 def s6_on_weighted_p1111m(m: int) -> bool:
@@ -371,16 +369,17 @@ def max_symmetric_degree(dim: int, field: str) -> MaxDegreeEntry:
     raise PreconditionError("field", f"unknown field selector {field!r}; use 'C' or 'star'")
 
 
-@dataclass(frozen=True)
-class DiagonalObstructionReport:
+class DiagonalObstructionReport(Record):
     """Outcome of the pyramid-subdivision swap check for one twist value."""
 
-    a: int
-    swap_sends_first_to_second: bool
-    swap_sends_second_to_first: bool
-    swap_fixes_first: bool
-    swap_fixes_second: bool
-    swap_preserves_full_fan: bool
+    __slots__ = (
+        "a",
+        "swap_sends_first_to_second",
+        "swap_sends_second_to_first",
+        "swap_fixes_first",
+        "swap_fixes_second",
+        "swap_preserves_full_fan",
+    )
 
     @property
     def obstructed(self) -> bool:

@@ -17,17 +17,16 @@ import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import ParseError, PreconditionError
 from .intlin import IntMatrix, Vector, _as_int, _det, smith_normal_form
+from .record import Record
 
 _S3_PERMUTATIONS = ((0, 1, 2), (1, 0, 2), (0, 2, 1), (2, 1, 0), (1, 2, 0), (2, 0, 1))
 
 
-@dataclass(frozen=True)
-class Lattice:
+class Lattice(Record):
     """A lattice together with its ambient presentation.
 
     kind "standard": Z^rank, ambient coordinates are lattice coordinates.
@@ -35,8 +34,7 @@ class Lattice:
     kind "weightA2": Z^3 / Z(1,1,1) with basis the classes of e1, e2.
     """
 
-    kind: str
-    rank: int
+    __slots__ = ("kind", "rank")
 
     def __post_init__(self):
         if self.kind == "standard":
@@ -154,18 +152,21 @@ def _ccw_sort(rays: Sequence[Vector]) -> list[Vector]:
     return sorted(rays, key=functools.cmp_to_key(cmp))
 
 
-@dataclass(frozen=True)
-class Fan(object):
-    """A fan: primitive rays plus maximal cones as ray-index sets.
+class Fan(Record):
+    """A fan on a ``Lattice``: primitive ``rays`` (tuples) plus ``max_cones``
+    as tuples of ray indices.
 
     Rank-2 fans are canonicalized (rays counterclockwise from the
     lexicographically least vector, cones = adjacent pairs); higher-rank
     fans keep the given ray order and sort the cone list.
     """
 
-    lattice: Lattice
-    rays: tuple[Vector, ...]
-    max_cones: tuple[tuple[int, ...], ...]
+    __slots__ = ("lattice", "rays", "max_cones")
+
+    def __init__(self, lattice: Lattice, rays: tuple[Vector, ...], max_cones: tuple[tuple[int, ...], ...]):
+        object.__setattr__(self, "lattice", lattice)
+        object.__setattr__(self, "rays", rays)
+        object.__setattr__(self, "max_cones", max_cones)
 
     @property
     def rank(self) -> int:
@@ -290,13 +291,10 @@ def _cycle_cones(d: int) -> tuple[tuple[int, int], ...]:
     return tuple(sorted(tuple(sorted((i, (i + 1) % d))) for i in range(d)))
 
 
-@dataclass(frozen=True)
-class FanReport:
+class FanReport(Record):
     """Structural flags of a fan (smooth implies simplicial)."""
 
-    simplicial: bool
-    complete: bool
-    smooth: bool
+    __slots__ = ("simplicial", "complete", "smooth")
 
 
 def cone_invariant_factors(fan: Fan, cone: Sequence[int]) -> Vector:
@@ -373,7 +371,7 @@ def validate_fan(fan: Fan) -> FanReport:
         simplicial = len(det_adj) == len(fan.max_cones) and all(det for det, _ in det_adj)
         complete = simplicial and _complete_rank_ge3(fan, det_adj)
         smooth = simplicial and all(abs(det) == 1 for det, _ in det_adj)
-    return FanReport(simplicial=simplicial, complete=complete, smooth=smooth)
+    return FanReport(simplicial, complete, smooth)
 
 
 def _ray_degrees(fan: Fan) -> list[int]:

@@ -14,20 +14,22 @@ Trace text:      {"label": "..",
 Trace texts, machine (``traces_text``) or plain (``trace_lines``), are
 streamed from the contraction graph, one per path as the walk reaches it,
 so writing them takes the graph, one path and the output buffer, not every
-trace at once.
+trace at once.  They import ``mmp`` when called, so reading documents does not.
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Any, Iterator, Sequence
+from typing import TYPE_CHECKING, Any, Iterator, Sequence
 
 from .errors import ParseError
 from .fan import Fan, Lattice, make_fan
 from .intlin import IntMatrix, Vector
-from .mmp import _Node, _paths
 from .symmetry import GaloisDatum
+
+if TYPE_CHECKING:
+    from .mmp import _Node
 
 _encode = json.JSONEncoder(sort_keys=True).encode
 
@@ -139,6 +141,8 @@ def traces_text(root: _Node) -> Iterator[str]:
     written once, and a trace is its terminal's label head, its path's
     steps and its terminal's rays, joined with json's default separators,
     so the text equals ``json.dumps(document, sort_keys=True)``."""
+    from .mmp import _paths
+
     ray_text = {v: str(list(v)) for v in root[1]}
 
     def terminal(cycle, label) -> tuple[str, str]:
@@ -164,6 +168,8 @@ def trace_lines(root: _Node) -> Iterator[str]:
     trace, depth first.  Each root ray, each distinct fan's ray list and each
     edge's step is formatted once; only ``step k:`` is written per path, as
     a step's depth may differ between paths."""
+    from .mmp import _paths
+
     ray_text = {v: repr(v) for v in root[1]}
 
     def terminal(cycle, label) -> str:

@@ -10,10 +10,10 @@ derived.  Ranks come from elimination, and so do det and adj, except that
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import PreconditionError
+from .record import Record
 
 Vector = tuple[int, ...]
 
@@ -37,15 +37,14 @@ def primitive_vector(v: Sequence[int]) -> Vector:
     return tuple(x // g for x in v)
 
 
-@dataclass(frozen=True)
-class IntMatrix:
-    """Immutable exact integer matrix.
+class IntMatrix(Record):
+    """Immutable exact integer matrix, ``entries`` a tuple of row tuples.
 
     ``IntMatrix(...)``, ``from_rows`` and ``from_columns`` check entries (an
     int, not a bool; rectangular); results computed from them are not re-checked.
     """
 
-    entries: tuple[tuple[int, ...], ...]
+    __slots__ = ("entries",)
 
     def __post_init__(self):
         rows = tuple(tuple(_as_int(x) for x in row) for row in self.entries)
@@ -228,16 +227,13 @@ def _gauss_jordan(a: Sequence[Sequence[int]]) -> tuple[int, tuple[Vector, ...]]:
     return sign * prev, tuple(map(tuple, adj))
 
 
-@dataclass(frozen=True)
-class SNFResult:
+class SNFResult(Record):
     """Smith decomposition ``u_inv @ A @ v_inv = s`` with unimodular
     ``u_inv`` and ``v_inv``, tracked during the elimination so that
     kernels and cokernels come for free.
     """
 
-    s: IntMatrix
-    u_inv: IntMatrix
-    v_inv: IntMatrix
+    __slots__ = ("s", "u_inv", "v_inv")
 
     @property
     def diagonal(self) -> Vector:
@@ -344,9 +340,9 @@ def smith_normal_form(a: IntMatrix) -> SNFResult:
             negate_row(t)
 
     return SNFResult(
-        s=IntMatrix._of(tuple(map(tuple, s))),
-        u_inv=IntMatrix._of(tuple(map(tuple, uinv))),
-        v_inv=IntMatrix._of(tuple(map(tuple, vinv))),
+        IntMatrix._of(tuple(map(tuple, s))),
+        IntMatrix._of(tuple(map(tuple, uinv))),
+        IntMatrix._of(tuple(map(tuple, vinv))),
     )
 
 
@@ -396,15 +392,14 @@ def _reduce_rows(vectors: Sequence[Vector]) -> tuple[Vector, ...]:
     return tuple(tuple(row) for row in rows[:r])
 
 
-@dataclass(frozen=True)
-class FGAbelianGroup:
+class FGAbelianGroup(Record):
     """Finitely generated abelian group in canonical form.
 
     ``torsion`` lists the invariant factors > 1, each dividing the next.
     """
 
-    free_rank: int
-    torsion: tuple[int, ...] = ()
+    __slots__ = ("free_rank", "torsion")
+    _defaults = {"torsion": ()}
 
     def __post_init__(self):
         if self.free_rank < 0:

@@ -10,7 +10,6 @@ model; ``traces`` and ``terminal_counts`` read it.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from itertools import compress
 from operator import itemgetter
 from typing import Any, Iterator
@@ -18,6 +17,7 @@ from typing import Any, Iterator
 from .errors import PreconditionError
 from .fan import Fan, _cross, _cycle_dets, _cycle_winds_once
 from .intlin import Vector
+from .record import Record
 from .symmetry import GroupAction, ray_orbits
 
 MAX_TRACES = 100_000  # explore-all refuses a root with more contraction paths than this
@@ -68,12 +68,14 @@ def _blow_down(cycle: tuple[Vector, ...], word: tuple[int, ...], at: tuple[int, 
     return get(cycle), get(word), get(at)
 
 
-@dataclass(frozen=True)
-class TerminalLabel:
+class TerminalLabel(Record):
     """Terminal classification: P2, P1xP1, DP6Terminal, Hirzebruch(a), Other."""
 
-    kind: str
-    parameter: int | None = None
+    __slots__ = ("kind", "parameter")
+
+    def __init__(self, kind: str, parameter: int | None = None):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "parameter", parameter)
 
     def __str__(self) -> str:
         return f"{self.kind}({self.parameter})" if self.parameter is not None else self.kind
@@ -236,14 +238,10 @@ def traces(root: _Node) -> Iterator[tuple[tuple, tuple[Vector, ...], TerminalLab
         yield steps, cycle, label
 
 
-@dataclass(frozen=True)
-class NeighborOppositionFact:
+class NeighborOppositionFact(Record):
     """Adjacent (-1)-rays i, i+1 whose outer neighbors sum to zero."""
 
-    left: int
-    right: int
-    outer_left: Vector
-    outer_right: Vector
+    __slots__ = ("left", "right", "outer_left", "outer_right")
 
 
 def check_adjacent_minus_one_rule(fan: Fan) -> tuple[NeighborOppositionFact, ...]:

@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ParseError, PreconditionError
+from .record import Record
 
 RationalLike = int | Fraction
 
@@ -50,8 +50,7 @@ def _require_field_d(d: int) -> None:
         raise ValueError(f"d must be squarefree and != 0, 1, got {d}")
 
 
-@dataclass(frozen=True, eq=False)
-class QuadElement:
+class QuadElement(Record):
     """a + b*sqrt(d) with exact rational a, b.
 
     ``d`` is a squarefree integer != 0, 1, or None for a plain rational
@@ -60,9 +59,7 @@ class QuadElement:
     checked elements.
     """
 
-    d: int | None
-    a: Fraction
-    b: Fraction
+    __slots__ = ("d", "a", "b")
 
     def __post_init__(self):
         object.__setattr__(self, "a", Fraction(self.a))
@@ -151,21 +148,17 @@ class QuadElement:
         return f"{self.a} {sign} {tail}"
 
 
-@dataclass(frozen=True)
-class FieldDescriptor:
+class FieldDescriptor(Record):
     """Declared arithmetic profile of a characteristic-zero field.
 
     ``star_clause2`` declares that -1 is NOT a sum of two squares in the
     field; ``star_clause3`` declares the sqrt(5) clause.  When clause 2
-    fails, ``witness`` holds a pair (a, b) with a^2 + b^2 = -1.
+    fails, ``witness`` holds a pair (a, b) with a^2 + b^2 = -1.  ``kind`` is
+    "rationals", "reals" or "quadratic", the last with a radicand ``d``.
     """
 
-    name: str
-    kind: str  # "rationals" | "reals" | "quadratic"
-    d: int | None = None
-    star_clause2: bool = True
-    star_clause3: bool = True
-    witness: tuple[QuadElement, QuadElement] | None = None
+    __slots__ = ("name", "kind", "d", "star_clause2", "star_clause3", "witness")
+    _defaults = {"d": None, "star_clause2": True, "star_clause3": True, "witness": None}
 
     def __post_init__(self):
         if self.kind not in ("rationals", "reals", "quadratic"):

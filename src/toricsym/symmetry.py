@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import permutations
 from typing import Sequence
@@ -22,12 +21,12 @@ from typing import Sequence
 from .errors import PreconditionError
 from .fan import Fan, _candidate_test, _cycle_cones, _ray_degrees, _read_off, _seed_basis
 from .intlin import IntMatrix, kernel_basis
+from .record import Record
 
 Perm = tuple[int, ...]
 
 
-@dataclass(frozen=True, eq=False)
-class GroupAction:
+class GroupAction(Record):
     """A finite group of unimodular matrices preserving a fan, held as the
     ray permutations ``generators`` of a generating set.  The element
     permuting the rays by p is ``fan._read_off`` of the rays p[b], b in the
@@ -39,10 +38,14 @@ class GroupAction:
     ``elements`` (their matrices, in that order).  Equality is identity.
     """
 
-    fan: Fan
-    seed: tuple[int, ...]
-    generators: tuple[Perm, ...]
-    transversals: Sequence[Sequence[Perm]] | None = None
+    __slots__ = ("fan", "seed", "generators", "transversals", "__dict__")
+    __eq__, __hash__ = object.__eq__, object.__hash__
+
+    def __init__(self, fan: Fan, seed: tuple[int, ...], generators: tuple[Perm, ...], transversals=None):
+        object.__setattr__(self, "fan", fan)
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "generators", generators)
+        object.__setattr__(self, "transversals", transversals)
 
     @cached_property
     def order(self) -> int:
@@ -223,11 +226,10 @@ class GaloisForm(enum.Enum):
     OTHER = "other"
 
 
-@dataclass(frozen=True)
-class GaloisDatum:
-    """Order <= 2 lattice involution encoding a quadratic descent datum."""
+class GaloisDatum(Record):
+    """Order <= 2 lattice involution ``tau`` encoding a quadratic descent datum."""
 
-    tau: IntMatrix
+    __slots__ = ("tau",)
 
     def __post_init__(self):
         n = self.tau.rows

@@ -164,6 +164,36 @@ class TestCheckCommand:
         assert run_cli("check", str(path)) == 2
 
 
+@pytest.fixture
+def huge_torsion_file(tmp_path):
+    """A fan of 3 001-digit ray entries whose class group has a torsion
+    factor M^2 + 1 of 6 001 digits, past Python's 4 300-digit limit on
+    writing an integer as text."""
+    m = 10**3000 + 7
+    path = tmp_path / "huge.fan"
+    write_json(path, {"lattice": "standard:2", "rays": [[m, 1], [-1, m], [1 - m, -1 - m]]})
+    return str(path)
+
+
+class TestIntegerTooLong:
+    """A result holding an integer too long to write as text exits 3 with
+    ``integer-too-long``, and the process keeps its digit limit."""
+
+    def test_in_process(self, huge_torsion_file, capsys):
+        limit = sys.get_int_max_str_digits()
+        code, error = machine_error(capsys, "check", huge_torsion_file)
+        assert (code, error["reason"]) == (3, "integer-too-long")
+        assert error["message"] == f"the result holds an integer of over {limit} digits"
+        assert run_cli("check", huge_torsion_file) == 3
+        assert capsys.readouterr().out == "" and sys.get_int_max_str_digits() == limit
+
+    @pytest.mark.parametrize("fmt", ["plain", "machine"])
+    def test_in_a_fresh_process(self, huge_torsion_file, fmt):
+        code, out, err = fresh_process(["check", huge_torsion_file, "--format", fmt])
+        assert code == 3 and err.startswith("error: integer-too-long: ") and err.count("\n") == 1, err
+        assert out == "" if fmt == "plain" else json.loads(out)["error"]["reason"] == "integer-too-long"
+
+
 class TestOrbitsCommand:
     def test_orbits_output(self, dp6_n2_files, capsys):
         fan_path, act_path = dp6_n2_files
@@ -376,6 +406,47 @@ def fresh_process(argv, timeout=60):
         [sys.executable, "-m", "toricsym.cli", *argv], capture_output=True, text=True, env=env, timeout=timeout
     )
     return done.returncode, done.stdout, done.stderr
+
+
+def modules_loaded(code):
+    """The modules a new interpreter holds after running ``code``."""
+    src = str(Path(toricsym.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run(
+        [sys.executable, "-c", code + "\nprint(*sys.modules)"], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    return set(done.stdout.split())
+
+
+class TestStartUpImports:
+    """A process imports the layers of the subcommand it runs and no others,
+    and records are built without ``dataclasses``."""
+
+    def test_importing_the_command_line(self):
+        loaded = modules_loaded("import sys, toricsym.cli")
+        assert "toricsym.cli" in loaded
+        layers = ("families", "mmp", "divisors", "acceptance", "qfield")
+        assert not loaded & {"dataclasses", "inspect", *(f"toricsym.{layer}" for layer in layers)}
+
+    @pytest.mark.parametrize(
+        "command, wanted, unwanted",
+        [
+            ("check", "divisors", ("families", "mmp")),
+            ("mmp", "mmp", ("families", "divisors")),
+            ("enumerate", "families", ("mmp", "divisors")),
+        ],
+    )
+    def test_a_subcommand(self, command, wanted, unwanted, dp6_n2_files):
+        argv = {
+            "check": ["check", *dp6_n2_files],
+            "mmp": ["mmp", *dp6_n2_files, "--explore-all"],
+            "enumerate": ["enumerate", "--lattice", "rootA2", "--height", "2"],
+        }[command]
+        run = f"with contextlib.redirect_stdout(io.StringIO()):\n    assert toricsym.cli.main({argv!r}) == 0"
+        loaded = modules_loaded("import contextlib, io, sys, toricsym.cli\n" + run)
+        assert f"toricsym.{wanted}" in loaded and not loaded & {f"toricsym.{m}" for m in unwanted}
+
 
 
 class TestInProcessReuse:
