@@ -14,7 +14,7 @@ import functools
 import json
 import os
 import sys
-from typing import Any, Iterable
+from typing import Any, Callable, Iterable
 
 from . import fanio
 from .errors import ParseError, PreconditionError
@@ -34,12 +34,13 @@ EXIT_PARSE = 2
 EXIT_PRECONDITION = 3
 
 
-def _emit(payload: dict[str, Any], lines: Iterable[str], fmt: str) -> None:
-    """Print the payload as sorted-key JSON, or the plain lines."""
+def _emit(payload: dict[str, Any], lines: Callable[[], Iterable[str]], fmt: str) -> None:
+    """Print the payload as sorted-key JSON, or the plain lines, which are
+    built only then."""
     if fmt == "machine":
         print(json.dumps(payload, sort_keys=True))
     else:
-        for line in lines:
+        for line in lines():
             print(line)
 
 
@@ -49,7 +50,7 @@ def _load_action_for(fan: Fan, path: str) -> tuple[GroupAction, GaloisDatum | No
     return action, datum
 
 
-def _report_payload(fan: Fan, action: GroupAction | None, datum: GaloisDatum | None) -> tuple[dict, list[str]]:
+def _report_payload(fan: Fan, action: GroupAction | None, datum: GaloisDatum | None) -> tuple[dict, Callable]:
     from .divisors import class_group, ray_blocks, ray_relations
 
     report = validate_fan(fan)
@@ -68,17 +69,6 @@ def _report_payload(fan: Fan, action: GroupAction | None, datum: GaloisDatum | N
         "blocks": [list(b) for b in partition.blocks],
         "relation_basis": [list(v) for v in relations.basis],
     }
-    lines = [
-        f"lattice        {fan.lattice.label()}",
-        f"rays           {list(fan.rays)}",
-        f"simplicial     {report.simplicial}",
-        f"complete       {report.complete}",
-        f"smooth         {report.smooth}",
-        f"class group    {group}",
-        f"block sizes    {partition.sizes}",
-        f"blocks         {list(partition.blocks)}",
-        f"relation basis {list(relations.basis)}",
-    ]
     if action is not None:
         orbits = ray_orbits(action)
         payload.update(
@@ -88,15 +78,28 @@ def _report_payload(fan: Fan, action: GroupAction | None, datum: GaloisDatum | N
                 "invariant_picard_number": invariant_picard_number(action),
             }
         )
-        lines += [
-            f"group order    {action.order}",
-            f"ray orbits     {list(orbits)}",
-            f"invariant rho  {payload['invariant_picard_number']}",
-        ]
         if datum is not None:
-            form = classify_galois_form(action, datum)
-            payload["galois_form"] = form.value
-            lines.append(f"galois form    {form.value}")
+            payload["galois_form"] = classify_galois_form(action, datum).value
+
+    def lines() -> list[str]:
+        rows = [
+            ("lattice", fan.lattice.label()),
+            ("rays", list(fan.rays)),
+            ("simplicial", report.simplicial),
+            ("complete", report.complete),
+            ("smooth", report.smooth),
+            ("class group", group),
+            ("block sizes", partition.sizes),
+            ("blocks", list(partition.blocks)),
+            ("relation basis", list(relations.basis)),
+        ]
+        if action is not None:
+            rows += [("group order", action.order), ("ray orbits", list(orbits))]
+            rows.append(("invariant rho", payload["invariant_picard_number"]))
+        if "galois_form" in payload:
+            rows.append(("galois form", payload["galois_form"]))
+        return [f"{label:<15}{value}" for label, value in rows]
+
     return payload, lines
 
 
@@ -119,10 +122,8 @@ def cmd_orbits(args: argparse.Namespace) -> int:
         "ray_orbits": [list(o) for o in orbits],
         "orbit_rays": [[list(fan.rays[i]) for i in o] for o in orbits],
     }
-    lines = [f"group order {action.order}"]
-    for o in orbits:
-        lines.append(f"orbit {list(o)}: {[list(fan.rays[i]) for i in o]}")
-    _emit(payload, lines, args.format)
+    rows = zip(payload["ray_orbits"], payload["orbit_rays"])
+    _emit(payload, lambda: [f"group order {action.order}", *(f"orbit {o}: {rays}" for o, rays in rows)], args.format)
     return EXIT_OK
 
 
@@ -169,10 +170,8 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
         "count": len(fans),
         "fans": [fanio.fan_document(f) for f in fans],
     }
-    lines = [f"{len(fans)} invariant fans"]
-    for f in fans:
-        lines.append(f"{f.ray_count} rays: {list(f.rays)}")
-    _emit(payload, lines, args.format)
+    rows = (f"{f.ray_count} rays: {list(f.rays)}" for f in fans)
+    _emit(payload, lambda: [f"{len(fans)} invariant fans", *rows], args.format)
     return EXIT_OK
 
 
@@ -182,13 +181,12 @@ def cmd_families(args: argparse.Namespace) -> int:
     if args.name is None:
         grammar = {name: text for name, (text, _, _) in families.FAMILIES.items()}
         payload = {"families": grammar}
-        lines = [f"{name}: {text}" for name, text in grammar.items()]
-        _emit(payload, lines, args.format)
+        _emit(payload, lambda: [f"{name}: {text}" for name, text in grammar.items()], args.format)
         return EXIT_OK
     fan, datum = families.make_family_fan(args.name)
     if args.out:
         fanio.save_fan(fan, args.out, datum)
-        _emit({"written": args.out}, [f"wrote {args.out}"], args.format)
+        _emit({"written": args.out}, lambda: [f"wrote {args.out}"], args.format)
     else:
         print(json.dumps(fanio.fan_document(fan, datum), indent=2))
     return EXIT_OK
@@ -205,16 +203,17 @@ def cmd_fields(args: argparse.Namespace) -> int:
     else:
         table = qfield.standard_field_table()
     payload = {}
-    lines = []
     for name, desc in table.items():
         entry: dict[str, Any] = {"satisfies_star": qfield.satisfies_star(desc)}
         if desc.witness is not None:
             entry["witness_verifies"] = qfield.verify_negative_one_witness(desc)
         payload[name] = entry
-        detail = f"star={entry['satisfies_star']}"
-        if "witness_verifies" in entry:
-            detail += f" witness={entry['witness_verifies']}"
-        lines.append(f"{name}: {detail}")
+
+    def lines():
+        for name, entry in payload.items():
+            witness = f" witness={entry['witness_verifies']}" if "witness_verifies" in entry else ""
+            yield f"{name}: star={entry['satisfies_star']}{witness}"
+
     _emit(payload, lines, args.format)
     return EXIT_OK
 
@@ -232,14 +231,15 @@ def cmd_verify_paper(args: argparse.Namespace) -> int:
             for r in results
         ]
     }
-    lines = []
-    for r in results:
-        lines.append(f"{'PASS' if r.passed else 'FAIL'} {r.id}: {r.title}")
-        for failure in r.failures:
-            lines.append(f"     - {failure}")
     ok = all(r.passed for r in results)
     payload["all_passed"] = ok
-    lines.append("all criteria passed" if ok else "verification FAILED")
+
+    def lines():
+        for r in results:
+            yield f"{'PASS' if r.passed else 'FAIL'} {r.id}: {r.title}"
+            yield from (f"     - {failure}" for failure in r.failures)
+        yield "all criteria passed" if ok else "verification FAILED"
+
     _emit(payload, lines, args.format)
     return EXIT_OK if ok else EXIT_VERIFY_FAILED
 

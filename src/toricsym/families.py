@@ -11,11 +11,11 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from typing import Sequence
+from typing import Collection, Sequence
 
 from .errors import PreconditionError
-from .fan import Fan, Lattice, _ccw_sort, _cycle_dets, _cycle_fan, build_surface_fan, make_fan
-from .fan import surface_key
+from .fan import _S3_PERMUTATIONS, Fan, Lattice, _ccw_sort, _cycle_dets, _cycle_fan, _cycle_key, _cycle_profile
+from .fan import build_surface_fan, make_fan
 from .intlin import IntMatrix, Vector, primitive_vector
 from .record import Record
 from .symmetry import GaloisDatum, GroupAction, action_from_generators
@@ -189,15 +189,17 @@ def _seed_orbits(lattice: Lattice, height: int, include_negation: bool) -> list[
     """The sorted orbits of the primitive lattice points with an ambient
     representative in [-height, height]^3: the invariant hexagon |a|, |b|,
     |b - a| <= R, R = height for (a, b - a, -b) in the root lattice and 2
-    height for (a, b, 0) + Z(1, 1, 1) in the weight lattice."""
+    height for (a, b, 0) + Z(1, 1, 1) in the weight lattice.  Each orbit is
+    a point's images under the 6 (with -1, 12) action matrices' columns."""
     r = height if lattice.kind == "rootA2" else 2 * height
+    columns = [(lattice._permuted(perm, (1, 0)), lattice._permuted(perm, (0, 1))) for perm in _S3_PERMUTATIONS]
+    if include_negation:
+        columns += [((-x0, -y0), (-x1, -y1)) for (x0, y0), (x1, y1) in columns]
     orbits, seen = [], set()
     for a in range(-r, r + 1):
         for b in range(max(-r, a - r), min(r, a + r) + 1):
             if (a, b) not in seen and math.gcd(a, b) == 1:
-                orbit = set(lattice.s3_orbit((a, b)))
-                if include_negation:
-                    orbit |= {(-x, -y) for x, y in orbit}
+                orbit = {(a * x0 + b * x1, a * y0 + b * y1) for (x0, y0), (x1, y1) in columns}
                 seen |= orbit
                 orbits.append(tuple(sorted(orbit)))
     return sorted(orbits)
@@ -206,8 +208,9 @@ def _seed_orbits(lattice: Lattice, height: int, include_negation: bool) -> list[
 def _orbit_unions(orbit_list: Sequence[tuple[Vector, ...]], max_rays: int):
     """The unions of orbits with at most ``max_rays`` rays as ccw cycles, in
     the order of one ``_ccw_sort`` of all their rays, each grown once from a
-    smaller union; more than ``MAX_UNIONS`` are refused before the first."""
-    orbits = sorted(orbit_list, key=len)
+    smaller union; more than ``MAX_UNIONS`` are refused before the first.
+    An orbit of more than ``max_rays`` rays, in no union, is not even sorted."""
+    orbits = sorted((orbit for orbit in orbit_list if len(orbit) <= max_rays), key=len)
     ways = [1] + [0] * max_rays  # ways[n]: the sets of orbits with n rays
     for orbit in orbits:
         for n in range(max_rays, len(orbit) - 1, -1):
@@ -230,43 +233,51 @@ def _orbit_unions(orbit_list: Sequence[tuple[Vector, ...]], max_rays: int):
             yield [cycle[i] for i in sorted(bigger)]
 
 
-def _blow_up(fan: Fan, new_rays: Sequence[Vector]) -> Fan:
-    """The surface fan with each cone (v_i, v_{i+1}) whose ray sum is in
-    ``new_rays`` subdivided by that sum, spliced into the stored cycle."""
-    d = fan.ray_count
-    cycle = []
-    for i, v in enumerate(fan.rays):
-        w = tuple(a + b for a, b in zip(v, fan.rays[(i + 1) % d]))
-        cycle += [v, w] if w in new_rays else [v]
-    return _cycle_fan(fan.lattice, cycle)
+def _splice(cycle: list[Vector], a: Sequence[int], new_rays: Collection[Vector]) -> tuple[list[Vector], list[int]]:
+    """Blow up each cone (v_j, v_{j+1}) of a smooth ccw ray cycle, with word
+    a_i = det(v_{i-1}, v_{i+1}), whose ray sum w is in ``new_rays``: w goes
+    in between with a = 1, and a_j and a_{j+1} rise by 1 (v_{j-1} + w = (a_j + 1) v_j)."""
+    sums = [(v[0] + w[0], v[1] + w[1]) for v, w in zip(cycle, cycle[1:] + cycle[:1])]
+    hit = [w in new_rays for w in sums]
+    spliced, word = [], []
+    for j, v in enumerate(cycle):
+        spliced.append(v)
+        word.append(a[j] + hit[j - 1] + hit[j])
+        if hit[j]:
+            spliced.append(sums[j])
+            word.append(1)
+    return spliced, word
 
 
-def _smooth_blowups(lattice: Lattice, orbit_list: Sequence[tuple[Vector, ...]], max_rays: int):
-    """Every smooth fan on a union of the orbits with at most ``max_rays``
-    rays, reached from the smooth 3- to 6-ray fans by orbit blow-ups.  Only
-    those seeds are tested, by det(v_i, v_{i+1}) = 1 on their ray cycle: a
-    blow-up cuts smooth cones (v_i, v_{i+1}) into cones of determinant 1, so
-    it certifies the fans it reaches."""
-    orbit_of = {v: orbit for orbit in orbit_list for v in orbit}
-    seen: set[frozenset[Vector]] = set()
+def _smooth_cycles(orbit_list: Sequence[tuple[Vector, ...]], max_rays: int):
+    """Every smooth ccw ray cycle on a union of the orbits with at most
+    ``max_rays`` rays, as (cycle, b, a), reached from the smooth 3- to 6-ray
+    cycles by orbit blow-ups.  Only those seeds are tested, by every b_i = 1:
+    a blow-up cuts smooth cones into cones of determinant 1.  The cones i <
+    d/3 meet every orbit of cones (``_cycle_key``).  A cone's ray sum lies
+    inside it, so its orbit is not in the cycle's union of orbits, and is new."""
+    # A union of orbits is kept as the bit mask of their positions in the list.
+    number = {v: n for n, orbit in enumerate(orbit_list) if len(orbit) <= max_rays for v in orbit}
+    seen: set[int] = set()
     stack = []
     for cycle in _orbit_unions(orbit_list, min(6, max_rays)):
-        seen.add(frozenset(cycle))
+        mask = sum(1 << n for n in {number[v] for v in cycle})
+        seen.add(mask)
         if all(b == 1 for b in _cycle_dets(cycle)):
-            stack.append(_cycle_fan(lattice, cycle))
+            stack.append((cycle, _cycle_profile(cycle), mask))
     while stack:
-        fan = stack.pop()
-        yield fan
-        d = fan.ray_count
-        for i in range(d):
-            w = tuple(a + b for a, b in zip(fan.rays[i], fan.rays[(i + 1) % d]))
-            orbit = orbit_of.get(w)
-            if orbit is None or d + len(orbit) > max_rays or not set(orbit).isdisjoint(fan.rays):
+        cycle, a, mask = stack.pop()
+        d = len(cycle)
+        yield cycle, [1] * d, a
+        for i in range(d // 3):
+            v, w = cycle[i], cycle[i + 1]
+            n = number.get((v[0] + w[0], v[1] + w[1]))
+            if n is None or d + len(orbit_list[n]) > max_rays:
                 continue
-            rays = frozenset(fan.rays + orbit)
-            if rays not in seen:
-                seen.add(rays)
-                stack.append(_blow_up(fan, orbit))
+            bigger = mask | 1 << n
+            if bigger not in seen:
+                seen.add(bigger)
+                stack.append((*_splice(cycle, a, orbit_list[n]), bigger))
 
 
 def enumerate_invariant_fans(
@@ -288,31 +299,34 @@ def enumerate_invariant_fans(
     it, the candidates are the smooth fans on at most two allowed orbits
     with at most six rays, and everything reached from them by equivariant
     blow-ups: for a cone (v_i, v_{i+1}) the orbit of v_i + v_{i+1}, when it
-    is allowed, new and keeps within ``max_rays``.
+    is allowed and keeps within ``max_rays``.
     That reaches every smooth invariant fan within the bounds.  Such a fan
     contracts equivariantly, one orbit of rays at a time, to a fan with 3
     or 6 rays (criterion A7 checks this on the census); every fan on the
     way is a smooth union of fewer allowed orbits, and read backwards each
     contraction is one of the blow-ups taken.
 
-    Candidates come as ray cycles and are grouped by ``surface_key``, their
-    cycle word; each class is represented by its least ``(ray_count,
-    rays)`` fan, and the representatives are returned in that order.
+    Candidates stay ccw ray cycles with their words b_i, a_i, grouped by
+    ``surface_key``'s ``_cycle_key`` over one period, d/3, of the word.  Only
+    each class's least ``(ray_count, rays)`` cycle becomes a fan, through
+    the validating ``_cycle_fan``; they are returned in that order.
     """
     if lattice.kind == "standard" or height < 1 or max_rays < 3:
         raise PreconditionError("parameter", "need an A2 lattice, height >= 1 and max_rays >= 3")
     orbit_list = _seed_orbits(lattice, height, include_negation)
     if require_smooth:
-        candidates = _smooth_blowups(lattice, orbit_list, max_rays)
+        words = _smooth_cycles(orbit_list, max_rays)
     else:
-        candidates = (_cycle_fan(lattice, cycle) for cycle in _orbit_unions(orbit_list, max_rays))
-    kept: dict[tuple, Fan] = {}
-    for fan in candidates:
-        key = surface_key(fan)
+        words = ((cycle, _cycle_dets(cycle), _cycle_profile(cycle)) for cycle in _orbit_unions(orbit_list, max_rays))
+    kept: dict[tuple, tuple[Vector, ...]] = {}
+    for cycle, b, a in words:
+        key = _cycle_key(cycle, b, a, len(cycle) // 3)
+        start = cycle.index(min(cycle))
+        rays = tuple(cycle[start:] + cycle[:start])
         # Isomorphic fans have equally many rays, so the least rays decide.
-        if key not in kept or fan.rays < kept[key].rays:
-            kept[key] = fan
-    return tuple(sorted(kept.values(), key=lambda f: (f.ray_count, f.rays)))
+        if key not in kept or rays < kept[key]:
+            kept[key] = rays
+    return tuple(_cycle_fan(lattice, list(rays)) for rays in sorted(kept.values(), key=lambda r: (len(r), r)))
 
 
 class MaxDegreeEntry(Record):
@@ -436,13 +450,13 @@ def check_diagonal_obstruction(a: int = 0) -> DiagonalObstructionReport:
 
 def random_blowup_surface_fan(rng: random.Random, max_rays: int = 10) -> Fan:
     """Random smooth complete surface fan by blowing up a minimal model."""
-    if rng.random() < 0.5:
-        fan = projective_space(2)
-    else:
-        fan = hirzebruch(rng.randint(0, 3))
-    target = rng.randint(fan.ray_count, max_rays)
-    while fan.ray_count < target:
-        d = fan.ray_count
-        i = rng.randrange(d)
-        fan = _blow_up(fan, [tuple(a + b for a, b in zip(fan.rays[i], fan.rays[(i + 1) % d]))])
-    return fan
+    fan = projective_space(2) if rng.random() < 0.5 else hirzebruch(rng.randint(0, 3))
+    cycle, a = list(fan.rays), _cycle_profile(fan.rays)
+    target = rng.randint(len(cycle), max_rays)
+    while len(cycle) < target:
+        d = len(cycle)
+        # The draw counts from the least ray, where the stored order starts.
+        i = (cycle.index(min(cycle)) + rng.randrange(d)) % d
+        v, w = cycle[i], cycle[(i + 1) % d]
+        cycle, a = _splice(cycle, a, [(v[0] + w[0], v[1] + w[1])])
+    return _cycle_fan(fan.lattice, cycle)

@@ -137,19 +137,20 @@ def _cross(v: Vector, w: Vector) -> int:
 
 
 def _ccw_sort(rays: Sequence[Vector]) -> list[Vector]:
-    """Counterclockwise order starting from the direction (1, 0)."""
+    """Counterclockwise order of distinct primitive rays from the direction
+    (1, 0), by an exact integer key: the half-plane, the ray on the x-axis
+    first, then floor(-x M / y) with M = 1 + max|coordinate|^2.  -x/y grows
+    with the angle in each half-plane, and for two directions differs by
+    |det(v, w)| / |y_v y_w| >= 1 / (M - 1), so times M their floors differ."""
+    m = 1 + max(map(abs, itertools.chain.from_iterable(rays)), default=0) ** 2
 
-    def half(v: Vector) -> int:
-        return 0 if (v[1] > 0 or (v[1] == 0 and v[0] > 0)) else 1
+    def key(v: Vector) -> tuple[bool, bool, int]:
+        x, y = v
+        if y:
+            return y < 0, True, -x * m // y
+        return x < 0, False, 0
 
-    def cmp(v: Vector, w: Vector) -> int:
-        hv, hw = half(v), half(w)
-        if hv != hw:
-            return hv - hw
-        c = _cross(v, w)
-        return -1 if c > 0 else 1
-
-    return sorted(rays, key=functools.cmp_to_key(cmp))
+    return sorted(rays, key=key)
 
 
 class Fan(Record):
@@ -521,17 +522,39 @@ def surface_key(fan: Fan) -> tuple[tuple[tuple[int, int], ...], int]:
     if fan.rank != 2:
         raise PreconditionError("rank", "the surface key needs a rank-2 fan")
     rays = fan.rays if _cross(fan.rays[0], fan.rays[1]) > 0 else fan.rays[::-1]
-    d = len(rays)
+    return _cycle_key(rays, _cycle_dets(rays), _cycle_profile(rays), len(rays))
+
+
+def _cycle_profile(cycle: Sequence[Vector]) -> tuple[int, ...]:
+    """The a_i = det(v_{i-1}, v_{i+1}) of a cyclic ray sequence, ray by ray:
+    on a smooth cycle det(v_{i-1}, v_i) = 1, so v_{i-1} + v_{i+1} = a_i v_i."""
+    d = len(cycle)
+    return tuple(_cross(cycle[i - 1], cycle[(i + 1) % d]) for i in range(d))
+
+
+def _cycle_key(cycle: Sequence[Vector], b: Sequence[int], a: Sequence[int], period: int) -> tuple[tuple, int]:
+    """``surface_key`` of a ccw ray cycle from b_i = det(v_i, v_{i+1}) and
+    a_i = det(v_{i-1}, v_{i+1}); the mirror image's word is (b_{d-2-i},
+    a_{d-2-i}).  Only rotations by less than ``period`` that start at the
+    least b are compared, so the word must repeat after ``period`` steps.
+    An S3-invariant cycle in either A2 lattice repeats after d/3: the
+    3-cycle is in SL2(Z), so it keeps the ccw order, every det and each
+    cone's normal form, and turns the cycle by r steps, 3r = 0 mod d; it
+    fixes only multiples of (1, 1, 1), 0 in both lattices, so no ray, and
+    r is d/3 or 2d/3."""
+    d = len(cycle)
+    least_b = min(b)
+    mirror = [(y, x) for x, y in reversed(cycle)]
     starts = []
-    for cycle in (rays, tuple((y, x) for x, y in reversed(rays))):
-        ahead = cycle[1:] + cycle[:2]
-        steps = zip(cycle, ahead, ahead[1:])
-        word = [(x * y1 - y * x1, x * y2 - y * x2) for (x, y), (x1, y1), (x2, y2) in steps] * 2
-        starts += [(word[s : s + d], cycle[s], ahead[s]) for s in range(d)]
+    for rays, cone_b, ray_a in ((cycle, b, a[1:] + a[:1]), (mirror, b[-2::-1] + b[-1:], a[-2::-1] + a[-1:])):
+        flat = [0] * (2 * d)
+        flat[0::2], flat[1::2] = cone_b, ray_a
+        flat += flat
+        starts += [(flat[2 * s : 2 * s + 2 * d], rays, s) for s in range(period) if cone_b[s] == least_b]
     least = min(rotation for rotation, _, _ in starts)
-    # The start cones reaching it have the least b_i, and b = 1 leaves k = 0.
-    k = 0 if least[0][0] == 1 else min(_normal_form_k(v, w) for rotation, v, w in starts if rotation == least)
-    return tuple(least), k
+    # b = 1 leaves k = 0; else the least k of a start cone reaching the key.
+    k = 0 if least_b == 1 else min(_normal_form_k(rays[s], rays[s + 1 - d]) for r, rays, s in starts if r == least)
+    return tuple(zip(least[0::2], least[1::2])), k
 
 
 def _normal_form_k(v: Vector, w: Vector) -> int:

@@ -15,7 +15,7 @@ from operator import itemgetter
 from typing import Any, Iterator
 
 from .errors import PreconditionError
-from .fan import Fan, _cross, _cycle_dets, _cycle_winds_once
+from .fan import Fan, _cycle_dets, _cycle_profile, _cycle_winds_once
 from .intlin import Vector
 from .record import Record
 from .symmetry import GroupAction, ray_orbits
@@ -40,14 +40,7 @@ def self_intersection_profile(fan: Fan) -> tuple[int, ...]:
     = a_i v_i in cyclic order; the boundary divisor of ray i has
     self-intersection -a_i."""
     _require_smooth_complete_surface(fan, "the self-intersection profile")
-    return _profile(fan)
-
-
-def _profile(fan: Fan) -> tuple[int, ...]:
-    """The word of a fan already known to be a smooth complete surface fan:
-    as det(v_{i-1}, v_i) = 1, a_i = det(v_{i-1}, a_i v_i - v_{i-1}) = det(v_{i-1}, v_{i+1})."""
-    rays, d = fan.rays, fan.ray_count
-    return tuple(_cross(rays[i - 1], rays[(i + 1) % d]) for i in range(d))
+    return _cycle_profile(fan.rays)
 
 
 def _blow_down(cycle: tuple[Vector, ...], word: tuple[int, ...], at: tuple[int, ...], orbit: tuple[int, ...]):
@@ -93,7 +86,7 @@ def classify_terminal(fan: Fan) -> TerminalLabel:
     and any other fan is Other."""
     if fan.rank != 2 or fan.ray_count not in (3, 4, 6) or any(b != 1 for b in _cycle_dets(fan.rays)):
         return OTHER
-    return _label(_profile(fan))
+    return _label(_cycle_profile(fan.rays))
 
 
 def _label(word: tuple[int, ...]) -> TerminalLabel:
@@ -180,7 +173,7 @@ def contract(fan: Fan, action: GroupAction, first_only: bool) -> _Node:
     orbits = sorted(ray_orbits(action), key=lambda orbit: min(map(fan.rays.__getitem__, orbit)))
     orbit_of = {i: k for k, orbit in enumerate(orbits) for i in orbit}
     at = tuple(map(orbit_of.get, range(fan.ray_count)))
-    return _explore(fan.rays, _profile(fan), at, (1 << len(orbits)) - 1, first_only, {})
+    return _explore(fan.rays, _cycle_profile(fan.rays), at, (1 << len(orbits)) - 1, first_only, {})
 
 
 def terminal_counts(root: _Node, memo: dict[int, Counter] | None = None) -> Counter:

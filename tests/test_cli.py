@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -673,6 +674,65 @@ class TestEnumerateCommand:
         code, error = machine_error(capsys, *argv)
         assert (code, error["reason"]) == (3, "too-many-candidates")
         assert time.perf_counter() - start < 5
+
+
+class TestEnumerateOutputPins:
+    """The machine output of three censuses, byte for byte, as the
+    enumerator that built a fan per candidate wrote it."""
+
+    @pytest.mark.parametrize("argv, digest", [
+        ("weightA2 8 48 --smooth", "66c3d77db3a0e05e9d7163b27c5d2038334b43e1d39f5ef47fd1eef0b5f2857c"),
+        ("rootA2 8 48 --smooth", "d018f16b1d76dd13770c61e8fb5acb5e0145a93b7de50b1c7b30f30fd7e2b830"),
+        ("rootA2 5 30 --negation", "2a65dce2b20af7b118f43efddc6c0bfd928c288f3aa6d3cacd29bcc58d0d05db"),
+    ])
+    def test_sha256(self, argv, digest, capsys):
+        kind, height, max_rays, *flags = argv.split()
+        argv = ["enumerate", "--lattice", kind, "--height", height, "--max-rays", max_rays, *flags]
+        assert run_cli(*argv, "--format", "machine") == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+@pytest.fixture
+def plain_calls(tmp_path, dp6_n1_files):
+    """Calls of the five commands that build plain lines, with the sha256
+    of each plain output, taken when every command built its lines as a
+    list for either format."""
+    fan, _ = families.q22()
+    fanio.save_fan(fan, tmp_path / "q22.fan")
+    gens = [[list(row) for row in g.entries] for g in Lattice.weight_a2().s3_matrices()]
+    write_json(tmp_path / "q22.act", {"generators": gens, "galois": [[-1, 0], [0, -1]]})
+    q22 = [str(tmp_path / "q22.fan"), str(tmp_path / "q22.act")]
+    return [
+        (["check", *dp6_n1_files], "f7140def1caf14cda47fc1b254d8fe716f425ad1534efb9d9eae22402fda9ce7"),
+        (["check", *q22], "0223f5a1b311dc4aee55bdb2b841877bcc31680efa1119fc4acf432fccfd95c8"),
+        (["orbits", *q22], "7961e0fd50d47565c72f3e4d56266e579251a62002858c63b2777576cbbb1b87"),
+        (
+            ["enumerate", "--lattice", "weightA2", "--height", "2", "--max-rays", "12", "--smooth"],
+            "e11cd7529049e731ca3a09b5b0f591d5037ab9814515b01aae46b29cfc4115c2",
+        ),
+        (["fields"], "144cd1b2824d2421f03f4428e24c5c08efe6851dde06b61938baaaab94a51293"),
+        (["verify-paper", "--only", "A5"], "08ccbfd356a9dafb71586c24ddab8772d6893ce481bcceb8011e3c9c4a41bd9d"),
+    ]
+
+
+class TestPlainLinesOnlyForPlainOutput:
+    def test_machine_output_never_builds_the_lines(self, plain_calls, monkeypatch, capsys):
+        built = []
+        emit = cli._emit
+
+        def spy(payload, lines, fmt):
+            emit(payload, lambda: built.append(fmt) or lines(), fmt)
+
+        monkeypatch.setattr(cli, "_emit", spy)
+        for argv, _ in plain_calls:
+            for fmt in ("machine", "plain"):
+                assert run_cli(*argv, "--format", fmt) == 0
+        assert built == ["plain"] * len(plain_calls)
+
+    def test_the_plain_text_keeps_its_bytes(self, plain_calls, capsys):
+        for argv, digest in plain_calls:
+            assert run_cli(*argv) == 0
+            assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest, argv
 
 
 class TestFamiliesCommand:

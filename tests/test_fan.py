@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import random
@@ -15,6 +16,7 @@ from toricsym.fan import (
     Fan,
     FanReport,
     Lattice,
+    _ccw_sort,
     _cross,
     _cycle_dets,
     _cycle_winds_once,
@@ -445,6 +447,65 @@ class TestValidationByDeterminants:
         with pytest.raises(PreconditionError) as info:
             _kernel_validate(fan)
         assert info.value.reason == "degenerate-facet"
+
+
+def ccw_by_comparator(rays):
+    """The counterclockwise order from (1, 0) by pairwise comparison, the
+    oracle of ``_ccw_sort``'s integer key: the half-plane first, then the
+    sign of the cross product."""
+
+    def half(v):
+        return 0 if (v[1] > 0 or (v[1] == 0 and v[0] > 0)) else 1
+
+    def cmp(v, w):
+        if half(v) != half(w):
+            return half(v) - half(w)
+        return -1 if _cross(v, w) > 0 else 1
+
+    return sorted(rays, key=functools.cmp_to_key(cmp))
+
+
+BIG = 10**30
+
+
+@st.composite
+def near_rays(draw):
+    """A primitive ray v and rays w with det(v, w) = +-1, as close to v in
+    angle as its size allows, with their negatives and the axis rays."""
+    v = draw(st.tuples(st.integers(-BIG, BIG), st.integers(-BIG, BIG)).filter(lambda v: math.gcd(*v) == 1))
+    x, y = v
+    # p x + q y = 1, so (-q, p) has det(v, (-q, p)) = 1.
+    p = pow(x, -1, abs(y)) if abs(y) > 1 else (x if y == 0 else 0)
+    q = (1 - p * x) // y if y else 0
+    rays = {v, (-x, -y), (1, 0), (-1, 0), (0, 1), (0, -1)}
+    for k in draw(st.lists(st.integers(-BIG, BIG), max_size=4)):
+        w = (-q + k * x, p + k * y)
+        rays |= {w, (-w[0], -w[1])}
+    return list(rays)
+
+
+primitive_rays = st.tuples(st.integers(-BIG, BIG), st.integers(-BIG, BIG)).filter(lambda v: math.gcd(*v) == 1)
+
+
+class TestCcwSort:
+    @settings(max_examples=300, deadline=None)
+    @given(rays=st.lists(primitive_rays, min_size=1, max_size=12, unique=True), small=st.booleans())
+    def test_the_integer_key_is_the_comparator_order(self, rays, small):
+        if small:
+            small = ((x % 7 - 3, y % 5 - 2) for x, y in rays)
+            rays = list(dict.fromkeys(primitive_vector(v) for v in small if any(v)))
+        assert _ccw_sort(rays) == ccw_by_comparator(rays)
+
+    @settings(max_examples=300, deadline=None)
+    @given(rays=near_rays(), shuffle=st.randoms(use_true_random=False))
+    def test_rays_one_unit_of_det_apart(self, rays, shuffle):
+        assert all(math.gcd(*v) == 1 for v in rays)
+        shuffle.shuffle(rays)
+        assert _ccw_sort(rays) == ccw_by_comparator(rays)
+
+    def test_worked_order(self):
+        rays = [(0, -1), (-1, 0), (1, 1), (1, 0), (-1, 1), (0, 1), (1, -1), (-1, -1)]
+        assert _ccw_sort(rays) == [(1, 0), (1, 1), (0, 1), (-1, 1), (-1, 0), (-1, -1), (0, -1), (1, -1)]
 
 
 class TestFanIsomorphism:
