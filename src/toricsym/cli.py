@@ -160,16 +160,9 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
     lattice = Lattice.from_label(args.lattice)
     fans = families.enumerate_invariant_fans(
-        lattice,
-        height=args.height,
-        max_rays=args.max_rays,
-        require_smooth=args.smooth,
-        include_negation=args.negation,
+        lattice, args.height, args.max_rays, require_smooth=args.smooth, include_negation=args.negation
     )
-    payload = {
-        "count": len(fans),
-        "fans": [fanio.fan_document(f) for f in fans],
-    }
+    payload = {"count": len(fans), "fans": [fanio.fan_document(f) for f in fans]} if args.format == "machine" else {}
     rows = (f"{f.ray_count} rays: {list(f.rays)}" for f in fans)
     _emit(payload, lambda: [f"{len(fans)} invariant fans", *rows], args.format)
     return EXIT_OK

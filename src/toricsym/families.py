@@ -3,7 +3,8 @@
 The constructors realize the recurring varieties of the classification:
 projective spaces, Hirzebruch surfaces, the weighted spaces P(1,1,a) and
 P(1,1,1,1,m), the two projective bundles, the hexagon in both rank-2
-lattices, the quadric-type twists, and the singular hexagon.
+lattices, the quadric-type twists, and the singular hexagon.  The census
+walks ray cycles and their words (b, a), blown up by ``fan._splice``.
 """
 
 from __future__ import annotations
@@ -11,10 +12,10 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from typing import Collection, Sequence
+from typing import Sequence
 
 from .errors import PreconditionError
-from .fan import _S3_PERMUTATIONS, Fan, Lattice, _ccw_sort, _cycle_dets, _cycle_fan, _cycle_key, _cycle_profile
+from .fan import _S3_PERMUTATIONS, Fan, Lattice, _ccw_sort, _cycle_dets, _cycle_fan, _cycle_key, _cycle_profile, _splice
 from .fan import build_surface_fan, make_fan
 from .intlin import IntMatrix, Vector, primitive_vector
 from .record import Record
@@ -233,22 +234,6 @@ def _orbit_unions(orbit_list: Sequence[tuple[Vector, ...]], max_rays: int):
             yield [cycle[i] for i in sorted(bigger)]
 
 
-def _splice(cycle: list[Vector], a: Sequence[int], new_rays: Collection[Vector]) -> tuple[list[Vector], list[int]]:
-    """Blow up each cone (v_j, v_{j+1}) of a smooth ccw ray cycle, with word
-    a_i = det(v_{i-1}, v_{i+1}), whose ray sum w is in ``new_rays``: w goes
-    in between with a = 1, and a_j and a_{j+1} rise by 1 (v_{j-1} + w = (a_j + 1) v_j)."""
-    sums = [(v[0] + w[0], v[1] + w[1]) for v, w in zip(cycle, cycle[1:] + cycle[:1])]
-    hit = [w in new_rays for w in sums]
-    spliced, word = [], []
-    for j, v in enumerate(cycle):
-        spliced.append(v)
-        word.append(a[j] + hit[j - 1] + hit[j])
-        if hit[j]:
-            spliced.append(sums[j])
-            word.append(1)
-    return spliced, word
-
-
 def _smooth_cycles(orbit_list: Sequence[tuple[Vector, ...]], max_rays: int):
     """Every smooth ccw ray cycle on a union of the orbits with at most
     ``max_rays`` rays, as (cycle, b, a), reached from the smooth 3- to 6-ray
@@ -451,7 +436,7 @@ def check_diagonal_obstruction(a: int = 0) -> DiagonalObstructionReport:
 def random_blowup_surface_fan(rng: random.Random, max_rays: int = 10) -> Fan:
     """Random smooth complete surface fan by blowing up a minimal model."""
     fan = projective_space(2) if rng.random() < 0.5 else hirzebruch(rng.randint(0, 3))
-    cycle, a = list(fan.rays), _cycle_profile(fan.rays)
+    cycle, a = list(fan.rays), fan.word[1]
     target = rng.randint(len(cycle), max_rays)
     while len(cycle) < target:
         d = len(cycle)

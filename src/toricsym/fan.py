@@ -6,9 +6,11 @@ the sum-zero sublattice of Z^3 and the quotient Z^3 / Z(1,1,1).
 
 Surface fans are stored with rays sorted counterclockwise starting from
 the lexicographically least primitive vector, so equal fans compare equal.
-All predicates (complete / simplicial / smooth) are decided exactly.  Fan
-isomorphisms come from a cone-seeded search, whose ``_read_off`` is the one
-place that turns a ray map into a matrix, W adj(B) / det(B).
+Their ``word`` is (b, a) of that cycle, which ``_splice`` (an orbit blow-up)
+and ``_blow_down`` (its inverse) update together.  All predicates
+(complete / simplicial / smooth) are decided exactly.  Fan isomorphisms
+come from a cone-seeded search, whose ``_read_off`` is the one place that
+turns a ray map into a matrix, W adj(B) / det(B).
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import functools
 import itertools
 import math
 import operator
-from typing import Iterable, Sequence
+from typing import Collection, Iterable, Sequence
 
 from .errors import ParseError, PreconditionError
 from .intlin import IntMatrix, Vector, _as_int, _det, smith_normal_form
@@ -162,7 +164,7 @@ class Fan(Record):
     fans keep the given ray order and sort the cone list.
     """
 
-    __slots__ = ("lattice", "rays", "max_cones")
+    __slots__ = ("lattice", "rays", "max_cones", "__dict__")
 
     def __init__(self, lattice: Lattice, rays: tuple[Vector, ...], max_cones: tuple[tuple[int, ...], ...]):
         object.__setattr__(self, "lattice", lattice)
@@ -186,6 +188,12 @@ class Fan(Record):
 
     def ray_index(self, v: Vector) -> int:
         return self.rays.index(v)
+
+    @functools.cached_property
+    def word(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """(b, a) of a rank-2 fan's stored ray cycle: b_i = det(v_i, v_{i+1}), kept
+        from ``_cycle_fan``'s test, and a_i = det(v_{i-1}, v_{i+1}), taken on first use."""
+        return self.__dict__.pop("_b", None) or _cycle_dets(self.rays), _cycle_profile(self.rays)
 
 
 def _primitive_rays(lattice: Lattice, rays: Iterable[Sequence[int]]) -> list[Vector]:
@@ -263,6 +271,13 @@ def _cycle_dets(cycle: Sequence[Vector]) -> tuple[int, ...]:
     return tuple(_cross(cycle[i], cycle[(i + 1) % d]) for i in range(d))
 
 
+def _cycle_profile(cycle: Sequence[Vector]) -> tuple[int, ...]:
+    """The a_i = det(v_{i-1}, v_{i+1}) of a cyclic ray sequence, ray by ray:
+    on a smooth cycle det(v_{i-1}, v_i) = 1, so v_{i-1} + v_{i+1} = a_i v_i."""
+    d = len(cycle)
+    return tuple(_cross(cycle[i - 1], cycle[(i + 1) % d]) for i in range(d))
+
+
 def _cycle_winds_once(cycle: Sequence[Vector]) -> bool:
     """Whether a cyclic ray sequence with every b_i > 0 goes once round the
     origin.  Each step v_i -> v_{i+1} then turns counterclockwise by less
@@ -273,23 +288,79 @@ def _cycle_winds_once(cycle: Sequence[Vector]) -> bool:
 
 
 def _cycle_fan(lattice: Lattice, rays: list[Vector]) -> Fan:
-    """The complete surface fan on distinct primitive rays, stored from the
-    least: their cycle as given if it winds once with each det(v_{i-1}, v_i)
-    > 0, as the program writes and builds rays, else sorted first."""
+    """The complete surface fan on distinct primitive rays, stored from the least: their
+    cycle as given if it winds once with each det(v_{i-1}, v_i) > 0, as the program
+    writes and builds rays, else sorted first.  The b tested is left for its ``word``."""
     if len(rays) < 3:
         raise PreconditionError("too-few-rays", "a complete surface fan needs at least 3 rays")
-    if not (all(b > 0 for b in _cycle_dets(rays)) and _cycle_winds_once(rays)):
+    b = _cycle_dets(rays)
+    if not (min(b) > 0 and _cycle_winds_once(rays)):
         rays = _ccw_sort(rays)
-        if any(b <= 0 for b in _cycle_dets(rays)):
+        if min(b := _cycle_dets(rays)) <= 0:
             raise PreconditionError("incomplete", "angular gap of at least a half turn: rays do not span a complete fan")
     start = rays.index(min(rays))
-    return Fan(lattice, tuple(rays[start:] + rays[:start]), _cycle_cones(len(rays)))
+    fan = Fan(lattice, tuple(rays[start:] + rays[:start]), _cycle_cones(len(rays)))
+    fan.__dict__["_b"] = b[start:] + b[:start]
+    return fan
 
 
 @functools.cache
 def _cycle_cones(d: int) -> tuple[tuple[int, int], ...]:
     """The maximal cones of a stored d-ray cycle: the adjacent pairs, sorted."""
     return tuple(sorted(tuple(sorted((i, (i + 1) % d))) for i in range(d)))
+
+
+def _splice(cycle: list[Vector], a: Sequence[int], new_rays: Collection[Vector]) -> tuple[list[Vector], list[int]]:
+    """Blow up each cone (v_j, v_{j+1}) of a smooth ccw ray cycle, with word
+    a, whose ray sum w is in ``new_rays``: w goes in between with a = 1, and
+    a_j and a_{j+1} rise by 1 (v_{j-1} + w = (a_j + 1) v_j)."""
+    sums = [(v[0] + w[0], v[1] + w[1]) for v, w in zip(cycle, cycle[1:] + cycle[:1])]
+    hit = [w in new_rays for w in sums]
+    spliced, word = [], []
+    for j, v in enumerate(cycle):
+        spliced.append(v)
+        word.append(a[j] + hit[j - 1] + hit[j])
+        if hit[j]:
+            spliced.append(sums[j])
+            word.append(1)
+    return spliced, word
+
+
+def _blow_down(cycle: tuple[Vector, ...], word: tuple[int, ...], at: tuple[int, ...], orbit: tuple[int, ...]):
+    """The inverse of ``_splice``: the cycle, word a and ray labels ``at``, stored from the
+    least ray, left by contracting ``orbit``, pairwise non-adjacent (-1)-rays of a ``cycle``
+    so stored.  As v_i = v_{i-1} + v_{i+1}, a_{i-1} = det(v_{i-2}, v_i) falls by 1 (Oda 1.6),
+    as does a_{i+1}, and a ray between two removed rays loses 2."""
+    d, word, keep = len(cycle), list(word), [True] * len(cycle)
+    for i in orbit:
+        keep[i] = False
+        word[i - 1] -= 1
+        word[(i + 1) % d] -= 1
+    kept = list(itertools.compress(range(d), keep))
+    if orbit[0] == 0:  # the stored cycle starts at its least ray, which goes
+        start = kept.index(min(kept, key=cycle.__getitem__))
+        kept = kept[start:] + kept[:start]
+    get = operator.itemgetter(*kept)  # a smooth complete fan keeps at least 3 rays, so each is a tuple
+    return get(cycle), get(word), get(at)
+
+
+def _smooth_word(fan: Fan, who: str) -> tuple[int, ...]:
+    """The a of a smooth complete surface fan's ``word``, else ``who``'s refusal at its first fault
+    of rank, completeness, winding once and smoothness.  The word decides all but a singular
+    cycle's winding: d cones of det 1 winding k times have sum a_i = 3d - 12k (legal loops,
+    Poonen and Rodriguez-Villegas 2000; Noether's formula at k = 1)."""
+    if fan.rank != 2:
+        raise PreconditionError("rank", f"{who} needs a surface fan (rank 2)")
+    b, a = fan.word
+    d = len(b)
+    if d < 3 or min(b) <= 0:
+        raise PreconditionError("incomplete", f"{who} needs a complete fan")
+    smooth = b.count(1) == d
+    if not (sum(a) == 3 * d - 12 if smooth else _cycle_winds_once(fan.rays)):
+        raise PreconditionError("overlapping-cones", f"{who} needs a ray cycle that winds once round the origin")
+    if not smooth:
+        raise PreconditionError("not-smooth", f"{who} needs a smooth fan")
+    return a
 
 
 class FanReport(Record):
@@ -523,13 +594,6 @@ def surface_key(fan: Fan) -> tuple[tuple[tuple[int, int], ...], int]:
         raise PreconditionError("rank", "the surface key needs a rank-2 fan")
     rays = fan.rays if _cross(fan.rays[0], fan.rays[1]) > 0 else fan.rays[::-1]
     return _cycle_key(rays, _cycle_dets(rays), _cycle_profile(rays), len(rays))
-
-
-def _cycle_profile(cycle: Sequence[Vector]) -> tuple[int, ...]:
-    """The a_i = det(v_{i-1}, v_{i+1}) of a cyclic ray sequence, ray by ray:
-    on a smooth cycle det(v_{i-1}, v_i) = 1, so v_{i-1} + v_{i+1} = a_i v_i."""
-    d = len(cycle)
-    return tuple(_cross(cycle[i - 1], cycle[(i + 1) % d]) for i in range(d))
 
 
 def _cycle_key(cycle: Sequence[Vector], b: Sequence[int], a: Sequence[int], period: int) -> tuple[tuple, int]:

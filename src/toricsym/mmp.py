@@ -1,21 +1,20 @@
 """Equivariant minimal model program for smooth complete toric surfaces.
 
 A contraction step removes one group orbit of rays whose divisors all have
-self-intersection -1 and are pairwise non-adjacent, a local update of the
-ray cycle and its word a_i.  ``contract`` builds the graph of every
-sequence of steps to a fan where no orbit qualifies, labelled as a terminal
-model; ``traces`` and ``terminal_counts`` read it.
+self-intersection -1 and are pairwise non-adjacent: ``fan._blow_down`` of
+the ray cycle and its word.  ``contract`` builds the graph of every sequence
+of steps to a fan where no orbit qualifies, labelled as a terminal model;
+``traces`` and ``terminal_counts`` read it.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from itertools import compress
-from operator import itemgetter
 from typing import Any, Iterator
 
 from .errors import PreconditionError
-from .fan import Fan, _cycle_dets, _cycle_profile, _cycle_winds_once
+from .fan import Fan, _blow_down, _smooth_word
 from .intlin import Vector
 from .record import Record
 from .symmetry import GroupAction, ray_orbits
@@ -23,42 +22,11 @@ from .symmetry import GroupAction, ray_orbits
 MAX_TRACES = 100_000  # explore-all refuses a root with more contraction paths than this
 
 
-def _require_smooth_complete_surface(fan: Fan, who: str) -> None:
-    if fan.rank != 2:
-        raise PreconditionError("rank", f"{who} needs a surface fan (rank 2)")
-    dets = _cycle_dets(fan.rays)
-    if len(dets) < 3 or any(b <= 0 for b in dets):
-        raise PreconditionError("incomplete", f"{who} needs a complete fan")
-    if not _cycle_winds_once(fan.rays):
-        raise PreconditionError("overlapping-cones", f"{who} needs a ray cycle that winds once round the origin")
-    if any(b != 1 for b in dets):
-        raise PreconditionError("not-smooth", f"{who} needs a smooth fan")
-
-
 def self_intersection_profile(fan: Fan) -> tuple[int, ...]:
     """The word a_i of a smooth complete surface fan, with v_{i-1} + v_{i+1}
     = a_i v_i in cyclic order; the boundary divisor of ray i has
     self-intersection -a_i."""
-    _require_smooth_complete_surface(fan, "the self-intersection profile")
-    return _cycle_profile(fan.rays)
-
-
-def _blow_down(cycle: tuple[Vector, ...], word: tuple[int, ...], at: tuple[int, ...], orbit: tuple[int, ...]):
-    """The cycle, word and orbit numbers ``at`` of the fan left by contracting
-    ``orbit``, pairwise non-adjacent (-1)-rays of ``cycle``, stored from the
-    least ray: as v_i = v_{i-1} + v_{i+1}, a_{i-1} = det(v_{i-2}, v_i) falls
-    by 1 (Oda 1.6), as does a_{i+1}, and a ray between two removed rays loses 2."""
-    d, word, keep = len(cycle), list(word), [True] * len(cycle)
-    for i in orbit:
-        keep[i] = False
-        word[i - 1] -= 1
-        word[(i + 1) % d] -= 1
-    kept = list(compress(range(d), keep))
-    if orbit[0] == 0:  # the stored cycle starts at its least ray, which goes
-        start = kept.index(min(kept, key=cycle.__getitem__))
-        kept = kept[start:] + kept[:start]
-    get = itemgetter(*kept)  # a smooth complete fan keeps at least 3 rays, so each is a tuple
-    return get(cycle), get(word), get(at)
+    return _smooth_word(fan, "the self-intersection profile")
 
 
 class TerminalLabel(Record):
@@ -78,15 +46,6 @@ P2 = TerminalLabel("P2")
 P1XP1 = TerminalLabel("P1xP1")
 DP6_TERMINAL = TerminalLabel("DP6Terminal")
 OTHER = TerminalLabel("Other")
-
-
-def classify_terminal(fan: Fan) -> TerminalLabel:
-    """Label a fan by its self-intersection word: a rank-2 fan's stored
-    cycle is complete, so it is smooth when every cone has determinant 1,
-    and any other fan is Other."""
-    if fan.rank != 2 or fan.ray_count not in (3, 4, 6) or any(b != 1 for b in _cycle_dets(fan.rays)):
-        return OTHER
-    return _label(_cycle_profile(fan.rays))
 
 
 def _label(word: tuple[int, ...]) -> TerminalLabel:
@@ -148,7 +107,7 @@ def contract(fan: Fan, action: GroupAction, first_only: bool) -> _Node:
     contracts, at each stage, the orbit holding the least ray vector: the
     first trace of explore-all.
 
-    Only the input fan is validated and measured: removing a (-1)-ray i
+    Only the input fan is checked, on its ``word``: removing a (-1)-ray i
     leaves the cone (v_{i-1}, v_{i+1}) of determinant a_i = 1 and lowers
     a_{i-1} and a_{i+1} by 1, so each fan below is smooth, complete and
     given its word by its parent, and a terminal is labelled from its word.
@@ -167,13 +126,13 @@ def contract(fan: Fan, action: GroupAction, first_only: bool) -> _Node:
     streams each trace's text from it (``fanio.traces_text``), so the
     memory of either is the graph, one path and what is made of it.
     """
-    _require_smooth_complete_surface(fan, "the equivariant contraction loop")
+    word = _smooth_word(fan, "the equivariant contraction loop")
     if action.fan != fan:
         raise PreconditionError("action-fan", "action was built for a different fan")
     orbits = sorted(ray_orbits(action), key=lambda orbit: min(map(fan.rays.__getitem__, orbit)))
     orbit_of = {i: k for k, orbit in enumerate(orbits) for i in orbit}
     at = tuple(map(orbit_of.get, range(fan.ray_count)))
-    return _explore(fan.rays, _cycle_profile(fan.rays), at, (1 << len(orbits)) - 1, first_only, {})
+    return _explore(fan.rays, word, at, (1 << len(orbits)) - 1, first_only, {})
 
 
 def terminal_counts(root: _Node, memo: dict[int, Counter] | None = None) -> Counter:
@@ -244,17 +203,12 @@ def check_adjacent_minus_one_rule(fan: Fan) -> tuple[NeighborOppositionFact, ...
     must be exact negatives of each other; a violation would mean the fan
     data is internally inconsistent.
     """
-    word = self_intersection_profile(fan)
-    d = fan.ray_count
-    facts = []
+    word, d, facts = self_intersection_profile(fan), fan.ray_count, []
     for i in range(d):
         j = (i + 1) % d
-        if word[i] == 1 and word[j] == 1:
-            outer_left = fan.rays[(i - 1) % d]
-            outer_right = fan.rays[(j + 1) % d]
+        if word[i] == word[j] == 1:
+            outer_left, outer_right = fan.rays[i - 1], fan.rays[(j + 1) % d]
             if tuple(a + b for a, b in zip(outer_left, outer_right)) != (0,) * fan.rank:
-                raise AssertionError(
-                    f"outer neighbors of adjacent (-1)-rays {i},{j} do not oppose"
-                )
+                raise AssertionError(f"outer neighbors of adjacent (-1)-rays {i},{j} do not oppose")
             facts.append(NeighborOppositionFact(i, j, outer_left, outer_right))
     return tuple(facts)

@@ -729,6 +729,18 @@ class TestPlainLinesOnlyForPlainOutput:
                 assert run_cli(*argv, "--format", fmt) == 0
         assert built == ["plain"] * len(plain_calls)
 
+    def test_plain_output_never_builds_the_fan_documents(self, monkeypatch, capsys):
+        argv = ["enumerate", "--lattice", "weightA2", "--height", "4", "--max-rays", "24", "--smooth"]
+        assert run_cli(*argv) == 0
+        lines = capsys.readouterr().out
+
+        def refuse(*args):
+            raise AssertionError("a fan document was built for the plain output")
+
+        monkeypatch.setattr(fanio, "fan_document", refuse)
+        assert run_cli(*argv, "--format", "plain") == 0
+        assert capsys.readouterr().out == lines
+
     def test_the_plain_text_keeps_its_bytes(self, plain_calls, capsys):
         for argv, digest in plain_calls:
             assert run_cli(*argv) == 0

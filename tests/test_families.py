@@ -5,9 +5,10 @@ import time
 import pytest
 
 from toricsym import families
+from toricsym import fan as fan_module
 from toricsym.divisors import class_group, ray_blocks, ray_relations
 from toricsym.errors import PreconditionError
-from toricsym.fan import Lattice, _cycle_dets, _cycle_fan, _cycle_profile, build_surface_fan, fan_isomorphism
+from toricsym.fan import Lattice, _cycle_dets, _cycle_fan, _cycle_profile, _splice, build_surface_fan, fan_isomorphism
 from toricsym.fan import surface_key, validate_fan
 from toricsym.intlin import IntMatrix, primitive_vector, smith_normal_form
 from toricsym.mmp import DP6_TERMINAL, P2, contract, self_intersection_profile, traces
@@ -515,7 +516,7 @@ class TestSplicedBlowups:
                 if orbit is None:
                     continue
                 assert set(orbit).isdisjoint(cycle)
-                spliced, word = families._splice(cycle, a, orbit)
+                spliced, word = _splice(cycle, a, orbit)
                 fan = build_surface_fan(lattice, cycle + list(orbit))
                 assert_cycle_of(fan, spliced, word)
                 blown_up += 1
@@ -527,6 +528,21 @@ class TestSplicedBlowups:
         assert cycles
         for cycle, _, a in cycles:
             assert_cycle_of(_cycle_fan(lattice, cycle), cycle, a)
+
+
+class TestWordOnlyWhenRead:
+    """The census leaves on each fan it returns the b its cycle was tested
+    with, and no a: a fan's a is taken when its word is first read."""
+
+    @pytest.mark.parametrize("smooth", [True, False], ids=["smooth", "all-unions"])
+    def test_enumerate_takes_no_a_of_its_fans(self, smooth, monkeypatch):
+        calls = []
+        profile = fan_module._cycle_profile
+        monkeypatch.setattr(fan_module, "_cycle_profile", lambda cycle: calls.append(cycle) or profile(cycle))
+        fans = families.enumerate_invariant_fans(Lattice.weight_a2(), 3, 18, require_smooth=smooth)
+        assert fans and calls == [] and all("word" not in vars(fan) for fan in fans)
+        assert all(fan.word == (_cycle_dets(fan.rays), profile(fan.rays)) == fan.word for fan in fans)
+        assert calls == [fan.rays for fan in fans]
 
 
 class TestSmoothByConstruction:

@@ -17,11 +17,17 @@ from toricsym.fan import (
     FanReport,
     Lattice,
     _ccw_sort,
+    _blow_down,
     _cross,
+    _cycle_cones,
     _cycle_dets,
+    _cycle_fan,
+    _cycle_profile,
     _cycle_winds_once,
     _read_off,
     _seed_basis,
+    _smooth_word,
+    _splice,
     build_surface_fan,
     cone_invariant_factors,
     fan_isomorphism,
@@ -30,6 +36,7 @@ from toricsym.fan import (
     validate_fan,
 )
 from toricsym.intlin import IntMatrix, kernel_basis, primitive_vector
+from toricsym.mmp import self_intersection_profile
 
 from conftest import random_unimodular, transform_fan
 
@@ -292,11 +299,90 @@ class TestCycleWinding:
         with pytest.raises(PreconditionError) as info:
             validate_fan(fan)
         assert info.value.reason == "overlapping-cones"
+        assert sum(_cycle_profile(rays)) == 3 * d - 12 * turns
+        with pytest.raises(PreconditionError) as info:
+            _smooth_word(fan, "the test")
+        assert info.value.reason == "overlapping-cones"
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 10**6), st.integers(1, 4), st.data())
+    def test_twelve_per_turn_of_a_smooth_cycle(self, seed, turns, data):
+        # A smooth fan's cycle, from any ray, gone round ``turns`` times.
+        fan = families.random_blowup_surface_fan(random.Random(seed), max_rays=10)
+        s = data.draw(st.integers(0, fan.ray_count - 1))
+        cycle = (fan.rays[s:] + fan.rays[:s]) * turns
+        wound = Fan(fan.lattice, cycle, _cycle_cones(len(cycle)))
+        assert _turns(cycle) == turns and set(wound.word[0]) == {1}
+        assert sum(wound.word[1]) == 3 * len(cycle) - 12 * turns
+        if turns == 1:
+            assert _smooth_word(wound, "the test") == wound.word[1]
+        else:
+            with pytest.raises(PreconditionError) as info:
+                _smooth_word(wound, "the test")
+            assert info.value.reason == "overlapping-cones"
 
     @settings(max_examples=300, deadline=None)
     @given(positive_cycles())
     def test_the_crossing_count_is_the_winding_number(self, cycle):
         assert _cycle_winds_once(cycle) is (_turns(cycle) == 1)
+
+
+class TestSurfaceWord:
+    """A rank-2 fan's ``word`` is (b, a) of its stored ray cycle, however
+    the fan was built, and ``_blow_down`` undoes ``_splice`` on it."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 10**6), st.integers(4, 12), st.data())
+    def test_the_word_of_any_rotation(self, seed, max_rays, data):
+        fan = families.random_blowup_surface_fan(random.Random(seed), max_rays=max_rays)
+        s = data.draw(st.integers(0, fan.ray_count - 1))
+        # The adjacent index pairs do not change when the cycle is rotated.
+        rotated = Fan(fan.lattice, fan.rays[s:] + fan.rays[:s], fan.max_cones)
+        for built in (fan, rotated):
+            assert built.word == (_cycle_dets(built.rays), _cycle_profile(built.rays))
+            assert built.word[1] == self_intersection_profile(built)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.sampled_from(PRIMITIVE_RAYS), min_size=3, max_size=8, unique=True), st.data())
+    def test_the_word_of_a_built_fan(self, rays, data):
+        # Smooth or not, from its rays in any order or its cycle from any ray.
+        try:
+            fan = build_surface_fan(Lattice.standard(2), rays)
+        except PreconditionError:
+            assume(False)
+        s = data.draw(st.integers(0, fan.ray_count - 1))
+        for built in (fan, build_surface_fan(fan.lattice, fan.rays[s:] + fan.rays[:s])):
+            assert built == fan and built.word == (_cycle_dets(fan.rays), _cycle_profile(fan.rays))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 10**6), st.data())
+    def test_blow_down_undoes_splice(self, seed, data):
+        fan = families.random_blowup_surface_fan(random.Random(seed), max_rays=10)
+        cycle, d = list(fan.rays), fan.ray_count
+        # Cone d - 1 or 0, next to the least ray, may give a new least ray,
+        # which _blow_down removes from the start of the stored cycle.
+        cones = data.draw(st.sets(st.sampled_from([0, d - 1, *range(d)]), min_size=1, max_size=d))
+        new = {tuple(map(sum, zip(cycle[j], cycle[(j + 1) % d]))) for j in cones}
+        spliced, word = _splice(cycle, fan.word[1], new)
+        blown_up = _cycle_fan(fan.lattice, spliced)
+        start = blown_up.rays.index(spliced[0])
+        assert blown_up.word == ((1,) * len(spliced), tuple(word[-start:] + word[:-start]))
+        orbit = tuple(i for i, v in enumerate(blown_up.rays) if v in new)
+        at = tuple(range(blown_up.ray_count))
+        assert _blow_down(blown_up.rays, blown_up.word[1], at, orbit) == (
+            fan.rays,
+            fan.word[1],
+            tuple(map(blown_up.rays.index, fan.rays)),
+        )
+
+    @pytest.mark.parametrize("seed, cone", [(0, 0), (2, 0), (3, 4), (4, 3), (5, 9)])
+    def test_a_blow_up_next_to_the_least_ray_can_be_the_new_least(self, seed, cone):
+        fan = families.random_blowup_surface_fan(random.Random(seed), max_rays=10)
+        d = fan.ray_count
+        w = tuple(map(sum, zip(fan.rays[cone], fan.rays[(cone + 1) % d])))
+        blown_up = _cycle_fan(fan.lattice, _splice(list(fan.rays), fan.word[1], {w})[0])
+        assert blown_up.rays[0] == w
+        assert _blow_down(blown_up.rays, blown_up.word[1], tuple(range(d + 1)), (0,))[:2] == (fan.rays, fan.word[1])
 
 
 def _kernel_validate(fan):

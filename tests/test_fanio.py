@@ -20,7 +20,7 @@ from toricsym.fan import Lattice, build_surface_fan, make_fan
 from toricsym.intlin import IntMatrix
 
 from conftest import oracle_make_fan, oracle_parse_fan_document, outcome
-from toricsym.mmp import classify_terminal, contract, traces
+from toricsym.mmp import _label, contract, traces
 from toricsym.symmetry import action_from_generators, fan_automorphisms
 
 
@@ -139,7 +139,7 @@ class TestTraceText:
                 [(1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1)],
             )
         ]
-        labels = [classify_terminal(fan) for fan in terminals]
+        labels = [_label(fan.word[1]) for fan in terminals]
         assert [str(label) for label in labels] == ["P2", "P1xP1", "Hirzebruch(3)", "DP6Terminal", "Other"]
         for fan, label in zip(terminals, labels):
             # A terminal node of the contraction graph: one path, no edges.

@@ -19,9 +19,11 @@ from toricsym.errors import PreconditionError
 from toricsym.fan import (
     Fan,
     Lattice,
+    _cycle_dets,
     _cycle_fan,
     build_surface_fan,
     fan_isomorphism,
+    make_fan,
     surface_key,
     validate_fan,
 )
@@ -33,7 +35,6 @@ from toricsym.mmp import (
     P1XP1,
     TerminalLabel,
     check_adjacent_minus_one_rule,
-    classify_terminal,
     contract,
     self_intersection_profile,
     terminal_counts,
@@ -56,6 +57,11 @@ CENSUS_12_RAYS = [(-2, -1), (-1, -1), (-1, -2), (0, -1), (1, -1), (1, 0), (2, 1)
 CENSUS_18_RAYS = [(-3, -2), (-1, -1), (-2, -3), (-1, -2), (0, -1), (1, -1), (2, -1), (1, 0), (3, 1)]
 CENSUS_18_RAYS += [(2, 1), (1, 1), (1, 2), (1, 3), (0, 1), (-1, 2), (-1, 1), (-1, 0), (-2, -1)]
 BLOWUP_11_RAYS = [(-1, -2), (0, -1), (1, -3), (2, -5), (1, -2), (1, -1), (1, 0), (1, 1), (1, 2), (0, 1), (-1, -1)]
+
+
+def label(fan):
+    """The terminal label of a smooth complete surface fan, from its word."""
+    return mmp._label(fan.word[1])
 
 
 def trivial_action(fan):
@@ -165,7 +171,7 @@ def explore_all_by_recursion(fan, action):
     def walk(current, current_action, steps):
         orbits = contractible_by_reference(current, current_action)
         if not orbits:
-            traces.append((steps, current.rays, classify_terminal(current)))
+            traces.append((steps, current.rays, label(current)))
             return
         for orbit in orbits:
             nxt = contract_by_rebuilding(current, orbit)
@@ -181,7 +187,7 @@ def first_orbit_by_public_steps(fan, action):
         steps.append(_step(fan, orbits[0]))
         fan = contract_by_rebuilding(fan, orbits[0])
         action = _restrict(action, fan)
-    return tuple(steps), fan.rays, classify_terminal(fan)
+    return tuple(steps), fan.rays, label(fan)
 
 
 def hexagon_with_corners(kind):
@@ -681,6 +687,83 @@ class TestEntryCheck:
         assert entry_verdict(fan) == validation_verdict(fan) == verdict
 
 
+# What each entry point says it needs, by the fault it finds.
+NEEDS = {
+    "rank": "needs a surface fan (rank 2)",
+    "incomplete": "needs a complete fan",
+    "overlapping-cones": "needs a ray cycle that winds once round the origin",
+    "not-smooth": "needs a smooth fan",
+}
+
+
+@st.composite
+def faulty_fans(draw):
+    """A fault and a Fan built directly, with no check, that has it: a
+    smooth cycle, from any ray, reversed or cut to fewer than 3 rays
+    (incomplete), gone round 2 or 3 times (overlapping), with 2 v_i +
+    v_{i+1} put in after v_i (not smooth), or a rank-3 fan."""
+    fault = draw(st.sampled_from(sorted(NEEDS)))
+    if fault == "rank":
+        p3 = families.projective_space(3)
+        return fault, Fan(p3.lattice, p3.rays, p3.max_cones)
+    fan = families.random_blowup_surface_fan(random.Random(draw(st.integers(0, 10**6))), max_rays=10)
+    s = draw(st.integers(0, fan.ray_count - 1))
+    cycle = fan.rays[s:] + fan.rays[:s]
+    if fault == "incomplete":
+        cycle = cycle[::-1] if draw(st.booleans()) else cycle[: draw(st.integers(0, 2))]
+    elif fault == "overlapping-cones":
+        cycle *= draw(st.integers(2, 3))
+    else:
+        v, w = cycle[0], cycle[1]
+        cycle = (v, (2 * v[0] + w[0], 2 * v[1] + w[1])) + cycle[1:]
+    return fault, hand_built(fan.lattice, cycle)
+
+
+class TestDirectlyBuiltFans:
+    """A Fan built directly has a word no constructor tested: each entry
+    point still refuses it with the fault's reason and message."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(faulty_fans())
+    def test_each_fault_is_refused(self, case):
+        fault, fan = case
+        calls = [
+            ("the equivariant contraction loop", lambda: contract(fan, None, first_only=False)),
+            ("the self-intersection profile", lambda: self_intersection_profile(fan)),
+            ("the self-intersection profile", lambda: check_adjacent_minus_one_rule(fan)),
+        ]
+        for who, call in calls:
+            with pytest.raises(PreconditionError) as info:
+                call()
+            assert (info.value.reason, str(info.value)) == (fault, f"{who} {NEEDS[fault]}")
+
+
+class TestNoCycleRetest:
+    """A fan from ``make_fan`` or ``build_surface_fan`` carries the b its
+    cycle was tested with, so the contraction loop tests it no more."""
+
+    @pytest.mark.parametrize("fan,action", random_blowup_cases(8) + census_cases())
+    def test_contraction_loop(self, fan, action, monkeypatch):
+        for built in (fan, build_surface_fan(fan.lattice, fan.rays), make_fan(fan.lattice, fan.rays, fan.max_cones)):
+            built_action = action_from_generators(built, list(action.elements))
+            calls = []
+            with monkeypatch.context() as patch:
+                for name in ("_cycle_dets", "_cycle_winds_once"):
+                    original = getattr(fan_module, name)
+                    patch.setattr(fan_module, name, lambda cycle, original=original: calls.append(cycle) or original(cycle))
+                contract(built, built_action, first_only=False)
+                contract(built, built_action, first_only=True)
+                check_adjacent_minus_one_rule(built)
+            assert calls == []
+
+    def test_the_count_sees_a_directly_built_fan(self, monkeypatch):
+        fan = families.hirzebruch(1)
+        calls = []
+        monkeypatch.setattr(fan_module, "_cycle_dets", lambda cycle: calls.append(cycle) or _cycle_dets(cycle))
+        contract(hand_built(fan.lattice, fan.rays), trivial_action(fan), first_only=True)
+        assert calls == [fan.rays]
+
+
 @pytest.fixture
 def smith_form_calls(monkeypatch):
     """Every Smith normal form taken while the test runs."""
@@ -789,50 +872,53 @@ def label_by_surface_key(fan):
     return TerminalLabel("Hirzebruch", a) if a else P1XP1
 
 
-class TestClassifyTerminal:
+class TestLabel:
     def test_triangle(self, p2_fan):
-        assert classify_terminal(p2_fan) == P2
+        assert label(p2_fan) == P2
 
     def test_square(self, square_fan):
-        assert classify_terminal(square_fan) == P1XP1
+        assert label(square_fan) == P1XP1
 
     def test_hexagon(self, hexagon_n1):
-        assert classify_terminal(hexagon_n1) == DP6_TERMINAL
+        assert label(hexagon_n1) == DP6_TERMINAL
 
     @pytest.mark.parametrize("a", range(-20, 21))
     def test_ruled_surfaces(self, a):
         expected = TerminalLabel("Hirzebruch", abs(a)) if a else P1XP1
-        assert classify_terminal(families.hirzebruch(a)) == expected
+        assert label(families.hirzebruch(a)) == expected
 
     def test_four_ray_labels_agree_with_the_profile(self, std2):
-        """The label of every complete 4-ray fan with rays in a small box,
-        and of F_a for |a| <= 20, read off the word, against the one the
-        surface-key comparison gives."""
+        """The label of every smooth complete 4-ray fan with rays in a small
+        box, and of F_a for |a| <= 20, read off the word, against the one
+        the surface-key comparison gives."""
         box = [
             (x, y)
             for x in range(-3, 4)
             for y in range(-3, 4)
             if math.gcd(x, y) == 1
         ]
-        checked = 0
+        checked = smooth = 0
         for rays in itertools.combinations(box, 4):
             try:
                 fan = build_surface_fan(std2, rays)
             except PreconditionError:
                 continue
             checked += 1
-            assert classify_terminal(fan) == label_by_surface_key(fan), fan.rays
-        assert checked > 10_000
+            if set(fan.word[0]) == {1}:
+                smooth += 1
+                assert label(fan) == label_by_surface_key(fan), fan.rays
+            else:  # a singular fan is no F_a; the loop refuses it, so it gets no label
+                assert label_by_surface_key(fan) == OTHER, fan.rays
+        assert checked > 10_000 and smooth == 237
         for a in range(-20, 21):
             fan = families.hirzebruch(a)
-            assert classify_terminal(fan) == label_by_surface_key(fan), a
+            assert label(fan) == label_by_surface_key(fan), a
 
     def test_one_point_blowup_is_the_first_ruled_surface(self, std2):
-        assert classify_terminal(blowup_p2_once(std2)) == TerminalLabel("Hirzebruch", 1)
+        assert label(blowup_p2_once(std2)) == TerminalLabel("Hirzebruch", 1)
 
     def test_everything_else_is_other(self, std2):
-        assert classify_terminal(blowup_p2_twice(std2)).kind == "Other"
-        assert classify_terminal(families.singular_hexagon()).kind == "Other"
+        assert label(blowup_p2_twice(std2)).kind == "Other"
 
 
 class TestAdjacentMinusOneRule:

@@ -165,3 +165,18 @@ def test_fan_is_a_value():
     lattice = Lattice.standard(2)
     fan = Fan(lattice, ((-1, -1), (1, 0), (0, 1)), ((0, 1), (0, 2), (1, 2)))
     assert fan == build_surface_fan(lattice, [(0, 1), (-1, -1), (1, 0)]) and {fan: 1}[Fan(*fan._values(fan))] == 1
+
+
+def test_a_read_word_leaves_the_fan_value_unchanged():
+    # The word is cached in the instance dict, which no field, comparison,
+    # hash, repr or pickle reads.
+    read, unread = (build_surface_fan(Lattice.standard(2), [(1, 0), (1, 1), (0, 1), (-1, -1)]) for _ in range(2))
+    assert read.word == ((1, 1, 1, 1), (-1, 0, 1, 0)) and "word" in vars(read) and "word" not in vars(unread)
+    assert read == unread and hash(read) == hash(unread) and repr(read) == repr(unread)
+    assert pickle.dumps(read) == pickle.dumps(unread) and pickle.loads(pickle.dumps(read)) == unread
+    assert copy.copy(read) == unread
+    with pytest.raises(AttributeError):
+        read.word = unread.word
+    with pytest.raises(AttributeError):
+        del read.word
+    assert read.word == unread.word
