@@ -3,8 +3,9 @@
 Everything here works over plain Python ints (arbitrary precision); no
 floating point is used anywhere.  The central routine is Smith normal form
 with unimodular transforms, from which saturated integer kernels are
-derived.  Ranks come from elimination, and so do det and adj, except that
-2x2 and 3x3 matrices (the cones of rank-2 and rank-3 fans) take cofactors.
+derived.  Ranks come from the Hermite reduction of the rows, det and adj
+from elimination, except that 2x2 and 3x3 matrices (the cones of rank-2
+and rank-3 fans) take cofactors.
 """
 
 from __future__ import annotations
@@ -114,23 +115,8 @@ class IntMatrix(Record):
         return _det(self.entries)
 
     def rank(self) -> int:
-        """Rank over the rationals (fraction-free elimination)."""
-        m = [list(row) for row in self.entries]
-        rows, cols = self.rows, self.cols
-        r = 0
-        for j in range(cols):
-            pivot = next((i for i in range(r, rows) if m[i][j] != 0), None)
-            if pivot is None:
-                continue
-            m[r], m[pivot] = m[pivot], m[r]
-            for i in range(r + 1, rows):
-                if m[i][j] != 0:
-                    a, b = m[r][j], m[i][j]
-                    m[i] = [a * x - b * y for x, y in zip(m[i], m[r])]
-            r += 1
-            if r == rows:
-                break
-        return r
+        """Rank over the rationals: the number of rows ``_reduce_rows`` keeps."""
+        return len(_reduce_rows(self.entries))
 
     def adjugate(self) -> "IntMatrix":
         """Adjugate: self @ adj = det * identity.  The library calls ``det_adjugate``;

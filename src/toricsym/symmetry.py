@@ -20,7 +20,7 @@ from typing import Sequence
 
 from .errors import PreconditionError
 from .fan import Fan, _candidate_test, _cycle_cones, _ray_degrees, _read_off, _seed_basis
-from .intlin import IntMatrix, kernel_basis
+from .intlin import IntMatrix, _det, kernel_basis
 from .record import Record
 
 Perm = tuple[int, ...]
@@ -239,12 +239,6 @@ class GaloisDatum(Record):
             raise ValueError("tau must square to the identity")
 
 
-def _is_block_swap_permutation(tau: IntMatrix) -> bool:
-    """Fixed-point-free permutation matrix; as tau^2 = 1 (``GaloisDatum``), a factor swap."""
-    n = tau.rows
-    return all(sorted(row) == [0] * (n - 1) + [1] and row[i] == 0 for i, row in enumerate(tau.entries))
-
-
 def classify_galois_form(action: GroupAction, datum: GaloisDatum) -> GaloisForm:
     """Classify a descent datum as split / negation twist / factor swap.
 
@@ -253,6 +247,12 @@ def classify_galois_form(action: GroupAction, datum: GaloisDatum) -> GaloisForm:
     is reported as an error).  The rays span, so tau commutes with g iff
     their ray permutations commute, and with the group iff with each
     generator.
+
+    The form is Reiner's type of (N, tau), which no change of basis moves:
+    N splits as Z+^a + Z-^b + Z[C2]^c (Reiner 1957), the saturated kernels
+    of tau - 1 and tau + 1 have ranks a + c and b + c, and their sum has
+    index 2^c in N.  Split is (n, 0, 0), the negation twist (0, n, 0), a
+    factor swap (0, 0, n/2), and any other triple is ``OTHER``.
     """
     fan, tau = action.fan, datum.tau
     if tau.rows != fan.rank:
@@ -265,10 +265,12 @@ def classify_galois_form(action: GroupAction, datum: GaloisDatum) -> GaloisForm:
                 "tau does not commute with the group action; the action does not descend",
             )
     n = fan.rank
-    if tau == IntMatrix.identity(n):
+    shifted = ([tuple(x - s * (i == j) for j, x in enumerate(row)) for i, row in enumerate(tau.entries)] for s in (1, -1))
+    plus, minus = (kernel_basis(IntMatrix._of(tuple(m))) for m in shifted)
+    c = abs(_det(plus + minus)).bit_length() - 1
+    a, b = len(plus) - c, len(minus) - c
+    if (a, b, c) == (n, 0, 0):
         return GaloisForm.SPLIT
-    if tau == -IntMatrix.identity(n):
+    if (a, b, c) == (0, n, 0):
         return GaloisForm.NEGATION_TWIST
-    if _is_block_swap_permutation(tau):
-        return GaloisForm.FACTOR_SWAP
-    return GaloisForm.OTHER
+    return GaloisForm.FACTOR_SWAP if a == b == 0 else GaloisForm.OTHER

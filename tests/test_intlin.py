@@ -57,6 +57,19 @@ def square_matrices_of_any_rank(draw):
 
 
 @st.composite
+def matrices_of_any_rank(draw):
+    """r x c products L R of r x k and k x c matrices, 0 <= r <= 7, 1 <= c
+    <= 7, k <= min(r, c): rank at most k.  L's entries reach 10^6 half the
+    time, so that elimination meets large entries."""
+    r, c = draw(st.integers(0, 7)), draw(st.integers(1, 7))
+    k = draw(st.integers(0, min(r, c)))
+    bound = draw(st.sampled_from((3, 10**6)))
+    left = draw(st.lists(st.lists(st.integers(-bound, bound), min_size=k, max_size=k), min_size=r, max_size=r))
+    right = draw(st.lists(st.lists(st.integers(-3, 3), min_size=c, max_size=c), min_size=k, max_size=k))
+    return [[sum(left[i][q] * right[q][j] for q in range(k)) for j in range(c)] for i in range(r)]
+
+
+@st.composite
 def bareiss_cases(draw):
     """n x n rows, 0 <= n <= 8, with entries up to 10^12 in absolute value:
     drawn freely, with leading zeros in each row (so that pivots are zero
@@ -259,6 +272,11 @@ class TestSympyOracles:
         assert Matrix(adjugate.entries) == oracle.adjugate().to_Matrix()
         scalar = IntMatrix.from_rows([[det * (i == j) for j in range(a.rows)] for i in range(a.rows)])
         assert a @ adjugate == scalar and adjugate @ a == scalar
+
+    @settings(max_examples=300, deadline=None)
+    @given(matrices_of_any_rank())
+    def test_rank(self, rows):
+        assert mat(rows).rank() == (Matrix(rows).rank() if rows else 0)
 
     @settings(max_examples=100, deadline=None)
     @given(small_matrices)

@@ -7,15 +7,18 @@ import random
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from sympy import GF, Matrix, eye
+from sympy.polys.matrices import DomainMatrix
 
 from toricsym import families, symmetry
 from toricsym import fan as fan_module
 from toricsym.acceptance import named_family_corpus
+from toricsym.cli import _report_payload
 from toricsym.divisors import class_group
 from toricsym.errors import PreconditionError
-from toricsym.fan import Lattice, _all_isomorphisms, fan_isomorphism, make_fan
+from toricsym.fan import Lattice, _all_isomorphisms, fan_isomorphism, make_fan, surface_key
 from toricsym.intlin import IntMatrix, kernel_basis
-from toricsym.mmp import contract, traces
+from toricsym.mmp import contract, terminal_counts, traces
 from toricsym.symmetry import (
     GaloisDatum,
     _perm_of,
@@ -861,6 +864,33 @@ class TestGaloisForms:
         form = classify_galois_form(trivial_action(square_fan), GaloisDatum(tau=reflection))
         assert form is GaloisForm.OTHER
 
+    @pytest.mark.parametrize("tau", [((0, 1), (1, 0)), ((1, -1), (0, -1)), ((-1, 0), (-1, 1))])
+    def test_each_transposition_of_p2_is_a_factor_swap(self, p2_fan, tau):
+        # The three swap two rays of P2 and fix the third: Aut(P2) conjugates them.
+        form = classify_galois_form(trivial_action(p2_fan), GaloisDatum(tau=IntMatrix.from_rows(tau)))
+        assert form is GaloisForm.FACTOR_SWAP
+
+    def test_the_swap_in_a_sheared_basis_is_a_factor_swap(self, square_fan):
+        g, g_inverse = IntMatrix.from_rows([(1, 1), (0, 1)]), IntMatrix.from_rows([(1, -1), (0, 1)])
+        tau = g @ SWAP @ g_inverse
+        assert tau == IntMatrix.from_rows([(1, 0), (1, -1)])
+        form = classify_galois_form(trivial_action(transform_fan(g, square_fan)), GaloisDatum(tau=tau))
+        assert form is GaloisForm.FACTOR_SWAP
+
+    def test_the_negated_swap_is_a_factor_swap(self, square_fan):
+        form = classify_galois_form(trivial_action(square_fan), GaloisDatum(tau=-SWAP))
+        assert form is GaloisForm.FACTOR_SWAP
+
+    @pytest.mark.parametrize(
+        "name, images, expected",
+        [("P1^3", (1, 0, 2), GaloisForm.OTHER), ("P1^4", (1, 0, 3, 2), GaloisForm.FACTOR_SWAP)],
+    )
+    def test_swapping_factors_of_a_product_of_lines(self, name, images, expected):
+        # Swapping two of three factors leaves a fixed line: type (1, 0, 1).
+        tau = IntMatrix.from_columns([[int(i == j) for i in range(len(images))] for j in images])
+        form = classify_galois_form(trivial_action(SEARCH_CORPUS[name]), GaloisDatum(tau=tau))
+        assert form is expected
+
     def test_noncommuting_tau_cannot_descend(self, hexagon_n2):
         action = families.standard_s3_action(hexagon_n2)
         swap01 = hexagon_n2.lattice.s3_matrices()[0]
@@ -954,16 +984,17 @@ def galois_form_by_elements(action, tau):
         return "not-fan-preserving"
     if any(g @ tau != tau @ g for g in action.elements):
         return "galois-noncommuting"
-    if tau == IntMatrix.identity(n):
+    # The type (a, b, c) of N = Z+^a + Z-^b + Z[C2]^c: a + c and b + c are the
+    # nullities of tau - 1 and tau + 1 over Q, and c is the rank of tau - 1
+    # over F2, where Z+ and Z- give 0 and Z[C2] gives [[1, 1], [1, 1]].
+    tau_minus_1, tau_plus_1 = Matrix(tau.entries) - eye(n), Matrix(tau.entries) + eye(n)
+    c = DomainMatrix.from_Matrix(tau_minus_1).convert_to(GF(2)).rank()
+    a, b = n - tau_minus_1.rank() - c, n - tau_plus_1.rank() - c
+    if (a, b, c) == (n, 0, 0):
         return GaloisForm.SPLIT
-    if tau == -IntMatrix.identity(n):
+    if (a, b, c) == (0, n, 0):
         return GaloisForm.NEGATION_TWIST
-    columns = [tau.column(j) for j in range(n)]
-    if all(sorted(c) == [0] * (n - 1) + [1] for c in columns):
-        perm = [c.index(1) for c in columns]
-        if all(perm[i] != i and perm[perm[i]] == i for i in range(n)):
-            return GaloisForm.FACTOR_SWAP
-    return GaloisForm.OTHER
+    return GaloisForm.FACTOR_SWAP if a == b == 0 else GaloisForm.OTHER
 
 
 def galois_form_or_reason(action, tau):
@@ -1117,3 +1148,72 @@ class TestExpansionOnDemand:
         # The counter sees an expansion when there is one.
         assert action.order and expansions["order"] == 1
         assert len(action.elements) == expansions["read-off"] == action.order
+
+
+# --- change of basis ---------------------------------------------------------
+
+
+def _harness_fans():
+    """(fan, generators every action holds): the named families of rank >= 2
+    (``random_unimodular`` needs n >= 2) with none, and the smooth census at
+    H <= 4 with the S3 it is invariant under."""
+    fans = [(fan, []) for _, fan in named_family_corpus() if fan.rank >= 2]
+    for lattice in (Lattice.root_a2(), Lattice.weight_a2()):
+        census = families.enumerate_invariant_fans(lattice, height=4, max_rays=24, require_smooth=True)
+        fans += [(fan, list(lattice.s3_matrices())) for fan in census]
+    return fans
+
+
+def _inverse(g):
+    det, adjugate = g.det_adjugate()
+    return adjugate if det == 1 else -adjugate
+
+
+def _basis_free_outputs(fan, action, datum):
+    """What no change of basis may move: check's flags, class group, block
+    sizes, group order, orbit sizes, invariant rho and Galois form; mmp's
+    explore-all trace count and terminal labels, or its refusal; the surface key."""
+    payload, _ = _report_payload(fan, action, datum)
+    check = [payload[key] for key in ("simplicial", "complete", "smooth", "class_group", "group_order")]
+    check += [sorted(payload["block_sizes"]), sorted(map(len, payload["ray_orbits"]))]
+    check += [payload["invariant_picard_number"], payload.get("galois_form")]
+    try:
+        root = contract(fan, action, first_only=False)
+    except PreconditionError as exc:
+        mmp = exc.reason
+    else:
+        labels = collections.Counter()
+        for (_, label), count in terminal_counts(root).items():
+            labels[str(label)] += count
+        mmp = root[0], sorted(labels.items())
+    return check, mmp, surface_key(fan) if fan.rank == 2 else None
+
+
+class TestChangeOfBasis:
+    """A fan, a group and a Galois involution moved by g in GL_n(Z), each
+    element h to g h g^-1, give the same basis-free outputs."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.one_of(
+            st.sampled_from(_harness_fans()),
+            st.integers(0, 10**6).map(lambda seed: (families.random_blowup_surface_fan(random.Random(seed), max_rays=9), [])),
+        ),
+        st.integers(0, 10**6),
+        st.data(),
+    )
+    def test_outputs_are_invariant(self, case, seed, data):
+        # Blow-ups of P2 come with no generators, the other fans as listed.
+        fan, base = case
+        elements = fan_automorphisms(fan).elements
+        gens = base + data.draw(st.lists(st.sampled_from(elements), max_size=2))
+        ident = IntMatrix.identity(fan.rank)
+        taus = [t for t in elements if t @ t == ident and all(t @ h == h @ t for h in gens)]
+        tau = data.draw(st.sampled_from(taus)) if taus and data.draw(st.booleans()) else None
+        expected = _basis_free_outputs(fan, action_from_generators(fan, gens), None if tau is None else GaloisDatum(tau=tau))
+        g = random_unimodular(random.Random(seed), fan.rank)
+        g_inverse = _inverse(g)
+        moved = transform_fan(g, fan)
+        moved_gens = [g @ h @ g_inverse for h in gens]
+        moved_datum = None if tau is None else GaloisDatum(tau=g @ tau @ g_inverse)
+        assert _basis_free_outputs(moved, action_from_generators(moved, moved_gens), moved_datum) == expected
