@@ -22,7 +22,7 @@ import operator
 from typing import Collection, Iterable, Sequence
 
 from .errors import ParseError, PreconditionError
-from .intlin import IntMatrix, Vector, _as_int, _det, smith_normal_form
+from .intlin import IntMatrix, Vector, _as_int, _det, primitive_vector, smith_normal_form
 from .record import Record
 
 _S3_PERMUTATIONS = ((0, 1, 2), (1, 0, 2), (0, 2, 1), (2, 1, 0), (1, 2, 0), (2, 0, 1))
@@ -375,7 +375,7 @@ def cone_invariant_factors(fan: Fan, cone: Sequence[int]) -> Vector:
 
 
 def _dot(v: Sequence[int], w: Sequence[int]) -> int:
-    return sum(a * b for a, b in zip(v, w))
+    return sum(map(operator.mul, v, w))
 
 
 def _complete_rank_ge3(fan: Fan, det_adj: list[tuple[int, IntMatrix]]) -> bool:
@@ -383,9 +383,9 @@ def _complete_rank_ge3(fan: Fan, det_adj: list[tuple[int, IntMatrix]]) -> bool:
     in rank 1 the one wall is the origin."""
     if not fan.max_cones:
         return False
-    # B adj B = det B I: column k of det B adj B is the inward normal of the
-    # facet opposite ray k, and the cone is {x : <normal, x> >= 0 for each}.
-    normals = [[tuple(det * a for a in column) for column in zip(*adjugate.entries)] for det, adjugate in det_adj]
+    # B adj B = det B I: column k of adj B, negated when det B < 0, is the inward
+    # normal of the facet opposite ray k, and the cone is {x : <normal, x> >= 0 for each}.
+    normals = [list(zip(*(a.entries if det > 0 else [map(operator.neg, r) for r in a.entries]))) for det, a in det_adj]
     walls: dict[tuple[int, ...], list[tuple[int, int]]] = {}
     for ci, cone in enumerate(fan.max_cones):
         for k in range(len(cone)):
@@ -462,10 +462,16 @@ def _seed_basis(source: Fan, target: Fan) -> tuple[tuple[int, ...], list[tuple[i
     if seed is not None:
         return seed, [cone for cone in target.max_cones if len(cone) == n]
     # The rays form a matroid, so keeping each ray that raises the rank gives
-    # the lexicographically first spanning subset.
-    subset = ()
-    for i in range(source.ray_count):
-        if source.cone_matrix(subset + (i,)).rank() > len(subset):
+    # the lexicographically first spanning subset.  The kept rays are held in echelon
+    # form, each row zero in the pivots (p) of the rows before it, so a ray raises
+    # the rank iff reducing it by the rows in order leaves v != 0.
+    subset, echelon = (), []
+    for i, v in enumerate(source.rays):
+        for p, row in echelon:
+            if c := v[p]:
+                v = [row[p] * x - c * y for x, y in zip(v, row)]
+        if any(v):
+            echelon.append((next(p for p, x in enumerate(v) if x), primitive_vector(v)))
             subset += (i,)
             if len(subset) == n:
                 return subset, [tuple(range(target.ray_count))]
@@ -474,19 +480,19 @@ def _seed_basis(source: Fan, target: Fan) -> tuple[tuple[int, ...], list[tuple[i
 
 def _read_off(target: Fan, basis: Sequence[Vector]):
     """det B and adj B of the basis B (columns ``basis``), and ``read_off(images)``:
-    W adj(B) // det(B), with W the target rays ``images`` as columns, formed
-    from the nonzero entries of adj B (W itself when B = I).  It sends B to W
-    iff some integral matrix does, which a caller that does not know must check."""
+    W adj(B) // det(B), with W the target rays ``images`` as columns (W itself
+    when B = I).  It sends B to W iff some integral matrix does, which a caller
+    that does not know must check."""
     n, rays = len(basis), target.rays
     det, adjugate = IntMatrix._of(tuple(zip(*basis))).det_adjugate()
     plain = all(b[j] == 1 and b.count(0) == n - 1 for j, b in enumerate(basis))
-    terms = [[(k, a) for k, a in enumerate(column) if a] for column in zip(*adjugate.entries)]
+    columns = list(zip(*adjugate.entries))
 
     def read_off(images: Sequence[int]) -> IntMatrix:
-        w = [rays[j] for j in images]
-        if not plain:
-            w = [[sum(a * w[k][i] for k, a in t) // det for i in range(n)] for t in terms]
-        return IntMatrix._of(tuple(zip(*w)))
+        rows = zip(*map(rays.__getitem__, images))
+        if plain:
+            return IntMatrix._of(tuple(rows))
+        return IntMatrix._of(tuple([tuple([sum(map(operator.mul, row, c)) // det for c in columns]) for row in rows]))
 
     return det, adjugate, read_off
 
@@ -496,7 +502,7 @@ def _candidate_test(source: Fan, target: Fan, seed: Sequence[int], source_degree
     the (ray map, matrix) pair sending B to the target rays ``images``, or None.
 
     Each other source ray v is kept as the nonzero entries of |det B| B^-1 v,
-    read off the rows of +-adj B (cofactors for n <= 3), so a candidate only
+    read off the rows of +-adj B (cofactors for n <= 4), so a candidate only
     combines image columns (the fans' rays, checked when the fans were built).
     It is rejected, in order, by seed ray images on other numbers of maximal
     cones, a ray image that is not integral or not a target ray, a non-injective

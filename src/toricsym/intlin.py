@@ -4,13 +4,14 @@ Everything here works over plain Python ints (arbitrary precision); no
 floating point is used anywhere.  The central routine is Smith normal form
 with unimodular transforms, from which saturated integer kernels are
 derived.  Ranks come from the Hermite reduction of the rows, det and adj
-from elimination, except that 2x2 and 3x3 matrices (the cones of rank-2
-and rank-3 fans) take cofactors.
+from elimination, except that 2x2, 3x3 and 4x4 matrices (the cones of
+fans of rank 2 to 4) take cofactors, the 4x4 ones by 2x2 minors.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from typing import Iterable, Sequence
 
 from .errors import PreconditionError
@@ -56,7 +57,7 @@ class IntMatrix(Record):
     @classmethod
     def _of(cls, rows: tuple[tuple[int, ...], ...]) -> "IntMatrix":
         matrix = object.__new__(cls)
-        object.__setattr__(matrix, "entries", rows)
+        cls._setters[0](matrix, rows)
         return matrix
 
     @classmethod
@@ -109,7 +110,7 @@ class IntMatrix(Record):
         return IntMatrix._of(tuple(tuple(-x for x in row) for row in self.entries))
 
     def det(self) -> int:
-        """Determinant (``_det``): 2x2 and 3x3 by cofactors, else by Bareiss elimination."""
+        """Determinant (``_det``): 2x2, 3x3 and 4x4 by cofactors, else by Bareiss elimination."""
         if self.rows != self.cols:
             raise ValueError("determinant of a non-square matrix")
         return _det(self.entries)
@@ -124,18 +125,37 @@ class IntMatrix(Record):
         return self.det_adjugate()[1]
 
     def det_adjugate(self) -> tuple[int, "IntMatrix"]:
-        """det and adjugate together (``_gauss_jordan``): 2x2 and 3x3 by cofactors, else one elimination."""
+        """det and adjugate together (``_gauss_jordan``): 2x2, 3x3 and 4x4 by cofactors, else one elimination."""
         if self.rows != self.cols:
             raise ValueError("adjugate of a non-square matrix")
         det, adjugate = _gauss_jordan(self.entries)
         return det, IntMatrix._of(adjugate)
 
 
+def _minors(u: Sequence[int], v: Sequence[int]) -> Vector:
+    """The 2x2 minors of rows u, v of a 4x4 matrix, in columns 01, 02, 03, 12, 13, 23."""
+    (u0, u1, u2, u3), (v0, v1, v2, v3) = u, v
+    return (u0 * v1 - u1 * v0, u0 * v2 - u2 * v0, u0 * v3 - u3 * v0,
+            u1 * v2 - u2 * v1, u1 * v3 - u3 * v1, u2 * v3 - u3 * v2)
+
+
+def _cofactors(u: Sequence[int], v: Sequence[int], m: Vector) -> tuple[Vector, Vector]:
+    """The cofactor rows of rows u, v (0, 1 or 2, 3) of a 4x4 matrix whose other rows have the
+    2x2 minors m: each 3x3 minor expanded along the row of the pair that it keeps."""
+    m01, m02, m03, m12, m13, m23 = m
+    (u0, u1, u2, u3), (v0, v1, v2, v3) = u, v
+    return ((v1 * m23 - v2 * m13 + v3 * m12, v2 * m03 - v0 * m23 - v3 * m02,
+             v0 * m13 - v1 * m03 + v3 * m01, v1 * m02 - v0 * m12 - v2 * m01),
+            (u2 * m13 - u1 * m23 - u3 * m12, u0 * m23 - u2 * m03 + u3 * m02,
+             u1 * m03 - u0 * m13 - u3 * m01, u0 * m12 - u1 * m02 + u2 * m01))
+
+
 def _det(rows: Iterable[Sequence[int]]) -> int:
-    """det A from the rows of A, not modified: ad - bc, the first-row cofactor
-    expansion for the 3x3 cones of rank-3 fans, else Bareiss elimination: step
-    k sets each row r below the pivot to (p_k r - r[k] pivot row) / p_(k-1),
-    exactly (Sylvester's identity), so det A = +-p_n; no pivot in a column gives 0."""
+    """det A from the rows of A, not modified: ad - bc, the first-row cofactor expansion
+    for 3x3, for 4x4 the Laplace expansion sum +-s_i c_(5-i) by the 2x2 minors s of rows
+    0, 1 and c of rows 2, 3, else Bareiss elimination: step k sets each row r below the
+    pivot to (p_k r - r[k] pivot row) / p_(k-1), exactly (Sylvester's identity), so
+    det A = +-p_n; no pivot in a column gives 0."""
     m = list(rows)
     n = len(m)
     if n == 2:
@@ -144,6 +164,9 @@ def _det(rows: Iterable[Sequence[int]]) -> int:
     if n == 3:
         (a, b, c), (d, e, f), (g, h, i) = m
         return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+    if n == 4:
+        (s0, s1, s2, s3, s4, s5), (c0, c1, c2, c3, c4, c5) = _minors(m[0], m[1]), _minors(m[2], m[3])
+        return s0 * c5 - s1 * c4 + s2 * c3 + s3 * c2 - s4 * c1 + s5 * c0
     sign, prev = 1, 1
     for k in range(n):
         if not m[k][k]:
@@ -168,7 +191,7 @@ def _det(rows: Iterable[Sequence[int]]) -> int:
 
 
 def _gauss_jordan(a: Sequence[Sequence[int]]) -> tuple[int, tuple[Vector, ...]]:
-    """det A and adj A: for the 2x2 and 3x3 cones of rank 2-3 fans the cofactor
+    """det A and adj A: for the 2x2, 3x3 and 4x4 cones of rank 2-4 fans the cofactor
     matrix, exact at any rank, and row 1 of A times its column 1.  Else by
     fraction-free Gauss-Jordan elimination of [A | I]: step k sets each other
     row r to (p_k r - r[k] pivot row) / p_(k-1) and drops column k, leaving
@@ -183,6 +206,10 @@ def _gauss_jordan(a: Sequence[Sequence[int]]) -> tuple[int, tuple[Vector, ...]]:
         c0, c1, c2 = t * x - u * w, u * v - s * x, s * w - t * v
         adj = (c0, r * w - q * x, q * u - r * t), (c1, p * x - r * v, r * s - p * u), (c2, q * v - p * w, p * t - q * s)
         return p * c0 + q * c1 + r * c2, adj
+    if n == 4:
+        p, q, r, s = a
+        (c0, c1), (c2, c3) = _cofactors(p, q, _minors(r, s)), _cofactors(r, s, _minors(p, q))
+        return sum(map(operator.mul, p, c0)), tuple(zip(c0, c1, c2, c3))
     rows = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(a)]
     order = list(range(n))  # order[k + c]: the column of A now at left position c
     sign, prev = 1, 1

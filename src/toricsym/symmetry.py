@@ -16,6 +16,7 @@ import enum
 import math
 from functools import cached_property
 from itertools import permutations
+from operator import itemgetter
 from typing import Sequence
 
 from .errors import PreconditionError
@@ -66,8 +67,9 @@ class GroupAction(Record):
 
     @cached_property
     def elements(self) -> tuple[IntMatrix, ...]:
-        read_off, seed = self._seed_read_off, self.seed
-        return tuple([read_off([p[b] for b in seed]) for p in self.ray_perms])
+        seed = self.seed  # itemgetter of one index gives the item, not a 1-tuple
+        images = itemgetter(*seed) if len(seed) > 1 else lambda p: (p[seed[0]],)
+        return tuple(map(self._seed_read_off, map(images, self.ray_perms)))
 
     @cached_property
     def _seed_read_off(self):

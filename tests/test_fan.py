@@ -950,6 +950,16 @@ def _one_ray_cone_fan(rng, n, spanning):
             return Fan(Lattice.standard(n), tuple(rays), tuple((i,) for i in range(len(rays))))
 
 
+def _seed_basis_by_ranks(fan):
+    """The walk that ``_seed_basis`` replaced: keep each ray that raises the
+    rank of the matrix of the kept rays, each rank computed anew."""
+    subset = ()
+    for i in range(fan.ray_count):
+        if len(subset) < fan.rank and fan.cone_matrix(subset + (i,)).rank() > len(subset):
+            subset += (i,)
+    return subset
+
+
 class TestSeedBasis:
     """With no full-dimensional cone the seed basis is the first spanning
     ray subset of the lexicographic scan over all n-subsets."""
@@ -970,6 +980,32 @@ class TestSeedBasis:
                 assert info.value.reason == "rays-do-not-span"
             else:
                 assert _seed_basis(fan, fan) == (scan, [tuple(range(fan.ray_count))])
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
+    def test_echelon_walk_equals_the_rank_walk(self, n):
+        # The running echelon form keeps the rays that the walk by ranks keeps.
+        # Up to 40 rays of rank k <= n combine k random vectors, with entries
+        # up to 10^6 half the time; a ray uses only some of them, so that
+        # ray subsets are often dependent.
+        rng = random.Random(340 + n)
+        for _ in range(60):
+            k, bound = rng.randint(1, n), rng.choice((2, 10**6))
+            gens = [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(k)]
+            rays = []
+            for _ in range(rng.randint(1, 40)):
+                v = [sum(rng.randint(-2, 2) * g[i] for g in gens[: rng.randint(1, k)]) for i in range(n)]
+                if any(v) and primitive_vector(v) not in rays:
+                    rays.append(primitive_vector(v))
+            if not rays:
+                continue
+            fan = Fan(Lattice.standard(n), tuple(rays), tuple((i,) for i in range(len(rays))))
+            walk = _seed_basis_by_ranks(fan)
+            if len(walk) < n:
+                with pytest.raises(PreconditionError) as info:
+                    _seed_basis(fan, fan)
+                assert info.value.reason == "rays-do-not-span"
+            else:
+                assert _seed_basis(fan, fan) == (walk, [tuple(range(fan.ray_count))])
 
 
 class TestReadOff:

@@ -3,7 +3,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, find, given, settings
 from hypothesis import strategies as st
 from sympy import ZZ, Matrix
 from sympy.polys.matrices import DomainMatrix
@@ -71,8 +71,9 @@ def matrices_of_any_rank(draw):
 
 @st.composite
 def bareiss_cases(draw):
-    """n x n rows, 0 <= n <= 8, with entries up to 10^12 in absolute value:
-    drawn freely, with leading zeros in each row (so that pivots are zero
+    """n x n rows, 0 <= n <= 8, with entries up to 10^12 in absolute value
+    (n = 1 and n >= 5 go through the elimination, n = 2..4 through the closed
+    forms): drawn freely, with leading zeros in each row (so that pivots are zero
     and rows must be swapped, or a column has no pivot at all), or of rank
     n - 1 or less (one row a combination of the others)."""
     n = draw(st.integers(0, 8))
@@ -92,11 +93,11 @@ def bareiss_cases(draw):
 
 @st.composite
 def closed_form_cases(draw):
-    """2 x 2 and 3 x 3 rows of each rank r = 0..n: r rows with entries up to
-    10^12 in absolute value, and n - r zero rows or multiples (-3..3) of
-    them; or for r = 1 an outer product u v^T of entries up to 10^6.  The
+    """2 x 2, 3 x 3 and 4 x 4 rows of each rank r = 0..n: r rows with entries
+    up to 10^12 in absolute value, and n - r zero rows or multiples (-3..3)
+    of them; or for r = 1 an outer product u v^T of entries up to 10^6.  The
     rows are shuffled, and the matrix transposed half the time."""
-    n = draw(st.sampled_from((2, 3)))
+    n = draw(st.sampled_from((2, 3, 4)))
     r = draw(st.integers(0, n))
     if r == 1 and draw(st.booleans()):
         factor = st.lists(st.integers(-(10**6), 10**6).filter(bool), min_size=n, max_size=n)
@@ -127,6 +128,10 @@ class TestBareissDeterminant:
         assert det == Matrix(n, n, [x for row in rows for x in row]).det()
         assert det == mat(rows).det() == mat(rows).det_adjugate()[0]
 
+    def test_draws_reach_the_elimination(self):
+        # The closed forms take n = 2..4, so n >= 5 must stay among the draws.
+        assert len(find(bareiss_cases(), lambda rows: len(rows) >= 5)) == 5
+
     @pytest.mark.parametrize(
         "rows, det",
         [
@@ -138,25 +143,36 @@ class TestBareissDeterminant:
             ([[1, 2, 3], [2, 4, 6], [0, 0, 1]], 0),
             ([[1, 2, 3], [0, 0, 5], [0, 0, 7]], 0),
             ([[10**12, 1], [1, 10**12]], 10**24 - 1),
+            ([[0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0], [1, 0, 0, 0]], 1),
+            ([[2, 0, 0, 0], [0, 0, 3, 0], [0, 1, 0, 0], [0, 0, 0, 5]], -30),
+            ([[0, 0, 0, 0, 1], [0, 0, 0, 1, 0], [0, 0, 1, 0, 0], [0, 1, 0, 0, 0], [1, 0, 0, 0, 0]], 1),
+            ([[0, 1, 2, 3, 4], [0, 2, 4, 6, 8], [1, 0, 0, 0, 0], [0, 0, 1, 0, 0], [0, 0, 0, 0, 1]], 0),
         ],
-        ids=["empty", "zero", "swap", "anti-diagonal", "swap-then-pivot", "dependent-rows", "no-pivot", "large"],
+        ids=[
+            "empty", "zero", "swap", "anti-diagonal", "swap-then-pivot", "dependent-rows", "no-pivot", "large",
+            "anti-diagonal-4", "permuted-diagonal-4", "anti-diagonal-5", "dependent-rows-5",
+        ],
     )
     def test_small_cases(self, rows, det):
         assert _det(rows) == det == _det(tuple(map(tuple, rows)))
 
 
 class TestClosedForms:
-    @settings(max_examples=400, deadline=None)
+    @settings(max_examples=600, deadline=None)
     @given(closed_form_cases())
     def test_det_and_adjugate_agree_with_sympy(self, rows):
         n = len(rows)
         oracle = DomainMatrix.from_Matrix(Matrix(rows)).convert_to(ZZ)
         det, adjugate = mat(rows).det_adjugate()
         assert type(det) is type(_det(rows)) is int
+        assert all(type(x) is int for row in adjugate.entries for x in row)
         assert _det(rows) == det == oracle.det()
         assert Matrix(adjugate.entries) == oracle.adjugate().to_Matrix()
         scalar = IntMatrix.from_rows([[det * (i == j) for j in range(n)] for i in range(n)])
         assert mat(rows) @ adjugate == scalar == adjugate @ mat(rows)
+        # rank adj A is n at full rank, 1 at rank n - 1 and 0 below.
+        rank = Matrix(rows).rank()
+        assert adjugate.rank() == (n if rank == n else int(rank == n - 1))
 
 
 class TestSmithNormalForm:

@@ -1150,6 +1150,30 @@ class TestExpansionOnDemand:
         assert len(action.elements) == expansions["read-off"] == action.order
 
 
+class TestElementsReadOff:
+    """``GroupAction.elements`` reads each matrix off the images of the seed rays."""
+
+    def test_rank_one_fan(self):
+        # A one-ray seed: its images are a 1-tuple, not the one image itself.
+        fan = make_fan(Lattice.standard(1), [(1,), (-1,)], [(0,), (1,)])
+        expected = (IntMatrix.from_rows([[1]]), IntMatrix.from_rows([[-1]]))
+        assert fan_automorphisms(fan).elements == expected
+        assert action_from_generators(fan, [expected[1]]).elements == expected
+
+    def test_seed_cone_of_det_four(self):
+        # The first cone of P(1,1,1,1,4) has |det B| = 4, so each element is
+        # W adj(B) / det(B), W the seed rays' images, and not W itself.
+        fan = families.weighted_p1111m(4)
+        action = fan_automorphisms(fan)
+        basis = Matrix([fan.rays[b] for b in action.seed]).T
+        assert abs(basis.det()) == 4
+        assert len(action.elements) == len(action.ray_perms) == 24
+        for p, g in zip(action.ray_perms, action.elements):
+            images = Matrix([fan.rays[p[b]] for b in action.seed]).T
+            assert Matrix(g.entries) == images * basis.adjugate() / basis.det()
+            assert [g.apply(v) for v in fan.rays] == [fan.rays[j] for j in p]
+
+
 # --- change of basis ---------------------------------------------------------
 
 
