@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from .errors import PreconditionError
 from .fan import Fan
-from .intlin import FGAbelianGroup, IntMatrix, SNFResult, Vector, _reduce_rows, kernel_basis, smith_normal_form
+from .intlin import FGAbelianGroup, SNFResult, Vector, _reduce_rows, smith_normal_form
 from .record import Record
 
 ClassCoords = tuple[Vector, Vector]  # (free coordinates, torsion residues)
@@ -91,22 +91,21 @@ class BlockRelation(Record):
 
 
 def derive_block_relation(fan: Fan, block: tuple[int, ...]) -> BlockRelation:
-    """Derive the unique primitive equal-coefficient relation of a block.
+    """Derive a primitive equal-coefficient relation of a block.
 
     ``block`` must consist of at least two rays with pairwise equal divisor
     classes; it need not be a whole block of ``ray_blocks``, as the
     derivation only uses the linear equivalences inside it.  The anchor is
     the last block ray.  Integer dual vectors u_j with
-    <u_j, v_i> = delta_ij - delta_i,anchor are read off the Smith form that
-    gave the classes; equal classes guarantee they exist over Z, and they
-    pair to the identity with the non-anchor block rays, so they are
-    linearly independent: no refusal can fire there.  The relation sought
-    has equal coefficients on the block and is supported on the block plus
-    the rays orthogonal to every u_j.  Only two shapes are searched: the
-    block alone, when its rays sum to zero, and the block plus a single such
-    complement ray.  The first primitive relation found is returned,
-    sign-normalized so the block coefficient is positive; a block whose
-    relation needs two or more complement rays is refused
+    <u_j, v_i> = delta_ij - delta_i,anchor for every ray i are read off the
+    Smith form that gave the classes, the one Smith form of the call; equal
+    classes guarantee they exist over Z, and they pair to the identity with
+    the non-anchor block rays, so they are linearly independent.  Every
+    other ray is orthogonal to each u_j, so any may join the block.  Two
+    shapes are searched: the block alone, when its rays sum to zero, else
+    the block plus one other ray c, the first in ray order whose multiple
+    the block sum is.  That relation is returned, block coefficients 1; a
+    block whose relation needs two or more other rays is refused
     (``no-equal-coefficient-relation``), as block (0, 1) of P^4 is.
     """
     snf = _pairing(fan)
@@ -131,36 +130,22 @@ def derive_block_relation(fan: Fan, block: tuple[int, ...]) -> BlockRelation:
         snf.v_inv.apply(tuple((w - b) // s for w, b, s in zip(snf.u_inv.column(j), base, factors)))
         for j in block[:-1]
     )
-    d = fan.ray_count
-
-    complement = [
-        i
-        for i in range(d)
-        if i not in block and all(sum(a * b for a, b in zip(u, fan.rays[i])) == 0 for u in duals)
-    ]
-    block_sum = tuple(sum(fan.rays[i][k] for i in block) for k in range(fan.rank))
-
-    if not any(block_sum):
-        coefficients = [0] * d
-        for i in block:
-            coefficients[i] = 1
-        return BlockRelation(block, anchor, duals, tuple(coefficients))
-
-    for c in complement:
-        columns = IntMatrix.from_columns([block_sum, fan.rays[c]])
-        basis = kernel_basis(columns)
-        if len(basis) != 1 or basis[0][0] == 0:
-            continue
-        x, y = basis[0]
-        if x < 0:
-            x, y = -x, -y
-        coefficients = [0] * d
-        for i in block:
-            coefficients[i] = x
-        coefficients[c] = y
-        return BlockRelation(block, anchor, duals, tuple(coefficients))
-
-    raise PreconditionError(
-        "no-equal-coefficient-relation",
-        "no primitive relation with equal block coefficients exists on the block and its complement rays",
-    )
+    # x s + y v_c = 0, for the block sum s != 0 and a primitive v_c, has a
+    # solution with x != 0 iff s = lam v_c, lam an integer; (1, -lam) spans them.
+    coefficients = [0] * fan.ray_count
+    for i in block:
+        coefficients[i] = 1
+    block_sum = tuple(map(sum, zip(*(fan.rays[i] for i in block))))
+    if any(block_sum):
+        for c, v in enumerate(fan.rays):
+            k = next(k for k, x in enumerate(v) if x)
+            lam = block_sum[k] // v[k]
+            if c not in block and tuple(lam * x for x in v) == block_sum:
+                coefficients[c] = -lam
+                break
+        else:
+            raise PreconditionError(
+                "no-equal-coefficient-relation",
+                "no primitive relation with equal block coefficients exists on the block and its complement rays",
+            )
+    return BlockRelation(block, anchor, duals, tuple(coefficients))

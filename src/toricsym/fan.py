@@ -397,21 +397,11 @@ def _complete_rank_ge3(fan: Fan, det_adj: list[tuple[int, IntMatrix]]) -> bool:
         (a, k), (b, l) = owners
         if _dot(normals[a][k], fan.rays[fan.max_cones[b][l]]) >= 0:
             return False
-    # Support connectivity through shared walls.
-    adjacency: list[set[int]] = [set() for _ in fan.max_cones]
-    for (a, _), (b, _) in walls.values():
-        adjacency[a].add(b)
-        adjacency[b].add(a)
-    seen, queue = {0}, [0]
-    while queue:
-        for nxt in adjacency[queue.pop()] - seen:
-            seen.add(nxt)
-            queue.append(nxt)
-    if len(seen) != len(fan.max_cones):
-        return False
-    # Walls and connectivity make the cones cover space a whole number of
-    # times (the pentagram bipyramid covers R^3 twice).  The cover is a fan
-    # iff a point inside the first cone lies in no other cone.
+    # Crossing a wall then leaves one cone for another, so off the walls each
+    # point lies in the same number k >= 1 of cones: the codimension-2 faces
+    # do not disconnect R^n for n >= 2, and in rank 1 the pairing leaves the
+    # two half-lines.  Each sheet joined through walls covers space at least
+    # once, and k = 1 iff a point inside the first cone lies in no other cone.
     p = tuple(map(sum, zip(*(fan.rays[i] for i in fan.max_cones[0]))))
     containing = sum(all(_dot(normal, p) >= 0 for normal in cone) for cone in normals)
     if containing > 1:
@@ -424,7 +414,10 @@ def validate_fan(fan: Fan) -> FanReport:
     ``overlapping-cones`` for cones that cover space more than once (in
     rank 2, a ray cycle that winds more than once round the origin).
     Outside rank 2 they are read off det B and adj B of each cone's ray
-    matrix B: simplicial iff det B != 0, smooth iff |det B| = 1."""
+    matrix B: simplicial iff det B != 0, smooth iff |det B| = 1, and
+    complete iff every wall lies on two cones on opposite sides and the
+    cover's degree, read inside the first cone, is 1 (on degree >= 2, as
+    on two sheets sharing no wall, ``overlapping-cones``)."""
     n = fan.rank
     if n == 2:
         rays = fan.rays

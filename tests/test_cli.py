@@ -1,6 +1,7 @@
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -150,6 +151,20 @@ class TestCheckCommand:
         write_json(path, {"lattice": "standard:3", "rays": rays, "max_cones": cones})
         code, error = machine_error(capsys, "check", str(path))
         assert (code, error["reason"]) == (3, "overlapping-cones")
+
+    def test_two_sheets_sharing_no_wall_exit_3(self, tmp_path, capsys):
+        # P^3 and its negative: every wall is paired within one copy, and
+        # the two copies cover R^3 twice.
+        rays = [[1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, -1, -1]]
+        rays += [[-x for x in v] for v in rays]
+        cones = [list(c) for c in itertools.combinations(range(4), 3)]
+        cones += [[i + 4 for i in c] for c in cones]
+        path = tmp_path / "two-sheets.fan"
+        write_json(path, {"lattice": "standard:3", "rays": rays, "max_cones": cones})
+        code, error = machine_error(capsys, "check", str(path))
+        assert (code, error["reason"]) == (3, "overlapping-cones")
+        assert run_cli("check", str(path)) == 3
+        assert "overlapping-cones: a point inside the first cone lies in 4 cones" in capsys.readouterr().err
 
     def test_bad_json_exits_2(self, tmp_path, capsys):
         path = tmp_path / "bad.fan"

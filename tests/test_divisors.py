@@ -1,3 +1,4 @@
+import collections
 import itertools
 import random
 import sys
@@ -7,7 +8,7 @@ import pytest
 from sympy import ZZ, Matrix
 from sympy.matrices.normalforms import invariant_factors
 
-from toricsym import divisors, families
+from toricsym import divisors, families, intlin
 from toricsym.acceptance import named_family_corpus
 from toricsym.cli import _report_payload
 from toricsym.divisors import (
@@ -211,14 +212,74 @@ class TestDeriveBlockRelation:
     def test_one_smith_form_per_call(self, monkeypatch):
         fan = families.bundle_over_p3(2)
         calls = []
-        original = divisors.smith_normal_form
-        monkeypatch.setattr(divisors, "smith_normal_form", lambda a: calls.append(a) or original(a))
+        original = intlin.smith_normal_form
+        counted = lambda a: calls.append(a) or original(a)
+        monkeypatch.setattr(divisors, "smith_normal_form", counted)
+        monkeypatch.setattr(intlin, "smith_normal_form", counted)
         with monkeypatch.context() as patch:
             patch.setattr(IntMatrix, "rank", lambda self: pytest.fail("class_group ranks a matrix"))
             class_group(fan)
         assert len(calls) == 1
         derive_block_relation(fan, (0, 1, 2, 3))
         assert len(calls) == 2
+        # Refused after trying every ray off the block, still on one form.
+        with pytest.raises(PreconditionError):
+            derive_block_relation(families.projective_space(4), (0, 1))
+        assert len(calls) == 3
+
+    def test_agrees_with_the_two_shape_search(self):
+        # Every equal-class set of 2-4 rays of the named corpus and 50
+        # seeded blow-ups: the same relation, duals and anchor, or the same
+        # refusal, as the search with a kernel basis per ray.
+        outcomes = collections.Counter()
+        for name, fan in _dual_vector_corpus():
+            for block in _equal_class_blocks(fan):
+                try:
+                    expected = _two_shape_search(fan, block)
+                except PreconditionError as err:
+                    with pytest.raises(PreconditionError) as info:
+                        derive_block_relation(fan, block)
+                    assert (info.value.reason, str(info.value)) == (err.reason, str(err)), (name, block)
+                    outcomes["refused"] += 1
+                    continue
+                assert derive_block_relation(fan, block) == expected, (name, block)
+                outcomes["derived"] += 1
+        assert outcomes["derived"] >= 50 and outcomes["refused"] >= 50, outcomes
+
+
+def _two_shape_search(fan, block):
+    """The oracle of derive_block_relation's search, by kernels: the rays off
+    the block orthogonal to every dual vector, then a kernel basis of
+    [block sum | v_c] for each such ray c in turn."""
+    snf = divisors._pairing(fan)
+    block = tuple(sorted(block))
+    anchor = block[-1]
+    base = snf.u_inv.column(anchor)
+    duals = tuple(
+        snf.v_inv.apply(tuple((w - b) // s for w, b, s in zip(snf.u_inv.column(j), base, snf.invariant_factors)))
+        for j in block[:-1]
+    )
+    d = fan.ray_count
+    complement = [
+        i for i in range(d) if i not in block and all(sum(a * b for a, b in zip(u, fan.rays[i])) == 0 for u in duals)
+    ]
+    block_sum = tuple(sum(fan.rays[i][k] for i in block) for k in range(fan.rank))
+    if not any(block_sum):
+        return divisors.BlockRelation(block, anchor, duals, tuple(int(i in block) for i in range(d)))
+    for c in complement:
+        basis = kernel_basis(IntMatrix.from_columns([block_sum, fan.rays[c]]))
+        if len(basis) != 1 or basis[0][0] == 0:
+            continue
+        x, y = basis[0]
+        if x < 0:
+            x, y = -x, -y
+        coefficients = [x * (i in block) for i in range(d)]
+        coefficients[c] = y
+        return divisors.BlockRelation(block, anchor, duals, tuple(coefficients))
+    raise PreconditionError(
+        "no-equal-coefficient-relation",
+        "no primitive relation with equal block coefficients exists on the block and its complement rays",
+    )
 
 
 def _shear(rng: random.Random, n: int) -> IntMatrix:

@@ -1,13 +1,15 @@
+import collections
 import functools
 import itertools
 import math
+import operator
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from sympy import Integer
+from sympy import Integer, Matrix
 
 from toricsym import families
 from toricsym.acceptance import named_family_corpus
@@ -517,13 +519,16 @@ class TestValidationByDeterminants:
                 validate(fan)
             assert info.value.reason == "overlapping-cones"
 
-    def test_two_disjoint_copies_of_p3_are_not_complete(self):
-        # Every wall lies on two cones of one copy; the copies share no wall.
+    def test_two_disjoint_copies_of_p3_overlap(self):
+        # Every wall lies on two cones of one copy, on opposite sides; the
+        # copies share no wall, and each covers R^3 once.
         p3 = families.projective_space(3)
         rays = p3.rays + tuple(tuple(-x for x in v) for v in p3.rays)
         cones = p3.max_cones + tuple(tuple(i + 4 for i in cone) for cone in p3.max_cones)
-        fan = make_fan(Lattice.standard(3), rays, cones)
-        assert validate_fan(fan) == _kernel_validate(fan) == FanReport(simplicial=True, complete=False, smooth=True)
+        with pytest.raises(PreconditionError) as info:
+            validate_fan(make_fan(Lattice.standard(3), rays, cones))
+        assert info.value.reason == "overlapping-cones"
+        assert str(info.value) == "a point inside the first cone lies in 4 cones"
 
     def test_a_rank_deficient_cone_is_neither_simplicial_nor_complete(self):
         # The kernel-normal path raised degenerate-facet here: the wall
@@ -533,6 +538,85 @@ class TestValidationByDeterminants:
         with pytest.raises(PreconditionError) as info:
             _kernel_validate(fan)
         assert info.value.reason == "degenerate-facet"
+
+
+SHEET_BASES = {3: [(3,), (2, 1), (1, 2), (1, 1, 1)], 4: [(4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]}
+
+
+def _sheet_union(rng, n):
+    """1-3 stellar subdivisions of complete rank-n fans, each moved by a
+    random unimodular map (a later one by the one before it a third of the
+    time, so that sheets share walls), with shared rays merged: the rays,
+    and each sheet's cones as a set of sorted ray-index tuples."""
+    index, sheets, g = {}, [], None
+    for _ in range(rng.randint(1, 3)):
+        rays, cones = _weighted_stellar_subdivision(rng, *_product_fan(rng.choice(SHEET_BASES[n])), rng.randint(0, 3))
+        if g is None or rng.random() < 2 / 3:
+            g = random_unimodular(rng, n)
+        label = [index.setdefault(g.apply(v), len(index)) for v in rays]
+        sheets.append(frozenset(tuple(sorted(label[i] for i in cone)) for cone in cones))
+    return sorted(index, key=index.get), sheets
+
+
+def _walls_paired(cones):
+    """Whether every wall of the cones lies on exactly two of them."""
+    walls = collections.Counter(cone[:k] + cone[k + 1 :] for cone in cones for k in range(len(cone)))
+    return set(walls.values()) == {2}
+
+
+def _covering_counts(rng, rays, cones, points):
+    """The number of cones holding each of ``points`` random integer points
+    that lie on no wall: x is in the cone with ray matrix B (rays as columns)
+    iff B^-1 x >= 0, with B^-1 from sympy, exact."""
+    inverses = [
+        [[Fraction(int(q.p), int(q.q)) for q in row] for row in Matrix([rays[i] for i in cone]).T.inv().tolist()]
+        for cone in cones
+    ]
+    counts = []
+    while len(counts) < points:
+        x = [rng.randint(-1000, 1000) for _ in rays[0]]
+        solutions = [[sum(map(operator.mul, row, x)) for row in inverse] for inverse in inverses]
+        holding = [y for y in solutions if min(y) >= 0]
+        if any(any(y) and 0 in y for y in holding) or not any(x):
+            continue
+        counts.append(len(holding))
+    return counts
+
+
+def _covering_case(n, seed):
+    rng = random.Random(100 * n + seed)
+    rays, sheets = _sheet_union(rng, n)
+    cones = sorted(set().union(*sheets))
+    return rng, rays, cones, _walls_paired(cones), len(set(sheets))
+
+
+class TestCoveringDegree:
+    """Cones whose walls each lie on two cones, on opposite sides, cover space
+    k times: validate_fan says complete iff k = 1 and refuses k >= 2 with
+    overlapping-cones, against point counts from exact solves.  Here distinct
+    sheets share no wall exactly when every wall is paired, and then each
+    covers space once."""
+
+    @pytest.mark.parametrize("n", [3, 4])
+    @pytest.mark.parametrize("seed", range(20))
+    def test_the_covering_degree_decides_completeness(self, n, seed):
+        rng, rays, cones, paired, sheets = _covering_case(n, seed)
+        fan = make_fan(Lattice.standard(n), rays, cones)
+        if not paired:
+            assert not validate_fan(fan).complete
+            return
+        assert set(_covering_counts(rng, rays, cones, 20)) == {sheets}
+        if sheets == 1:
+            assert validate_fan(fan).complete
+        else:
+            with pytest.raises(PreconditionError) as info:
+                validate_fan(fan)
+            assert info.value.reason == "overlapping-cones"
+
+    def test_every_kind_of_case_occurs(self):
+        cases = [_covering_case(n, seed) for n in (3, 4) for seed in range(20)]
+        kinds = collections.Counter((paired, min(sheets, 2)) for _, _, _, paired, sheets in cases)
+        assert set(kinds) >= {(True, 1), (True, 2), (False, 2)}, kinds
 
 
 def ccw_by_comparator(rays):
