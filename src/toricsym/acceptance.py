@@ -227,7 +227,7 @@ def criterion_a7() -> list[str]:
 
 
 def criterion_a8() -> list[str]:
-    """Adjacent (-1)-ray neighbor opposition holds on every census fan."""
+    """Adjacent (-1)-ray neighbor opposition, forced by a smooth fan's rays, holds on every census fan."""
     failures = []
     for name, fan in _census(include_negation=False) + _census(include_negation=True):
         try:

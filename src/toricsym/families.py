@@ -4,7 +4,7 @@ The constructors realize the recurring varieties of the classification:
 projective spaces, Hirzebruch surfaces, the weighted spaces P(1,1,a) and
 P(1,1,1,1,m), the two projective bundles, the hexagon in both rank-2
 lattices, the quadric-type twists, and the singular hexagon.  The census
-walks ray cycles and their words (b, a), blown up by ``fan._splice``.
+keeps one fan of each pair +-S of ray cycles blown up by ``fan._splice``.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import random
 from typing import Sequence
 
 from .errors import PreconditionError
-from .fan import _S3_PERMUTATIONS, Fan, Lattice, _ccw_sort, _cycle_dets, _cycle_fan, _cycle_key, _cycle_profile, _splice
+from .fan import _S3_PERMUTATIONS, Fan, Lattice, _ccw_sort, _cycle_dets, _cycle_fan, _cycle_profile, _splice
 from .fan import build_surface_fan, make_fan
 from .intlin import IntMatrix, Vector, primitive_vector
 from .record import Record
@@ -236,11 +236,14 @@ def _orbit_unions(orbit_list: Sequence[tuple[Vector, ...]], max_rays: int):
 
 def _smooth_cycles(orbit_list: Sequence[tuple[Vector, ...]], max_rays: int):
     """Every smooth ccw ray cycle on a union of the orbits with at most
-    ``max_rays`` rays, as (cycle, b, a), reached from the smooth 3- to 6-ray
+    ``max_rays`` rays, as (cycle, a), reached from the smooth 3- to 6-ray
     cycles by orbit blow-ups.  Only those seeds are tested, by every b_i = 1:
-    a blow-up cuts smooth cones into cones of determinant 1.  The cones i <
-    d/3 meet every orbit of cones (``_cycle_key``).  A cone's ray sum lies
-    inside it, so its orbit is not in the cycle's union of orbits, and is new."""
+    a blow-up cuts smooth cones into cones of determinant 1.  Only the cones
+    i < d/3 are blown up: the 3-cycle, in SL2(Z), keeps the ccw order and
+    fixes only multiples of (1, 1, 1), 0 in both lattices, so no ray; it turns
+    an invariant cycle by d/3 or 2d/3 steps, and those cones meet every orbit
+    of cones.  A cone's ray sum lies inside it, so its orbit is not in the
+    cycle's union of orbits, and is new."""
     # A union of orbits is kept as the bit mask of their positions in the list.
     number = {v: n for n, orbit in enumerate(orbit_list) if len(orbit) <= max_rays for v in orbit}
     seen: set[int] = set()
@@ -253,7 +256,7 @@ def _smooth_cycles(orbit_list: Sequence[tuple[Vector, ...]], max_rays: int):
     while stack:
         cycle, a, mask = stack.pop()
         d = len(cycle)
-        yield cycle, [1] * d, a
+        yield cycle, a
         for i in range(d // 3):
             v, w = cycle[i], cycle[i + 1]
             n = number.get((v[0] + w[0], v[1] + w[1]))
@@ -291,27 +294,39 @@ def enumerate_invariant_fans(
     way is a smooth union of fewer allowed orbits, and read backwards each
     contraction is one of the blow-ups taken.
 
-    Candidates stay ccw ray cycles with their words b_i, a_i, grouped by
-    ``surface_key``'s ``_cycle_key`` over one period, d/3, of the word.  Only
-    each class's least ``(ray_count, rays)`` cycle becomes a fan, through
-    the validating ``_cycle_fan``; they are returned in that order.
+    Candidates stay ccw ray cycles.  Two invariant complete fans S, S' on one
+    A2 lattice are isomorphic iff S' = +-S (under S3 x {+-1}, iff S' = S).
+    So a class is kept as the lesser stored cycle of S and -S, its least
+    ``(ray_count, rays)`` cycle, as the symmetric height box makes -S a
+    candidate with S; the fans come out in that order, built by the
+    validating ``_cycle_fan``.  Proof, for g carrying S to S': gS3g^-1 lies in
+    Aut(S'), which is S3 or the hexagonal D6 = S3 x {+-I}, maximal finite in
+    GL2(Z) (Newman, Integral Matrices, 1972, ch. IX).  There gS3g^-1 = S3' =
+    {sgn(h) h} would make g normalise D6, but N(D6) is finite (C(D6) lies in
+    C(S3) = +-I), so it is D6, which keeps S3.  So g normalises S3, whose
+    automorphisms are inner, and C(S3) = +-I (criterion A9): g = +-s, s in S3.
+    With -I in the group, Aut(S) = Aut(S') = D6 and g lies in N(D6) = D6.
     """
     if lattice.kind == "standard" or height < 1 or max_rays < 3:
         raise PreconditionError("parameter", "need an A2 lattice, height >= 1 and max_rays >= 3")
     orbit_list = _seed_orbits(lattice, height, include_negation)
     if require_smooth:
-        words = _smooth_cycles(orbit_list, max_rays)
+        cycles = (cycle for cycle, _ in _smooth_cycles(orbit_list, max_rays))
     else:
-        words = ((cycle, _cycle_dets(cycle), _cycle_profile(cycle)) for cycle in _orbit_unions(orbit_list, max_rays))
-    kept: dict[tuple, tuple[Vector, ...]] = {}
-    for cycle, b, a in words:
-        key = _cycle_key(cycle, b, a, len(cycle) // 3)
-        start = cycle.index(min(cycle))
-        rays = tuple(cycle[start:] + cycle[:start])
-        # Isomorphic fans have equally many rays, so the least rays decide.
-        if key not in kept or rays < kept[key]:
-            kept[key] = rays
-    return tuple(_cycle_fan(lattice, list(rays)) for rays in sorted(kept.values(), key=lambda r: (len(r), r)))
+        cycles = _orbit_unions(orbit_list, max_rays)
+    # Negated rays are looked up, not built, so the kept cycles share the orbits' tuples.
+    ray = {v: v for orbit in orbit_list for v in orbit}
+    kept: set[tuple[Vector, ...]] = set()
+    for cycle in cycles:
+        negated = [ray[-x, -y] for x, y in cycle]
+        kept.add(min(_stored(cycle), _stored(negated)))
+    return tuple(_cycle_fan(lattice, list(rays)) for rays in sorted(kept, key=lambda r: (len(r), r)))
+
+
+def _stored(cycle: list[Vector]) -> tuple[Vector, ...]:
+    """A ccw ray cycle as a surface fan stores it: from its least ray."""
+    start = cycle.index(min(cycle))
+    return tuple(cycle[start:] + cycle[:start])
 
 
 class MaxDegreeEntry(Record):

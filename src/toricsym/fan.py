@@ -401,9 +401,16 @@ def _complete_rank_ge3(fan: Fan, det_adj: list[tuple[int, IntMatrix]]) -> bool:
     # point lies in the same number k >= 1 of cones: the codimension-2 faces
     # do not disconnect R^n for n >= 2, and in rank 1 the pairing leaves the
     # two half-lines.  Each sheet joined through walls covers space at least
-    # once, and k = 1 iff a point inside the first cone lies in no other cone.
-    p = tuple(map(sum, zip(*(fan.rays[i] for i in fan.max_cones[0]))))
-    containing = sum(all(_dot(normal, p) >= 0 for normal in cone) for cone in normals)
+    # once.  k is read at p + e v_1 + e^2 v_2 + ... (small e > 0; p the ray sum of
+    # the first cone, v_1, v_2, ... its rays, a basis), which is on no wall: it
+    # lies in a cone iff for each normal u the first nonzero of <u, p>, <u, v_1>,
+    # ... is positive.  So only the closed cones at p, where <u, p> = 0, look on.
+    first = [fan.rays[i] for i in fan.max_cones[0]]
+    p = tuple(map(sum, zip(*first)))
+    closed = [cone for cone in normals if all(_dot(u, p) >= 0 for u in cone)]
+    containing = sum(
+        all(_dot(u, p) or next(filter(None, (_dot(u, v) for v in first))) > 0 for u in cone) for cone in closed
+    )
     if containing > 1:
         raise PreconditionError("overlapping-cones", f"a point inside the first cone lies in {containing} cones")
     return True
@@ -416,8 +423,8 @@ def validate_fan(fan: Fan) -> FanReport:
     Outside rank 2 they are read off det B and adj B of each cone's ray
     matrix B: simplicial iff det B != 0, smooth iff |det B| = 1, and
     complete iff every wall lies on two cones on opposite sides and the
-    cover's degree, read inside the first cone, is 1 (on degree >= 2, as
-    on two sheets sharing no wall, ``overlapping-cones``)."""
+    cover's degree, read at a point of the first cone on no wall, is 1 (on
+    degree >= 2, as on two sheets sharing no wall, ``overlapping-cones``)."""
     n = fan.rank
     if n == 2:
         rays = fan.rays
@@ -574,56 +581,3 @@ def fan_isomorphism(f1: Fan, f2: Fan) -> IntMatrix | None:
     """
     found = _all_isomorphisms(f1, f2)
     return found[0][1] if found else None
-
-
-def surface_key(fan: Fan) -> tuple[tuple[tuple[int, int], ...], int]:
-    """GL2(Z) invariant of a complete surface fan: its cycle word.
-
-    With the rays v_i counterclockwise (a clockwise cycle is reversed first)
-    the word is the cycle of pairs (b_i, a_{i+1}) = (det(v_i, v_{i+1}),
-    det(v_i, v_{i+2})), and the fan's mirror image gives the other
-    orientation's.  The key is the least rotation of either word, then the
-    least k in the normal form (1, 0), (k, b) of a start cone reaching it.
-    That cone and the word give back every ray, v_{i+2} = (a_{i+1} v_{i+1}
-    - b_{i+1} v_i) / b_i, so two complete surface fans have equal keys
-    exactly when ``fan_isomorphism`` finds a map between them (Oda 1.6,
-    Fulton 2.5).  The rays must be in cyclic order, as rank-2 fans store them.
-    """
-    if fan.rank != 2:
-        raise PreconditionError("rank", "the surface key needs a rank-2 fan")
-    rays = fan.rays if _cross(fan.rays[0], fan.rays[1]) > 0 else fan.rays[::-1]
-    return _cycle_key(rays, _cycle_dets(rays), _cycle_profile(rays), len(rays))
-
-
-def _cycle_key(cycle: Sequence[Vector], b: Sequence[int], a: Sequence[int], period: int) -> tuple[tuple, int]:
-    """``surface_key`` of a ccw ray cycle from b_i = det(v_i, v_{i+1}) and
-    a_i = det(v_{i-1}, v_{i+1}); the mirror image's word is (b_{d-2-i},
-    a_{d-2-i}).  Only rotations by less than ``period`` that start at the
-    least b are compared, so the word must repeat after ``period`` steps.
-    An S3-invariant cycle in either A2 lattice repeats after d/3: the
-    3-cycle is in SL2(Z), so it keeps the ccw order, every det and each
-    cone's normal form, and turns the cycle by r steps, 3r = 0 mod d; it
-    fixes only multiples of (1, 1, 1), 0 in both lattices, so no ray, and
-    r is d/3 or 2d/3."""
-    d = len(cycle)
-    least_b = min(b)
-    mirror = [(y, x) for x, y in reversed(cycle)]
-    starts = []
-    for rays, cone_b, ray_a in ((cycle, b, a[1:] + a[:1]), (mirror, b[-2::-1] + b[-1:], a[-2::-1] + a[-1:])):
-        flat = [0] * (2 * d)
-        flat[0::2], flat[1::2] = cone_b, ray_a
-        flat += flat
-        starts += [(flat[2 * s : 2 * s + 2 * d], rays, s) for s in range(period) if cone_b[s] == least_b]
-    least = min(rotation for rotation, _, _ in starts)
-    # b = 1 leaves k = 0; else the least k of a start cone reaching the key.
-    k = 0 if least_b == 1 else min(_normal_form_k(rays[s], rays[s + 1 - d]) for r, rays, s in starts if r == least)
-    return tuple(zip(least[0::2], least[1::2])), k
-
-
-def _normal_form_k(v: Vector, w: Vector) -> int:
-    """k in the normal form (1, 0), (k, b) of a cone with b = det(v, w) > 0:
-    p w_x + q w_y mod b, for any p x + q y = 1 with v = (x, y)."""
-    x, y = v
-    p = pow(x, -1, abs(y)) if y else x
-    q = (1 - p * x) // y if y else 0
-    return (p * w[0] + q * w[1]) % _cross(v, w)

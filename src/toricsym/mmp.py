@@ -199,9 +199,9 @@ class NeighborOppositionFact(Record):
 def check_adjacent_minus_one_rule(fan: Fan) -> tuple[NeighborOppositionFact, ...]:
     """Verify outer-neighbor opposition at every adjacent (-1)-pair.
 
-    For each cyclically adjacent pair of (-1)-rays the two outer neighbors
-    must be exact negatives of each other; a violation would mean the fan
-    data is internally inconsistent.
+    For adjacent (-1)-rays i, i+1 the outer neighbors must be negatives: on a
+    smooth fan v_{i-1} + v_{i+1} = v_i and v_i + v_{i+2} = v_{i+1}, so
+    v_{i-1} + v_{i+2} = 0, and it fails only if the word disagrees with the rays.
     """
     word, d, facts = self_intersection_profile(fan), fan.ray_count, []
     for i in range(d):

@@ -29,6 +29,37 @@ def transform_fan(g, fan):
     return Fan(fan.lattice, tuple(images), fan.max_cones)
 
 
+def word_key_from_rays(rays):
+    """The GL2(Z) class of a complete surface fan from its ray cycle, turned
+    ccw first: the word of pairs (det(v_i, v_{i+1}), det(v_i, v_{i+2})) of
+    the cycle and of its mirror image, every rotation compared, then the
+    least k of a start cone reaching the least rotation, found by search.
+    Equal keys mean isomorphic fans (Oda 1.6): the start cone (1, 0), (k, b)
+    and the word give back every ray."""
+    rays = tuple(rays)
+    (x0, y0), (x1, y1) = rays[:2]
+    if x0 * y1 - y0 * x1 < 0:
+        rays = rays[::-1]
+    d = len(rays)
+    starts = []
+    for cycle in (rays, tuple((y, x) for x, y in reversed(rays))):
+        ahead = cycle[1:] + cycle[:2]
+        steps = zip(cycle, ahead, ahead[1:])
+        word = [(x * y1 - y * x1, x * y2 - y * x2) for (x, y), (x1, y1), (x2, y2) in steps] * 2
+        starts += [(word[s : s + d], cycle[s], ahead[s]) for s in range(d)]
+    least = min(rotation for rotation, _, _ in starts)
+    if least[0][0] == 1:
+        return tuple(least), 0
+    ks = []
+    for rotation, (x, y), (x1, y1) in starts:
+        if rotation == least:
+            # The unimodular g with g v = (1, 0) sends w to (k, b).
+            p, q = next((p, q) for p in range(-abs(y) - 1, abs(y) + 2) for q in range(-abs(x) - 1, abs(x) + 2)
+                        if p * x + q * y == 1)
+            ks.append((p * x1 + q * y1) % (x * y1 - y * x1))
+    return tuple(least), min(ks)
+
+
 @pytest.fixture
 def std2():
     return Lattice.standard(2)

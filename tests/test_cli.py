@@ -164,7 +164,7 @@ class TestCheckCommand:
         code, error = machine_error(capsys, "check", str(path))
         assert (code, error["reason"]) == (3, "overlapping-cones")
         assert run_cli("check", str(path)) == 3
-        assert "overlapping-cones: a point inside the first cone lies in 4 cones" in capsys.readouterr().err
+        assert "overlapping-cones: a point inside the first cone lies in 2 cones" in capsys.readouterr().err
 
     def test_bad_json_exits_2(self, tmp_path, capsys):
         path = tmp_path / "bad.fan"

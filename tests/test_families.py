@@ -8,13 +8,12 @@ from toricsym import families
 from toricsym import fan as fan_module
 from toricsym.divisors import class_group, ray_blocks, ray_relations
 from toricsym.errors import PreconditionError
-from toricsym.fan import Lattice, _cycle_dets, _cycle_fan, _cycle_profile, _splice, build_surface_fan, fan_isomorphism
-from toricsym.fan import surface_key, validate_fan
+from toricsym.fan import Lattice, _cycle_dets, _cycle_fan, _splice, build_surface_fan, fan_isomorphism, validate_fan
 from toricsym.intlin import IntMatrix, primitive_vector, smith_normal_form
 from toricsym.mmp import DP6_TERMINAL, P2, contract, self_intersection_profile, traces
 from toricsym.symmetry import GaloisForm, action_from_generators, classify_galois_form, ray_orbits
 
-from conftest import random_unimodular, transform_fan
+from conftest import random_unimodular, transform_fan, word_key_from_rays
 
 
 class TestNamedFamilies:
@@ -334,7 +333,7 @@ def test_seed_orbits_from_one_triple_per_multiset(kind, negation, height):
 
 
 def enumerate_by_pairwise_search(lattice, height, max_rays, require_smooth, include_negation):
-    """The enumerator before surface keys: every union of allowed orbits,
+    """The enumerator without the +-rule: every union of allowed orbits,
     the smooth ones kept when asked, deduplicated by pairwise isomorphism
     search in (ray count, rays) order."""
     orbit_list = families._seed_orbits(lattice, height, include_negation)
@@ -478,7 +477,7 @@ def smooth_census_params(heights):
 
 
 def blowup_generator(kind, height, negation):
-    """The lattice, the allowed orbits and every (cycle, b, a) the smooth
+    """The lattice, the allowed orbits and every (cycle, a) the smooth
     census generator yields at M = 6H."""
     lattice = Lattice.from_label(kind)
     orbit_list = families._seed_orbits(lattice, height, negation)
@@ -508,8 +507,7 @@ class TestSplicedBlowups:
         lattice, orbit_list, cycles = blowup_generator(kind, height, negation)
         orbit_of = {v: orbit for orbit in orbit_list for v in orbit}
         blown_up = 0
-        for cycle, b, a in cycles:
-            assert b == [1] * len(cycle)
+        for cycle, a in cycles:
             d = len(cycle)
             for i in range(d):
                 orbit = orbit_of.get(tuple(x + y for x, y in zip(cycle[i], cycle[(i + 1) % d])))
@@ -526,7 +524,7 @@ class TestSplicedBlowups:
     def test_each_word_is_the_self_intersection_profile(self, kind, height, negation):
         lattice, _, cycles = blowup_generator(kind, height, negation)
         assert cycles
-        for cycle, _, a in cycles:
+        for cycle, a in cycles:
             assert_cycle_of(_cycle_fan(lattice, cycle), cycle, a)
 
 
@@ -553,14 +551,14 @@ class TestSmoothByConstruction:
     def test_every_yielded_fan_validates(self, kind, height, negation):
         lattice, _, cycles = blowup_generator(kind, height, negation)
         assert cycles
-        for cycle, _, _ in cycles:
+        for cycle, _ in cycles:
             report = validate_fan(build_surface_fan(lattice, cycle))
             assert report.smooth and report.complete, cycle
 
     @pytest.mark.parametrize("kind, height, negation", smooth_census_params(range(1, 5)))
     def test_every_smooth_union_is_reached_once(self, kind, height, negation):
         _, orbit_list, cycles = blowup_generator(kind, height, negation)
-        reached = [frozenset(cycle) for cycle, _, _ in cycles]
+        reached = [frozenset(cycle) for cycle, _ in cycles]
         unions = families._orbit_unions(orbit_list, 6 * height)
         assert len(set(reached)) == len(reached)
         assert set(reached) == {frozenset(c) for c in unions if set(_cycle_dets(c)) == {1}}
@@ -585,80 +583,40 @@ class TestSmoothByConstruction:
         assert len(fans) == classes
 
 
-def word_key_from_rays(rays):
-    """The oracle of the period key: the word of pairs (det(v_i, v_{i+1}),
-    det(v_i, v_{i+2})) built from the rays of a ccw cycle and of its mirror
-    image, every rotation compared, then the least k of a start cone
-    reaching the least rotation, found by search."""
-    d = len(rays)
-    starts = []
-    for cycle in (rays, tuple((y, x) for x, y in reversed(rays))):
-        ahead = cycle[1:] + cycle[:2]
-        steps = zip(cycle, ahead, ahead[1:])
-        word = [(x * y1 - y * x1, x * y2 - y * x2) for (x, y), (x1, y1), (x2, y2) in steps] * 2
-        starts += [(word[s : s + d], cycle[s], ahead[s]) for s in range(d)]
-    least = min(rotation for rotation, _, _ in starts)
-    if least[0][0] == 1:
-        return tuple(least), 0
-    ks = []
-    for rotation, (x, y), (x1, y1) in starts:
-        if rotation == least:
-            # The unimodular g with g v = (1, 0) sends w to (k, b).
-            p, q = next((p, q) for p in range(-abs(y) - 1, abs(y) + 2) for q in range(-abs(x) - 1, abs(x) + 2)
-                        if p * x + q * y == 1)
-            ks.append((p * x1 + q * y1) % (x * y1 - y * x1))
-    return tuple(least), min(ks)
-
-
-def census_key_params():
+def census_class_params():
     params = []
     for kind in ("rootA2", "weightA2"):
         for negation in (False, True):
             params += [pytest.param(kind, h, True, negation, id=f"{kind}-H{h}-smooth-neg{int(negation)}")
-                       for h in range(1, 9)]
+                       for h in range(1, 11)]
             params += [pytest.param(kind, h, False, negation, id=f"{kind}-H{h}-neg{int(negation)}")
                        for h in range(1, 5)]
     return params
 
 
-class TestPeriodKey:
-    """The census keys each candidate over one period, d/3, of its word;
-    ``surface_key`` of its fan compares every rotation.  Both must split
-    the candidates into the same classes, and equal the word oracle."""
+class TestNegationClasses:
+    """The census keeps one fan of each pair +-S: on every candidate the
+    classes of that rule must be those of the word oracle, and with -1 in
+    the group every candidate is its own negation."""
 
-    @pytest.mark.parametrize("kind, height, smooth, negation", census_key_params())
-    def test_the_period_key_splits_the_candidates_as_surface_key(self, kind, height, smooth, negation):
+    @pytest.mark.parametrize("kind, height, smooth, negation", census_class_params())
+    def test_the_negation_pairs_are_the_word_classes(self, kind, height, smooth, negation):
         lattice = Lattice.from_label(kind)
         orbit_list = families._seed_orbits(lattice, height, negation)
-        by_period, by_surface = {}, {}
         if smooth:
-            words = families._smooth_cycles(orbit_list, 6 * height)
+            cycles = [cycle for cycle, _ in families._smooth_cycles(orbit_list, 6 * height)]
         else:
-            words = ((c, _cycle_dets(c), _cycle_profile(c)) for c in families._orbit_unions(orbit_list, 6 * height))
-        for n, (cycle, b, a) in enumerate(words):
-            key = families._cycle_key(cycle, b, a, len(cycle) // 3)
-            fan = _cycle_fan(lattice, list(cycle))
-            by_period.setdefault(key, set()).add(n)
-            by_surface.setdefault(surface_key(fan), set()).add(n)
-            if n % 7 == 0:
-                assert key == word_key_from_rays(fan.rays)
-        assert sorted(map(sorted, by_period.values())) == sorted(map(sorted, by_surface.values()))
-        assert len(by_period) == len(families.enumerate_invariant_fans(lattice, height, 6 * height, smooth, negation))
-
-    @pytest.mark.parametrize("smooth", [True, False])
-    @pytest.mark.parametrize("seed", range(3))
-    def test_surface_key_is_the_word_oracle(self, seed, smooth):
-        rng = random.Random(seed)
-        for _ in range(30):
-            if smooth:
-                fan = families.random_blowup_surface_fan(rng, max_rays=rng.randint(4, 11))
-            else:
-                rays = {(rng.randint(-4, 4), rng.randint(-4, 4)) for _ in range(rng.randint(3, 7))} - {(0, 0)}
-                try:
-                    fan = build_surface_fan(Lattice.standard(2), rays)
-                except PreconditionError:
-                    continue
-            assert surface_key(fan) == word_key_from_rays(fan.rays)
+            cycles = list(families._orbit_unions(orbit_list, 6 * height))
+        by_pair, by_word = {}, {}
+        for n, cycle in enumerate(cycles):
+            rays = _cycle_fan(lattice, list(cycle)).rays
+            negated = _cycle_fan(lattice, [(-x, -y) for x, y in cycle]).rays
+            assert negated == rays or not negation
+            by_pair.setdefault(min(rays, negated), set()).add(n)
+            by_word.setdefault(word_key_from_rays(rays), set()).add(n)
+        assert sorted(map(sorted, by_pair.values())) == sorted(map(sorted, by_word.values()))
+        fans = families.enumerate_invariant_fans(lattice, height, 6 * height, smooth, negation)
+        assert [fan.rays for fan in fans] == sorted(by_pair, key=lambda r: (len(r), r))
 
 
 class TestUsableOrbitsOnly:

@@ -34,13 +34,12 @@ from toricsym.fan import (
     cone_invariant_factors,
     fan_isomorphism,
     make_fan,
-    surface_key,
     validate_fan,
 )
 from toricsym.intlin import IntMatrix, kernel_basis, primitive_vector
 from toricsym.mmp import self_intersection_profile
 
-from conftest import random_unimodular, transform_fan
+from conftest import random_unimodular, transform_fan, word_key_from_rays
 
 
 class TestLatticeCoordinates:
@@ -528,7 +527,20 @@ class TestValidationByDeterminants:
         with pytest.raises(PreconditionError) as info:
             validate_fan(make_fan(Lattice.standard(3), rays, cones))
         assert info.value.reason == "overlapping-cones"
-        assert str(info.value) == "a point inside the first cone lies in 4 cones"
+        assert str(info.value) == "a point inside the first cone lies in 2 cones"
+
+    def test_three_sheets_read_degree_three(self):
+        # P^3, its negative and an image of P^3 under a unimodular map that
+        # shares no ray with them: each covers R^3 once, and p is in the
+        # closed cones of more than one sheet.
+        p3 = families.projective_space(3)
+        g = IntMatrix.from_rows([(-1, -1, -1), (-1, -1, 0), (0, 1, -1)])
+        rays = p3.rays + tuple(tuple(-x for x in v) for v in p3.rays) + tuple(map(g.apply, p3.rays))
+        assert len(set(rays)) == 12
+        cones = tuple(tuple(i + 4 * k for i in cone) for k in range(3) for cone in p3.max_cones)
+        with pytest.raises(PreconditionError) as info:
+            validate_fan(make_fan(Lattice.standard(3), rays, cones))
+        assert str(info.value) == "a point inside the first cone lies in 3 cones"
 
     def test_a_rank_deficient_cone_is_neither_simplicial_nor_complete(self):
         # The kernel-normal path raised degenerate-facet here: the wall
@@ -612,6 +624,7 @@ class TestCoveringDegree:
             with pytest.raises(PreconditionError) as info:
                 validate_fan(fan)
             assert info.value.reason == "overlapping-cones"
+            assert str(info.value) == f"a point inside the first cone lies in {sheets} cones"
 
     def test_every_kind_of_case_occurs(self):
         cases = [_covering_case(n, seed) for n in (3, 4) for seed in range(20)]
@@ -732,7 +745,8 @@ def random_surface_fan(rng, smooth):
 
 
 def full_image_key(fan):
-    """The surface key as the least of all 2 * |rays| full images."""
+    """A complete invariant of a surface fan: the least of its 2 * |rays| full
+    images, each a start cone moved to the normal form (1, 0), (k, b)."""
     d = fan.ray_count
     images = []
     for cycle in (fan.rays, fan.rays[::-1]):
@@ -760,9 +774,9 @@ def key_pool(rng, fans):
 
 
 def assert_keys_match_the_full_images(pool):
-    """Two fans of the pool have equal surface keys exactly when their least
+    """Two fans of the pool have equal word keys exactly when their least
     full images are equal; returns the number of equal pairs."""
-    keys = [surface_key(fan) for fan in pool]
+    keys = [word_key_from_rays(fan.rays) for fan in pool]
     images = [full_image_key(fan) for fan in pool]
     equal = 0
     for (k1, i1), (k2, i2) in itertools.combinations(zip(keys, images), 2):
@@ -772,6 +786,9 @@ def assert_keys_match_the_full_images(pool):
 
 
 class TestSurfaceKey:
+    """The word oracle ``word_key_from_rays``, the surface-fan class the
+    census tests compare with, against full images and ``fan_isomorphism``."""
+
     @pytest.mark.parametrize("smooth", [True, False])
     @pytest.mark.parametrize("seed", range(4))
     def test_equal_exactly_when_the_full_images_are(self, seed, smooth):
@@ -790,14 +807,14 @@ class TestSurfaceKey:
     def test_invariant_under_gl2_rotation_and_reflection(self, seed, smooth, shift):
         rng = random.Random(seed)
         fan = random_surface_fan(rng, smooth)
-        key = surface_key(fan)
-        assert surface_key(transform_fan(random_unimodular(rng, 2), fan)) == key
+        key = word_key_from_rays(fan.rays)
+        assert word_key_from_rays(transform_fan(random_unimodular(rng, 2), fan).rays) == key
         d = fan.ray_count
         rotated = fan.rays[shift % d :] + fan.rays[: shift % d]
-        assert surface_key(Fan(fan.lattice, rotated, fan.max_cones)) == key
-        assert surface_key(Fan(fan.lattice, rotated[::-1], fan.max_cones)) == key
+        assert word_key_from_rays(rotated) == key
+        assert word_key_from_rays(rotated[::-1]) == key
         reflected = build_surface_fan(fan.lattice, [(y, x) for x, y in fan.rays])
-        assert surface_key(reflected) == key
+        assert word_key_from_rays(reflected.rays) == key
 
     @pytest.mark.parametrize(
         "first, second",
@@ -811,7 +828,7 @@ class TestSurfaceKey:
         # The same word, but start cones (1, 0), (k, b) with other k: the
         # fans are not isomorphic.
         f1, f2 = (build_surface_fan(Lattice.standard(2), rays) for rays in (first, second))
-        (w1, k1), (w2, k2) = surface_key(f1), surface_key(f2)
+        (w1, k1), (w2, k2) = word_key_from_rays(f1.rays), word_key_from_rays(f2.rays)
         assert w1 == w2 and k1 != k2
         assert fan_isomorphism(f1, f2) is None
         assert full_image_key(f1) != full_image_key(f2)
@@ -819,9 +836,9 @@ class TestSurfaceKey:
     def test_worked_word_keys(self, p2_fan, hexagon_n1):
         # P2: every cone is smooth and v_{i-1} + v_{i+1} = -v_i, so each
         # pair is (1, det(v_{i-1}, v_{i+1})) = (1, -1).
-        assert surface_key(p2_fan) == (((1, -1),) * 3, 0)
+        assert word_key_from_rays(p2_fan.rays) == (((1, -1),) * 3, 0)
         # The hexagon: v_{i-1} + v_{i+1} = v_i, every pair (1, 1).
-        assert surface_key(hexagon_n1) == (((1, 1),) * 6, 0)
+        assert word_key_from_rays(hexagon_n1.rays) == (((1, 1),) * 6, 0)
         # The singular hexagon (3, 1), (3, 2), (-1, 2), (-2, 1), (-2, -3),
         # (-1, -3): cones of index 3 and 8 in turn, and every det(v_i,
         # v_{i+2}) = 7.  Starting at the index-3 cone ((3, 1), (3, 2)),
@@ -829,7 +846,7 @@ class TestSurfaceKey:
         # 3-cycle and a reflection carry that cone to every index-3 cone.
         fan = families.singular_hexagon()
         assert set(fan.rays) == {(3, 1), (3, 2), (-1, 2), (-2, 1), (-2, -3), (-1, -3)}
-        assert surface_key(fan) == (((3, 7), (8, 7)) * 3, 2)
+        assert word_key_from_rays(fan.rays) == (((3, 7), (8, 7)) * 3, 2)
 
     @pytest.mark.parametrize("smooth", [True, False])
     def test_equal_keys_exactly_for_isomorphic_fans(self, smooth):
@@ -841,17 +858,13 @@ class TestSurfaceKey:
             pool.append(transform_fan(random_unimodular(rng, 2), fan))
         equal = 0
         for f1, f2 in itertools.combinations(pool, 2):
-            same_key = surface_key(f1) == surface_key(f2)
+            same_key = word_key_from_rays(f1.rays) == word_key_from_rays(f2.rays)
             assert same_key == (fan_isomorphism(f1, f2) is not None)
             equal += same_key
         assert 40 <= equal < len(pool) * (len(pool) - 1) // 2
 
     def test_lattice_kind_is_not_part_of_the_key(self, hexagon_n1, hexagon_n2):
-        assert surface_key(hexagon_n1) == surface_key(hexagon_n2)
-
-    def test_rank_three_is_an_error(self):
-        with pytest.raises(PreconditionError):
-            surface_key(families.projective_space(3))
+        assert word_key_from_rays(hexagon_n1.rays) == word_key_from_rays(hexagon_n2.rays)
 
 
 P3_RAYS = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)]

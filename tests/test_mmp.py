@@ -20,11 +20,9 @@ from toricsym.fan import (
     Fan,
     Lattice,
     _cycle_dets,
-    _cycle_fan,
     build_surface_fan,
     fan_isomorphism,
     make_fan,
-    surface_key,
     validate_fan,
 )
 from toricsym.intlin import IntMatrix
@@ -42,7 +40,7 @@ from toricsym.mmp import (
 )
 from toricsym.symmetry import action_from_generators, fan_automorphisms, invariant_picard_number, ray_orbits
 
-from conftest import transform_fan
+from conftest import transform_fan, word_key_from_rays
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 try:
@@ -99,11 +97,11 @@ def census_cases_above(height, max_height):
     for lattice in (Lattice.root_a2(), Lattice.weight_a2()):
         for negation in (False, True):
             census = functools.partial(families.enumerate_invariant_fans, lattice, require_smooth=True, include_negation=negation)
-            seen = {surface_key(fan) for fan in census(height=height, max_rays=6 * height)}
+            seen = {word_key_from_rays(fan.rays) for fan in census(height=height, max_rays=6 * height)}
             for h in range(height + 1, max_height + 1):
                 for k, fan in enumerate(census(height=h, max_rays=6 * h)):
-                    if surface_key(fan) not in seen:
-                        seen.add(surface_key(fan))
+                    if word_key_from_rays(fan.rays) not in seen:
+                        seen.add(word_key_from_rays(fan.rays))
                         action = families.standard_s3_action(fan, include_negation=negation)
                         name = f"H{h}-{lattice.kind}-{fan.ray_count}-{k}-neg{int(negation)}"
                         cases.append(pytest.param(fan, action, id=name))
@@ -853,20 +851,16 @@ class TestProperties:
         assert after[(k,)] == fan
 
 
-def reference_key(*cycle):
-    return surface_key(_cycle_fan(Lattice.standard(2), list(cycle)))
-
-
-# The surface keys of F_a for 0 <= a <= 20.  A 4-ray fan with rays in the
+# The word keys of F_a for 0 <= a <= 20.  A 4-ray fan with rays in the
 # box [-3, 3]^2 has every |det(v_{i-1}, v_{i+1})| <= 18, so no F_a with a
 # larger a is among the fans labelled below.
-HIRZEBRUCH_KEYS = {reference_key((1, 0), (0, 1), (-1, a), (0, -1)): a for a in range(21)}
+HIRZEBRUCH_KEYS = {word_key_from_rays([(1, 0), (0, 1), (-1, a), (0, -1)]): a for a in range(21)}
 
 
-def label_by_surface_key(fan):
-    """P1xP1 or F_a by looking the surface key of a 4-ray fan up among those
+def label_by_word_key(fan):
+    """P1xP1 or F_a by looking the word key of a 4-ray fan up among those
     of the models it can be: every smooth complete 4-ray fan is some F_a."""
-    a = HIRZEBRUCH_KEYS.get(surface_key(fan))
+    a = HIRZEBRUCH_KEYS.get(word_key_from_rays(fan.rays))
     if a is None:
         return OTHER
     return TerminalLabel("Hirzebruch", a) if a else P1XP1
@@ -906,13 +900,13 @@ class TestLabel:
             checked += 1
             if set(fan.word[0]) == {1}:
                 smooth += 1
-                assert label(fan) == label_by_surface_key(fan), fan.rays
+                assert label(fan) == label_by_word_key(fan), fan.rays
             else:  # a singular fan is no F_a; the loop refuses it, so it gets no label
-                assert label_by_surface_key(fan) == OTHER, fan.rays
+                assert label_by_word_key(fan) == OTHER, fan.rays
         assert checked > 10_000 and smooth == 237
         for a in range(-20, 21):
             fan = families.hirzebruch(a)
-            assert label(fan) == label_by_surface_key(fan), a
+            assert label(fan) == label_by_word_key(fan), a
 
     def test_one_point_blowup_is_the_first_ruled_surface(self, std2):
         assert label(blowup_p2_once(std2)) == TerminalLabel("Hirzebruch", 1)

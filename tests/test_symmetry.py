@@ -16,7 +16,7 @@ from toricsym.acceptance import named_family_corpus
 from toricsym.cli import _report_payload
 from toricsym.divisors import class_group
 from toricsym.errors import PreconditionError
-from toricsym.fan import Lattice, _all_isomorphisms, fan_isomorphism, make_fan, surface_key
+from toricsym.fan import Lattice, _all_isomorphisms, fan_isomorphism, make_fan
 from toricsym.intlin import IntMatrix, kernel_basis
 from toricsym.mmp import contract, terminal_counts, traces
 from toricsym.symmetry import (
@@ -31,7 +31,7 @@ from toricsym.symmetry import (
     ray_orbits,
 )
 
-from conftest import random_unimodular, transform_fan
+from conftest import random_unimodular, transform_fan, word_key_from_rays
 
 NEG_I = -IntMatrix.identity(2)
 SWAP = IntMatrix.from_rows([(0, 1), (1, 0)])
@@ -1196,7 +1196,7 @@ def _inverse(g):
 def _basis_free_outputs(fan, action, datum):
     """What no change of basis may move: check's flags, class group, block
     sizes, group order, orbit sizes, invariant rho and Galois form; mmp's
-    explore-all trace count and terminal labels, or its refusal; the surface key."""
+    explore-all trace count and terminal labels, or its refusal; the word key."""
     payload, _ = _report_payload(fan, action, datum)
     check = [payload[key] for key in ("simplicial", "complete", "smooth", "class_group", "group_order")]
     check += [sorted(payload["block_sizes"]), sorted(map(len, payload["ray_orbits"]))]
@@ -1210,7 +1210,7 @@ def _basis_free_outputs(fan, action, datum):
         for (_, label), count in terminal_counts(root).items():
             labels[str(label)] += count
         mmp = root[0], sorted(labels.items())
-    return check, mmp, surface_key(fan) if fan.rank == 2 else None
+    return check, mmp, word_key_from_rays(fan.rays) if fan.rank == 2 else None
 
 
 class TestChangeOfBasis:
