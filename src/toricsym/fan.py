@@ -378,6 +378,24 @@ def _dot(v: Sequence[int], w: Sequence[int]) -> int:
     return sum(map(operator.mul, v, w))
 
 
+def _refuse_overlaps(fan: Fan, normals: list, walls: dict[tuple[int, ...], list[tuple[int, int]]]) -> None:
+    """``overlapping-cones`` for maximal cones that overlap where the rays or the
+    walls show it: a ray v in a cone that does not list it (in a fan, v in a
+    simplicial cone is a ray of it; v is in the cone iff <u, v> >= 0 for each of
+    its inward normals u), or two cones on one side of a common wall, whose
+    interiors meet next to it (so also any wall on three or more cones).  Cones
+    that cross in any other way pass."""
+    for cone, us in zip(fan.max_cones, normals):
+        for i, v in enumerate(fan.rays):
+            if i not in cone and all(_dot(u, v) >= 0 for u in us):
+                raise PreconditionError("overlapping-cones", f"ray {i} lies in the cone {list(cone)}, which does not list it")
+    for wall, owners in walls.items():
+        for (a, k), (b, l) in itertools.combinations(owners, 2):
+            if _dot(normals[a][k], fan.rays[fan.max_cones[b][l]]) >= 0:
+                cones = f"{list(fan.max_cones[a])} and {list(fan.max_cones[b])}"
+                raise PreconditionError("overlapping-cones", f"the cones {cones} lie on one side of their wall {list(wall)}")
+
+
 def _complete_rank_ge3(fan: Fan, det_adj: list[tuple[int, IntMatrix]]) -> bool:
     """Completeness of a simplicial fan, given det B and adj B of each cone;
     in rank 1 the one wall is the origin."""
@@ -387,16 +405,19 @@ def _complete_rank_ge3(fan: Fan, det_adj: list[tuple[int, IntMatrix]]) -> bool:
     # normal of the facet opposite ray k, and the cone is {x : <normal, x> >= 0 for each}.
     normals = [list(zip(*(a.entries if det > 0 else [map(operator.neg, r) for r in a.entries]))) for det, a in det_adj]
     walls: dict[tuple[int, ...], list[tuple[int, int]]] = {}
+    n = fan.rank
     for ci, cone in enumerate(fan.max_cones):
-        for k in range(len(cone)):
-            walls.setdefault(cone[:k] + cone[k + 1 :], []).append((ci, k))
+        # combinations leave out ray n - 1 first, then n - 2, ..., 0
+        for k, wall in zip(range(n - 1, -1, -1), itertools.combinations(cone, n - 1)):
+            walls.setdefault(wall, []).append((ci, k))
     # Each wall has two cones, on opposite sides of it.
     for owners in walls.values():
-        if len(owners) != 2:
-            return False
-        (a, k), (b, l) = owners
-        if _dot(normals[a][k], fan.rays[fan.max_cones[b][l]]) >= 0:
-            return False
+        if len(owners) == 2:
+            (a, k), (b, l) = owners
+            if _dot(normals[a][k], fan.rays[fan.max_cones[b][l]]) < 0:
+                continue
+        _refuse_overlaps(fan, normals, walls)
+        return False
     # Crossing a wall then leaves one cone for another, so off the walls each
     # point lies in the same number k >= 1 of cones: the codimension-2 faces
     # do not disconnect R^n for n >= 2, and in rank 1 the pairing leaves the
@@ -424,7 +445,9 @@ def validate_fan(fan: Fan) -> FanReport:
     matrix B: simplicial iff det B != 0, smooth iff |det B| = 1, and
     complete iff every wall lies on two cones on opposite sides and the
     cover's degree, read at a point of the first cone on no wall, is 1 (on
-    degree >= 2, as on two sheets sharing no wall, ``overlapping-cones``)."""
+    degree >= 2, as on two sheets sharing no wall, ``overlapping-cones``).
+    A list with an unpaired wall is refused too when a ray lies in a cone
+    that does not list it, or two cones lie on one side of a shared wall."""
     n = fan.rank
     if n == 2:
         rays = fan.rays
@@ -478,18 +501,26 @@ def _seed_basis(source: Fan, target: Fan) -> tuple[tuple[int, ...], list[tuple[i
     raise PreconditionError("rays-do-not-span", "rays do not span the lattice")
 
 
+def _tuple_getter(n: int):
+    """``operator.itemgetter`` for n indices, also for n = 1, where itemgetter
+    gives the item and this a 1-tuple."""
+    return operator.itemgetter if n > 1 else lambda i: lambda s: (s[i],)
+
+
 def _read_off(target: Fan, basis: Sequence[Vector]):
     """det B and adj B of the basis B (columns ``basis``), and ``read_off(images)``:
     W adj(B) // det(B), with W the target rays ``images`` as columns (W itself
-    when B = I).  It sends B to W iff some integral matrix does, which a caller
+    when B = I), whose rows are read off the target's coordinate rows by one
+    getter.  It sends B to W iff some integral matrix does, which a caller
     that does not know must check."""
-    n, rays = len(basis), target.rays
+    n = len(basis)
     det, adjugate = IntMatrix._of(tuple(zip(*basis))).det_adjugate()
     plain = all(b[j] == 1 and b.count(0) == n - 1 for j, b in enumerate(basis))
     columns = list(zip(*adjugate.entries))
+    coordinates, getter = tuple(zip(*target.rays)), _tuple_getter(n)  # row i: coordinate i of every ray
 
     def read_off(images: Sequence[int]) -> IntMatrix:
-        rows = zip(*map(rays.__getitem__, images))
+        rows = map(getter(*images), coordinates)
         if plain:
             return IntMatrix._of(tuple(rows))
         return IntMatrix._of(tuple([tuple([sum(map(operator.mul, row, c)) // det for c in columns]) for row in rows]))

@@ -16,11 +16,10 @@ import enum
 import math
 from functools import cached_property
 from itertools import permutations
-from operator import itemgetter
 from typing import Sequence
 
 from .errors import PreconditionError
-from .fan import Fan, _candidate_test, _cycle_cones, _ray_degrees, _read_off, _seed_basis
+from .fan import Fan, _candidate_test, _cycle_cones, _ray_degrees, _read_off, _seed_basis, _tuple_getter
 from .intlin import IntMatrix, _det, kernel_basis
 from .record import Record
 
@@ -54,21 +53,25 @@ class GroupAction(Record):
 
     @cached_property
     def ray_perms(self) -> tuple[Perm, ...]:
+        # u o p is itemgetter(*p)(u), so one getter per right factor p composes it
+        # with every u; the closure takes the generators as its right factors.
+        getter = _tuple_getter(self.fan.ray_count)
         if self.transversals is None:
+            steps = [getter(*g) for g in self.generators]
             group = frontier = {tuple(range(self.fan.ray_count))}
             while frontier:
-                frontier = {tuple(map(g.__getitem__, p)) for p in frontier for g in self.generators} - group
+                frontier = {step(p) for p in frontier for step in steps} - group
                 group |= frontier
             return tuple(sorted(group))
         *levels, perms = self.transversals
         for level in reversed(levels):
-            perms = [tuple(map(u.__getitem__, p)) for u in level for p in perms]
+            getters = [getter(*p) for p in perms]
+            perms = [get(u) for u in level for get in getters]
         return tuple(sorted(perms))
 
     @cached_property
     def elements(self) -> tuple[IntMatrix, ...]:
-        seed = self.seed  # itemgetter of one index gives the item, not a 1-tuple
-        images = itemgetter(*seed) if len(seed) > 1 else lambda p: (p[seed[0]],)
+        images = _tuple_getter(len(self.seed))(*self.seed)
         return tuple(map(self._seed_read_off, map(images, self.ray_perms)))
 
     @cached_property

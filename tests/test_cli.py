@@ -166,6 +166,24 @@ class TestCheckCommand:
         assert run_cli("check", str(path)) == 3
         assert "overlapping-cones: a point inside the first cone lies in 2 cones" in capsys.readouterr().err
 
+    def test_ray_inside_a_cone_exit_3(self, tmp_path, capsys):
+        # An incomplete list whose ray (1, 1, 1) lies inside the cone (0, 1, 2).
+        rays = [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]]
+        path = tmp_path / "ray-inside.fan"
+        write_json(path, {"lattice": "standard:3", "rays": rays, "max_cones": [[0, 1, 2], [0, 1, 3]]})
+        code, error = machine_error(capsys, "check", str(path))
+        assert (code, error["reason"]) == (3, "overlapping-cones")
+        assert run_cli("check", str(path)) == 3
+        assert "overlapping-cones: ray 3 lies in the cone [0, 1, 2], which does not list it" in capsys.readouterr().err
+
+    def test_sub_list_of_a_complete_fan_passes(self, tmp_path, capsys):
+        # Three of P^3's four cones: a fan, not complete.
+        rays = [[1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, -1, -1]]
+        path = tmp_path / "three-cones.fan"
+        write_json(path, {"lattice": "standard:3", "rays": rays, "max_cones": [[0, 1, 2], [0, 1, 3], [0, 2, 3]]})
+        assert run_cli("check", str(path), "--format", "machine") == 0
+        assert json.loads(capsys.readouterr().out)["complete"] is False
+
     def test_bad_json_exits_2(self, tmp_path, capsys):
         path = tmp_path / "bad.fan"
         path.write_text("{not json", encoding="utf-8")

@@ -1,9 +1,11 @@
 import collections
 import functools
 import itertools
+import json
 import math
 import operator
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -602,6 +604,27 @@ def _covering_case(n, seed):
     return rng, rays, cones, _walls_paired(cones), len(set(sheets))
 
 
+def _inside(rays, cone, v):
+    """Whether v lies in the closed cone on the rays ``cone``: B^-1 v >= 0, exact."""
+    return min(Matrix([rays[i] for i in cone]).T.solve(Matrix(v))) >= 0
+
+
+def _overlap_is_real(fan, message):
+    """Whether an ``overlapping-cones`` message names a ray inside a cone that
+    does not list it, or two cones on one side of a wall they share, by exact
+    solves."""
+    if found := re.fullmatch(r"ray (\d+) lies in the cone (\[.*\]), which does not list it", message):
+        ray, cone = int(found[1]), tuple(json.loads(found[2]))
+        return cone in fan.max_cones and ray not in cone and _inside(fan.rays, cone, fan.rays[ray])
+    found = re.fullmatch(r"the cones (\[.*\]) and (\[.*\]) lie on one side of their wall (\[.*\])", message)
+    first, second, wall = (tuple(json.loads(found[k])) for k in (1, 2, 3))
+    if not (first in fan.max_cones and second in fan.max_cones and set(wall) == set(first) & set(second)):
+        return False
+    normal = kernel_basis(IntMatrix.from_rows([fan.rays[i] for i in wall]))[0]
+    (a,), (b,) = set(first) - set(wall), set(second) - set(wall)
+    return sum(map(operator.mul, normal, fan.rays[a])) * sum(map(operator.mul, normal, fan.rays[b])) > 0
+
+
 class TestCoveringDegree:
     """Cones whose walls each lie on two cones, on opposite sides, cover space
     k times: validate_fan says complete iff k = 1 and refuses k >= 2 with
@@ -615,7 +638,13 @@ class TestCoveringDegree:
         rng, rays, cones, paired, sheets = _covering_case(n, seed)
         fan = make_fan(Lattice.standard(n), rays, cones)
         if not paired:
-            assert not validate_fan(fan).complete
+            # Sheets that share a wall but differ overlap, here always by a ray
+            # inside a cone of another sheet.
+            assert sheets >= 2
+            with pytest.raises(PreconditionError) as info:
+                validate_fan(fan)
+            assert info.value.reason == "overlapping-cones"
+            assert _overlap_is_real(fan, str(info.value))
             return
         assert set(_covering_counts(rng, rays, cones, 20)) == {sheets}
         if sheets == 1:
@@ -630,6 +659,75 @@ class TestCoveringDegree:
         cases = [_covering_case(n, seed) for n in (3, 4) for seed in range(20)]
         kinds = collections.Counter((paired, min(sheets, 2)) for _, _, _, paired, sheets in cases)
         assert set(kinds) >= {(True, 1), (True, 2), (False, 2)}, kinds
+
+
+E3 = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+
+
+class TestOverlapsInIncompleteLists:
+    """A cone list with a wall not on two cones on opposite sides is refused
+    with overlapping-cones when a ray lies in a cone that does not list it,
+    or two cones lie on one side of a wall they share; a sub-list of a
+    complete fan's cones is a fan, and passes as not complete."""
+
+    def refusal(self, rays, cones):
+        fan = make_fan(Lattice.standard(len(rays[0])), rays, cones)
+        with pytest.raises(PreconditionError) as info:
+            validate_fan(fan)
+        assert info.value.reason == "overlapping-cones"
+        assert _overlap_is_real(fan, str(info.value))
+        return str(info.value)
+
+    def test_a_ray_inside_a_cone(self):
+        # (1, 1, 1) lies inside the first cone, whose wall (0, 1) the second
+        # cone shares from the same side.
+        message = self.refusal(E3 + [(1, 1, 1)], [(0, 1, 2), (0, 1, 3)])
+        assert message == "ray 3 lies in the cone [0, 1, 2], which does not list it"
+
+    def test_two_cones_on_one_side_of_their_wall(self):
+        # Neither cone holds the other's third ray, yet both leave the wall
+        # (0, 1) towards z > 0.
+        message = self.refusal(E3 + [(2, -1, 1)], [(0, 1, 2), (0, 1, 3)])
+        assert message == "the cones [0, 1, 2] and [0, 1, 3] lie on one side of their wall [0, 1]"
+
+    def test_three_cones_on_one_wall(self):
+        # Two of any three cones on one wall are on the same side of it.
+        message = self.refusal(E3 + [(0, 0, -1), (2, -1, 1)], [(0, 1, 2), (0, 1, 3), (0, 1, 4)])
+        assert message == "the cones [0, 1, 2] and [0, 1, 4] lie on one side of their wall [0, 1]"
+
+    def test_cones_crossing_with_no_ray_inside_pass(self):
+        # At z = 1 the two cones cut a star of David: their interiors meet,
+        # but no ray of one lies in the other and they share no wall, so
+        # this overlap stays undetected.
+        rays = [(0, 2, 1), (-2, -1, 1), (2, -1, 1), (0, -2, 1), (2, 1, 1), (-2, 1, 1)]
+        report = validate_fan(make_fan(Lattice.standard(3), rays, [(0, 1, 2), (3, 4, 5)]))
+        assert report == FanReport(simplicial=True, complete=False, smooth=False)
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_sub_lists_of_complete_fans_pass(self, seed):
+        rng = random.Random(seed)
+        dims = rng.choice([(3,), (2, 1), (1, 1, 1), (4,), (2, 2), (3, 1), (1, 1, 2)])
+        rays, cones = _weighted_stellar_subdivision(rng, *_product_fan(dims), rng.randint(0, 4))
+        lattice = Lattice.standard(sum(dims))
+        kept = rng.sample(cones, rng.randint(1, len(cones) - 1))
+        for fan in (make_fan(lattice, rays, kept), transform_fan(random_unimodular(rng, lattice.rank), make_fan(lattice, rays, kept))):
+            assert validate_fan(fan) == _kernel_validate(fan)
+            assert validate_fan(fan).simplicial and not validate_fan(fan).complete
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_a_cone_kept_beside_its_subdivision(self, seed):
+        # Star-subdivide one cone of a sub-list at an interior w and keep the
+        # cone too: w is the one ray in a cone that does not list it.
+        rng = random.Random(seed)
+        dims = rng.choice([(3,), (2, 1), (1, 1, 1), (4,), (2, 2), (3, 1)])
+        rays, cones = _weighted_stellar_subdivision(rng, *_product_fan(dims), rng.randint(0, 3))
+        kept = rng.sample(cones, rng.randint(1, len(cones)))
+        cone = sorted(kept[0])
+        weights = [rng.randint(1, 3) for _ in cone]
+        w = primitive_vector([sum(map(operator.mul, weights, xs)) for xs in zip(*(rays[i] for i in cone))])
+        kept += [tuple(len(rays) if x == i else x for x in cone) for i in cone]
+        message = self.refusal(rays + [w], kept)
+        assert message == f"ray {len(rays)} lies in the cone {cone}, which does not list it"
 
 
 def ccw_by_comparator(rays):
@@ -1130,3 +1228,13 @@ class TestReadOff:
                 [[det * (i == j) for j in range(n)] for i in range(n)]
             )
             assert read_off(range(n)) == g, (shape, basis)
+
+    @pytest.mark.parametrize("b", [1, -1])
+    @pytest.mark.parametrize("s", [1, -1])
+    def test_rank_one(self, b, s):
+        # One image: itemgetter of one index gives the item, read_off a 1x1
+        # matrix all the same, plain (b = 1) or not (b = -1).
+        target = Fan(Lattice.standard(1), ((1,), (-1,)), ())
+        det, adjugate, read_off = _read_off(target, [(b,)])
+        assert (det, adjugate) == (b, IntMatrix.from_rows([[1]]))
+        assert read_off([target.rays.index((s * b,))]) == IntMatrix.from_rows([[s]])

@@ -2,6 +2,7 @@ import collections
 import functools
 import itertools
 import math
+import operator
 import random
 
 import pytest
@@ -1160,6 +1161,17 @@ class TestElementsReadOff:
         assert fan_automorphisms(fan).elements == expected
         assert action_from_generators(fan, [expected[1]]).elements == expected
 
+    def test_one_ray_fan(self):
+        # One ray: a ray permutation has one entry, so each product and closure
+        # step reads a getter of one index, which must still give a 1-tuple.
+        fan = make_fan(Lattice.standard(1), [(1,)], [(0,)])
+        ident = IntMatrix.identity(1)
+        for action in (fan_automorphisms(fan), action_from_generators(fan, [ident]), action_from_generators(fan, [])):
+            assert (action.order, action.ray_perms, action.elements) == (1, ((0,),), (ident,))
+        with pytest.raises(PreconditionError) as info:
+            action_from_generators(fan, [-ident])
+        assert info.value.reason == "not-fan-preserving"
+
     def test_seed_cone_of_det_four(self):
         # The first cone of P(1,1,1,1,4) has |det B| = 4, so each element is
         # W adj(B) / det(B), W the seed rays' images, and not W itself.
@@ -1172,6 +1184,66 @@ class TestElementsReadOff:
             images = Matrix([fan.rays[p[b]] for b in action.seed]).T
             assert Matrix(g.entries) == images * basis.adjugate() / basis.det()
             assert [g.apply(v) for v in fan.rays] == [fan.rays[j] for j in p]
+
+
+def _expanded_entry_by_entry(action):
+    """The ray permutations and matrices of an action as they were computed
+    before getters: each product and closure step one ``__getitem__`` call per
+    entry, and W's rows zipped from the seed rays' image columns."""
+    fan = action.fan
+    if action.transversals is None:
+        group = frontier = {tuple(range(fan.ray_count))}
+        while frontier:
+            frontier = {tuple(map(g.__getitem__, p)) for p in frontier for g in action.generators} - group
+            group |= frontier
+        perms = tuple(sorted(group))
+    else:
+        *levels, perms = action.transversals
+        for level in reversed(levels):
+            perms = [tuple(map(u.__getitem__, p)) for u in level for p in perms]
+        perms = tuple(sorted(perms))
+    basis = [fan.rays[b] for b in action.seed]
+    n = len(basis)
+    det, adjugate = IntMatrix._of(tuple(zip(*basis))).det_adjugate()
+    plain = all(b[j] == 1 and b.count(0) == n - 1 for j, b in enumerate(basis))
+    columns = list(zip(*adjugate.entries))
+    elements = []
+    for p in perms:
+        rows = zip(*(fan.rays[p[b]] for b in action.seed))
+        if not plain:
+            rows = [tuple([sum(map(operator.mul, row, c)) // det for c in columns]) for row in rows]
+        elements.append(IntMatrix._of(tuple(rows)))
+    return perms, tuple(elements)
+
+
+def _getter_cases():
+    """The named corpus and seeded stellar subdivisions of P^3, (P^1)^3,
+    P^2 x P^1 and P^4, each with its full group."""
+    cases = [pytest.param(fan, id=name) for name, fan in named_family_corpus()]
+    bases = (P3, _product(P1, P1, P1), _product(P2, P1), P4)
+    for seed in range(24):
+        cases.append(pytest.param(_stellar_subdivision(bases[seed % 4], seed, 1 + seed % 5), id=f"subdivision-{seed}"))
+    return cases
+
+
+class TestGettersAgainstEntryByEntry:
+    """``ray_perms`` and ``elements``, composed by getters and read off
+    coordinate rows, equal the entry-by-entry products, closure and read-off,
+    in value and in order."""
+
+    @pytest.mark.parametrize("fan", _getter_cases())
+    def test_full_groups(self, fan):
+        action = fan_automorphisms(fan)
+        assert expanded(action) == _expanded_entry_by_entry(fan_automorphisms(fan))
+
+    @pytest.mark.parametrize("fan", _getter_cases())
+    def test_random_generator_subsets(self, fan):
+        rng = random.Random(fan.ray_count * len(fan.max_cones))
+        elements = fan_automorphisms(fan).elements
+        for k in (0, 1, 2, 3):
+            gens = rng.sample(elements, min(k, len(elements)))
+            action = action_from_generators(fan, gens)
+            assert expanded(action) == _expanded_entry_by_entry(action_from_generators(fan, gens))
 
 
 # --- change of basis ---------------------------------------------------------
