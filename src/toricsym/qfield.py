@@ -1,9 +1,11 @@
-"""Exact arithmetic in Q and quadratic extensions Q(sqrt(d)).
+"""The field condition for Q, R and quadratic fields Q(sqrt(d)).
 
-Elements are a + b*sqrt(d) with Fraction coefficients.  Field descriptors
-declare whether -1 is a sum of two squares, checked against d for a
-quadratic field; where the declaration is negative the table carries an
-explicit witness pair that is verified exactly.
+Field descriptors declare whether -1 is a sum of two squares, checked
+against d for a quadratic field; where it is, the table carries a witness
+pair a = a0 + a1*sqrt(d), b = b0 + b1*sqrt(d) as its rational coefficients.
+As 1 and sqrt(d) are linearly independent over Q, a^2 + b^2 = -1 holds iff
+the two identities over Q a0^2 + b0^2 + d*(a1^2 + b1^2) = -1 and
+a0*a1 + b0*b1 = 0 hold, which is all a witness check computes.
 """
 
 from __future__ import annotations
@@ -14,8 +16,6 @@ from fractions import Fraction
 
 from .errors import ParseError, PreconditionError
 from .record import Record
-
-RationalLike = int | Fraction
 
 
 def _is_squarefree(d: int) -> bool:
@@ -50,102 +50,11 @@ def _require_field_d(d: int) -> None:
         raise ValueError(f"d must be squarefree and != 0, 1, got {d}")
 
 
-class QuadElement(Record):
-    """a + b*sqrt(d) with exact rational a, b.
-
-    ``d`` is a squarefree integer != 0, 1, or None for a plain rational
-    (then b = 0).  Elements with b = 0 compare equal across fields.  ``d`` is
-    checked where an element is made, not in the results of arithmetic on
-    checked elements.
-    """
-
-    __slots__ = ("d", "a", "b")
-
-    def __post_init__(self):
-        object.__setattr__(self, "a", Fraction(self.a))
-        object.__setattr__(self, "b", Fraction(self.b))
-        if self.d is not None:
-            _require_field_d(self.d)
-        elif self.b != 0:
-            raise ValueError("rational elements must have b = 0")
-
-    @classmethod
-    def _of(cls, d: int | None, a: Fraction, b: Fraction) -> "QuadElement":
-        element = object.__new__(cls)
-        object.__setattr__(element, "d", d)
-        object.__setattr__(element, "a", a)
-        object.__setattr__(element, "b", b)
-        return element
-
-    @classmethod
-    def rational(cls, x: RationalLike) -> "QuadElement":
-        return cls(None, Fraction(x), Fraction(0))
-
-    @classmethod
-    def sqrt_of(cls, d: int) -> "QuadElement":
-        return cls(d, Fraction(0), Fraction(1))
-
-    def _key(self):
-        return (self.a, self.b, self.d) if self.b else (self.a, Fraction(0), None)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = QuadElement.rational(other)
-        if not isinstance(other, QuadElement):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def _join(self, other: "QuadElement | RationalLike") -> tuple["QuadElement", "QuadElement", int | None]:
-        if isinstance(other, (int, Fraction)):
-            other = QuadElement.rational(other)
-        if not isinstance(other, QuadElement):
-            raise TypeError(f"cannot combine QuadElement with {type(other).__name__}")
-        if self.d is None:
-            d = other.d
-        elif other.d is None or other.d == self.d:
-            d = self.d
-        else:
-            raise PreconditionError(
-                "mixed-radicands",
-                f"cannot mix sqrt({self.d}) with sqrt({other.d})",
-            )
-        return self, other, d
-
-    def __add__(self, other):
-        x, y, d = self._join(other)
-        return QuadElement._of(d, x.a + y.a, x.b + y.b)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return QuadElement._of(self.d, -self.a, -self.b)
-
-    def __sub__(self, other):
-        x, y, d = self._join(other)
-        return x + (-y)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        x, y, d = self._join(other)
-        if d is None:
-            return QuadElement._of(None, x.a * y.a, Fraction(0))
-        return QuadElement._of(d, x.a * y.a + d * x.b * y.b, x.a * y.b + x.b * y.a)
-
-    __rmul__ = __mul__
-
-    def __str__(self) -> str:
-        if self.b == 0:
-            return str(self.a)
-        tail = f"sqrt({self.d})" if abs(self.b) == 1 else f"{abs(self.b)}*sqrt({self.d})"
-        sign = "-" if self.b < 0 else "+"
-        if self.a == 0:
-            return tail if self.b > 0 else f"-{tail}"
-        return f"{self.a} {sign} {tail}"
+def _element(d: int | None, a0: int | Fraction, a1: int | Fraction) -> tuple[Fraction, Fraction]:
+    """The coefficients of a0 + a1*sqrt(d) as Fractions; a1 = 0 without a radicand."""
+    if d is None and a1:
+        raise ValueError("rational elements must have b = 0")
+    return Fraction(a0), Fraction(a1)
 
 
 class FieldDescriptor(Record):
@@ -153,8 +62,10 @@ class FieldDescriptor(Record):
 
     ``star_clause2`` declares that -1 is NOT a sum of two squares in the
     field; ``star_clause3`` declares the sqrt(5) clause.  When clause 2
-    fails, ``witness`` holds a pair (a, b) with a^2 + b^2 = -1.  ``kind`` is
-    "rationals", "reals" or "quadratic", the last with a radicand ``d``.
+    fails, ``witness`` holds the coefficients ((a0, a1), (b0, b1)) of a pair
+    a = a0 + a1*sqrt(d), b = b0 + b1*sqrt(d) with a^2 + b^2 = -1, as
+    Fractions; without a radicand a1 = b1 = 0.  ``kind`` is "rationals",
+    "reals" or "quadratic", the last with a radicand ``d``.
     """
 
     __slots__ = ("name", "kind", "d", "star_clause2", "star_clause3", "witness")
@@ -172,17 +83,17 @@ class FieldDescriptor(Record):
         if self.kind in ("rationals", "reals") and not self.star_clause2:
             raise ValueError(f"-1 is not a sum of two squares in {self.name}")
         if self.witness is not None:
-            for w in self.witness:
-                if w.d is not None and w.d != self.d:
-                    raise ValueError("witness lives in a different field")
+            object.__setattr__(self, "witness", tuple(_element(self.d, *pair) for pair in self.witness))
 
 
 def verify_negative_one_witness(descriptor: FieldDescriptor) -> bool:
-    """True iff the declared witness (a, b) satisfies a^2 + b^2 = -1 exactly."""
+    """True iff the declared witness (a, b) satisfies a^2 + b^2 = -1 exactly:
+    the rational part of a^2 + b^2 is -1 and its sqrt(d) part 0."""
     if descriptor.witness is None:
         raise PreconditionError("witness-absent", f"{descriptor.name} carries no witness")
-    a, b = descriptor.witness
-    return a * a + b * b == QuadElement.rational(-1)
+    (a0, a1), (b0, b1) = descriptor.witness
+    d = descriptor.d or 0
+    return a0 * a0 + b0 * b0 + d * (a1 * a1 + b1 * b1) == -1 and a0 * a1 + b0 * b1 == 0
 
 
 def satisfies_star(descriptor: FieldDescriptor) -> bool:
@@ -217,7 +128,7 @@ def standard_field_table() -> dict[str, FieldDescriptor]:
             d=-1,
             star_clause2=False,
             star_clause3=False,
-            witness=(QuadElement.sqrt_of(-1), QuadElement.rational(0)),
+            witness=((0, 1), (0, 0)),
         ),
         "Q(sqrt-3)": FieldDescriptor(
             name="Q(sqrt-3)",
@@ -225,7 +136,7 @@ def standard_field_table() -> dict[str, FieldDescriptor]:
             d=-3,
             star_clause2=False,
             star_clause3=False,
-            witness=(QuadElement(-3, half, half), QuadElement(-3, half, -half)),
+            witness=((half, half), (half, -half)),
         ),
         "Q(sqrt-7)": FieldDescriptor(
             name="Q(sqrt-7)",
@@ -247,6 +158,14 @@ def _coefficient(x: object) -> Fraction:
     if isinstance(x, str) and _RATIONAL.fullmatch(x):
         return Fraction(x)
     raise ParseError(f"witness coefficients must be integers or 'p/q' strings, got {x!r}")
+
+
+def _read_element(d: int | None, pair: list) -> tuple[Fraction, Fraction]:
+    """A witness element of a config entry, its field checked as soon as it is read."""
+    a0, a1 = _coefficient(pair[0]), _coefficient(pair[1])
+    if d is not None:
+        _require_field_d(d)
+    return _element(d, a0, a1)
 
 
 def _clause(data: dict, key: str) -> bool:
@@ -271,7 +190,7 @@ def descriptor_from_dict(data: dict) -> FieldDescriptor:
             pairs = data["witness"]
             if len(pairs) != 2 or any(len(p) != 2 for p in pairs):
                 raise ParseError("witness must be a pair of [a, b] entries")
-            witness = tuple(QuadElement(d, _coefficient(p[0]), _coefficient(p[1])) for p in pairs)
+            witness = tuple(_read_element(d, p) for p in pairs)
         return FieldDescriptor(
             name=name,
             kind=kind,
@@ -289,5 +208,7 @@ def load_field_descriptors(entries: list[dict]) -> dict[str, FieldDescriptor]:
     table = {}
     for entry in entries:
         desc = descriptor_from_dict(entry)
+        if desc.name in table:
+            raise ParseError(f"field {desc.name!r} is described twice")
         table[desc.name] = desc
     return table

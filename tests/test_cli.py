@@ -841,6 +841,48 @@ class TestFieldsCommand:
         assert run_cli("fields", "--config", str(path), "--format", "machine") == 2
         assert json.loads(capsys.readouterr().out)["error"]["reason"] == "parse"
 
+    def test_a_repeated_name_is_a_parse_error(self, tmp_path, capsys):
+        # The first entry alone is inconsistent (exit 3); a later entry of
+        # the same name must not hide it.
+        path = tmp_path / "fields.json"
+        write_json(path, [{"name": "F", "kind": "quadratic", "d": -3}, {"name": "F", "kind": "quadratic", "d": 5}])
+        assert run_cli("fields", "--config", str(path), "--format", "machine") == 2
+        assert json.loads(capsys.readouterr().out)["error"] == {
+            "code": 2,
+            "reason": "parse",
+            "message": "field 'F' is described twice",
+        }
+
+    @pytest.mark.parametrize(
+        "entry, code, message",
+        [
+            (
+                {"name": "F", "kind": "quadratic", "d": 10**30 + 57, "witness": [[0, 1], ["x", 0]]},
+                3,
+                "|d| must be at most 10^18, got 1000000000000000000000000000057",
+            ),
+            (
+                {"name": "Q", "kind": "rationals", "witness": [[0, 1], ["x", 0]]},
+                2,
+                "bad field descriptor: rational elements must have b = 0",
+            ),
+            (
+                {"name": "F", "kind": "quadratic", "d": 4, "star_clause2": "false", "witness": [[0, 1], [0, 0]]},
+                2,
+                "bad field descriptor: d must be squarefree and != 0, 1, got 4",
+            ),
+        ],
+        ids=["huge-radicand", "rational-radical", "square-radicand"],
+    )
+    def test_a_witness_element_is_checked_as_it_is_read(self, entry, code, message, tmp_path, capsys):
+        # The first element's field is refused before the second element or
+        # the clauses are read.
+        path = tmp_path / "fields.json"
+        write_json(path, [entry])
+        reason = "parse" if code == 2 else "radicand-too-large"
+        error = {"code": code, "reason": reason, "message": message}
+        assert machine_error(capsys, "fields", "--config", str(path)) == (code, error)
+
     def test_malformed_json_is_a_parse_error(self, tmp_path, capsys):
         path = tmp_path / "fields.json"
         path.write_text('[{"name": "Q", "kind": ', encoding="utf-8")
@@ -885,8 +927,9 @@ class TestFieldsCommand:
             {"name": "F", "kind": "quadratic", "d": -1, "witness": [["1/0", 0], [0, 0]]},
             {"name": ["F"], "kind": "rationals"},
             {"name": "F", "kind": "quadratic", "d": 5.0},
+            {"name": "Q", "kind": "rationals", "witness": [[0, 1], [0, 0]]},
         ],
-        ids=["string-clause", "float-witness", "zero-denominator", "list-name", "float-d"],
+        ids=["string-clause", "float-witness", "zero-denominator", "list-name", "float-d", "rational-radical"],
     )
     def test_malformed_entry_is_a_parse_error(self, entry, tmp_path, capsys):
         path = tmp_path / "fields.json"

@@ -67,6 +67,37 @@ class TestLatticeCoordinates:
         assert lat.coords((1, 1, 1)) == (0, 0)
         assert lat.coords((2, 0, 1)) == lat.coords((1, -1, 0))
 
+    @pytest.mark.parametrize(
+        "call, reason, message",
+        [
+            (lambda: Lattice.standard(3).accept_ray((1, 0)), "ambient-dim", "ray (1, 0) has length 2, expected 3"),
+            (
+                lambda: Lattice.root_a2().accept_ray((1, 0, 0, 0)),
+                "ambient-dim",
+                "ray (1, 0, 0, 0) has length 4, expected 2 or 3",
+            ),
+            (lambda: Lattice.root_a2().coords((1, 0, 0)), "coordinate-sum", "(1, 0, 0) has nonzero coordinate sum"),
+            (
+                lambda: Lattice.standard(2).s3_matrices(),
+                "lattice-kind",
+                "coordinate permutations act on the A2 lattices",
+            ),
+            (
+                lambda: families.s3_orbit_fan(Lattice.standard(2), [(1, 0)]),
+                "lattice-kind",
+                "orbit fans live in the A2 lattices",
+            ),
+            (lambda: Lattice.standard(2).coords((1, 0, 0)), "ambient-dim", "expected length 2, got 3"),
+            (lambda: Lattice.weight_a2().coords((1, 0)), "ambient-dim", "weightA2 vectors live in Z^3, got length 2"),
+        ],
+        ids=["standard-length", "rootA2-length", "coordinate-sum", "s3-on-standard", "orbit-on-standard",
+             "coords-length", "weightA2-length"],
+    )
+    def test_refusals_keep_their_reason_and_message(self, call, reason, message):
+        with pytest.raises(PreconditionError) as err:
+            call()
+        assert (err.value.reason, str(err.value)) == (reason, message)
+
 
 class TestLatticeLabels:
     def test_a_label_gives_one_shared_lattice(self):

@@ -11,7 +11,7 @@ import pytest
 import toricsym.acceptance  # noqa: F401  (every module with a record class)
 from toricsym.fan import Fan, Lattice, build_surface_fan
 from toricsym.intlin import FGAbelianGroup, IntMatrix
-from toricsym.qfield import QuadElement
+from toricsym.qfield import FieldDescriptor
 from toricsym.record import Record
 from toricsym.symmetry import GaloisDatum, GroupAction, action_from_generators, fan_automorphisms
 
@@ -26,7 +26,6 @@ VALID = {
     "FGAbelianGroup": (2, (2, 4)),
     "Lattice": ("standard", 3),
     "GaloisDatum": (IntMatrix(((0, 1), (1, 0))),),
-    "QuadElement": (5, Fraction(1, 2), Fraction(-3)),
     "FieldDescriptor": ("Q", "rationals", None, True, False, None),
 }
 
@@ -56,7 +55,7 @@ def oracle_of(cls):
 
 def test_every_record_class_is_covered():
     names = {cls.__name__ for cls in RECORDS}
-    assert len(RECORDS) == 19 and set(VALID) | set(DEFAULTS) <= names
+    assert len(RECORDS) == 18 and set(VALID) | set(DEFAULTS) <= names
     assert all(isinstance(values_of(cls), tuple) and len(values_of(cls)) == len(cls._fields) for cls in RECORDS)
 
 
@@ -126,6 +125,7 @@ class TestValueRecords:
         (lambda: GaloisDatum(IntMatrix(((1, 1), (0, 1)))), "square to the identity"),
         (lambda: Lattice("bogus", 2), "unknown lattice kind"),
         (lambda: Lattice(kind="rootA2", rank=3), "rootA2 has rank 2"),
+        (lambda: FieldDescriptor("Q", "rationals", witness=((0, 1), (0, 0))), "rational elements must have b = 0"),
     ],
 )
 def test_post_init_refuses_bad_fields(make, message):
@@ -136,7 +136,8 @@ def test_post_init_refuses_bad_fields(make, message):
 def test_post_init_normalises_fields():
     matrix = IntMatrix([[1, 2], [3, 4]])
     assert matrix.entries == ((1, 2), (3, 4)) and type(matrix.entries[0]) is tuple
-    assert QuadElement(None, 1, 0).a == Fraction(1) and type(QuadElement(None, 1, 0).b) is Fraction
+    witness = FieldDescriptor("Q", "rationals", witness=[[1, 0], [0, 0]]).witness
+    assert witness == ((1, 0), (0, 0)) and type(witness[0]) is tuple and type(witness[1][1]) is Fraction
 
 
 class TestGroupAction:
