@@ -18,6 +18,19 @@ from toricsym.qfield import (
 )
 
 
+def test_defining_relation_of_the_radical():
+    # sqrt(d)^2 = d enters the check through d*(a1^2 + b1^2).
+    for d, verdict in ((-1, True), (-2, False)):
+        desc = FieldDescriptor(name="F", kind="quadratic", d=d, star_clause2=False, witness=((0, 1), (0, 0)))
+        assert verify_negative_one_witness(desc) is verdict
+
+
+def test_half_plus_minus_root_minus_three_squares_to_minus_one():
+    half = Fraction(1, 2)
+    desc = FieldDescriptor(name="F", kind="quadratic", d=-3, star_clause2=False, witness=((half, half), (half, -half)))
+    assert verify_negative_one_witness(desc)
+
+
 def test_d_must_be_squarefree():
     with pytest.raises(ValueError):
         FieldDescriptor(name="F", kind="quadratic", d=4, star_clause2=False, witness=((1, 1), (0, 0)))
@@ -53,6 +66,16 @@ class TestSquarefree:
     def test_prime_at_the_bound_is_accepted(self):
         # About 10^6 trial divisions, 0.1 s.
         assert FieldDescriptor(name="x", kind="quadratic", d=999999999999999989).d == 999999999999999989
+
+    def test_arithmetic_does_not_recheck_d(self, monkeypatch):
+        from toricsym import qfield
+
+        d = -999999999999999989
+        desc = FieldDescriptor(name="F", kind="quadratic", d=d, star_clause2=False, witness=((1, 0), (0, 0)))
+        calls = []
+        monkeypatch.setattr(qfield, "_is_squarefree", lambda n: calls.append(n) or True)
+        assert not verify_negative_one_witness(desc)
+        assert calls == []
 
     def test_square_of_a_large_prime_is_rejected(self):
         assert not _is_squarefree(1000003**2)
