@@ -346,14 +346,15 @@ def _blow_down(cycle: tuple[Vector, ...], word: tuple[int, ...], at: tuple[int, 
 
 def _smooth_word(fan: Fan, who: str) -> tuple[int, ...]:
     """The a of a smooth complete surface fan's ``word``, else ``who``'s refusal at its first fault
-    of rank, completeness, winding once and smoothness.  The word decides all but a singular
+    of rank, completeness (every b_i > 0, and the cones all d adjacent pairs of the stored
+    cycle, ``_cycle_cones``), winding once and smoothness.  The word decides all but a singular
     cycle's winding: d cones of det 1 winding k times have sum a_i = 3d - 12k (legal loops,
     Poonen and Rodriguez-Villegas 2000; Noether's formula at k = 1)."""
     if fan.rank != 2:
         raise PreconditionError("rank", f"{who} needs a surface fan (rank 2)")
     b, a = fan.word
     d = len(b)
-    if d < 3 or min(b) <= 0:
+    if d < 3 or min(b) <= 0 or fan.max_cones != _cycle_cones(d):
         raise PreconditionError("incomplete", f"{who} needs a complete fan")
     smooth = b.count(1) == d
     if not (sum(a) == 3 * d - 12 if smooth else _cycle_winds_once(fan.rays)):
@@ -441,6 +442,9 @@ def validate_fan(fan: Fan) -> FanReport:
     """Exact structural predicates: simplicial, complete, smooth; raises
     ``overlapping-cones`` for cones that cover space more than once (in
     rank 2, a ray cycle that winds more than once round the origin).
+    In rank 2 complete means a cycle of at least 3 rays with each
+    det(v_i, v_{i+1}) > 0 whose cones are all its adjacent pairs
+    (``_cycle_cones``): a cone list that leaves out some is incomplete.
     Outside rank 2 they are read off det B and adj B of each cone's ray
     matrix B: simplicial iff det B != 0, smooth iff |det B| = 1, and
     complete iff every wall lies on two cones on opposite sides and the
@@ -455,7 +459,8 @@ def validate_fan(fan: Fan) -> FanReport:
         simplicial = all(
             len(cone) == 2 and _cross(rays[cone[0]], rays[cone[1]]) != 0 for cone in fan.max_cones
         )
-        complete = fan.ray_count >= 3 and all(b > 0 for b in _cycle_dets(rays))
+        d = fan.ray_count
+        complete = d >= 3 and fan.max_cones == _cycle_cones(d) and all(b > 0 for b in _cycle_dets(rays))
         if complete and not _cycle_winds_once(rays):
             raise PreconditionError("overlapping-cones", "the ray cycle winds more than once round the origin")
         smooth = simplicial and all(

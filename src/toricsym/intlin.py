@@ -2,7 +2,8 @@
 
 Everything here works over plain Python ints (arbitrary precision); no
 floating point is used anywhere.  The central routine is Smith normal form
-with unimodular transforms, from which saturated integer kernels are
+with unimodular transforms, kept as the borders of one matrix that each row
+and column operation acts on once, from which saturated integer kernels are
 derived.  Ranks come from the Hermite reduction of the rows, det and adj
 from elimination, except that 2x2, 3x3 and 4x4 matrices (the cones of
 fans of rank 2 to 4) take cofactors, the 4x4 ones by 2x2 minors.
@@ -265,97 +266,68 @@ def smith_normal_form(a: IntMatrix) -> SNFResult:
     unimodular, S diagonal with non-negative entries satisfying the
     divisibility chain d_i | d_{i+1}.  Pivots are chosen by minimal
     absolute value, ties broken by smallest (row, col), which makes the
-    output deterministic.
+    output deterministic.  The transforms are the borders of one matrix
+    (Cohen 1993, 2.4): its first r rows are [A | I_r] and become
+    [S | U^-1], and the c rows below, I_c under A's columns, become V^-1.
     """
     rows, cols = a.rows, a.cols
-    s = [list(row) for row in a.entries]
-    uinv = [[1 if i == j else 0 for j in range(rows)] for i in range(rows)]
-    vinv = [[1 if i == j else 0 for j in range(cols)] for i in range(cols)]
+    m = [[*row, *[0] * i, 1, *[0] * (rows - 1 - i)] for i, row in enumerate(a.entries)]
+    m += [[*[0] * i, 1, *[0] * (cols - 1 - i)] for i in range(cols)]
 
-    # Row op S <- E S is mirrored by U^{-1} <- E U^{-1}; column op
-    # S <- S F by V^{-1} <- V^{-1} F.
-    def swap_rows(i, j):
-        s[i], s[j] = s[j], s[i]
-        uinv[i], uinv[j] = uinv[j], uinv[i]
-
-    def swap_cols(i, j):
-        for r in s:
-            r[i], r[j] = r[j], r[i]
-        for r in vinv:
-            r[i], r[j] = r[j], r[i]
-
+    # A row operation S <- E S on one of A's rows is U^-1 <- E U^-1 as well.
     def add_row(i, j, k):
         # row i += k * row j
-        s[i] = [x + k * y for x, y in zip(s[i], s[j])]
-        uinv[i] = [x + k * y for x, y in zip(uinv[i], uinv[j])]
-
-    def add_col(j, i, k):
-        # col j += k * col i
-        for r in s:
-            r[j] += k * r[i]
-        for r in vinv:
-            r[j] += k * r[i]
-
-    def negate_row(i):
-        s[i] = [-x for x in s[i]]
-        uinv[i] = [-x for x in uinv[i]]
-
-    def find_pivot(t):
-        best = None
-        for i in range(t, rows):
-            for j in range(t, cols):
-                x = s[i][j]
-                if x != 0 and (best is None or (abs(x), i, j) < best):
-                    best = (abs(x), i, j)
-        return None if best is None else (best[1], best[2])
+        m[i] = [x + k * y for x, y in zip(m[i], m[j])]
 
     for t in range(min(rows, cols)):
         while True:
-            pos = find_pivot(t)
-            if pos is None:
+            best = None
+            for i in range(t, rows):
+                for j in range(t, cols):
+                    x = m[i][j]
+                    if x != 0 and (best is None or (abs(x), i, j) < best):
+                        best = (abs(x), i, j)
+            if best is None:
                 break
-            i, j = pos
+            _, i, j = best
             if i != t:
-                swap_rows(t, i)
+                m[t], m[i] = m[i], m[t]
+            # A column operation S <- S F, over every row, is V^-1 <- V^-1 F as well.
             if j != t:
-                swap_cols(t, j)
-            p = s[t][t]
+                for r in m:
+                    r[t], r[j] = r[j], r[t]
+            p = m[t][t]
             dirty = False
             for i in range(t + 1, rows):
-                if s[i][t] != 0:
-                    q = s[i][t] // p
-                    add_row(i, t, -q)
-                    dirty = dirty or s[i][t] != 0
+                if m[i][t] != 0:
+                    add_row(i, t, -(m[i][t] // p))
+                    dirty = dirty or m[i][t] != 0
             for j in range(t + 1, cols):
-                if s[t][j] != 0:
-                    q = s[t][j] // p
-                    add_col(j, t, -q)
-                    dirty = dirty or s[t][j] != 0
+                if m[t][j] != 0:
+                    q = m[t][j] // p  # col j -= q * col t
+                    for r in m:
+                        r[j] -= q * r[t]
+                    dirty = dirty or m[t][j] != 0
             if dirty:
                 continue
             # Cross is clear; force the pivot to divide the rest of the block.
-            offender = next(
-                (
-                    i
-                    for i in range(t + 1, rows)
-                    if any(x % p for x in s[i][t + 1 :])
-                ),
-                None,
-            )
-            if offender is None:
+            for i in range(t + 1, rows):
+                if any(x % p for x in m[i][t + 1 : cols]):
+                    add_row(t, i, 1)
+                    break
+            else:
                 break
-            add_row(t, offender, 1)
-        if pos is None:
+        if best is None:
             break
 
     for t in range(min(rows, cols)):
-        if s[t][t] < 0:
-            negate_row(t)
+        if m[t][t] < 0:
+            m[t] = [-x for x in m[t]]
 
     return SNFResult(
-        IntMatrix._of(tuple(map(tuple, s))),
-        IntMatrix._of(tuple(map(tuple, uinv))),
-        IntMatrix._of(tuple(map(tuple, vinv))),
+        IntMatrix._of(tuple(tuple(row[:cols]) for row in m[:rows])),
+        IntMatrix._of(tuple(tuple(row[cols:]) for row in m[:rows])),
+        IntMatrix._of(tuple(map(tuple, m[rows:]))),
     )
 
 

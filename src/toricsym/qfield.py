@@ -10,6 +10,7 @@ a0*a1 + b0*b1 = 0 hold, which is all a witness check computes.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from fractions import Fraction
@@ -18,11 +19,15 @@ from .errors import ParseError, PreconditionError
 from .record import Record
 
 
+@functools.lru_cache(maxsize=64, typed=True)
 def _is_squarefree(d: int) -> bool:
     """Exact in O(|d|^(1/3)) trial divisions.
 
     Once every prime p with p^3 <= n is divided out, the cofactor has at
     most two prime factors, so it has a square factor iff it is a square.
+    The result is cached: a config entry checks its d as each witness
+    element is read and again as its descriptor is built, and at |d| near
+    10^18 each test takes about 0.1 s.
     """
     n = abs(d)
     p = 2

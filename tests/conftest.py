@@ -3,7 +3,7 @@ import pytest
 from toricsym import families
 from toricsym.errors import ParseError, PreconditionError
 from toricsym.fan import Fan, Lattice, _ccw_sort, _cycle_cones, _cycle_dets, build_surface_fan
-from toricsym.intlin import IntMatrix, _as_int, _det, primitive_vector
+from toricsym.intlin import IntMatrix, SNFResult, _as_int, _det, primitive_vector
 
 
 def random_unimodular(rng, n):
@@ -180,3 +180,108 @@ def outcome(build, *args):
     except (TypeError, ValueError, ParseError, PreconditionError) as exc:
         return type(exc), getattr(exc, "reason", None), str(exc)
     return fan, tuple(type(x) for v in fan.rays for x in v)
+
+
+# The Smith normal form as it was written with U^-1 and V^-1 kept as lists
+# of their own, each operation applied to S and then to its transform: the
+# oracle of the bordered ``intlin.smith_normal_form``, which must give the
+# same S, U^-1 and V^-1 entry for entry.
+def oracle_smith_normal_form(a: IntMatrix) -> SNFResult:
+    """Smith normal form with transforms.
+
+    Returns S, U^-1, V^-1 with U^-1 A V^-1 = S exactly, U^-1 and V^-1
+    unimodular, S diagonal with non-negative entries satisfying the
+    divisibility chain d_i | d_{i+1}.  Pivots are chosen by minimal
+    absolute value, ties broken by smallest (row, col), which makes the
+    output deterministic.
+    """
+    rows, cols = a.rows, a.cols
+    s = [list(row) for row in a.entries]
+    uinv = [[1 if i == j else 0 for j in range(rows)] for i in range(rows)]
+    vinv = [[1 if i == j else 0 for j in range(cols)] for i in range(cols)]
+
+    # Row op S <- E S is mirrored by U^{-1} <- E U^{-1}; column op
+    # S <- S F by V^{-1} <- V^{-1} F.
+    def swap_rows(i, j):
+        s[i], s[j] = s[j], s[i]
+        uinv[i], uinv[j] = uinv[j], uinv[i]
+
+    def swap_cols(i, j):
+        for r in s:
+            r[i], r[j] = r[j], r[i]
+        for r in vinv:
+            r[i], r[j] = r[j], r[i]
+
+    def add_row(i, j, k):
+        # row i += k * row j
+        s[i] = [x + k * y for x, y in zip(s[i], s[j])]
+        uinv[i] = [x + k * y for x, y in zip(uinv[i], uinv[j])]
+
+    def add_col(j, i, k):
+        # col j += k * col i
+        for r in s:
+            r[j] += k * r[i]
+        for r in vinv:
+            r[j] += k * r[i]
+
+    def negate_row(i):
+        s[i] = [-x for x in s[i]]
+        uinv[i] = [-x for x in uinv[i]]
+
+    def find_pivot(t):
+        best = None
+        for i in range(t, rows):
+            for j in range(t, cols):
+                x = s[i][j]
+                if x != 0 and (best is None or (abs(x), i, j) < best):
+                    best = (abs(x), i, j)
+        return None if best is None else (best[1], best[2])
+
+    for t in range(min(rows, cols)):
+        while True:
+            pos = find_pivot(t)
+            if pos is None:
+                break
+            i, j = pos
+            if i != t:
+                swap_rows(t, i)
+            if j != t:
+                swap_cols(t, j)
+            p = s[t][t]
+            dirty = False
+            for i in range(t + 1, rows):
+                if s[i][t] != 0:
+                    q = s[i][t] // p
+                    add_row(i, t, -q)
+                    dirty = dirty or s[i][t] != 0
+            for j in range(t + 1, cols):
+                if s[t][j] != 0:
+                    q = s[t][j] // p
+                    add_col(j, t, -q)
+                    dirty = dirty or s[t][j] != 0
+            if dirty:
+                continue
+            # Cross is clear; force the pivot to divide the rest of the block.
+            offender = next(
+                (
+                    i
+                    for i in range(t + 1, rows)
+                    if any(x % p for x in s[i][t + 1 :])
+                ),
+                None,
+            )
+            if offender is None:
+                break
+            add_row(t, offender, 1)
+        if pos is None:
+            break
+
+    for t in range(min(rows, cols)):
+        if s[t][t] < 0:
+            negate_row(t)
+
+    return SNFResult(
+        IntMatrix._of(tuple(map(tuple, s))),
+        IntMatrix._of(tuple(map(tuple, uinv))),
+        IntMatrix._of(tuple(map(tuple, vinv))),
+    )

@@ -236,6 +236,14 @@ class TestValidateFan:
         broken = make_fan(fan.lattice, fan.rays, fan.max_cones[:-1])
         assert not validate_fan(broken).complete
 
+    @pytest.mark.parametrize("keep", range(4))
+    def test_surface_cycle_with_cones_left_out_is_incomplete(self, keep):
+        # F1's stored cycle winds once with every b_i = 1, but a cone list
+        # without all four of its adjacent pairs leaves part of the plane out.
+        f1 = families.hirzebruch(1)
+        report = validate_fan(Fan(f1.lattice, f1.rays, f1.max_cones[:keep]))
+        assert (report.simplicial, report.complete, report.smooth) == (True, False, True)
+
     # Five rays in the plane z = 0, joined to both poles.  Joined in angular
     # order they give a fan; joined in the order below they wind twice round
     # the axis, so every wall is still shared by two cones on opposite sides

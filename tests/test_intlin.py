@@ -3,7 +3,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, find, given, settings
+from hypothesis import assume, example, find, given, settings
 from hypothesis import strategies as st
 from sympy import ZZ, Matrix
 from sympy.polys.matrices import DomainMatrix
@@ -18,6 +18,8 @@ from toricsym.intlin import (
     kernel_basis,
     smith_normal_form,
 )
+
+from conftest import oracle_smith_normal_form
 
 
 def mat(rows):
@@ -217,6 +219,41 @@ class TestSmithNormalForm:
         sympy_snf = smith_normal_form_over_zz(Matrix(a.entries), domain=ZZ)
         expected = [abs(sympy_snf[i, i]) for i in range(min(a.rows, a.cols))]
         assert smith_normal_form(a).invariant_factors == tuple(d for d in expected if d)
+
+
+@st.composite
+def smith_cases(draw):
+    """r x c rows, 0 <= r, c <= 8 (no rows, or rows of no entries, too),
+    entries up to 1, 10 or 10^6 in absolute value, with a row repeated or a
+    column set to zero half the time each."""
+    r, c = draw(st.integers(0, 8)), draw(st.integers(0, 8))
+    bound = draw(st.sampled_from((1, 10, 10**6)))
+    rows = draw(st.lists(st.lists(st.integers(-bound, bound), min_size=c, max_size=c), min_size=r, max_size=r))
+    if r > 1 and draw(st.booleans()):
+        i, j = draw(st.lists(st.integers(0, r - 1), min_size=2, max_size=2, unique=True))
+        rows[j] = list(rows[i])
+    if c and draw(st.booleans()):
+        j = draw(st.integers(0, c - 1))
+        for row in rows:
+            row[j] = 0
+    return rows
+
+
+class TestBorderedSmithForm:
+    """The Smith form on one bordered matrix gives, entry for entry, the S,
+    U^-1 and V^-1 of the form that keeps each transform as a list of its own
+    (``conftest.oracle_smith_normal_form``): same pivots, same operations."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(smith_cases())
+    @example([])
+    @example([[], [], []])
+    def test_transforms_match_the_separate_list_oracle(self, rows):
+        a = mat(rows)
+        ours, oracle = smith_normal_form(a), oracle_smith_normal_form(a)
+        assert ours.s.entries == oracle.s.entries
+        assert ours.u_inv.entries == oracle.u_inv.entries
+        assert ours.v_inv.entries == oracle.v_inv.entries
 
 
 class TestKernelBasis:

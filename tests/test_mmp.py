@@ -641,9 +641,12 @@ def surface_fans(draw):
 def entry_cases(draw):
     """Surface fans, their GL2(Z) images (rebuilt, or with the rays moved
     in place, which reverses the cycle when det g = -1), reorderings of
-    their rays, and cycles of fewer than 3 rays."""
+    their rays, cycles of fewer than 3 rays, and the stored cycle with a
+    sorted subset of its cones."""
     fan, g = draw(surface_fans()), draw(GL2)
-    how = draw(st.sampled_from(["fan", "image", "moved", "reordered", "few"]))
+    how = draw(st.sampled_from(["fan", "image", "moved", "reordered", "few", "cones"]))
+    if how == "cones":
+        return Fan(fan.lattice, fan.rays, tuple(sorted(draw(st.sets(st.sampled_from(fan.max_cones))))))
     if how == "image":
         return transform_fan(g, fan)
     if how == "moved":
@@ -697,9 +700,10 @@ NEEDS = {
 @st.composite
 def faulty_fans(draw):
     """A fault and a Fan built directly, with no check, that has it: a
-    smooth cycle, from any ray, reversed or cut to fewer than 3 rays
-    (incomplete), gone round 2 or 3 times (overlapping), with 2 v_i +
-    v_{i+1} put in after v_i (not smooth), or a rank-3 fan."""
+    smooth cycle, from any ray, reversed, cut to fewer than 3 rays or with
+    some of its cones left out (incomplete), gone round 2 or 3 times
+    (overlapping), with 2 v_i + v_{i+1} put in after v_i (not smooth), or a
+    rank-3 fan."""
     fault = draw(st.sampled_from(sorted(NEEDS)))
     if fault == "rank":
         p3 = families.projective_space(3)
@@ -708,7 +712,11 @@ def faulty_fans(draw):
     s = draw(st.integers(0, fan.ray_count - 1))
     cycle = fan.rays[s:] + fan.rays[:s]
     if fault == "incomplete":
-        cycle = cycle[::-1] if draw(st.booleans()) else cycle[: draw(st.integers(0, 2))]
+        how = draw(st.sampled_from(["reversed", "cut", "cones"]))
+        if how == "cones":
+            cones = hand_built(fan.lattice, cycle).max_cones
+            return fault, Fan(fan.lattice, cycle, cones[: draw(st.integers(0, len(cones) - 1))])
+        cycle = cycle[::-1] if how == "reversed" else cycle[: draw(st.integers(0, 2))]
     elif fault == "overlapping-cones":
         cycle *= draw(st.integers(2, 3))
     else:

@@ -1,5 +1,7 @@
+import inspect
 import math
 import random
+import sys
 import time
 from fractions import Fraction
 
@@ -12,6 +14,7 @@ from toricsym.errors import PreconditionError
 from toricsym.qfield import (
     FieldDescriptor,
     _is_squarefree,
+    load_field_descriptors,
     satisfies_star,
     standard_field_table,
     verify_negative_one_witness,
@@ -76,6 +79,22 @@ class TestSquarefree:
         monkeypatch.setattr(qfield, "_is_squarefree", lambda n: calls.append(n) or True)
         assert not verify_negative_one_witness(desc)
         assert calls == []
+
+    def test_a_witnessed_entry_runs_one_trial_division(self):
+        # d is tested as each witness element is read and as the descriptor
+        # is built; the trial division behind the three tests runs once.
+        from toricsym import qfield
+
+        trial_division = inspect.unwrap(qfield._is_squarefree).__code__
+        qfield._is_squarefree.cache_clear()
+        runs = []
+        sys.setprofile(lambda frame, event, arg: event == "call" and frame.f_code is trial_division and runs.append(1))
+        try:
+            entry = {"name": "F", "kind": "quadratic", "d": -1000003, "star_clause2": False, "witness": [[0, 1], [0, 0]]}
+            assert load_field_descriptors([entry])["F"].witness == ((0, 1), (0, 0))
+        finally:
+            sys.setprofile(None)
+        assert len(runs) == 1
 
     def test_square_of_a_large_prime_is_rejected(self):
         assert not _is_squarefree(1000003**2)
