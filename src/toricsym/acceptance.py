@@ -27,27 +27,24 @@ from .symmetry import (
 RANDOM_CORPUS_SEED = 20260810
 
 
+# The standard parameter sweep of each named family that takes a parameter.
+_SWEEPS = {
+    "projective-space": range(1, 5),
+    "hirzebruch": range(-2, 3),
+    "weighted-p11a": range(1, 5),
+    "weighted-p1111m": range(1, 5),
+    "bundle-over-p3": range(-2, 3),
+    "bundle-over-p1xp1": range(-2, 3),
+    "dp6": ("n1", "n2"),
+}
+
+
 def named_family_corpus() -> list[tuple[str, Fan]]:
-    """Every named family at the standard parameter sweep."""
-    corpus: list[tuple[str, Fan]] = []
-    for n in range(1, 5):
-        corpus.append((f"projective-space:{n}", families.projective_space(n)))
-    for a in range(-2, 3):
-        corpus.append((f"hirzebruch:{a}", families.hirzebruch(a)))
-    for a in range(1, 5):
-        corpus.append((f"weighted-p11a:{a}", families.weighted_p11a(a)))
-    for m in range(1, 5):
-        corpus.append((f"weighted-p1111m:{m}", families.weighted_p1111m(m)))
-    for a in range(-2, 3):
-        corpus.append((f"bundle-over-p3:{a}", families.bundle_over_p3(a)))
-    for a in range(-2, 3):
-        corpus.append((f"bundle-over-p1xp1:{a}", families.bundle_over_p1xp1(a)))
-    corpus.append(("dp6:n1", families.dp6("n1")))
-    corpus.append(("dp6:n2", families.dp6("n2")))
-    corpus.append(("q22", families.q22()[0]))
-    corpus.append(("weil-restriction-p1", families.weil_restriction_p1()[0]))
-    corpus.append(("singular-hexagon", families.singular_hexagon()))
-    return corpus
+    """Every named family at its standard parameter sweep, each named by the
+    descriptor that builds it."""
+    descriptors = [f"{name}:{p}" for name, sweep in _SWEEPS.items() for p in sweep]
+    descriptors += [name for name in families.FAMILIES if name not in _SWEEPS]
+    return [(d, families.make_family_fan(d)[0]) for d in descriptors]
 
 
 def criterion_a1() -> list[str]:
@@ -270,17 +267,38 @@ def criterion_a10() -> list[str]:
 
 
 def criterion_a11() -> list[str]:
-    """The coordinate swap exchanges the two pyramid subdivisions."""
+    """The coordinate swap exchanges the two pyramid subdivisions.
+
+    The rays (1,0,a), (-1,0,0), (0,1,a), (0,-1,0), (0,0,-1) span a pyramid
+    whose top splits along diagonal {0, 1} one way and along {2, 3} the other.
+    Both subdivisions and the six-ray fan ``bundle_over_p1xp1(a)`` are
+    compared by their cone vector sets, which cover every ray: at a = 0 the
+    subdivided cones degenerate and are not strongly convex, though the
+    six-ray fan is a genuine fan for every a.  The swap is an involution, so
+    swap(sub1) = sub2 gives swap(sub2) = sub1, and with sub1 != sub2 it fixes
+    neither: three conditions decide the obstruction, swap(sub1) = sub2,
+    sub1 != sub2, and the swap keeps the six-ray fan.
+    """
+
+    def cone_sets(rays, cones, move=lambda v: v):
+        return frozenset(frozenset(move(rays[i]) for i in cone) for cone in cones)
+
     failures = []
+    swap = IntMatrix.from_rows([(0, 1, 0), (1, 0, 0), (0, 0, 1)])
+    bottom = [(0, 2, 4), (1, 2, 4), (1, 3, 4), (0, 3, 4)]
+    first, second = bottom + [(0, 1, 2), (0, 1, 3)], bottom + [(2, 3, 0), (2, 3, 1)]
     for a in (0, 1, 2):
-        report = families.check_diagonal_obstruction(a)
-        if not report.obstructed:
-            failures.append(
-                f"a={a}: swap check failed "
-                f"(1->2 {report.swap_sends_first_to_second}, 2->1 {report.swap_sends_second_to_first}, "
-                f"fixes {report.swap_fixes_first}/{report.swap_fixes_second}, "
-                f"full fan {report.swap_preserves_full_fan})"
-            )
+        rays = [(1, 0, a), (-1, 0, 0), (0, 1, a), (0, -1, 0), (0, 0, -1)]
+        sub1, sub2 = cone_sets(rays, first), cone_sets(rays, second)
+        full = families.bundle_over_p1xp1(a)
+        full_cones = cone_sets(full.rays, full.max_cones)
+        for holds, fault in (
+            (cone_sets(rays, first, swap.apply) == sub2, "swap(sub1) != sub2"),
+            (sub1 != sub2, "sub1 = sub2"),
+            (cone_sets(full.rays, full.max_cones, swap.apply) == full_cones, "the swap moves the six-ray fan"),
+        ):
+            if not holds:
+                failures.append(f"a={a}: {fault}")
     return failures
 
 

@@ -51,56 +51,36 @@ def _load_action_for(fan: Fan, path: str) -> tuple[GroupAction, GaloisDatum | No
 
 
 def _report_payload(fan: Fan, action: GroupAction | None, datum: GaloisDatum | None) -> tuple[dict, Callable]:
+    """The check report: one row (plain label or None, machine key, value) per
+    fact, rendered as the payload {key: value} (JSON writes tuples as lists)
+    and as the plain lines of the labelled rows."""
     from .divisors import class_group, ray_blocks, ray_relations
 
     report = validate_fan(fan)
     group, classes = class_group(fan)
     partition = ray_blocks(classes)
-    relations = ray_relations(classes)
-    payload: dict[str, Any] = {
-        "lattice": fan.lattice.label(),
-        "rays": [list(v) for v in fan.rays],
-        "simplicial": report.simplicial,
-        "complete": report.complete,
-        "smooth": report.smooth,
-        "class_group": str(group),
-        "ray_classes": [[list(free), list(torsion)] for free, torsion in classes],
-        "block_sizes": list(partition.sizes),
-        "blocks": [list(b) for b in partition.blocks],
-        "relation_basis": [list(v) for v in relations.basis],
-    }
+    rows: list[tuple[str | None, str, Any]] = [
+        ("lattice", "lattice", fan.lattice.label()),
+        ("rays", "rays", list(fan.rays)),
+        ("simplicial", "simplicial", report.simplicial),
+        ("complete", "complete", report.complete),
+        ("smooth", "smooth", report.smooth),
+        ("class group", "class_group", str(group)),
+        (None, "ray_classes", classes),
+        ("block sizes", "block_sizes", partition.sizes),
+        ("blocks", "blocks", list(partition.blocks)),
+        ("relation basis", "relation_basis", list(ray_relations(classes))),
+    ]
     if action is not None:
-        orbits = ray_orbits(action)
-        payload.update(
-            {
-                "group_order": action.order,
-                "ray_orbits": [list(o) for o in orbits],
-                "invariant_picard_number": invariant_picard_number(action),
-            }
-        )
-        if datum is not None:
-            payload["galois_form"] = classify_galois_form(action, datum).value
-
-    def lines() -> list[str]:
-        rows = [
-            ("lattice", fan.lattice.label()),
-            ("rays", list(fan.rays)),
-            ("simplicial", report.simplicial),
-            ("complete", report.complete),
-            ("smooth", report.smooth),
-            ("class group", group),
-            ("block sizes", partition.sizes),
-            ("blocks", list(partition.blocks)),
-            ("relation basis", list(relations.basis)),
+        rows += [
+            ("group order", "group_order", action.order),
+            ("ray orbits", "ray_orbits", list(ray_orbits(action))),
+            ("invariant rho", "invariant_picard_number", invariant_picard_number(action)),
         ]
-        if action is not None:
-            rows += [("group order", action.order), ("ray orbits", list(orbits))]
-            rows.append(("invariant rho", payload["invariant_picard_number"]))
-        if "galois_form" in payload:
-            rows.append(("galois form", payload["galois_form"]))
-        return [f"{label:<15}{value}" for label, value in rows]
-
-    return payload, lines
+        if datum is not None:
+            rows.append(("galois form", "galois_form", classify_galois_form(action, datum).value))
+    payload = {key: value for _, key, value in rows}
+    return payload, lambda: [f"{label:<15}{value}" for label, _, value in rows if label is not None]
 
 
 def cmd_check(args: argparse.Namespace) -> int:

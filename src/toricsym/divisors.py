@@ -68,15 +68,10 @@ def ray_blocks(classes: tuple[ClassCoords, ...]) -> RayBlockPartition:
     return RayBlockPartition(blocks, sizes)
 
 
-class RelationLattice(Record):
-    """Saturated lattice of integer relations sum_i c_i v_i = 0, by a ``basis``."""
-
-    __slots__ = ("basis",)
-
-
-def ray_relations(classes: tuple[ClassCoords, ...]) -> RelationLattice:
-    """The relation lattice, read off the free parts of the ray classes."""
-    return RelationLattice(_reduce_rows(tuple(zip(*(free for free, _ in classes)))))
+def ray_relations(classes: tuple[ClassCoords, ...]) -> tuple[Vector, ...]:
+    """A basis of the saturated lattice of integer relations sum_i c_i v_i = 0,
+    row reduced, read off the free parts of the ray classes."""
+    return _reduce_rows(tuple(zip(*(free for free, _ in classes))))
 
 
 class BlockRelation(Record):

@@ -383,71 +383,6 @@ def max_symmetric_degree(dim: int, field: str) -> MaxDegreeEntry:
     raise PreconditionError("field", f"unknown field selector {field!r}; use 'C' or 'star'")
 
 
-class DiagonalObstructionReport(Record):
-    """Outcome of the pyramid-subdivision swap check for one twist value."""
-
-    __slots__ = (
-        "a",
-        "swap_sends_first_to_second",
-        "swap_sends_second_to_first",
-        "swap_fixes_first",
-        "swap_fixes_second",
-        "swap_preserves_full_fan",
-    )
-
-    @property
-    def obstructed(self) -> bool:
-        return (
-            self.swap_sends_first_to_second
-            and self.swap_sends_second_to_first
-            and not self.swap_fixes_first
-            and not self.swap_fixes_second
-            and self.swap_preserves_full_fan
-        )
-
-
-_ConeSet = frozenset[frozenset[Vector]]
-
-
-def _cone_vector_sets(rays: Sequence[Vector], cones: Sequence[tuple[int, ...]]) -> _ConeSet:
-    return frozenset(frozenset(rays[i] for i in cone) for cone in cones)
-
-
-def _apply_to_cone_sets(g: IntMatrix, cones: _ConeSet) -> _ConeSet:
-    return frozenset(frozenset(g.apply(v) for v in cone) for cone in cones)
-
-
-def check_diagonal_obstruction(a: int = 0) -> DiagonalObstructionReport:
-    """Verify that swapping the first two coordinates exchanges the two
-    simplicial subdivisions of the five-ray configuration and preserves the
-    six-ray fan.
-
-    All three are compared by their cone vector sets, which cover every
-    ray: at a = 0 the subdivided cones degenerate and are not strongly
-    convex, though the six-ray fan is a genuine fan for every a.
-    """
-    rays: list[Vector] = [(1, 0, a), (-1, 0, 0), (0, 1, a), (0, -1, 0), (0, 0, -1)]
-    bottom = [(0, 2, 4), (1, 2, 4), (1, 3, 4), (0, 3, 4)]
-    # Diagonal {0, 1} splits the pyramid one way, diagonal {2, 3} the other.
-    sub1 = _cone_vector_sets(rays, bottom + [(0, 1, 2), (0, 1, 3)])
-    sub2 = _cone_vector_sets(rays, bottom + [(2, 3, 0), (2, 3, 1)])
-    swap = IntMatrix.from_rows([(0, 1, 0), (1, 0, 0), (0, 0, 1)])
-    image1 = _apply_to_cone_sets(swap, sub1)
-    image2 = _apply_to_cone_sets(swap, sub2)
-
-    full = bundle_over_p1xp1(a)
-    full_cones = _cone_vector_sets(full.rays, full.max_cones)
-
-    return DiagonalObstructionReport(
-        a=a,
-        swap_sends_first_to_second=image1 == sub2,
-        swap_sends_second_to_first=image2 == sub1,
-        swap_fixes_first=image1 == sub1,
-        swap_fixes_second=image2 == sub2,
-        swap_preserves_full_fan=_apply_to_cone_sets(swap, full_cones) == full_cones,
-    )
-
-
 def random_blowup_surface_fan(rng: random.Random, max_rays: int = 10) -> Fan:
     """Random smooth complete surface fan by blowing up a minimal model."""
     fan = projective_space(2) if rng.random() < 0.5 else hirzebruch(rng.randint(0, 3))

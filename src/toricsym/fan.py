@@ -310,6 +310,13 @@ def _cycle_cones(d: int) -> tuple[tuple[int, int], ...]:
     return tuple(sorted(tuple(sorted((i, (i + 1) % d))) for i in range(d)))
 
 
+def _has_cycle_cones(fan: Fan) -> bool:
+    """Whether a rank-2 fan's cones are exactly the adjacent pairs of its stored cycle,
+    ``_cycle_cones``, in any order and each pair in either order."""
+    cycle = _cycle_cones(fan.ray_count)
+    return fan.max_cones == cycle or sorted(tuple(sorted(cone)) for cone in fan.max_cones) == list(cycle)
+
+
 def _splice(cycle: list[Vector], a: Sequence[int], new_rays: Collection[Vector]) -> tuple[list[Vector], list[int]]:
     """Blow up each cone (v_j, v_{j+1}) of a smooth ccw ray cycle, with word
     a, whose ray sum w is in ``new_rays``: w goes in between with a = 1, and
@@ -347,14 +354,14 @@ def _blow_down(cycle: tuple[Vector, ...], word: tuple[int, ...], at: tuple[int, 
 def _smooth_word(fan: Fan, who: str) -> tuple[int, ...]:
     """The a of a smooth complete surface fan's ``word``, else ``who``'s refusal at its first fault
     of rank, completeness (every b_i > 0, and the cones all d adjacent pairs of the stored
-    cycle, ``_cycle_cones``), winding once and smoothness.  The word decides all but a singular
+    cycle, ``_has_cycle_cones``), winding once and smoothness.  The word decides all but a singular
     cycle's winding: d cones of det 1 winding k times have sum a_i = 3d - 12k (legal loops,
     Poonen and Rodriguez-Villegas 2000; Noether's formula at k = 1)."""
     if fan.rank != 2:
         raise PreconditionError("rank", f"{who} needs a surface fan (rank 2)")
     b, a = fan.word
     d = len(b)
-    if d < 3 or min(b) <= 0 or fan.max_cones != _cycle_cones(d):
+    if d < 3 or min(b) <= 0 or not _has_cycle_cones(fan):
         raise PreconditionError("incomplete", f"{who} needs a complete fan")
     smooth = b.count(1) == d
     if not (sum(a) == 3 * d - 12 if smooth else _cycle_winds_once(fan.rays)):
@@ -443,8 +450,8 @@ def validate_fan(fan: Fan) -> FanReport:
     ``overlapping-cones`` for cones that cover space more than once (in
     rank 2, a ray cycle that winds more than once round the origin).
     In rank 2 complete means a cycle of at least 3 rays with each
-    det(v_i, v_{i+1}) > 0 whose cones are all its adjacent pairs
-    (``_cycle_cones``): a cone list that leaves out some is incomplete.
+    det(v_i, v_{i+1}) > 0 whose cones are all its adjacent pairs, in any
+    order (``_has_cycle_cones``): a cone list that leaves out some is incomplete.
     Outside rank 2 they are read off det B and adj B of each cone's ray
     matrix B: simplicial iff det B != 0, smooth iff |det B| = 1, and
     complete iff every wall lies on two cones on opposite sides and the
@@ -460,7 +467,7 @@ def validate_fan(fan: Fan) -> FanReport:
             len(cone) == 2 and _cross(rays[cone[0]], rays[cone[1]]) != 0 for cone in fan.max_cones
         )
         d = fan.ray_count
-        complete = d >= 3 and fan.max_cones == _cycle_cones(d) and all(b > 0 for b in _cycle_dets(rays))
+        complete = d >= 3 and _has_cycle_cones(fan) and all(b > 0 for b in _cycle_dets(rays))
         if complete and not _cycle_winds_once(rays):
             raise PreconditionError("overlapping-cones", "the ray cycle winds more than once round the origin")
         smooth = simplicial and all(

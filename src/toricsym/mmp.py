@@ -190,25 +190,19 @@ def traces(root: _Node) -> Iterator[tuple[tuple, tuple[Vector, ...], TerminalLab
         yield steps, cycle, label
 
 
-class NeighborOppositionFact(Record):
-    """Adjacent (-1)-rays i, i+1 whose outer neighbors sum to zero."""
+def check_adjacent_minus_one_rule(fan: Fan) -> tuple[tuple[int, int], ...]:
+    """Verify outer-neighbor opposition at every adjacent (-1)-pair; the pairs (i, i+1) verified.
 
-    __slots__ = ("left", "right", "outer_left", "outer_right")
-
-
-def check_adjacent_minus_one_rule(fan: Fan) -> tuple[NeighborOppositionFact, ...]:
-    """Verify outer-neighbor opposition at every adjacent (-1)-pair.
-
-    For adjacent (-1)-rays i, i+1 the outer neighbors must be negatives: on a
-    smooth fan v_{i-1} + v_{i+1} = v_i and v_i + v_{i+2} = v_{i+1}, so
-    v_{i-1} + v_{i+2} = 0, and it fails only if the word disagrees with the rays.
+    For adjacent (-1)-rays i, i+1 the outer neighbors ``fan.rays[i-1]`` and
+    ``fan.rays[i+2]`` must be negatives: on a smooth fan v_{i-1} + v_{i+1} = v_i
+    and v_i + v_{i+2} = v_{i+1}, so v_{i-1} + v_{i+2} = 0, and it fails only if
+    the word disagrees with the rays.
     """
-    word, d, facts = self_intersection_profile(fan), fan.ray_count, []
+    word, d, pairs = self_intersection_profile(fan), fan.ray_count, []
     for i in range(d):
         j = (i + 1) % d
         if word[i] == word[j] == 1:
-            outer_left, outer_right = fan.rays[i - 1], fan.rays[(j + 1) % d]
-            if tuple(a + b for a, b in zip(outer_left, outer_right)) != (0,) * fan.rank:
+            if tuple(a + b for a, b in zip(fan.rays[i - 1], fan.rays[(j + 1) % d])) != (0,) * fan.rank:
                 raise AssertionError(f"outer neighbors of adjacent (-1)-rays {i},{j} do not oppose")
-            facts.append(NeighborOppositionFact(i, j, outer_left, outer_right))
-    return tuple(facts)
+            pairs.append((i, j))
+    return tuple(pairs)

@@ -19,7 +19,7 @@ from itertools import permutations
 from typing import Sequence
 
 from .errors import PreconditionError
-from .fan import Fan, _candidate_test, _cycle_cones, _ray_degrees, _read_off, _seed_basis, _tuple_getter
+from .fan import Fan, _candidate_test, _has_cycle_cones, _ray_degrees, _read_off, _seed_basis, _tuple_getter
 from .intlin import IntMatrix, _det, kernel_basis
 from .record import Record
 
@@ -85,12 +85,12 @@ def _perm_of(fan: Fan, g: IntMatrix) -> Perm:
     """The ray permutation of an invertible matrix, or ``not-fan-preserving``;
     row i of g combines the rays' coordinate columns into coordinate i of their images."""
     index, d = {v: i for i, v in enumerate(fan.rays)}, fan.ray_count
-    if fan.rank == 2 and fan.max_cones == _cycle_cones(d):
+    if fan.rank == 2 and _has_cycle_cones(fan):
         # A rank-2 fan stores its full cycle: its cones are the adjacent
-        # pairs, _cycle_cones(d).  A ray map sends those onto cones iff it
-        # rotates or reflects the cycle, as a linear bijection of a complete
-        # surface fan's rays does (Oda 1.6): from the image of ray 0, the
-        # images read the cycle forwards or backwards.
+        # pairs, _cycle_cones(d), in some order.  A ray map sends those onto
+        # cones iff it rotates or reflects the cycle, as a linear bijection of
+        # a complete surface fan's rays does (Oda 1.6): from the image of
+        # ray 0, the images read the cycle forwards or backwards.
         (a, b), (c, e) = g.entries
         mapping = tuple([index.get((a * x + b * y, c * x + e * y)) for x, y in fan.rays])
         r, m = range(d), mapping[0]  # an image that is no ray, m = None too, matches neither

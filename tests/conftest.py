@@ -1,9 +1,18 @@
+from typing import Any, Callable
+
 import pytest
 
 from toricsym import families
 from toricsym.errors import ParseError, PreconditionError
-from toricsym.fan import Fan, Lattice, _ccw_sort, _cycle_cones, _cycle_dets, build_surface_fan
+from toricsym.fan import Fan, Lattice, _ccw_sort, _cycle_cones, _cycle_dets, build_surface_fan, validate_fan
 from toricsym.intlin import IntMatrix, SNFResult, _as_int, _det, primitive_vector
+from toricsym.symmetry import (
+    GaloisDatum,
+    GroupAction,
+    classify_galois_form,
+    invariant_picard_number,
+    ray_orbits,
+)
 
 
 def random_unimodular(rng, n):
@@ -285,3 +294,61 @@ def oracle_smith_normal_form(a: IntMatrix) -> SNFResult:
         IntMatrix._of(tuple(map(tuple, uinv))),
         IntMatrix._of(tuple(map(tuple, vinv))),
     )
+
+
+# The check report as it was written with each fact stated twice, once in
+# the machine payload and once as a plain row: the oracle of
+# ``cli._report_payload``'s single row list, whose payload and plain lines
+# must be the same text.  ``ray_relations`` returned a record then, whose
+# ``basis`` is the tuple it returns now; that is the one change.
+def oracle_report_payload(fan: Fan, action: GroupAction | None, datum: GaloisDatum | None) -> tuple[dict, Callable]:
+    from toricsym.divisors import class_group, ray_blocks, ray_relations
+
+    report = validate_fan(fan)
+    group, classes = class_group(fan)
+    partition = ray_blocks(classes)
+    relations = ray_relations(classes)
+    payload: dict[str, Any] = {
+        "lattice": fan.lattice.label(),
+        "rays": [list(v) for v in fan.rays],
+        "simplicial": report.simplicial,
+        "complete": report.complete,
+        "smooth": report.smooth,
+        "class_group": str(group),
+        "ray_classes": [[list(free), list(torsion)] for free, torsion in classes],
+        "block_sizes": list(partition.sizes),
+        "blocks": [list(b) for b in partition.blocks],
+        "relation_basis": [list(v) for v in relations],
+    }
+    if action is not None:
+        orbits = ray_orbits(action)
+        payload.update(
+            {
+                "group_order": action.order,
+                "ray_orbits": [list(o) for o in orbits],
+                "invariant_picard_number": invariant_picard_number(action),
+            }
+        )
+        if datum is not None:
+            payload["galois_form"] = classify_galois_form(action, datum).value
+
+    def lines() -> list[str]:
+        rows = [
+            ("lattice", fan.lattice.label()),
+            ("rays", list(fan.rays)),
+            ("simplicial", report.simplicial),
+            ("complete", report.complete),
+            ("smooth", report.smooth),
+            ("class group", group),
+            ("block sizes", partition.sizes),
+            ("blocks", list(partition.blocks)),
+            ("relation basis", list(relations)),
+        ]
+        if action is not None:
+            rows += [("group order", action.order), ("ray orbits", list(orbits))]
+            rows.append(("invariant rho", payload["invariant_picard_number"]))
+        if "galois_form" in payload:
+            rows.append(("galois form", payload["galois_form"]))
+        return [f"{label:<15}{value}" for label, value in rows]
+
+    return payload, lines

@@ -15,10 +15,14 @@ from hypothesis import strategies as st
 
 import toricsym
 from toricsym import cli, families, fanio, symmetry
+from toricsym.acceptance import named_family_corpus
+from toricsym.errors import PreconditionError
 from toricsym.fan import Lattice, make_fan
 from toricsym.intlin import IntMatrix
 from toricsym.mmp import contract, traces
-from toricsym.symmetry import action_from_generators, fan_automorphisms
+from toricsym.symmetry import GaloisDatum, action_from_generators, fan_automorphisms
+
+from conftest import oracle_report_payload
 
 
 def run_cli(*argv):
@@ -196,6 +200,42 @@ class TestCheckCommand:
         path = tmp_path / "floaty.fan"
         write_json(path, {"lattice": "standard:2", "rays": [[1.5, 0], [0, 1], [-1, -1]]})
         assert run_cli("check", str(path)) == 2
+
+
+def report_cases(group):
+    """(name, fan, action, datum) of one group of the rendering test: the named
+    corpus with no action, or the census at H = 3 (which holds every lower
+    height) on one lattice under S3 or under S3 x {+-1}, each fan with no
+    Galois datum and with -I."""
+    if group == "corpus":
+        return [(name, fan, None, None) for name, fan in named_family_corpus()]
+    kind, negation = group.split("-")[0], group.endswith("pm1")
+    census = families.enumerate_invariant_fans(Lattice.from_label(kind), 3, 18, False, negation)
+    minus_identity = GaloisDatum(tau=-IntMatrix.identity(2))
+    return [
+        (f"{group}/{k}/{datum is not None}", fan, families.standard_s3_action(fan, negation), datum)
+        for k, fan in enumerate(census)
+        for datum in (None, minus_identity)
+    ]
+
+
+def rendered(report_payload, fan, action, datum):
+    """The machine text and plain lines of a check report, or the refusal's reason."""
+    try:
+        payload, lines = report_payload(fan, action, datum)
+    except PreconditionError as exc:
+        return exc.reason
+    return json.dumps(payload, sort_keys=True), lines()
+
+
+class TestCheckReportRows:
+    @pytest.mark.parametrize("group", ["corpus", "rootA2-S3", "rootA2-S3xpm1", "weightA2-S3", "weightA2-S3xpm1"])
+    def test_payload_and_plain_lines_match_the_two_part_report(self, group):
+        cases = report_cases(group)
+        assert len(cases) >= 4
+        for name, fan, action, datum in cases:
+            expected = rendered(oracle_report_payload, fan, action, datum)
+            assert rendered(cli._report_payload, fan, action, datum) == expected, name
 
 
 @pytest.fixture

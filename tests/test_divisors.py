@@ -1,5 +1,6 @@
 import collections
 import itertools
+import json
 import random
 import sys
 from pathlib import Path
@@ -103,19 +104,19 @@ class TestRayBlocks:
 
 
 def relations(fan):
-    """The relation lattice of a fan's rays, read off its class group."""
+    """The basis of the relation lattice of a fan's rays, read off its class group."""
     return ray_relations(class_group(fan)[1])
 
 
 class TestRelationLattice:
     def test_triangle(self, p2_fan):
-        assert relations(p2_fan).basis == ((1, 1, 1),)
+        assert relations(p2_fan) == ((1, 1, 1),)
 
     def test_weighted_space(self):
-        assert relations(families.weighted_p1111m(2)).basis == ((1, 1, 1, 1, 2),)
+        assert relations(families.weighted_p1111m(2)) == ((1, 1, 1, 1, 2),)
 
     def test_bundle_spans_both_relations(self):
-        basis = relations(families.bundle_over_p3(2)).basis
+        basis = relations(families.bundle_over_p3(2))
         assert len(basis) == 2
         for relation in [(1, 1, 1, 1, -2, 0), (0, 0, 0, 0, 1, 1)]:
             stacked = IntMatrix.from_rows(list(basis) + [relation])
@@ -392,7 +393,7 @@ class TestRelationsFromTheClassGroup:
         for fan in fans:
             if fan.ray_matrix().rank() == fan.rank:
                 spanning += 1
-                assert relations(fan).basis == kernel_basis(fan.ray_matrix().transpose()), fan.rays
+                assert relations(fan) == kernel_basis(fan.ray_matrix().transpose()), fan.rays
             else:
                 with pytest.raises(PreconditionError, match="do not span"):
                     class_group(fan)
@@ -406,4 +407,4 @@ class TestRelationsFromTheClassGroup:
         monkeypatch.setattr(divisors, "smith_normal_form", lambda a: calls.append(a) or original(a))
         payload, _ = _report_payload(fan, None, None)
         assert len(calls) == 1
-        assert payload["relation_basis"] == [list(v) for v in kernel_basis(fan.ray_matrix().transpose())]
+        assert json.dumps(payload["relation_basis"]) == json.dumps(kernel_basis(fan.ray_matrix().transpose()))

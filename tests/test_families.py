@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from toricsym import families
+from toricsym import acceptance, families
 from toricsym import fan as fan_module
 from toricsym.divisors import class_group, ray_blocks, ray_relations
 from toricsym.errors import PreconditionError
@@ -27,7 +27,7 @@ class TestNamedFamilies:
 
     def test_weighted_space_relation(self):
         fan = families.weighted_p1111m(2)
-        assert ray_relations(class_group(fan)[1]).basis == ((1, 1, 1, 1, 2),)
+        assert ray_relations(class_group(fan)[1]) == ((1, 1, 1, 1, 2),)
         assert ray_blocks(class_group(fan)[1]).sizes == (4, 1)
 
     def test_weighted_space_smooth_only_at_one(self):
@@ -221,15 +221,13 @@ class TestCriteriaTables:
 
 
 class TestDiagonalObstruction:
-    @pytest.mark.parametrize("a", [0, 1, 2])
-    def test_swap_exchanges_the_subdivisions(self, a):
-        report = families.check_diagonal_obstruction(a)
-        assert report.swap_sends_first_to_second
-        assert report.swap_sends_second_to_first
-        assert not report.swap_fixes_first
-        assert not report.swap_fixes_second
-        assert report.swap_preserves_full_fan
-        assert report.obstructed
+    def test_swap_exchanges_the_subdivisions(self):
+        assert acceptance.criterion_a11() == []
+
+    def test_the_identity_in_place_of_the_swap_fails(self, monkeypatch):
+        # The identity keeps the six-ray fan but sends each subdivision to itself.
+        monkeypatch.setattr(IntMatrix, "from_rows", classmethod(lambda cls, rows: IntMatrix.identity(len(rows))))
+        assert acceptance.criterion_a11() == [f"a={a}: swap(sub1) != sub2" for a in (0, 1, 2)]
 
     def test_full_fan_is_a_genuine_fan(self):
         for a in (0, 1, 2):

@@ -244,6 +244,14 @@ class TestValidateFan:
         report = validate_fan(Fan(f1.lattice, f1.rays, f1.max_cones[:keep]))
         assert (report.simplicial, report.complete, report.smooth) == (True, False, True)
 
+    @pytest.mark.parametrize("order", ["reversed", "each pair (i + 1, i)"])
+    def test_surface_cycle_with_its_cones_in_another_order_is_complete(self, order):
+        # The cones are F1's four adjacent pairs, in another order or each written backwards.
+        f1 = families.hirzebruch(1)
+        cones = f1.max_cones[::-1] if order == "reversed" else tuple(cone[::-1] for cone in f1.max_cones)
+        report = validate_fan(Fan(f1.lattice, f1.rays, cones))
+        assert (report.simplicial, report.complete, report.smooth) == (True, True, True)
+
     # Five rays in the plane z = 0, joined to both poles.  Joined in angular
     # order they give a fan; joined in the order below they wind twice round
     # the axis, so every wall is still shared by two cones on opposite sides

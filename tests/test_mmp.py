@@ -228,6 +228,13 @@ class TestSelfIntersectionProfile:
         profile = self_intersection_profile(families.hirzebruch(a))
         assert profile == (0, -a, 0, a)
 
+    @pytest.mark.parametrize("order", ["reversed", "each pair (i + 1, i)"])
+    def test_cycle_cones_in_another_order(self, order):
+        # The cones are F1's four adjacent pairs, in another order or each written backwards.
+        f1 = families.hirzebruch(1)
+        cones = f1.max_cones[::-1] if order == "reversed" else tuple(cone[::-1] for cone in f1.max_cones)
+        assert self_intersection_profile(Fan(f1.lattice, f1.rays, cones)) == (0, -1, 0, 1)
+
     @settings(max_examples=100, deadline=None)
     @given(st.integers(0, 10**6), st.integers(4, 14))
     def test_defining_relation_holds_per_ray(self, seed, max_rays):
@@ -642,11 +649,16 @@ def entry_cases(draw):
     """Surface fans, their GL2(Z) images (rebuilt, or with the rays moved
     in place, which reverses the cycle when det g = -1), reorderings of
     their rays, cycles of fewer than 3 rays, and the stored cycle with a
-    sorted subset of its cones."""
+    sorted subset of its cones or with all of them shuffled, each pair in
+    either order."""
     fan, g = draw(surface_fans()), draw(GL2)
-    how = draw(st.sampled_from(["fan", "image", "moved", "reordered", "few", "cones"]))
+    how = draw(st.sampled_from(["fan", "image", "moved", "reordered", "few", "cones", "shuffled"]))
     if how == "cones":
         return Fan(fan.lattice, fan.rays, tuple(sorted(draw(st.sets(st.sampled_from(fan.max_cones))))))
+    if how == "shuffled":
+        flips = draw(st.lists(st.booleans(), min_size=fan.ray_count, max_size=fan.ray_count))
+        cones = [cone[::-1] if flip else cone for cone, flip in zip(fan.max_cones, flips)]
+        return Fan(fan.lattice, fan.rays, tuple(draw(st.permutations(cones))))
     if how == "image":
         return transform_fan(g, fan)
     if how == "moved":
@@ -925,10 +937,11 @@ class TestLabel:
 
 class TestAdjacentMinusOneRule:
     def test_hexagon_has_six_verified_instances(self, hexagon_n2):
-        facts = check_adjacent_minus_one_rule(hexagon_n2)
-        assert len(facts) == 6
-        for fact in facts:
-            assert tuple(a + b for a, b in zip(fact.outer_left, fact.outer_right)) == (0, 0)
+        pairs = check_adjacent_minus_one_rule(hexagon_n2)
+        assert pairs == tuple((i, (i + 1) % 6) for i in range(6))
+        for i, _ in pairs:
+            outer_left, outer_right = hexagon_n2.rays[i - 1], hexagon_n2.rays[(i + 2) % 6]
+            assert tuple(a + b for a, b in zip(outer_left, outer_right)) == (0, 0)
 
     def test_triangle_has_none(self, p2_fan):
         assert check_adjacent_minus_one_rule(p2_fan) == ()
@@ -942,6 +955,6 @@ class TestAdjacentMinusOneRule:
             if profile[i] == 1
             and profile[(i + 1) % fan.ray_count] == 1
         )
-        facts = check_adjacent_minus_one_rule(fan)
-        assert len(facts) == expected
+        pairs = check_adjacent_minus_one_rule(fan)
+        assert len(pairs) == expected
         assert expected > 0

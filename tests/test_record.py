@@ -55,7 +55,7 @@ def oracle_of(cls):
 
 def test_every_record_class_is_covered():
     names = {cls.__name__ for cls in RECORDS}
-    assert len(RECORDS) == 18 and set(VALID) | set(DEFAULTS) <= names
+    assert len(RECORDS) == 15 and set(VALID) | set(DEFAULTS) <= names
     assert all(isinstance(values_of(cls), tuple) and len(values_of(cls)) == len(cls._fields) for cls in RECORDS)
 
 

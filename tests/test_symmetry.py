@@ -586,6 +586,24 @@ class TestRank2RayPermutations:
                     assert perm_or_none(fan, h) == perm_by_cone_sets(fan, h)
         assert reversing >= len(_symmetric_surface_fans())
 
+    @pytest.mark.parametrize("order", ["reversed", "each pair (i + 1, i)"])
+    def test_cycle_cones_in_another_order_are_read_off_the_cycle(self, order, monkeypatch):
+        # The hexagon's six adjacent pairs, in another order or each written
+        # backwards, still take the cycle path: the cone-set check, which
+        # builds a frozenset per cone, is never reached.
+        hexagon = families.dp6("n2")
+        cones = hexagon.max_cones[::-1] if order == "reversed" else tuple(c[::-1] for c in hexagon.max_cones)
+        fan = fan_module.Fan(hexagon.lattice, hexagon.rays, cones)
+        matrices = [*fan_automorphisms(hexagon).elements, IntMatrix.from_rows([(1, 1), (0, 1)])]
+        expected = [perm_by_cone_sets(fan, g) for g in matrices]
+
+        def refuse(*args):
+            raise AssertionError("the cone-set check ran")
+
+        monkeypatch.setattr(symmetry, "frozenset", refuse, raising=False)
+        assert [perm_or_none(fan, g) for g in matrices] == expected
+        assert expected.count(None) == 1
+
 
 def _census_s3_cases(max_height=5):
     """The smooth census of both lattices at H <= max_height, each fan with
