@@ -202,20 +202,28 @@ class TestCheckCommand:
         assert run_cli("check", str(path)) == 2
 
 
+REPORT_GROUPS = ["corpus"] + [
+    f"{kind}-{group}-{galois}"
+    for kind in ("rootA2", "weightA2")
+    for group in ("S3", "S3xpm1")
+    for galois in ("no-galois", "galois-minus-I")
+]
+
+
 def report_cases(group):
     """(name, fan, action, datum) of one group of the rendering test: the named
     corpus with no action, or the census at H = 3 (which holds every lower
-    height) on one lattice under S3 or under S3 x {+-1}, each fan with no
-    Galois datum and with -I."""
+    height) on one lattice under S3 or under S3 x {+-1}, with no Galois datum
+    or with -I."""
     if group == "corpus":
         return [(name, fan, None, None) for name, fan in named_family_corpus()]
-    kind, negation = group.split("-")[0], group.endswith("pm1")
+    kind, action_group, galois = group.split("-", 2)
+    negation = action_group == "S3xpm1"
     census = families.enumerate_invariant_fans(Lattice.from_label(kind), 3, 18, False, negation)
-    minus_identity = GaloisDatum(tau=-IntMatrix.identity(2))
+    datum = GaloisDatum(tau=-IntMatrix.identity(2)) if galois == "galois-minus-I" else None
     return [
-        (f"{group}/{k}/{datum is not None}", fan, families.standard_s3_action(fan, negation), datum)
+        (f"{group}/{k}", fan, families.standard_s3_action(fan, negation), datum)
         for k, fan in enumerate(census)
-        for datum in (None, minus_identity)
     ]
 
 
@@ -229,7 +237,7 @@ def rendered(report_payload, fan, action, datum):
 
 
 class TestCheckReportRows:
-    @pytest.mark.parametrize("group", ["corpus", "rootA2-S3", "rootA2-S3xpm1", "weightA2-S3", "weightA2-S3xpm1"])
+    @pytest.mark.parametrize("group", REPORT_GROUPS)
     def test_payload_and_plain_lines_match_the_two_part_report(self, group):
         cases = report_cases(group)
         assert len(cases) >= 4
